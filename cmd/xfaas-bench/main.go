@@ -1,165 +1,34 @@
-// Command xfaas-bench runs the platform's performance benchmarks and
-// emits one trajectory point as JSON: simulated-calls-per-wall-second for
-// the end-to-end platform benches plus ns/op and allocs/op for every
-// benchmark. CI runs it at quick scale on every push (see
-// .github/workflows/ci.yml) and fails the build when the headline
-// numbers regress against the checked-in bench_baseline.json; the dated
-// BENCH_<date>.json artifacts form the performance trajectory described
-// in DESIGN.md's "Performance methodology".
+// Command xfaas-bench runs the scheduling-policy × overload-scenario
+// matrix and writes it as JSON. Performance measurement (throughput,
+// allocations, observer overhead, parallel speedup, per-layer drivers)
+// lives in the repository benchmark: `bash benchmark/run.sh`.
 //
 // Usage:
 //
-//	xfaas-bench                       # full scale, writes BENCH_<date>.json
-//	xfaas-bench -quick                # CI scale (fewer iterations)
-//	xfaas-bench -quick -baseline bench_baseline.json   # regression gate
+//	xfaas-bench -policy-matrix [-seed N] [-out POLICY_MATRIX.json]
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"runtime"
-	"testing"
-	"time"
 
-	"xfaas"
 	"xfaas/internal/experiment"
-	"xfaas/internal/sim"
 )
-
-// Result is one benchmark's measurements. SimCallsPerSec is zero for
-// micro-benchmarks that do not drive the whole platform.
-// ParallelSpeedup is set only by PlatformHuge: wall time of the
-// single-goroutine reference schedule divided by wall time of the
-// multi-goroutine run of the same partitioned simulation (≈1 on a
-// single-core runner, approaching min(cores, partitions) beyond it).
-type Result struct {
-	Iterations      int     `json:"iterations"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	BytesPerOp      int64   `json:"bytes_per_op"`
-	AllocsPerOp     int64   `json:"allocs_per_op"`
-	SimCallsPerSec  float64 `json:"simcalls_per_sec,omitempty"`
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
-	// UtilizationMean is the run's mean fleet CPU utilization (last
-	// iteration's platform, or the mean across partitions for
-	// PlatformHuge) — context for reading a simcalls/s point: throughput
-	// regressions look very different at 10% and at 90% utilization.
-	UtilizationMean float64 `json:"utilization_mean,omitempty"`
-}
-
-// Report is the BENCH_<date>.json document.
-type Report struct {
-	Schema    string `json:"schema"`
-	Date      string `json:"date"`
-	Quick     bool   `json:"quick"`
-	GoVersion string `json:"go"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	// CPUs is the runner's core count (runtime.NumCPU) — the context a
-	// parallel_speedup point must be read against.
-	CPUs       int               `json:"cpus"`
-	Benchmarks map[string]Result `json:"benchmarks"`
-}
 
 func main() {
 	var (
-		quick     = flag.Bool("quick", false, "CI scale: fewer iterations per benchmark")
-		out       = flag.String("out", "", "output path (default BENCH_<date>.json)")
-		baseline  = flag.String("baseline", "", "baseline JSON to compare against; regressions beyond -tolerance fail")
-		tolerance = flag.Float64("tolerance", 0.20, "allowed fractional regression vs baseline")
-		matrix    = flag.Bool("policy-matrix", false, "run the scheduling-policy × overload-scenario matrix instead of the benchmarks; writes POLICY_MATRIX.json (or -out)")
-		seed      = flag.Uint64("seed", 1, "with -policy-matrix: simulation seed")
+		matrix = flag.Bool("policy-matrix", false, "run the scheduling-policy × overload-scenario matrix; writes POLICY_MATRIX.json (or -out)")
+		out    = flag.String("out", "", "output path (default POLICY_MATRIX.json)")
+		seed   = flag.Uint64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
-
-	if *matrix {
-		runPolicyMatrix(*seed, *out)
-		return
+	if !*matrix {
+		fmt.Fprintln(os.Stderr, "xfaas-bench: nothing to do without -policy-matrix; performance numbers come from `bash benchmark/run.sh`")
+		os.Exit(2)
 	}
-
-	rep := Report{
-		Schema:     "xfaas-bench/v1",
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		Quick:      *quick,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		CPUs:       runtime.NumCPU(),
-		Benchmarks: map[string]Result{},
-	}
-
-	run := func(name string, r Result) {
-		rep.Benchmarks[name] = r
-		line := fmt.Sprintf("%-18s %8d iters  %14.1f ns/op  %8d B/op  %6d allocs/op",
-			name, r.Iterations, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		if r.SimCallsPerSec > 0 {
-			line += fmt.Sprintf("  %10.0f simcalls/s", r.SimCallsPerSec)
-		}
-		fmt.Println(line)
-	}
-
-	run("PlatformSmall", benchPlatform(3, 12, 10, nil))
-	run("PlatformSmall/traced", benchPlatform(3, 12, 10, func(cfg *xfaas.Config) {
-		cfg.Trace.Enabled = true
-		cfg.Trace.SampleEvery = 1
-	}))
-	// Invariant checking on: measures the ledger + probe overhead. Not
-	// gated — the strict gates are PlatformSmall (untraced, unchecked)
-	// and SubmitPath, which must not regress when both layers are off.
-	run("PlatformSmall/invariants", benchPlatform(3, 12, 10, func(cfg *xfaas.Config) {
-		cfg.Invariants.Enabled = true
-	}))
-	// Full overload-resilience stack on (retry budgets, queue-delay
-	// shedding, expiry sweeping): measures the resilience layer's
-	// steady-state overhead on a healthy fleet.
-	run("PlatformSmall/overload", benchPlatform(3, 12, 10, func(cfg *xfaas.Config) {
-		cfg.Resilience = cfg.Resilience.EnableAll()
-	}))
-	// Core-second accounting + SLO burn-rate evaluation on: measures the
-	// observability layer's steady-state overhead.
-	run("PlatformSmall/slo", benchPlatform(3, 12, 10, func(cfg *xfaas.Config) {
-		cfg.Observe = cfg.Observe.EnableAll()
-	}))
-	// Gray-failure defenses on (exec-time outlier detection + hedged
-	// dispatch): measures the hedging layer's steady-state overhead on a
-	// healthy fleet, where estimators fill and hedges arm but rarely fire.
-	run("PlatformSmall/hedged", benchPlatform(3, 12, 10, func(cfg *xfaas.Config) {
-		cfg.GrayDetection.Enabled = true
-		cfg.Resilience = cfg.Resilience.EnableAll()
-	}))
-	if !*quick {
-		run("PlatformLarge", benchPlatform(12, 48, 40, nil))
-	}
-	submitN := 200000
-	if *quick {
-		submitN = 50000
-	}
-	run("SubmitPath", benchSubmitPath(submitN))
-	run("EngineScheduleRun", benchEngine())
-	run("PlatformHuge", benchPlatformHuge(*quick))
-
-	path := *out
-	if path == "" {
-		path = "BENCH_" + rep.Date + ".json"
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatal("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-
-	if *baseline != "" {
-		if err := checkRegression(rep, *baseline, *tolerance); err != nil {
-			fatal("REGRESSION: %v", err)
-		}
-		fmt.Printf("no regression vs %s (tolerance %.0f%%)\n", *baseline, *tolerance*100)
-	}
+	runPolicyMatrix(*seed, *out)
 }
 
 func fatal(format string, args ...any) {
@@ -192,258 +61,4 @@ func runPolicyMatrix(seed uint64, out string) {
 		fatal("write %s: %v", out, err)
 	}
 	fmt.Printf("wrote %s\n", out)
-}
-
-// gate is one regression check the baseline comparison applies.
-type gate struct {
-	name  string
-	check func(cur, bas Result, tol float64) error
-}
-
-// gates are the headline regression checks. Every gated name must exist
-// in BOTH the fresh report and the baseline: a benchmark that gets
-// renamed or dropped makes the comparison fail loudly instead of the
-// gate silently matching nothing and passing forever.
-var gates = []gate{
-	{"PlatformSmall", func(cur, bas Result, tol float64) error {
-		// End-to-end simulation throughput; lower is a regression, with a
-		// fractional tolerance so runner-to-runner hardware variance does
-		// not flap the gate.
-		floor := bas.SimCallsPerSec * (1 - tol)
-		if bas.SimCallsPerSec > 0 && cur.SimCallsPerSec < floor {
-			return fmt.Errorf("simcalls/s %.0f < %.0f (baseline %.0f - %.0f%%)",
-				cur.SimCallsPerSec, floor, bas.SimCallsPerSec, tol*100)
-		}
-		return nil
-	}},
-	{"PlatformHuge", func(cur, bas Result, tol float64) error {
-		// The parallel sharded simulation at fleet scale, same tolerance.
-		floor := bas.SimCallsPerSec * (1 - tol)
-		if bas.SimCallsPerSec > 0 && cur.SimCallsPerSec < floor {
-			return fmt.Errorf("simcalls/s %.0f < %.0f (baseline %.0f - %.0f%%)",
-				cur.SimCallsPerSec, floor, bas.SimCallsPerSec, tol*100)
-		}
-		return nil
-	}},
-	{"SubmitPath", func(cur, bas Result, _ float64) error {
-		// Allocation counts are hardware-independent, so this gate is
-		// strict: any extra allocation on the tracing-disabled submit hot
-		// path is a regression (the tracing layer's zero-alloc-when-off
-		// contract).
-		if bas.AllocsPerOp > 0 && cur.AllocsPerOp > bas.AllocsPerOp {
-			return fmt.Errorf("allocs/op %d > baseline %d (strict gate: the disabled trace path must not allocate)",
-				cur.AllocsPerOp, bas.AllocsPerOp)
-		}
-		return nil
-	}},
-}
-
-// checkRegression compares the fresh report against the baseline over
-// every gate. A gated benchmark missing from either side is an error in
-// itself — never a silent skip.
-func checkRegression(rep Report, baselinePath string, tol float64) error {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parse baseline: %w", err)
-	}
-	for _, g := range gates {
-		cur, ok := rep.Benchmarks[g.name]
-		if !ok {
-			return fmt.Errorf("gated benchmark %q is not in this run's report: it was renamed or dropped — update the gates table and bench_baseline.json together", g.name)
-		}
-		bas, ok := base.Benchmarks[g.name]
-		if !ok {
-			return fmt.Errorf("gated benchmark %q is not in baseline %s: regenerate the baseline (xfaas-bench -quick -out bench_baseline.json)", g.name, baselinePath)
-		}
-		if err := g.check(cur, bas, tol); err != nil {
-			return fmt.Errorf("%s: %w", g.name, err)
-		}
-	}
-	return nil
-}
-
-// benchPlatform measures end-to-end control-plane throughput: a fresh
-// platform per iteration runs 30 simulated minutes of generated load;
-// the reported rate is simulated calls completed per wall-clock second.
-// Mirrors BenchmarkPlatformSmall/Large/SmallTraced in bench_test.go.
-func benchPlatform(regions, workers int, rps float64, mutate func(*xfaas.Config)) Result {
-	pcfg := xfaas.DefaultPopulationConfig()
-	pcfg.Functions = 60
-	pcfg.TotalRPS = rps
-	pcfg.SpikyFunctions = 0
-	pcfg.MidnightSpikeFrac = 0
-	totalCalls := 0.0
-	var last *xfaas.Platform
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		totalCalls = 0
-		for i := 0; i < b.N; i++ {
-			cfg := xfaas.DefaultConfig()
-			cfg.Seed = uint64(i + 1)
-			cfg.Cluster.Regions = regions
-			cfg.Cluster.TotalWorkers = workers
-			cfg.CodePushInterval = 0
-			if mutate != nil {
-				mutate(&cfg)
-			}
-			pop := xfaas.NewPopulation(pcfg, xfaas.NewRand(cfg.Seed+100))
-			p := xfaas.New(cfg, pop.Registry)
-			gen := xfaas.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), xfaas.NewRand(cfg.Seed+200))
-			gen.Start()
-			p.Engine.RunFor(30 * time.Minute)
-			totalCalls += gen.Generated.Value()
-			last = p
-		}
-	})
-	r := toResult(res)
-	if secs := res.T.Seconds(); secs > 0 {
-		r.SimCallsPerSec = totalCalls / secs
-	}
-	if last != nil {
-		r.UtilizationMean = last.MeanUtilization()
-	}
-	return r
-}
-
-// benchSubmitPath measures the per-call submit hot path at a fixed
-// iteration count (pool warm-up amortizes away only over many calls).
-// Mirrors BenchmarkSubmitPath in bench_test.go.
-func benchSubmitPath(n int) Result {
-	cfg := xfaas.DefaultConfig()
-	cfg.Cluster.Regions = 1
-	cfg.Cluster.TotalWorkers = 4
-	cfg.CodePushInterval = 0
-	// Resilience and accounting on: neither the budget/expiry bookkeeping
-	// nor the core-second meters may add an allocation to the submit hot
-	// path (the 1 alloc/op is the Call).
-	cfg.Resilience = cfg.Resilience.EnableAll()
-	cfg.Observe = cfg.Observe.EnableAll()
-	reg := xfaas.NewRegistry()
-	spec := &xfaas.FunctionSpec{
-		Name: "bench-fn", Namespace: "main", Runtime: "php",
-		Trigger: xfaas.TriggerQueue, Deadline: time.Hour,
-		Retry: xfaas.RetryPolicy{MaxAttempts: 3, Backoff: 10 * time.Second},
-		Zone:  xfaas.NewZone(xfaas.Internal),
-		Resources: xfaas.ResourceModel{
-			CPUMu: math.Log(10), CPUSigma: 0.3,
-			MemMu: math.Log(8), MemSigma: 0.3,
-			TimeMu: math.Log(0.05), TimeSigma: 0.3,
-			CodeMB: 8, JITCodeMB: 4,
-		},
-	}
-	reg.MustRegister(spec)
-	p := xfaas.New(cfg, reg)
-	src := xfaas.NewRand(1)
-	var clients [8]string
-	for i := range clients {
-		clients[i] = fmt.Sprintf("client-%d", i)
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		c := &xfaas.Call{
-			Spec:     spec,
-			CPUWorkM: src.LogNormal(math.Log(10), 0.3),
-			MemMB:    src.LogNormal(math.Log(8), 0.3),
-			ExecSecs: src.LogNormal(math.Log(0.05), 0.3),
-		}
-		if err := p.Submit(0, clients[i%8], c); err != nil {
-			fatal("submit: %v", err)
-		}
-		if i%256 == 255 {
-			p.Engine.RunFor(time.Second)
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return Result{
-		Iterations:      n,
-		NsPerOp:         float64(elapsed.Nanoseconds()) / float64(n),
-		BytesPerOp:      int64(after.TotalAlloc-before.TotalAlloc) / int64(n),
-		AllocsPerOp:     int64(after.Mallocs-before.Mallocs) / int64(n),
-		UtilizationMean: p.MeanUtilization(),
-	}
-}
-
-// benchPlatformHuge measures the parallel sharded simulation at fleet
-// scale: a 20-region, 100k-worker platform partitioned 20 ways. It runs
-// the identical simulation twice — once on the single-goroutine
-// reference scheduler, once on one goroutine per partition — verifies
-// the outputs are byte-identical (the determinism contract, enforced
-// even in a benchmark), and reports the parallel run's throughput plus
-// the seq/parallel wall-time ratio as ParallelSpeedup.
-func benchPlatformHuge(quick bool) Result {
-	opts := xfaas.DefaultParallelOptions()
-	opts.Parts = 20
-	opts.Regions = 20
-	opts.TotalWorkers = 100000
-	opts.Functions = 240
-	opts.RPS = 2400
-	opts.CrossFrac = 0.1
-	opts.Minutes = 3
-	opts.Prewarm = false // prewarming 100k workers dominates setup
-	if quick {
-		opts.Minutes = 2
-		opts.RPS = 1200
-	}
-
-	opts.Seq = true
-	seqStart := time.Now()
-	seqReport := xfaas.NewParallel(opts).Run()
-	seqWall := time.Since(seqStart)
-
-	opts.Seq = false
-	parStart := time.Now()
-	r := xfaas.NewParallel(opts)
-	parReport := r.Run()
-	parWall := time.Since(parStart)
-
-	if parReport != seqReport {
-		fatal("PlatformHuge parallel run diverged from the sequential reference:\n--- seq ---\n%s--- parallel ---\n%s", seqReport, parReport)
-	}
-
-	generated := 0.0
-	util := 0.0
-	for _, part := range r.Parts {
-		generated += part.Generator.Generated.Value()
-		util += part.Platform.MeanUtilization()
-	}
-	return Result{
-		Iterations:      1,
-		NsPerOp:         float64(parWall.Nanoseconds()),
-		SimCallsPerSec:  generated / parWall.Seconds(),
-		ParallelSpeedup: seqWall.Seconds() / parWall.Seconds(),
-		UtilizationMean: util / float64(len(r.Parts)),
-	}
-}
-
-// benchEngine measures the event-queue primitive: schedule one event and
-// run it to completion.
-func benchEngine() Result {
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		e := sim.NewEngine()
-		cnt := 0
-		fn := func() { cnt++ }
-		for i := 0; i < b.N; i++ {
-			e.Schedule(time.Duration(i%1000)*time.Microsecond, fn)
-			e.Run()
-		}
-	})
-	return toResult(res)
-}
-
-func toResult(res testing.BenchmarkResult) Result {
-	return Result{
-		Iterations:  res.N,
-		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-		AllocsPerOp: res.AllocsPerOp(),
-	}
 }

@@ -69,10 +69,10 @@ func (inj *Injector) record(kind, format string, args ...any) {
 	// Forward to the platform's control-plane event log so injected
 	// faults have a durable, queryable record (httpapi /events) next to
 	// the reactions they trigger (breaker flips, health transitions).
-	inj.p.Tracer.Control("chaos."+kind, detail)
+	inj.p.Obs.Control("chaos."+kind, detail)
 	// Tag the invariant checker too: any violation that follows carries
 	// the active fault as its context.
-	inj.p.Inv.Note("chaos."+kind, detail)
+	inj.p.Obs.Note("chaos."+kind, detail)
 }
 
 // CrashWorker kills one worker. Silent crashes (power loss, kernel hang)

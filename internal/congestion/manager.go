@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"xfaas/internal/function"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/sim"
 	"xfaas/internal/stats"
-	"xfaas/internal/trace"
 )
 
 // Control bundles the three protection mechanisms for one function.
@@ -48,9 +48,9 @@ type Manager struct {
 
 	DispatchDenied stats.Counter
 
-	// Trace, when set, receives control-plane events for AIMD limit
+	// Obs, when set, receives control-plane events for AIMD limit
 	// decreases (back-pressure reactions).
-	Trace *trace.Recorder
+	Obs *lifecycle.Spine
 }
 
 // NewManager returns a manager with the given parameters and starts the
@@ -74,7 +74,7 @@ func (m *Manager) tick() {
 		d0 := ctl.AIMD.Decreases
 		lim := ctl.AIMD.Tick(now)
 		if ctl.AIMD.Decreases != d0 {
-			m.Trace.Control("aimd.decrease", fmt.Sprintf("%s limit=%.1f", name, lim))
+			m.Obs.Control("aimd.decrease", fmt.Sprintf("%s limit=%.1f", name, lim))
 		}
 	}
 }

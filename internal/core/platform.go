@@ -24,6 +24,7 @@ import (
 	"xfaas/internal/invariant"
 	"xfaas/internal/jit"
 	"xfaas/internal/kv"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/locality"
 	"xfaas/internal/policy"
 	"xfaas/internal/queuelb"
@@ -133,11 +134,12 @@ type Config struct {
 	Drain config.Drain
 	// Trace configures per-call tracing (disabled by default: the
 	// recorder still exists and collects control-plane events, but no
-	// call is sampled and the hot path pays one boolean load).
+	// call is sampled).
 	Trace trace.Params
 	// Invariants configures continuous invariant checking (disabled by
-	// default: the checker stays nil and every hook is a nil-receiver
-	// no-op, preserving the zero-alloc submit path).
+	// default: the checker stays nil). With tracing, invariants and the
+	// SLO engine all off, every lifecycle emit on the hot path is one
+	// inlined check on the spine, preserving the zero-alloc submit path.
 	Invariants invariant.Params
 	// Observe is the utilization-accounting and SLO model: per-worker
 	// core-second meters with exact busy/idle closure, windowed
@@ -259,6 +261,9 @@ type Platform struct {
 	Acct *slo.Accountant
 	// SLO is the burn-rate SLO engine; nil unless cfg.Observe.SLO.
 	SLO *slo.Engine
+	// Obs is the lifecycle spine every component emits on; it fans call
+	// transitions out to Tracer, Inv and SLO.
+	Obs *lifecycle.Spine
 	// Drainer is the regional drain controller. Always constructed (its
 	// construction is free of RNG and scheduling); it refuses to drain,
 	// with a control event, unless cfg.Drain.Enabled.
@@ -324,17 +329,13 @@ type Platform struct {
 	MigratedOut     stats.Counter
 	MigratedIn      stats.Counter
 	MigratedDropped stats.Counter
-	// OnExecutedHook, when set, observes every successful completion
-	// (experiment instrumentation).
-	OnExecutedHook func(*function.Call)
-	// onExecutedSubs are additional completion listeners (trigger
-	// chaining, workflows); see AddOnExecuted.
+	// onExecutedSubs are the completion listeners (trigger chaining,
+	// workflows, experiment instrumentation); see AddOnExecuted.
 	onExecutedSubs []func(*function.Call)
 }
 
-// AddOnExecuted registers an additional completion listener; unlike the
-// single OnExecutedHook field, listeners compose (workflow chaining plus
-// experiment instrumentation can coexist).
+// AddOnExecuted registers a listener invoked, in registration order, for
+// every successful completion.
 func (p *Platform) AddOnExecuted(fn func(*function.Call)) {
 	p.onExecutedSubs = append(p.onExecutedSubs, fn)
 }
@@ -372,9 +373,9 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		ReservedCPU:      stats.NewTimeSeries(time.Minute, stats.ModeSum),
 		OpportunisticCPU: stats.NewTimeSeries(time.Minute, stats.ModeSum),
 		Metrics:          stats.NewRegistry(),
+		Tracer:           trace.NewRecorder(engine, cfg.Seed, cfg.Trace),
+		Inv:              invariant.NewChecker(engine, cfg.Invariants, topo.NumRegions()),
 	}
-	p.Tracer = trace.NewRecorder(engine, cfg.Seed, cfg.Trace)
-	p.Inv = invariant.NewChecker(engine, cfg.Invariants, p.Topo.NumRegions())
 	if p.Inv != nil && cfg.Resilience.ExpirySweep {
 		// With sweeping on, an expired call reaching a worker is a breach
 		// of the sweeps' promise, not an SLO miss.
@@ -406,8 +407,9 @@ func New(cfg Config, registry *function.Registry) *Platform {
 	if cfg.Observe.SLO {
 		p.SLO = slo.NewEngine(p.Metrics, cfg.Observe, p.Tracer.Control)
 	}
+	p.Obs = lifecycle.New(engine, p.Tracer, p.Inv, p.SLO)
 	p.Cong = congestion.NewManager(engine, cfg.AIMD, cfg.SlowStart)
-	p.Cong.Trace = p.Tracer
+	p.Cong.Obs = p.Obs
 	for _, c := range cfg.SpikyClients {
 		p.spiky[c] = true
 	}
@@ -445,9 +447,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			if cfg.Durability.JournalEnabled {
 				sh.EnableJournal(cfg.Durability.FlushLag)
 			}
-			sh.Trace = p.Tracer
-			sh.Inv = p.Inv
-			sh.SLO = p.SLO
+			sh.Obs = p.Obs
 			allShards[i] = append(allShards[i], sh)
 		}
 	}
@@ -471,14 +471,14 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			if cfg.PrewarmJIT {
 				wk.Runtime.Prewarm(registry.Names())
 			}
-			wk.Trace = p.Tracer
+			wk.Obs = p.Obs
 			if p.Acct != nil {
 				wk.Acct = p.Acct.NewMeter(int(r.ID), wparams.CPUMIPS, effectiveCoreMIPS(wparams), engine.Now())
 			}
 			reg.Workers = append(reg.Workers, wk)
 		}
 		reg.LB = workerlb.New(src.Split(), reg.Workers)
-		reg.LB.Trace = p.Tracer
+		reg.LB.Obs = p.Obs
 		if cfg.Chaos.HeartbeatInterval > 0 {
 			reg.LB.StartHealthChecks(engine, workerlb.HealthParams{
 				Interval:              cfg.Chaos.HeartbeatInterval,
@@ -497,7 +497,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			})
 		}
 		reg.QueueLB = queuelb.New(r.ID, src.Split(), allShards, p.Store)
-		reg.QueueLB.Trace = p.Tracer
+		reg.QueueLB.Obs = p.Obs
 		// The scheduling policy's QueueLB placement hook. Every shipped
 		// policy declines placement (routing stays matrix-driven, with
 		// identical RNG draws), but a placement-aware policy installed
@@ -511,10 +511,9 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		}
 		reg.Normal = submitter.New(engine, r.ID, submitter.PoolNormal, cfg.Submitter, reg.QueueLB, p.KV, src.Split(), &p.idSeq)
 		reg.Spiky = submitter.New(engine, r.ID, submitter.PoolSpiky, cfg.Submitter, reg.QueueLB, p.KV, src.Split(), &p.idSeq)
-		reg.Normal.Trace = p.Tracer
-		reg.Spiky.Trace = p.Tracer
-		reg.Normal.Inv = p.Inv
-		reg.Spiky.Inv = p.Inv
+		for _, sub := range []*submitter.Submitter{reg.Normal, reg.Spiky} {
+			sub.Obs = p.Obs
+		}
 		nSched := cfg.SchedulersPerRegion
 		if nSched < 1 {
 			nSched = 1
@@ -532,8 +531,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		}
 		for k := 0; k < nSched; k++ {
 			sc := scheduler.New(engine, src.Split(), r.ID, sparams, allShards, reg.LB, p.Central, p.Cong, p.Store)
-			sc.Trace = p.Tracer
-			sc.Inv = p.Inv
+			sc.Obs = p.Obs
 			sc.HedgeBudget = hb
 			sc.OnExecuted = p.onExecuted
 			sc.Reachable = func(dst cluster.RegionID) bool { return p.Reachable(from, dst) }
@@ -577,8 +575,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		queueLBs[i] = reg.QueueLB
 	}
 	p.Drainer = drain.NewController(engine, cfg.Drain, views, queueLBs)
-	p.Drainer.Trace = p.Tracer
-	p.Drainer.Inv = p.Inv
+	p.Drainer.Obs = p.Obs
 	p.Drainer.MarkRegion = func(r int, d bool) { p.drained[r] = d }
 	if cfg.Chaos.DegradeInterval > 0 {
 		engine.Every(cfg.Chaos.DegradeInterval, p.degradeTick)
@@ -674,9 +671,6 @@ func (p *Platform) onExecuted(c *function.Call) {
 	p.avgCostM = (1-alpha)*p.avgCostM + alpha*c.CPUWorkM
 	p.Acct.OnExecuted(c)
 	p.SLO.Observe(c, now)
-	if p.OnExecutedHook != nil {
-		p.OnExecutedHook(c)
-	}
 	for _, fn := range p.onExecutedSubs {
 		fn(c)
 	}

@@ -36,12 +36,11 @@ import (
 	"xfaas/internal/config"
 	"xfaas/internal/durableq"
 	"xfaas/internal/function"
-	"xfaas/internal/invariant"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/queuelb"
 	"xfaas/internal/scheduler"
 	"xfaas/internal/sim"
 	"xfaas/internal/stats"
-	"xfaas/internal/trace"
 	"xfaas/internal/worker"
 )
 
@@ -81,9 +80,8 @@ type Controller struct {
 	// a partitioned region.
 	MarkRegion func(region int, drained bool)
 
-	// Trace and Inv receive the drill's control events and ledger notes.
-	Trace *trace.Recorder
-	Inv   *invariant.Checker
+	// Obs receives the drill's control events and ledger notes.
+	Obs *lifecycle.Spine
 
 	// Drains counts evacuations started; Migrated counts calls moved to
 	// peer-region shards across all drains.
@@ -121,7 +119,7 @@ func (d *Controller) Drain(region int) {
 		return
 	}
 	if !d.cfg.Enabled {
-		d.Trace.Control("drain.disabled", fmt.Sprintf("r%d: Drain config off", region))
+		d.Obs.Control("drain.disabled", fmt.Sprintf("r%d: Drain config off", region))
 		return
 	}
 	st := &d.states[region]
@@ -136,8 +134,8 @@ func (d *Controller) Drain(region int) {
 	if d.MarkRegion != nil {
 		d.MarkRegion(region, true)
 	}
-	d.Trace.Control("drain.begin", fmt.Sprintf("r%d admit-stopped", region))
-	d.Inv.Note("drain", fmt.Sprintf("r%d", region))
+	d.Obs.Control("drain.begin", fmt.Sprintf("r%d admit-stopped", region))
+	d.Obs.Note("drain", fmt.Sprintf("r%d", region))
 	d.engine.Schedule(d.cfg.StageDelay, func() { d.stageRelease(region) })
 }
 
@@ -165,7 +163,7 @@ func (d *Controller) Undrain(region int) {
 	for _, sc := range d.regions[region].Scheds {
 		sc.SetDraining(false)
 	}
-	d.Trace.Control("drain.end", fmt.Sprintf("r%d migrated=%d", region, st.migrated))
+	d.Obs.Control("drain.end", fmt.Sprintf("r%d migrated=%d", region, st.migrated))
 }
 
 // stageRelease is stage 2: stop the region's scheduler pipelines (each
@@ -179,7 +177,7 @@ func (d *Controller) stageRelease(region int) {
 	for _, sc := range d.regions[region].Scheds {
 		sc.SetDraining(true)
 	}
-	d.Trace.Control("drain.released", fmt.Sprintf("r%d schedulers parked", region))
+	d.Obs.Control("drain.released", fmt.Sprintf("r%d schedulers parked", region))
 	st.ticker = d.engine.Every(d.cfg.CheckInterval, func() { d.pump(region) })
 }
 
@@ -195,7 +193,7 @@ func (d *Controller) pump(region int) {
 	if n > 0 {
 		st.migrated += n
 		d.Migrated.Add(float64(n))
-		d.Trace.Control("drain.migrated",
+		d.Obs.Control("drain.migrated",
 			fmt.Sprintf("r%d n=%d total=%d", region, n, st.migrated))
 		return
 	}
@@ -205,7 +203,7 @@ func (d *Controller) pump(region int) {
 		st.quiescedAt = now
 		st.ticker.Stop()
 		st.ticker = nil
-		d.Trace.Control("drain.quiesced",
+		d.Obs.Control("drain.quiesced",
 			fmt.Sprintf("r%d rto=%s migrated=%d", region, now-st.startedAt, st.migrated))
 		return
 	}
@@ -215,7 +213,7 @@ func (d *Controller) pump(region int) {
 	// be reported when the region finally quiets.
 	if !st.timedOut && now-st.startedAt >= d.cfg.QuiesceTimeout {
 		st.timedOut = true
-		d.Trace.Control("drain.timeout",
+		d.Obs.Control("drain.timeout",
 			fmt.Sprintf("r%d still busy after %s", region, now-st.startedAt))
 	}
 }

@@ -13,11 +13,10 @@ import (
 
 	"xfaas/internal/cluster"
 	"xfaas/internal/function"
-	"xfaas/internal/invariant"
 	"xfaas/internal/journal"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
-	"xfaas/internal/slo"
 	"xfaas/internal/stats"
 	"xfaas/internal/trace"
 )
@@ -178,14 +177,9 @@ type Shard struct {
 	DrainedIn  stats.Counter
 	pending    int
 
-	// Trace, when set, records queue lifecycle events for sampled calls.
-	Trace *trace.Recorder
-	// Inv, when set, feeds the invariant checker's call ledger at every
-	// durable state transition.
-	Inv *invariant.Checker
-	// SLO, when set, observes dead-lettered calls as objective misses
-	// (nil-safe, no allocation).
-	SLO *slo.Engine
+	// Obs, when set, hears every durable state transition of a call and
+	// the shard's control events (crash, replay, budget flips).
+	Obs *lifecycle.Spine
 }
 
 // NewShard returns an empty shard with a 5-minute lease timeout. src
@@ -245,8 +239,7 @@ func (s *Shard) Enqueue(c *function.Call) bool {
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpEnqueue, c, c.StartAfter)
 	}
-	s.Trace.Record(c, trace.KindEnqueue, trace.Ref(s.ID.Region, s.ID.Index))
-	s.Inv.OnEnqueue(c)
+	s.Obs.Emit(c, trace.KindEnqueue, trace.Ref(s.ID.Region, s.ID.Index))
 	return true
 }
 
@@ -356,8 +349,7 @@ func (s *Shard) offer(c *function.Call) *function.Call {
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpLease, c, 0)
 	}
-	s.Trace.Record(c, trace.KindLease, int64(c.Attempt))
-	s.Inv.OnLease(c)
+	s.Obs.Emit(c, trace.KindLease, int64(c.Attempt))
 	l := s.getLease()
 	l.call = c
 	l.id = c.ID
@@ -400,8 +392,7 @@ func (s *Shard) expire(l *lease) {
 	s.Expired.Inc()
 	c := l.call
 	s.putLease(l)
-	s.Trace.Record(c, trace.KindLeaseExpired, 0)
-	s.Inv.OnExpired(c)
+	s.Obs.Emit(c, trace.KindLeaseExpired, 0)
 	s.retryOrDrop(c, 0)
 }
 
@@ -439,8 +430,7 @@ func (s *Shard) Ack(id uint64) bool {
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpAck, c, 0)
 	}
-	s.Trace.Record(c, trace.KindAck, 0)
-	s.Inv.OnAck(c)
+	s.Obs.Emit(c, trace.KindAck, 0)
 	s.putLease(l)
 	s.Acked.Inc()
 	if c.Attempt == 1 {
@@ -474,8 +464,7 @@ func (s *Shard) suppressDuplicate(id uint64) bool {
 		s.FirstAcks.Inc()
 		s.earnBudget(c.Spec.Name)
 	}
-	s.Trace.Record(c, trace.KindAck, 1)
-	s.Inv.OnAck(c)
+	s.Obs.Emit(c, trace.KindAck, 1)
 	return true
 }
 
@@ -502,8 +491,7 @@ func (s *Shard) nackWith(id uint64, base time.Duration, override bool) bool {
 	s.Nacked.Inc()
 	c := l.call
 	s.putLease(l)
-	s.Trace.Record(c, trace.KindNack, 0)
-	s.Inv.OnNack(c)
+	s.Obs.Emit(c, trace.KindNack, 0)
 	if !override {
 		base = c.Spec.Retry.Backoff
 	}
@@ -533,8 +521,7 @@ func (s *Shard) retryOrDrop(c *function.Call, base time.Duration) {
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpRetry, c, readyAt)
 	}
-	s.Trace.Record(c, trace.KindRetry, int64(backoff))
-	s.Inv.OnRetry(c)
+	s.Obs.Emit(c, trace.KindRetry, int64(backoff))
 	s.requeue(c, readyAt)
 }
 
@@ -547,27 +534,22 @@ func (s *Shard) retryOrDrop(c *function.Call, base time.Duration) {
 func (s *Shard) deadLetter(c *function.Call, reason DeadReason) {
 	c.State = function.StateFailed
 	s.DeadLetters.Inc()
-	s.SLO.ObserveDeadLetter(c, s.engine.Now())
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpDeadLetter, c, 0)
 	}
 	switch reason {
 	case ReasonExpired:
 		s.DeadExpired.Inc()
-		s.Trace.Record(c, trace.KindExpired, int64(c.Attempt))
-		s.Inv.OnExpiredCall(c)
+		s.Obs.Emit(c, trace.KindExpired, int64(c.Attempt))
 	case ReasonBudget:
 		s.DeadBudget.Inc()
-		s.Trace.Record(c, trace.KindBudgetExhausted, int64(c.Attempt))
-		s.Inv.OnBudgetExhausted(c)
+		s.Obs.Emit(c, trace.KindBudgetExhausted, int64(c.Attempt))
 	case ReasonShed:
 		s.DeadShed.Inc()
-		s.Trace.Record(c, trace.KindShed, int64(s.engine.Now()-c.QueuedAt))
-		s.Inv.OnShed(c)
+		s.Obs.Emit(c, trace.KindShed, int64(s.engine.Now()-c.QueuedAt))
 	default:
 		s.DeadExhausted.Inc()
-		s.Trace.Record(c, trace.KindDeadLetter, int64(c.Attempt))
-		s.Inv.OnDeadLetter(c)
+		s.Obs.Emit(c, trace.KindDeadLetter, int64(c.Attempt))
 	}
 }
 
@@ -610,8 +592,7 @@ func (s *Shard) Release(id uint64) bool {
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpRetry, c, readyAt)
 	}
-	s.Trace.Record(c, trace.KindRetry, 0)
-	s.Inv.OnRelease(c)
+	s.Obs.Emit(c, trace.KindRelease, 0)
 	s.requeue(c, readyAt)
 	return true
 }
@@ -685,8 +666,7 @@ func (s *Shard) AdoptDrained(c *function.Call) bool {
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpEnqueue, c, readyAt)
 	}
-	s.Trace.Record(c, trace.KindMigrated, trace.Ref(s.ID.Region, s.ID.Index))
-	s.Inv.OnDrainMigrate(c)
+	s.Obs.Emit(c, trace.KindDrainMigrated, trace.Ref(s.ID.Region, s.ID.Index))
 	return true
 }
 
@@ -709,7 +689,7 @@ func (s *Shard) earnBudget(name string) {
 	s.budgets[name] = b
 	if b >= 1 && s.budgetDry[name] {
 		delete(s.budgetDry, name)
-		s.Trace.Control("budget.recovered", fmt.Sprintf("%v %s", s.ID, name))
+		s.Obs.Control("budget.recovered", fmt.Sprintf("%v %s", s.ID, name))
 	}
 }
 
@@ -734,7 +714,7 @@ func (s *Shard) spendBudget(name string) bool {
 				s.budgetDry = make(map[string]bool)
 			}
 			s.budgetDry[name] = true
-			s.Trace.Control("budget.exhausted", fmt.Sprintf("%v %s", s.ID, name))
+			s.Obs.Control("budget.exhausted", fmt.Sprintf("%v %s", s.ID, name))
 		}
 		return false
 	}
@@ -830,7 +810,7 @@ func (s *Shard) Crash() {
 		for _, c := range held {
 			s.lose(c)
 		}
-		s.Trace.Control("durableq.crash",
+		s.Obs.Control("durableq.crash",
 			fmt.Sprintf("%v journal=off lost=%d", s.ID, len(held)))
 		return
 	}
@@ -863,7 +843,7 @@ func (s *Shard) Crash() {
 		s.lose(c)
 		lost++
 	}
-	s.Trace.Control("durableq.crash",
+	s.Obs.Control("durableq.crash",
 		fmt.Sprintf("%v journal=%d torn=%d lost=%d held=%d",
 			s.ID, s.jrn.Len(), len(torn), lost, s.crashHeld))
 }
@@ -872,8 +852,7 @@ func (s *Shard) Crash() {
 func (s *Shard) lose(c *function.Call) {
 	s.LostOnCrash.Inc()
 	c.State = function.StateFailed
-	s.Trace.Record(c, trace.KindLost, 0)
-	s.Inv.OnLost(c)
+	s.Obs.Emit(c, trace.KindLost, 0)
 }
 
 // Restart brings a crashed shard back: after ReplayBase (process start,
@@ -889,12 +868,12 @@ func (s *Shard) Restart() {
 	}
 	if s.jrn == nil {
 		// Stateless restart: the shard returns empty after the base delay.
-		s.Trace.Control("durableq.replay-begin", fmt.Sprintf("%v entries=0", s.ID))
+		s.Obs.Control("durableq.replay-begin", fmt.Sprintf("%v entries=0", s.ID))
 		s.replayTimer = s.engine.Schedule(s.ReplayBase, func() { s.finishReplay(0) })
 		return
 	}
 	s.replayer = s.jrn.Replay()
-	s.Trace.Control("durableq.replay-begin",
+	s.Obs.Control("durableq.replay-begin",
 		fmt.Sprintf("%v entries=%d", s.ID, s.replayer.Total()))
 	s.replayTimer = s.engine.Schedule(s.ReplayBase, s.replayStep)
 }
@@ -919,7 +898,7 @@ func (s *Shard) finishReplay(replayed int) {
 	s.crashHeld = 0
 	s.replayer = nil
 	s.replayLast = nil
-	s.Trace.Control("durableq.replay-end",
+	s.Obs.Control("durableq.replay-end",
 		fmt.Sprintf("%v replayed=%d requeued=%d", s.ID, replayed, s.pending))
 }
 
@@ -947,8 +926,7 @@ func (s *Shard) replayEntry(e journal.Entry) {
 	s.recovered[c.ID] = c
 	s.crashHeld--
 	s.Replayed.Inc()
-	s.Trace.Record(c, trace.KindRecovered, int64(e.Op))
-	s.Inv.OnRecoverRequeue(c)
+	s.Obs.Emit(c, trace.KindRecovered, int64(e.Op))
 }
 
 // sortStrings is an insertion sort: funcNames grows one name at a time

@@ -74,7 +74,7 @@ func runCriticality(s Scale) *Result {
 	gen.Start()
 
 	done := map[function.Criticality]float64{}
-	p.OnExecutedHook = func(c *function.Call) { done[c.Spec.Criticality]++ }
+	p.AddOnExecuted(func(c *function.Call) { done[c.Spec.Criticality]++ })
 	window := 90 * time.Minute
 	if s.Quick {
 		window = 60 * time.Minute

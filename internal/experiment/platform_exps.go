@@ -86,11 +86,11 @@ func runFig4(s Scale) *Result {
 	focus := "spiky-fn-00"
 	rig.Gen.Focus = focus
 	focusExec := stats.NewTimeSeries(time.Minute, stats.ModeSum)
-	rig.P.OnExecutedHook = func(c *function.Call) {
+	rig.P.AddOnExecuted(func(c *function.Call) {
 		if c.Spec.Name == focus {
 			focusExec.Record(rig.P.Engine.Now(), 1)
 		}
-	}
+	})
 	window := simWindow(s, workload.Day, 10*time.Hour)
 	rig.P.Engine.RunFor(window)
 

@@ -133,7 +133,7 @@ func runTable2(s Scale) *Result {
 
 	type agg struct{ cpuMin, cpuMax, memMin, memMax, tMin, tMax float64 }
 	byTeam := map[string]*agg{}
-	p.OnExecutedHook = func(c *function.Call) {
+	p.AddOnExecuted(func(c *function.Call) {
 		a, ok := byTeam[c.Spec.Team]
 		if !ok {
 			a = &agg{cpuMin: math.Inf(1), memMin: math.Inf(1), tMin: math.Inf(1)}
@@ -146,7 +146,7 @@ func runTable2(s Scale) *Result {
 		secs := (c.ExecEndAt - c.ExecStartAt).Seconds()
 		a.tMin = math.Min(a.tMin, secs)
 		a.tMax = math.Max(a.tMax, secs)
-	}
+	})
 	window := 4 * time.Hour
 	if s.Quick {
 		window = 90 * time.Minute

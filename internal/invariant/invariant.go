@@ -6,11 +6,11 @@
 // evacuations), attempt monotonicity, quota ceilings, AIMD bounds and
 // slow-start caps, locality containment, and worker accounting closure.
 //
-// The wiring mirrors internal/trace: components hold a plain
-// `Inv *invariant.Checker` field and call nil-safe hooks at their state
-// transitions. When the checker is disabled the field stays nil and every
-// hook is a nil-receiver early return — zero allocations on the submit
-// path, enforced by the strict bench gate.
+// Components never call the checker: they emit each call transition once
+// on the lifecycle spine (internal/lifecycle), which feeds On, and On's
+// switch is the only place that knows which trace.Kind drives which
+// ledger hook. A disabled checker is nil and every hook on it is a
+// nil-receiver early return.
 //
 // Per-call hooks drive a small state machine (the ledger); structural
 // checks that need a platform-wide view (conservation closure against
@@ -27,8 +27,10 @@ import (
 	"sync"
 	"time"
 
+	"xfaas/internal/cluster"
 	"xfaas/internal/function"
 	"xfaas/internal/sim"
+	"xfaas/internal/trace"
 )
 
 // Params configure the checker.
@@ -305,14 +307,96 @@ func (k *Checker) terminal(id uint64, e centry, out func(*counts)) {
 	delete(k.ledger, id)
 }
 
-// OnSubmit records a call entering the platform (an ID was assigned and
-// the call joined a submitter batch).
-func (k *Checker) OnSubmit(c *function.Call) {
-	if k == nil {
+// traceOnly is the set of lifecycle kinds during which no ledger state
+// changes hands; On returns on them before taking the lock.
+const traceOnly = 1<<trace.KindRoute | 1<<trace.KindScheduled |
+	1<<trace.KindQuotaDenied | 1<<trace.KindCongestionDenied |
+	1<<trace.KindIsolationDenied | 1<<trace.KindExecStart |
+	1<<trace.KindExecEnd | 1<<trace.KindDownstreamRetry |
+	1<<trace.KindBackpressure | 1<<trace.KindSLOMiss | 1<<trace.KindEvacuated
+
+// On feeds one lifecycle transition to the ledger: the kind → hook
+// mapping. Every trace.Kind is either in traceOnly or a case below, so a
+// kind added without deciding which it is shows up as an unmapped-kind
+// violation instead of silently bypassing the ledger. Kinds carrying a
+// worker identity encode it in arg as a trace.Ref.
+func (k *Checker) On(c *function.Call, kind trace.Kind, arg int64) {
+	if k == nil || uint64(traceOnly)>>kind&1 != 0 {
 		return
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	region, worker := trace.SplitRef(arg)
+	switch kind {
+	case trace.KindSubmit:
+		k.submit(c)
+	case trace.KindEnqueue:
+		k.enqueue(c)
+	case trace.KindLease:
+		k.lease(c)
+	case trace.KindLeaseExpired:
+		k.settle(c, "expire")
+	case trace.KindDispatch:
+		k.dispatch(c, int(region), worker)
+	case trace.KindComplete:
+		k.complete(c, int(region), worker)
+	case trace.KindHedgeDispatch:
+		k.hedgeDispatch(c, int(region), worker)
+	case trace.KindHedgeWin:
+		k.hedgeWin(c, int(region), worker)
+	case trace.KindHedgeCancel:
+		k.hedgeCancel(c)
+	case trace.KindNack:
+		k.settle(c, "nack")
+	case trace.KindRetry:
+		k.retry(c)
+	case trace.KindRelease:
+		k.release(c)
+	case trace.KindAck:
+		k.ack(c)
+	case trace.KindDeadLetter:
+		k.deadLetter(c)
+	case trace.KindExpired:
+		k.expiredCall(c)
+	case trace.KindShed:
+		k.shed(c)
+	case trace.KindBudgetExhausted:
+		k.budgetExhausted(c)
+	case trace.KindDropped:
+		k.dropped(c)
+	case trace.KindLost:
+		k.lost(c)
+	case trace.KindRecovered:
+		k.recoverRequeue(c)
+	case trace.KindMigrated:
+		k.migrateOut(c)
+	case trace.KindMigrateIn:
+		k.migrateIn(c)
+	case trace.KindDrainMigrated:
+		k.drainMigrate(c)
+	default:
+		k.violate("unmapped-kind", c.ID, "lifecycle kind %d (%s) has no ledger mapping", kind, kind)
+	}
+}
+
+// The six hooks of a call that succeeds first time, by name, for callers
+// that drive the ledger directly rather than through a spine. The hooks
+// below them all run under On's lock.
+
+func (k *Checker) OnSubmit(c *function.Call)  { k.On(c, trace.KindSubmit, 0) }
+func (k *Checker) OnEnqueue(c *function.Call) { k.On(c, trace.KindEnqueue, 0) }
+func (k *Checker) OnLease(c *function.Call)   { k.On(c, trace.KindLease, 0) }
+func (k *Checker) OnAck(c *function.Call)     { k.On(c, trace.KindAck, 0) }
+func (k *Checker) OnDispatch(c *function.Call, region, worker int) {
+	k.On(c, trace.KindDispatch, trace.Ref(cluster.RegionID(region), worker))
+}
+func (k *Checker) OnComplete(c *function.Call, region, worker int) {
+	k.On(c, trace.KindComplete, trace.Ref(cluster.RegionID(region), worker))
+}
+
+// submit records a call entering the platform (an ID was assigned and
+// the call joined a submitter batch).
+func (k *Checker) submit(c *function.Call) {
 	if _, dup := k.ledger[c.ID]; dup {
 		k.violate("duplicate-call-id", c.ID, "id assigned twice (func %s)", c.Spec.Name)
 	}
@@ -325,17 +409,12 @@ func (k *Checker) OnSubmit(c *function.Call) {
 	}
 }
 
-// OnMigrateOut records a call handed to another platform partition over
+// migrateOut records a call handed to another platform partition over
 // the parallel fabric. Migration happens at routing time, so it is only
 // legal from the submitted state (before durable persistence); the call
 // becomes the destination partition's responsibility and leaves this
 // ledger as a terminal.
-func (k *Checker) OnMigrateOut(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) migrateOut(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.violate("migrate-unknown", c.ID, "migrated a call the ledger never saw")
@@ -348,17 +427,12 @@ func (k *Checker) OnMigrateOut(c *function.Call) {
 	k.terminal(c.ID, e, func(t *counts) { t.migratedOut++ })
 }
 
-// OnMigrateIn records a call arriving from another platform partition:
+// migrateIn records a call arriving from another platform partition:
 // like a submission, it enters the ledger in the submitted state (the
 // fabric delivers to this partition's routing layer, which persists it),
 // but it is booked as a MigratedIn source so conservation distinguishes
 // locally born work from immigrated work.
-func (k *Checker) OnMigrateIn(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) migrateIn(c *function.Call) {
 	if _, dup := k.ledger[c.ID]; dup {
 		k.violate("duplicate-call-id", c.ID, "migrated-in id already live (func %s)", c.Spec.Name)
 	}
@@ -371,14 +445,9 @@ func (k *Checker) OnMigrateIn(c *function.Call) {
 	}
 }
 
-// OnDropped records a routing failure before durable persistence — the
+// dropped records a routing failure before durable persistence — the
 // only legal way a call disappears without an ack or dead-letter.
-func (k *Checker) OnDropped(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) dropped(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.violate("drop-unknown", c.ID, "dropped a call the ledger never saw")
@@ -391,13 +460,8 @@ func (k *Checker) OnDropped(c *function.Call) {
 	k.terminal(c.ID, e, func(t *counts) { t.dropped++ })
 }
 
-// OnEnqueue records durable persistence in a DurableQ shard.
-func (k *Checker) OnEnqueue(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+// enqueue records durable persistence in a DurableQ shard.
+func (k *Checker) enqueue(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.violate("enqueue-unknown", c.ID, "enqueued a call the ledger never saw")
@@ -410,15 +474,10 @@ func (k *Checker) OnEnqueue(c *function.Call) {
 	k.ledger[c.ID] = e
 }
 
-// OnLease records a scheduler taking a lease (a DurableQ offer). Each
+// lease records a scheduler taking a lease (a DurableQ offer). Each
 // lease must come from the queued state and carry a strictly increasing
 // attempt number.
-func (k *Checker) OnLease(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) lease(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.violate("lease-unknown", c.ID, "leased a call the ledger never saw")
@@ -436,16 +495,11 @@ func (k *Checker) OnLease(c *function.Call) {
 	k.ledger[c.ID] = e
 }
 
-// OnDispatch records a worker starting the call. Dispatch from any state
+// dispatch records a worker starting the call. Dispatch from any state
 // but leased is a breach; dispatch while already running is the lease-
 // exclusivity violation — the same call executing on two workers under
 // one lease.
-func (k *Checker) OnDispatch(c *function.Call, region, worker int) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) dispatch(c *function.Call, region, worker int) {
 	ref := packRef(region, worker)
 	e, ok := k.ledger[c.ID]
 	if !ok {
@@ -483,7 +537,7 @@ func (k *Checker) OnDispatch(c *function.Call, region, worker int) {
 	k.ledger[c.ID] = e
 }
 
-// OnComplete records a worker finishing the call (success or failure —
+// complete records a worker finishing the call (success or failure —
 // retry routing is the scheduler's decision). The worker identity
 // disambiguates at-least-once overlap from real protocol breaches: a
 // lease that expires mid-execution (e.g. its shard was unavailable, so
@@ -493,12 +547,7 @@ func (k *Checker) OnDispatch(c *function.Call, region, worker int) {
 // match the ledger's current execution are tolerated and counted in
 // LateEvents; a completion from the matching worker in any state but
 // running is a genuine breach (e.g. one execution completing twice).
-func (k *Checker) OnComplete(c *function.Call, region, worker int) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) complete(c *function.Call, region, worker int) {
 	ref := packRef(region, worker)
 	e, ok := k.ledger[c.ID]
 	if !ok {
@@ -518,16 +567,11 @@ func (k *Checker) OnComplete(c *function.Call, region, worker int) {
 	k.ledger[c.ID] = e
 }
 
-// OnHedgeDispatch records a speculative copy of a running call starting
+// hedgeDispatch records a speculative copy of a running call starting
 // on a second worker. Legal only while the primary execution runs, and
 // only one hedge may be live per call — a second concurrent hedge is the
 // hedged twin of the lease-exclusivity breach.
-func (k *Checker) OnHedgeDispatch(c *function.Call, region, worker int) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) hedgeDispatch(c *function.Call, region, worker int) {
 	ref := packRef(region, worker)
 	e, ok := k.ledger[c.ID]
 	if !ok {
@@ -554,17 +598,12 @@ func (k *Checker) OnHedgeDispatch(c *function.Call, region, worker int) {
 	k.ledger[c.ID] = e
 }
 
-// OnHedgeWin records the speculative copy finishing first: the ledger's
+// hedgeWin records the speculative copy finishing first: the ledger's
 // execution ref moves to the hedge worker so the ensuing completion and
 // settle flow reads as the winner's. A win for a ref the ledger no
 // longer tracks (the entry moved on under at-least-once overlap) is a
 // tolerated late event.
-func (k *Checker) OnHedgeWin(c *function.Call, region, worker int) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) hedgeWin(c *function.Call, region, worker int) {
 	ref := packRef(region, worker)
 	e, ok := k.ledger[c.ID]
 	if !ok {
@@ -580,15 +619,10 @@ func (k *Checker) OnHedgeWin(c *function.Call, region, worker int) {
 	k.ledger[c.ID] = e
 }
 
-// OnHedgeCancel records a speculative copy retired without winning (the
+// hedgeCancel records a speculative copy retired without winning (the
 // primary finished first, the copy failed, or its primary's worker was
 // evacuated).
-func (k *Checker) OnHedgeCancel(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) hedgeCancel(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.lateEvents++
@@ -598,18 +632,13 @@ func (k *Checker) OnHedgeCancel(c *function.Call) {
 	k.ledger[c.ID] = e
 }
 
-// OnAck records the durable queue settling the call as done — the happy
+// ack records the durable queue settling the call as done — the happy
 // terminal state. The shard's ack is authoritative: under at-least-once
 // overlap a superseded execution's ack can land while a redelivered
 // attempt is queued, leased or running, which terminates the call early
 // (tolerated, counted in LateEvents). Only an ack before the call was
 // ever durably persisted is a breach.
-func (k *Checker) OnAck(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) ack(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.lateEvents++
@@ -625,19 +654,11 @@ func (k *Checker) OnAck(c *function.Call) {
 	k.terminal(c.ID, e, func(t *counts) { t.acked++ })
 }
 
-// OnNack records an explicit negative settle (execution failure or a
-// chaos evacuation returning the call to the queue).
-func (k *Checker) OnNack(c *function.Call) { k.settle(c, "nack") }
-
-// OnExpired records a lease expiring (scheduler presumed dead).
-func (k *Checker) OnExpired(c *function.Call) { k.settle(c, "expire") }
-
+// settle records a lease ending without an ack: an explicit negative
+// settle ("nack": execution failure, or a chaos evacuation returning the
+// call to the queue) or a lease expiring ("expire": scheduler presumed
+// dead).
 func (k *Checker) settle(c *function.Call, kind string) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.lateEvents++
@@ -654,15 +675,10 @@ func (k *Checker) settle(c *function.Call, kind string) {
 	k.ledger[c.ID] = e
 }
 
-// OnRelease records a scheduler gracefully handing a leased call back to
+// release records a scheduler gracefully handing a leased call back to
 // its shard during a regional drain: the lease dissolves and the call is
 // plain queued work again — no settle detour, no retry accounting.
-func (k *Checker) OnRelease(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) release(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.lateEvents++
@@ -677,16 +693,11 @@ func (k *Checker) OnRelease(c *function.Call) {
 	k.ledger[c.ID] = e
 }
 
-// OnDrainMigrate records a drain controller moving a queued call's
+// drainMigrate records a drain controller moving a queued call's
 // durable home to a peer region's shard. The ledger keys conservation on
 // the submission region, which the move does not change, so the entry
 // only needs to still be queued for the move to be legal.
-func (k *Checker) OnDrainMigrate(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) drainMigrate(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.lateEvents++
@@ -697,14 +708,9 @@ func (k *Checker) OnDrainMigrate(c *function.Call) {
 	}
 }
 
-// OnRetry records a settled call pushed back onto the queue for another
+// retry records a settled call pushed back onto the queue for another
 // attempt.
-func (k *Checker) OnRetry(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) retry(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.lateEvents++
@@ -717,13 +723,8 @@ func (k *Checker) OnRetry(c *function.Call) {
 	k.ledger[c.ID] = e
 }
 
-// OnDeadLetter records retry exhaustion — the unhappy terminal state.
-func (k *Checker) OnDeadLetter(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+// deadLetter records retry exhaustion — the unhappy terminal state.
+func (k *Checker) deadLetter(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.lateEvents++
@@ -735,16 +736,11 @@ func (k *Checker) OnDeadLetter(c *function.Call) {
 	k.terminal(c.ID, e, func(t *counts) { t.dead++; t.exhausted++ })
 }
 
-// OnBudgetExhausted records a redelivery refused by an empty retry
+// budgetExhausted records a redelivery refused by an empty retry
 // budget — a dead-letter with the `budget` disposition. Like retry
 // exhaustion it is only legal from the settling state (the call was
 // nacked or its lease expired, and the shard chose not to requeue it).
-func (k *Checker) OnBudgetExhausted(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) budgetExhausted(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.lateEvents++
@@ -756,17 +752,12 @@ func (k *Checker) OnBudgetExhausted(c *function.Call) {
 	k.terminal(c.ID, e, func(t *counts) { t.dead++; t.budgetDenied++ })
 }
 
-// OnExpiredCall records a deadline-expiry sweep dead-lettering a call.
+// expiredCall records a deadline-expiry sweep dead-lettering a call.
 // Sweeps legally catch a call queued (poll-time sweep), leased (the
 // scheduler's dispatch-time sweep terminating its own lease), or
 // settling (redelivery refused because the deadline passed) — but never
 // running: an expired call on a worker means the sweeps failed.
-func (k *Checker) OnExpiredCall(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) expiredCall(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.lateEvents++
@@ -780,17 +771,12 @@ func (k *Checker) OnExpiredCall(c *function.Call) {
 	k.terminal(c.ID, e, func(t *counts) { t.dead++; t.expired++ })
 }
 
-// OnShed records queue-delay shedding dead-lettering a call. Shedding
+// shed records queue-delay shedding dead-lettering a call. Shedding
 // only targets leased calls sitting in a scheduler buffer; shedding a
 // call the ledger has already settled is the "no call both executed to
 // success and shed" breach (unless the ID was orphaned by a crash, which
 // is at-least-once fallout).
-func (k *Checker) OnShed(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) shed(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		if _, orphan := k.orphaned[c.ID]; orphan {
@@ -807,20 +793,15 @@ func (k *Checker) OnShed(c *function.Call) {
 	k.terminal(c.ID, e, func(t *counts) { t.dead++; t.shed++ })
 }
 
-// OnLost records a call destroyed by a component crash before settling —
+// lost records a call destroyed by a component crash before settling —
 // a submitter's unflushed batch dying with the process, or the torn tail
 // of a shard's journal. A crash can catch a call in any live state, so
 // any non-terminal entry settles to the lost terminal without complaint.
-// An OnLost with no ledger entry is the durability breach this engine
+// A lost event with no ledger entry is the durability breach this engine
 // exists to catch: every terminal call (acked, dead-lettered, dropped)
 // has left the ledger, so "lost an unknown call" means a component
 // destroyed work it had already settled — e.g. an acked call.
-func (k *Checker) OnLost(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) lost(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		k.violate("lost-settled", c.ID,
@@ -846,7 +827,7 @@ func (k *Checker) markOrphaned(id uint64) {
 	k.orphaned[id] = struct{}{}
 }
 
-// OnRecoverRequeue records journal replay re-enqueueing a call after a
+// recoverRequeue records journal replay re-enqueueing a call after a
 // shard crash. The crash orphaned whatever state the call was in —
 // queued, leased, even running on a worker that never heard about the
 // crash — so any live state legally returns to queued; the worker ref
@@ -857,12 +838,7 @@ func (k *Checker) markOrphaned(id uint64) {
 // ack that already reached the client still stands — this is legal
 // at-least-once duplication, booked under Resurrected so conservation
 // stays closed.
-func (k *Checker) OnRecoverRequeue(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+func (k *Checker) recoverRequeue(c *function.Call) {
 	e, ok := k.ledger[c.ID]
 	if !ok {
 		e = centry{state: stQueued, region: int32(c.SourceRegion), fn: c.Spec.Name}
@@ -936,7 +912,7 @@ func (k *Checker) TotalViolations() uint64 {
 }
 
 // LateEvents counts tolerated post-terminal events from at-least-once
-// execution overlap (see OnComplete).
+// execution overlap (see complete).
 func (k *Checker) LateEvents() uint64 {
 	if k == nil {
 		return 0

@@ -8,6 +8,7 @@ import (
 	"xfaas/internal/cluster"
 	"xfaas/internal/function"
 	"xfaas/internal/sim"
+	"xfaas/internal/trace"
 )
 
 func newTestChecker(t *testing.T) (*sim.Engine, *Checker) {
@@ -80,11 +81,11 @@ func TestNilCheckerIsSafe(t *testing.T) {
 	k.OnDispatch(c, 0, 0)
 	k.OnComplete(c, 0, 0)
 	k.OnAck(c)
-	k.OnNack(c)
-	k.OnExpired(c)
-	k.OnRetry(c)
-	k.OnDeadLetter(c)
-	k.OnDropped(c)
+	k.On(c, trace.KindNack, 0)
+	k.On(c, trace.KindLeaseExpired, 0)
+	k.On(c, trace.KindRetry, 0)
+	k.On(c, trace.KindDeadLetter, 0)
+	k.On(c, trace.KindDropped, 0)
 	k.Note("x", "y")
 	k.RegisterProbe("p", func(sim.Time) []string { return []string{"boom"} })
 	if k.Enabled() || k.Final() != nil || k.Violations() != nil ||
@@ -118,8 +119,8 @@ func TestRetryPathIsClean(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 1)
 	drive(k, c, "running")
-	k.OnNack(c)
-	k.OnRetry(c)
+	k.On(c, trace.KindNack, 0)
+	k.On(c, trace.KindRetry, 0)
 	c.Attempt++
 	k.OnLease(c)
 	k.OnDispatch(c, 1, 2)
@@ -132,8 +133,8 @@ func TestDeadLetterPathIsClean(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 2)
 	drive(k, c, "running")
-	k.OnExpired(c)
-	k.OnDeadLetter(c)
+	k.On(c, trace.KindLeaseExpired, 0)
+	k.On(c, trace.KindDeadLetter, 0)
 	wantClean(t, k)
 	tot := k.Totals()
 	if tot.DeadLettered != 1 || tot.Gap() != 0 {
@@ -145,7 +146,7 @@ func TestDropPathIsClean(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	k.OnSubmit(c)
-	k.OnDropped(c)
+	k.On(c, trace.KindDropped, 0)
 	wantClean(t, k)
 	if tot := k.Totals(); tot.Dropped != 1 || tot.Gap() != 0 {
 		t.Fatalf("bad totals %+v", tot)
@@ -171,8 +172,8 @@ func TestAttemptMonotonicityViolates(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	drive(k, c, "running")
-	k.OnNack(c)
-	k.OnRetry(c)
+	k.On(c, trace.KindNack, 0)
+	k.On(c, trace.KindRetry, 0)
 	k.OnLease(c) // same attempt number again
 	wantViolation(t, k, "attempt-not-monotone")
 }
@@ -181,7 +182,7 @@ func TestDropAfterPersistenceViolates(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	drive(k, c, "queued")
-	k.OnDropped(c)
+	k.On(c, trace.KindDropped, 0)
 	wantViolation(t, k, "drop-from-queued")
 }
 
@@ -200,8 +201,8 @@ func TestStaleCompletionTolerated(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	drive(k, c, "running") // running on w-0-0
-	k.OnExpired(c)
-	k.OnRetry(c)
+	k.On(c, trace.KindLeaseExpired, 0)
+	k.On(c, trace.KindRetry, 0)
 	c.Attempt++
 	k.OnLease(c)
 	k.OnDispatch(c, 0, 5) // redelivered to w-0-5
@@ -220,7 +221,7 @@ func TestPostTerminalEventsTolerated(t *testing.T) {
 	drive(k, c, "acked")
 	k.OnComplete(c, 0, 0)
 	k.OnAck(c)
-	k.OnNack(c)
+	k.On(c, trace.KindNack, 0)
 	wantClean(t, k)
 	if k.LateEvents() != 3 {
 		t.Fatalf("late events = %d, want 3", k.LateEvents())
@@ -233,8 +234,8 @@ func TestEarlyAckTolerated(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	drive(k, c, "running")
-	k.OnExpired(c)
-	k.OnRetry(c)
+	k.On(c, trace.KindLeaseExpired, 0)
+	k.On(c, trace.KindRetry, 0)
 	c.Attempt++
 	k.OnLease(c)
 	k.OnAck(c) // stale scheduler acks the redelivered lease
@@ -346,7 +347,7 @@ func TestMigrateOutFromSubmittedIsClean(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	k.OnSubmit(c)
-	k.OnMigrateOut(c)
+	k.On(c, trace.KindMigrated, 0)
 	wantClean(t, k)
 	tt := k.Totals()
 	if tt.MigratedOut != 1 || tt.InFlight != 0 {
@@ -360,7 +361,7 @@ func TestMigrateOutFromSubmittedIsClean(t *testing.T) {
 func TestMigrateInEntersLikeSubmission(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(7, "f", 1)
-	k.OnMigrateIn(c)
+	k.On(c, trace.KindMigrateIn, 0)
 	drive2 := func() {
 		k.OnEnqueue(c)
 		c.Attempt++
@@ -384,13 +385,13 @@ func TestMigrateOutAfterPersistenceViolates(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(2, "f", 0)
 	drive(k, c, "queued")
-	k.OnMigrateOut(c)
+	k.On(c, trace.KindMigrated, 0)
 	wantViolation(t, k, "migrate-from-queued")
 }
 
 func TestMigrateOutUnknownViolates(t *testing.T) {
 	_, k := newTestChecker(t)
-	k.OnMigrateOut(call(3, "f", 0))
+	k.On(call(3, "f", 0), trace.KindMigrated, 0)
 	wantViolation(t, k, "migrate-unknown")
 }
 
@@ -398,15 +399,15 @@ func TestMigrateInDuplicateViolates(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(4, "f", 0)
 	k.OnSubmit(c)
-	k.OnMigrateIn(c)
+	k.On(c, trace.KindMigrateIn, 0)
 	wantViolation(t, k, "duplicate-call-id")
 }
 
 func TestMigrateNilCheckerIsSafe(t *testing.T) {
 	var k *Checker
 	c := call(5, "f", 0)
-	k.OnMigrateOut(c)
-	k.OnMigrateIn(c)
+	k.On(c, trace.KindMigrated, 0)
+	k.On(c, trace.KindMigrateIn, 0)
 	if k.Totals() != (Tally{}) {
 		t.Fatal("nil checker has totals")
 	}
@@ -415,11 +416,59 @@ func TestMigrateNilCheckerIsSafe(t *testing.T) {
 func TestMigratedInCanBeDropped(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(6, "f", 0)
-	k.OnMigrateIn(c)
-	k.OnDropped(c)
+	k.On(c, trace.KindMigrateIn, 0)
+	k.On(c, trace.KindDropped, 0)
 	wantClean(t, k)
 	tt := k.Totals()
 	if tt.MigratedIn != 1 || tt.Dropped != 1 || tt.Gap() != 0 {
 		t.Fatalf("totals after migrate-in drop: %+v (gap %+d)", tt, tt.Gap())
 	}
+}
+
+// TestEveryKindIsClassed walks the whole trace.Kind space: each kind must
+// be listed here as ledger-relevant or trace-only, and On must agree — a
+// ledger kind observably touches the ledger even for a call it never saw
+// (a tally moves, a late event or a violation is booked), a trace-only
+// kind touches nothing, and none falls through to unmapped-kind. A kind
+// added to trace without a decision here and in On fails this test.
+func TestEveryKindIsClassed(t *testing.T) {
+	ledger := map[trace.Kind]bool{
+		trace.KindSubmit: true, trace.KindEnqueue: true, trace.KindLease: true,
+		trace.KindLeaseExpired: true, trace.KindDispatch: true, trace.KindComplete: true,
+		trace.KindHedgeDispatch: true, trace.KindHedgeWin: true, trace.KindHedgeCancel: true,
+		trace.KindNack: true, trace.KindRetry: true, trace.KindRelease: true,
+		trace.KindAck: true, trace.KindDeadLetter: true, trace.KindExpired: true,
+		trace.KindShed: true, trace.KindBudgetExhausted: true, trace.KindDropped: true,
+		trace.KindLost: true, trace.KindRecovered: true, trace.KindMigrated: true,
+		trace.KindMigrateIn: true, trace.KindDrainMigrated: true,
+
+		trace.KindRoute: false, trace.KindScheduled: false, trace.KindQuotaDenied: false,
+		trace.KindCongestionDenied: false, trace.KindIsolationDenied: false,
+		trace.KindExecStart: false, trace.KindExecEnd: false, trace.KindDownstreamRetry: false,
+		trace.KindBackpressure: false, trace.KindSLOMiss: false, trace.KindEvacuated: false,
+	}
+	if len(ledger) != int(trace.NumKinds) {
+		t.Fatalf("%d kinds classed, trace has %d", len(ledger), trace.NumKinds)
+	}
+	for kind := trace.Kind(0); kind < trace.NumKinds; kind++ {
+		want, ok := ledger[kind]
+		if !ok {
+			t.Errorf("kind %d (%s) is not classed", kind, kind)
+			continue
+		}
+		_, k := newTestChecker(t)
+		k.On(call(1, "f", 0), kind, 0)
+		for _, v := range k.Violations() {
+			if v.Name == "unmapped-kind" {
+				t.Errorf("%s: On has no case for it", kind)
+			}
+		}
+		touched := k.Totals() != (Tally{}) || k.LateEvents() != 0 || k.TotalViolations() != 0
+		if touched != want {
+			t.Errorf("%s: classed ledger=%v but On touched the ledger=%v", kind, want, touched)
+		}
+	}
+	_, k := newTestChecker(t)
+	k.On(call(1, "f", 0), trace.NumKinds, 0)
+	wantViolation(t, k, "unmapped-kind")
 }

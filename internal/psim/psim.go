@@ -291,15 +291,14 @@ func (r *Runner) wireFabric() {
 				dstPlat := r.Parts[tgt.part].Platform
 				dstLocal := tgt.local
 				srcPlat.MigratedOut.Inc()
-				srcPlat.Inv.OnMigrateOut(c)
+				srcPlat.Obs.Emit(c, trace.KindMigrated, int64(tgt.part))
 				var ct *trace.CallTrace
 				if c.Sampled {
-					// Stitch the trace across the fabric: record the
-					// migrate span here, extract the open trace on the
-					// source goroutine, and let the destination adopt it
-					// at delivery time — one span tree per call, so the
+					// Stitch the trace across the fabric: with the migrate
+					// span recorded, extract the open trace on the source
+					// goroutine and let the destination adopt it at
+					// delivery time — one span tree per call, so the
 					// breakdown identity closes across partitions.
-					srcPlat.Tracer.Record(c, trace.KindMigrated, int64(tgt.part))
 					ct = srcPlat.Tracer.Extract(c.ID)
 					if ct == nil {
 						c.Sampled = false
@@ -325,7 +324,7 @@ func (r *Runner) wireFabric() {
 func deliver(p *core.Platform, dst cluster.RegionID, c *function.Call) {
 	c.SourceRegion = dst
 	p.MigratedIn.Inc()
-	p.Inv.OnMigrateIn(c)
+	p.Obs.Emit(c, trace.KindMigrateIn, 0)
 	regions := p.Regions()
 	for off := 0; off < len(regions); off++ {
 		reg := regions[(int(dst)+off)%len(regions)]
@@ -338,8 +337,7 @@ func deliver(p *core.Platform, dst cluster.RegionID, c *function.Call) {
 	p.MigratedDropped.Inc()
 	// Terminal for an adopted trace too: without this the stitched trace
 	// would stay active forever in the destination recorder.
-	p.Tracer.Record(c, trace.KindDropped, 0)
-	p.Inv.OnDropped(c)
+	p.Obs.Emit(c, trace.KindDropped, 0)
 }
 
 // scheduleChaos installs each partition's deterministic fault schedule,

@@ -12,6 +12,7 @@ import (
 	"xfaas/internal/config"
 	"xfaas/internal/durableq"
 	"xfaas/internal/function"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/policy"
 	"xfaas/internal/rng"
 	"xfaas/internal/stats"
@@ -106,8 +107,8 @@ type LB struct {
 	Unroutable stats.Counter
 	// Crashes counts Crash invocations.
 	Crashes stats.Counter
-	// Trace, when set, records routing decisions for sampled calls.
-	Trace *trace.Recorder
+	// Obs, when set, hears routing decisions.
+	Obs *lifecycle.Spine
 
 	// Remote, when set, may hand a call off to another platform partition
 	// over the parallel-simulation fabric instead of persisting it here.
@@ -293,7 +294,7 @@ func (lb *LB) SetRegionDrained(region cluster.RegionID, drained bool) {
 }
 
 func (lb *LB) finishRoute(c *function.Call, shard *durableq.Shard, dst cluster.RegionID) {
-	lb.Trace.Record(c, trace.KindRoute, int64(dst))
+	lb.Obs.Emit(c, trace.KindRoute, int64(dst))
 	shard.Enqueue(c)
 	lb.Routed.Inc()
 	if dst != lb.region {

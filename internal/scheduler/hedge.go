@@ -237,8 +237,7 @@ func (s *Scheduler) fireHedge(e *hedgeEntry) {
 	e.clone = clone
 	e.hw = hw
 	s.Hedged.Inc()
-	s.Trace.Record(c, trace.KindHedgeDispatch, trace.Ref(hw.ID.Region, hw.ID.Index))
-	s.Inv.OnHedgeDispatch(c, int(hw.ID.Region), hw.ID.Index)
+	s.Obs.Emit(c, trace.KindHedgeDispatch, trace.Ref(hw.ID.Region, hw.ID.Index))
 }
 
 // completeHedged intercepts completion callbacks for calls with a live
@@ -254,8 +253,7 @@ func (s *Scheduler) completeHedged(c *function.Call, err error) bool {
 			// The speculative copy lost by failing. Drop it; the primary
 			// (or, if the primary already failed too, the normal nack
 			// path) finishes the call.
-			s.Trace.Record(e.primary, trace.KindHedgeCancel, trace.Ref(e.hw.ID.Region, e.hw.ID.Index))
-			s.Inv.OnHedgeCancel(e.primary)
+			s.Obs.Emit(e.primary, trace.KindHedgeCancel, trace.Ref(e.hw.ID.Region, e.hw.ID.Index))
 			e.clone = nil
 			e.hw = nil
 			if e.primaryFailed {
@@ -280,8 +278,7 @@ func (s *Scheduler) completeHedged(c *function.Call, err error) bool {
 		p.ExecStartAt = c.ExecStartAt
 		p.ExecEndAt = c.ExecEndAt
 		s.HedgeWins.Inc()
-		s.Trace.Record(p, trace.KindHedgeWin, trace.Ref(hw.ID.Region, hw.ID.Index))
-		s.Inv.OnHedgeWin(p, int(hw.ID.Region), hw.ID.Index)
+		s.Obs.Emit(p, trace.KindHedgeWin, trace.Ref(hw.ID.Region, hw.ID.Index))
 		delete(s.hedges, p.ID)
 		s.putHedge(e)
 		s.settle(p, nil)
@@ -295,8 +292,7 @@ func (s *Scheduler) completeHedged(c *function.Call, err error) bool {
 		if e.clone != nil {
 			e.hw.Cancel(c.ID)
 			s.HedgeCancelled.Inc()
-			s.Trace.Record(c, trace.KindHedgeCancel, trace.Ref(e.hw.ID.Region, e.hw.ID.Index))
-			s.Inv.OnHedgeCancel(c)
+			s.Obs.Emit(c, trace.KindHedgeCancel, trace.Ref(e.hw.ID.Region, e.hw.ID.Index))
 		}
 		delete(s.hedges, c.ID)
 		s.putHedge(e)
@@ -347,8 +343,7 @@ func (s *Scheduler) abortHedge(id uint64) {
 	if e.clone != nil {
 		e.hw.Cancel(id)
 		s.HedgeCancelled.Inc()
-		s.Trace.Record(e.primary, trace.KindHedgeCancel, trace.Ref(e.hw.ID.Region, e.hw.ID.Index))
-		s.Inv.OnHedgeCancel(e.primary)
+		s.Obs.Emit(e.primary, trace.KindHedgeCancel, trace.Ref(e.hw.ID.Region, e.hw.ID.Index))
 	}
 	delete(s.hedges, id)
 	s.putHedge(e)

@@ -8,6 +8,7 @@ import (
 	"xfaas/internal/congestion"
 	"xfaas/internal/durableq"
 	"xfaas/internal/function"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/policy"
 	"xfaas/internal/ratelimit"
 	"xfaas/internal/rng"
@@ -56,7 +57,7 @@ func TestPullPolicyDrawSequence(t *testing.T) {
 	}
 	schedSrc := src.Split()
 	sched := New(engine, schedSrc, 0, params, [][]*durableq.Shard{{shard}}, lb, cen, cong, store)
-	sched.Trace = rec
+	sched.Obs = lifecycle.New(engine, rec, nil, nil)
 	if sched.Policy().Name() != config.PolicyPull {
 		t.Fatalf("installed policy %q", sched.Policy().Name())
 	}

@@ -21,8 +21,8 @@ import (
 	"xfaas/internal/durableq"
 	"xfaas/internal/function"
 	"xfaas/internal/gtc"
-	"xfaas/internal/invariant"
 	"xfaas/internal/isolation"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/policy"
 	"xfaas/internal/ratelimit"
 	"xfaas/internal/rng"
@@ -134,6 +134,7 @@ type Scheduler struct {
 	// Hot-path scratch, reused every tick so the poll/schedule/dispatch
 	// loop does not allocate in steady state.
 	completeFn  worker.DoneFunc // prebuilt s.complete
+	placeFn     placeFunc       // prebuilt s.placeLB
 	filterFn    func(*function.Call) bool
 	filterScale float64 // cached per poll for filterFn
 	filterCrit  function.Criticality
@@ -184,11 +185,9 @@ type Scheduler struct {
 	// call (platform-level series aggregation).
 	OnExecuted func(*function.Call)
 
-	// Trace, when set, records scheduling decisions for sampled calls.
-	Trace *trace.Recorder
-	// Inv, when set, receives dispatch/complete transitions for the
-	// invariant checker's lease-exclusivity and conservation ledger.
-	Inv *invariant.Checker
+	// Obs, when set, hears scheduling decisions and the dispatch/complete
+	// transitions behind the ledger's lease-exclusivity check.
+	Obs *lifecycle.Spine
 
 	// Metrics.
 	Polled           stats.Counter
@@ -253,6 +252,7 @@ func New(engine *sim.Engine, src *rng.Source, region cluster.RegionID, params Pa
 	// Bind the per-call callbacks once; dispatching a closure per call or
 	// per poll was a top allocation site in the platform profile.
 	s.completeFn = s.complete
+	s.placeFn = s.placeLB
 	s.filterFn = s.pollFilter
 	if params.Resilience.Hedge.Enabled {
 		// Split the hedge stream eagerly so runs with hedging on are
@@ -293,7 +293,7 @@ func (s *Scheduler) onWorkerDown(w *worker.Worker) {
 		s.abortHedge(id)
 		delete(s.inflight, id)
 		s.cong.OnComplete(c.Spec)
-		s.Trace.Record(c, trace.KindEvacuated, 0)
+		s.Obs.Emit(c, trace.KindEvacuated, 0)
 		s.nack(c)
 		s.Evacuated.Inc()
 	}
@@ -400,7 +400,7 @@ func (s *Scheduler) Crash() {
 	s.oppGate = false
 	s.pol = s.newPolicy()
 	s.pol.Attach(s)
-	s.Trace.Control("scheduler.crash", fmt.Sprintf("r%d", s.region))
+	s.Obs.Control("scheduler.crash", fmt.Sprintf("r%d", s.region))
 }
 
 // Restart brings a crashed replica back after delay (process start plus
@@ -410,7 +410,7 @@ func (s *Scheduler) Crash() {
 func (s *Scheduler) Restart(delay time.Duration) {
 	s.engine.Schedule(delay, func() {
 		s.down = false
-		s.Trace.Control("scheduler.restart", fmt.Sprintf("r%d", s.region))
+		s.Obs.Control("scheduler.restart", fmt.Sprintf("r%d", s.region))
 	})
 }
 
@@ -508,7 +508,7 @@ func (s *Scheduler) DefaultShedSweep() {
 func (s *Scheduler) DefaultSchedule() { s.schedule() }
 
 // DefaultDispatch implements policy.Host.
-func (s *Scheduler) DefaultDispatch() { s.dispatch() }
+func (s *Scheduler) DefaultDispatch() { s.drainRunQ(s.placeFn) }
 
 // GroupPool implements policy.Host.
 func (s *Scheduler) GroupPool(spec *function.Spec) []*worker.Worker {
@@ -557,7 +557,7 @@ func (s *Scheduler) shedSweep() {
 		if b.Len() == 0 {
 			if st != nil && (st.above || st.shedding) {
 				if st.shedding {
-					s.Trace.Control("shed.stop", fmt.Sprintf("r%d %s drained", s.region, name))
+					s.Obs.Control("shed.stop", fmt.Sprintf("r%d %s drained", s.region, name))
 				}
 				*st = shedState{}
 			}
@@ -576,7 +576,7 @@ func (s *Scheduler) shedSweep() {
 		if delay <= target {
 			if st != nil && (st.above || st.shedding) {
 				if st.shedding {
-					s.Trace.Control("shed.stop", fmt.Sprintf("r%d %s delay=%s", s.region, name, delay))
+					s.Obs.Control("shed.stop", fmt.Sprintf("r%d %s delay=%s", s.region, name, delay))
 				}
 				*st = shedState{}
 			}
@@ -598,7 +598,7 @@ func (s *Scheduler) shedSweep() {
 		}
 		if !st.shedding {
 			st.shedding = true
-			s.Trace.Control("shed.start", fmt.Sprintf("r%d %s delay=%s target=%s",
+			s.Obs.Control("shed.start", fmt.Sprintf("r%d %s delay=%s target=%s",
 				s.region, name, delay, target))
 		}
 		if spec.Quota != function.QuotaOpportunistic || spec.Criticality >= function.CritHigh {
@@ -621,7 +621,7 @@ func (s *Scheduler) evacuate() {
 	for i := s.runHead; i < len(s.runQ); i++ {
 		if c := s.runQ[i]; c != nil {
 			s.cong.OnComplete(c.Spec) // release the concurrency slot
-			s.Trace.Record(c, trace.KindEvacuated, 0)
+			s.Obs.Emit(c, trace.KindEvacuated, 0)
 			s.nack(c)
 			s.Evacuated.Inc()
 		}
@@ -641,7 +641,7 @@ func (s *Scheduler) evacuate() {
 		b := s.buffers[name]
 		for b.Len() > 0 {
 			c := b.Pop()
-			s.Trace.Record(c, trace.KindEvacuated, 0)
+			s.Obs.Emit(c, trace.KindEvacuated, 0)
 			s.nack(c)
 			s.Evacuated.Inc()
 		}
@@ -829,27 +829,27 @@ func (s *Scheduler) scheduleLevel(cands []*FuncBuffer, space int) int {
 				// Illegal flow: reject permanently (NACK until DLQ).
 				b.Pop()
 				s.IsolationDenied.Inc()
-				s.Trace.Record(c, trace.KindIsolationDenied, 0)
+				s.Obs.Emit(c, trace.KindIsolationDenied, 0)
 				s.nack(c)
 				continue
 			}
 			if !s.cen.Allow(spec) {
 				s.QuotaThrottled.Inc()
-				s.Trace.Record(c, trace.KindQuotaDenied, 0)
+				s.Obs.Emit(c, trace.KindQuotaDenied, 0)
 				break // over global quota: the whole function waits
 			}
 			// Note: quota was already accounted; a congestion deny here
 			// leaves a small overcount, which is conservative.
 			if !s.cong.AllowDispatch(spec) {
 				s.CongestionDenied.Inc()
-				s.Trace.Record(c, trace.KindCongestionDenied, 0)
+				s.Obs.Emit(c, trace.KindCongestionDenied, 0)
 				break
 			}
 			b.Pop()
 			s.runQ = append(s.runQ, c)
 			s.runLen++
 			s.Scheduled.Inc()
-			s.Trace.Record(c, trace.KindScheduled, 0)
+			s.Obs.Emit(c, trace.KindScheduled, 0)
 			s.pol.OnScheduled(c)
 			space--
 			taken++
@@ -858,13 +858,18 @@ func (s *Scheduler) scheduleLevel(cands []*FuncBuffer, space int) int {
 	return space
 }
 
-// dispatch drains the RunQ to the WorkerLB in order. A rejected call
-// stays in place (it keeps its concurrency slot — it is still scheduled)
-// while later calls are still attempted, so one memory- or CPU-hungry
-// call cannot head-of-line-block lighter work; after a burst of
-// consecutive rejections the workers are considered saturated and the
-// drain pauses until the next tick.
-func (s *Scheduler) dispatch() {
+// placeFunc is drainRunQ's placement step.
+type placeFunc func(*function.Call) (w *worker.Worker, stop bool)
+
+// drainRunQ dispatches the RunQ in order, asking place to start each call
+// on a worker. A rejected call (nil worker, stop=false) stays in place —
+// it keeps its concurrency slot, it is still scheduled — while later
+// calls are still attempted, so one memory- or CPU-hungry call cannot
+// head-of-line-block lighter work; after a burst of consecutive
+// rejections the workers are considered saturated and the drain pauses
+// until the next tick. stop=true ends the drain at once: no worker
+// anywhere can take more work this tick.
+func (s *Scheduler) drainRunQ(place placeFunc) {
 	const maxConsecutiveRejects = 16
 	rejects, dispatched := 0, 0
 	now := s.engine.Now()
@@ -889,8 +894,11 @@ func (s *Scheduler) dispatch() {
 			continue
 		}
 		c.DispatchAt = now
-		w, ok := s.lb.DispatchTo(c, s.completeFn)
-		if !ok {
+		w, stop := place(c)
+		if w == nil {
+			if stop {
+				break
+			}
 			rejects++
 			if rejects >= maxConsecutiveRejects {
 				break
@@ -904,65 +912,32 @@ func (s *Scheduler) dispatch() {
 		dispatched++
 		s.recordDispatchDelay(c)
 		s.Dispatched.Inc()
-		s.Trace.Record(c, trace.KindDispatch, trace.Ref(w.ID.Region, w.ID.Index))
-		s.Inv.OnDispatch(c, int(w.ID.Region), w.ID.Index)
+		s.Obs.Emit(c, trace.KindDispatch, trace.Ref(w.ID.Region, w.ID.Index))
 		s.armHedge(c, w)
 	}
 	s.compactRunQ()
 }
 
-// DispatchWith implements policy.Host: it drains the RunQ with the same
-// ordering, expiry sweeping, batch bound, consecutive-reject pause and
-// compaction as the default dispatcher, but asks pick for each call's
-// destination worker instead of the WorkerLB's power-of-two choice.
-// Kept parallel to dispatch() rather than unifying them: the default
-// path's draw sequence (inside lb.DispatchTo) is a byte-identity
-// contract and must not change shape.
+// placeLB is the default placement step: the WorkerLB's power-of-two
+// choice, whose draw sequence is a byte-identity contract.
+func (s *Scheduler) placeLB(c *function.Call) (*worker.Worker, bool) {
+	w, _ := s.lb.DispatchTo(c, s.completeFn)
+	return w, false
+}
+
+// DispatchWith implements policy.Host: the default drain with pick
+// choosing each call's destination worker instead of the WorkerLB.
 func (s *Scheduler) DispatchWith(pick func(*function.Call) (*worker.Worker, bool)) {
-	const maxConsecutiveRejects = 16
-	rejects, dispatched := 0, 0
-	now := s.engine.Now()
-	sweep := s.params.Resilience.ExpirySweep
-	for i := s.runHead; i < len(s.runQ) && dispatched < s.params.DispatchBatch; i++ {
-		c := s.runQ[i]
-		if c == nil {
-			continue
-		}
-		if sweep && c.IsExpired(now) {
-			s.runQ[i] = nil
-			s.runLen--
-			s.cong.OnComplete(c.Spec)
-			if shard := s.origin[c.ID]; shard != nil {
-				delete(s.origin, c.ID)
-				shard.Terminate(c.ID, durableq.ReasonExpired)
-			}
-			s.ExpiredSwept.Inc()
-			continue
-		}
+	s.drainRunQ(func(c *function.Call) (*worker.Worker, bool) {
 		w, ok := pick(c)
 		if !ok {
-			break // no worker anywhere can take more work this tick
+			return nil, true
 		}
-		c.DispatchAt = now
 		if !w.TryExecute(c, s.completeFn) {
-			rejects++
-			if rejects >= maxConsecutiveRejects {
-				break
-			}
-			continue
+			return nil, false
 		}
-		s.track(c, w)
-		rejects = 0
-		s.runQ[i] = nil
-		s.runLen--
-		dispatched++
-		s.recordDispatchDelay(c)
-		s.Dispatched.Inc()
-		s.Trace.Record(c, trace.KindDispatch, trace.Ref(w.ID.Region, w.ID.Index))
-		s.Inv.OnDispatch(c, int(w.ID.Region), w.ID.Index)
-		s.armHedge(c, w)
-	}
-	s.compactRunQ()
+		return w, false
+	})
 }
 
 // compactRunQ advances the RunQ head past dispatched entries and
@@ -1024,10 +999,10 @@ func (s *Scheduler) settle(c *function.Call, err error) {
 	}
 	now := s.engine.Now()
 	s.cong.OnComplete(c.Spec)
-	s.Inv.OnComplete(c, int(w.ID.Region), w.ID.Index)
+	s.Obs.Emit(c, trace.KindComplete, trace.Ref(w.ID.Region, w.ID.Index))
 	if errors.Is(err, downstream.ErrBackpressure) {
 		s.cong.OnBackpressure(c.Spec)
-		s.Trace.Record(c, trace.KindBackpressure, 0)
+		s.Obs.Emit(c, trace.KindBackpressure, 0)
 	}
 	if err != nil {
 		s.nack(c)
@@ -1044,7 +1019,7 @@ func (s *Scheduler) settle(c *function.Call, err error) {
 	s.cen.RecordCost(c.Spec, c.CPUWorkM)
 	if c.Expired(now) {
 		s.SLOMisses.Inc()
-		s.Trace.Record(c, trace.KindSLOMiss, 0)
+		s.Obs.Emit(c, trace.KindSLOMiss, 0)
 	}
 	s.ExecutedSeries.Record(now, 1)
 	s.ExecutedCPUSeries.Record(now, c.CPUWorkM)
@@ -1119,7 +1094,7 @@ func (s *Scheduler) release(c *function.Call) {
 		return
 	}
 	delete(s.origin, c.ID)
-	s.Trace.Record(c, trace.KindEvacuated, 0)
+	s.Obs.Emit(c, trace.KindEvacuated, 0)
 	if shard.Release(c.ID) {
 		s.Released.Inc()
 	}

@@ -13,6 +13,7 @@ import (
 	"xfaas/internal/function"
 	"xfaas/internal/gtc"
 	"xfaas/internal/isolation"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/ratelimit"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
@@ -500,7 +501,7 @@ func TestEvacuateSweepsBuffersInSortedOrder(t *testing.T) {
 		Enabled: true, SampleEvery: 1, RingSize: 256,
 		MaxEventsPerCall: 32, ControlLog: 16,
 	})
-	shard.Trace = rec
+	shard.Obs = lifecycle.New(engine, rec, nil, nil)
 	src := rng.New(7)
 	wp := worker.DefaultParams()
 	pool := []*worker.Worker{worker.New(worker.ID{Index: 0}, engine, wp, src.Split(), nil)}

@@ -12,8 +12,8 @@ import (
 
 	"xfaas/internal/cluster"
 	"xfaas/internal/function"
-	"xfaas/internal/invariant"
 	"xfaas/internal/kv"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/queuelb"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
@@ -83,13 +83,11 @@ type Submitter struct {
 	// submissions fail with ErrDown and the ticker's flushes no-op.
 	down bool
 
-	// Trace, when set, samples submitted calls for per-call tracing.
-	// Throttled submissions never get an ID and so cannot be traced
-	// per-call; the Throttled counter is their only record.
-	Trace *trace.Recorder
-	// Inv, when set, opens an invariant-ledger entry per accepted call
-	// (throttled submissions never enter the conservation universe).
-	Inv *invariant.Checker
+	// Obs, when set, hears every accepted call (the trace sampling
+	// decision and the ledger entry both open here). Throttled
+	// submissions never get an ID and never enter the conservation
+	// universe; the Throttled counter is their only record.
+	Obs *lifecycle.Spine
 
 	Submitted     stats.Counter
 	Throttled     stats.Counter
@@ -176,8 +174,7 @@ func (s *Submitter) Submit(client string, c *function.Call) error {
 		s.ArgsOffloaded.Inc()
 	}
 	c.State = function.StateSubmitted
-	s.Trace.OnSubmit(c)
-	s.Inv.OnSubmit(c)
+	s.Obs.Emit(c, trace.KindSubmit, 0)
 	s.batch = append(s.batch, c)
 	s.Submitted.Inc()
 	if len(s.batch) >= s.params.BatchSize {
@@ -207,8 +204,7 @@ func (s *Submitter) flush() {
 	for _, c := range s.batch {
 		if !s.lb.RouteOK(c) {
 			s.RouteFailed.Inc()
-			s.Trace.Record(c, trace.KindDropped, 0)
-			s.Inv.OnDropped(c)
+			s.Obs.Emit(c, trace.KindDropped, 0)
 		}
 	}
 	s.batch = s.batch[:0]
@@ -230,11 +226,10 @@ func (s *Submitter) Crash() {
 	for _, c := range s.batch {
 		s.LostOnCrash.Inc()
 		c.State = function.StateFailed
-		s.Trace.Record(c, trace.KindLost, 0)
-		s.Inv.OnLost(c)
+		s.Obs.Emit(c, trace.KindLost, 0)
 	}
 	s.batch = s.batch[:0]
-	s.Trace.Control("submitter.crash",
+	s.Obs.Control("submitter.crash",
 		fmt.Sprintf("r%d pool=%d lost=%d", s.region, s.pool, lost))
 }
 
@@ -243,7 +238,7 @@ func (s *Submitter) Crash() {
 func (s *Submitter) Restart(delay time.Duration) {
 	s.engine.Schedule(delay, func() {
 		s.down = false
-		s.Trace.Control("submitter.restart", fmt.Sprintf("r%d pool=%d", s.region, s.pool))
+		s.Obs.Control("submitter.restart", fmt.Sprintf("r%d pool=%d", s.region, s.pool))
 	})
 }
 

@@ -31,7 +31,7 @@ func tracesFromBytes(data []byte) []*CallTrace {
 			id++
 			out = append(out, cur)
 		}
-		k := Kind(data[i+1] % uint8(numKinds))
+		k := Kind(data[i+1] % uint8(KindRelease)) // stored kinds only
 		at += sim.Time(int64(data[i+2])) * sim.Time(time.Millisecond)
 		cur.Events = append(cur.Events, Event{At: at, Kind: k, Arg: int64(data[i+3]) - 100})
 		if k == KindAck || k == KindDeadLetter || k == KindDropped {

@@ -117,16 +117,37 @@ const (
 	// was cancelled (arg: cancelled worker ref).
 	KindHedgeCancel
 
-	numKinds
+	// The kinds below exist for the invariant ledger (invariant.Checker.On)
+	// and never appear in a trace: a transition that shares its span with
+	// an earlier kind is stored as that kind, and one with no span of its
+	// own is skipped (see Kind.span).
+
+	// KindRelease: a regional drain dissolved a held lease back into plain
+	// queued work. Stored as KindRetry with zero backoff.
+	KindRelease
+	// KindDrainMigrated: a drain moved a queued call's durable home to a
+	// peer region's shard (arg: adopting shard ref). Stored as
+	// KindMigrated.
+	KindDrainMigrated
+	// KindComplete: a worker finished the call, success or failure
+	// (arg: worker ref). Not stored: KindExecEnd already marks the instant.
+	KindComplete
+	// KindMigrateIn: the call arrived from another partition. Not stored:
+	// the adopted trace carries the source's KindMigrated.
+	KindMigrateIn
+
+	// NumKinds bounds the Kind space.
+	NumKinds
 )
 
-var kindNames = [numKinds]string{
+var kindNames = [NumKinds]string{
 	"submit", "route", "enqueue", "lease", "lease-expired", "scheduled",
 	"quota-denied", "congestion-denied", "isolation-denied", "dispatch",
 	"exec-start", "exec-end", "downstream-retry", "backpressure",
 	"slo-miss", "evacuated", "nack", "retry", "ack", "dead-letter",
 	"dropped", "lost", "recovered", "expired", "shed", "budget-exhausted",
 	"migrated", "hedge-dispatch", "hedge-win", "hedge-cancel",
+	"release", "drain-migrated", "complete", "migrate-in",
 }
 
 func (k Kind) String() string {
@@ -138,9 +159,25 @@ func (k Kind) String() string {
 
 // Terminal reports whether the kind ends a call's trace.
 func (k Kind) Terminal() bool {
-	return k == KindAck || k == KindDeadLetter || k == KindDropped ||
-		k == KindLost || k == KindExpired || k == KindShed ||
-		k == KindBudgetExhausted
+	return k == KindAck || k == KindDropped || k == KindLost || k.DeadLetter()
+}
+
+// DeadLetter reports whether the kind is a dead-letter disposition.
+func (k Kind) DeadLetter() bool {
+	const set = 1<<KindDeadLetter | 1<<KindExpired | 1<<KindShed | 1<<KindBudgetExhausted
+	return uint64(set)>>k&1 != 0
+}
+
+// span maps a lifecycle kind to the kind a Recorder stores for it; ok is
+// false for the ledger-only kinds that have no span.
+func (k Kind) span() (stored Kind, ok bool) {
+	switch k {
+	case KindRelease:
+		return KindRetry, true
+	case KindDrainMigrated:
+		return KindMigrated, true
+	}
+	return k, k < KindRelease
 }
 
 // Ref packs a (region, index) component identity into an event arg.
@@ -348,9 +385,14 @@ func (r *Recorder) OnSubmit(c *function.Call) {
 
 // Record appends one lifecycle event to a sampled call's trace. Unsampled
 // calls return immediately without taking the lock (the zero-alloc,
-// near-zero-cost disabled path). Terminal kinds finalize the trace.
+// near-zero-cost disabled path). Terminal kinds finalize the trace;
+// ledger-only kinds are stored as their span's kind or skipped.
 func (r *Recorder) Record(c *function.Call, k Kind, arg int64) {
 	if r == nil || !c.Sampled {
+		return
+	}
+	k, ok := k.span()
+	if !ok {
 		return
 	}
 	r.mu.Lock()

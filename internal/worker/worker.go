@@ -16,6 +16,7 @@ import (
 	"xfaas/internal/downstream"
 	"xfaas/internal/function"
 	"xfaas/internal/jit"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
 	"xfaas/internal/slo"
@@ -151,8 +152,8 @@ type Worker struct {
 	// elsewhere finished first).
 	Cancelled stats.Counter
 
-	// Trace, when set, records execution events for sampled calls.
-	Trace *trace.Recorder
+	// Obs, when set, hears execution start/end for sampled calls.
+	Obs *lifecycle.Spine
 	// Acct, when set, is this worker's core-second meter: execution
 	// start/finish adjust its busy-core rate so busy + idle core-seconds
 	// close exactly against capacity × elapsed (nil-safe, no allocation).
@@ -357,7 +358,7 @@ func (w *Worker) TryExecute(c *function.Call, done DoneFunc) bool {
 	}
 	retries, err := w.callDownstream(c, maxRetries)
 	if retries > 0 {
-		w.Trace.Record(c, trace.KindDownstreamRetry, int64(retries))
+		w.Obs.Emit(c, trace.KindDownstreamRetry, int64(retries))
 	}
 	if err != nil {
 		short := time.Duration(float64(duration) * w.params.FailureSlowdown)
@@ -381,7 +382,7 @@ func (w *Worker) TryExecute(c *function.Call, done DoneFunc) bool {
 	c.State = function.StateRunning
 	c.ExecStartAt = now
 	w.Acct.ExecStart(now, c.Criticality(), rate)
-	w.Trace.Record(c, trace.KindExecStart, 0)
+	w.Obs.Emit(c, trace.KindExecStart, 0)
 	rc.timer = w.engine.Schedule(duration, rc.fire)
 	return true
 }
@@ -539,10 +540,10 @@ func (w *Worker) finish(rc *runningCall) {
 		w.Failures.Inc()
 		// The attempt's core-seconds are wasted: the work must be redone.
 		w.Acct.Waste(c.Spec.Team, rc.cpuRate, rc.duration)
-		w.Trace.Record(c, trace.KindExecEnd, 1)
+		w.Obs.Emit(c, trace.KindExecEnd, 1)
 	} else {
 		w.CPUWork.Add(rc.cpuRate * rc.duration.Seconds())
-		w.Trace.Record(c, trace.KindExecEnd, 0)
+		w.Obs.Emit(c, trace.KindExecEnd, 0)
 	}
 	// Recycle before invoking the callback: done may re-enter TryExecute
 	// and reuse this object immediately.

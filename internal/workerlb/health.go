@@ -114,7 +114,7 @@ func (lb *LB) probeAll() {
 			if h.missed >= lb.hp.MissedThreshold && h.state != Dead {
 				h.state = Dead
 				lb.DetectedDead.Inc()
-				lb.Trace.Control("health.dead", w.ID.String())
+				lb.Obs.Control("health.dead", w.ID.String())
 				for _, fn := range lb.onDown {
 					fn(w)
 				}
@@ -125,7 +125,7 @@ func (lb *LB) probeAll() {
 		if h.state == Dead {
 			h.state = Healthy
 			lb.DetectedRecovered.Inc()
-			lb.Trace.Control("health.recovered", w.ID.String())
+			lb.Obs.Control("health.recovered", w.ID.String())
 		}
 		if slowdown >= lb.hp.GraySlowdownThreshold {
 			h.slowStreak++
@@ -133,7 +133,7 @@ func (lb *LB) probeAll() {
 				h.state = Gray
 				h.lastFlip = lb.engine.Now()
 				lb.DetectedGray.Inc()
-				lb.Trace.Control("health.gray", w.ID.String())
+				lb.Obs.Control("health.gray", w.ID.String())
 			}
 		} else {
 			h.slowStreak = 0
@@ -141,7 +141,7 @@ func (lb *LB) probeAll() {
 				h.state = Healthy
 				h.lastFlip = lb.engine.Now()
 				lb.DetectedRecovered.Inc()
-				lb.Trace.Control("health.recovered", w.ID.String())
+				lb.Obs.Control("health.recovered", w.ID.String())
 			}
 		}
 		lb.observeProbe(i, slowdown)

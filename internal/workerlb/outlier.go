@@ -155,7 +155,7 @@ func (lb *LB) observe(i int, inflation float64) {
 			// traffic while the window confirms the signal.
 			o.state = outlierProbation
 			o.since = now
-			lb.Trace.Control("health.probation", w.ID.String())
+			lb.Obs.Control("health.probation", w.ID.String())
 		}
 	case outlierProbation:
 		if o.ewma < lb.op.EjectThreshold {
@@ -168,14 +168,14 @@ func (lb *LB) observe(i int, inflation float64) {
 			o.state = outlierEjected
 			o.since = now
 			lb.Ejected.Inc()
-			lb.Trace.Control("health.ejected", w.ID.String())
+			lb.Obs.Control("health.ejected", w.ID.String())
 		}
 	case outlierEjected:
 		if o.ewma <= lb.op.ReinstateThreshold && now-o.since >= lb.op.Probation {
 			o.state = outlierTrusted
 			o.since = now
 			lb.Reinstated.Inc()
-			lb.Trace.Control("health.reinstated", w.ID.String())
+			lb.Obs.Control("health.reinstated", w.ID.String())
 		}
 	}
 }

@@ -8,11 +8,11 @@ package workerlb
 
 import (
 	"xfaas/internal/function"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/locality"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
 	"xfaas/internal/stats"
-	"xfaas/internal/trace"
 	"xfaas/internal/worker"
 )
 
@@ -48,9 +48,9 @@ type LB struct {
 	Ejected    stats.Counter
 	Reinstated stats.Counter
 
-	// Trace, when set, receives control-plane events for health-state
+	// Obs, when set, receives control-plane events for health-state
 	// transitions (the durable record chaos tests assert on).
-	Trace *trace.Recorder
+	Obs *lifecycle.Spine
 }
 
 // New returns a load balancer over the pool with no locality assignment

@@ -1,6 +1,8 @@
 #!/bin/sh
 # Assemble EXPERIMENTS.md from the preamble and a full-scale markdown run.
-# Usage: tools/assemble_experiments.sh  (run from the repository root)
+# Usage, from the repository root:
+#   go run ./cmd/xfaas-sim -run all -full -markdown > EXPERIMENTS_body.md
+#   tools/assemble_experiments.sh
 set -e
 test -s EXPERIMENTS_preamble.md
 test -s EXPERIMENTS_body.md
