@@ -1,8 +1,11 @@
 package journal
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"xfaas/internal/function"
 	"xfaas/internal/sim"
@@ -138,11 +141,12 @@ func TestReplayerSurvivesCompaction(t *testing.T) {
 func TestCompactDropsSettledCalls(t *testing.T) {
 	e := sim.NewEngine()
 	l := New(e, 0)
+	l.compactAt = 3
 	l.Append(OpEnqueue, call(1), 0)
 	l.Append(OpLease, call(1), 0)
 	l.Append(OpAck, call(1), 0)
 	l.Append(OpEnqueue, call(2), 0)
-	l.compact()
+	l.flush()
 	if l.Len() != 1 || l.Entries()[0].Call.ID != 2 {
 		t.Fatalf("compaction kept %d entries: %v", l.Len(), l.Entries())
 	}
@@ -155,23 +159,30 @@ func TestCompactDropsSettledCalls(t *testing.T) {
 	}
 }
 
+// Only a durable terminal settles a call. Compaction runs on the flush
+// tick alone, after the horizon has moved, so a terminal appended since
+// the last tick is still in the torn window and its call keeps every
+// record: a crash tears the terminal off and replays from what remains.
 func TestCompactKeepsUnsyncedTerminal(t *testing.T) {
 	e := sim.NewEngine()
 	l := New(e, time.Second)
+	l.compactAt = 1
 	l.Append(OpEnqueue, call(1), 0)
-	e.RunFor(time.Second + time.Millisecond) // call 1's enqueue is durable
+	l.Append(OpEnqueue, call(2), 0)
+	e.RunFor(time.Second + time.Millisecond) // both durable; over compactAt, nothing settled
 	l.Append(OpAck, call(1), 0)              // terminal sits in the torn window
-	l.compact()
-	if l.Len() != 2 {
-		t.Fatalf("compaction dropped records of a call whose terminal is not durable: len=%d", l.Len())
+	if l.Len() != 3 || l.Unsynced() != 1 {
+		t.Fatalf("len=%d unsynced=%d, want 3 and 1", l.Len(), l.Unsynced())
 	}
 	torn := l.Crash()
 	if len(torn) != 1 || torn[0].Op != OpAck {
 		t.Fatalf("torn tail = %v, want the unsynced ack", torn)
 	}
-	// The durable prefix still resurrects the call.
-	if l.Len() != 1 || l.Entries()[0].Op != OpEnqueue {
-		t.Fatalf("prefix after crash = %v", l.Entries())
+	// The durable prefix still resurrects the call, and the torn ack does
+	// not settle it at the next tick either.
+	e.RunFor(time.Second)
+	if l.Len() != 2 || l.Entries()[0].Op != OpEnqueue || l.Entries()[0].Call.ID != 1 {
+		t.Fatalf("prefix after crash and a further flush = %v", l.Entries())
 	}
 }
 
@@ -204,5 +215,110 @@ func TestRaisingFlushLagKeepsDurable(t *testing.T) {
 	e.RunFor(time.Minute + time.Millisecond)
 	if l.Synced() != 2 {
 		t.Fatalf("flush tick did not advance the horizon: synced=%d", l.Synced())
+	}
+}
+
+// The cost model: a flush tick pays for the calls settled since the last
+// compaction, not for the records retained. The three tests below pin it.
+
+// A log retains one Entry per record of every unsettled call; the chain
+// link rides in padding and must not widen it.
+func TestEntryIs40Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 40 {
+		t.Fatalf("Entry is %d bytes, want 40", got)
+	}
+}
+
+// flushRig is a log retaining live records of unsettled calls, twice its
+// compaction threshold — the state a shard with a deep leased backlog
+// never leaves — plus 256 calls that settle between flush ticks.
+type flushRig struct {
+	e       *sim.Engine
+	l       *Log
+	settled []*function.Call
+}
+
+const flushRigLag = 100 * time.Millisecond
+
+func newFlushRig(live int) *flushRig {
+	r := &flushRig{e: sim.NewEngine()}
+	r.l = New(r.e, flushRigLag)
+	r.l.compactAt = live / 2
+	for i := 0; i < live; i++ {
+		r.l.Append(OpEnqueue, call(uint64(i+1)), 0)
+	}
+	for i := 0; i < 256; i++ {
+		r.settled = append(r.settled, call(uint64(1<<32+i)))
+	}
+	return r
+}
+
+func (r *flushRig) settle() {
+	for _, c := range r.settled {
+		r.l.Append(OpEnqueue, c, 0)
+		r.l.Append(OpAck, c, 0)
+	}
+}
+
+func (r *flushRig) flush() { r.e.RunFor(flushRigLag) }
+
+func TestSteadyStateFlushAllocatesNothing(t *testing.T) {
+	r := newFlushRig(32_768)
+	for i := 0; i < 64; i++ { // past the first squeezes: slots and scratch are sized
+		r.settle()
+		r.flush()
+	}
+	if avg := testing.AllocsPerRun(200, func() { r.settle(); r.flush() }); avg != 0 {
+		t.Fatalf("settling 256 calls and flushing allocates %v times per tick, want 0", avg)
+	}
+	if r.l.Len() != 32_768 {
+		t.Fatalf("%d records retained, want 32768", r.l.Len())
+	}
+}
+
+func BenchmarkJournalFlush(b *testing.B) {
+	for _, live := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("live=%dk", live/1000), func(b *testing.B) {
+			r := newFlushRig(live)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r.settle()
+				b.StartTimer()
+				r.flush()
+			}
+		})
+	}
+}
+
+// The rescan this replaced cost 100 times as much per flush at 100k
+// retained records as at 1k. Each sample times the two sizes back to back
+// and the median of five ratios decides, so neither drift nor one noisy
+// spell on a shared runner can fail it.
+func TestFlushCostFollowsSettledNotRetained(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing comparison")
+	}
+	perFlush := func(live int) float64 {
+		const flushes = 200 // several squeeze cycles at 100k
+		r := newFlushRig(live)
+		var spent time.Duration
+		for range flushes {
+			r.settle()
+			t0 := time.Now()
+			r.flush()
+			spent += time.Since(t0)
+		}
+		return float64(spent) / flushes
+	}
+	var ratios []float64
+	for range 5 {
+		small, large := perFlush(1_000), perFlush(100_000)
+		t.Logf("flush settling 256 calls: %.0f ns at 1k retained, %.0f ns at 100k", small, large)
+		ratios = append(ratios, large/small)
+	}
+	slices.Sort(ratios)
+	if ratios[2] > 5 {
+		t.Fatalf("a flush at 100k retained records costs %.1fx one at 1k (median of %v), want at most 5x", ratios[2], ratios)
 	}
 }
