@@ -259,6 +259,47 @@ func TestTornAckResurrection(t *testing.T) {
 	}
 }
 
+// TestRestoredDrainSurvivesCompaction: a drain extracts a call (journaled
+// as an ack: its durable home moves with it), the peer refuses it, and the
+// controller restores it to the shard it came from — the log now reads
+// enqueue, ack, enqueue. The call is live: its newest record is the
+// re-enqueue, and the stale ack before it must not let compaction erase
+// the records a crash would replay it from.
+func TestRestoredDrainSurvivesCompaction(t *testing.T) {
+	e := sim.NewEngine()
+	sh := newShard(e)
+	sh.EnableJournal(100 * time.Millisecond)
+	c := call(spec("f", 3), 0)
+	sh.Enqueue(c)
+	extracted := sh.DrainExtract(nil, 1, func(*function.Call) bool { return true })
+	if len(extracted) != 1 || extracted[0] != c {
+		t.Fatalf("setup extract: %v", extracted)
+	}
+	if !sh.AdoptDrained(c) {
+		t.Fatal("source shard refused its own call back")
+	}
+	// Grow the log past the compaction threshold and let a flush tick run.
+	filler := spec("filler", 3)
+	for sh.Journal().Len() <= 16384 {
+		sh.Enqueue(call(filler, 0))
+	}
+	held := sh.Journal().Len()
+	e.RunFor(150 * time.Millisecond)
+	if got := sh.Journal().Len(); got != held {
+		t.Fatalf("compaction dropped %d records of unsettled calls", held-got)
+	}
+
+	sh.Crash()
+	if sh.LostOnCrash.Value() != 0 {
+		t.Fatalf("lost %v calls with every record durable", sh.LostOnCrash.Value())
+	}
+	sh.Restart()
+	drainReplay(t, e, sh)
+	if c.State != function.StateQueued || sh.Pending() != held-2 {
+		t.Fatalf("restored call not replayed: state %v, pending %d of %d", c.State, sh.Pending(), held-2)
+	}
+}
+
 // TestSettledInTornTailNotLost: a call whose entire record — enqueue,
 // lease, ack — sits in the torn tail completed before the crash; it must
 // not be counted lost (the client was acked) and must not reappear.

@@ -111,7 +111,9 @@ type Log struct {
 	last map[uint64]int32
 	// settled lists the calls whose terminal records were appended since
 	// the last compaction, in append order — the only chains the next
-	// compaction has to visit.
+	// compaction has to visit. A call that is appended to again after its
+	// terminal leaves the list at that compaction and rejoins it with its
+	// next terminal.
 	settled []uint64
 	// remap is squeeze's old-slot → new-slot scratch, kept between calls.
 	remap []int32
@@ -202,17 +204,22 @@ func (l *Log) Sync() {
 // retained records need, 8% more bytes allocated per call on a retry storm.
 const squeezeShare = 8
 
-// compact drops every record of calls whose terminal record is durable:
-// nothing in the log can resurrect them, so their history is dead
-// weight. It is reached only from flush, where the whole log is durable —
-// a call with an unsynced terminal must keep its records, because a crash
-// would tear the terminal off and replay from what remains. The cost is
-// the chains of the calls settled since the last compaction, not the log.
+// compact drops every record of calls whose newest record is a durable
+// terminal: nothing in the log can resurrect them, so their history is
+// dead weight. A terminal followed by a later record does not settle its
+// call — a drain that extracts a call (ack) and has to restore it to the
+// same shard (enqueue) leaves one, and the call is live; its chain waits
+// for its eventual settlement, and replay's last-record-wins already
+// ignores the stale terminal. compact is reached only from flush, where
+// the whole log is durable — a call with an unsynced terminal must keep
+// its records, because a crash would tear the terminal off and replay
+// from what remains. The cost is the chains of the calls settled since
+// the last compaction, not the log.
 func (l *Log) compact() {
 	for _, id := range l.settled {
 		i, ok := l.last[id]
-		if !ok {
-			continue // settled twice since the last compaction
+		if !ok || !l.entries[i].Op.Terminal() {
+			continue // settled twice since the last compaction, or live again
 		}
 		delete(l.last, id)
 		for i >= 0 {

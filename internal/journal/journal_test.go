@@ -186,6 +186,28 @@ func TestCompactKeepsUnsyncedTerminal(t *testing.T) {
 	}
 }
 
+// A call is settled by its newest record: one appended to again after a
+// terminal (a drain restored it) keeps its whole chain until it settles
+// for good.
+func TestCompactKeepsCallLiveAfterTerminal(t *testing.T) {
+	e := sim.NewEngine()
+	l := New(e, 0)
+	l.compactAt = 2
+	c := call(1)
+	l.Append(OpEnqueue, c, 0)
+	l.Append(OpAck, c, 0)
+	l.Append(OpEnqueue, c, 0)
+	l.flush()
+	if l.Len() != 3 {
+		t.Fatalf("compaction erased a live call behind its stale ack: len=%d", l.Len())
+	}
+	l.Append(OpAck, c, 0)
+	l.flush()
+	if l.Len() != 0 {
+		t.Fatalf("settled call kept %d records", l.Len())
+	}
+}
+
 func TestSetFlushLagToZeroSyncs(t *testing.T) {
 	e := sim.NewEngine()
 	l := New(e, time.Minute)

@@ -12,8 +12,9 @@ import (
 
 // refLog is the journal as it was before records were chained: one slice
 // that holds exactly the retained records, and a compaction that rescans
-// and rewrites all of it. It is the oracle the chained Log must match
-// record for record at every instant.
+// and rewrites all of it (settling a call by its newest record, as the
+// chained log does). It is the oracle the chained Log must match record
+// for record at every instant.
 type refLog struct {
 	engine    *sim.Engine
 	flushLag  time.Duration
@@ -60,11 +61,9 @@ func (r *refLog) flush() {
 }
 
 func (r *refLog) compact() {
-	settled := make(map[uint64]bool)
+	settled := make(map[uint64]bool) // newest durable record is terminal
 	for _, e := range r.entries[:r.synced] {
-		if e.Op.Terminal() {
-			settled[e.Call.ID] = true
-		}
+		settled[e.Call.ID] = e.Op.Terminal()
 	}
 	kept := r.entries[:0]
 	newSynced := 0
