@@ -200,8 +200,9 @@ func (l *Log) Sync() {
 // which compaction reclaims them. One pass over the slots then pays for at
 // least an eighth of them, so reclaiming costs O(1) amortised per record
 // ever appended, and after a compaction the slots are at most 8/7 of the
-// retained records — at a quarter the slice grew one step further than the
-// retained records need, 8% more bytes allocated per call on a retry storm.
+// retained records. (At a quarter the slice grows one step further than
+// the retained records need: 8% more bytes allocated per call on a retry
+// storm, for no measurable time.)
 const squeezeShare = 8
 
 // compact drops every record of calls whose newest record is a durable
@@ -247,7 +248,7 @@ func (l *Log) squeeze() {
 	}
 	first := l.firstDead
 	if cap(l.remap) < len(l.entries)-first {
-		l.remap = make([]int32, cap(l.entries)-first)
+		l.remap = make([]int32, cap(l.entries)) // regrows only when entries has
 	}
 	remap := l.remap[:len(l.entries)-first] // new slot of old slot first+k
 	kept := l.entries[:first]

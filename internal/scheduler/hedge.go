@@ -67,14 +67,16 @@ func (b *HedgeBudget) Spend() {
 }
 
 // hedgeEstimator is one function's online hedge-delay estimator: a ring
-// of the most recent successful exec times, answering quantile queries by
-// sorting into a reusable scratch slice. No hedging happens for a
+// of the most recent successful exec times, answering quantile queries
+// from a sorted copy that stays valid until the next sample arrives —
+// every dispatch asks, only completions observe. No hedging happens for a
 // function until it has observed MinSamples completions.
 type hedgeEstimator struct {
-	ring    []float64
-	next    int
-	total   int
-	scratch []float64
+	ring  []float64
+	next  int
+	total int
+	// sorted is the ring in ascending order, emptied by every Observe.
+	sorted []float64
 }
 
 func newHedgeEstimator(window int) *hedgeEstimator {
@@ -82,8 +84,8 @@ func newHedgeEstimator(window int) *hedgeEstimator {
 		window = 1
 	}
 	return &hedgeEstimator{
-		ring:    make([]float64, 0, window),
-		scratch: make([]float64, 0, window),
+		ring:   make([]float64, 0, window),
+		sorted: make([]float64, 0, window),
 	}
 }
 
@@ -96,6 +98,7 @@ func (e *hedgeEstimator) Observe(secs float64) {
 	}
 	e.next = (e.next + 1) % cap(e.ring)
 	e.total++
+	e.sorted = e.sorted[:0]
 }
 
 // Samples returns the total samples ever observed (warm-up gating counts
@@ -117,10 +120,11 @@ func (e *hedgeEstimator) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	s := append(e.scratch[:0], e.ring...)
-	sort.Float64s(s)
-	e.scratch = s
-	return s[int(q*float64(n-1))]
+	if len(e.sorted) == 0 {
+		e.sorted = append(e.sorted, e.ring...)
+		sort.Float64s(e.sorted)
+	}
+	return e.sorted[int(q*float64(n-1))]
 }
 
 // hedgeEntry tracks one armed or in-flight hedge. Entries are pooled and

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"sort"
 	"testing"
 )
 
@@ -48,6 +49,30 @@ func TestHedgeEstimatorQuantile(t *testing.T) {
 				t.Fatalf("second Quantile(%v) = %v, want %v", tc.q, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestHedgeEstimatorObserveInvalidatesOrder: Quantile answers from a
+// sorted copy it keeps between samples, so every Observe — while the ring
+// fills, when it overwrites the oldest slot, and across a full wrap — must
+// be visible to the very next Quantile, against a sort of the window done
+// from scratch.
+func TestHedgeEstimatorObserveInvalidatesOrder(t *testing.T) {
+	const window = 4
+	est := newHedgeEstimator(window)
+	var seen []float64
+	// Descending then ascending values, so each sample lands at a new rank.
+	for i, s := range []float64{9, 7, 5, 3, 1, 2, 4, 6, 8, 10, 0, 11} {
+		est.Observe(s)
+		seen = append(seen, s)
+		retained := append([]float64(nil), seen[max(0, len(seen)-window):]...)
+		sort.Float64s(retained)
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			want := retained[int(q*float64(len(retained)-1))]
+			if got := est.Quantile(q); got != want {
+				t.Fatalf("after sample %d (%v): Quantile(%v) = %v, want %v of window %v", i+1, s, q, got, want, retained)
+			}
+		}
 	}
 }
 
