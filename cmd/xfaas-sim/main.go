@@ -6,6 +6,7 @@
 //	xfaas-sim -list
 //	xfaas-sim -run fig2 -charts
 //	xfaas-sim -run all -full -out results/
+//	xfaas-sim -run fig7 -seed 3 -cpuprofile cpu.pprof -memprofile heap.pprof
 //
 // Each experiment prints paper-vs-measured rows, PASS/FAIL shape checks,
 // and (with -charts) ASCII renderings of the series. With -out, every
@@ -17,6 +18,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -27,7 +30,11 @@ import (
 	"xfaas/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main returning its exit code, so the deferred end of the
+// profiles happens on every path out.
+func run() int {
 	var (
 		list      = flag.Bool("list", false, "list available experiments and exit")
 		run       = flag.String("run", "", "experiment id to run, or \"all\"")
@@ -47,8 +54,21 @@ func main() {
 		pchaos   = flag.Bool("pchaos", false, "with -parallel: inject the deterministic per-partition fault schedule")
 		pdrain   = flag.Bool("pdrain", false, "with -parallel: run the evacuation drill (each partition drains its first region at 0.3 of the run, undrains at 0.6)")
 		traced   = flag.Bool("traced", false, "with -parallel: sample per-call traces")
+
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memprofile = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	)
 	flag.Parse()
+	stop, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}()
 	if *inv {
 		experiment.SetInvariants(true)
 	}
@@ -58,7 +78,7 @@ func main() {
 	if *policy != "" {
 		if _, err := config.PolicyByName(*policy); err != nil {
 			fmt.Fprintf(os.Stderr, "%v; available: %s\n", err, strings.Join(config.PolicyNames(), ", "))
-			os.Exit(2)
+			return 2
 		}
 		experiment.SetPolicy(*policy)
 	}
@@ -76,7 +96,7 @@ func main() {
 		opts.SLO = *slo
 		if opts.Parts > opts.Regions {
 			fmt.Fprintf(os.Stderr, "-parallel=%d exceeds the %d-region topology\n", opts.Parts, opts.Regions)
-			os.Exit(2)
+			return 2
 		}
 		r := psim.New(opts)
 		fmt.Print(r.Run())
@@ -85,10 +105,10 @@ func main() {
 				for _, x := range v {
 					fmt.Fprintf(os.Stderr, "invariant violation: %v\n", x)
 				}
-				os.Exit(1)
+				return 1
 			}
 		}
-		return
+		return 0
 	}
 
 	if *chaosFlag != "" {
@@ -116,7 +136,7 @@ func main() {
 					fmt.Fprintf(os.Stderr, "  %-15s (%s)\n", c.Name, c.Experiment)
 				}
 			}
-			os.Exit(2)
+			return 2
 		}
 		scale := experiment.QuickScale()
 		if *full {
@@ -127,9 +147,9 @@ func main() {
 		fmt.Print(res.Render(*charts))
 		if !res.ChecksOK() {
 			fmt.Fprintln(os.Stderr, "chaos scenario had failing shape checks")
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *list || *run == "" {
@@ -153,7 +173,7 @@ func main() {
 		if *run == "" && !*list {
 			fmt.Println("\nuse -run <id> or -run all")
 		}
-		return
+		return 0
 	}
 
 	scale := experiment.QuickScale()
@@ -170,7 +190,7 @@ func main() {
 			e, ok := experiment.Get(strings.TrimSpace(id))
 			if !ok {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", id)
-				os.Exit(2)
+				return 2
 			}
 			targets = append(targets, e)
 		}
@@ -192,14 +212,52 @@ func main() {
 		if *out != "" {
 			if err := writeCSV(*out, res); err != nil {
 				fmt.Fprintf(os.Stderr, "writing CSV: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		}
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d experiment(s) had failing shape checks\n", failed)
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// startProfiles starts a CPU profile now, if cpu names a file, and
+// returns the function that ends it and then, if mem names a file, writes
+// the heap profile of that moment.
+func startProfiles(cpu, mem string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == "" {
+			return nil
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // a heap profile reports as of the last collection
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("heap profile: %w", err)
+		}
+		return f.Close()
+	}, nil
 }
 
 func writeCSV(dir string, res *experiment.Result) error {

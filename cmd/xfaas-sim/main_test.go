@@ -58,3 +58,26 @@ func TestWriteCSVSanitizesNames(t *testing.T) {
 		t.Fatalf("unsanitized name %q", entries[0].Name())
 	}
 }
+
+func TestStartProfilesWritesBothFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "heap.pprof")
+	stop, err := startProfiles(cpu, mem)
+	if err != nil {
+		t.Fatalf("startProfiles: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s: %v, want a non-empty profile", path, err)
+		}
+	}
+	if _, err := startProfiles(filepath.Join(dir, "missing", "cpu.pprof"), ""); err == nil {
+		t.Fatal("a CPU profile in a directory that does not exist started without error")
+	}
+	if stop, err = startProfiles("", ""); err != nil || stop() != nil {
+		t.Fatalf("no profiles asked for: %v", err)
+	}
+}

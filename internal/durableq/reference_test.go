@@ -1,18 +1,14 @@
-// Package durableq implements XFaaS's only stateful component (paper
-// §4.3): sharded durable queues that persist function calls until they
-// complete. Each shard keeps a separate queue per function ordered by the
-// call's execution start time. A call offered to a scheduler is leased:
-// it will not be offered to another scheduler unless the first fails to
-// execute it (NACK or lease timeout), giving at-least-once semantics.
 package durableq
 
 import (
 	"fmt"
-	"math"
+	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
+	"testing"
 	"time"
 
-	"xfaas/internal/cluster"
 	"xfaas/internal/function"
 	"xfaas/internal/journal"
 	"xfaas/internal/lifecycle"
@@ -22,72 +18,25 @@ import (
 	"xfaas/internal/trace"
 )
 
-// ShardID identifies a DurableQ shard within a region.
-type ShardID struct {
-	Region cluster.RegionID
-	Index  int
+// refShard is the shard as it was while every lease owned an engine timer
+// and PollInto walked the function names, looking each queue up in the
+// map: the code below is that Shard verbatim, renamed. It is the oracle
+// the lease list, the expiry alarm and the wake index must match — offer
+// for offer, counter for counter, event for event.
+
+// lease records one outstanding delivery. Lease objects are pooled per
+// shard: every offered call needs one, and recycling them (plus their
+// prebuilt expiry closure) keeps the offer path allocation-free in
+// steady state.
+type refLease struct {
+	call  *function.Call
+	id    uint64
+	timer sim.Timer
+	fire  func() // prebuilt s.expire(l) closure, built once per object
 }
-
-func (s ShardID) String() string { return fmt.Sprintf("dq-%d-%d", s.Region, s.Index) }
-
-// DeadReason classifies why a call was dead-lettered. The reasons are
-// disjoint: every dead-lettered call has exactly one, and the per-reason
-// counters sum to DeadLetters.
-type DeadReason int
-
-const (
-	// ReasonExhausted: the retry policy's MaxAttempts ran out.
-	ReasonExhausted DeadReason = iota
-	// ReasonExpired: the call passed its absolute deadline and was swept
-	// before occupying a worker.
-	ReasonExpired
-	// ReasonBudget: the function's retry budget was empty at redelivery.
-	ReasonBudget
-	// ReasonShed: queue-delay shedding dropped the call under overload.
-	ReasonShed
-)
-
-func (r DeadReason) String() string {
-	switch r {
-	case ReasonExhausted:
-		return "exhausted"
-	case ReasonExpired:
-		return "expired"
-	case ReasonBudget:
-		return "budget"
-	case ReasonShed:
-		return "shed"
-	default:
-		return fmt.Sprintf("reason(%d)", int(r))
-	}
-}
-
-// lease records one outstanding delivery. A shard's leases form one list
-// in expiry order, and only the head's expiry is scheduled on the engine
-// (see Shard.expiry): a held lease costs the event heap nothing. (at,
-// seq) is the ordering key the lease's own engine timer would have had —
-// the deadline, and the sequence number reserved when the lease was
-// granted or last renewed. Lease objects are pooled per shard, so the
-// offer path is allocation-free in steady state.
-type lease struct {
-	call       *function.Call
-	at         sim.Time
-	seq        uint64
-	prev, next *lease
-}
-
-// funcQueue is one function's queue and its slot in the shard's
-// name-ordered arrays (Shard.funcNames, byName, wake).
-type funcQueue struct {
-	h   callHeap
-	idx int
-}
-
-// never is the wake time of an empty queue.
-const never = sim.Time(math.MaxInt64)
 
 // Shard is one durable queue shard.
-type Shard struct {
+type refShard struct {
 	ID     ShardID
 	engine *sim.Engine
 	// src seeds the retry-backoff jitter; nil disables jitter (retries
@@ -120,23 +69,11 @@ type Shard struct {
 	// doomed work to schedulers.
 	SweepExpired bool
 
-	queues    map[string]*funcQueue // requeue's lookup by name
-	funcNames []string              // sorted; the deterministic polling order
-	byName    []*funcQueue          // the queues in funcNames order
-	// wake[i] is the first instant a poll would do anything to byName[i]:
-	// its head's readyAt, or the instant after the head's deadline if that
-	// comes sooner (the expiry sweep acts on heads that are not ready yet);
-	// never when the queue is empty. Every push and pop keeps it equal to
-	// that, so a poll reads this dense array and touches a queue only when
-	// its head is due.
-	wake   []sim.Time
-	cursor int // round-robin position for fairness across functions
-	leases map[uint64]*lease
-	// leaseHead..leaseTail is the leases in (at, seq) order; expiry is
-	// armed at the head's key whenever the list is non-empty.
-	leaseHead, leaseTail *lease
-	expiry               *sim.Alarm
-	freeLease            []*lease
+	queues    map[string]*callHeap
+	funcNames []string // sorted; parallel index for deterministic polling
+	cursor    int      // round-robin position for fairness across functions
+	leases    map[uint64]*refLease
+	freeLease []*refLease
 	// down marks an unavailability window (storage maintenance, network
 	// isolation): the shard's durable state survives, but no request —
 	// enqueue, poll, ack, nack, renew — succeeds until it returns.
@@ -210,8 +147,8 @@ type Shard struct {
 
 // NewShard returns an empty shard with a 5-minute lease timeout. src
 // seeds retry-backoff jitter and may be nil (fixed backoff).
-func NewShard(id ShardID, engine *sim.Engine, src *rng.Source) *Shard {
-	s := &Shard{
+func newRefShard(id ShardID, engine *sim.Engine, src *rng.Source) *refShard {
+	return &refShard{
 		ID:             id,
 		engine:         engine,
 		src:            src,
@@ -220,30 +157,28 @@ func NewShard(id ShardID, engine *sim.Engine, src *rng.Source) *Shard {
 		ReplayBase:     2 * time.Second,
 		ReplayPerEntry: 200 * time.Microsecond,
 		ReplayBatch:    256,
-		queues:         make(map[string]*funcQueue),
-		leases:         make(map[uint64]*lease),
+		queues:         make(map[string]*callHeap),
+		leases:         make(map[uint64]*refLease),
 	}
-	s.expiry = engine.NewAlarm(s.expireHead)
-	return s
 }
 
 // EnableJournal attaches a write-ahead log with the given sync-horizon
 // lag, making the shard crash-recoverable: Crash loses only the
 // unflushed tail, Restart replays the durable prefix.
-func (s *Shard) EnableJournal(flushLag time.Duration) {
+func (s *refShard) EnableJournal(flushLag time.Duration) {
 	s.jrn = journal.New(s.engine, flushLag)
 }
 
 // Journal exposes the shard's log (nil when journaling is off).
-func (s *Shard) Journal() *journal.Log { return s.jrn }
+func (s *refShard) Journal() *journal.Log { return s.jrn }
 
 // SetDown marks the shard unavailable (true) or available again (false).
-// Durable state — queued calls and leases — survives the window; leases
-// keep running out, so a lease can expire during the outage and the
+// Durable state — queued calls and leases — survives the window; lease
+// timers keep running, so a lease can expire during the outage and the
 // call redelivers once the shard returns (at-least-once, possibly
 // duplicating work whose Ack was lost to the outage). A crashed shard
 // cannot be brought back this way: only Restart's replay returns it.
-func (s *Shard) SetDown(down bool) {
+func (s *refShard) SetDown(down bool) {
 	if !down && s.crashed {
 		return
 	}
@@ -251,12 +186,12 @@ func (s *Shard) SetDown(down bool) {
 }
 
 // IsDown reports whether the shard is in an unavailability window.
-func (s *Shard) IsDown() bool { return s.down }
+func (s *refShard) IsDown() bool { return s.down }
 
 // Enqueue persists a call, reporting acceptance (false while the shard is
 // unavailable — the caller must pick another shard). The call becomes
 // eligible for delivery once virtual time reaches its StartAfter.
-func (s *Shard) Enqueue(c *function.Call) bool {
+func (s *refShard) Enqueue(c *function.Call) bool {
 	if s.down {
 		return false
 	}
@@ -274,47 +209,31 @@ func (s *Shard) Enqueue(c *function.Call) bool {
 // requeue places a call into its per-function heap, creating the heap on
 // first sight of the function. Shared by Enqueue, retry redelivery, and
 // crash replay.
-func (s *Shard) requeue(c *function.Call, readyAt sim.Time) {
+func (s *refShard) requeue(c *function.Call, readyAt sim.Time) {
 	q, ok := s.queues[c.Spec.Name]
 	if !ok {
-		q = s.addQueue(c.Spec.Name)
+		q = &callHeap{}
+		s.queues[c.Spec.Name] = q
+		s.funcNames = append(s.funcNames, c.Spec.Name)
+		sortStrings(s.funcNames)
 	}
-	it := queued{call: c, readyAt: readyAt}
-	q.h.push(it)
-	if q.h[0].call == c {
-		s.wake[q.idx] = it.wake()
-	}
+	q.push(queued{call: c, readyAt: readyAt})
 	s.pending++
 }
 
-// addQueue creates the queue of a function seen for the first time,
-// inserting it at its sorted position in all three name-ordered arrays.
-func (s *Shard) addQueue(name string) *funcQueue {
-	i, _ := slices.BinarySearch(s.funcNames, name)
-	q := &funcQueue{idx: i}
-	s.queues[name] = q
-	s.funcNames = slices.Insert(s.funcNames, i, name)
-	s.byName = slices.Insert(s.byName, i, q)
-	s.wake = slices.Insert(s.wake, i, never)
-	for _, later := range s.byName[i+1:] {
-		later.idx++
-	}
-	return q
-}
-
 // Pending returns the number of calls stored and not currently leased.
-func (s *Shard) Pending() int { return s.pending }
+func (s *refShard) Pending() int { return s.pending }
 
 // Leased returns the number of outstanding leases.
-func (s *Shard) Leased() int { return len(s.leases) }
+func (s *refShard) Leased() int { return len(s.leases) }
 
 // PendingReady returns how many stored calls are ready (start time passed)
 // at virtual time now. O(pending); used by control-plane snapshots, not
 // the critical path.
-func (s *Shard) PendingReady(now sim.Time) int {
+func (s *refShard) PendingReady(now sim.Time) int {
 	n := 0
-	for _, q := range s.byName {
-		for _, it := range q.h {
+	for _, q := range s.queues {
+		for _, it := range *q {
 			if it.readyAt <= now {
 				n++
 			}
@@ -328,32 +247,23 @@ func (s *Shard) PendingReady(now sim.Time) int {
 // starve the rest of a shard. If filter is non-nil, only calls it accepts
 // are offered (used for function-subset pulls); rejected calls stay
 // queued.
-func (s *Shard) Poll(max int, filter func(*function.Call) bool) []*function.Call {
+func (s *refShard) Poll(max int, filter func(*function.Call) bool) []*function.Call {
 	return s.PollInto(nil, max, filter)
 }
 
 // PollInto is Poll appending into dst, so a caller polling every tick
 // can reuse one scratch buffer instead of allocating a result slice per
 // shard per tick.
-func (s *Shard) PollInto(dst []*function.Call, max int, filter func(*function.Call) bool) []*function.Call {
-	n := len(s.byName)
-	if s.down || max <= 0 || n == 0 {
+func (s *refShard) PollInto(dst []*function.Call, max int, filter func(*function.Call) bool) []*function.Call {
+	if s.down || max <= 0 || len(s.funcNames) == 0 {
 		return dst
 	}
 	now := s.engine.Now()
 	taken := 0
-	// A tombstoned head is discarded whether or not it is due, so a poll
-	// that starts with a tombstone standing visits every queue.
-	wake, visitAll := s.wake, len(s.tombstones) > 0
-	i := s.cursor - 1
+	n := len(s.funcNames)
 	for scanned := 0; scanned < n && taken < max; scanned++ {
-		if i++; i == n {
-			i = 0
-		}
-		if wake[i] > now && !visitAll {
-			continue
-		}
-		q := &s.byName[i].h
+		name := s.funcNames[(s.cursor+scanned)%n]
+		q := s.queues[name]
 		for q.Len() > 0 && taken < max {
 			top := (*q)[0]
 			if len(s.tombstones) > 0 && s.tombstones[top.call.ID] {
@@ -386,15 +296,12 @@ func (s *Shard) PollInto(dst []*function.Call, max int, filter func(*function.Ca
 			dst = append(dst, s.offer(top.call))
 			taken++
 		}
-		wake[i] = q.wake()
 	}
-	if s.cursor++; s.cursor == n {
-		s.cursor = 0
-	}
+	s.cursor = (s.cursor + 1) % n
 	return dst
 }
 
-func (s *Shard) offer(c *function.Call) *function.Call {
+func (s *refShard) offer(c *function.Call) *function.Call {
 	c.State = function.StateLeased
 	c.Attempt++
 	if len(s.recovered) > 0 {
@@ -408,101 +315,46 @@ func (s *Shard) offer(c *function.Call) *function.Call {
 	s.Obs.Emit(c, trace.KindLease, int64(c.Attempt))
 	l := s.getLease()
 	l.call = c
+	l.id = c.ID
+	l.timer = s.engine.Schedule(s.LeaseTimeout, l.fire)
 	s.leases[c.ID] = l
-	s.grant(l)
 	return c
 }
 
-// getLease recycles a lease object.
-func (s *Shard) getLease() *lease {
+// getLease recycles a lease object, building its expiry closure exactly
+// once per object lifetime.
+func (s *refShard) getLease() *refLease {
 	if n := len(s.freeLease); n > 0 {
 		l := s.freeLease[n-1]
 		s.freeLease[n-1] = nil
 		s.freeLease = s.freeLease[:n-1]
 		return l
 	}
-	return &lease{}
+	l := &refLease{}
+	l.fire = func() { s.expire(l) }
+	return l
 }
 
-// grant starts (or, for Renew, restarts) l's LeaseTimeout: it takes the
-// key a timer scheduled now would get and links l at that key's place in
-// the expiry list. The key is the newest sequence number, so with one
-// timeout for the whole shard that place is the tail; the walk back only
-// moves when LeaseTimeout was shortened while earlier leases were
-// outstanding.
-func (s *Shard) grant(l *lease) {
-	d := s.LeaseTimeout
-	if d < 0 {
-		d = 0
-	}
-	l.at, l.seq = s.engine.Now()+d, s.engine.ReserveSeq()
-	p := s.leaseTail
-	for p != nil && p.at > l.at {
-		p = p.prev
-	}
-	l.prev = p
-	if p == nil {
-		l.next, s.leaseHead = s.leaseHead, l
-	} else {
-		l.next, p.next = p.next, l
-	}
-	if l.next == nil {
-		s.leaseTail = l
-	} else {
-		l.next.prev = l
-	}
-	s.armExpiry()
-}
-
-// unlink takes l out of the expiry list. The caller re-arms the alarm
-// once the list is final.
-func (s *Shard) unlink(l *lease) {
-	if l.prev == nil {
-		s.leaseHead = l.next
-	} else {
-		l.prev.next = l.next
-	}
-	if l.next == nil {
-		s.leaseTail = l.prev
-	} else {
-		l.next.prev = l.prev
-	}
-	l.prev, l.next = nil, nil
-}
-
-// armExpiry keys the shard's one engine event to the head of the expiry
-// list. The head carries the key its own timer would have had, so the
-// expiry fires at the same place in the engine's global order as it
-// would have then; arming at an unchanged head is a no-op.
-func (s *Shard) armExpiry() {
-	if h := s.leaseHead; h != nil {
-		s.expiry.Set(h.at, h.seq)
-	} else {
-		s.expiry.Stop()
-	}
-}
-
-// settle dissolves the lease held on id and returns its call, or nil if
-// no lease is held.
-func (s *Shard) settle(id uint64) *function.Call {
-	l, ok := s.leases[id]
-	if !ok {
-		return nil
-	}
-	delete(s.leases, id)
-	s.unlink(l)
-	s.armExpiry()
-	c := l.call
+// putLease returns a settled lease to the pool. The caller must have
+// stopped (or observed the firing of) l.timer first; the engine's
+// generation-checked timers guarantee a recycled lease can never receive
+// a stale expiry.
+func (s *refShard) putLease(l *refLease) {
 	l.call = nil
+	l.id = 0
+	l.timer = sim.Timer{}
 	s.freeLease = append(s.freeLease, l)
-	return c
 }
 
-// expireHead is the expiry alarm: the head lease ran out unsettled, so
-// its call is redelivered (or dropped, by the retry policy).
-func (s *Shard) expireHead() {
-	c := s.settle(s.leaseHead.call.ID)
+func (s *refShard) expire(l *refLease) {
+	cur, ok := s.leases[l.id]
+	if !ok || cur != l {
+		return
+	}
+	delete(s.leases, l.id)
 	s.Expired.Inc()
+	c := l.call
+	s.putLease(l)
 	s.Obs.Emit(c, trace.KindLeaseExpired, 0)
 	s.retryOrDrop(c, 0)
 }
@@ -511,13 +363,13 @@ func (s *Shard) expireHead() {
 // the leases of calls they are still buffering or executing, so
 // redelivery happens only when a scheduler actually dies. It reports
 // whether the lease was still held.
-func (s *Shard) Renew(id uint64) bool {
+func (s *refShard) Renew(id uint64) bool {
 	l, ok := s.leases[id]
 	if s.down || !ok {
 		return false
 	}
-	s.unlink(l)
-	s.grant(l)
+	l.timer.Stop()
+	l.timer = s.engine.Schedule(s.LeaseTimeout, l.fire)
 	return true
 }
 
@@ -526,19 +378,23 @@ func (s *Shard) Renew(id uint64) bool {
 // for an execution that started before the crash finds no lease but a
 // replay-requeued duplicate — the duplicate is settled in place instead
 // of being allowed to run again (duplicate suppression).
-func (s *Shard) Ack(id uint64) bool {
+func (s *refShard) Ack(id uint64) bool {
 	if s.down {
 		return false
 	}
-	c := s.settle(id)
-	if c == nil {
+	l, ok := s.leases[id]
+	if !ok {
 		return s.suppressDuplicate(id)
 	}
+	l.timer.Stop()
+	delete(s.leases, id)
+	c := l.call
 	c.State = function.StateSucceeded
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpAck, c, 0)
 	}
 	s.Obs.Emit(c, trace.KindAck, 0)
+	s.putLease(l)
 	s.Acked.Inc()
 	if c.Attempt == 1 {
 		s.FirstAcks.Inc()
@@ -550,7 +406,7 @@ func (s *Shard) Ack(id uint64) bool {
 // suppressDuplicate settles a replay-requeued call when its pre-crash
 // execution acks late: the queued duplicate is tombstoned (discarded at
 // poll time) and the call counts as acked, not re-executed.
-func (s *Shard) suppressDuplicate(id uint64) bool {
+func (s *refShard) suppressDuplicate(id uint64) bool {
 	c, ok := s.recovered[id]
 	if !ok {
 		return false
@@ -577,26 +433,27 @@ func (s *Shard) suppressDuplicate(id uint64) bool {
 
 // Nack reports failed execution; the call is redelivered after the
 // function's retry backoff, or dead-lettered once attempts are exhausted.
-func (s *Shard) Nack(id uint64) bool {
+func (s *refShard) Nack(id uint64) bool {
 	return s.nackWith(id, 0, false)
 }
 
 // NackBase is Nack with an explicit retry backoff base — the scheduling
 // policy's retry-placement hook. The jitter draw, budget spend, and all
 // other redelivery mechanics are unchanged.
-func (s *Shard) NackBase(id uint64, base time.Duration) bool {
+func (s *refShard) NackBase(id uint64, base time.Duration) bool {
 	return s.nackWith(id, base, true)
 }
 
-func (s *Shard) nackWith(id uint64, base time.Duration, override bool) bool {
-	if s.down {
+func (s *refShard) nackWith(id uint64, base time.Duration, override bool) bool {
+	l, ok := s.leases[id]
+	if s.down || !ok {
 		return false
 	}
-	c := s.settle(id)
-	if c == nil {
-		return false
-	}
+	l.timer.Stop()
+	delete(s.leases, id)
 	s.Nacked.Inc()
+	c := l.call
+	s.putLease(l)
 	s.Obs.Emit(c, trace.KindNack, 0)
 	if !override {
 		base = c.Spec.Retry.Backoff
@@ -605,7 +462,7 @@ func (s *Shard) nackWith(id uint64, base time.Duration, override bool) bool {
 	return true
 }
 
-func (s *Shard) retryOrDrop(c *function.Call, base time.Duration) {
+func (s *refShard) retryOrDrop(c *function.Call, base time.Duration) {
 	if c.Attempt >= c.Spec.Retry.MaxAttempts {
 		s.deadLetter(c, ReasonExhausted)
 		return
@@ -637,7 +494,7 @@ func (s *Shard) retryOrDrop(c *function.Call, base time.Duration) {
 // terminal record, so crash replay never resurrects the call), bumps the
 // aggregate and per-reason counters, and feeds the matching trace kind
 // and ledger hook.
-func (s *Shard) deadLetter(c *function.Call, reason DeadReason) {
+func (s *refShard) deadLetter(c *function.Call, reason DeadReason) {
 	c.State = function.StateFailed
 	s.DeadLetters.Inc()
 	if s.jrn != nil {
@@ -663,14 +520,15 @@ func (s *Shard) deadLetter(c *function.Call, reason DeadReason) {
 // disposition — the scheduler's path for sweeping an expired call at
 // dispatch time or shedding an over-delayed one. It reports whether the
 // lease was still held.
-func (s *Shard) Terminate(id uint64, reason DeadReason) bool {
-	if s.down {
+func (s *refShard) Terminate(id uint64, reason DeadReason) bool {
+	l, ok := s.leases[id]
+	if s.down || !ok {
 		return false
 	}
-	c := s.settle(id)
-	if c == nil {
-		return false
-	}
+	l.timer.Stop()
+	delete(s.leases, id)
+	c := l.call
+	s.putLease(l)
 	s.deadLetter(c, reason)
 	return true
 }
@@ -682,14 +540,15 @@ func (s *Shard) Terminate(id uint64, reason DeadReason) bool {
 // the ledger's monotonicity), and the journal records an OpRetry so a
 // crash mid-drain replays the call as queued. It reports whether the
 // lease was still held.
-func (s *Shard) Release(id uint64) bool {
-	if s.down {
+func (s *refShard) Release(id uint64) bool {
+	l, ok := s.leases[id]
+	if s.down || !ok {
 		return false
 	}
-	c := s.settle(id)
-	if c == nil {
-		return false
-	}
+	l.timer.Stop()
+	delete(s.leases, id)
+	c := l.call
+	s.putLease(l)
 	s.Released.Inc()
 	c.State = function.StateQueued
 	readyAt := s.engine.Now()
@@ -707,17 +566,17 @@ func (s *Shard) Release(id uint64) bool {
 // rebuilt in deterministic per-function order. Each extracted call gets a
 // terminal journal record here — its durable home moves with it, so a
 // crash replay of this shard must not resurrect a copy.
-func (s *Shard) DrainExtract(dst []*function.Call, max int, filter func(*function.Call) bool) []*function.Call {
+func (s *refShard) DrainExtract(dst []*function.Call, max int, filter func(*function.Call) bool) []*function.Call {
 	if max <= 0 || len(s.funcNames) == 0 {
 		return dst
 	}
 	taken := 0
 	var kept []queued
-	for i, fq := range s.byName {
+	for _, name := range s.funcNames {
 		if taken >= max {
 			break
 		}
-		q := &fq.h
+		q := s.queues[name]
 		if q.Len() == 0 {
 			continue
 		}
@@ -746,7 +605,6 @@ func (s *Shard) DrainExtract(dst []*function.Call, max int, filter func(*functio
 		for _, it := range kept {
 			q.push(it)
 		}
-		s.wake[i] = q.wake()
 	}
 	return dst
 }
@@ -757,7 +615,7 @@ func (s *Shard) DrainExtract(dst []*function.Call, max int, filter func(*functio
 // move — only the drain accounting and this shard's journal. Retry
 // backoff in flight at extraction is dropped: the call becomes ready at
 // max(now, StartAfter). It reports false while the shard is unavailable.
-func (s *Shard) AdoptDrained(c *function.Call) bool {
+func (s *refShard) AdoptDrained(c *function.Call) bool {
 	if s.down {
 		return false
 	}
@@ -779,7 +637,7 @@ func (s *Shard) AdoptDrained(c *function.Call) bool {
 // success. Buckets start at BudgetBurst and grow without cap: the
 // amplification bound is global (spent ≤ β·firstAcks + burst), not
 // windowed.
-func (s *Shard) earnBudget(name string) {
+func (s *refShard) earnBudget(name string) {
 	if !s.BudgetEnabled {
 		return
 	}
@@ -801,7 +659,7 @@ func (s *Shard) earnBudget(name string) {
 // spendBudget consumes one retry token for a redelivery, reporting false
 // when the bucket is empty (the caller dead-letters the call). With the
 // budget disabled it always allows.
-func (s *Shard) spendBudget(name string) bool {
+func (s *refShard) spendBudget(name string) bool {
 	if !s.BudgetEnabled {
 		return true
 	}
@@ -830,7 +688,7 @@ func (s *Shard) spendBudget(name string) bool {
 
 // BudgetBalance returns a function's current retry-token balance on this
 // shard (the full burst when the function has never spent or earned).
-func (s *Shard) BudgetBalance(name string) float64 {
+func (s *refShard) BudgetBalance(name string) float64 {
 	if b, ok := s.budgets[name]; ok {
 		return b
 	}
@@ -844,7 +702,7 @@ func (s *Shard) BudgetBalance(name string) float64 {
 // once) do not redeliver as one synchronized thundering herd. With a nil
 // rng source the base delay passes through unchanged (deterministic
 // fixed-timing unit rigs).
-func (s *Shard) backoff(c *function.Call, base time.Duration) time.Duration {
+func (s *refShard) backoff(c *function.Call, base time.Duration) time.Duration {
 	if base <= 0 || s.src == nil {
 		return base
 	}
@@ -862,19 +720,19 @@ func (s *Shard) backoff(c *function.Call, base time.Duration) time.Duration {
 // journal of a crashed shard: destroyed in memory, not yet requeued by
 // replay. The conservation closure counts them as held — they are owed
 // back to the platform and reappear during Restart's replay.
-func (s *Shard) CrashHeld() int { return s.crashHeld }
+func (s *refShard) CrashHeld() int { return s.crashHeld }
 
 // Recovering reports whether the shard is between Crash and the end of
 // Restart's replay.
-func (s *Shard) Recovering() bool { return s.crashed }
+func (s *refShard) Recovering() bool { return s.crashed }
 
 // Crash models a process/host failure: all in-memory state — queues,
-// leases, the expiry alarm — is destroyed instantly. With journaling on, the
+// leases, lease timers — is destroyed instantly. With journaling on, the
 // unflushed journal tail is torn off and only calls whose every record
 // sits in that tail are truly lost; everything with a durable record is
 // recoverable by Restart. Without a journal every held call is lost. The
 // shard stays down (rejecting all requests) until Restart completes.
-func (s *Shard) Crash() {
+func (s *refShard) Crash() {
 	s.Crashes.Inc()
 	s.down = true
 	s.crashed = true
@@ -883,8 +741,8 @@ func (s *Shard) Crash() {
 
 	// Snapshot what memory held, in deterministic order, before wiping.
 	var held []*function.Call
-	for _, q := range s.byName {
-		for _, it := range q.h {
+	for _, name := range s.funcNames {
+		for _, it := range *s.queues[name] {
 			if len(s.tombstones) > 0 && s.tombstones[it.call.ID] {
 				continue // already settled; the heap entry is garbage
 			}
@@ -892,7 +750,8 @@ func (s *Shard) Crash() {
 		}
 	}
 	leaseIDs := make([]uint64, 0, len(s.leases))
-	for id := range s.leases {
+	for id, l := range s.leases {
+		l.timer.Stop()
 		leaseIDs = append(leaseIDs, id)
 	}
 	slices.Sort(leaseIDs)
@@ -900,12 +759,10 @@ func (s *Shard) Crash() {
 		held = append(held, s.leases[id].call)
 	}
 
-	s.queues = make(map[string]*funcQueue)
-	s.funcNames, s.byName, s.wake = nil, nil, nil
+	s.queues = make(map[string]*callHeap)
+	s.funcNames = nil
 	s.cursor = 0
-	s.leases = make(map[uint64]*lease)
-	s.leaseHead, s.leaseTail = nil, nil
-	s.expiry.Stop()
+	s.leases = make(map[uint64]*refLease)
 	s.freeLease = nil
 	s.pending = 0
 	s.recovered = nil
@@ -955,7 +812,7 @@ func (s *Shard) Crash() {
 }
 
 // lose records the destruction of a call that can never be recovered.
-func (s *Shard) lose(c *function.Call) {
+func (s *refShard) lose(c *function.Call) {
 	s.LostOnCrash.Inc()
 	c.State = function.StateFailed
 	s.Obs.Emit(c, trace.KindLost, 0)
@@ -967,7 +824,7 @@ func (s *Shard) lose(c *function.Call) {
 // Non-terminal calls are requeued — orphaned leases immediately, since
 // their outcome is unknown (the at-least-once redelivery) — and the
 // shard accepts requests again once the last batch lands.
-func (s *Shard) Restart() {
+func (s *refShard) Restart() {
 	if !s.crashed {
 		s.down = false
 		return
@@ -984,7 +841,7 @@ func (s *Shard) Restart() {
 	s.replayTimer = s.engine.Schedule(s.ReplayBase, s.replayStep)
 }
 
-func (s *Shard) replayStep() {
+func (s *refShard) replayStep() {
 	batch := s.replayer.Next(s.ReplayBatch)
 	for _, e := range batch {
 		s.replayEntry(e)
@@ -998,7 +855,7 @@ func (s *Shard) replayStep() {
 	s.replayTimer = s.engine.Schedule(cost, func() { s.finishReplay(replayed) })
 }
 
-func (s *Shard) finishReplay(replayed int) {
+func (s *refShard) finishReplay(replayed int) {
 	s.down = false
 	s.crashed = false
 	s.crashHeld = 0
@@ -1013,7 +870,7 @@ func (s *Shard) finishReplay(replayed int) {
 // to requeue), a Lease record means delivery was in flight with unknown
 // outcome — requeue now for immediate redelivery — and Enqueue/Retry
 // records requeue at their original ready time.
-func (s *Shard) replayEntry(e journal.Entry) {
+func (s *refShard) replayEntry(e journal.Entry) {
 	last, ok := s.replayLast[e.Call.ID]
 	if !ok || last.Seq != e.Seq || e.Op.Terminal() {
 		return
@@ -1035,88 +892,449 @@ func (s *Shard) replayEntry(e journal.Entry) {
 	s.Obs.Emit(c, trace.KindRecovered, int64(e.Op))
 }
 
-type queued struct {
-	call    *function.Call
-	readyAt sim.Time
-}
-
-// wake is the first instant a poll would act on this entry at the head of
-// its queue: offer it once ready, or sweep it once expired (IsExpired is
-// true strictly after the deadline). The deadline counts whether or not
-// SweepExpired is set, so the index never depends on when the flag was.
-func (it queued) wake() sim.Time {
-	if d := it.call.Deadline; d > 0 && d < it.readyAt {
-		return d + 1
-	}
-	return it.readyAt
-}
-
-// callHeap is a binary min-heap ordered by (readyAt, ID) for
-// deterministic FIFO within a start time. The push/pop implementations
-// mirror container/heap's sift algorithms exactly — same comparisons,
-// same tie-breaks, so the pop order is bit-identical to the previous
-// boxed implementation — without boxing every element in an interface.
-type callHeap []queued
-
-func (h callHeap) Len() int { return len(h) }
-
-// wake is the head's wake time, never for an empty heap.
-func (h callHeap) wake() sim.Time {
-	if len(h) == 0 {
-		return never
-	}
-	return h[0].wake()
-}
-
-func (h callHeap) less(i, j int) bool {
-	if h[i].readyAt != h[j].readyAt {
-		return h[i].readyAt < h[j].readyAt
-	}
-	return h[i].call.ID < h[j].call.ID
-}
-
-func (h *callHeap) push(v queued) {
-	*h = append(*h, v)
-	h.up(len(*h) - 1)
-}
-
-func (h *callHeap) pop() queued {
-	q := *h
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	h.down(0, n)
-	v := q[n]
-	q[n] = queued{}
-	*h = q[:n]
-	return v
-}
-
-func (h callHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
-			break
+// sortStrings is an insertion sort: funcNames grows one name at a time
+// and is nearly sorted, so this beats sort.Strings and allocates nothing.
+func sortStrings(a []string) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
 		}
-		h[i], h[j] = h[j], h[i]
-		j = i
 	}
 }
 
-func (h callHeap) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
+// shardOps is what the differential driver calls on both shards.
+type shardOps interface {
+	EnableJournal(time.Duration)
+	Enqueue(*function.Call) bool
+	PollInto([]*function.Call, int, func(*function.Call) bool) []*function.Call
+	Ack(uint64) bool
+	Nack(uint64) bool
+	NackBase(uint64, time.Duration) bool
+	Renew(uint64) bool
+	Terminate(uint64, DeadReason) bool
+	Release(uint64) bool
+	SetDown(bool)
+	Crash()
+	Restart()
+	DrainExtract([]*function.Call, int, func(*function.Call) bool) []*function.Call
+	AdoptDrained(*function.Call) bool
+	Pending() int
+	Leased() int
+	PendingReady(sim.Time) int
+	CrashHeld() int
+	IsDown() bool
+	Recovering() bool
+	BudgetBalance(string) float64
+}
+
+// setField assigns one of the exported knobs both shard types share.
+func setField(sh shardOps, name string, v any) {
+	reflect.ValueOf(sh).Elem().FieldByName(name).Set(reflect.ValueOf(v))
+}
+
+// counters renders every stats.Counter field of a shard, by name.
+func counters(sh shardOps) string {
+	v := reflect.ValueOf(sh).Elem()
+	var b strings.Builder
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if f.IsExported() && f.Type == reflect.TypeOf(stats.Counter{}) {
+			fmt.Fprintf(&b, "%s=%v ", f.Name, v.Field(i).Addr().Interface().(*stats.Counter).Value())
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
 	}
+	return b.String()
+}
+
+// world is one side of the comparison: an engine of its own, two shards
+// on it (drains move calls between them, and their expiries interleave),
+// its own copy of every call, and a log of everything observable in the
+// order it happened. Each line carries the virtual time and the number of
+// events fired so far, so two logs agree only if every event — expiry,
+// journal flush, replay step or bystander — fired in the same global
+// order on both engines.
+type world struct {
+	e      *sim.Engine
+	tr     *trace.Recorder
+	obs    *lifecycle.Spine
+	shards [2]shardOps
+	calls  map[uint64]*function.Call
+	seen   int // the poll filter's state
+	log    []string
+}
+
+func newWorld(mk func(ShardID, *sim.Engine, *rng.Source) shardOps) *world {
+	e := sim.NewEngine()
+	tp := trace.DefaultParams()
+	tp.Enabled = true
+	tp.RingSize = 1 << 16
+	w := &world{e: e, tr: trace.NewRecorder(e, 1, tp), calls: make(map[uint64]*function.Call)}
+	w.obs = lifecycle.New(e, w.tr, nil, nil)
+	src := rng.New(7)
+	for k := range w.shards {
+		sh := mk(ShardID{Index: k}, e, src.Split())
+		setField(sh, "Obs", w.obs)
+		setField(sh, "BudgetRatio", 0.5)
+		setField(sh, "BudgetBurst", 3.0)
+		setField(sh, "ReplayBase", 300*time.Millisecond)
+		setField(sh, "ReplayBatch", 3)
+		w.shards[k] = sh
+	}
+	return w
+}
+
+func (w *world) logf(format string, args ...any) {
+	w.log = append(w.log, fmt.Sprintf("%v #%d: ", w.e.Now(), w.e.Processed())+fmt.Sprintf(format, args...))
+}
+
+// filter is a stateful poll filter: it turns away every third call it is
+// shown, and what it was shown is itself part of the log.
+func (w *world) filter(c *function.Call) bool {
+	w.seen++
+	w.logf("filter sees %d", c.ID)
+	return w.seen%3 != 0
+}
+
+func (w *world) state() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "now=%v fired=%d", w.e.Now(), w.e.Processed())
+	for _, sh := range w.shards {
+		fmt.Fprintf(&b, "\n  %spending=%d leased=%d ready=%d held=%d down=%v recovering=%v",
+			counters(sh), sh.Pending(), sh.Leased(), sh.PendingReady(w.e.Now()),
+			sh.CrashHeld(), sh.IsDown(), sh.Recovering())
+	}
+	return b.String()
+}
+
+// checkIndex verifies what the new shard keeps beside the reference's
+// state: the name-ordered arrays mirror each other and the queues, the
+// lease list is the lease map in (at, seq) order, and the reference's
+// queues and tombstones hold the same entries.
+func checkIndex(s *Shard, ref *refShard) error {
+	if !slices.IsSorted(s.funcNames) || !slices.Equal(s.funcNames, ref.funcNames) {
+		return fmt.Errorf("funcNames %v, want %v", s.funcNames, ref.funcNames)
+	}
+	if len(s.byName) != len(s.funcNames) || len(s.wake) != len(s.funcNames) || len(s.queues) != len(s.funcNames) {
+		return fmt.Errorf("%d names, %d queues in order, %d wake times, %d queues by name",
+			len(s.funcNames), len(s.byName), len(s.wake), len(s.queues))
+	}
+	for i, name := range s.funcNames {
+		q := s.byName[i]
+		if s.queues[name] != q || q.idx != i {
+			return fmt.Errorf("queue %d (%s) is not the one filed under its name (idx %d)", i, name, q.idx)
+		}
+		if s.wake[i] != q.h.wake() {
+			return fmt.Errorf("wake[%d] (%s) = %v, head says %v", i, name, s.wake[i], q.h.wake())
+		}
+		if q.h.Len() != ref.queues[name].Len() {
+			return fmt.Errorf("queue %s holds %d entries, want %d", name, q.h.Len(), ref.queues[name].Len())
+		}
+	}
+	if s.cursor != ref.cursor || len(s.tombstones) != len(ref.tombstones) {
+		return fmt.Errorf("cursor/tombstones = %d/%d, want %d/%d",
+			s.cursor, len(s.tombstones), ref.cursor, len(ref.tombstones))
+	}
+	n := 0
+	var prev *lease
+	for l := s.leaseHead; l != nil; prev, l = l, l.next {
+		if l.prev != prev {
+			return fmt.Errorf("lease %d: prev link broken", l.call.ID)
+		}
+		if prev != nil && (l.at < prev.at || l.at == prev.at && l.seq < prev.seq) {
+			return fmt.Errorf("lease %d (%v, %d) listed after (%v, %d)", l.call.ID, l.at, l.seq, prev.at, prev.seq)
+		}
+		if s.leases[l.call.ID] != l {
+			return fmt.Errorf("listed lease %d is not the one in the map", l.call.ID)
+		}
+		if want := ref.leases[l.call.ID]; want == nil || want.timer.When() != l.at {
+			return fmt.Errorf("lease %d expires at %v, reference disagrees", l.call.ID, l.at)
+		}
+		n++
+	}
+	if s.leaseTail != prev || n != len(s.leases) {
+		return fmt.Errorf("list holds %d leases ending at %p, map holds %d, tail %p", n, prev, len(s.leases), s.leaseTail)
+	}
+	return nil
+}
+
+// runShardsAgainstReference interprets prog as a sequence of shard
+// operations, applies each to the Shard and to the reference on twin
+// engines, and compares everything observable after every step. It
+// returns the number of steps taken.
+func runShardsAgainstReference(t testing.TB, prog []byte) int {
+	pos := 0
+	next := func() int {
+		if pos >= len(prog) {
+			return 0
+		}
+		pos++
+		return int(prog[pos-1])
+	}
+	timeouts := [...]time.Duration{5 * time.Second, 2 * time.Second, 20 * time.Second, 0, -time.Second}
+	// Time-shifted work: some calls are due long after everything else
+	// in the program has happened to them.
+	startAfters := [...]time.Duration{-5 * time.Second, 0, 0, 2 * time.Second, 5 * time.Second,
+		30 * time.Second, 5 * time.Minute, time.Hour}
+	waits := [...]time.Duration{0, 10 * time.Millisecond, 100 * time.Millisecond, time.Second,
+		2 * time.Second, 3 * time.Second, 7 * time.Second, 25 * time.Second}
+
+	got := newWorld(func(id ShardID, e *sim.Engine, src *rng.Source) shardOps { return NewShard(id, e, src) })
+	want := newWorld(func(id ShardID, e *sim.Engine, src *rng.Source) shardOps { return newRefShard(id, e, src) })
+	worlds := [...]*world{got, want}
+	timeout := timeouts[next()%len(timeouts)]
+	if lag := next() % 4; lag > 0 {
+		for _, w := range worlds {
+			for _, sh := range w.shards {
+				sh.EnableJournal(time.Duration(lag-1) * 400 * time.Millisecond)
+			}
+		}
+	}
+	budget, sweep := next()%2 == 0, next()%2 == 0
+	for _, w := range worlds {
+		for _, sh := range w.shards {
+			setField(sh, "LeaseTimeout", timeout)
+			setField(sh, "BudgetEnabled", budget)
+			setField(sh, "SweepExpired", sweep)
+		}
+	}
+	// Sixteen function names arrive in an order that is not the sorted
+	// one, so new queues keep being inserted in front of the poll cursor.
+	specs := make([]*function.Spec, 16)
+	for i := range specs {
+		specs[i] = &function.Spec{
+			Name:  fmt.Sprintf("fn-%02d", i*7%16),
+			Retry: function.RetryPolicy{MaxAttempts: 1 + i%4, Backoff: time.Duration(i%3) * 6 * time.Second},
+		}
+	}
+	var offered []uint64 // every ID ever leased, as the new shard offered them
+	var restarting [2]bool
+	nextID := uint64(0)
+	pickID := func() uint64 {
+		if len(offered) == 0 {
+			return 0
+		}
+		// Mostly a recent offer (probably still leased), sometimes an old
+		// one (settled long ago, or lost to a crash: the late-ack path).
+		n := next()
+		if n%4 != 0 {
+			return offered[len(offered)-1-n/4%min(len(offered), 12)]
+		}
+		return offered[n/4%len(offered)]
+	}
+	bystander := func(at sim.Time) {
+		for _, w := range worlds {
+			w := w
+			w.e.At(at, func() { w.logf("bystander\n%s", w.state()) })
+		}
+	}
+
+	steps := 0
+	for pos < len(prog) {
+		steps++
+		k := next() % 2
+		switch op := next() % 32; {
+		case op < 7:
+			nextID++
+			spec := specs[next()%min(len(specs), 2+steps/4)]
+			now := got.e.Now()
+			startAfter := now + startAfters[next()%len(startAfters)]
+			var deadline sim.Time
+			if d := next() % 8; d < 5 {
+				// Often before StartAfter: a head that expires before it is
+				// ready. A deadline passes strictly after its instant, so one
+				// tick short of the time grid makes a poll land on the very
+				// instant the call first counts as expired.
+				deadline = now + sim.Time(d)*1500*time.Millisecond - 1
+			}
+			for _, w := range worlds {
+				c := &function.Call{ID: nextID, Spec: spec, StartAfter: startAfter, Deadline: deadline}
+				w.calls[nextID] = c
+				w.obs.Emit(c, trace.KindSubmit, 0)
+				w.logf("enqueue %d on %d: %v", c.ID, k, w.shards[k].Enqueue(c))
+			}
+		case op < 13:
+			max := 1 + next()%8
+			filtered := next()%3 == 0
+			if next()%4 == 0 {
+				// Something else is due at the very instant these leases expire.
+				bystander(got.e.Now() + timeout)
+			}
+			for _, w := range worlds {
+				var f func(*function.Call) bool
+				if filtered {
+					f = w.filter
+				}
+				for _, c := range w.shards[k].PollInto(nil, max, f) {
+					w.logf("shard %d offers %d attempt %d", k, c.ID, c.Attempt)
+					if w == got {
+						offered = append(offered, c.ID)
+					}
+				}
+			}
+			if next()%4 == 0 {
+				bystander(got.e.Now() + timeout)
+			}
+		case op < 15:
+			id := pickID()
+			for _, w := range worlds {
+				w.logf("ack %d: %v", id, w.shards[k].Ack(id))
+			}
+		case op == 15:
+			// Executions that outlived a crash report in: acks for calls the
+			// replay has requeued tombstone the queued duplicates, due or not.
+			var ids []uint64
+			for id := range got.shards[k].(*Shard).recovered {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			for i, stride := 0, 1+next()%3; i < len(ids); i += stride {
+				for _, w := range worlds {
+					w.logf("late ack %d: %v", ids[i], w.shards[k].Ack(ids[i]))
+				}
+			}
+		case op == 16:
+			id := pickID()
+			for _, w := range worlds {
+				w.logf("nack %d: %v", id, w.shards[k].Nack(id))
+			}
+		case op == 17:
+			id, base := pickID(), time.Duration(next()%4)*time.Second
+			for _, w := range worlds {
+				w.logf("nack %d base %v: %v", id, base, w.shards[k].NackBase(id, base))
+			}
+		case op < 20:
+			id := pickID()
+			for _, w := range worlds {
+				w.logf("renew %d: %v", id, w.shards[k].Renew(id))
+			}
+		case op == 20:
+			// A scheduler's renewal round: everything it might hold, in ID order.
+			ids := slices.Clone(offered[len(offered)-min(len(offered), 24):])
+			slices.Sort(ids)
+			for _, w := range worlds {
+				held := 0
+				for _, id := range ids {
+					if w.shards[k].Renew(id) {
+						held++
+					}
+				}
+				w.logf("renewal round on %d: %d held", k, held)
+			}
+		case op == 21:
+			id, reason := pickID(), [...]DeadReason{ReasonExpired, ReasonShed}[next()%2]
+			for _, w := range worlds {
+				w.logf("terminate %d %v: %v", id, reason, w.shards[k].Terminate(id, reason))
+			}
+		case op == 22:
+			id := pickID()
+			for _, w := range worlds {
+				w.logf("release %d: %v", id, w.shards[k].Release(id))
+			}
+		case op == 23:
+			down := next()%2 == 0
+			for _, w := range worlds {
+				w.shards[k].SetDown(down)
+			}
+		case op == 24:
+			// One Restart per Crash: a second one while the first is still
+			// replaying is a caller's error in both implementations.
+			crash := next()%3 != 0 || restarting[k] && got.shards[k].Recovering()
+			restarting[k] = !crash && got.shards[k].Recovering()
+			for _, w := range worlds {
+				if crash {
+					w.shards[k].Crash()
+				} else {
+					w.shards[k].Restart()
+				}
+			}
+		case op == 25:
+			max, odd := 1+next()%6, next()%2 == 0
+			for _, w := range worlds {
+				moved := w.shards[k].DrainExtract(nil, max, func(c *function.Call) bool { return odd || c.ID%2 == 0 })
+				for _, c := range moved {
+					w.logf("drained %d from %d; adopted by %d: %v", c.ID, k, 1-k, w.shards[1-k].AdoptDrained(c))
+				}
+			}
+		case op == 26:
+			sweep = !sweep
+			for _, w := range worlds {
+				setField(w.shards[k], "SweepExpired", sweep)
+			}
+		case op == 27:
+			timeout = timeouts[next()%len(timeouts)]
+			for _, w := range worlds {
+				for _, sh := range w.shards {
+					setField(sh, "LeaseTimeout", timeout)
+				}
+			}
+		default:
+			d := waits[next()%len(waits)]
+			for _, w := range worlds {
+				w.e.RunFor(d)
+			}
+		}
+
+		if g, w := got.state(), want.state(); g != w {
+			t.Fatalf("step %d: state\n%s\nwant\n%s", steps, g, w)
+		}
+		if !slices.Equal(got.log, want.log) {
+			for i := range got.log {
+				if i >= len(want.log) || got.log[i] != want.log[i] {
+					t.Fatalf("step %d: log line %d\n%s\nwant\n%s", steps, i, got.log[i], want.log[min(i, len(want.log)-1)])
+				}
+			}
+			t.Fatalf("step %d: %d log lines, want %d", steps, len(got.log), len(want.log))
+		}
+		got.log, want.log = got.log[:0], want.log[:0]
+		for k := range got.shards {
+			if err := checkIndex(got.shards[k].(*Shard), want.shards[k].(*refShard)); err != nil {
+				t.Fatalf("step %d: shard %d: %v", steps, k, err)
+			}
+		}
+		if held := got.shards[0].Leased() + got.shards[1].Leased(); got.e.Pending() > want.e.Pending() ||
+			held > 2 && got.e.Pending() > want.e.Pending()-held+2 {
+			t.Fatalf("step %d: %d events pending with %d leases held (reference: %d)",
+				steps, got.e.Pending(), held, want.e.Pending())
+		}
+	}
+
+	// Let every outstanding lease, retry and replay play out, then compare
+	// what the observers recorded call by call.
+	for _, w := range worlds {
+		w.e.RunFor(time.Minute)
+	}
+	if g, w := got.state(), want.state(); g != w || !slices.Equal(got.log, want.log) {
+		t.Fatalf("after the run: state\n%s\n%v\nwant\n%s\n%v", g, got.log, w, want.log)
+	}
+	if g, w := got.tr.Controls(), want.tr.Controls(); !slices.Equal(g, w) {
+		t.Fatalf("control events\n%v\nwant\n%v", g, w)
+	}
+	for id := uint64(1); id <= nextID; id++ {
+		g, w := got.calls[id], want.calls[id]
+		if g.State != w.State || g.Attempt != w.Attempt || g.QueuedAt != w.QueuedAt {
+			t.Fatalf("call %d ends %v attempt %d queued %v, want %v attempt %d queued %v",
+				id, g.State, g.Attempt, g.QueuedAt, w.State, w.Attempt, w.QueuedAt)
+		}
+		if g, w := got.tr.Find(id).Render(), want.tr.Find(id).Render(); g != w {
+			t.Fatalf("trace of call %d\n%s\nwant\n%s", id, g, w)
+		}
+	}
+	return steps
+}
+
+func TestShardMatchesReference(t *testing.T) {
+	steps := 0
+	for seed := int64(1); seed <= 32; seed++ {
+		prog := make([]byte, 3072)
+		rand.New(rand.NewSource(seed)).Read(prog)
+		steps += runShardsAgainstReference(t, prog)
+	}
+	if steps < 20_000 {
+		t.Fatalf("only %d random steps compared, want at least 20000", steps)
+	}
+}
+
+// FuzzShardMatchesReference explores operation sequences beyond the
+// seeded ones; testdata/fuzz holds the checked-in corpus.
+func FuzzShardMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, prog []byte) { runShardsAgainstReference(t, prog) })
 }

@@ -9,9 +9,10 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"xfaas/internal/cluster"
@@ -112,8 +113,8 @@ type Scheduler struct {
 	check  *isolation.Checker
 	matrix *config.Cache
 
-	buffers map[string]*FuncBuffer
-	names   []string // buffer names, sorted; rebuilt on new functions
+	buffers map[string]*FuncBuffer // admit's and pollFilter's lookup by name
+	byName  []*FuncBuffer          // every buffer; in name order unless stale
 	stale   bool
 	runQ    []*function.Call // nil entries are already dispatched
 	runHead int
@@ -140,7 +141,7 @@ type Scheduler struct {
 	filterCrit  function.Criticality
 	pollScratch []*function.Call
 	candScratch []*FuncBuffer
-	idScratch   []uint64
+	heldScratch []heldLease
 
 	// In-flight call tracking: which worker holds each dispatched call,
 	// so a detected worker death evacuates exactly its leases.
@@ -329,21 +330,40 @@ func (s *Scheduler) untrack(c *function.Call) (*worker.Worker, bool) {
 	return w, true
 }
 
+// heldLease is one entry of origin, flattened for renewLeases.
+type heldLease struct {
+	id    uint64
+	shard *durableq.Shard
+}
+
 // renewLeases extends the lease of every call this scheduler still holds,
 // in deterministic (sorted) order.
 func (s *Scheduler) renewLeases() {
 	if s.down {
 		return
 	}
-	ids := s.idScratch[:0]
-	for id := range s.origin {
-		ids = append(ids, id)
+	held := s.heldScratch[:0]
+	for id, shard := range s.origin {
+		held = append(held, heldLease{id, shard})
 	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		s.origin[id].Renew(id)
+	slices.SortFunc(held, func(a, b heldLease) int { return cmp.Compare(a.id, b.id) })
+	for _, h := range held {
+		h.shard.Renew(h.id)
 	}
-	s.idScratch = ids[:0]
+	s.heldScratch = held[:0]
+}
+
+// buffersByName returns every FuncBuffer in function-name order — the
+// order in which anything with shard-side or logged effects must visit
+// them, so that Go map order never leaks into the simulation.
+func (s *Scheduler) buffersByName() []*FuncBuffer {
+	if s.stale {
+		slices.SortFunc(s.byName, func(a, b *FuncBuffer) int {
+			return strings.Compare(a.spec.Name, b.spec.Name)
+		})
+		s.stale = false
+	}
+	return s.byName
 }
 
 // Stop halts the scheduler (crash injection in tests). Leased calls left
@@ -383,7 +403,7 @@ func (s *Scheduler) Crash() {
 	s.runHead = 0
 	s.runLen = 0
 	s.buffers = make(map[string]*FuncBuffer)
-	s.names = s.names[:0]
+	s.byName = nil
 	s.stale = false
 	s.origin = make(map[uint64]*durableq.Shard)
 	s.inflight = make(map[uint64]*worker.Worker)
@@ -545,14 +565,10 @@ func (s *Scheduler) PoolUtilization() float64 { return s.lb.MeanUtilization() }
 // criticality — the paper's time-shifted work) until the head's delay
 // drops back under target or the buffer empties.
 func (s *Scheduler) shedSweep() {
-	if s.stale {
-		sort.Strings(s.names)
-		s.stale = false
-	}
 	res := &s.params.Resilience
 	now := s.engine.Now()
-	for _, name := range s.names {
-		b := s.buffers[name]
+	for _, b := range s.buffersByName() {
+		name := b.spec.Name
 		st := s.shedStates[name]
 		if b.Len() == 0 {
 			if st != nil && (st.above || st.shedding) {
@@ -633,12 +649,7 @@ func (s *Scheduler) evacuate() {
 	// backoff consumes one RNG draw on the owning shard and schedules a
 	// redelivery timer, so iterating the map directly would leak Go map
 	// order into the simulation.
-	if s.stale {
-		sort.Strings(s.names)
-		s.stale = false
-	}
-	for _, name := range s.names {
-		b := s.buffers[name]
+	for _, b := range s.buffersByName() {
 		for b.Len() > 0 {
 			c := b.Pop()
 			s.Obs.Emit(c, trace.KindEvacuated, 0)
@@ -759,7 +770,7 @@ func (s *Scheduler) admit(c *function.Call, from *durableq.Shard) {
 	if !ok {
 		b = NewFuncBuffer(c.Spec)
 		s.buffers[c.Spec.Name] = b
-		s.names = append(s.names, c.Spec.Name)
+		s.byName = append(s.byName, b)
 		s.stale = true
 	}
 	b.Push(c)
@@ -769,10 +780,6 @@ func (s *Scheduler) admit(c *function.Call, from *durableq.Shard) {
 // schedule moves the most suitable calls from FuncBuffers to the RunQ,
 // gated by quota, congestion control and isolation.
 func (s *Scheduler) schedule() {
-	if s.stale {
-		sort.Strings(s.names)
-		s.stale = false
-	}
 	space := s.params.RunQLimit - s.RunQLen()
 	if space <= 0 {
 		return
@@ -783,8 +790,7 @@ func (s *Scheduler) schedule() {
 	// important calls win during a capacity crunch (§4.4), while peers at
 	// the same level cannot starve each other.
 	cands := s.candScratch[:0]
-	for _, name := range s.names {
-		b := s.buffers[name]
+	for _, b := range s.buffersByName() {
 		if b.Len() > 0 {
 			cands = append(cands, b)
 		}
@@ -1074,12 +1080,7 @@ func (s *Scheduler) releaseHeld() {
 	s.runLen = 0
 	// Sorted buffer order for the same reason evacuate() sorts: shard-side
 	// effects must not inherit Go map iteration order.
-	if s.stale {
-		sort.Strings(s.names)
-		s.stale = false
-	}
-	for _, name := range s.names {
-		b := s.buffers[name]
+	for _, b := range s.buffersByName() {
 		for b.Len() > 0 {
 			s.release(b.Pop())
 		}

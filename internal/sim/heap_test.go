@@ -304,3 +304,201 @@ func BenchmarkTicker(b *testing.B) {
 		b.Fatal("no ticks")
 	}
 }
+
+// deadlines is a set of numbered deadlines that can be armed, re-armed
+// and cancelled; fire reports the ones that run out. The two
+// implementations below are the two ways a component can keep such a set
+// on an engine, and must be indistinguishable from outside.
+type deadlines interface {
+	arm(i int, d time.Duration)
+	cancel(i int)
+}
+
+// timerDeadlines gives every deadline an engine timer of its own.
+type timerDeadlines struct {
+	e      *Engine
+	timers []Timer
+	fire   func(int)
+}
+
+func (s *timerDeadlines) arm(i int, d time.Duration) {
+	s.timers[i].Stop()
+	s.timers[i] = s.e.Schedule(d, func() { s.fire(i) })
+}
+
+func (s *timerDeadlines) cancel(i int) { s.timers[i].Stop() }
+
+// alarmDeadlines keeps only the key each timer would have had, and one
+// Alarm set to the least of them.
+type alarmDeadlines struct {
+	e     *Engine
+	alarm *Alarm
+	keys  []alarmKey
+	fire  func(int)
+}
+
+type alarmKey struct {
+	at    Time
+	seq   uint64
+	armed bool
+}
+
+func (s *alarmDeadlines) first() int {
+	first := -1
+	for i, k := range s.keys {
+		if k.armed && (first < 0 || k.at < s.keys[first].at || k.at == s.keys[first].at && k.seq < s.keys[first].seq) {
+			first = i
+		}
+	}
+	return first
+}
+
+func (s *alarmDeadlines) sync() {
+	if i := s.first(); i >= 0 {
+		s.alarm.Set(s.keys[i].at, s.keys[i].seq)
+	} else {
+		s.alarm.Stop()
+	}
+}
+
+func (s *alarmDeadlines) arm(i int, d time.Duration) {
+	s.keys[i] = alarmKey{s.e.Now() + d, s.e.ReserveSeq(), true}
+	s.sync()
+}
+
+func (s *alarmDeadlines) cancel(i int) {
+	s.keys[i].armed = false
+	s.sync()
+}
+
+func (s *alarmDeadlines) ring() {
+	i := s.first()
+	s.keys[i].armed = false
+	s.sync() // re-keyed from inside its own callback, before fire re-arms more
+	s.fire(i)
+}
+
+type alarmFire struct {
+	id    int
+	at    Time
+	fired uint64
+}
+
+// runDeadlineScript drives one deadlines implementation through a seeded
+// script of arms, re-arms, cancels and bystander events — from outside
+// the run and from inside firing callbacks, on a coarse time grid so that
+// same-instant ties are the rule — and returns everything that fired, in
+// order, with the engine's own count of events at each firing.
+func runDeadlineScript(seed int, mk func(e *Engine, slots int, fire func(int)) deadlines) (log []alarmFire, maxPending int) {
+	const slots = 12
+	e := NewEngine()
+	r := testRand(seed * 7919)
+	delay := func() time.Duration { return time.Duration(r.intn(6)) * 10 * time.Millisecond }
+	var set deadlines
+	mutate := func() {
+		switch r.intn(4) {
+		case 0, 1:
+			set.arm(r.intn(slots), delay())
+		case 2:
+			set.cancel(r.intn(slots))
+		default:
+			id := 1000 + len(log)
+			e.Schedule(delay(), func() { log = append(log, alarmFire{id, e.Now(), e.Processed()}) })
+		}
+		maxPending = max(maxPending, e.Pending())
+	}
+	set = mk(e, slots, func(i int) {
+		log = append(log, alarmFire{i, e.Now(), e.Processed()})
+		for k := r.intn(3); k > 0; k-- {
+			mutate()
+		}
+	})
+	for step := 0; step < 400; step++ {
+		for k := 1 + r.intn(4); k > 0; k-- {
+			mutate()
+		}
+		e.RunFor(time.Duration(r.intn(4)) * 10 * time.Millisecond)
+	}
+	e.Run()
+	log = append(log, alarmFire{-1, e.Now(), e.seq}) // the engines consumed the same sequence numbers
+	return log, maxPending
+}
+
+// TestAlarmFiresLikeIndividualTimers is the contract DurableQ's lease
+// expiry rests on: deadlines kept outside the engine, with one Alarm keyed
+// to the earliest (at, reserved seq), fire in exactly the global order —
+// against each other, against bystanders, through same-instant ties and
+// re-keys made while the alarm is firing — that a timer per deadline
+// gives, with the same number of events fired and sequence numbers spent.
+func TestAlarmFiresLikeIndividualTimers(t *testing.T) {
+	for seed := 1; seed <= 25; seed++ {
+		want, deep := runDeadlineScript(seed, func(e *Engine, slots int, fire func(int)) deadlines {
+			return &timerDeadlines{e: e, timers: make([]Timer, slots), fire: fire}
+		})
+		got, shallow := runDeadlineScript(seed, func(e *Engine, slots int, fire func(int)) deadlines {
+			s := &alarmDeadlines{e: e, keys: make([]alarmKey, slots), fire: fire}
+			s.alarm = e.NewAlarm(s.ring)
+			return s
+		})
+		if len(want) < 500 {
+			t.Fatalf("seed %d: only %d events fired; the script is too tame to prove anything", seed, len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d events fired, a timer per deadline fires %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: event %d = %+v, a timer per deadline gives %+v", seed, i, got[i], want[i])
+			}
+		}
+		if shallow > deep {
+			t.Fatalf("seed %d: the alarm's heap peaked at %d events, the timers' at %d", seed, shallow, deep)
+		}
+	}
+}
+
+// TestAlarmRekeyKeepsHeapInvariant moves one alarm around a populated
+// heap — earlier, later, off and back on — checking the 4-ary heap
+// property and index bookkeeping after every move.
+func TestAlarmRekeyKeepsHeapInvariant(t *testing.T) {
+	r := testRand(99)
+	e := NewEngine()
+	for i := 0; i < 300; i++ {
+		e.Schedule(time.Duration(r.intn(10000))*time.Millisecond, func() {})
+	}
+	a := e.NewAlarm(func() {})
+	for i := 0; i < 2000; i++ {
+		if r.intn(5) == 0 {
+			a.Stop()
+		} else {
+			a.Set(time.Duration(r.intn(10000))*time.Millisecond, e.ReserveSeq())
+		}
+		for k := 1; k < len(e.queue); k++ {
+			if less(e.queue[k], e.queue[(k-1)/4]) {
+				t.Fatalf("heap violation at %d after move %d", k, i)
+			}
+			if int(e.queue[k].index) != k {
+				t.Fatalf("index bookkeeping broken at %d after move %d", k, i)
+			}
+		}
+	}
+	a.Stop()
+	if e.Pending() != 300 {
+		t.Fatalf("%d events pending after stopping the alarm, want the 300 bystanders", e.Pending())
+	}
+}
+
+// BenchmarkAlarmRekey measures moving an armed alarm to the back of a
+// heap 100k deep, the engine's share of a lease renewal at the head.
+func BenchmarkAlarmRekey(b *testing.B) {
+	e := NewEngine()
+	for i := 0; i < 100_000; i++ {
+		e.Schedule(time.Duration(i)*time.Microsecond, func() {})
+	}
+	a := e.NewAlarm(func() {})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Set(time.Duration(i%1000)*time.Millisecond, e.ReserveSeq())
+	}
+}

@@ -145,8 +145,7 @@ func (g *Group) send(src *Engine, dst int, d time.Duration, fn func()) {
 	if d < la {
 		panic(fmt.Sprintf("sim: Send delay %v below edge lookahead %v (%d→%d) — the lookahead is the determinism contract; model at least that much latency", d, la, s, dst))
 	}
-	src.seq++
-	m := message{at: src.now + d, seq: src.seq, fn: fn}
+	m := message{at: src.now + d, seq: src.ReserveSeq(), fn: fn}
 	ed := g.edges[dst][s]
 	ed.mu.Lock()
 	ed.msgs = append(ed.msgs, m)

@@ -40,8 +40,8 @@ type timerNode struct {
 	origin int32
 	index  int32 // heap slot, -1 when not queued
 	gen    uint32
-	// owned marks a Ticker's node: it is rescheduled in place on each
-	// tick and never released to the pool by Step.
+	// owned marks a Ticker's or an Alarm's node: its owner reschedules it
+	// and Step never releases it to the pool.
 	owned bool
 }
 
@@ -115,6 +115,51 @@ func (tk *Ticker) tick() {
 	tk.e.push(tk.n, tk.e.now+tk.interval)
 }
 
+// Alarm is one event whose ordering key its owner chooses. A component
+// that holds many deadlines but needs only the earliest one scheduled
+// reserves a sequence number per deadline (ReserveSeq) at the moment it
+// would have called Schedule, keeps the deadlines in its own order, and
+// keys the alarm to the earliest (at, seq). The alarm then fires at the
+// exact position in the global order the deadline's own timer would have
+// had, while the event heap holds one node instead of one per deadline.
+// The node belongs to the alarm, so re-keying never touches the pool.
+type Alarm struct {
+	n timerNode
+}
+
+// NewAlarm returns an unarmed alarm that runs fn when it fires. Firing
+// disarms it; fn may re-arm it with Set.
+func (e *Engine) NewAlarm(fn func()) *Alarm {
+	if fn == nil {
+		panic("sim: NewAlarm called with nil function")
+	}
+	return &Alarm{n: timerNode{e: e, fn: fn, index: -1, owned: true}}
+}
+
+// Set arms the alarm at the key (at, seq), moving it in place if it is
+// already armed. seq must come from ReserveSeq on the alarm's engine and
+// at must not lie in the past; the key is used as given.
+func (a *Alarm) Set(at Time, seq uint64) {
+	n := &a.n
+	e := n.e
+	if n.index < 0 {
+		n.at, n.seq, n.origin = at, seq, e.part
+		e.enqueue(n)
+		return
+	}
+	if n.at != at || n.seq != seq {
+		n.at, n.seq = at, seq
+		e.fix(n)
+	}
+}
+
+// Stop disarms the alarm; stopping an unarmed alarm is a no-op.
+func (a *Alarm) Stop() {
+	if a.n.index >= 0 {
+		a.n.e.remove(&a.n)
+	}
+}
+
 // Engine is a discrete-event scheduler. The zero value is not usable;
 // call NewEngine.
 type Engine struct {
@@ -186,6 +231,15 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	return Timer{n: n, gen: n.gen, at: n.at}
 }
 
+// ReserveSeq consumes the sequence number the next Schedule would have
+// been given and returns it without scheduling anything. Together with
+// the current time and a delay it is the complete ordering key of the
+// event that Schedule would have created; see Alarm.
+func (e *Engine) ReserveSeq() uint64 {
+	e.seq++
+	return e.seq
+}
+
 // Every runs fn every interval, with the first invocation one interval
 // from now. It panics on a non-positive interval.
 func (e *Engine) Every(interval time.Duration, fn func()) *Ticker {
@@ -215,7 +269,8 @@ func (e *Engine) Step() bool {
 	e.now = n.at
 	e.processed++
 	if n.owned {
-		// Ticker-owned: tick() reschedules or releases the node itself.
+		// Ticker- or Alarm-owned: the owner reschedules or releases the
+		// node itself.
 		n.fn()
 	} else {
 		fn := n.fn
@@ -283,6 +338,11 @@ func (e *Engine) push(n *timerNode, t Time) {
 	}
 	e.seq++
 	n.at, n.seq, n.origin = t, e.seq, e.part
+	e.enqueue(n)
+}
+
+// enqueue adds n, whose key is set, to the heap.
+func (e *Engine) enqueue(n *timerNode) {
 	n.index = int32(len(e.queue))
 	e.queue = append(e.queue, n)
 	e.siftUp(int(n.index))
@@ -298,9 +358,7 @@ func (e *Engine) pushForeign(at Time, origin int32, seq uint64, fn func()) {
 	n := e.get()
 	n.fn = fn
 	n.at, n.seq, n.origin = at, seq, origin
-	n.index = int32(len(e.queue))
-	e.queue = append(e.queue, n)
-	e.siftUp(int(n.index))
+	e.enqueue(n)
 }
 
 // The event queue is a 4-ary min-heap: children of slot i live at
@@ -396,9 +454,16 @@ func (e *Engine) remove(n *timerNode) {
 	if i < sz {
 		e.queue[i] = lastNode
 		lastNode.index = int32(i)
-		e.siftDown(i)
-		if int(lastNode.index) == i {
-			e.siftUp(i)
-		}
+		e.fix(lastNode)
+	}
+}
+
+// fix restores the heap around a queued node whose key changed, or that
+// was moved into another node's slot.
+func (e *Engine) fix(n *timerNode) {
+	i := int(n.index)
+	e.siftDown(i)
+	if int(n.index) == i {
+		e.siftUp(i)
 	}
 }
