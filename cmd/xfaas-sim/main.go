@@ -7,6 +7,7 @@
 //	xfaas-sim -run fig2 -charts
 //	xfaas-sim -run all -full -out results/
 //	xfaas-sim -run fig7 -seed 3 -cpuprofile cpu.pprof -memprofile heap.pprof
+//	xfaas-sim -policy-matrix POLICY_MATRIX.json -seed 7
 //
 // Each experiment prints paper-vs-measured rows, PASS/FAIL shape checks,
 // and (with -charts) ASCII renderings of the series. With -out, every
@@ -14,6 +15,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,6 +49,7 @@ func run() int {
 		inv       = flag.Bool("invariants", false, "run the platform invariant checker on every experiment and fail on violations")
 		slo       = flag.Bool("slo", false, "enable core-second accounting and SLO burn-rate evaluation on every run")
 		policy    = flag.String("policy", "", "scheduling policy for every run: push (default), pull, prewarm, spes")
+		matrix    = flag.String("policy-matrix", "", "run every scheduling policy through every overload scenario and write the table to this JSON file; a pure function of -seed")
 
 		parallel = flag.Int("parallel", 0, "run the partitioned platform simulation with this many partitions (0 = off); output is deterministic and byte-identical to -seq")
 		seq      = flag.Bool("seq", false, "with -parallel: run the same partitions on the single-goroutine reference scheduler")
@@ -69,18 +72,18 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}()
-	if *inv {
-		experiment.SetInvariants(true)
+	if _, err := config.PolicyByName(*policy); err != nil {
+		fmt.Fprintf(os.Stderr, "%v; available: %s\n", err, strings.Join(config.PolicyNames(), ", "))
+		return 2
 	}
-	if *slo {
-		experiment.SetObserve(true)
-	}
-	if *policy != "" {
-		if _, err := config.PolicyByName(*policy); err != nil {
-			fmt.Fprintf(os.Stderr, "%v; available: %s\n", err, strings.Join(config.PolicyNames(), ", "))
-			return 2
+	scale := experiment.Scale{Quick: !*full, Seed: *seed, Invariants: *inv, Observe: *slo, Policy: *policy}
+
+	if *matrix != "" {
+		if err := writePolicyMatrix(*matrix, *seed); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
-		experiment.SetPolicy(*policy)
+		return 0
 	}
 
 	if *parallel > 0 {
@@ -138,11 +141,6 @@ func run() int {
 			}
 			return 2
 		}
-		scale := experiment.QuickScale()
-		if *full {
-			scale = experiment.FullScale()
-		}
-		scale.Seed = *seed
 		res := e.Run(scale)
 		fmt.Print(res.Render(*charts))
 		if !res.ChecksOK() {
@@ -175,12 +173,6 @@ func run() int {
 		}
 		return 0
 	}
-
-	scale := experiment.QuickScale()
-	if *full {
-		scale = experiment.FullScale()
-	}
-	scale.Seed = *seed
 
 	var targets []*experiment.Experiment
 	if *run == "all" {
@@ -258,6 +250,29 @@ func startProfiles(cpu, mem string) (stop func() error, err error) {
 		}
 		return f.Close()
 	}, nil
+}
+
+// writePolicyMatrix runs the scheduling-policy × overload-scenario matrix,
+// prints it as a table and writes it to path as JSON. The document has no
+// date field, so CI can run it twice and byte-diff the outputs.
+func writePolicyMatrix(path string, seed uint64) error {
+	m := experiment.RunPolicyMatrix(seed)
+	fmt.Printf("%-14s %-8s %6s %10s %6s %8s %8s %6s\n",
+		"scenario", "policy", "util", "p99(s)", "cold", "shed", "expired", "jain")
+	for _, c := range m.Cells {
+		fmt.Printf("%-14s %-8s %6.2f %10.1f %6.3f %8.0f %8.0f %6.3f\n",
+			c.Scenario, c.Policy, c.UtilizationMean, c.P99E2ESeconds,
+			c.ColdStartExposure, c.ShedCalls, c.ExpiredCalls, c.JainFairness)
+	}
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return fmt.Errorf("policy matrix: %w", err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
 }
 
 func writeCSV(dir string, res *experiment.Result) error {

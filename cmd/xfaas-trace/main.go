@@ -75,9 +75,7 @@ func main() {
 	gen.Start()
 	engine.RunFor(time.Duration(*hours) * time.Hour)
 	series := gen.ReceivedSeries.Values()
-	smoothed := stats.Resample(series, 72)
 	fmt.Print(stats.ASCIIChart(fmt.Sprintf("arrivals per minute over %dh", *hours), series, 72, 10))
-	_ = smoothed
 	fmt.Printf("Total calls: %.0f, peak/trough (10-min smoothed): %.1f\n",
 		gen.Generated.Value(), stats.PeakToTrough(stats.Resample(series, len(series)/10+1)))
 

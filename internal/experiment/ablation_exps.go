@@ -6,7 +6,6 @@ import (
 
 	"xfaas/internal/stats"
 	"xfaas/internal/worker"
-	"xfaas/internal/workload"
 )
 
 func init() {
@@ -63,22 +62,26 @@ func runAndSampleMem(rg *rig, window time.Duration) (p50, p95 float64) {
 	return stats.ExactQuantile(avgs, 0.50), stats.ExactQuantile(avgs, 0.95)
 }
 
+// singleRegionRig is the default day hosted by one region, whose pool is
+// then large enough for locality groups to be meaningful (the paper
+// measures per-worker function diversity within a region's pool).
+func singleRegionRig(s Scale, groups int) rigConfig {
+	rc := defaultRig(s, 0.66)
+	rc.Platform.Cluster.Regions = 1
+	rc.Platform.LocalityGroups = groups
+	rc.Pop.Functions = max(rc.Pop.Functions, 120)
+	rc.Pop.TotalRPS *= 2.5 // one region hosts the whole load: bigger pool
+	return rc
+}
+
 func runLocalityMem(s Scale) *Result {
 	r := &Result{ID: "localitymem", Title: "Locality groups vs none: worker memory"}
 	window := simWindow(s, 8*time.Hour, 3*time.Hour)
 
-	build := func(groups int) *rig {
-		rc := defaultRig(s, 0.66)
-		rc.Platform.Cluster.Regions = 1
-		rc.Platform.LocalityGroups = groups
-		rc.Pop.Functions = maxInt(rc.Pop.Functions, 120)
-		rc.Pop.TotalRPS *= 2.5 // one region hosts the whole load: bigger pool
-		return rc.build()
-	}
-	with := build(4)
+	with := singleRegionRig(s, 4).build()
 	withP50, withP95 := runAndSampleMem(with, window)
 
-	without := build(0)
+	without := singleRegionRig(s, 0).build()
 	noP50, noP95 := runAndSampleMem(without, window)
 
 	save50 := 100 * (1 - withP50/noP50)
@@ -107,26 +110,8 @@ func runLocalityMem(s Scale) *Result {
 
 func runAblationTimeShift(s Scale) *Result {
 	r := &Result{ID: "ablation-timeshift", Title: "Time-shifting on vs off"}
-	window := simWindow(s, workload.Day, 8*time.Hour)
-
-	run := func(forceReserved bool) (*rig, float64, float64) {
-		rc := defaultRig(s, 0.66)
-		rg := rc.build()
-		if forceReserved {
-			for _, m := range rg.Pop.Models {
-				m.Spec.Quota = 0 // QuotaReserved
-				m.Spec.QuotaMIPS = 0
-				m.Spec.Deadline = 15 * time.Minute
-			}
-		}
-		rg.P.Engine.RunFor(window)
-		exec := rg.P.Executed.Values()
-		smooth := stats.Resample(exec, maxInt(2, len(exec)/10))
-		return rg, stats.PeakToTroughFloor(smooth, 1), rg.P.SLOMisses()
-	}
-
-	_, shiftRatio, _ := run(false)
-	_, rawRatio, _ := run(true)
+	shiftRatio := executedPeakTrough(s, 1)
+	rawRatio := executedPeakTrough(s, 0)
 	r.row("executed peak/trough with time-shifting", "≈1.4-2", "%.1f", shiftRatio)
 	r.row("executed peak/trough all-reserved", "tracks received (≈4.3)", "%.1f", rawRatio)
 	r.check("time-shifting flattens execution", shiftRatio < rawRatio,
@@ -175,15 +160,12 @@ func runAblationGTC(s Scale) *Result {
 
 func runAblationAIMD(s Scale) *Result {
 	r := &Result{ID: "ablation-aimd", Title: "AIMD back-pressure on vs off"}
-	window := 45 * time.Minute
-	if s.Quick {
-		window = 30 * time.Minute
-	}
+	window := simWindow(s, 45*time.Minute, 30*time.Minute)
 	// Two functions at 40 RPS each offer 80 RPS against a 30-RPS
 	// downstream; the threshold parameter turns AIMD on or (at 1e12,
 	// unreachable) off.
 	runVariant := func(threshold float64) float64 {
-		p, _, _ := incidentRig(s.Seed, "tao", 30, 40, 0, threshold)
+		p := incidentRig(s, "tao", 30, 40, 0, threshold).build().P
 		svc, _ := p.Downstreams.Get("tao")
 		p.Engine.RunFor(window)
 		return svc.Availability()

@@ -49,7 +49,7 @@ func runBaselineColdstart(s Scale) *Result {
 
 	// Conventional side: identical hardware and workload.
 	engine := sim.NewEngine()
-	pop := workload.NewPopulation(rc.Pop, rng.New(rc.Platform.Seed+1000))
+	pop := rc.population()
 	params := baseline.DefaultParams()
 	params.Hosts = xfWorkers
 	params.HostMemoryMB = rc.Platform.Worker.MemoryMB
@@ -60,7 +60,7 @@ func runBaselineColdstart(s Scale) *Result {
 		func(_ cluster.RegionID, _ string, c *function.Call) error {
 			bp.Submit(c)
 			return nil
-		}, rng.New(rc.Platform.Seed+2000))
+		}, rng.New(rc.Platform.Seed+rc.Seeds.Gen))
 	gen.Start()
 	engine.RunFor(window)
 

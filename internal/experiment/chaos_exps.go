@@ -5,7 +5,6 @@ import (
 
 	"xfaas/internal/chaos"
 	"xfaas/internal/core"
-	"xfaas/internal/rng"
 )
 
 // The chaos experiments drive the fault-injection engine end to end:
@@ -52,14 +51,12 @@ func init() {
 
 // chaosRig builds a stationary-load rig (no diurnal cycle, no spikes) so
 // ack-rate comparisons across phases isolate the injected fault.
-func chaosRig(s Scale, targetUtil float64) (*rig, *chaos.Injector) {
+func chaosRig(s Scale, targetUtil float64) rigConfig {
 	rc := defaultRig(s, targetUtil)
 	rc.Pop.SpikyFunctions = 0
 	rc.Pop.MidnightSpikeFrac = 0
 	rc.Pop.DiurnalAmp = 0
-	rg := rc.build()
-	inj := chaos.NewInjector(rg.P, rng.New(rc.Platform.Seed+9000))
-	return rg, inj
+	return rc
 }
 
 // largestRegion returns the region with the most workers (the
@@ -97,12 +94,34 @@ func timeToRecover(p *core.Platform, target float64, step, max time.Duration) (t
 	return elapsed, rate, false
 }
 
-// reportRecovery appends the shared dip/recovery rows and the ≥90% check.
-func reportRecovery(r *Result, healthy, faulted float64, ttr time.Duration, finalRate float64, recovered bool) {
-	r.row("ack rate healthy → faulted (RPS)", "dips, critical work continues", "%.1f → %.1f", healthy, faulted)
+// faultRun is a rig warmed up and measured healthy, with its largest
+// region picked as the victim: where every fault experiment starts.
+type faultRun struct {
+	*rig
+	victim        *core.Region
+	healthy       float64 // ack rate before the fault
+	fault, ttrMax time.Duration
+}
+
+func startFaultRun(s Scale, rc rigConfig) *faultRun {
+	warm, measure, fault, ttrMax := 30*time.Minute, 15*time.Minute, 40*time.Minute, time.Hour
+	if s.Quick {
+		warm, measure, fault, ttrMax = 20*time.Minute, 10*time.Minute, 20*time.Minute, 40*time.Minute
+	}
+	rg := rc.build()
+	rg.P.Engine.RunFor(warm)
+	healthy := ackPhase(rg.P, measure)
+	return &faultRun{rg, largestRegion(rg.P), healthy, fault, ttrMax}
+}
+
+// reportRecovery runs on until the ack rate is back to ≥90% of healthy,
+// then appends the shared dip/recovery rows and the check.
+func (f *faultRun) reportRecovery(r *Result, faulted float64) {
+	ttr, finalRate, recovered := timeToRecover(f.P, 0.9*f.healthy, 2*time.Minute, f.ttrMax)
+	r.row("ack rate healthy → faulted (RPS)", "dips, critical work continues", "%.1f → %.1f", f.healthy, faulted)
 	r.row("time to ≥90% of pre-fault ack rate", "recovers after repair", "%v (%.1f RPS)", ttr, finalRate)
 	r.check("ack rate recovers to ≥90% of pre-fault", recovered,
-		"%.1f vs target %.1f RPS after %v", finalRate, 0.9*healthy, ttr)
+		"%.1f vs target %.1f RPS after %v", finalRate, 0.9*f.healthy, ttr)
 }
 
 // logEvents appends the injector's fault log (deterministic, virtual-time
@@ -118,23 +137,10 @@ func logEvents(r *Result, inj *chaos.Injector, max int) {
 	}
 }
 
-func chaosWindows(s Scale) (warm, measure, fault, ttrMax time.Duration) {
-	if s.Quick {
-		return 20 * time.Minute, 10 * time.Minute, 20 * time.Minute, 40 * time.Minute
-	}
-	return 30 * time.Minute, 15 * time.Minute, 40 * time.Minute, time.Hour
-}
-
 func runChaosGray(s Scale) *Result {
 	r := &Result{ID: "chaos_gray", Title: "Gray failure: slow workers detected and routed around"}
-	rg, inj := chaosRig(s, 0.60)
-	p := rg.P
-	warm, measure, fault, ttrMax := chaosWindows(s)
-
-	p.Engine.RunFor(warm)
-	healthy := ackPhase(p, measure)
-
-	victim := largestRegion(p)
+	f := startFaultRun(s, chaosRig(s, 0.60))
+	p, inj, victim, healthy := f.P, f.Inj, f.victim, f.healthy
 	k := len(victim.Workers) / 3
 	if k < 1 {
 		k = 1
@@ -153,15 +159,14 @@ func runChaosGray(s Scale) *Result {
 		k, detected, detectWindow)
 	r.check("gray workers detected within detection lag", detected >= k, "%d/%d after %v", detected, k, detectWindow)
 
-	faulted := ackPhase(p, fault)
+	faulted := ackPhase(p, f.fault)
 	r.check("LB routes around gray workers (small dip)", faulted > 0.5*healthy,
 		"%.1f vs %.1f RPS with %d workers at 1/%.0f speed", faulted, healthy, k, slowdown)
 
 	for i := 0; i < k; i++ {
 		inj.ClearGray(victim.ID, i)
 	}
-	ttr, finalRate, recovered := timeToRecover(p, 0.9*healthy, 2*time.Minute, ttrMax)
-	reportRecovery(r, healthy, faulted, ttr, finalRate, recovered)
+	f.reportRecovery(r, faulted)
 	r.series("executed calls/min", time.Minute, p.Executed.Values())
 	logEvents(r, inj, 8)
 	return r
@@ -169,18 +174,12 @@ func runChaosGray(s Scale) *Result {
 
 func runChaosPartition(s Scale) *Result {
 	r := &Result{ID: "chaos_partition", Title: "Region partition and heal"}
-	rg, inj := chaosRig(s, 0.60)
-	p := rg.P
-	warm, measure, fault, ttrMax := chaosWindows(s)
-
-	p.Engine.RunFor(warm)
-	healthy := ackPhase(p, measure)
-
-	victim := largestRegion(p)
-	crossBefore := schedCrossPulls(victim)
+	f := startFaultRun(s, chaosRig(s, 0.60))
+	p, inj, victim, healthy := f.P, f.Inj, f.victim, f.healthy
+	crossBefore := countersOf(victim).crossPulls
 	inj.PartitionRegion(victim.ID)
-	faulted := ackPhase(p, fault)
-	crossDuring := schedCrossPulls(victim) - crossBefore
+	faulted := ackPhase(p, f.fault)
+	crossDuring := countersOf(victim).crossPulls - crossBefore
 
 	r.row("cross-region pulls by the cut region during partition", "frozen at 0", "%.0f", crossDuring)
 	r.check("partition severs cross-region pulls", crossDuring == 0, "%.0f pulls across the cut", crossDuring)
@@ -189,8 +188,7 @@ func runChaosPartition(s Scale) *Result {
 
 	ackedAtHeal := victim.Sched.Acked.Value()
 	inj.HealPartition(victim.ID)
-	ttr, finalRate, recovered := timeToRecover(p, 0.9*healthy, 2*time.Minute, ttrMax)
-	reportRecovery(r, healthy, faulted, ttr, finalRate, recovered)
+	f.reportRecovery(r, faulted)
 	r.check("cut region resumes after heal", victim.Sched.Acked.Value() > ackedAtHeal,
 		"%.0f acks after heal", victim.Sched.Acked.Value()-ackedAtHeal)
 	r.series("executed calls/min", time.Minute, p.Executed.Values())
@@ -198,25 +196,11 @@ func runChaosPartition(s Scale) *Result {
 	return r
 }
 
-func schedCrossPulls(reg *core.Region) float64 {
-	s := 0.0
-	for _, sc := range reg.Scheds {
-		s += sc.CrossRegionPulls.Value()
-	}
-	return s
-}
-
 func runChaosCorrelated(s Scale) *Result {
 	r := &Result{ID: "chaos_correlated", Title: "Correlated rack failure: detection, evacuation, degradation"}
-	rg, inj := chaosRig(s, 0.60)
-	p := rg.P
+	f := startFaultRun(s, chaosRig(s, 0.60))
+	p, inj, victim := f.P, f.Inj, f.victim
 	cfg := core.DefaultConfig().Chaos
-	warm, measure, fault, ttrMax := chaosWindows(s)
-
-	p.Engine.RunFor(warm)
-	healthy := ackPhase(p, measure)
-
-	victim := largestRegion(p)
 	crashed := inj.CorrelatedCrash(victim.ID, 0.8, true) // silent: only heartbeats can notice
 	k := len(crashed)
 
@@ -226,7 +210,7 @@ func runChaosCorrelated(s Scale) *Result {
 	p.Engine.RunFor(detectWindow)
 
 	detectedDown := victim.LB.DetectedDown()
-	evacuated := schedEvacuated(victim)
+	evacuated := countersOf(victim).evacuated
 	fleetFrac := p.DetectedHealthyFrac()
 	r.row("workers crashed vs detected dead", "whole block within detection lag", "%d crashed, %d detected in %v",
 		k, detectedDown, detectWindow)
@@ -246,42 +230,28 @@ func runChaosCorrelated(s Scale) *Result {
 		fleetFrac >= cfg.ShedHealthyFrac || p.Central.Shed() < 1,
 		"fleet frac %.2f, shed %.2f", fleetFrac, p.Central.Shed())
 
-	faulted := ackPhase(p, fault)
+	faulted := ackPhase(p, f.fault)
 	for _, i := range crashed {
 		inj.RestartWorker(victim.ID, i)
 	}
-	ttr, finalRate, recovered := timeToRecover(p, 0.9*healthy, 2*time.Minute, ttrMax)
-	reportRecovery(r, healthy, faulted, ttr, finalRate, recovered)
+	f.reportRecovery(r, faulted)
 	r.check("shedding clears after recovery", p.Central.Shed() == 1, "shed %.2f", p.Central.Shed())
 	r.series("executed calls/min", time.Minute, p.Executed.Values())
 	logEvents(r, inj, 6)
 	return r
 }
 
-func schedEvacuated(reg *core.Region) float64 {
-	s := 0.0
-	for _, sc := range reg.Scheds {
-		s += sc.Evacuated.Value()
-	}
-	return s
-}
-
 func runChaosDQ(s Scale) *Result {
 	r := &Result{ID: "chaos_dq", Title: "DurableQ shard unavailability window"}
-	rg, inj := chaosRig(s, 0.60)
-	p := rg.P
-	warm, measure, fault, ttrMax := chaosWindows(s)
-
-	p.Engine.RunFor(warm)
-	healthy := ackPhase(p, measure)
-
-	victim := largestRegion(p)
+	f := startFaultRun(s, chaosRig(s, 0.60))
+	p, inj, victim, healthy := f.P, f.Inj, f.victim, f.healthy
 	for i := range victim.Shards {
 		inj.DownShard(victim.ID, i)
 	}
-	ackedOnVictimAtCut := shardAcked(victim)
-	faulted := ackPhase(p, fault)
-	unroutable, routeFailed := routingLosses(p)
+	ackedOnVictimAtCut := countersOf(victim).shardAcked
+	faulted := ackPhase(p, f.fault)
+	t := countersOf(p.Regions()...)
+	unroutable, routeFailed := t.unroutable, t.routeFailed
 
 	r.row("shards down", "one region's whole pool", "%d", len(victim.Shards))
 	r.row("submissions lost to routing", "0 — QueueLB routes around", "%.0f unroutable, %.0f failed",
@@ -294,30 +264,13 @@ func runChaosDQ(s Scale) *Result {
 	for i := range victim.Shards {
 		inj.UpShard(victim.ID, i)
 	}
-	ttr, finalRate, recovered := timeToRecover(p, 0.9*healthy, 2*time.Minute, ttrMax)
-	reportRecovery(r, healthy, faulted, ttr, finalRate, recovered)
-	ackedOnVictimAfter := shardAcked(victim)
+	f.reportRecovery(r, faulted)
+	ackedOnVictimAfter := countersOf(victim).shardAcked
 	r.check("returned shards drain their backlog", ackedOnVictimAfter > ackedOnVictimAtCut,
 		"%.0f acks on the victim pool after recovery", ackedOnVictimAfter-ackedOnVictimAtCut)
 	r.row("calls generated vs terminal", "at-least-once", "%.0f generated, %.0f acked, %d still queued",
-		rg.Gen.Generated.Value(), p.Acked(), p.PendingCalls())
+		f.Gen.Generated.Value(), p.Acked(), p.PendingCalls())
 	r.series("executed calls/min", time.Minute, p.Executed.Values())
 	logEvents(r, inj, 8)
 	return r
-}
-
-func shardAcked(reg *core.Region) float64 {
-	s := 0.0
-	for _, sh := range reg.Shards {
-		s += sh.Acked.Value()
-	}
-	return s
-}
-
-func routingLosses(p *core.Platform) (unroutable, routeFailed float64) {
-	for _, reg := range p.Regions() {
-		unroutable += reg.QueueLB.Unroutable.Value()
-		routeFailed += reg.Normal.RouteFailed.Value() + reg.Spiky.RouteFailed.Value()
-	}
-	return unroutable, routeFailed
 }

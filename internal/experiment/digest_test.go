@@ -98,7 +98,6 @@ func observeAll(cfg *core.Config) {
 
 // digestDefaultRig is the quick-scale default experiment rig, observed.
 func digestDefaultRig(w io.Writer) {
-	defer func(n int) { invPlatforms = invPlatforms[:n] }(len(invPlatforms))
 	rc := defaultRig(QuickScale(), 0.66)
 	observeAll(&rc.Platform)
 	r := rc.build()
@@ -215,6 +214,7 @@ func digestPsim(w io.Writer, seq bool) {
 }
 
 func TestSeededDigests(t *testing.T) {
+	t.Parallel()
 	runs := []struct {
 		name string
 		run  func(io.Writer)

@@ -13,15 +13,37 @@ import (
 	"strings"
 	"time"
 
+	"xfaas/internal/core"
 	"xfaas/internal/stats"
 )
 
-// Scale selects the fidelity/runtime tradeoff.
+// Scale is everything one invocation of an experiment is told: the
+// fidelity/runtime tradeoff, the seed, and the options that apply to
+// every platform the experiment builds. It travels with the run, so two
+// experiments with different options can run at the same time.
 type Scale struct {
 	// Quick shrinks populations and time windows for tests and benches.
 	Quick bool
 	// Seed drives all randomness.
 	Seed uint64
+	// Invariants turns on continuous invariant checking on every platform
+	// and appends one "invariants hold" check, over the platforms this
+	// experiment built or borrowed, to its result. Off, the result is
+	// unchanged — the golden outputs of the determinism CI gate.
+	Invariants bool
+	// Observe turns on core-second accounting and the SLO engine. They
+	// add metric families and control events but no report lines, and
+	// draw no randomness, so they do not perturb the simulation.
+	Observe bool
+	// Policy names the scheduling policy (push, pull, prewarm, spes).
+	// Empty is the default push policy, byte-identical to the pre-policy
+	// scheduler. An unknown name panics when the first platform is
+	// built: callers taking it from outside validate it first.
+	Policy string
+
+	// built collects the platforms of one Run; the register wrapper
+	// attaches it.
+	built *[]*core.Platform
 }
 
 // QuickScale is the test/bench default.
@@ -181,12 +203,16 @@ func register(e *Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic("experiment: duplicate id " + e.ID)
 	}
-	// Every experiment gets the invariant sweep appended to its result
-	// when checking is enabled (no-op — and no output change — otherwise).
+	// Every run collects the platforms it builds; with Invariants set
+	// the sweep over them is appended to the result.
 	run := e.Run
 	e.Run = func(s Scale) *Result {
+		var built []*core.Platform
+		s.built = &built
 		r := run(s)
-		checkInvariants(r)
+		if s.Invariants {
+			checkInvariants(r, built)
+		}
 		return r
 	}
 	registry[e.ID] = e

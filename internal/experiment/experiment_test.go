@@ -13,6 +13,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
 			res := e.Run(QuickScale())
 			if res.ID != e.ID {
 				t.Fatalf("result id %q != experiment id %q", res.ID, e.ID)

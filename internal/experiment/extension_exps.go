@@ -4,9 +4,7 @@ import (
 	"math"
 	"time"
 
-	"xfaas/internal/core"
 	"xfaas/internal/function"
-	"xfaas/internal/isolation"
 	"xfaas/internal/rng"
 	"xfaas/internal/stats"
 	"xfaas/internal/workload"
@@ -34,51 +32,38 @@ func init() {
 // executed during a capacity crunch").
 func runCriticality(s Scale) *Result {
 	r := &Result{ID: "criticality", Title: "Criticality priority under scarcity"}
-	cfg := core.DefaultConfig()
-	cfg.Seed = s.Seed
-	cfg.Cluster.Regions = 1
-	cfg.Cluster.TotalWorkers = 4
-	cfg.LocalityGroups = 0
-	cfg.CodePushInterval = 0
+	rc := baseRig(s)
+	rc.Seeds = seedsFor("criticality")
+	rc.Platform.Cluster.Regions = 1
+	rc.Platform.Cluster.TotalWorkers = 4
+	rc.Platform.LocalityGroups = 0
+	rc.Platform.CodePushInterval = 0
 
-	pop := &workload.Population{Registry: function.NewRegistry(), TeamOf: map[string]string{}}
 	crits := []function.Criticality{function.CritLow, function.CritNormal, function.CritHigh}
 	// Each function alone wants ~66% of the 4-worker fleet: together they
 	// offer ~2x capacity, so roughly one class's worth must starve.
 	const perFuncRPS = 26
-	for i, crit := range crits {
-		spec := &function.Spec{
-			Name:        "crit-" + crit.String(),
-			Namespace:   "main",
-			Runtime:     "php",
-			Team:        "team-crit",
-			Trigger:     function.TriggerQueue,
-			Criticality: crit,
-			Quota:       function.QuotaReserved,
-			Deadline:    5 * time.Minute,
-			Retry:       function.DefaultRetry,
-			Zone:        isolation.NewZone(isolation.Internal),
-			Resources: function.ResourceModel{
-				CPUMu: math.Log(50), CPUSigma: 0.3,
-				MemMu: math.Log(16), MemSigma: 0.3,
-				TimeMu: math.Log(0.3), TimeSigma: 0.3,
-				CodeMB: 8, JITCodeMB: 4,
-			},
+	rc.Fill = func(pop *workload.Population, seed uint64) {
+		for i, crit := range crits {
+			spec := &function.Spec{
+				Name:        "crit-" + crit.String(),
+				Team:        "team-crit",
+				Criticality: crit,
+				Deadline:    5 * time.Minute,
+				Resources: function.ResourceModel{
+					CPUMu: math.Log(50), CPUSigma: 0.3,
+					MemMu: math.Log(16), MemSigma: 0.3,
+					TimeMu: math.Log(0.3), TimeSigma: 0.3,
+				},
+			}
+			addFunc(pop, spec, perFuncRPS, rng.New(seed+uint64(i)))
 		}
-		pop.Registry.MustRegister(spec)
-		pop.TeamOf[spec.Name] = spec.Team
-		pop.Models = append(pop.Models, workload.NewModel(spec, perFuncRPS, spec.Team, rng.New(s.Seed+uint64(i)+50)))
 	}
-	p := newPlatform(cfg, pop.Registry)
-	gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(s.Seed+60))
-	gen.Start()
+	p := rc.build().P
 
 	done := map[function.Criticality]float64{}
 	p.AddOnExecuted(func(c *function.Call) { done[c.Spec.Criticality]++ })
-	window := 90 * time.Minute
-	if s.Quick {
-		window = 60 * time.Minute
-	}
+	window := simWindow(s, 90*time.Minute, 60*time.Minute)
 	p.Engine.RunFor(window)
 
 	offeredPer := perFuncRPS * window.Seconds()
@@ -97,52 +82,41 @@ func runCriticality(s Scale) *Result {
 	return r
 }
 
+// executedPeakTrough runs the standard day on the default rig's capacity
+// with the population's quota classes rewritten — every function reserved
+// (oppScale 0), the default mix (1), or (almost) every function
+// opportunistic (above 1) — and returns the peak-to-trough ratio of the
+// smoothed executed curve.
+func executedPeakTrough(s Scale, oppScale float64) float64 {
+	rig := defaultRig(s, 0.66).build()
+	for _, m := range rig.Pop.Models {
+		switch {
+		case oppScale == 0:
+			// No time-shifting at all.
+			m.Spec.Quota = function.QuotaReserved
+			m.Spec.QuotaMIPS = 0
+			m.Spec.Deadline = 15 * time.Minute
+		case oppScale > 1 && m.Spec.Quota == function.QuotaReserved:
+			res := m.Spec.Resources
+			m.Spec.Quota = function.QuotaOpportunistic
+			m.Spec.QuotaMIPS = m.MeanRPS * expMean(res.CPUMu, res.CPUSigma)
+			m.Spec.Deadline = 24 * time.Hour
+		}
+	}
+	rig.P.Engine.RunFor(simWindow(s, workload.Day, 8*time.Hour))
+	exec := rig.P.Executed.Values()
+	return stats.PeakToTroughFloor(stats.Resample(exec, max(2, len(exec)/10)), 1)
+}
+
 // runOppFracSweep reruns the standard day with different opportunistic
 // fractions on identical capacity and reports how execution smoothness
 // responds — quantifying §8's "transition most functions ... to
 // opportunistic quota for additional capacity savings".
 func runOppFracSweep(s Scale) *Result {
 	r := &Result{ID: "extension-oppfrac", Title: "Opportunistic-fraction sweep (paper §8)"}
-	window := simWindow(s, workload.Day, 8*time.Hour)
-
-	run := func(scaleOpp float64) (peakTrough float64, peakUtil float64) {
-		rc := defaultRig(s, 0.66)
-		rig := rc.build()
-		if scaleOpp == 0 {
-			// Force everything reserved: no time-shifting at all.
-			for _, m := range rig.Pop.Models {
-				m.Spec.Quota = function.QuotaReserved
-				m.Spec.QuotaMIPS = 0
-				m.Spec.Deadline = 15 * time.Minute
-			}
-		} else if scaleOpp > 1 {
-			// Convert (almost) everything to opportunistic quota.
-			for _, m := range rig.Pop.Models {
-				if m.Spec.Quota == function.QuotaReserved {
-					res := m.Spec.Resources
-					m.Spec.Quota = function.QuotaOpportunistic
-					m.Spec.QuotaMIPS = m.MeanRPS * expMean(res.CPUMu, res.CPUSigma)
-					m.Spec.Deadline = 24 * time.Hour
-				}
-			}
-		}
-		rig.P.Engine.RunFor(window)
-		exec := rig.P.Executed.Values()
-		smooth := stats.Resample(exec, maxInt(2, len(exec)/10))
-		var peak float64
-		for _, reg := range rig.P.Regions() {
-			for _, v := range stats.Resample(reg.UtilSeries.Values(), maxInt(2, len(exec)/10)) {
-				if v > peak {
-					peak = v
-				}
-			}
-		}
-		return stats.PeakToTroughFloor(smooth, 1), peak
-	}
-
-	ptNone, _ := run(0)
-	ptDefault, _ := run(1)
-	ptAll, _ := run(2)
+	ptNone := executedPeakTrough(s, 0)
+	ptDefault := executedPeakTrough(s, 1)
+	ptAll := executedPeakTrough(s, 2)
 	r.row("executed peak/trough, 0% opportunistic", "tracks received", "%.1f", ptNone)
 	r.row("executed peak/trough, default mix (~40%)", "smoothed", "%.1f", ptDefault)
 	r.row("executed peak/trough, ~100% opportunistic", "smoothest", "%.1f", ptAll)

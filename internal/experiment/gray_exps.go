@@ -3,10 +3,8 @@ package experiment
 import (
 	"time"
 
-	"xfaas/internal/chaos"
 	"xfaas/internal/core"
 	"xfaas/internal/function"
-	"xfaas/internal/isolation"
 	"xfaas/internal/rng"
 	"xfaas/internal/stats"
 	"xfaas/internal/workload"
@@ -49,52 +47,19 @@ func init() {
 	})
 }
 
-// grayRig builds the 1-region gray-failure rig: a fixed worker pool and a
+// grayRig is the 1-region gray-failure scenario: a fixed worker pool and a
 // CritHigh-heavy steady mix with tight exec times.
-func grayRig(s Scale, defended bool, workers int, mix workload.GrayMixConfig) (*core.Platform, *chaos.Injector) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = s.Seed
-	cfg.Cluster.Regions = 1
-	cfg.Cluster.TotalWorkers = workers
-	cfg.Worker.MaxConcurrency = 8
-	cfg.CodePushInterval = 0
-	cfg.LocalityGroups = 0
-	cfg.EnableRIM = false
+func grayRig(s Scale, defended bool, workers int, mix workload.GrayMixConfig) rigConfig {
+	rc := smallFleet(s, 1, workers)
+	rc.Seeds = seedsFor("gray")
 	if defended {
-		cfg.GrayDetection.Enabled = true
-		cfg.Resilience = cfg.Resilience.EnableAll()
+		rc.Platform.GrayDetection.Enabled = true
+		rc.Platform.Resilience = rc.Platform.Resilience.EnableAll()
 	}
-	pop := &workload.Population{Registry: function.NewRegistry(), TeamOf: map[string]string{}}
-	workload.BuildGrayMix(pop, mix, rng.New(s.Seed+6000))
-	p := newPlatform(cfg, pop.Registry)
-	gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(s.Seed+6100))
-	gen.Start()
-	inj := chaos.NewInjector(p, rng.New(s.Seed+6200))
-	return p, inj
-}
-
-// hedgeTotals sums the hedging counters across a platform's schedulers.
-type hedgeTotals struct {
-	hedged, wins, cancelled, denied float64
-	earned, spent                   float64
-}
-
-func hedgeSnapshot(p *core.Platform) hedgeTotals {
-	var t hedgeTotals
-	for _, reg := range p.Regions() {
-		for _, sc := range reg.Scheds {
-			t.hedged += sc.Hedged.Value()
-			t.wins += sc.HedgeWins.Value()
-			t.cancelled += sc.HedgeCancelled.Value()
-			t.denied += sc.HedgeDenied.Value()
-		}
-		// The budget is shared per region; read it once via any replica.
-		if hb := reg.Scheds[0].HedgeBudget; hb != nil {
-			t.earned += hb.Earned.Value()
-			t.spent += hb.Spent.Value()
-		}
+	rc.Fill = func(pop *workload.Population, seed uint64) {
+		workload.BuildGrayMix(pop, mix, rng.New(seed))
 	}
-	return t
+	return rc
 }
 
 func runChaosGrayTail(s Scale) *Result {
@@ -114,12 +79,13 @@ func runChaosGrayTail(s Scale) *Result {
 		p99Healthy, p99Gray float64
 		detectedGray        float64 // heartbeat (v1) detections
 		ejected, reinstated float64 // outlier (v2) actions
-		h                   hedgeTotals
+		t                   counterTotals
 		recovered           bool
 		executed            []float64
 	}
 	run := func(defended bool) outcome {
-		p, inj := grayRig(s, defended, workers, mix)
+		rg := grayRig(s, defended, workers, mix).build()
+		p, inj := rg.P, rg.Inj
 		var lat []float64
 		collecting := false
 		// Dispatch-to-completion latency: the tail the gray worker inflates
@@ -152,7 +118,7 @@ func runChaosGrayTail(s Scale) *Result {
 			p99Gray:      p99Gray,
 			detectedGray: lb.DetectedGray.Value(),
 			ejected:      lb.Ejected.Value(),
-			h:            hedgeSnapshot(p),
+			t:            countersOf(p.Regions()...),
 		}
 		for i := 0; i < grayed; i++ {
 			inj.ClearGray(0, i)
@@ -167,7 +133,7 @@ func runChaosGrayTail(s Scale) *Result {
 	off := run(false)
 	on := run(true)
 	hcfg := core.DefaultConfig().Resilience.EnableAll().Hedge
-	budgetBound := hcfg.BudgetFrac*on.h.earned + hcfg.BudgetBurst
+	budgetBound := hcfg.BudgetFrac*on.t.hedgeEarned + hcfg.BudgetBurst
 
 	r.row("CritHigh p99 healthy → gray (undefended)", "tail triples, probes silent", "%.2fs → %.2fs",
 		off.p99Healthy, off.p99Gray)
@@ -178,9 +144,9 @@ func runChaosGrayTail(s Scale) *Result {
 	r.row("outlier ejections / reinstatements (defended)", "both gray workers", "%.0f / %.0f",
 		on.ejected, on.reinstated)
 	r.row("hedges dispatched / wins / cancelled / denied", "budget-bounded speculation",
-		"%.0f / %.0f / %.0f / %.0f", on.h.hedged, on.h.wins, on.h.cancelled, on.h.denied)
+		"%.0f / %.0f / %.0f / %.0f", on.t.hedged, on.t.hedgeWins, on.t.hedgeCancelled, on.t.hedgeDenied)
 	r.row("hedge tokens spent vs bound", "spent ≤ frac·primaries + burst", "%.0f vs %.0f",
-		on.h.spent, budgetBound)
+		on.t.hedgeSpent, budgetBound)
 
 	r.check("subtle gray is invisible to heartbeat probing", off.detectedGray == 0,
 		"%.0f v1 detections at %.1fx slowdown", off.detectedGray, slowdown)
@@ -190,12 +156,12 @@ func runChaosGrayTail(s Scale) *Result {
 		"%.0f ejections of %d gray workers", on.ejected, grayed)
 	r.check("defended CritHigh p99 materially better", on.p99Gray <= 0.6*off.p99Gray,
 		"%.2fs defended vs %.2fs undefended", on.p99Gray, off.p99Gray)
-	r.check("hedged dispatch wins races against gray workers", on.h.wins > 0,
-		"%.0f hedge wins", on.h.wins)
-	r.check("hedge amplification respects the budget bound", on.h.spent <= budgetBound+1e-6,
-		"%.0f spent vs bound %.0f", on.h.spent, budgetBound)
-	r.check("no hedging without the feature enabled", off.h.hedged == 0,
-		"%.0f hedges in the undefended run", off.h.hedged)
+	r.check("hedged dispatch wins races against gray workers", on.t.hedgeWins > 0,
+		"%.0f hedge wins", on.t.hedgeWins)
+	r.check("hedge amplification respects the budget bound", on.t.hedgeSpent <= budgetBound+1e-6,
+		"%.0f spent vs bound %.0f", on.t.hedgeSpent, budgetBound)
+	r.check("no hedging without the feature enabled", off.t.hedged == 0,
+		"%.0f hedges in the undefended run", off.t.hedged)
 	r.check("cleared workers are reinstated and the tail recovers", on.reinstated >= grayed && on.recovered,
 		"%.0f reinstatements, recovered=%v", on.reinstated, on.recovered)
 
@@ -208,10 +174,7 @@ func runChaosGrayTail(s Scale) *Result {
 
 func runChaosFlapping(s Scale) *Result {
 	r := &Result{ID: "chaos_flapping", Title: "Flapping worker: hysteresis stops routing oscillation"}
-	warm, flapLen := 5*time.Minute, 20*time.Minute
-	if !s.Quick {
-		flapLen = 30 * time.Minute
-	}
+	warm, flapLen := 5*time.Minute, simWindow(s, 30*time.Minute, 20*time.Minute)
 	// Toggle every 4 probe intervals: 3 consecutive slow probes flip the
 	// worker Gray just before the clear phase flips it back — the worst
 	// duty cycle for threshold-based detection.
@@ -226,47 +189,13 @@ func runChaosFlapping(s Scale) *Result {
 		ejected  float64
 		executed []float64
 	}
-	runUndefended := func() outcome {
-		p, inj := grayRig(s, false, 4, mix)
-		lb := p.Region(0).LB
-		p.Engine.RunFor(warm)
-		base := lb.DetectedGray.Value() + lb.DetectedRecovered.Value()
-		slow := false
-		p.Engine.Every(halfPeriod, func() {
-			slow = !slow
-			if slow {
-				inj.GrayWorker(0, 0, 8.0)
-			} else {
-				inj.ClearGray(0, 0)
-			}
-		})
-		p.Engine.RunFor(flapLen)
-		return outcome{
-			flips:    lb.DetectedGray.Value() + lb.DetectedRecovered.Value() - base,
-			ejected:  lb.Ejected.Value(),
-			executed: p.Executed.Values(),
+	run := func(defended bool) outcome {
+		rc := grayRig(s, defended, 4, mix)
+		if defended {
+			rc.Platform.GrayDetection.Probation = probation
 		}
-	}
-	// The defended run needs the longer probation before the platform is
-	// built; grayRig reads DefaultGrayDetection, so wrap it here.
-	runDefended := func() outcome {
-		cfg := core.DefaultConfig()
-		cfg.Seed = s.Seed
-		cfg.Cluster.Regions = 1
-		cfg.Cluster.TotalWorkers = 4
-		cfg.Worker.MaxConcurrency = 8
-		cfg.CodePushInterval = 0
-		cfg.LocalityGroups = 0
-		cfg.EnableRIM = false
-		cfg.GrayDetection.Enabled = true
-		cfg.GrayDetection.Probation = probation
-		cfg.Resilience = cfg.Resilience.EnableAll()
-		pop := &workload.Population{Registry: function.NewRegistry(), TeamOf: map[string]string{}}
-		workload.BuildGrayMix(pop, mix, rng.New(s.Seed+6000))
-		p := newPlatform(cfg, pop.Registry)
-		gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(s.Seed+6100))
-		gen.Start()
-		inj := chaos.NewInjector(p, rng.New(s.Seed+6200))
+		rg := rc.build()
+		p, inj := rg.P, rg.Inj
 		lb := p.Region(0).LB
 		p.Engine.RunFor(warm)
 		base := lb.DetectedGray.Value() + lb.DetectedRecovered.Value()
@@ -287,8 +216,8 @@ func runChaosFlapping(s Scale) *Result {
 		}
 	}
 
-	off := runUndefended()
-	on := runDefended()
+	off := run(false)
+	on := run(true)
 	// One flip per probation window, plus one for the window in progress.
 	flipCap := float64(flapLen/probation) + 1
 
@@ -296,13 +225,8 @@ func runChaosFlapping(s Scale) *Result {
 	r.row("flip budget with hysteresis", "≤ 1 per probation window", "%.0f allowed over %v", flipCap, flapLen)
 	r.row("outlier ejections (defended)", "bounded by the flip budget", "%.0f", on.ejected)
 
-	sum := func(v []float64) float64 {
-		t := 0.0
-		for _, x := range v {
-			t += x
-		}
-		return t
-	}
+	onTotal, _ := sumAndMax(on.executed)
+	offTotal, _ := sumAndMax(off.executed)
 	r.check("threshold detection flaps with the worker", off.flips >= 4*flipCap,
 		"%.0f flips without hysteresis", off.flips)
 	r.check("hysteresis caps flips at one per probation window", on.flips <= flipCap,
@@ -313,8 +237,8 @@ func runChaosFlapping(s Scale) *Result {
 	// sustained-outlier case, where ejection must happen, is chaos_graytail.)
 	r.check("ejections obey the same routing-flip budget", on.ejected <= flipCap,
 		"%.0f ejections vs cap %.0f", on.ejected, flipCap)
-	r.check("the defended fleet keeps serving under flapping", sum(on.executed) >= 0.9*sum(off.executed),
-		"defended executed %.0f vs undefended %.0f", sum(on.executed), sum(off.executed))
+	r.check("the defended fleet keeps serving under flapping", onTotal >= 0.9*offTotal,
+		"defended executed %.0f vs undefended %.0f", onTotal, offTotal)
 
 	r.series("executed/min (undefended)", time.Minute, off.executed)
 	r.series("executed/min (defended)", time.Minute, on.executed)
@@ -330,86 +254,53 @@ func runDrillEvacuation(s Scale) *Result {
 		warm, drainLen, after = 15*time.Minute, 15*time.Minute, 15*time.Minute
 	}
 
-	cfg := core.DefaultConfig()
-	cfg.Seed = s.Seed
-	cfg.Cluster.Regions = 3
-	cfg.Cluster.TotalWorkers = 9
-	cfg.Worker.MaxConcurrency = 8
-	cfg.CodePushInterval = 0
-	cfg.LocalityGroups = 0
-	cfg.EnableRIM = false
-	cfg.Drain.Enabled = true
-	cfg.Resilience = cfg.Resilience.EnableAll()
+	rc := smallFleet(s, 3, 9)
+	rc.Seeds = seedsFor("drill")
+	rc.Platform.Drain.Enabled = true
+	rc.Platform.Resilience = rc.Platform.Resilience.EnableAll()
 
 	// CritHigh traffic (migrates) + deferrable CritNormal traffic
 	// (time-shifts in place). A slice of the CritHigh calls carry future
 	// start times, so the drained region always holds a durable CritHigh
 	// backlog for the migration stage to move.
-	pop := &workload.Population{Registry: function.NewRegistry(), TeamOf: map[string]string{}}
-	mix := workload.DefaultGrayMix()
-	mix.Functions = 6
-	mix.RPSPerFunc = 0.5
-	workload.BuildGrayMix(pop, mix, rng.New(s.Seed+7000))
-	for _, m := range pop.Models {
-		m.FutureStartFrac = 0.3
-	}
-	src := rng.New(s.Seed + 7050)
-	for i := 0; i < 6; i++ {
-		name := "defer-" + string(rune('0'+i))
-		spec := &function.Spec{
-			Name:        name,
-			Namespace:   "main",
-			Runtime:     "php",
-			Team:        "team-defer",
-			Trigger:     function.TriggerQueue,
-			Criticality: function.CritNormal,
-			Quota:       function.QuotaReserved,
-			QuotaMIPS:   1e9,
-			Deadline:    10 * time.Minute,
-			Retry:       function.DefaultRetry,
-			Zone:        isolation.NewZone(isolation.Internal),
-			Resources: function.ResourceModel{
-				CPUMu: 2.302585, CPUSigma: 0.2, // ln(10)
-				MemMu: 2.079442, MemSigma: 0.2, // ln(8)
-				TimeMu: 0, TimeSigma: 0.1, // ln(1s)
-				CodeMB: 8, JITCodeMB: 4,
-			},
+	rc.Fill = func(pop *workload.Population, seed uint64) {
+		mix := workload.DefaultGrayMix()
+		mix.Functions = 6
+		mix.RPSPerFunc = 0.5
+		workload.BuildGrayMix(pop, mix, rng.New(seed))
+		for _, m := range pop.Models {
+			m.FutureStartFrac = 0.3
 		}
-		pop.Registry.MustRegister(spec)
-		pop.TeamOf[name] = spec.Team
-		pop.Models = append(pop.Models, workload.NewModel(spec, 0.5, spec.Team, src.Split()))
+		src := rng.New(seed + 50)
+		for i := 0; i < 6; i++ {
+			name := "defer-" + string(rune('0'+i))
+			spec := &function.Spec{
+				Name:        name,
+				Team:        "team-defer",
+				Criticality: function.CritNormal,
+				QuotaMIPS:   1e9,
+				Deadline:    10 * time.Minute,
+				Resources: function.ResourceModel{
+					CPUMu: 2.302585, CPUSigma: 0.2, // ln(10)
+					MemMu: 2.079442, MemSigma: 0.2, // ln(8)
+					TimeMu: 0, TimeSigma: 0.1, // ln(1s)
+				},
+			}
+			addFunc(pop, spec, 0.5, src.Split())
+		}
 	}
-
-	p := newPlatform(cfg, pop.Registry)
-	gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(cfg.Seed+7100))
-	gen.Start()
-	inj := chaos.NewInjector(p, rng.New(cfg.Seed+7200))
+	rg := rc.build()
+	p, inj := rg.P, rg.Inj
 
 	routeFailed := func() float64 {
-		var f float64
-		for _, reg := range p.Regions() {
-			f += reg.Normal.RouteFailed.Value() + reg.Spiky.RouteFailed.Value()
-			f += reg.QueueLB.Unroutable.Value()
-		}
-		return f
+		t := countersOf(p.Regions()...)
+		return t.unroutable + t.routeFailed
 	}
 	lost := func() float64 {
-		var l float64
-		for _, reg := range p.Regions() {
-			l += reg.Normal.LostOnCrash.Value() + reg.Spiky.LostOnCrash.Value()
-			for _, sh := range reg.Shards {
-				l += sh.LostOnCrash.Value()
-			}
-		}
-		return l
+		t := countersOf(p.Regions()...)
+		return t.submitterLost + t.shardLost
 	}
-	regionAcked := func(region int) float64 {
-		var a float64
-		for _, sc := range p.Regions()[region].Scheds {
-			a += sc.Acked.Value()
-		}
-		return a
-	}
+	region0Acked := func() float64 { return countersOf(p.Region(0)).schedAcked }
 
 	p.Engine.RunFor(warm)
 	healthy := ackPhase(p, 5*time.Minute)
@@ -419,12 +310,9 @@ func runDrillEvacuation(s Scale) *Result {
 	drainRate := ackPhase(p, drainLen)
 	rto, quiesced := p.Drainer.LastRTO(0)
 	migrated := p.Drainer.MigratedCalls(0)
-	var released float64
-	for _, sc := range p.Region(0).Scheds {
-		released += sc.Released.Value()
-	}
-	r0AckedAtDrainEnd := regionAcked(0)
-	t := resilSnapshot(p)
+	released := countersOf(p.Region(0)).released
+	r0AckedAtDrainEnd := region0Acked()
+	t := countersOf(p.Regions()...)
 
 	r.row("drain RTO (admit-stop → quiesce)", "minutes, reported on the event log", "%v (quiesced=%v)",
 		rto, quiesced)
@@ -447,7 +335,7 @@ func runDrillEvacuation(s Scale) *Result {
 
 	inj.UndrainRegion(0)
 	ttr, finalRate, recovered := timeToRecover(p, 0.9*healthy, 2*time.Minute, after)
-	r0Resumed := regionAcked(0) - r0AckedAtDrainEnd
+	r0Resumed := region0Acked() - r0AckedAtDrainEnd
 
 	r.row("time back to ≥90% ack rate after undrain", "backlog drains", "%v (%.1f RPS)", ttr, finalRate)
 	r.row("drained region acks after undrain", "resumes", "%.0f", r0Resumed)

@@ -6,7 +6,6 @@ import (
 
 	"xfaas/internal/core"
 	"xfaas/internal/function"
-	"xfaas/internal/isolation"
 	"xfaas/internal/rng"
 	"xfaas/internal/workload"
 )
@@ -26,13 +25,14 @@ func init() {
 	})
 }
 
-// incidentRig builds a one-region platform with two functions (A and B)
-// that call the named downstream on every invocation, each offered at
+// incidentRig is a one-region platform with two functions (A and B) that
+// call the named downstream on every invocation, each offered at
 // steadyRPS. bpThreshold is the AIMD back-pressure threshold (exceptions
 // per minute); pass a huge value to effectively disable AIMD.
-func incidentRig(seed uint64, dsName string, dsCapacity, steadyRPS float64, concurrencyLimit int, bpThreshold float64) (*core.Platform, *workload.Generator, *workload.Population) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
+func incidentRig(s Scale, dsName string, dsCapacity, steadyRPS float64, concurrencyLimit int, bpThreshold float64) rigConfig {
+	rc := baseRig(s)
+	rc.Seeds = seedsFor("incident")
+	cfg := &rc.Platform
 	cfg.Cluster.Regions = 1
 	cfg.Cluster.TotalWorkers = 16
 	cfg.CodePushInterval = 0
@@ -45,43 +45,32 @@ func incidentRig(seed uint64, dsName string, dsCapacity, steadyRPS float64, conc
 	cfg.AIMD.Increase = 10
 	cfg.AIMD.DecreaseFactor = 0.5
 
-	pop := &workload.Population{Registry: function.NewRegistry(), TeamOf: map[string]string{}}
-	for _, name := range []string{"func-a", "func-b"} {
-		spec := &function.Spec{
-			Name:             name,
-			Namespace:        "main",
-			Runtime:          "php",
-			Team:             "team-graph",
-			Trigger:          function.TriggerQueue,
-			Criticality:      function.CritNormal,
-			Quota:            function.QuotaReserved,
-			Deadline:         time.Hour,
-			Retry:            function.DefaultRetry,
-			Zone:             isolation.NewZone(isolation.Internal),
-			Downstream:       dsName,
-			ConcurrencyLimit: concurrencyLimit,
-			Resources: function.ResourceModel{
-				CPUMu: math.Log(50), CPUSigma: 0.4,
-				MemMu: math.Log(16), MemSigma: 0.4,
-				TimeMu: math.Log(0.3), TimeSigma: 0.3,
-				CodeMB: 8, JITCodeMB: 4,
-			},
+	rc.Fill = func(pop *workload.Population, seed uint64) {
+		for i, name := range []string{"func-a", "func-b"} {
+			spec := &function.Spec{
+				Name:             name,
+				Team:             "team-graph",
+				Criticality:      function.CritNormal,
+				Deadline:         time.Hour,
+				Downstream:       dsName,
+				ConcurrencyLimit: concurrencyLimit,
+				Resources: function.ResourceModel{
+					CPUMu: math.Log(50), CPUSigma: 0.4,
+					MemMu: math.Log(16), MemSigma: 0.4,
+					TimeMu: math.Log(0.3), TimeSigma: 0.3,
+				},
+			}
+			addFunc(pop, spec, steadyRPS, rng.New(seed+uint64(i)))
 		}
-		pop.Registry.MustRegister(spec)
-		pop.TeamOf[name] = spec.Team
-		pop.Models = append(pop.Models, workload.NewModel(spec, steadyRPS, spec.Team, rng.New(seed+uint64(len(pop.Models))+9)))
 	}
-	p := newPlatform(cfg, pop.Registry)
-	gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(seed+10))
-	gen.Start()
-	return p, gen, pop
+	return rc
 }
 
 func runFig13(s Scale) *Result {
 	r := &Result{ID: "fig13", Title: "Back-pressure during the WTCache incident"}
 	const dsName = "wtcache"
 	healthyCap := 500.0
-	p, _, _ := incidentRig(s.Seed, dsName, healthyCap, 40, 0, 60)
+	p := incidentRig(s, dsName, healthyCap, 40, 0, 60).build().P
 	svc, _ := p.Downstreams.Get(dsName)
 
 	pre := 50 * time.Minute
@@ -128,13 +117,10 @@ func runFig14(s Scale) *Result {
 	r := &Result{ID: "fig14", Title: "Slow start tames a surging function"}
 	const dsName = "indexer"
 	// A fresh function surges to 80 RPS against a 50-RPS downstream.
-	p, _, _ := incidentRig(s.Seed, dsName, 50, 40, 24, 60)
+	p := incidentRig(s, dsName, 50, 40, 24, 60).build().P
 	svc, _ := p.Downstreams.Get(dsName)
 
-	window := 40 * time.Minute
-	if s.Quick {
-		window = 25 * time.Minute
-	}
+	window := simWindow(s, 40*time.Minute, 25*time.Minute)
 	p.Engine.RunFor(window)
 
 	load := svc.LoadSeries.Values()

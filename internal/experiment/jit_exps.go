@@ -103,17 +103,10 @@ func runFig12(s Scale) *Result {
 	tSelf := timeToFraction(selfp, 30*time.Second, 0.95)
 	r.row("time to max RPS (seeded)", "≈3 min", "%v", tSeeded)
 	r.row("time to max RPS (self-profiling)", "≈21 min", "%v", tSelf)
-	ratio := float64(tSelf) / float64(maxDur(tSeeded, 30*time.Second))
+	ratio := float64(tSelf) / float64(max(tSeeded, 30*time.Second))
 	r.row("self/seeded ramp ratio", "≈7x", "%.1fx", ratio)
 	r.check("seeded ramp completes within ≈4 minutes", tSeeded <= 4*time.Minute, "%v", tSeeded)
 	r.check("self-profiling takes ≈20 minutes", tSelf >= 14*time.Minute && tSelf <= 28*time.Minute, "%v", tSelf)
 	r.check("cooperative JIT is several times faster", ratio >= 4, "%.1fx", ratio)
 	return r
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

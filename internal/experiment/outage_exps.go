@@ -23,12 +23,6 @@ func runOutage(s Scale) *Result {
 	rig := rc.build()
 	p := rig.P
 
-	phase := func(d time.Duration) (ackRate float64) {
-		before := p.Acked()
-		p.Engine.RunFor(d)
-		return (p.Acked() - before) / d.Seconds()
-	}
-
 	warm := 30 * time.Minute
 	outage := time.Hour
 	recovery := time.Hour
@@ -36,24 +30,19 @@ func runOutage(s Scale) *Result {
 		warm, outage, recovery = 20*time.Minute, 40*time.Minute, 40*time.Minute
 	}
 
-	healthyRate := phase(warm)
+	healthyRate := ackPhase(p, warm)
 	// The largest region goes dark.
-	victim := p.Regions()[0]
-	for _, reg := range p.Regions() {
-		if len(reg.Workers) > len(victim.Workers) {
-			victim = reg
-		}
-	}
+	victim := largestRegion(p)
 	lostShare := float64(len(victim.Workers)) / float64(p.Topo.TotalWorkers())
 	for _, w := range victim.Workers {
 		w.Fail()
 	}
-	outageRate := phase(outage)
+	outageRate := ackPhase(p, outage)
 	for _, w := range victim.Workers {
 		w.Recover()
 	}
 	ackedAtRecovery := victim.Sched.Acked.Value()
-	recoveredRate := phase(recovery)
+	recoveredRate := ackPhase(p, recovery)
 
 	r.row("capacity lost in the outage", "largest region", "%.0f%% (%d workers)", 100*lostShare, len(victim.Workers))
 	r.row("ack rate healthy → outage → recovered (RPS)", "degrades gracefully, recovers",
@@ -72,18 +61,8 @@ func runOutage(s Scale) *Result {
 		"%.1f vs %.1f RPS", recoveredRate, healthyRate)
 	// No calls lost: everything generated eventually lands terminal
 	// (still-pending future-start calls excluded by construction).
-	drained := p.Acked() + sumDeadLetters(rig)
+	drained := p.Acked() + countersOf(p.Regions()...).deadTotal
 	r.row("calls generated vs terminal", "at-least-once", "%.0f generated, %.0f terminal, %d still queued",
 		rig.Gen.Generated.Value(), drained, p.PendingCalls())
 	return r
-}
-
-func sumDeadLetters(rig *rig) float64 {
-	s := 0.0
-	for _, reg := range rig.P.Regions() {
-		for _, sh := range reg.Shards {
-			s += sh.DeadLetters.Value()
-		}
-	}
-	return s
 }

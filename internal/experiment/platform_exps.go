@@ -2,9 +2,10 @@ package experiment
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"time"
 
+	"xfaas/internal/core"
 	"xfaas/internal/function"
 	"xfaas/internal/stats"
 	"xfaas/internal/workload"
@@ -65,8 +66,8 @@ func runFig2(s Scale) *Result {
 	r.series("executed calls/min", time.Minute, executed)
 
 	// Smooth over 10-minute windows: the paper's curves are macro shapes.
-	smoothRecv := stats.Resample(received, maxInt(1, len(received)/10))
-	smoothExec := stats.Resample(executed, maxInt(1, len(executed)/10))
+	smoothRecv := stats.Resample(received, max(1, len(received)/10))
+	smoothExec := stats.Resample(executed, max(1, len(executed)/10))
 	recvRatio := stats.PeakToTroughFloor(smoothRecv, 1)
 	execRatio := stats.PeakToTroughFloor(smoothExec, 1)
 	r.row("received peak/trough", "4.3", "%.1f", recvRatio)
@@ -119,21 +120,15 @@ func runFig7(s Scale) *Result {
 	r := &Result{ID: "fig7", Title: "Worker CPU utilization across regions"}
 	rig := standardRun(s)
 
-	var all []float64
 	var dailyMeans []float64
 	for _, reg := range rig.P.Regions() {
 		vals := reg.UtilSeries.Values()
-		r.series("region "+itoa(int(reg.ID))+" utilization", time.Minute, scaleBy(vals, 100))
+		r.series(fmt.Sprintf("region %02d utilization", reg.ID), time.Minute, scaleBy(vals, 100))
 		dailyMeans = append(dailyMeans, stats.MeanOf(vals))
-		if all == nil {
-			all = make([]float64, len(vals))
-		}
-		for i := 0; i < len(all) && i < len(vals); i++ {
-			all[i] += vals[i] / float64(rig.P.Topo.NumRegions())
-		}
 	}
+	all := meanAcrossRegions(rig.P, func(reg *core.Region) []float64 { return reg.UtilSeries.Values() })
 	dailyAvg := stats.MeanOf(dailyMeans)
-	smooth := stats.Resample(all, maxInt(1, len(all)/15))
+	smooth := stats.Resample(all, max(1, len(all)/15))
 	ratio := stats.PeakToTroughFloor(trimWarmup(smooth, 1), 0.01)
 	r.row("daily average CPU utilization", "66%", "%.0f%%", 100*dailyAvg)
 	r.row("utilization peak/trough", "1.4", "%.2f", ratio)
@@ -163,15 +158,7 @@ func runFig8(s Scale) *Result {
 
 func runFig9(s Scale) *Result {
 	r := &Result{ID: "fig9", Title: "Distinct functions per worker per hour"}
-	// A single region with a pool large enough for meaningful locality
-	// groups (the paper measures per-worker function diversity within a
-	// region's pool).
-	rc := defaultRig(s, 0.66)
-	rc.Platform.Cluster.Regions = 1
-	rc.Platform.LocalityGroups = 4
-	rc.Pop.Functions = maxInt(rc.Pop.Functions, 120)
-	rc.Pop.TotalRPS *= 2.5
-	rig := rc.build()
+	rig := singleRegionRig(s, 4).build()
 	window := simWindow(s, 8*time.Hour, 3*time.Hour)
 	h := stats.NewHistogram()
 	hours := int(window / time.Hour)
@@ -202,26 +189,12 @@ func runFig10(s Scale) *Result {
 	r := &Result{ID: "fig10", Title: "Worker memory stability under load"}
 	rig := standardRun(s)
 
-	var mem []float64
-	var util []float64
-	for _, reg := range rig.P.Regions() {
-		mv := reg.MemSeries.Values()
-		uv := reg.UtilSeries.Values()
-		if mem == nil {
-			mem = make([]float64, len(mv))
-			util = make([]float64, len(uv))
-		}
-		for i := 0; i < len(mem) && i < len(mv); i++ {
-			mem[i] += mv[i] / float64(rig.P.Topo.NumRegions())
-		}
-		for i := 0; i < len(util) && i < len(uv); i++ {
-			util[i] += uv[i] / float64(rig.P.Topo.NumRegions())
-		}
-	}
+	mem := meanAcrossRegions(rig.P, func(reg *core.Region) []float64 { return reg.MemSeries.Values() })
+	util := meanAcrossRegions(rig.P, func(reg *core.Region) []float64 { return reg.UtilSeries.Values() })
 	r.series("mean worker memory (GB)", time.Minute, scaleBy(mem, 1.0/1024))
 	r.series("mean worker utilization (%)", time.Minute, scaleBy(util, 100))
 	steady := stats.Resample(trimWarmup(mem, len(mem)/4), 24)
-	maxMem, minMem := maxOf(steady), minOf(steady)
+	maxMem, minMem := slices.Max(steady), slices.Min(steady)
 	r.row("worker memory budget", "64 GB", "max observed %.1f GB", maxMem/1024)
 	r.row("memory stability (max/min, steady state)", "stable", "%.2f", maxMem/minMem)
 	r.check("memory stays under the 64GB budget", maxMem < 64*1024, "%.1f GB", maxMem/1024)
@@ -235,13 +208,13 @@ func runFig11(s Scale) *Result {
 
 	res := rig.P.ReservedCPU.Values()
 	opp := rig.P.OpportunisticCPU.Values()
-	n := minInt(len(res), len(opp))
+	n := min(len(res), len(opp))
 	res, opp = res[:n], opp[:n]
 	r.series("reserved CPU (M instr/min)", time.Minute, res)
 	r.series("opportunistic CPU (M instr/min)", time.Minute, opp)
 
-	smoothRes := stats.Resample(res, maxInt(2, n/20))
-	smoothOpp := stats.Resample(opp, maxInt(2, n/20))
+	smoothRes := stats.Resample(res, max(2, n/20))
+	smoothOpp := stats.Resample(opp, max(2, n/20))
 	corr := stats.Correlation(smoothRes, smoothOpp)
 	r.row("reserved/opportunistic correlation", "complementary (negative)", "%.2f", corr)
 	r.check("opportunistic work executes", stats.MeanOf(opp) > 0, "mean %.0f", stats.MeanOf(opp))
@@ -253,6 +226,21 @@ func runFig11(s Scale) *Result {
 }
 
 // Helpers shared by the platform experiments.
+
+// meanAcrossRegions averages one per-region series bin by bin.
+func meanAcrossRegions(p *core.Platform, series func(*core.Region) []float64) []float64 {
+	var mean []float64
+	for _, reg := range p.Regions() {
+		vals := series(reg)
+		if mean == nil {
+			mean = make([]float64, len(vals))
+		}
+		for i := 0; i < len(mean) && i < len(vals); i++ {
+			mean[i] += vals[i] / float64(p.Topo.NumRegions())
+		}
+	}
+	return mean
+}
 
 func sumAndMax(v []float64) (sum, max float64) {
 	for _, x := range v {
@@ -284,38 +272,4 @@ func trimWarmup(v []float64, warm int) []float64 {
 		return v
 	}
 	return v[warm:]
-}
-
-func maxOf(v []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range v {
-		m = math.Max(m, x)
-	}
-	return m
-}
-
-func minOf(v []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range v {
-		m = math.Min(m, x)
-	}
-	return m
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func itoa(i int) string {
-	return fmt.Sprintf("%02d", i)
 }

@@ -4,11 +4,9 @@ import (
 	"sort"
 	"time"
 
-	"xfaas/internal/chaos"
 	"xfaas/internal/config"
 	"xfaas/internal/core"
 	"xfaas/internal/function"
-	"xfaas/internal/rng"
 	"xfaas/internal/workload"
 )
 
@@ -17,8 +15,7 @@ import (
 // scenario under identical seeds, and each cell reports the axes the
 // policies actually trade against each other — utilization, tail
 // latency, cold-start exposure, overload losses, and cross-function
-// fairness. xfaas-bench -policy-matrix emits it as JSON next to the
-// BENCH_<date>.json trajectory.
+// fairness. xfaas-sim -policy-matrix <file> writes it as JSON.
 
 // PolicyMatrixSchema identifies the JSON document shape.
 const PolicyMatrixSchema = "xfaas-policy-matrix/v1"
@@ -58,11 +55,13 @@ type PolicyMatrix struct {
 	Cells     []PolicyCell `json:"cells"`
 }
 
-// matrixScenario builds a seeded overload rig and drives it for the
-// scenario's window, sampling utilization once per simulated minute.
+// matrixScenario is one column group of the matrix: the overload
+// scenario's own rig (the one its chaos experiment runs, see
+// resilience_exps.go) and the timeline the matrix drives it through.
 type matrixScenario struct {
-	name string
-	run  func(seed uint64, pol config.Policy) *matrixProbe
+	name  string
+	rig   func(Scale) rigConfig
+	drive func(*matrixProbe, *rig)
 }
 
 // matrixProbe observes one matrix run: the platform plus the
@@ -103,21 +102,14 @@ func (mp *matrixProbe) cell(scenario, policy string) PolicyCell {
 		c.UtilizationMean /= float64(len(mp.utils))
 	}
 	c.P99E2ESeconds = mp.p.E2ELatency.Quantile(0.99)
-	var cold, execs float64
-	for _, reg := range mp.p.Regions() {
-		for _, w := range reg.Workers {
-			cold += w.ColdExecutions.Value()
-			execs += w.Executions.Value()
-		}
+	t := countersOf(mp.p.Regions()...)
+	if t.executions > 0 {
+		c.ColdStartExposure = t.coldExecutions / t.executions
 	}
-	if execs > 0 {
-		c.ColdStartExposure = cold / execs
-	}
-	t := resilSnapshot(mp.p)
 	c.ShedCalls = t.shedCalls
 	c.ExpiredCalls = t.expiredSwept + t.deadExpired
 	c.JainFairness = jainIndex(mp.perFunc)
-	c.Executed = execs
+	c.Executed = t.executions
 	return c
 }
 
@@ -145,121 +137,36 @@ func jainIndex(perFunc map[string]float64) float64 {
 	return sum * sum / (float64(len(perFunc)) * sumSq)
 }
 
-// matrixConfig applies the matrix-wide platform settings: the policy
-// under test, the full resilience stack (so shed/expiry valves are
-// live), and cold JIT starts (so cold-start exposure is a real axis —
-// DefaultConfig pre-warms everything).
-func matrixConfig(cfg core.Config, pol config.Policy) core.Config {
-	cfg.Scheduler.Policy = pol
-	cfg.Resilience = cfg.Resilience.EnableAll()
-	cfg.PrewarmJIT = false
-	return cfg
-}
-
-// matrixScenarios are compact versions of the four adversarial overload
-// chaos scenarios (see resilience_exps.go), each with the resilience
-// stack on and JIT starting cold.
 func matrixScenarios() []matrixScenario {
+	mix := workload.DefaultStormMix("backend")
+	nn := workload.DefaultNoisyNeighbor()
 	return []matrixScenario{
-		{name: "retrystorm", run: func(seed uint64, pol config.Policy) *matrixProbe {
-			mix := workload.DefaultStormMix("backend")
-			cfg := core.DefaultConfig()
-			cfg.Seed = seed
-			cfg.Cluster.Regions = 1
-			cfg.Cluster.TotalWorkers = 4
-			cfg.Worker.MaxConcurrency = 8
-			cfg.Worker.FailureSlowdown = 1.0
-			cfg.CodePushInterval = 0
-			cfg.LocalityGroups = 0
-			cfg.EnableRIM = false
-			cfg.Downstreams = []core.DownstreamSpec{{Name: "backend", CapacityRPS: 5000}}
-			cfg = matrixConfig(cfg, pol)
-			pop := &workload.Population{Registry: function.NewRegistry(), TeamOf: map[string]string{}}
-			workload.BuildStormMix(pop, mix, rng.New(seed+4000))
-			p := core.New(cfg, pop.Registry)
-			mp := newMatrixProbe(p)
-			gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(seed+4100))
-			gen.Start()
-			inj := chaos.NewInjector(p, rng.New(seed+4200))
+		{"retrystorm", func(s Scale) rigConfig { return stormRig(s, mix) }, func(mp *matrixProbe, rg *rig) {
 			mp.runSampled(5 * time.Minute)
-			restore := inj.Buggy("backend", 1.0)
+			restore := rg.Inj.Buggy("backend", 1.0)
 			mp.runSampled(20 * time.Minute)
 			restore()
 			mp.runSampled(10 * time.Minute)
-			return mp
 		}},
-		{name: "midnightspike", run: func(seed uint64, pol config.Policy) *matrixProbe {
-			rc := defaultRig(Scale{Quick: true, Seed: seed}, 0.75)
-			rc.Pop.SpikyFunctions = 0
-			rc.Pop.DiurnalAmp = 0
-			rc.Pop.MidnightSpikeFrac = 1.0
-			rc.Pop.MidnightSpikeMul = 8
-			rc.Platform = matrixConfig(rc.Platform, pol)
-			pop := workload.NewPopulation(rc.Pop, rng.New(seed+1000))
-			cfg := rc.Platform
-			demand := pop.ExpectedMIPS() * spikeFactor
-			mem := pop.ExpectedConcurrentMemMB(cfg.Worker.CoreMIPS) * spikeFactor
-			cfg.Cluster.TotalWorkers = core.ProvisionWorkers(cfg.Worker, demand, mem, rc.TargetUtil, 2*cfg.Cluster.Regions)
-			p := core.New(cfg, pop.Registry)
-			mp := newMatrixProbe(p)
-			gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(cfg.Seed+2000))
-			gen.Start()
+		{"midnightspike", midnightSpikeRig, func(mp *matrixProbe, _ *rig) {
 			mp.runSampled(90 * time.Minute)
-			return mp
 		}},
-		{name: "zipfneighbor", run: func(seed uint64, pol config.Policy) *matrixProbe {
-			nn := workload.DefaultNoisyNeighbor()
-			cfg := core.DefaultConfig()
-			cfg.Seed = seed
-			cfg.Cluster.Regions = 1
-			cfg.Cluster.TotalWorkers = 3
-			cfg.Worker.MaxConcurrency = 8
-			cfg.CodePushInterval = 0
-			cfg.LocalityGroups = 0
-			cfg.EnableRIM = false
-			cfg = matrixConfig(cfg, pol)
-			pop := &workload.Population{Registry: function.NewRegistry(), TeamOf: map[string]string{}}
-			workload.BuildNoisyNeighbor(pop, nn, rng.New(seed+5000))
-			p := core.New(cfg, pop.Registry)
-			mp := newMatrixProbe(p)
-			gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(seed+5100))
-			gen.Start()
+		{"zipfneighbor", func(s Scale) rigConfig { return neighbourRig(s, nn) }, func(mp *matrixProbe, _ *rig) {
 			mp.runSampled(nn.FloodStart + nn.FloodLen + 20*time.Minute)
-			return mp
 		}},
-		{name: "spikyclient", run: func(seed uint64, pol config.Policy) *matrixProbe {
-			pcfg := workload.DefaultPopulationConfig()
-			pcfg.Functions = 40
-			pcfg.TotalRPS = 8
-			pcfg.Teams = 10
-			pcfg.SpikyFunctions = 1
-			pcfg.SpikeBurstRPS = 80
-			pcfg.SpikeBurstLen = 15 * time.Minute
-			pcfg.MidnightSpikeFrac = 0
-			pcfg.DiurnalAmp = 0
-			pcfg.FutureStartFrac = 0
-			cfg := core.DefaultConfig()
-			cfg.Seed = seed
-			cfg.Cluster.Regions = 2
-			cfg.CodePushInterval = 0
-			cfg = matrixConfig(cfg, pol)
-			pop := workload.NewPopulation(pcfg, rng.New(seed+1000))
-			demand := pop.ExpectedMIPS() * spikeFactor
-			mem := pop.ExpectedConcurrentMemMB(cfg.Worker.CoreMIPS) * spikeFactor
-			cfg.Cluster.TotalWorkers = core.ProvisionWorkers(cfg.Worker, demand, mem, 0.5, 2*cfg.Cluster.Regions)
-			p := core.New(cfg, pop.Registry)
-			mp := newMatrixProbe(p)
-			gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(seed+2000))
-			gen.Start()
+		{"spikyclient", spikyClientRig, func(mp *matrixProbe, _ *rig) {
 			mp.runSampled(2 * time.Hour)
-			return mp
 		}},
 	}
 }
 
 // RunPolicyMatrix runs every shipped policy through every adversarial
-// overload scenario at the given seed and returns the table. Output is a
-// pure function of the seed: no wall-clock reads, no map-order floats.
+// overload scenario at the given seed and returns the table. On top of
+// each scenario's quick-scale rig it sets the policy under test, the
+// full resilience stack (so shed/expiry valves are live) and cold JIT
+// starts (so cold-start exposure is a real axis — DefaultConfig pre-warms
+// everything). Output is a pure function of the seed: no wall-clock
+// reads, no map-order floats.
 func RunPolicyMatrix(seed uint64) *PolicyMatrix {
 	m := &PolicyMatrix{Schema: PolicyMatrixSchema, Seed: seed, Policies: config.PolicyNames()}
 	scenarios := matrixScenarios()
@@ -268,11 +175,12 @@ func RunPolicyMatrix(seed uint64) *PolicyMatrix {
 	}
 	for _, sc := range scenarios {
 		for _, name := range m.Policies {
-			pol, err := config.PolicyByName(name)
-			if err != nil {
-				panic(err)
-			}
-			mp := sc.run(seed, pol)
+			rc := sc.rig(Scale{Quick: true, Seed: seed, Policy: name})
+			rc.Platform.Resilience = rc.Platform.Resilience.EnableAll()
+			rc.Platform.PrewarmJIT = false
+			rg := rc.build()
+			mp := newMatrixProbe(rg.P)
+			sc.drive(mp, rg)
 			m.Cells = append(m.Cells, mp.cell(sc.name, name))
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"xfaas/internal/config"
 )
 
 func TestJainIndex(t *testing.T) {
@@ -69,19 +67,6 @@ func TestPolicyMatrixJSONShape(t *testing.T) {
 	}
 }
 
-func TestSetPolicy(t *testing.T) {
-	for _, name := range config.PolicyNames() {
-		SetPolicy(name) // must not panic on any shipped name
-	}
-	SetPolicy("") // reset: runs use the config default again
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetPolicy accepted an unknown policy name")
-		}
-	}()
-	SetPolicy("bogus")
-}
-
 // TestRunPolicyMatrixProducesFullGrid runs the real matrix once: every
 // scenario × policy cell must be present, in deterministic order, with
 // live results — work executed, utilization and fairness in range, and
@@ -91,6 +76,7 @@ func TestRunPolicyMatrixProducesFullGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix simulation")
 	}
+	t.Parallel()
 	m := RunPolicyMatrix(7)
 	if m.Schema != PolicyMatrixSchema || m.Seed != 7 {
 		t.Fatalf("header = %q seed %d", m.Schema, m.Seed)

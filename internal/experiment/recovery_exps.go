@@ -3,9 +3,7 @@ package experiment
 import (
 	"time"
 
-	"xfaas/internal/chaos"
 	"xfaas/internal/core"
-	"xfaas/internal/rng"
 	"xfaas/internal/sim"
 )
 
@@ -58,17 +56,13 @@ func init() {
 // recoveryRig is chaosRig with journaling at the given flush lag and
 // invariant checking forced on (the conservation ledger is part of what
 // these experiments assert, not an optional CI extra).
-func recoveryRig(s Scale, targetUtil float64, flushLag time.Duration) (*rig, *chaos.Injector) {
-	rc := defaultRig(s, targetUtil)
-	rc.Pop.SpikyFunctions = 0
-	rc.Pop.MidnightSpikeFrac = 0
-	rc.Pop.DiurnalAmp = 0
+func recoveryRig(s Scale, targetUtil float64, flushLag time.Duration) rigConfig {
+	rc := chaosRig(s, targetUtil)
+	rc.Seeds = seedsFor("recovery")
 	rc.Platform.Durability.JournalEnabled = true
 	rc.Platform.Durability.FlushLag = flushLag
 	rc.Platform.Invariants.Enabled = true
-	rg := rc.build()
-	inj := chaos.NewInjector(rg.P, rng.New(rc.Platform.Seed+9100))
-	return rg, inj
+	return rc
 }
 
 // lastControlAfter scans the control-plane event ring for events of kind
@@ -107,45 +101,25 @@ func ledgerCheck(r *Result, p *core.Platform) {
 		"%d violations; %s", viol, detail)
 }
 
-// regionShardTotals sums the recovery counters across a region's shards.
-func regionShardTotals(reg *core.Region) (lost, replayed, dups, redelivered float64) {
-	for _, sh := range reg.Shards {
-		lost += sh.LostOnCrash.Value()
-		replayed += sh.Replayed.Value()
-		dups += sh.DupSuppressed.Value()
-		redelivered += sh.Redelivered.Value()
-	}
-	return
-}
-
 func runChaosShardCrash(s Scale) *Result {
 	r := &Result{ID: "chaos_shardcrash", Title: "DurableQ shard crash: journal replay, bounded loss, at-least-once"}
-	rg, inj := recoveryRig(s, 0.60, core.DefaultConfig().Durability.FlushLag)
-	p := rg.P
-	warm, measure, fault, ttrMax := chaosWindows(s)
-
-	p.Engine.RunFor(warm)
-	healthy := ackPhase(p, measure)
-
-	victim := largestRegion(p)
-	held := 0
-	for _, sh := range victim.Shards {
-		held += sh.Pending() + sh.Leased()
-	}
+	f := startFaultRun(s, recoveryRig(s, 0.60, core.DefaultConfig().Durability.FlushLag))
+	p, inj, victim := f.P, f.Inj, f.victim
+	held := countersOf(victim).held
 	resurrectedBefore := p.Inv.Totals().Resurrected
 	crashAt := p.Engine.Now()
 	const downFor = 30 * time.Second
 	for i := range victim.Shards {
 		inj.ShardCrashRestart(victim.ID, i, downFor)
 	}
-	lost, _, _, _ := regionShardTotals(victim)
+	lost := countersOf(victim).shardLost
 
 	// Let the restarts and journal replays finish, then read the RTO off
 	// the control-plane event log before the ring evicts it.
 	p.Engine.RunFor(downFor + 2*time.Minute)
 	replayEnd, replaysDone := lastControlAfter(p, "durableq.replay-end", crashAt)
 	rto := replayEnd - crashAt
-	_, replayed, _, _ := regionShardTotals(victim)
+	replayed := countersOf(victim).replayed
 
 	r.row("calls held by the crashed shards", "journal bounds the loss", "%d held, %.0f lost, %.0f replayed",
 		held, lost, replayed)
@@ -156,11 +130,11 @@ func runChaosShardCrash(s Scale) *Result {
 	r.check("every crashed shard replays its journal", replaysDone == len(victim.Shards),
 		"%d of %d replay-end events within %v", replaysDone, len(victim.Shards), downFor+2*time.Minute)
 
-	faulted := ackPhase(p, fault)
-	ttr, finalRate, recovered := timeToRecover(p, 0.9*healthy, 2*time.Minute, ttrMax)
-	reportRecovery(r, healthy, faulted, ttr, finalRate, recovered)
+	faulted := ackPhase(p, f.fault)
+	f.reportRecovery(r, faulted)
 
-	_, replayed, dups, _ := regionShardTotals(victim)
+	t := countersOf(victim)
+	replayed, dups := t.replayed, t.dupSuppressed
 	resurrected := p.Inv.Totals().Resurrected - resurrectedBefore
 	dupRate := 0.0
 	if replayed > 0 {
@@ -175,14 +149,8 @@ func runChaosShardCrash(s Scale) *Result {
 
 func runChaosSubmitterCrash(s Scale) *Result {
 	r := &Result{ID: "chaos_submittercrash", Title: "Submitter crash: flush-window loss, fast stateless restart"}
-	rg, inj := recoveryRig(s, 0.60, core.DefaultConfig().Durability.FlushLag)
-	p := rg.P
-	warm, measure, fault, ttrMax := chaosWindows(s)
-
-	p.Engine.RunFor(warm)
-	healthy := ackPhase(p, measure)
-
-	victim := largestRegion(p)
+	f := startFaultRun(s, recoveryRig(s, 0.60, core.DefaultConfig().Durability.FlushLag))
+	p, inj, victim := f.P, f.Inj, f.victim
 	sub := victim.Normal
 	buffered := sub.BatchLen()
 	inj.CrashSubmitter(victim.ID, false)
@@ -198,9 +166,8 @@ func runChaosSubmitterCrash(s Scale) *Result {
 	r.check("submitter back up after its rebuild delay", !sub.IsDown(),
 		"down=%v after %v", sub.IsDown(), rebuild+time.Second)
 
-	faulted := ackPhase(p, fault)
-	ttr, finalRate, recovered := timeToRecover(p, 0.9*healthy, 2*time.Minute, ttrMax)
-	reportRecovery(r, healthy, faulted, ttr, finalRate, recovered)
+	faulted := ackPhase(p, f.fault)
+	f.reportRecovery(r, faulted)
 	ledgerCheck(r, p)
 	logEvents(r, inj, 8)
 	return r
@@ -208,17 +175,11 @@ func runChaosSubmitterCrash(s Scale) *Result {
 
 func runChaosSchedCrash(s Scale) *Result {
 	r := &Result{ID: "chaos_schedcrash", Title: "Scheduler crash: orphaned leases expire, stateless replica rebuilds"}
-	rg, inj := recoveryRig(s, 0.60, core.DefaultConfig().Durability.FlushLag)
-	p := rg.P
-	warm, measure, fault, ttrMax := chaosWindows(s)
-
-	p.Engine.RunFor(warm)
-	healthy := ackPhase(p, measure)
-
-	victim := largestRegion(p)
+	f := startFaultRun(s, recoveryRig(s, 0.60, core.DefaultConfig().Durability.FlushLag))
+	p, inj, victim := f.P, f.Inj, f.victim
 	sc := victim.Scheds[0]
 	orphaned := sc.Buffered() + sc.RunQLen()
-	_, _, _, redeliveredBefore := regionShardTotals(victim)
+	redeliveredBefore := countersOf(victim).redelivered
 	inj.CrashScheduler(victim.ID, 0)
 	rebuild := p.Durability().SchedulerRebuildDelay
 	lease := core.DefaultConfig().LeaseTimeout
@@ -229,17 +190,15 @@ func runChaosSchedCrash(s Scale) *Result {
 
 	// The orphaned leases redeliver once the lease timeout passes.
 	p.Engine.RunFor(lease + time.Minute)
-	_, _, _, redeliveredAfter := regionShardTotals(victim)
-	redelivered := redeliveredAfter - redeliveredBefore
+	redelivered := countersOf(victim).redelivered - redeliveredBefore
 	r.row("scheduler state destroyed at crash", "rebuilt by polling, not recovered",
 		"%d buffered+runq calls, leases orphaned", orphaned)
 	r.row("recovery time objective", "rebuild delay + lease timeout", "%v + %v", rebuild, lease)
 	r.check("orphaned leases expire and redeliver", redelivered > 0,
 		"%.0f redeliveries within %v of the crash", redelivered, rebuild+lease+time.Minute+time.Second)
 
-	faulted := ackPhase(p, fault)
-	ttr, finalRate, recovered := timeToRecover(p, 0.9*healthy, 2*time.Minute, ttrMax)
-	reportRecovery(r, healthy, faulted, ttr, finalRate, recovered)
+	faulted := ackPhase(p, f.fault)
+	f.reportRecovery(r, faulted)
 	ledgerCheck(r, p)
 	logEvents(r, inj, 8)
 	return r
@@ -259,19 +218,17 @@ func runRecoveryFlushLag(s Scale) *Result {
 		// Same seed every pass: the journal is a passive observer, so the
 		// platform reaches an identical state at the crash instant and the
 		// lag is the only variable.
-		rg, inj := recoveryRig(s, 0.60, lag)
-		p := rg.P
+		rg := recoveryRig(s, 0.60, lag).build()
+		p, inj := rg.P, rg.Inj
 		p.Engine.RunFor(warm)
 		victim := largestRegion(p)
-		held := 0
-		for _, sh := range victim.Shards {
-			held += sh.Pending() + sh.Leased()
-		}
+		held := countersOf(victim).held
 		for j := range victim.Shards {
 			inj.ShardCrashRestart(victim.ID, j, 10*time.Second)
 		}
 		p.Engine.RunFor(drain)
-		lost, replayed, dups, _ := regionShardTotals(victim)
+		vt := countersOf(victim)
+		lost, replayed, dups := vt.shardLost, vt.replayed, vt.dupSuppressed
 		losses[i] = lost
 		t := p.Inv.Totals()
 		r.row("flush lag "+lag.String(), "loss grows with the lag",

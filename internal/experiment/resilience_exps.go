@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"xfaas/internal/chaos"
 	"xfaas/internal/core"
 	"xfaas/internal/function"
 	"xfaas/internal/rng"
@@ -55,48 +54,95 @@ func init() {
 	})
 }
 
-// resilTotals aggregates the platform's resilience counters across every
-// shard and scheduler replica.
-type resilTotals struct {
-	enqueued, redelivered      float64
-	firstAcks, budgetSpent     float64
-	deadExhausted, deadExpired float64
-	deadBudget, deadShed       float64
-	deadTotal                  float64
-	shedCalls, expiredSwept    float64
-	shards, funcs              int
+// counterTotals sums the counters the fault and overload experiments
+// read, across every shard, scheduler replica and submitter of the given
+// regions.
+type counterTotals struct {
+	enqueued, redelivered, shardAcked  float64
+	deadExhausted, deadExpired         float64
+	deadBudget, deadShed, deadTotal    float64
+	shardLost, replayed, dupSuppressed float64
+	shedCalls, expiredSwept            float64
+	schedAcked, crossPulls, evacuated  float64
+	submitterLost                      float64
+	unroutable, routeFailed            float64
+	hedged, hedgeWins                  float64
+	hedgeCancelled, hedgeDenied        float64
+	hedgeEarned, hedgeSpent            float64
+	coldExecutions, executions         float64
+	released                           float64
+	shards, held                       int // held: pending + leased
 }
 
-func resilSnapshot(p *core.Platform) resilTotals {
-	var t resilTotals
-	for _, reg := range p.Regions() {
+func countersOf(regions ...*core.Region) counterTotals {
+	var t counterTotals
+	for _, reg := range regions {
 		for _, sh := range reg.Shards {
 			t.enqueued += sh.Enqueued.Value()
 			t.redelivered += sh.Redelivered.Value()
-			t.firstAcks += sh.FirstAcks.Value()
-			t.budgetSpent += sh.BudgetSpent.Value()
+			t.shardAcked += sh.Acked.Value()
 			t.deadExhausted += sh.DeadExhausted.Value()
 			t.deadExpired += sh.DeadExpired.Value()
 			t.deadBudget += sh.DeadBudget.Value()
 			t.deadShed += sh.DeadShed.Value()
 			t.deadTotal += sh.DeadLetters.Value()
+			t.shardLost += sh.LostOnCrash.Value()
+			t.replayed += sh.Replayed.Value()
+			t.dupSuppressed += sh.DupSuppressed.Value()
 			t.shards++
+			t.held += sh.Pending() + sh.Leased()
 		}
 		for _, sc := range reg.Scheds {
 			t.shedCalls += sc.ShedCalls.Value()
 			t.expiredSwept += sc.ExpiredSwept.Value()
+			t.schedAcked += sc.Acked.Value()
+			t.crossPulls += sc.CrossRegionPulls.Value()
+			t.evacuated += sc.Evacuated.Value()
+			t.released += sc.Released.Value()
+			t.hedged += sc.Hedged.Value()
+			t.hedgeWins += sc.HedgeWins.Value()
+			t.hedgeCancelled += sc.HedgeCancelled.Value()
+			t.hedgeDenied += sc.HedgeDenied.Value()
 		}
+		// The hedge budget is shared per region; read it once via any replica.
+		if hb := reg.Scheds[0].HedgeBudget; hb != nil {
+			t.hedgeEarned += hb.Earned.Value()
+			t.hedgeSpent += hb.Spent.Value()
+		}
+		for _, w := range reg.Workers {
+			t.coldExecutions += w.ColdExecutions.Value()
+			t.executions += w.Executions.Value()
+		}
+		t.submitterLost += reg.Normal.LostOnCrash.Value() + reg.Spiky.LostOnCrash.Value()
+		t.routeFailed += reg.Normal.RouteFailed.Value() + reg.Spiky.RouteFailed.Value()
+		t.unroutable += reg.QueueLB.Unroutable.Value()
 	}
 	return t
 }
 
 // amplification is deliveries per unique enqueued call: 1 means every
 // call was delivered exactly once.
-func (t resilTotals) amplification() float64 {
+func (t counterTotals) amplification() float64 {
 	if t.enqueued == 0 {
 		return 1
 	}
 	return (t.enqueued + t.redelivered) / t.enqueued
+}
+
+// stormRig is the retry-storm scenario's fleet and workload: four workers,
+// the storm mix, and the downstream the aggressors hammer. The experiment
+// and the policy matrix both start from it.
+func stormRig(s Scale, mix workload.StormMixConfig) rigConfig {
+	rc := smallFleet(s, 1, 4)
+	rc.Seeds = seedsFor("storm")
+	// Exceptions are not cheap during a storm: a failed invocation
+	// occupies the worker for its full duration.
+	rc.Platform.Worker.FailureSlowdown = 1.0
+	rc.Platform.Downstreams = []core.DownstreamSpec{{Name: mix.Downstream, CapacityRPS: 5000}}
+	rc.Fill = func(pop *workload.Population, seed uint64) {
+		workload.BuildStormMix(pop, mix, rng.New(seed))
+	}
+	return rc
 }
 
 func runChaosRetryStorm(s Scale) *Result {
@@ -110,28 +156,16 @@ func runChaosRetryStorm(s Scale) *Result {
 
 	type outcome struct {
 		healthy, during, after float64 // clean-cohort goodput fractions
-		t                      resilTotals
+		t                      counterTotals
 		executed               []float64
 	}
 	run := func(enabled bool) outcome {
-		cfg := core.DefaultConfig()
-		cfg.Seed = s.Seed
-		cfg.Cluster.Regions = 1
-		cfg.Cluster.TotalWorkers = 4
-		cfg.Worker.MaxConcurrency = 8
-		// Exceptions are not cheap during a storm: a failed invocation
-		// occupies the worker for its full duration.
-		cfg.Worker.FailureSlowdown = 1.0
-		cfg.CodePushInterval = 0
-		cfg.LocalityGroups = 0
-		cfg.EnableRIM = false
-		cfg.Downstreams = []core.DownstreamSpec{{Name: "backend", CapacityRPS: 5000}}
+		rc := stormRig(s, mix)
 		if enabled {
-			cfg.Resilience = cfg.Resilience.EnableAll()
+			rc.Platform.Resilience = rc.Platform.Resilience.EnableAll()
 		}
-		pop := &workload.Population{Registry: function.NewRegistry(), TeamOf: map[string]string{}}
-		workload.BuildStormMix(pop, mix, rng.New(s.Seed+4000))
-		p := newPlatform(cfg, pop.Registry)
+		rg := rc.build()
+		p, inj := rg.P, rg.Inj
 		for _, reg := range p.Regions() {
 			for _, sh := range reg.Shards {
 				// A tight backoff cap makes the orbit revisit quickly —
@@ -146,9 +180,6 @@ func runChaosRetryStorm(s Scale) *Result {
 				cleanDone++
 			}
 		})
-		gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(s.Seed+4100))
-		gen.Start()
-		inj := chaos.NewInjector(p, rng.New(s.Seed+4200))
 
 		goodput := func(d time.Duration) float64 {
 			before := cleanDone
@@ -161,7 +192,7 @@ func runChaosRetryStorm(s Scale) *Result {
 		during := goodput(tail)
 		restore()
 		after := goodput(heal)
-		return outcome{healthy, during, after, resilSnapshot(p), p.Executed.Values()}
+		return outcome{healthy, during, after, countersOf(p.Regions()...), p.Executed.Values()}
 	}
 
 	off := run(false)
@@ -202,16 +233,22 @@ func runChaosRetryStorm(s Scale) *Result {
 	return r
 }
 
-func runChaosMidnightSpike(s Scale) *Result {
-	r := &Result{ID: "chaos_midnightspike", Title: "Midnight pipeline spike: deferral, not shedding"}
-	rc := defaultRig(s, 0.75) // tighter than the paper's 66%: the spike must overload
+// midnightSpikeRig is the midnight-spike scenario: the default day with
+// every opportunistic function on the pipeline spike, defended, on a
+// fleet tighter than the paper's 66% so that the spike must overload.
+func midnightSpikeRig(s Scale) rigConfig {
+	rc := defaultRig(s, 0.75)
 	rc.Pop.SpikyFunctions = 0
 	rc.Pop.DiurnalAmp = 0
 	rc.Pop.MidnightSpikeFrac = 1.0
 	rc.Pop.MidnightSpikeMul = 8
 	rc.Platform.Resilience = rc.Platform.Resilience.EnableAll()
-	rg := rc.build()
-	p := rg.P
+	return rc
+}
+
+func runChaosMidnightSpike(s Scale) *Result {
+	r := &Result{ID: "chaos_midnightspike", Title: "Midnight pipeline spike: deferral, not shedding"}
+	p := midnightSpikeRig(s).build().P
 	var resDone, oppDone float64
 	p.AddOnExecuted(func(c *function.Call) {
 		if c.Spec.Quota == function.QuotaOpportunistic {
@@ -235,7 +272,7 @@ func runChaosMidnightSpike(s Scale) *Result {
 	p.Engine.RunFor(30 * time.Minute)
 	resPostRate := (resDone - resBefore) / (30 * time.Minute).Seconds()
 	pendingEnd := p.PendingCalls()
-	t := resilSnapshot(p)
+	t := countersOf(p.Regions()...)
 
 	r.row("queued backlog at spike end vs +1h", "builds, then drains", "%d → %d", pendingPeak, pendingEnd)
 	r.row("reserved goodput in-spike vs post (RPS)", "unaffected", "%.1f vs %.1f", resSpikeRate, resPostRate)
@@ -255,60 +292,61 @@ func runChaosMidnightSpike(s Scale) *Result {
 	return r
 }
 
+// spikyClientRig is the spiky-client scenario: a small steady population
+// plus one client whose day of calls arrives in 15 minutes, defended, on
+// two regions provisioned for 50% utilization.
+func spikyClientRig(s Scale) rigConfig {
+	rc := baseRig(s)
+	rc.Platform.Cluster.Regions = 2
+	rc.Platform.CodePushInterval = 0
+	rc.Platform.Resilience = rc.Platform.Resilience.EnableAll()
+	rc.TargetUtil = 0.5
+	rc.Pop = workload.DefaultPopulationConfig()
+	rc.Pop.Functions = 40
+	rc.Pop.TotalRPS = 8
+	rc.Pop.Teams = 10
+	rc.Pop.SpikyFunctions = 1
+	rc.Pop.SpikeBurstRPS = 80
+	rc.Pop.SpikeBurstLen = 15 * time.Minute
+	rc.Pop.MidnightSpikeFrac = 0
+	rc.Pop.DiurnalAmp = 0
+	rc.Pop.FutureStartFrac = 0
+	if !s.Quick {
+		rc.Pop.SpikeBurstRPS = 120
+	}
+	return rc
+}
+
 func runChaosSpikyClient(s Scale) *Result {
 	r := &Result{ID: "chaos_spikyclient", Title: "Spiky client: a day of calls in 15 minutes"}
-	pcfg := workload.DefaultPopulationConfig()
-	pcfg.Functions = 40
-	pcfg.TotalRPS = 8
-	pcfg.Teams = 10
-	pcfg.SpikyFunctions = 1
-	pcfg.SpikeBurstRPS = 80
-	pcfg.SpikeBurstLen = 15 * time.Minute
-	pcfg.MidnightSpikeFrac = 0
-	pcfg.DiurnalAmp = 0
-	pcfg.FutureStartFrac = 0
-	total := 3 * time.Hour
-	if !s.Quick {
-		pcfg.SpikeBurstRPS = 120
-		total = 4 * time.Hour
-	}
-	cfg := core.DefaultConfig()
-	cfg.Seed = s.Seed
-	cfg.Cluster.Regions = 2
-	cfg.CodePushInterval = 0
-	cfg.Resilience = cfg.Resilience.EnableAll()
-
-	pop := workload.NewPopulation(pcfg, rng.New(cfg.Seed+1000))
+	total := simWindow(s, 4*time.Hour, 3*time.Hour)
+	rc := spikyClientRig(s)
+	pcfg := rc.Pop
 	var spiky *workload.FuncModel
-	for _, m := range pop.Models {
-		if m.Burst != nil {
-			spiky = m
+	rc.Fill = func(pop *workload.Population, _ uint64) {
+		for _, m := range pop.Models {
+			if m.Burst != nil {
+				spiky = m
+			}
 		}
+		// Pin the spiky client's quota so even a fully scaled-up S spreads
+		// the burst over at least an hour of execution.
+		res := spiky.Spec.Resources
+		spiky.Spec.QuotaMIPS = 2.5 * expMean(res.CPUMu, res.CPUSigma)
 	}
-	// Pin the spiky client's quota so even a fully scaled-up S spreads
-	// the burst over at least an hour of execution.
-	res := spiky.Spec.Resources
-	meanCPU := math.Exp(res.CPUMu + res.CPUSigma*res.CPUSigma/2)
-	spiky.Spec.QuotaMIPS = 2.5 * meanCPU
-
-	demand := pop.ExpectedMIPS() * spikeFactor
-	mem := pop.ExpectedConcurrentMemMB(cfg.Worker.CoreMIPS) * spikeFactor
-	cfg.Cluster.TotalWorkers = core.ProvisionWorkers(cfg.Worker, demand, mem, 0.5, 2*cfg.Cluster.Regions)
-	p := newPlatform(cfg, pop.Registry)
+	p := rc.build().P
 	var spikyDone float64
 	p.AddOnExecuted(func(c *function.Call) {
 		if c.Spec == spiky.Spec {
 			spikyDone++
 		}
 	})
-	gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(cfg.Seed+2000))
-	gen.Start()
 
 	burstSize := pcfg.SpikeBurstRPS * pcfg.SpikeBurstLen.Seconds()
 	p.Engine.RunFor(pcfg.SpikeBurstLen)
 	atBurstEnd := spikyDone
 	p.Engine.RunFor(total - pcfg.SpikeBurstLen)
-	t := resilSnapshot(p)
+	t := countersOf(p.Regions()...)
 
 	r.row("burst size (calls in 15 min)", "20M at Meta scale", "%.0f", burstSize)
 	r.row("burst executed inside its window", "small fraction (time-shifted)", "%.0f (%.0f%%)",
@@ -331,6 +369,17 @@ func runChaosSpikyClient(s Scale) *Result {
 	return r
 }
 
+// neighbourRig is the noisy-neighbour scenario: three workers shared by a
+// flooding tenant and its small reserved victims.
+func neighbourRig(s Scale, nn workload.NoisyNeighborConfig) rigConfig {
+	rc := smallFleet(s, 1, 3)
+	rc.Seeds = seedsFor("neighbour")
+	rc.Fill = func(pop *workload.Population, seed uint64) {
+		workload.BuildNoisyNeighbor(pop, nn, rng.New(seed))
+	}
+	return rc
+}
+
 func runChaosZipfNeighbor(s Scale) *Result {
 	r := &Result{ID: "chaos_zipfneighbor", Title: "Noisy neighbor: shedding confines the damage"}
 	nn := workload.DefaultNoisyNeighbor()
@@ -340,32 +389,21 @@ func runChaosZipfNeighbor(s Scale) *Result {
 	type outcome struct {
 		healthy, during float64
 		pending         int
-		t               resilTotals
+		t               counterTotals
 		executed        []float64
 	}
 	run := func(enabled bool) outcome {
-		cfg := core.DefaultConfig()
-		cfg.Seed = s.Seed
-		cfg.Cluster.Regions = 1
-		cfg.Cluster.TotalWorkers = 3
-		cfg.Worker.MaxConcurrency = 8
-		cfg.CodePushInterval = 0
-		cfg.LocalityGroups = 0
-		cfg.EnableRIM = false
+		rc := neighbourRig(s, nn)
 		if enabled {
-			cfg.Resilience = cfg.Resilience.EnableAll()
+			rc.Platform.Resilience = rc.Platform.Resilience.EnableAll()
 		}
-		pop := &workload.Population{Registry: function.NewRegistry(), TeamOf: map[string]string{}}
-		workload.BuildNoisyNeighbor(pop, nn, rng.New(s.Seed+5000))
-		p := newPlatform(cfg, pop.Registry)
+		p := rc.build().P
 		var victimDone float64
 		p.AddOnExecuted(func(c *function.Call) {
 			if c.Spec.Team != "team-noisy" {
 				victimDone++
 			}
 		})
-		gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(s.Seed+5100))
-		gen.Start()
 
 		goodput := func(d time.Duration) float64 {
 			before := victimDone
@@ -376,7 +414,7 @@ func runChaosZipfNeighbor(s Scale) *Result {
 		healthy := goodput(10 * time.Minute)
 		during := goodput(nn.FloodLen)
 		p.Engine.RunFor(post)
-		return outcome{healthy, during, p.PendingCalls(), resilSnapshot(p), p.Executed.Values()}
+		return outcome{healthy, during, p.PendingCalls(), countersOf(p.Regions()...), p.Executed.Values()}
 	}
 
 	off := run(false)

@@ -1,11 +1,14 @@
 package experiment
 
 import (
+	"sync"
 	"time"
 
+	"xfaas/internal/chaos"
 	"xfaas/internal/config"
 	"xfaas/internal/core"
 	"xfaas/internal/function"
+	"xfaas/internal/isolation"
 	"xfaas/internal/rng"
 	"xfaas/internal/workload"
 )
@@ -14,92 +17,207 @@ import (
 // daily average demand beyond the population's mean rate.
 const spikeFactor = 1.35
 
-// rigConfig derives a platform + population configuration. When
-// TargetUtil > 0, the worker pool is sized from the population's analytic
-// CPU demand so the run lands near that daily-average utilization
-// regardless of which functions win the heavy-tailed cost draws.
+// seedOffsets are what a rig adds to the run's seed to start its three
+// random streams: the population draw, the arrival generator and the
+// fault injector.
+type seedOffsets struct{ Pop, Gen, Inj uint64 }
+
+// seedsFor is the table of offsets in use, by rig family. Every seeded
+// byte of output depends on these numbers, so they live here and nowhere
+// else. A hand-written population (table2, incident, criticality) seeds
+// its i-th model with Pop+i; the drill's deferrable specs draw from
+// Pop+50. Families that inject no faults leave Inj unused.
+func seedsFor(family string) seedOffsets {
+	switch family {
+	case "default":
+		return seedOffsets{1000, 2000, 9000}
+	case "recovery":
+		return seedOffsets{1000, 2000, 9100}
+	case "storm":
+		return seedOffsets{4000, 4100, 4200}
+	case "neighbour":
+		return seedOffsets{5000, 5100, 5200}
+	case "gray":
+		return seedOffsets{6000, 6100, 6200}
+	case "drill":
+		return seedOffsets{7000, 7100, 7200}
+	case "table2":
+		return seedOffsets{Pop: 0, Gen: 30}
+	case "incident":
+		return seedOffsets{Pop: 9, Gen: 10}
+	case "criticality":
+		return seedOffsets{Pop: 50, Gen: 60}
+	}
+	panic("experiment: no seed offsets for rig family " + family)
+}
+
+// rigConfig is a rig as a value: a preset returns one, the experiment
+// changes the fields it is about, and build turns it into a running
+// platform, generator and injector. When TargetUtil > 0, the worker pool
+// is sized from the population's analytic CPU demand so the run lands
+// near that daily-average utilization regardless of which functions win
+// the heavy-tailed cost draws.
 type rigConfig struct {
-	Platform   core.Config
-	Pop        workload.PopulationConfig
+	Platform core.Config
+	// Pop configures the synthetic part of the population (none when it
+	// asks for no functions). Fill, when set, then adds to it or adjusts
+	// it before the platform sees it: an adversarial mix, hand-written
+	// specs, a pinned quota. Both draw from the run's seed plus Seeds.Pop.
+	Pop   workload.PopulationConfig
+	Fill  func(pop *workload.Population, seed uint64)
+	Seeds seedOffsets
+
 	TargetUtil float64
+	// Headroom multiplies the population's mean demand when provisioning.
+	Headroom float64
+	// MinWorkers floors the provisioned pool; 0 means two per region, or
+	// two per locality group in a single region.
+	MinWorkers int
 	// SubmitWeights, when set, overrides the capacity-proportional
 	// submission split across regions (stress for cross-region dispatch).
 	SubmitWeights []float64
+
+	scale Scale
+}
+
+// baseRig is the default platform configuration under the run's seed and
+// options, with the default seed offsets and provisioning headroom.
+func baseRig(s Scale) rigConfig {
+	cfg := core.DefaultConfig()
+	cfg.Seed = s.Seed
+	return rigConfig{Platform: cfg, Seeds: seedsFor("default"), Headroom: spikeFactor, scale: s}
 }
 
 // defaultRig provisions the fleet so the mean workload lands near the
 // paper's 66% daily-average CPU utilization.
 func defaultRig(s Scale, targetUtil float64) rigConfig {
-	cfg := core.DefaultConfig()
-	cfg.Seed = s.Seed
-	pcfg := workload.DefaultPopulationConfig()
+	rc := baseRig(s)
+	rc.Pop = workload.DefaultPopulationConfig()
+	rc.TargetUtil = targetUtil
 	if s.Quick {
-		pcfg.Functions = 80
-		pcfg.TotalRPS = 14
-		pcfg.SpikeBurstRPS = 100
-		cfg.Cluster.Regions = 6
+		rc.Pop.Functions = 80
+		rc.Pop.TotalRPS = 14
+		rc.Pop.SpikeBurstRPS = 100
+		rc.Platform.Cluster.Regions = 6
 	} else {
-		pcfg.Functions = 192
-		pcfg.TotalRPS = 36
-		pcfg.SpikeBurstRPS = 270
+		rc.Pop.Functions = 192
+		rc.Pop.TotalRPS = 36
+		rc.Pop.SpikeBurstRPS = 270
 	}
-	return rigConfig{Platform: cfg, Pop: pcfg, TargetUtil: targetUtil}
+	return rc
 }
 
-// invariantsOn gates invariant checking across every experiment rig;
-// cmd/xfaas-sim's -invariants flag sets it before any experiment runs.
-// Off by default so golden outputs (the determinism CI gate) are
-// unchanged: enabling it appends one extra check line per experiment.
-var invariantsOn bool
+// smallFleet is the fixed pool the fault and overload scenarios run on: a
+// handful of 8-thread workers and nothing periodic in the background
+// (no code pushes, no locality regrouping, no RIM advice), so what the
+// run shows is the injected fault and the defence under test.
+func smallFleet(s Scale, regions, workers int) rigConfig {
+	rc := baseRig(s)
+	rc.Platform.Cluster.Regions = regions
+	rc.Platform.Cluster.TotalWorkers = workers
+	rc.Platform.Worker.MaxConcurrency = 8
+	rc.Platform.CodePushInterval = 0
+	rc.Platform.LocalityGroups = 0
+	rc.Platform.EnableRIM = false
+	return rc
+}
 
-// invPlatforms tracks every platform built with invariants enabled, so
-// the post-run check can sweep all of them (memoized rigs included).
-var invPlatforms []*core.Platform
+// population draws the rig's population.
+func (rc rigConfig) population() *workload.Population {
+	seed := rc.Platform.Seed + rc.Seeds.Pop
+	pop := &workload.Population{Registry: function.NewRegistry(), TeamOf: map[string]string{}}
+	if rc.Pop.Functions > 0 {
+		pop = workload.NewPopulation(rc.Pop, rng.New(seed))
+	}
+	if rc.Fill != nil {
+		rc.Fill(pop, seed)
+	}
+	return pop
+}
 
-// SetInvariants enables continuous invariant checking on every rig built
-// afterwards; each experiment then reports an "invariants hold" check.
-func SetInvariants(on bool) { invariantsOn = on }
+// addFunc completes a hand-written spec with what all of them share — a
+// reserved-quota, queue-triggered PHP function in the internal zone, the
+// default retry policy, an 8+4 MB code footprint — and adds it to pop
+// with a steady arrival model at rps.
+func addFunc(pop *workload.Population, spec *function.Spec, rps float64, src *rng.Source) {
+	spec.Namespace, spec.Runtime = "main", "php"
+	spec.Trigger, spec.Quota = function.TriggerQueue, function.QuotaReserved
+	spec.Retry = function.DefaultRetry
+	spec.Zone = isolation.NewZone(isolation.Internal)
+	spec.Resources.CodeMB, spec.Resources.JITCodeMB = 8, 4
+	pop.Registry.MustRegister(spec)
+	pop.TeamOf[spec.Name] = spec.Team
+	pop.Models = append(pop.Models, workload.NewModel(spec, rps, spec.Team, src))
+}
 
-// policyName selects the scheduling policy for every rig built
-// afterwards; cmd/xfaas-sim's -policy flag sets it. Empty means the
-// default push policy, whose seeded output is byte-identical to the
-// pre-policy scheduler — the determinism CI gate.
-var policyName string
+// rig is a running platform with its generator and fault injector.
+type rig struct {
+	P   *core.Platform
+	Gen *workload.Generator
+	Pop *workload.Population
+	Inj *chaos.Injector
+}
 
-// SetPolicy selects the named scheduling policy (push, pull, prewarm,
-// spes) for every rig built afterwards. Unknown names panic: the CLI
-// validates before calling.
-func SetPolicy(name string) {
-	if name != "" {
-		if _, err := config.PolicyByName(name); err != nil {
+// build instantiates and starts the rig, provisioning workers from the
+// population when a target utilization is set. Every platform of every
+// experiment is made here: the run's options are applied to it and it is
+// handed to the run's collector for the invariant sweep.
+func (rc rigConfig) build() *rig {
+	pop := rc.population()
+	cfg := rc.Platform
+	if rc.TargetUtil > 0 {
+		demand := pop.ExpectedMIPS() * rc.Headroom
+		mem := pop.ExpectedConcurrentMemMB(cfg.Worker.CoreMIPS) * rc.Headroom
+		minW := rc.MinWorkers
+		if minW == 0 {
+			minW = 2 * cfg.Cluster.Regions
+			// Locality groups need room to be meaningful.
+			if cfg.LocalityGroups > 0 && cfg.Cluster.Regions == 1 && minW < 2*cfg.LocalityGroups {
+				minW = 2 * cfg.LocalityGroups
+			}
+		}
+		cfg.Cluster.TotalWorkers = core.ProvisionWorkers(cfg.Worker, demand, mem, rc.TargetUtil, minW)
+	}
+	s := rc.scale
+	if s.Invariants {
+		cfg.Invariants.Enabled = true
+	}
+	if s.Observe {
+		cfg.Observe = cfg.Observe.EnableAll()
+	}
+	if s.Policy != "" {
+		pol, err := config.PolicyByName(s.Policy)
+		if err != nil {
 			panic(err)
 		}
+		cfg.Scheduler.Policy = pol
 	}
-	policyName = name
+	p := core.New(cfg, pop.Registry)
+	s.collect(p)
+	weights := p.Topo.CapacityShare()
+	if len(rc.SubmitWeights) == len(weights) {
+		weights = rc.SubmitWeights
+	}
+	gen := workload.NewGenerator(p.Engine, pop, weights, p.SubmitFunc(), rng.New(cfg.Seed+rc.Seeds.Gen))
+	gen.Start()
+	inj := chaos.NewInjector(p, rng.New(cfg.Seed+rc.Seeds.Inj))
+	return &rig{P: p, Gen: gen, Pop: pop, Inj: inj}
 }
 
-// observeOn gates core-second accounting and the SLO engine across every
-// experiment rig; cmd/xfaas-sim's -slo flag sets it before any experiment
-// runs. Off by default so golden outputs are unchanged — accounting and
-// SLO evaluation add metric families and control events but no report
-// lines, and they draw no randomness, so enabling it must not perturb
-// the simulation itself.
-var observeOn bool
-
-// SetObserve enables core-second accounting and SLO burn-rate evaluation
-// on every rig built afterwards.
-func SetObserve(on bool) { observeOn = on }
-
-// checkInvariants appends the zero-violation check to a result. Violations
-// are cumulative per platform, so any breach fails every later experiment
-// too — exactly what a CI gate wants.
-func checkInvariants(r *Result) {
-	if !invariantsOn {
-		return
+// collect hands a platform the run built or borrowed to the run's
+// invariant sweep.
+func (s Scale) collect(p *core.Platform) {
+	if s.built != nil && p.Inv.Enabled() {
+		*s.built = append(*s.built, p)
 	}
+}
+
+// checkInvariants appends the zero-violation check over the platforms of
+// one run.
+func checkInvariants(r *Result, built []*core.Platform) {
 	var total uint64
 	var first string
-	for _, p := range invPlatforms {
+	for _, p := range built {
 		vs := p.Inv.Final()
 		total += p.Inv.TotalViolations()
 		if first == "" && len(vs) > 0 {
@@ -110,64 +228,7 @@ func checkInvariants(r *Result) {
 		first = "all invariants hold"
 	}
 	r.check("invariants hold (zero violations)", total == 0, "%d violations across %d platform(s); %s",
-		total, len(invPlatforms), first)
-}
-
-// newPlatform wraps core.New for experiment rigs: it applies the
-// package-wide invariants toggle and registers the platform for the
-// post-run sweep. Every experiment that builds a platform goes through
-// it.
-func newPlatform(cfg core.Config, reg *function.Registry) *core.Platform {
-	if invariantsOn {
-		cfg.Invariants.Enabled = true
-	}
-	if observeOn {
-		cfg.Observe = cfg.Observe.EnableAll()
-	}
-	if policyName != "" {
-		pol, err := config.PolicyByName(policyName)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Scheduler.Policy = pol
-	}
-	p := core.New(cfg, reg)
-	if p.Inv.Enabled() {
-		invPlatforms = append(invPlatforms, p)
-	}
-	return p
-}
-
-// rig is a running platform + generator.
-type rig struct {
-	P   *core.Platform
-	Gen *workload.Generator
-	Pop *workload.Population
-}
-
-// build instantiates and starts the rig, provisioning workers from the
-// population when a target utilization is set.
-func (rc rigConfig) build() *rig {
-	pop := workload.NewPopulation(rc.Pop, rng.New(rc.Platform.Seed+1000))
-	cfg := rc.Platform
-	if rc.TargetUtil > 0 {
-		demand := pop.ExpectedMIPS() * spikeFactor
-		mem := pop.ExpectedConcurrentMemMB(cfg.Worker.CoreMIPS) * spikeFactor
-		minW := 2 * cfg.Cluster.Regions
-		// Locality groups need room to be meaningful.
-		if cfg.LocalityGroups > 0 && cfg.Cluster.Regions == 1 && minW < 2*cfg.LocalityGroups {
-			minW = 2 * cfg.LocalityGroups
-		}
-		cfg.Cluster.TotalWorkers = core.ProvisionWorkers(cfg.Worker, demand, mem, rc.TargetUtil, minW)
-	}
-	p := newPlatform(cfg, pop.Registry)
-	weights := p.Topo.CapacityShare()
-	if len(rc.SubmitWeights) == len(weights) {
-		weights = rc.SubmitWeights
-	}
-	gen := workload.NewGenerator(p.Engine, pop, weights, p.SubmitFunc(), rng.New(cfg.Seed+2000))
-	gen.Start()
-	return &rig{P: p, Gen: gen, Pop: pop}
+		total, len(built), first)
 }
 
 // simWindow picks the run length: a full day at full scale, a compressed
@@ -179,18 +240,26 @@ func simWindow(s Scale, full, quick time.Duration) time.Duration {
 	return full
 }
 
-// standardRun memoizes one default-rig run per scale. Figures 2, 7, 8,
-// 10 and 11 all measure the same production system in the paper; here
-// they share one simulated platform run.
-var standardRuns = map[Scale]*rig{}
+// standardRuns caches one finished default-rig run per option value.
+// Figures 2, 7, 8, 10 and 11 all measure the same production system in
+// the paper; here they share one simulated platform run, which they only
+// read. The lock is held while a run is built, so each is built once.
+var standardRuns = struct {
+	sync.Mutex
+	byScale map[Scale]*rig
+}{byScale: map[Scale]*rig{}}
 
 func standardRun(s Scale) *rig {
-	if r, ok := standardRuns[s]; ok {
-		return r
+	key := s
+	key.built = nil
+	standardRuns.Lock()
+	defer standardRuns.Unlock()
+	rg := standardRuns.byScale[key]
+	if rg == nil {
+		rg = defaultRig(key, 0.66).build()
+		rg.P.Engine.RunFor(simWindow(key, workload.Day, 8*time.Hour))
+		standardRuns.byScale[key] = rg
 	}
-	rc := defaultRig(s, 0.66)
-	r := rc.build()
-	r.P.Engine.RunFor(simWindow(s, workload.Day, 8*time.Hour))
-	standardRuns[s] = r
-	return r
+	s.collect(rg.P)
+	return rg
 }

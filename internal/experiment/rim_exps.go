@@ -17,14 +17,11 @@ func init() {
 
 func runRIM(s Scale) *Result {
 	r := &Result{ID: "rim", Title: "Proactive coordination via RIM"}
-	window := 45 * time.Minute
-	if s.Quick {
-		window = 30 * time.Minute
-	}
+	window := simWindow(s, 45*time.Minute, 30*time.Minute)
 	// Two functions offer 80 RPS against a 60-RPS downstream — a modest,
 	// sustained overload where proactive pacing can act before shedding.
 	run := func(enableRIM bool) (backpressure, served, availability float64) {
-		p, _, _ := incidentRig(s.Seed, "tao", 60, 40, 0, 60)
+		p := incidentRig(s, "tao", 60, 40, 0, 60).build().P
 		if enableRIM {
 			// incidentRig disables RIM; re-enable by rebuilding advice
 			// from the platform's RIM-less config is not possible, so

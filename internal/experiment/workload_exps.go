@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"xfaas/internal/cluster"
-	"xfaas/internal/core"
 	"xfaas/internal/function"
 	"xfaas/internal/rng"
 	"xfaas/internal/stats"
@@ -84,7 +83,7 @@ func runTable1(s Scale) *Result {
 	var fTot, cTot, uTot float64
 	for _, m := range pop.Models {
 		res := m.Spec.Resources
-		meanCPU := math.Exp(res.CPUMu + res.CPUSigma*res.CPUSigma/2)
+		meanCPU := expMean(res.CPUMu, res.CPUSigma)
 		funcs[m.Spec.Trigger]++
 		fTot++
 		calls[m.Spec.Trigger] += m.MeanRPS
@@ -116,20 +115,18 @@ func runTable2(s Scale) *Result {
 	r := &Result{ID: "table2", Title: "Examples of XFaaS workloads"}
 	// Run the five named workloads through an actual platform and measure
 	// executed calls, the way the paper profiles production workloads.
-	pop := &workload.Population{Registry: function.NewRegistry(), TeamOf: map[string]string{}}
-	src := rng.New(s.Seed)
-	for _, w := range workload.NamedWorkloads() {
-		workload.BuildNamed(pop, w, src)
+	rc := baseRig(s)
+	rc.Seeds = seedsFor("table2")
+	rc.Platform.Cluster.Regions = 1
+	rc.Platform.CodePushInterval = 0
+	rc.TargetUtil, rc.Headroom, rc.MinWorkers = 0.6, 1.5, 4
+	rc.Fill = func(pop *workload.Population, seed uint64) {
+		src := rng.New(seed)
+		for _, w := range workload.NamedWorkloads() {
+			workload.BuildNamed(pop, w, src)
+		}
 	}
-	cfg := core.DefaultConfig()
-	cfg.Seed = s.Seed
-	cfg.Cluster.Regions = 1
-	cfg.CodePushInterval = 0
-	cfg.Cluster.TotalWorkers = core.ProvisionWorkers(cfg.Worker,
-		pop.ExpectedMIPS()*1.5, pop.ExpectedConcurrentMemMB(cfg.Worker.CoreMIPS)*1.5, 0.6, 4)
-	p := newPlatform(cfg, pop.Registry)
-	gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(s.Seed+30))
-	gen.Start()
+	p := rc.build().P
 
 	type agg struct{ cpuMin, cpuMax, memMin, memMax, tMin, tMax float64 }
 	byTeam := map[string]*agg{}
@@ -147,10 +144,7 @@ func runTable2(s Scale) *Result {
 		a.tMin = math.Min(a.tMin, secs)
 		a.tMax = math.Max(a.tMax, secs)
 	})
-	window := 4 * time.Hour
-	if s.Quick {
-		window = 90 * time.Minute
-	}
+	window := simWindow(s, 4*time.Hour, 90*time.Minute)
 	p.Engine.RunFor(window)
 	var teams []string
 	for t := range byTeam {
@@ -197,13 +191,17 @@ func runTable3(s Scale) *Result {
 		function.TriggerEvent: {0.54, 11.36},
 		function.TriggerTimer: {0.37, 576.00},
 	}
+	cpuP50 := map[function.TriggerType]float64{}
+	all := stats.NewHistogram() // exec seconds of every call, for §3.3's aggregate contract
 	for _, tr := range function.Triggers {
 		cpu, mem, tim := stats.NewHistogram(), stats.NewHistogram(), stats.NewHistogram()
 		for _, c := range byTrigger[tr] {
 			cpu.Observe(c.CPUWorkM)
 			mem.Observe(c.MemMB)
 			tim.Observe(c.ExecSecs * 1000)
+			all.Observe(c.ExecSecs)
 		}
+		cpuP50[tr] = cpu.Quantile(0.50)
 		pc := paperCPU[tr]
 		r.row(tr.String()+" CPU p10/p50/p90/p99 (M instr)",
 			fmt.Sprintf("%.2f / %.2f / – / –", pc[0], pc[1]),
@@ -214,24 +212,8 @@ func runTable3(s Scale) *Result {
 			"%.0f / %.0f / %.0f / %.0f", tim.Quantile(0.10), tim.Quantile(0.50), tim.Quantile(0.90), tim.Quantile(0.99))
 	}
 	// Cross-trigger ordering claims from Table 3.
-	q50 := stats.NewHistogram()
-	e50 := stats.NewHistogram()
-	for _, c := range byTrigger[function.TriggerQueue] {
-		q50.Observe(c.CPUWorkM)
-	}
-	for _, c := range byTrigger[function.TriggerEvent] {
-		e50.Observe(c.CPUWorkM)
-	}
-	r.check("queue CPU median ≫ event CPU median",
-		q50.Quantile(0.5) > 4*e50.Quantile(0.5),
-		"%.1f vs %.1f", q50.Quantile(0.5), e50.Quantile(0.5))
-	// Aggregate execution-time contract (§3.3).
-	all := stats.NewHistogram()
-	for _, cs := range byTrigger {
-		for _, c := range cs {
-			all.Observe(c.ExecSecs)
-		}
-	}
+	q50, e50 := cpuP50[function.TriggerQueue], cpuP50[function.TriggerEvent]
+	r.check("queue CPU median ≫ event CPU median", q50 > 4*e50, "%.1f vs %.1f", q50, e50)
 	u1, u60 := all.FractionBelow(1), all.FractionBelow(60)
 	over5m := 1 - all.FractionBelow(300)
 	r.row("calls <1s", "33%", "%.0f%%", 100*u1)
@@ -297,7 +279,7 @@ func runTeamSkew(s Scale) *Result {
 	total := 0.0
 	for _, m := range pop.Models {
 		res := m.Spec.Resources
-		cpu := m.MeanRPS * math.Exp(res.CPUMu+res.CPUSigma*res.CPUSigma/2)
+		cpu := m.MeanRPS * expMean(res.CPUMu, res.CPUSigma)
 		share[pop.TeamOf[m.Spec.Name]] += cpu
 		total += cpu
 	}

@@ -316,7 +316,11 @@ func BenchmarkJournalFlush(b *testing.B) {
 // The rescan this replaced cost 100 times as much per flush at 100k
 // retained records as at 1k. Each sample times the two sizes back to back
 // and the median of five ratios decides, so neither drift nor one noisy
-// spell on a shared runner can fail it.
+// spell on a shared runner can fail it. Alone the ratio is 2.2; the 100k
+// flush is memory-bound, so while other packages' tests load both cores'
+// caches (the experiment package runs its tests in parallel) it sits at
+// 4 with samples up to 10 — hence a bound of 20, still a fifth of what
+// it guards against.
 func TestFlushCostFollowsSettledNotRetained(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
@@ -340,7 +344,7 @@ func TestFlushCostFollowsSettledNotRetained(t *testing.T) {
 		ratios = append(ratios, large/small)
 	}
 	slices.Sort(ratios)
-	if ratios[2] > 5 {
-		t.Fatalf("a flush at 100k retained records costs %.1fx one at 1k (median of %v), want at most 5x", ratios[2], ratios)
+	if ratios[2] > 20 {
+		t.Fatalf("a flush at 100k retained records costs %.1fx one at 1k (median of %v), want at most 20x", ratios[2], ratios)
 	}
 }

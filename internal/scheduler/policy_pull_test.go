@@ -327,7 +327,6 @@ func TestDispatchWithSweepsExpired(t *testing.T) {
 		}
 		r.sched.runQ = append(r.sched.runQ, c)
 	}
-	r.sched.runLen = 2
 
 	offered := 0
 	r.sched.DispatchWith(func(c *function.Call) (*worker.Worker, bool) {
@@ -343,7 +342,7 @@ func TestDispatchWithSweepsExpired(t *testing.T) {
 	if got := r.sched.ExpiredSwept.Value(); got != 1 {
 		t.Fatalf("ExpiredSwept = %v, want 1", got)
 	}
-	if r.sched.runLen != 0 {
-		t.Fatalf("runLen = %d after sweep+dispatch, want 0", r.sched.runLen)
+	if n := r.sched.RunQLen(); n != 0 {
+		t.Fatalf("RunQLen = %d after sweep+dispatch, want 0", n)
 	}
 }

@@ -116,9 +116,7 @@ type Scheduler struct {
 	buffers map[string]*FuncBuffer // admit's and pollFilter's lookup by name
 	byName  []*FuncBuffer          // every buffer; in name order unless stale
 	stale   bool
-	runQ    []*function.Call // nil entries are already dispatched
-	runHead int
-	runLen  int // live (non-nil, unread) entries
+	runQ    []*function.Call // dense: every entry is scheduled and not yet dispatched
 	origin  map[uint64]*durableq.Shard
 	// shedStates holds the CoDel delay bookkeeping per backlogged
 	// function (created lazily, only while shedding is enabled).
@@ -389,10 +387,8 @@ func (s *Scheduler) Stop() {
 func (s *Scheduler) Crash() {
 	s.Crashes.Inc()
 	s.down = true
-	for i := s.runHead; i < len(s.runQ); i++ {
-		if c := s.runQ[i]; c != nil {
-			s.cong.OnComplete(c.Spec)
-		}
+	for _, c := range s.runQ {
+		s.cong.OnComplete(c.Spec)
 	}
 	for _, byW := range s.inflightByWorker {
 		for _, c := range byW {
@@ -400,8 +396,6 @@ func (s *Scheduler) Crash() {
 		}
 	}
 	s.runQ = s.runQ[:0]
-	s.runHead = 0
-	s.runLen = 0
 	s.buffers = make(map[string]*FuncBuffer)
 	s.byName = nil
 	s.stale = false
@@ -450,7 +444,7 @@ func (s *Scheduler) Buffered() int {
 }
 
 // RunQLen returns the current RunQ depth.
-func (s *Scheduler) RunQLen() int { return s.runLen }
+func (s *Scheduler) RunQLen() int { return len(s.runQ) }
 
 func (s *Scheduler) tick() {
 	if s.down || s.draining {
@@ -634,17 +628,13 @@ func (s *Scheduler) shedSweep() {
 // evacuate NACKs every held call (RunQ and FuncBuffers) for redelivery
 // elsewhere.
 func (s *Scheduler) evacuate() {
-	for i := s.runHead; i < len(s.runQ); i++ {
-		if c := s.runQ[i]; c != nil {
-			s.cong.OnComplete(c.Spec) // release the concurrency slot
-			s.Obs.Emit(c, trace.KindEvacuated, 0)
-			s.nack(c)
-			s.Evacuated.Inc()
-		}
+	for _, c := range s.runQ {
+		s.cong.OnComplete(c.Spec) // release the concurrency slot
+		s.Obs.Emit(c, trace.KindEvacuated, 0)
+		s.nack(c)
+		s.Evacuated.Inc()
 	}
 	s.runQ = s.runQ[:0]
-	s.runHead = 0
-	s.runLen = 0
 	// NACK in sorted buffer order: each NACK with a positive retry
 	// backoff consumes one RNG draw on the owning shard and schedules a
 	// redelivery timer, so iterating the map directly would leak Go map
@@ -853,7 +843,6 @@ func (s *Scheduler) scheduleLevel(cands []*FuncBuffer, space int) int {
 			}
 			b.Pop()
 			s.runQ = append(s.runQ, c)
-			s.runLen++
 			s.Scheduled.Inc()
 			s.Obs.Emit(c, trace.KindScheduled, 0)
 			s.pol.OnScheduled(c)
@@ -874,23 +863,23 @@ type placeFunc func(*function.Call) (w *worker.Worker, stop bool)
 // head-of-line-block lighter work; after a burst of consecutive
 // rejections the workers are considered saturated and the drain pauses
 // until the next tick. stop=true ends the drain at once: no worker
-// anywhere can take more work this tick.
+// anywhere can take more work this tick. The pass compacts as it goes:
+// survivors slide down over the dispatched and swept entries in their
+// original order, so the RunQ never holds more than its live calls.
 func (s *Scheduler) drainRunQ(place placeFunc) {
 	const maxConsecutiveRejects = 16
 	rejects, dispatched := 0, 0
 	now := s.engine.Now()
 	sweep := s.params.Resilience.ExpirySweep
-	for i := s.runHead; i < len(s.runQ) && dispatched < s.params.DispatchBatch; i++ {
-		c := s.runQ[i]
-		if c == nil {
-			continue
-		}
+	q := s.runQ
+	i, kept := 0, 0
+	for i < len(q) && dispatched < s.params.DispatchBatch {
+		c := q[i]
+		i++
 		if sweep && c.IsExpired(now) {
 			// The deadline passed while the call waited in the RunQ; it
 			// must never reach a worker. Release its concurrency slot and
 			// settle it to dead-letter at its owning shard.
-			s.runQ[i] = nil
-			s.runLen--
 			s.cong.OnComplete(c.Spec)
 			if shard := s.origin[c.ID]; shard != nil {
 				delete(s.origin, c.ID)
@@ -902,6 +891,8 @@ func (s *Scheduler) drainRunQ(place placeFunc) {
 		c.DispatchAt = now
 		w, stop := place(c)
 		if w == nil {
+			q[kept] = c
+			kept++
 			if stop {
 				break
 			}
@@ -913,15 +904,15 @@ func (s *Scheduler) drainRunQ(place placeFunc) {
 		}
 		s.track(c, w)
 		rejects = 0
-		s.runQ[i] = nil
-		s.runLen--
 		dispatched++
 		s.recordDispatchDelay(c)
 		s.Dispatched.Inc()
 		s.Obs.Emit(c, trace.KindDispatch, trace.Ref(w.ID.Region, w.ID.Index))
 		s.armHedge(c, w)
 	}
-	s.compactRunQ()
+	kept += copy(q[kept:], q[i:])
+	clear(q[kept:])
+	s.runQ = q[:kept]
 }
 
 // placeLB is the default placement step: the WorkerLB's power-of-two
@@ -944,30 +935,6 @@ func (s *Scheduler) DispatchWith(pick func(*function.Call) (*worker.Worker, bool
 		}
 		return w, false
 	})
-}
-
-// compactRunQ advances the RunQ head past dispatched entries and
-// compacts the backing slice once the dead prefix dominates.
-func (s *Scheduler) compactRunQ() {
-	for s.runHead < len(s.runQ) && s.runQ[s.runHead] == nil {
-		s.runHead++
-	}
-	if s.runHead == len(s.runQ) {
-		s.runQ = s.runQ[:0]
-		s.runHead = 0
-		return
-	}
-	if s.runHead > 4096 && s.runHead*2 > len(s.runQ) {
-		live := s.runQ[s.runHead:]
-		compact := make([]*function.Call, 0, len(live))
-		for _, c := range live {
-			if c != nil {
-				compact = append(compact, c)
-			}
-		}
-		s.runQ = compact
-		s.runHead = 0
-	}
 }
 
 func (s *Scheduler) recordDispatchDelay(c *function.Call) {
@@ -1069,15 +1036,11 @@ func (s *Scheduler) InFlight() int { return len(s.inflight) }
 // back to their owning shards as queued work (Release), keeping their
 // attempt accounting out of the failure/retry machinery.
 func (s *Scheduler) releaseHeld() {
-	for i := s.runHead; i < len(s.runQ); i++ {
-		if c := s.runQ[i]; c != nil {
-			s.cong.OnComplete(c.Spec) // release the concurrency slot
-			s.release(c)
-		}
+	for _, c := range s.runQ {
+		s.cong.OnComplete(c.Spec) // release the concurrency slot
+		s.release(c)
 	}
 	s.runQ = s.runQ[:0]
-	s.runHead = 0
-	s.runLen = 0
 	// Sorted buffer order for the same reason evacuate() sorts: shard-side
 	// effects must not inherit Go map iteration order.
 	for _, b := range s.buffersByName() {

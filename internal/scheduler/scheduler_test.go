@@ -572,3 +572,50 @@ func TestEvacuateSweepsBuffersInSortedOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRunQStaysDenseBehindPinnedHead: one call no worker can take sits at
+// the head of the RunQ while every later call dispatches. The queue must
+// hold only what is live — the pinned call plus one tick's intake — for
+// as long as that lasts, and the others must leave in submission order.
+func TestRunQStaysDenseBehindPinnedHead(t *testing.T) {
+	r := newRig(1, 100000)
+	r.sched.Stop() // the test drives the drain itself
+	spec := rigSpec("f", function.CritNormal)
+	const ticks, perTick = 10_000, 8
+	bound := r.sched.params.RunQLimit + perTick
+	var id uint64
+	next := func() *function.Call {
+		id++
+		return &function.Call{ID: id, Spec: spec, Deadline: sim.Time(time.Hour)}
+	}
+	pinned := next()
+	r.sched.runQ = append(r.sched.runQ, pinned)
+	var order []uint64
+	place := func(c *function.Call) (*worker.Worker, bool) {
+		if c == pinned {
+			return nil, false
+		}
+		order = append(order, c.ID)
+		return r.pool[0], false
+	}
+	for tick := 0; tick < ticks; tick++ {
+		for i := 0; i < perTick; i++ {
+			r.sched.runQ = append(r.sched.runQ, next())
+		}
+		r.sched.drainRunQ(place)
+		if n := r.sched.RunQLen(); n != 1 || r.sched.runQ[0] != pinned {
+			t.Fatalf("tick %d: RunQLen = %d, want just the pinned call", tick, n)
+		}
+		if l, c := len(r.sched.runQ), cap(r.sched.runQ); l > bound || c > 2*bound {
+			t.Fatalf("tick %d: RunQ len %d cap %d, want within %d", tick, l, c, bound)
+		}
+	}
+	if len(order) != ticks*perTick {
+		t.Fatalf("dispatched %d calls, want %d", len(order), ticks*perTick)
+	}
+	for i, got := range order {
+		if want := uint64(i) + 2; got != want { // IDs 2.. in submission order
+			t.Fatalf("dispatch %d was call %d, want %d", i, got, want)
+		}
+	}
+}
