@@ -367,21 +367,31 @@ func scheduleChaos(p *core.Platform, name string, seed uint64, dur time.Duration
 	at := func(frac float64) sim.Time { return sim.Time(float64(dur) * frac) }
 	reg := cluster.RegionID(0)
 	switch name {
-	case "gray", "graytail":
-		victims, slowdown := 3, 10.0
-		if name == "graytail" {
-			// Subtle degradation: below the probe slowdown threshold, so
-			// only exec-time outlier scoring (detection v2) can see it.
-			victims, slowdown = 2, 3
-		}
+	case "gray":
 		// The victim count is bounded by the region's actual pool: small
 		// provisioned runs can leave region 0 with a single worker.
 		grayN := func() int {
-			return min(victims, len(p.Region(reg).Workers))
+			return min(3, len(p.Region(reg).Workers))
 		}
 		p.Engine.Schedule(at(0.25), func() {
 			for i := 0; i < grayN(); i++ {
-				inj.GrayWorker(reg, i, slowdown)
+				inj.GrayWorker(reg, i, 10)
+			}
+		})
+		p.Engine.Schedule(at(0.7), func() {
+			for i := 0; i < grayN(); i++ {
+				inj.ClearGray(reg, i)
+			}
+		})
+	case "graytail":
+		// Subtle degradation: below the probe slowdown threshold, so only
+		// exec-time outlier scoring (detection v2) can see it.
+		grayN := func() int {
+			return min(2, len(p.Region(reg).Workers))
+		}
+		p.Engine.Schedule(at(0.25), func() {
+			for i := 0; i < grayN(); i++ {
+				inj.GrayWorker(reg, i, 3)
 			}
 		})
 		p.Engine.Schedule(at(0.7), func() {

@@ -41,9 +41,11 @@ type Scale struct {
 	// built: callers taking it from outside validate it first.
 	Policy string
 
-	// built collects the platforms of one Run; the register wrapper
-	// attaches it.
-	built *[]*core.Platform
+	// built receives the platforms of one Run; the register wrapper
+	// attaches it. Being a func, it also keeps Scale from being compared
+	// or used as a map key, which would tell two runs of equal options
+	// apart: standardRun keys its cache on the option fields alone.
+	built func(*core.Platform)
 }
 
 // QuickScale is the test/bench default.
@@ -208,7 +210,7 @@ func register(e *Experiment) {
 	run := e.Run
 	e.Run = func(s Scale) *Result {
 		var built []*core.Platform
-		s.built = &built
+		s.built = func(p *core.Platform) { built = append(built, p) }
 		r := run(s)
 		if s.Invariants {
 			checkInvariants(r, built)

@@ -33,7 +33,7 @@ func init() {
 func runCriticality(s Scale) *Result {
 	r := &Result{ID: "criticality", Title: "Criticality priority under scarcity"}
 	rc := baseRig(s)
-	rc.Seeds = seedsFor("criticality")
+	rc.Seeds = criticalitySeeds
 	rc.Platform.Cluster.Regions = 1
 	rc.Platform.Cluster.TotalWorkers = 4
 	rc.Platform.LocalityGroups = 0

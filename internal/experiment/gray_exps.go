@@ -51,7 +51,7 @@ func init() {
 // CritHigh-heavy steady mix with tight exec times.
 func grayRig(s Scale, defended bool, workers int, mix workload.GrayMixConfig) rigConfig {
 	rc := smallFleet(s, 1, workers)
-	rc.Seeds = seedsFor("gray")
+	rc.Seeds = graySeeds
 	if defended {
 		rc.Platform.GrayDetection.Enabled = true
 		rc.Platform.Resilience = rc.Platform.Resilience.EnableAll()
@@ -255,7 +255,7 @@ func runDrillEvacuation(s Scale) *Result {
 	}
 
 	rc := smallFleet(s, 3, 9)
-	rc.Seeds = seedsFor("drill")
+	rc.Seeds = drillSeeds
 	rc.Platform.Drain.Enabled = true
 	rc.Platform.Resilience = rc.Platform.Resilience.EnableAll()
 

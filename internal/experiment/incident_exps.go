@@ -31,7 +31,7 @@ func init() {
 // per minute); pass a huge value to effectively disable AIMD.
 func incidentRig(s Scale, dsName string, dsCapacity, steadyRPS float64, concurrencyLimit int, bpThreshold float64) rigConfig {
 	rc := baseRig(s)
-	rc.Seeds = seedsFor("incident")
+	rc.Seeds = incidentSeeds
 	cfg := &rc.Platform
 	cfg.Cluster.Regions = 1
 	cfg.Cluster.TotalWorkers = 16

@@ -58,7 +58,7 @@ func init() {
 // these experiments assert, not an optional CI extra).
 func recoveryRig(s Scale, targetUtil float64, flushLag time.Duration) rigConfig {
 	rc := chaosRig(s, targetUtil)
-	rc.Seeds = seedsFor("recovery")
+	rc.Seeds = recoverySeeds
 	rc.Platform.Durability.JournalEnabled = true
 	rc.Platform.Durability.FlushLag = flushLag
 	rc.Platform.Invariants.Enabled = true

@@ -134,7 +134,7 @@ func (t counterTotals) amplification() float64 {
 // and the policy matrix both start from it.
 func stormRig(s Scale, mix workload.StormMixConfig) rigConfig {
 	rc := smallFleet(s, 1, 4)
-	rc.Seeds = seedsFor("storm")
+	rc.Seeds = stormSeeds
 	// Exceptions are not cheap during a storm: a failed invocation
 	// occupies the worker for its full duration.
 	rc.Platform.Worker.FailureSlowdown = 1.0
@@ -373,7 +373,7 @@ func runChaosSpikyClient(s Scale) *Result {
 // flooding tenant and its small reserved victims.
 func neighbourRig(s Scale, nn workload.NoisyNeighborConfig) rigConfig {
 	rc := smallFleet(s, 1, 3)
-	rc.Seeds = seedsFor("neighbour")
+	rc.Seeds = neighbourSeeds
 	rc.Fill = func(pop *workload.Population, seed uint64) {
 		workload.BuildNoisyNeighbor(pop, nn, rng.New(seed))
 	}

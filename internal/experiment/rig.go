@@ -22,34 +22,22 @@ const spikeFactor = 1.35
 // fault injector.
 type seedOffsets struct{ Pop, Gen, Inj uint64 }
 
-// seedsFor is the table of offsets in use, by rig family. Every seeded
-// byte of output depends on these numbers, so they live here and nowhere
-// else. A hand-written population (table2, incident, criticality) seeds
-// its i-th model with Pop+i; the drill's deferrable specs draw from
-// Pop+50. Families that inject no faults leave Inj unused.
-func seedsFor(family string) seedOffsets {
-	switch family {
-	case "default":
-		return seedOffsets{1000, 2000, 9000}
-	case "recovery":
-		return seedOffsets{1000, 2000, 9100}
-	case "storm":
-		return seedOffsets{4000, 4100, 4200}
-	case "neighbour":
-		return seedOffsets{5000, 5100, 5200}
-	case "gray":
-		return seedOffsets{6000, 6100, 6200}
-	case "drill":
-		return seedOffsets{7000, 7100, 7200}
-	case "table2":
-		return seedOffsets{Pop: 0, Gen: 30}
-	case "incident":
-		return seedOffsets{Pop: 9, Gen: 10}
-	case "criticality":
-		return seedOffsets{Pop: 50, Gen: 60}
-	}
-	panic("experiment: no seed offsets for rig family " + family)
-}
+// The table of offsets in use, by rig family. Every seeded byte of output
+// depends on these numbers, so they live here and nowhere else. A
+// hand-written population (table2, incident, criticality) seeds its i-th
+// model with Pop+i; the drill's deferrable specs draw from Pop+50.
+// Families that inject no faults leave Inj unused.
+var (
+	defaultSeeds     = seedOffsets{1000, 2000, 9000}
+	recoverySeeds    = seedOffsets{1000, 2000, 9100}
+	stormSeeds       = seedOffsets{4000, 4100, 4200}
+	neighbourSeeds   = seedOffsets{5000, 5100, 5200}
+	graySeeds        = seedOffsets{6000, 6100, 6200}
+	drillSeeds       = seedOffsets{7000, 7100, 7200}
+	table2Seeds      = seedOffsets{Pop: 0, Gen: 30}
+	incidentSeeds    = seedOffsets{Pop: 9, Gen: 10}
+	criticalitySeeds = seedOffsets{Pop: 50, Gen: 60}
+)
 
 // rigConfig is a rig as a value: a preset returns one, the experiment
 // changes the fields it is about, and build turns it into a running
@@ -85,7 +73,7 @@ type rigConfig struct {
 func baseRig(s Scale) rigConfig {
 	cfg := core.DefaultConfig()
 	cfg.Seed = s.Seed
-	return rigConfig{Platform: cfg, Seeds: seedsFor("default"), Headroom: spikeFactor, scale: s}
+	return rigConfig{Platform: cfg, Seeds: defaultSeeds, Headroom: spikeFactor, scale: s}
 }
 
 // defaultRig provisions the fleet so the mean workload lands near the
@@ -208,7 +196,7 @@ func (rc rigConfig) build() *rig {
 // invariant sweep.
 func (s Scale) collect(p *core.Platform) {
 	if s.built != nil && p.Inv.Enabled() {
-		*s.built = append(*s.built, p)
+		s.built(p)
 	}
 }
 
@@ -240,26 +228,31 @@ func simWindow(s Scale, full, quick time.Duration) time.Duration {
 	return full
 }
 
-// standardRuns caches one finished default-rig run per option value.
-// Figures 2, 7, 8, 10 and 11 all measure the same production system in
-// the paper; here they share one simulated platform run, which they only
-// read. The lock is held while a run is built, so each is built once.
-var standardRuns = struct {
-	sync.Mutex
-	byScale map[Scale]*rig
-}{byScale: map[Scale]*rig{}}
+// standardRuns caches one finished default-rig run per option value:
+// standardKey → a sync.OnceValue returning the *rig. Figures 2, 7, 8, 10
+// and 11 all measure the same production system in the paper; here they
+// share one simulated platform run, which they only read. Each run is
+// built once, and runs under different options build side by side.
+var standardRuns sync.Map
+
+// standardKey is the option fields of a Scale, all a run depends on.
+type standardKey struct {
+	Quick               bool
+	Seed                uint64
+	Invariants, Observe bool
+	Policy              string
+}
 
 func standardRun(s Scale) *rig {
-	key := s
-	key.built = nil
-	standardRuns.Lock()
-	defer standardRuns.Unlock()
-	rg := standardRuns.byScale[key]
-	if rg == nil {
-		rg = defaultRig(key, 0.66).build()
-		rg.P.Engine.RunFor(simWindow(key, workload.Day, 8*time.Hour))
-		standardRuns.byScale[key] = rg
-	}
+	key := standardKey{s.Quick, s.Seed, s.Invariants, s.Observe, s.Policy}
+	run, _ := standardRuns.LoadOrStore(key, sync.OnceValue(func() *rig {
+		shared := s
+		shared.built = nil // borrowed by every caller, built by none
+		rg := defaultRig(shared, 0.66).build()
+		rg.P.Engine.RunFor(simWindow(s, workload.Day, 8*time.Hour))
+		return rg
+	}))
+	rg := run.(func() *rig)()
 	s.collect(rg.P)
 	return rg
 }

@@ -116,7 +116,7 @@ func runTable2(s Scale) *Result {
 	// Run the five named workloads through an actual platform and measure
 	// executed calls, the way the paper profiles production workloads.
 	rc := baseRig(s)
-	rc.Seeds = seedsFor("table2")
+	rc.Seeds = table2Seeds
 	rc.Platform.Cluster.Regions = 1
 	rc.Platform.CodePushInterval = 0
 	rc.TargetUtil, rc.Headroom, rc.MinWorkers = 0.6, 1.5, 4

@@ -315,12 +315,10 @@ func BenchmarkJournalFlush(b *testing.B) {
 
 // The rescan this replaced cost 100 times as much per flush at 100k
 // retained records as at 1k. Each sample times the two sizes back to back
-// and the median of five ratios decides, so neither drift nor one noisy
-// spell on a shared runner can fail it. Alone the ratio is 2.2; the 100k
-// flush is memory-bound, so while other packages' tests load both cores'
-// caches (the experiment package runs its tests in parallel) it sits at
-// 4 with samples up to 10 — hence a bound of 20, still a fifth of what
-// it guards against.
+// and the lowest of five ratios decides: what else the machine runs
+// (other packages' tests, in parallel) only ever adds to the memory-bound
+// 100k flush — alone the ratio is 2.2, under load samples reach 10 — while
+// the rescan would put every sample near 100.
 func TestFlushCostFollowsSettledNotRetained(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
@@ -343,8 +341,7 @@ func TestFlushCostFollowsSettledNotRetained(t *testing.T) {
 		t.Logf("flush settling 256 calls: %.0f ns at 1k retained, %.0f ns at 100k", small, large)
 		ratios = append(ratios, large/small)
 	}
-	slices.Sort(ratios)
-	if ratios[2] > 20 {
-		t.Fatalf("a flush at 100k retained records costs %.1fx one at 1k (median of %v), want at most 20x", ratios[2], ratios)
+	if least := slices.Min(ratios); least > 5 {
+		t.Fatalf("a flush at 100k retained records costs %.1fx one at 1k (lowest of %v), want at most 5x", least, ratios)
 	}
 }
