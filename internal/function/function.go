@@ -296,11 +296,12 @@ type Call struct {
 
 	State   State
 	Attempt int // 1-based once queued
-	// Sampled marks the call as selected for tracing (set once at
-	// submission by trace.Recorder.OnSubmit). Keeping the flag on the
-	// call lets every instrumentation hook bail with one field load when
-	// the call is untraced — the zero-alloc disabled path.
-	Sampled bool
+	// Obs is the call's observer record (a *trace.Record), nil until an
+	// observer meets the call: every instrumentation hook bails with one
+	// load when it is — the zero-alloc disabled path. It is opaque here
+	// because this package cannot import its consumers. A hedge clone is a
+	// value copy of the Call and shares the record.
+	Obs any
 
 	// Timeline bookkeeping for delay metrics.
 	QueuedAt    sim.Time

@@ -23,7 +23,8 @@ package invariant
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -92,43 +93,30 @@ const (
 	stSettling
 )
 
+var stateNames = [...]string{"submitted", "queued", "leased", "running", "completed", "settling"}
+
 func stateName(s uint8) string {
-	switch s {
-	case stSubmitted:
-		return "submitted"
-	case stQueued:
-		return "queued"
-	case stLeased:
-		return "leased"
-	case stRunning:
-		return "running"
-	case stCompleted:
-		return "completed"
-	case stSettling:
-		return "settling"
+	if int(s) < len(stateNames) {
+		return stateNames[s]
 	}
 	return "?"
 }
 
-// centry is the ledger record of one in-flight call. Entries are deleted
-// at terminal states, so the ledger's size tracks the in-flight count,
-// not the run length.
-type centry struct {
-	state   uint8
-	region  int32 // submission region
-	attempt int32
-	worker  int64 // packed worker ref while running
-	// hedge is the packed ref of a live speculative (hedged) copy's
-	// worker, zero when none. A hedge never creates a second ledger
-	// entry — the clone shares the call ID — so conservation closes with
-	// no new terms; this field only tracks which extra worker may
-	// legally produce the winning completion.
-	hedge int64
-	fn    string
-}
+// The ledger entry of a call is the trace.Ledger on the observer record
+// the call carries (function.Call.Obs), so a transition reaches it through
+// the call with no lookup. Worker is the packed ref of the execution while
+// running. Hedge is the packed ref of a live speculative (hedged) copy's
+// worker, zero when none: a hedge never creates a second entry — the clone
+// shares the call's record — so conservation closes with no new terms, and
+// the field only tracks which extra worker may legally produce the winning
+// completion. Orphaned marks a call whose durable record diverged from a
+// live copy a scheduler or worker may still hold: booked lost while leased
+// or running (a crashed shard's torn tail), or replay-requeued while a
+// pre-crash execution was still in flight. Later events on it are
+// at-least-once fallout — tolerated, never re-entered into the ledger.
 
 // packRef encodes a worker identity, biased by one region so that worker
-// (0,0) never collides with the zero value centry.worker uses as its
+// (0,0) never collides with the zero value an entry's Worker uses as its
 // "no execution" sentinel.
 func packRef(region, worker int) int64 { return int64(region+1)<<32 | int64(uint32(worker)) }
 
@@ -143,6 +131,9 @@ func refString(ref int64) string {
 // tail, a submitter's unflushed batch); Resurrected counts settled
 // calls a journal replay legally re-delivered because their terminal
 // record was torn off (at-least-once overlap — the ack still stood).
+// The checker keeps its counters in this form, InFlight included: it moves
+// at the transitions that open and retire an entry, so a snapshot never
+// visits the in-flight population.
 type Tally struct {
 	Submitted    uint64
 	Acked        uint64
@@ -166,10 +157,13 @@ type Tally struct {
 	MigratedIn  uint64
 }
 
-type counts struct {
-	submitted, acked, dead, dropped, lost, resurrected uint64
-	exhausted, expired, budgetDenied, shed             uint64
-	migratedOut, migratedIn                            uint64
+// fcounts is one function's tally. An entry points at it from the moment
+// it opens, which also makes it the mark of whose entry that is: a record
+// arriving from another partition's checker is not in this ledger.
+type fcounts struct {
+	Tally
+	name string
+	k    *Checker
 }
 
 type probe struct {
@@ -179,16 +173,19 @@ type probe struct {
 
 // Checker is the invariant engine. All methods are safe on a nil
 // receiver (they no-op), so components hold plain fields and call hooks
-// unconditionally. A mutex guards all state: HTTP handlers snapshot
-// violations while the paced engine advances, same as trace.Recorder.
+// unconditionally. The mutex guards what the snapshot methods read that no
+// call owns — tallies, violations, the late-event and evaluation counts,
+// the note — and is taken at sources, terminals and breaches, never for a
+// transition that only moves a call's own entry. Entries are read by On
+// alone, on the engine's goroutine; an HTTP handler is ordered against the
+// engine by the server mutex that brackets Engine.RunFor and every handler.
 type Checker struct {
 	engine *sim.Engine
 	params Params
 
 	// LocalityCheck, when set (by core), validates a dispatch against the
 	// function's locality group at dispatch time; it returns "" when the
-	// placement is legal. It runs under the checker's lock and must not
-	// call back into the checker.
+	// placement is legal.
 	LocalityCheck func(c *function.Call, region, worker int) string
 
 	// ExpiryDispatchCheck, when set (by core, iff expiry sweeping is on),
@@ -198,23 +195,21 @@ type Checker struct {
 	// normal behavior (it completes as an SLO miss).
 	ExpiryDispatchCheck bool
 
+	// lastID is the highest call ID submitted here. Submitters draw IDs
+	// from one strictly increasing per-platform sequence, so an ID at or
+	// below it on a call this ledger has never seen was assigned twice.
+	lastID uint64
+
 	mu         sync.Mutex
-	ledger     map[uint64]centry
-	byFunc     map[string]*counts
-	byRegion   []counts
-	total      counts
+	byFunc     map[string]*fcounts
+	funcs      []*fcounts // byFunc's values in name order
+	byRegion   []Tally
+	total      Tally
 	violations []Violation
 	nViol      uint64
 	lateEvents uint64
 	evals      uint64
 	note       string
-	// orphaned marks calls whose durable record diverged from a live copy
-	// a scheduler or worker may still hold: booked lost while leased or
-	// running (a crashed shard's torn tail), or replay-requeued while a
-	// pre-crash execution was still in flight. Later events on those IDs
-	// are at-least-once fallout — tolerated, never re-entered into the
-	// ledger. Bounded by the crash blast radius, not the call volume.
-	orphaned map[uint64]struct{}
 
 	probes []probe
 }
@@ -232,9 +227,8 @@ func NewChecker(engine *sim.Engine, params Params, numRegions int) *Checker {
 	k := &Checker{
 		engine:   engine,
 		params:   params,
-		ledger:   make(map[uint64]centry),
-		byFunc:   make(map[string]*counts),
-		byRegion: make([]counts, numRegions),
+		byFunc:   make(map[string]*fcounts),
+		byRegion: make([]Tally, numRegions),
 	}
 	if params.Interval > 0 {
 		engine.Every(params.Interval, func() { k.evaluate(engine.Now()) })
@@ -272,8 +266,10 @@ func (k *Checker) Note(kind, detail string) {
 	k.mu.Unlock()
 }
 
-// violate records one breach. Callers hold k.mu.
+// violate records one breach.
 func (k *Checker) violate(name string, callID uint64, format string, args ...any) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	k.nViol++
 	if len(k.violations) >= k.params.MaxViolations {
 		return
@@ -287,33 +283,107 @@ func (k *Checker) violate(name string, callID uint64, format string, args ...any
 	})
 }
 
-func (k *Checker) fcounts(fn string) *counts {
-	c, ok := k.byFunc[fn]
-	if !ok {
-		c = &counts{}
-		k.byFunc[fn] = c
-	}
-	return c
+// late counts one tolerated event of at-least-once overlap.
+func (k *Checker) late() {
+	k.mu.Lock()
+	k.lateEvents++
+	k.mu.Unlock()
 }
 
-// terminal books one terminal outcome and drops the ledger entry.
-// Callers hold k.mu.
-func (k *Checker) terminal(id uint64, e centry, out func(*counts)) {
-	out(&k.total)
-	out(k.fcounts(e.fn))
-	if int(e.region) < len(k.byRegion) {
-		out(&k.byRegion[e.region])
+// fcounts returns the function's tally, creating it on first use. Callers
+// hold k.mu. funcs is replaced, not edited, so EachFunc can walk the slice
+// it read under the lock after releasing it.
+func (k *Checker) fcounts(fn string) *fcounts {
+	fc, ok := k.byFunc[fn]
+	if !ok {
+		fc = &fcounts{name: fn, k: k}
+		k.byFunc[fn] = fc
+		i, _ := slices.BinarySearchFunc(k.funcs, fn, func(f *fcounts, name string) int {
+			return strings.Compare(f.name, name)
+		})
+		k.funcs = slices.Insert(slices.Clone(k.funcs), i, fc)
 	}
-	delete(k.ledger, id)
+	return fc
 }
+
+// entry returns c's entry if it belongs to this ledger, and whether it is
+// live. A nil entry is a call this ledger has never seen; one that is not
+// live has reached a terminal here.
+func (k *Checker) entry(c *function.Call) (e *trace.Ledger, live bool) {
+	rec := trace.RecordOf(c)
+	if rec == nil {
+		return nil, false
+	}
+	if fc, _ := rec.Ledger.Counts.(*fcounts); fc == nil || fc.k != k {
+		return nil, false
+	}
+	return &rec.Ledger, rec.Ledger.Live
+}
+
+// book applies f — a source or a terminal, nil for neither — to the three
+// tallies an entry counts in, and moves their live counts by d. Callers
+// hold k.mu.
+func (k *Checker) book(e *trace.Ledger, d int, f func(*Tally)) {
+	ts := [...]*Tally{&k.total, &e.Counts.(*fcounts).Tally, nil}
+	if int(e.Region) < len(k.byRegion) {
+		ts[2] = &k.byRegion[e.Region]
+	}
+	for _, t := range ts {
+		if t != nil {
+			t.InFlight += d
+			if f != nil {
+				f(t)
+			}
+		}
+	}
+}
+
+// open makes c's entry live in the given state and books its source, if
+// it has one. e and live are what entry returned: a call the ledger never
+// saw gets its entry here — on the observer record, which open allocates
+// when no other consumer has — with the function's tally resolved once; a
+// call back from a terminal (a resurrection) reopens the entry it had.
+func (k *Checker) open(c *function.Call, e *trace.Ledger, live bool, state uint8, source func(*Tally)) *trace.Ledger {
+	k.mu.Lock()
+	if e == nil {
+		e = &trace.Attach(c).Ledger
+		*e = trace.Ledger{Counts: k.fcounts(c.Spec.Name)}
+	}
+	if live {
+		k.book(e, -1, nil) // a duplicate overwrites the entry it collides with
+	}
+	*e = trace.Ledger{Counts: e.Counts, Region: int32(c.SourceRegion), State: state, Live: true, Orphaned: e.Orphaned}
+	k.book(e, 1, source)
+	k.mu.Unlock()
+	return e
+}
+
+// terminal books one terminal outcome and retires the entry.
+func (k *Checker) terminal(e *trace.Ledger, out func(*Tally)) {
+	k.mu.Lock()
+	k.book(e, -1, out)
+	k.mu.Unlock()
+	e.Live = false
+}
+
+func fname(e *trace.Ledger) string { return e.Counts.(*fcounts).name }
 
 // traceOnly is the set of lifecycle kinds during which no ledger state
-// changes hands; On returns on them before taking the lock.
+// changes hands; On returns on them at once.
 const traceOnly = 1<<trace.KindRoute | 1<<trace.KindScheduled |
 	1<<trace.KindQuotaDenied | 1<<trace.KindCongestionDenied |
 	1<<trace.KindIsolationDenied | 1<<trace.KindExecStart |
 	1<<trace.KindExecEnd | 1<<trace.KindDownstreamRetry |
 	1<<trace.KindBackpressure | 1<<trace.KindSLOMiss | 1<<trace.KindEvacuated
+
+// lateOnMiss is the set of kinds that, arriving for a call with no live
+// entry, are at-least-once fallout and nothing more: a superseded
+// execution or a stale scheduler reporting on a call the ledger has
+// already retired. On counts them in LateEvents and goes no further.
+const lateOnMiss = 1<<trace.KindComplete | 1<<trace.KindHedgeWin | 1<<trace.KindHedgeCancel |
+	1<<trace.KindAck | 1<<trace.KindNack | 1<<trace.KindLeaseExpired | 1<<trace.KindRetry |
+	1<<trace.KindRelease | 1<<trace.KindDrainMigrated | 1<<trace.KindDeadLetter |
+	1<<trace.KindBudgetExhausted | 1<<trace.KindExpired
 
 // On feeds one lifecycle transition to the ledger: the kind → hook
 // mapping. Every trace.Kind is either in traceOnly or a case below, so a
@@ -324,64 +394,71 @@ func (k *Checker) On(c *function.Call, kind trace.Kind, arg int64) {
 	if k == nil || uint64(traceOnly)>>kind&1 != 0 {
 		return
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+	e, live := k.entry(c)
+	if !live && uint64(lateOnMiss)>>kind&1 != 0 {
+		k.late()
+		return
+	}
 	region, worker := trace.SplitRef(arg)
+	ref := packRef(int(region), worker)
 	switch kind {
 	case trace.KindSubmit:
-		k.submit(c)
+		k.submit(c, e, live)
 	case trace.KindEnqueue:
-		k.enqueue(c)
+		k.enqueue(c, e, live)
 	case trace.KindLease:
-		k.lease(c)
+		k.lease(c, e, live)
 	case trace.KindLeaseExpired:
-		k.settle(c, "expire")
+		k.settle(c, e, "expire")
 	case trace.KindDispatch:
-		k.dispatch(c, int(region), worker)
+		k.dispatch(c, e, live, int(region), worker, ref)
 	case trace.KindComplete:
-		k.complete(c, int(region), worker)
+		k.complete(c, e, ref)
 	case trace.KindHedgeDispatch:
-		k.hedgeDispatch(c, int(region), worker)
+		k.hedgeDispatch(c, e, live, ref)
 	case trace.KindHedgeWin:
-		k.hedgeWin(c, int(region), worker)
+		k.hedgeWin(e, ref)
 	case trace.KindHedgeCancel:
-		k.hedgeCancel(c)
+		// A speculative copy retired without winning: the primary finished
+		// first, the copy failed, or its primary's worker was evacuated.
+		e.Hedge = 0
 	case trace.KindNack:
-		k.settle(c, "nack")
+		k.settle(c, e, "nack")
 	case trace.KindRetry:
-		k.retry(c)
+		k.retry(c, e)
 	case trace.KindRelease:
-		k.release(c)
+		k.release(c, e)
 	case trace.KindAck:
-		k.ack(c)
+		k.ack(c, e)
 	case trace.KindDeadLetter:
-		k.deadLetter(c)
+		k.deadLetter(c, e)
 	case trace.KindExpired:
-		k.expiredCall(c)
+		k.expiredCall(c, e)
 	case trace.KindShed:
-		k.shed(c)
+		k.shed(c, e, live)
 	case trace.KindBudgetExhausted:
-		k.budgetExhausted(c)
+		k.budgetExhausted(c, e)
 	case trace.KindDropped:
-		k.dropped(c)
+		k.leave(c, e, live, "drop", "dropped", func(t *Tally) { t.Dropped++ })
 	case trace.KindLost:
-		k.lost(c)
+		k.lost(c, e, live)
 	case trace.KindRecovered:
-		k.recoverRequeue(c)
+		k.recoverRequeue(c, e, live)
 	case trace.KindMigrated:
-		k.migrateOut(c)
+		k.leave(c, e, live, "migrate", "migrated", func(t *Tally) { t.MigratedOut++ })
 	case trace.KindMigrateIn:
-		k.migrateIn(c)
+		k.migrateIn(c, e, live)
 	case trace.KindDrainMigrated:
-		k.drainMigrate(c)
+		k.drainMigrate(c, e)
 	default:
 		k.violate("unmapped-kind", c.ID, "lifecycle kind %d (%s) has no ledger mapping", kind, kind)
 	}
 }
 
 // The six hooks of a call that succeeds first time, by name, for callers
-// that drive the ledger directly rather than through a spine. The hooks
-// below them all run under On's lock.
+// that drive the ledger directly rather than through a spine. Every hook
+// below them takes what entry returned for the call: its entry in this
+// ledger (nil if it has none) and whether that entry is live.
 
 func (k *Checker) OnSubmit(c *function.Call)  { k.On(c, trace.KindSubmit, 0) }
 func (k *Checker) OnEnqueue(c *function.Call) { k.On(c, trace.KindEnqueue, 0) }
@@ -396,130 +473,98 @@ func (k *Checker) OnComplete(c *function.Call, region, worker int) {
 
 // submit records a call entering the platform (an ID was assigned and
 // the call joined a submitter batch).
-func (k *Checker) submit(c *function.Call) {
-	if _, dup := k.ledger[c.ID]; dup {
+func (k *Checker) submit(c *function.Call, e *trace.Ledger, live bool) {
+	if live || e == nil && c.ID <= k.lastID {
 		k.violate("duplicate-call-id", c.ID, "id assigned twice (func %s)", c.Spec.Name)
 	}
-	e := centry{state: stSubmitted, region: int32(c.SourceRegion), fn: c.Spec.Name}
-	k.ledger[c.ID] = e
-	k.total.submitted++
-	k.fcounts(e.fn).submitted++
-	if int(e.region) < len(k.byRegion) {
-		k.byRegion[e.region].submitted++
-	}
+	k.lastID = max(k.lastID, c.ID)
+	k.open(c, e, live, stSubmitted, func(t *Tally) { t.Submitted++ })
 }
 
-// migrateOut records a call handed to another platform partition over
-// the parallel fabric. Migration happens at routing time, so it is only
-// legal from the submitted state (before durable persistence); the call
-// becomes the destination partition's responsibility and leaves this
-// ledger as a terminal.
-func (k *Checker) migrateOut(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.violate("migrate-unknown", c.ID, "migrated a call the ledger never saw")
+// leave records one of the two terminals that are only legal before
+// durable persistence, from the submitted state: a fabric migration
+// (verb "migrate": the QueueLB handed the call to another platform
+// partition at routing time, and it is that partition's responsibility
+// from here) or a drop (verb "drop": a routing failure, the only legal
+// way a call disappears without an ack or dead-letter).
+func (k *Checker) leave(c *function.Call, e *trace.Ledger, live bool, verb, past string, out func(*Tally)) {
+	if !live {
+		k.violate(verb+"-unknown", c.ID, "%s a call the ledger never saw", past)
 		return
 	}
-	if e.state != stSubmitted {
-		k.violate("migrate-from-"+stateName(e.state), c.ID,
-			"migrated after durable persistence (func %s)", e.fn)
+	if e.State != stSubmitted {
+		k.violate(verb+"-from-"+stateName(e.State), c.ID,
+			"%s after durable persistence (func %s)", past, fname(e))
 	}
-	k.terminal(c.ID, e, func(t *counts) { t.migratedOut++ })
+	k.terminal(e, out)
 }
 
 // migrateIn records a call arriving from another platform partition:
 // like a submission, it enters the ledger in the submitted state (the
 // fabric delivers to this partition's routing layer, which persists it),
 // but it is booked as a MigratedIn source so conservation distinguishes
-// locally born work from immigrated work.
-func (k *Checker) migrateIn(c *function.Call) {
-	if _, dup := k.ledger[c.ID]; dup {
+// locally born work from immigrated work. The record it arrives on still
+// carries the source partition's retired entry; open rebinds it here.
+func (k *Checker) migrateIn(c *function.Call, e *trace.Ledger, live bool) {
+	if live {
 		k.violate("duplicate-call-id", c.ID, "migrated-in id already live (func %s)", c.Spec.Name)
 	}
-	e := centry{state: stSubmitted, region: int32(c.SourceRegion), fn: c.Spec.Name}
-	k.ledger[c.ID] = e
-	k.total.migratedIn++
-	k.fcounts(e.fn).migratedIn++
-	if int(e.region) < len(k.byRegion) {
-		k.byRegion[e.region].migratedIn++
-	}
-}
-
-// dropped records a routing failure before durable persistence — the
-// only legal way a call disappears without an ack or dead-letter.
-func (k *Checker) dropped(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.violate("drop-unknown", c.ID, "dropped a call the ledger never saw")
-		return
-	}
-	if e.state != stSubmitted {
-		k.violate("drop-from-"+stateName(e.state), c.ID,
-			"dropped after durable persistence (func %s)", e.fn)
-	}
-	k.terminal(c.ID, e, func(t *counts) { t.dropped++ })
+	k.open(c, e, live, stSubmitted, func(t *Tally) { t.MigratedIn++ })
 }
 
 // enqueue records durable persistence in a DurableQ shard.
-func (k *Checker) enqueue(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
+func (k *Checker) enqueue(c *function.Call, e *trace.Ledger, live bool) {
+	if !live {
 		k.violate("enqueue-unknown", c.ID, "enqueued a call the ledger never saw")
-		e = centry{region: int32(c.SourceRegion), fn: c.Spec.Name}
+		e = k.open(c, e, false, stQueued, nil)
+	} else if e.State != stSubmitted {
+		k.violate("enqueue-from-"+stateName(e.State), c.ID, "func %s", fname(e))
 	}
-	if ok && e.state != stSubmitted {
-		k.violate("enqueue-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	e.state = stQueued
-	k.ledger[c.ID] = e
+	e.State = stQueued
 }
 
 // lease records a scheduler taking a lease (a DurableQ offer). Each
 // lease must come from the queued state and carry a strictly increasing
 // attempt number.
-func (k *Checker) lease(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
+func (k *Checker) lease(c *function.Call, e *trace.Ledger, live bool) {
+	if !live {
 		k.violate("lease-unknown", c.ID, "leased a call the ledger never saw")
-		e = centry{region: int32(c.SourceRegion), fn: c.Spec.Name}
+		e = k.open(c, e, false, stLeased, nil)
+	} else {
+		if e.State != stQueued {
+			k.violate("lease-from-"+stateName(e.State), c.ID, "func %s attempt %d", fname(e), c.Attempt)
+		}
+		if int32(c.Attempt) <= e.Attempt {
+			k.violate("attempt-not-monotone", c.ID,
+				"attempt %d after %d (func %s)", c.Attempt, e.Attempt, fname(e))
+		}
 	}
-	if ok && e.state != stQueued {
-		k.violate("lease-from-"+stateName(e.state), c.ID, "func %s attempt %d", e.fn, c.Attempt)
-	}
-	if ok && int32(c.Attempt) <= e.attempt {
-		k.violate("attempt-not-monotone", c.ID,
-			"attempt %d after %d (func %s)", c.Attempt, e.attempt, e.fn)
-	}
-	e.state = stLeased
-	e.attempt = int32(c.Attempt)
-	k.ledger[c.ID] = e
+	e.State = stLeased
+	e.Attempt = int32(c.Attempt)
 }
 
 // dispatch records a worker starting the call. Dispatch from any state
 // but leased is a breach; dispatch while already running is the lease-
 // exclusivity violation — the same call executing on two workers under
 // one lease.
-func (k *Checker) dispatch(c *function.Call, region, worker int) {
-	ref := packRef(region, worker)
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		if _, orphan := k.orphaned[c.ID]; orphan {
+func (k *Checker) dispatch(c *function.Call, e *trace.Ledger, live bool, region, worker int, ref int64) {
+	if !live {
+		if e != nil && e.Orphaned {
 			// A scheduler dispatching its copy of a call whose durable
 			// record a crash destroyed or settled out from under it —
 			// at-least-once overlap, not a breach.
-			k.lateEvents++
+			k.late()
 			return
 		}
 		k.violate("dispatch-unknown", c.ID, "dispatched a call the ledger never saw")
-		e = centry{region: int32(c.SourceRegion), fn: c.Spec.Name}
-	}
-	if ok && e.state != stLeased {
-		if e.state == stRunning {
+		e = k.open(c, e, false, stRunning, nil)
+	} else if e.State != stLeased {
+		if e.State == stRunning {
 			k.violate("lease-exclusivity", c.ID,
 				"dispatched to %s while running on %s (func %s)",
-				refString(ref), refString(e.worker), e.fn)
+				refString(ref), refString(e.Worker), fname(e))
 		} else {
-			k.violate("dispatch-from-"+stateName(e.state), c.ID, "func %s", e.fn)
+			k.violate("dispatch-from-"+stateName(e.State), c.ID, "func %s", fname(e))
 		}
 	}
 	if k.LocalityCheck != nil {
@@ -532,9 +577,8 @@ func (k *Checker) dispatch(c *function.Call, region, worker int) {
 			"func %s dispatched %s past its deadline",
 			c.Spec.Name, k.engine.Now()-c.Deadline)
 	}
-	e.state = stRunning
-	e.worker = ref
-	k.ledger[c.ID] = e
+	e.State = stRunning
+	e.Worker = ref
 }
 
 // complete records a worker finishing the call (success or failure —
@@ -547,55 +591,45 @@ func (k *Checker) dispatch(c *function.Call, region, worker int) {
 // match the ledger's current execution are tolerated and counted in
 // LateEvents; a completion from the matching worker in any state but
 // running is a genuine breach (e.g. one execution completing twice).
-func (k *Checker) complete(c *function.Call, region, worker int) {
-	ref := packRef(region, worker)
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	if e.worker != ref {
+func (k *Checker) complete(c *function.Call, e *trace.Ledger, ref int64) {
+	if e.Worker != ref {
 		// A superseded execution finishing late: legal overlap.
-		k.lateEvents++
+		k.late()
 		return
 	}
-	if e.state != stRunning {
-		k.violate("complete-from-"+stateName(e.state), c.ID,
-			"func %s on %s", e.fn, refString(ref))
+	if e.State != stRunning {
+		k.violate("complete-from-"+stateName(e.State), c.ID,
+			"func %s on %s", fname(e), refString(ref))
 	}
-	e.state = stCompleted
-	k.ledger[c.ID] = e
+	e.State = stCompleted
 }
 
 // hedgeDispatch records a speculative copy of a running call starting
 // on a second worker. Legal only while the primary execution runs, and
 // only one hedge may be live per call — a second concurrent hedge is the
 // hedged twin of the lease-exclusivity breach.
-func (k *Checker) hedgeDispatch(c *function.Call, region, worker int) {
-	ref := packRef(region, worker)
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		if _, orphan := k.orphaned[c.ID]; orphan {
-			k.lateEvents++
+func (k *Checker) hedgeDispatch(c *function.Call, e *trace.Ledger, live bool, ref int64) {
+	if !live {
+		if e != nil && e.Orphaned {
+			k.late()
 			return
 		}
 		k.violate("hedge-unknown", c.ID, "hedged a call the ledger never saw")
 		return
 	}
-	if e.state != stRunning {
-		k.violate("hedge-from-"+stateName(e.state), c.ID, "func %s", e.fn)
+	if e.State != stRunning {
+		k.violate("hedge-from-"+stateName(e.State), c.ID, "func %s", fname(e))
 	}
-	if e.hedge != 0 {
+	if e.Hedge != 0 {
 		k.violate("hedge-duplicate", c.ID,
 			"hedged to %s while a hedge already runs on %s (func %s)",
-			refString(ref), refString(e.hedge), e.fn)
+			refString(ref), refString(e.Hedge), fname(e))
 	}
-	if e.worker == ref {
+	if e.Worker == ref {
 		k.violate("hedge-same-worker", c.ID,
-			"hedged onto the primary's own worker %s (func %s)", refString(ref), e.fn)
+			"hedged onto the primary's own worker %s (func %s)", refString(ref), fname(e))
 	}
-	e.hedge = ref
-	k.ledger[c.ID] = e
+	e.Hedge = ref
 }
 
 // hedgeWin records the speculative copy finishing first: the ledger's
@@ -603,33 +637,13 @@ func (k *Checker) hedgeDispatch(c *function.Call, region, worker int) {
 // settle flow reads as the winner's. A win for a ref the ledger no
 // longer tracks (the entry moved on under at-least-once overlap) is a
 // tolerated late event.
-func (k *Checker) hedgeWin(c *function.Call, region, worker int) {
-	ref := packRef(region, worker)
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
+func (k *Checker) hedgeWin(e *trace.Ledger, ref int64) {
+	if e.Hedge != ref {
+		k.late()
 		return
 	}
-	if e.hedge != ref {
-		k.lateEvents++
-		return
-	}
-	e.worker = ref
-	e.hedge = 0
-	k.ledger[c.ID] = e
-}
-
-// hedgeCancel records a speculative copy retired without winning (the
-// primary finished first, the copy failed, or its primary's worker was
-// evacuated).
-func (k *Checker) hedgeCancel(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	e.hedge = 0
-	k.ledger[c.ID] = e
+	e.Worker = ref
+	e.Hedge = 0
 }
 
 // ack records the durable queue settling the call as done — the happy
@@ -638,118 +652,80 @@ func (k *Checker) hedgeCancel(c *function.Call) {
 // attempt is queued, leased or running, which terminates the call early
 // (tolerated, counted in LateEvents). Only an ack before the call was
 // ever durably persisted is a breach.
-func (k *Checker) ack(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	switch e.state {
+func (k *Checker) ack(c *function.Call, e *trace.Ledger) {
+	switch e.State {
 	case stCompleted:
 	case stSubmitted:
-		k.violate("ack-from-submitted", c.ID, "func %s acked before persistence", e.fn)
+		k.violate("ack-from-submitted", c.ID, "func %s acked before persistence", fname(e))
 	default:
-		k.lateEvents++
+		k.late()
 	}
-	k.terminal(c.ID, e, func(t *counts) { t.acked++ })
+	k.terminal(e, func(t *Tally) { t.Acked++ })
 }
 
 // settle records a lease ending without an ack: an explicit negative
 // settle ("nack": execution failure, or a chaos evacuation returning the
 // call to the queue) or a lease expiring ("expire": scheduler presumed
 // dead).
-func (k *Checker) settle(c *function.Call, kind string) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	switch e.state {
+func (k *Checker) settle(c *function.Call, e *trace.Ledger, kind string) {
+	switch e.State {
 	case stLeased, stRunning, stCompleted:
 	default:
-		k.violate(kind+"-from-"+stateName(e.state), c.ID, "func %s", e.fn)
+		k.violate(kind+"-from-"+stateName(e.State), c.ID, "func %s", fname(e))
 	}
-	e.state = stSettling
-	e.worker = 0
-	e.hedge = 0
-	k.ledger[c.ID] = e
+	e.State = stSettling
+	e.Worker = 0
+	e.Hedge = 0
 }
 
 // release records a scheduler gracefully handing a leased call back to
 // its shard during a regional drain: the lease dissolves and the call is
 // plain queued work again — no settle detour, no retry accounting.
-func (k *Checker) release(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
+func (k *Checker) release(c *function.Call, e *trace.Ledger) {
+	if e.State != stLeased {
+		k.violate("release-from-"+stateName(e.State), c.ID, "func %s", fname(e))
 	}
-	if e.state != stLeased {
-		k.violate("release-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	e.state = stQueued
-	e.worker = 0
-	e.hedge = 0
-	k.ledger[c.ID] = e
+	e.State = stQueued
+	e.Worker = 0
+	e.Hedge = 0
 }
 
 // drainMigrate records a drain controller moving a queued call's
 // durable home to a peer region's shard. The ledger keys conservation on
 // the submission region, which the move does not change, so the entry
 // only needs to still be queued for the move to be legal.
-func (k *Checker) drainMigrate(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	if e.state != stQueued {
-		k.violate("drain-migrate-from-"+stateName(e.state), c.ID, "func %s", e.fn)
+func (k *Checker) drainMigrate(c *function.Call, e *trace.Ledger) {
+	if e.State != stQueued {
+		k.violate("drain-migrate-from-"+stateName(e.State), c.ID, "func %s", fname(e))
 	}
 }
 
 // retry records a settled call pushed back onto the queue for another
 // attempt.
-func (k *Checker) retry(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
+func (k *Checker) retry(c *function.Call, e *trace.Ledger) {
+	if e.State != stSettling {
+		k.violate("retry-from-"+stateName(e.State), c.ID, "func %s", fname(e))
 	}
-	if e.state != stSettling {
-		k.violate("retry-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	e.state = stQueued
-	k.ledger[c.ID] = e
+	e.State = stQueued
 }
 
 // deadLetter records retry exhaustion — the unhappy terminal state.
-func (k *Checker) deadLetter(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
+func (k *Checker) deadLetter(c *function.Call, e *trace.Ledger) {
+	if e.State != stSettling {
+		k.violate("deadletter-from-"+stateName(e.State), c.ID, "func %s", fname(e))
 	}
-	if e.state != stSettling {
-		k.violate("deadletter-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	k.terminal(c.ID, e, func(t *counts) { t.dead++; t.exhausted++ })
+	k.terminal(e, func(t *Tally) { t.DeadLettered++; t.Exhausted++ })
 }
 
 // budgetExhausted records a redelivery refused by an empty retry
 // budget — a dead-letter with the `budget` disposition. Like retry
 // exhaustion it is only legal from the settling state (the call was
 // nacked or its lease expired, and the shard chose not to requeue it).
-func (k *Checker) budgetExhausted(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
+func (k *Checker) budgetExhausted(c *function.Call, e *trace.Ledger) {
+	if e.State != stSettling {
+		k.violate("budget-deadletter-from-"+stateName(e.State), c.ID, "func %s", fname(e))
 	}
-	if e.state != stSettling {
-		k.violate("budget-deadletter-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	k.terminal(c.ID, e, func(t *counts) { t.dead++; t.budgetDenied++ })
+	k.terminal(e, func(t *Tally) { t.DeadLettered++; t.BudgetDenied++ })
 }
 
 // expiredCall records a deadline-expiry sweep dead-lettering a call.
@@ -757,74 +733,58 @@ func (k *Checker) budgetExhausted(c *function.Call) {
 // scheduler's dispatch-time sweep terminating its own lease), or
 // settling (redelivery refused because the deadline passed) — but never
 // running: an expired call on a worker means the sweeps failed.
-func (k *Checker) expiredCall(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	switch e.state {
+func (k *Checker) expiredCall(c *function.Call, e *trace.Ledger) {
+	switch e.State {
 	case stQueued, stLeased, stSettling:
 	default:
-		k.violate("expire-sweep-from-"+stateName(e.state), c.ID, "func %s", e.fn)
+		k.violate("expire-sweep-from-"+stateName(e.State), c.ID, "func %s", fname(e))
 	}
-	k.terminal(c.ID, e, func(t *counts) { t.dead++; t.expired++ })
+	k.terminal(e, func(t *Tally) { t.DeadLettered++; t.Expired++ })
 }
 
 // shed records queue-delay shedding dead-lettering a call. Shedding
 // only targets leased calls sitting in a scheduler buffer; shedding a
 // call the ledger has already settled is the "no call both executed to
-// success and shed" breach (unless the ID was orphaned by a crash, which
-// is at-least-once fallout).
-func (k *Checker) shed(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		if _, orphan := k.orphaned[c.ID]; orphan {
-			k.lateEvents++
+// success and shed" breach (unless the call was orphaned by a crash,
+// which is at-least-once fallout).
+func (k *Checker) shed(c *function.Call, e *trace.Ledger, live bool) {
+	if !live {
+		if e != nil && e.Orphaned {
+			k.late()
 			return
 		}
 		k.violate("shed-after-terminal", c.ID,
 			"shed a call the ledger already settled (func %s)", c.Spec.Name)
 		return
 	}
-	if e.state != stLeased {
-		k.violate("shed-from-"+stateName(e.state), c.ID, "func %s", e.fn)
+	if e.State != stLeased {
+		k.violate("shed-from-"+stateName(e.State), c.ID, "func %s", fname(e))
 	}
-	k.terminal(c.ID, e, func(t *counts) { t.dead++; t.shed++ })
+	k.terminal(e, func(t *Tally) { t.DeadLettered++; t.Shed++ })
 }
 
 // lost records a call destroyed by a component crash before settling —
 // a submitter's unflushed batch dying with the process, or the torn tail
 // of a shard's journal. A crash can catch a call in any live state, so
 // any non-terminal entry settles to the lost terminal without complaint.
-// A lost event with no ledger entry is the durability breach this engine
+// A lost event with no live entry is the durability breach this engine
 // exists to catch: every terminal call (acked, dead-lettered, dropped)
 // has left the ledger, so "lost an unknown call" means a component
 // destroyed work it had already settled — e.g. an acked call.
-func (k *Checker) lost(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
+func (k *Checker) lost(c *function.Call, e *trace.Ledger, live bool) {
+	if !live {
 		k.violate("lost-settled", c.ID,
 			"component lost a call the ledger already settled (func %s)", c.Spec.Name)
 		return
 	}
-	switch e.state {
+	switch e.State {
 	case stLeased, stRunning, stCompleted, stSettling:
 		// A live copy may outlive the durable record (a scheduler buffer,
 		// an execution already on a worker). Its later dispatch or
 		// completion is orphaned at-least-once fallout, not a breach.
-		k.markOrphaned(c.ID)
+		e.Orphaned = true
 	}
-	k.terminal(c.ID, e, func(t *counts) { t.lost++ })
-}
-
-// markOrphaned remembers an ID whose live copy may outlast its durable
-// record. Callers hold k.mu.
-func (k *Checker) markOrphaned(id uint64) {
-	if k.orphaned == nil {
-		k.orphaned = make(map[uint64]struct{})
-	}
-	k.orphaned[id] = struct{}{}
+	k.terminal(e, func(t *Tally) { t.Lost++ })
 }
 
 // recoverRequeue records journal replay re-enqueueing a call after a
@@ -833,35 +793,27 @@ func (k *Checker) markOrphaned(id uint64) {
 // crash — so any live state legally returns to queued; the worker ref
 // resets so the orphaned execution's eventual completion reads as
 // at-least-once overlap (a late event), not a breach. A requeue with no
-// ledger entry is a resurrection: the call settled but its terminal
+// live entry is a resurrection: the call settled but its terminal
 // record was in the journal's torn tail, so replay re-delivers it. The
 // ack that already reached the client still stands — this is legal
 // at-least-once duplication, booked under Resurrected so conservation
 // stays closed.
-func (k *Checker) recoverRequeue(c *function.Call) {
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		e = centry{state: stQueued, region: int32(c.SourceRegion), fn: c.Spec.Name}
-		k.ledger[c.ID] = e
-		k.total.resurrected++
-		k.fcounts(e.fn).resurrected++
-		if int(e.region) < len(k.byRegion) {
-			k.byRegion[e.region].resurrected++
-		}
-		k.lateEvents++
+func (k *Checker) recoverRequeue(c *function.Call, e *trace.Ledger, live bool) {
+	if !live {
+		k.open(c, e, false, stQueued, func(t *Tally) { t.Resurrected++ })
+		k.late()
 		return
 	}
-	switch e.state {
+	switch e.State {
 	case stLeased, stRunning, stCompleted, stSettling:
 		// A pre-crash scheduler or worker still holds this call; its late
 		// completion can settle the replayed copy out from under the
 		// redelivery pipeline.
-		k.markOrphaned(c.ID)
+		e.Orphaned = true
 	}
-	e.state = stQueued
-	e.worker = 0
-	e.hedge = 0
-	k.ledger[c.ID] = e
+	e.State = stQueued
+	e.Worker = 0
+	e.Hedge = 0
 }
 
 // evaluate runs every registered probe. Probes run outside the lock so
@@ -873,9 +825,7 @@ func (k *Checker) evaluate(now sim.Time) {
 	k.mu.Unlock()
 	for _, p := range probes {
 		for _, detail := range p.fn(now) {
-			k.mu.Lock()
 			k.violate(p.name, 0, "%s", detail)
-			k.mu.Unlock()
 		}
 	}
 }
@@ -939,54 +889,24 @@ func (k *Checker) Totals() Tally {
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	t := tally(k.total)
-	t.InFlight = len(k.ledger)
-	return t
-}
-
-// tally converts an internal counts record into the exported snapshot
-// (InFlight is the caller's to fill).
-func tally(c counts) Tally {
-	return Tally{
-		Submitted:    c.submitted,
-		Acked:        c.acked,
-		DeadLettered: c.dead,
-		Dropped:      c.dropped,
-		Lost:         c.lost,
-		Resurrected:  c.resurrected,
-		Exhausted:    c.exhausted,
-		Expired:      c.expired,
-		BudgetDenied: c.budgetDenied,
-		Shed:         c.shed,
-		MigratedOut:  c.migratedOut,
-		MigratedIn:   c.migratedIn,
-	}
+	return k.total
 }
 
 // EachFunc visits per-function conservation tallies in sorted name
-// order, with in-flight counts taken from the live ledger.
+// order.
 func (k *Checker) EachFunc(fn func(name string, t Tally)) {
 	if k == nil {
 		return
 	}
 	k.mu.Lock()
-	inflight := make(map[string]int, len(k.byFunc))
-	for _, e := range k.ledger {
-		inflight[e.fn]++
-	}
-	names := make([]string, 0, len(k.byFunc))
-	for name := range k.byFunc {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	tallies := make([]Tally, len(names))
-	for i, name := range names {
-		tallies[i] = tally(*k.byFunc[name])
-		tallies[i].InFlight = inflight[name]
+	funcs := k.funcs
+	tallies := make([]Tally, len(funcs))
+	for i, fc := range funcs {
+		tallies[i] = fc.Tally
 	}
 	k.mu.Unlock()
-	for i, name := range names {
-		fn(name, tallies[i])
+	for i, fc := range funcs {
+		fn(fc.name, tallies[i])
 	}
 }
 
@@ -997,17 +917,7 @@ func (k *Checker) EachRegion(fn func(region int, t Tally)) {
 		return
 	}
 	k.mu.Lock()
-	inflight := make([]int, len(k.byRegion))
-	for _, e := range k.ledger {
-		if int(e.region) < len(inflight) {
-			inflight[e.region]++
-		}
-	}
-	tallies := make([]Tally, len(k.byRegion))
-	for i, c := range k.byRegion {
-		tallies[i] = tally(c)
-		tallies[i].InFlight = inflight[i]
-	}
+	tallies := slices.Clone(k.byRegion)
 	k.mu.Unlock()
 	for i := range tallies {
 		fn(i, tallies[i])

@@ -142,7 +142,7 @@ func TestUnobservedEmitIsZeroAlloc(t *testing.T) {
 			t.Errorf("%s spine allocates %.1f/op, want 0", name, allocs)
 		}
 	}
-	if c.Sampled {
+	if c.Obs != nil {
 		t.Fatal("unobserved spine marked the call sampled")
 	}
 	nilSpine.Control("k", "d")

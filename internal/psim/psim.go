@@ -292,22 +292,14 @@ func (r *Runner) wireFabric() {
 				dstLocal := tgt.local
 				srcPlat.MigratedOut.Inc()
 				srcPlat.Obs.Emit(c, trace.KindMigrated, int64(tgt.part))
-				var ct *trace.CallTrace
-				if c.Sampled {
-					// Stitch the trace across the fabric: with the migrate
-					// span recorded, extract the open trace on the source
-					// goroutine and let the destination adopt it at
-					// delivery time — one span tree per call, so the
-					// breakdown identity closes across partitions.
-					ct = srcPlat.Tracer.Extract(c.ID)
-					if ct == nil {
-						c.Sampled = false
-					}
-				}
+				// The observer record rides on the call, so the trace stitches
+				// across the fabric by changing hands: the source lets go of
+				// it on its own goroutine, the destination picks it up at
+				// delivery time — one span tree per call, and the breakdown
+				// identity closes across partitions.
+				srcPlat.Tracer.Extract(c)
 				srcPlat.Engine.Send(tgt.part, r.Topo.Latency(srcGlobal, tgt.global), func() {
-					if ct != nil {
-						dstPlat.Tracer.Adopt(ct)
-					}
+					dstPlat.Tracer.Adopt(c)
 					deliver(dstPlat, dstLocal, c)
 				})
 				return true

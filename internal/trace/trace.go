@@ -16,18 +16,29 @@
 //     other. Retention (recent ring, slowest-K heap) uses only virtual
 //     time and call IDs as tie-breaks.
 //
-//   - Zero-alloc when disabled: every per-call hook starts with a
-//     nil/flag check (`r == nil || !c.Sampled`) and returns before
-//     touching any state, so instrumented hot paths cost nothing when
-//     tracing is off. Control-plane events are always recorded; they
+//   - Zero-alloc when disabled: every per-call hook starts with a nil
+//     check on the recorder and on the call's observer record and returns
+//     before touching any state, so instrumented hot paths cost nothing
+//     when tracing is off. Control-plane events are always recorded; they
 //     fire only on rare state transitions.
 //
-// The Recorder is internally locked so HTTP readers (httpapi) can
-// snapshot traces while a paced engine advances under the server's own
-// mutex; the simulation itself remains single-threaded.
+// Per-call state lives in one Record that rides on the call
+// (function.Call.Obs): the trace header, its first events inline, the
+// invariant ledger's entry, and the links of the recorder's in-flight
+// list. An event costs a pointer load and an array store; nothing is
+// looked up by call ID.
+//
+// The Recorder's mutex guards what its snapshot methods read that no call
+// owns: the in-flight list, the retention buffers, the counters and the
+// control log. An in-flight trace's events are appended without it. An
+// HTTP reader (httpapi) that renders an in-flight trace is ordered
+// against the engine by the server's own mutex, which brackets both
+// Engine.RunFor and every handler; the simulation itself remains
+// single-threaded per partition.
 package trace
 
 import (
+	"sort"
 	"sync"
 
 	"xfaas/internal/cluster"
@@ -220,6 +231,63 @@ type CallTrace struct {
 	Events    []Event
 }
 
+// inlineEvents is how many events a Record holds in its own allocation:
+// the nine a call that succeeds first time stores (submit, route, enqueue,
+// lease, scheduled, dispatch, exec-start, exec-end, ack). Longer traces
+// spill to the heap through append.
+const inlineEvents = 9
+
+// Record is the observer state of one call. It is allocated once, by
+// whichever consumer meets the bare call first, and travels with the call
+// from then on: hedge clones are value copies of the Call and share it, a
+// fabric migration carries it to the destination partition.
+type Record struct {
+	// CallTrace is the sampled call's trace; Events is nil while no
+	// recorder has opened one.
+	CallTrace
+	inline [inlineEvents]Event
+	// owner is the recorder whose in-flight list holds the record through
+	// next/prev: nil for an untraced call, a finalized trace, and a trace in
+	// transit between partitions.
+	owner      *Recorder
+	next, prev *Record
+	// Ledger is invariant.Checker's entry for the call.
+	Ledger Ledger
+}
+
+// Ledger is the invariant ledger's per-call entry. It lives here because
+// the record type must be visible to both consumers and invariant imports
+// trace; only invariant.Checker reads or writes it.
+type Ledger struct {
+	// Counts is the owning checker's tallies of the call's function,
+	// resolved once when the entry opens. It also says whose entry this is.
+	Counts        any
+	Worker, Hedge int64
+	Region        int32
+	Attempt       int32
+	State         uint8
+	// Live is false before the entry opens and after a terminal; Orphaned
+	// outlives the terminal.
+	Live, Orphaned bool
+}
+
+// RecordOf returns c's observer record, nil for a call no consumer has
+// observed.
+func RecordOf(c *function.Call) *Record {
+	rec, _ := c.Obs.(*Record)
+	return rec
+}
+
+// Attach returns c's observer record, allocating it on first use.
+func Attach(c *function.Call) *Record {
+	rec := RecordOf(c)
+	if rec == nil {
+		rec = &Record{}
+		c.Obs = rec
+	}
+	return rec
+}
+
 // Latency is submit→terminal; zero until Done.
 func (t *CallTrace) Latency() sim.Time {
 	if !t.Done {
@@ -278,12 +346,13 @@ type Recorder struct {
 	params Params
 	seed   uint64
 
-	mu     sync.Mutex
-	active map[uint64]*CallTrace
-	recent []*CallTrace // ring; next is the write position
-	next   int
-	filled bool
-	slow   slowHeap // min-heap over latency, size <= SlowestK
+	mu      sync.Mutex
+	active  *Record // head of the in-flight list
+	nActive int
+	recent  []*CallTrace // ring; next is the write position
+	next    int
+	filled  bool
+	slow    slowHeap // min-heap over latency, size <= SlowestK
 
 	sampled   uint64
 	completed uint64
@@ -317,7 +386,6 @@ func NewRecorder(engine *sim.Engine, seed uint64, p Params) *Recorder {
 		engine: engine,
 		params: p,
 		seed:   seed,
-		active: make(map[uint64]*CallTrace),
 		recent: make([]*CallTrace, p.RingSize),
 		ctrl:   make([]ControlEvent, p.ControlLog),
 	}
@@ -358,14 +426,21 @@ func (r *Recorder) ShouldSample(id uint64) bool {
 // selected, opens its trace with a submit event. Call after the ID and
 // submit time are stamped.
 func (r *Recorder) OnSubmit(c *function.Call) {
-	if r == nil || !r.params.Enabled {
+	if r == nil || !r.params.Enabled || !r.ShouldSample(c.ID) {
 		return
 	}
-	if !r.ShouldSample(c.ID) {
-		return
+	rec := RecordOf(c)
+	var stale *Record
+	if rec == nil || rec.Events != nil {
+		// A call object submitted again gets a fresh record: a retention
+		// buffer may still hold its old trace.
+		stale, rec = rec, &Record{}
+		if stale != nil {
+			rec.Ledger = stale.Ledger
+		}
+		c.Obs = rec
 	}
-	c.Sampled = true
-	t := &CallTrace{
+	rec.CallTrace = CallTrace{
 		ID:         c.ID,
 		Func:       c.Spec.Name,
 		Crit:       c.Spec.Criticality,
@@ -374,53 +449,80 @@ func (r *Recorder) OnSubmit(c *function.Call) {
 		SubmitAt:   c.SubmitTime,
 		StartAfter: c.StartAfter,
 		Deadline:   c.Deadline,
-		Events:     make([]Event, 0, 8),
 	}
-	t.Events = append(t.Events, Event{At: c.SubmitTime, Kind: KindSubmit})
+	rec.Events = append(rec.inline[:0], Event{At: c.SubmitTime, Kind: KindSubmit})
 	r.mu.Lock()
-	r.active[c.ID] = t
+	if stale != nil && stale.owner == r {
+		r.unlink(stale)
+	}
+	r.link(rec)
 	r.sampled++
 	r.mu.Unlock()
 }
 
-// Record appends one lifecycle event to a sampled call's trace. Unsampled
-// calls return immediately without taking the lock (the zero-alloc,
-// near-zero-cost disabled path). Terminal kinds finalize the trace;
-// ledger-only kinds are stored as their span's kind or skipped.
+// Record appends one lifecycle event to the call's trace if this recorder
+// holds it open; any other call returns after two loads, without locking
+// or allocating. Terminal kinds finalize the trace; ledger-only kinds are
+// stored as their span's kind or skipped.
 func (r *Recorder) Record(c *function.Call, k Kind, arg int64) {
-	if r == nil || !c.Sampled {
+	if r == nil {
+		return
+	}
+	rec := RecordOf(c)
+	if rec == nil || rec.owner != r {
 		return
 	}
 	k, ok := k.span()
 	if !ok {
 		return
 	}
-	r.mu.Lock()
-	t, ok := r.active[c.ID]
-	if !ok {
-		r.mu.Unlock()
-		return
-	}
-	if len(t.Events) >= r.params.MaxEventsPerCall && !k.Terminal() {
-		t.Truncated++
+	if len(rec.Events) >= r.params.MaxEventsPerCall && !k.Terminal() {
+		rec.Truncated++
+		r.mu.Lock()
 		r.dropped++
 		r.mu.Unlock()
 		return
 	}
-	t.Events = append(t.Events, Event{At: r.engine.Now(), Kind: k, Arg: arg})
-	if k == KindLease && int(arg) > t.Attempts {
-		t.Attempts = int(arg)
+	rec.Events = append(rec.Events, Event{At: r.engine.Now(), Kind: k, Arg: arg})
+	if k == KindLease && int(arg) > rec.Attempts {
+		rec.Attempts = int(arg)
 	}
 	if k.Terminal() {
-		r.finalize(t, k)
+		r.mu.Lock()
+		r.finalize(rec, k)
+		r.mu.Unlock()
 	}
-	r.mu.Unlock()
 }
 
-// finalize moves a trace from active to the retention buffers. Caller
+// link and unlink move a record onto and off the in-flight list. Caller
 // holds r.mu.
-func (r *Recorder) finalize(t *CallTrace, outcome Kind) {
-	delete(r.active, t.ID)
+func (r *Recorder) link(rec *Record) {
+	rec.owner, rec.prev, rec.next = r, nil, r.active
+	if r.active != nil {
+		r.active.prev = rec
+	}
+	r.active = rec
+	r.nActive++
+}
+
+func (r *Recorder) unlink(rec *Record) {
+	if rec.prev != nil {
+		rec.prev.next = rec.next
+	} else {
+		r.active = rec.next
+	}
+	if rec.next != nil {
+		rec.next.prev = rec.prev
+	}
+	rec.owner, rec.prev, rec.next = nil, nil, nil
+	r.nActive--
+}
+
+// finalize moves a trace from the in-flight list to the retention
+// buffers. Caller holds r.mu.
+func (r *Recorder) finalize(rec *Record, outcome Kind) {
+	r.unlink(rec)
+	t := &rec.CallTrace
 	t.Done = true
 	t.Outcome = outcome
 	t.EndAt = r.engine.Now()
@@ -441,35 +543,31 @@ func (r *Recorder) finalize(t *CallTrace, outcome Kind) {
 	}
 }
 
-// Extract removes and returns a call's in-flight trace, handing
-// ownership to the caller — the migration path: the source partition's
-// recorder extracts the trace on its own goroutine before the call
-// crosses the fabric, and the destination Adopts it at delivery time.
-// Returns nil when the call has no in-flight trace here.
-func (r *Recorder) Extract(id uint64) *CallTrace {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.active[id]
-	if !ok {
-		return nil
-	}
-	delete(r.active, id)
-	r.sampled--
-	return t
-}
-
-// Adopt takes ownership of a trace extracted from another recorder,
-// continuing it as if it had been opened here. Per-partition ID
-// namespaces guarantee no collision with a locally opened trace.
-func (r *Recorder) Adopt(t *CallTrace) {
-	if r == nil || t == nil {
+// Extract takes c's in-flight trace off this recorder — the migration
+// path: the source partition's recorder lets go of the trace on its own
+// goroutine before the call crosses the fabric, the record travels with
+// the call, and the destination Adopts it at delivery time. A call this
+// recorder holds no open trace of is left alone.
+func (r *Recorder) Extract(c *function.Call) {
+	rec := RecordOf(c)
+	if r == nil || rec == nil || rec.owner != r {
 		return
 	}
 	r.mu.Lock()
-	r.active[t.ID] = t
+	r.unlink(rec)
+	r.sampled--
+	r.mu.Unlock()
+}
+
+// Adopt continues a trace Extracted from another recorder as if it had
+// been opened here. A call with no trace in transit is left alone.
+func (r *Recorder) Adopt(c *function.Call) {
+	rec := RecordOf(c)
+	if r == nil || rec == nil || rec.owner != nil || rec.Events == nil || rec.Done {
+		return
+	}
+	r.mu.Lock()
+	r.link(rec)
 	r.sampled++
 	r.mu.Unlock()
 }
@@ -503,14 +601,16 @@ func (r *Recorder) Controls() []ControlEvent {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []ControlEvent
-	if r.ctrlFull {
-		out = make([]ControlEvent, 0, len(r.ctrl))
-		out = append(out, r.ctrl[r.ctrlNext:]...)
-		out = append(out, r.ctrl[:r.ctrlNext]...)
-		return out
+	return unroll(r.ctrl, r.ctrlNext, r.ctrlFull)
+}
+
+// unroll copies out a ring's contents oldest first; next is its write
+// position and full whether it has wrapped.
+func unroll[T any](ring []T, next int, full bool) []T {
+	if !full {
+		return append([]T(nil), ring[:next]...)
 	}
-	return append(out, r.ctrl[:r.ctrlNext]...)
+	return append(append(make([]T, 0, len(ring)), ring[next:]...), ring[:next]...)
 }
 
 // ControlCount returns the total number of control events ever recorded.
@@ -530,14 +630,7 @@ func (r *Recorder) Recent() []*CallTrace {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []*CallTrace
-	if r.filled {
-		out = make([]*CallTrace, 0, len(r.recent))
-		out = append(out, r.recent[r.next:]...)
-		out = append(out, r.recent[:r.next]...)
-		return out
-	}
-	return append(out, r.recent[:r.next]...)
+	return unroll(r.recent, r.next, r.filled)
 }
 
 // Slowest returns up to SlowestK completed traces, slowest first; ties
@@ -550,25 +643,24 @@ func (r *Recorder) Slowest() []*CallTrace {
 	out := make([]*CallTrace, len(r.slow))
 	copy(out, r.slow)
 	r.mu.Unlock()
-	// Sort descending by latency, ascending ID on ties (n <= SlowestK).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && slowLess(out[j-1], out[j]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	// Descending by latency, ascending ID on ties.
+	sort.SliceStable(out, func(i, j int) bool { return slowLess(out[j], out[i]) })
 	return out
 }
 
 // Find returns the trace for a call ID: in-flight, recent, or retained
-// slowest. Nil when the call was not sampled or has been evicted.
+// slowest. Nil when the call was not sampled or has been evicted. It is a
+// diagnostic: the in-flight search walks the list.
 func (r *Recorder) Find(id uint64) *CallTrace {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if t, ok := r.active[id]; ok {
-		return t
+	for rec := r.active; rec != nil; rec = rec.next {
+		if rec.ID == id {
+			return &rec.CallTrace
+		}
 	}
 	for _, t := range r.recent {
 		if t != nil && t.ID == id {
@@ -590,7 +682,7 @@ func (r *Recorder) Active() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.active)
+	return r.nActive
 }
 
 // Stats returns lifetime counters: traces opened, traces completed, and

@@ -81,7 +81,7 @@ func TestDisabledRecorderIsZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("disabled recorder allocates %.1f/op, want 0", allocs)
 	}
-	if c.Sampled {
+	if c.Obs != nil {
 		t.Fatalf("disabled recorder marked call sampled")
 	}
 	var nilRec *Recorder
@@ -276,7 +276,7 @@ func TestUnsampledEventsIgnored(t *testing.T) {
 	r.OnSubmit(c)
 	r.Record(c, KindEnqueue, 0)
 	r.Record(c, KindAck, 0)
-	if c.Sampled || r.Active() != 0 || len(r.Recent()) != 0 {
+	if c.Obs != nil || r.Active() != 0 || len(r.Recent()) != 0 {
 		t.Fatalf("unsampled call left recorder state behind")
 	}
 }
