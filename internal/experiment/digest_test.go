@@ -282,3 +282,30 @@ func TestSeededDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestFinalOnAThrottledFunction is the regression test for the violation
+// the default observed rig used to end with. spiky-fn-00 is throttled at
+// its quota, so its measured RPS sits at the ceiling the quota-ceiling
+// probe checks, and the hour ends on a probe tick: Final evaluates that
+// instant a second time. The probe's read of the limiter's admitted-RPS
+// watermark used to reset it on every read, so the repeat judged the
+// whole window's RPS against a watermark reset a moment before and
+// reported a breach that never happened.
+func TestFinalOnAThrottledFunction(t *testing.T) {
+	t.Parallel()
+	rc := defaultRig(QuickScale(), 0.66)
+	rc.Platform.Invariants.Enabled = true
+	r := rc.build()
+	r.P.Engine.RunFor(time.Hour)
+	if r.P.Central.Throttled.Value() == 0 {
+		t.Fatal("nothing was throttled: the run does not exercise the quota ceiling")
+	}
+	violations, evals := r.P.Inv.TotalViolations(), r.P.Inv.Evals()
+	vs := r.P.Inv.Final()
+	if r.P.Inv.Evals() != evals+1 {
+		t.Fatalf("Final ran %d evaluations, want 1", r.P.Inv.Evals()-evals)
+	}
+	if r.P.Inv.TotalViolations() != violations {
+		t.Fatalf("evaluating one instant twice reported %v", vs)
+	}
+}

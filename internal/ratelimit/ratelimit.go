@@ -54,10 +54,14 @@ type funcState struct {
 	// rate check.
 	bucket *TokenBucket
 	// peakLimit is the largest limit seen by Allow since the invariant
-	// checker last read it (limits move with S, shed, and avgCost between
-	// probe points, so the ceiling check needs the window's high
-	// watermark, not the instantaneous limit).
-	peakLimit float64
+	// checker last closed a window (limits move with S, shed, and avgCost
+	// between probe points, so the ceiling check needs the window's high
+	// watermark, not the instantaneous limit). closedPeak is the watermark
+	// of the window closed at closedAt.
+	peakLimit  float64
+	closedPeak float64
+	closedAt   sim.Time
+	closed     bool
 }
 
 // NewCentral returns a limiter measuring RPS over a 10-second window.
@@ -202,13 +206,21 @@ func (c *Central) Window() time.Duration { return c.window }
 // TakePeakAllowedRPS returns the largest RPS the limiter could have
 // legitimately admitted over the measurement window since the last call
 // — the high-watermark limit plus the burst allowance amortized over the
-// window — and resets the watermark. Negative means unlimited (no
+// window — and starts a new watermark. Negative means unlimited (no
 // quota). The invariant checker's quota-ceiling probe compares
-// CurrentRPS against this bound.
+// CurrentRPS against this bound. Reading twice at one instant (a final
+// evaluation on a probe tick) reads the same window twice: the second
+// read must not judge the traffic of the window just closed against the
+// watermark of the one just begun.
 func (c *Central) TakePeakAllowedRPS(spec *function.Spec) float64 {
 	fs := c.state(spec)
-	peak := fs.peakLimit
-	fs.peakLimit = c.RPSLimit(spec)
+	if now := c.engine.Now(); !fs.closed || now != fs.closedAt {
+		fs.closedPeak, fs.peakLimit = fs.peakLimit, c.RPSLimit(spec)
+		fs.closed, fs.closedAt = true, now
+	} else if fs.peakLimit > fs.closedPeak {
+		fs.closedPeak = fs.peakLimit // admitted at this instant, after the first read
+	}
+	peak := fs.closedPeak
 	if peak < 0 || (peak == 0 && fs.peakLimit < 0) {
 		return -1
 	}

@@ -302,3 +302,31 @@ func TestMinCriticalityFloor(t *testing.T) {
 		t.Fatalf("floor = %v after set", c.MinCriticality())
 	}
 }
+
+// The quota-ceiling probe reads the watermark once per evaluation, and a
+// run that ends on a probe tick is evaluated twice at one instant. Both
+// reads must see the window that just closed: the limit fell during it, so
+// a second read that saw only the window just begun would put the ceiling
+// below the traffic the limiter legitimately admitted.
+func TestPeakAllowedRPSReadTwiceAtOneInstant(t *testing.T) {
+	e := sim.NewEngine()
+	c := NewCentral(e)
+	s := reservedSpec("opp", 100)
+	s.Quota = function.QuotaOpportunistic
+	for i := 0; i < 50; i++ {
+		c.Allow(s) // admitted under the full limit
+	}
+	c.SetShed(0.25)
+	e.RunFor(time.Second)
+	first := c.TakePeakAllowedRPS(s)
+	if cur := c.CurrentRPS(s); cur > first {
+		t.Fatalf("measured %v rps above the first read's ceiling %v", cur, first)
+	}
+	if second := c.TakePeakAllowedRPS(s); second != first {
+		t.Fatalf("second read at the same instant allows %v rps, the first allowed %v", second, first)
+	}
+	e.RunFor(time.Minute)
+	if next := c.TakePeakAllowedRPS(s); next >= first {
+		t.Fatalf("a later read still allows %v rps: the shed window's watermark never started", next)
+	}
+}
