@@ -68,7 +68,10 @@ func (t *CallTrace) Breakdown() (Components, bool) {
 		case KindDispatch:
 			dispLast, haveDisp = e.At, true
 		case KindMigrated:
-			if !haveMig {
+			// Fabric transit only before the first enqueue: a drain
+			// migration is stored as the same kind but moves a call that
+			// is already queued, and is no phase of its own.
+			if !haveMig && !haveEnq {
 				mig, haveMig = e.At, true
 			}
 		}

@@ -170,6 +170,65 @@ func TestBreakdownWithDeferralAndRetry(t *testing.T) {
 	}
 }
 
+// A migration is fabric transit only when it precedes the first enqueue.
+// A drain moves a call that is already queued (the ledger's
+// KindDrainMigrated, stored as KindMigrated): counted as transit it put
+// the Migrate phase at enqueue − migration, a negative time.
+func TestBreakdownMigrations(t *testing.T) {
+	type step struct {
+		after time.Duration
+		kind  Kind
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+		want  Components
+	}{
+		{"fabric migration", []step{
+			{time.Second, KindMigrated}, {2 * time.Second, KindEnqueue}, {3 * time.Second, KindLease},
+			{time.Second, KindDispatch}, {4 * time.Second, KindAck},
+		}, Components{Submit: time.Second, Migrate: 2 * time.Second, Queue: 3 * time.Second, Sched: time.Second, Exec: 4 * time.Second}},
+		{"drain migration", []step{
+			{time.Second, KindEnqueue}, {2 * time.Second, KindDrainMigrated}, {3 * time.Second, KindLease},
+			{time.Second, KindDispatch}, {4 * time.Second, KindAck},
+		}, Components{Submit: time.Second, Queue: 5 * time.Second, Sched: time.Second, Exec: 4 * time.Second}},
+		{"fabric migration, then a drain", []step{
+			{time.Second, KindMigrated}, {2 * time.Second, KindEnqueue}, {time.Second, KindDrainMigrated},
+			{2 * time.Second, KindLease}, {time.Second, KindDispatch}, {4 * time.Second, KindAck},
+		}, Components{Submit: time.Second, Migrate: 2 * time.Second, Queue: 3 * time.Second, Sched: time.Second, Exec: 4 * time.Second}},
+		{"drain migration, never leased", []step{
+			{time.Second, KindEnqueue}, {2 * time.Second, KindDrainMigrated}, {3 * time.Second, KindExpired},
+		}, Components{Submit: time.Second, Queue: 5 * time.Second}},
+	} {
+		e := sim.NewEngine()
+		p := DefaultParams()
+		p.Enabled = true
+		r := NewRecorder(e, 1, p)
+		c := newCall(1, testSpec())
+		r.OnSubmit(c)
+		for _, s := range tc.steps {
+			e.RunFor(s.after)
+			r.Record(c, s.kind, 1)
+		}
+		tr := r.Find(1)
+		got, ok := tr.Breakdown()
+		if !ok {
+			t.Fatalf("%s: no breakdown", tc.name)
+		}
+		if got != tc.want {
+			t.Errorf("%s: components %+v, want %+v", tc.name, got, tc.want)
+		}
+		if got.Sum() != tr.Latency() {
+			t.Errorf("%s: components sum %v != e2e %v", tc.name, got.Sum(), tr.Latency())
+		}
+		for _, phase := range []sim.Time{got.Submit, got.Migrate, got.Deferred, got.Queue, got.Retry, got.Sched, got.Exec} {
+			if phase < 0 {
+				t.Errorf("%s: negative phase in %+v", tc.name, got)
+			}
+		}
+	}
+}
+
 func TestRecentRingEvictsOldest(t *testing.T) {
 	e := sim.NewEngine()
 	p := DefaultParams()
