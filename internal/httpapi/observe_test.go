@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,4 +237,109 @@ func TestObservabilityConcurrentWithPacing(t *testing.T) {
 func jsonUint(v uint64) string {
 	b, _ := json.Marshal(v)
 	return string(b)
+}
+
+// TestReadersRaceThePacedEngine runs the real pacing loop while readers
+// hammer the endpoints that walk observer state. An in-flight call's
+// trace events and ledger entry are written by the engine without the
+// recorder's or the checker's lock — they belong to the call — so what
+// orders a handler that renders them against Engine.RunFor is the server
+// mutex both take. Run under -race (CI does, with -count=10): a handler
+// that read observer state outside that mutex would be reported here.
+func TestReadersRaceThePacedEngine(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Cluster.Regions = 2
+	cfg.Cluster.TotalWorkers = 6
+	cfg.CodePushInterval = 0
+	cfg.Trace.Enabled = true
+	cfg.Trace.SampleEvery = 1
+	cfg.Invariants.Enabled = true
+	s := NewServer(core.New(cfg, function.NewRegistry()), 7)
+	s.Speedup = 200 // one pacing step is ten virtual seconds
+	h := s.Handler()
+	do(t, h, "POST", "/functions", FunctionRequest{Name: "resize", ExecMedianS: 0.1})
+	// Calls due over the next virtual minute: in flight when the readers
+	// start, progressing while they read.
+	var ids []uint64
+	for i := 0; i < 40; i++ {
+		rec := do(t, h, "POST", "/invoke", InvokeRequest{Function: "resize", Region: i % 2, DelaySeconds: 1.5 * float64(i)})
+		var resp struct {
+			CallID uint64 `json:"call_id"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.CallID == 0 {
+			t.Fatalf("invoke: %v: %s", err, rec.Body)
+		}
+		ids = append(ids, resp.CallID)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.Pace(stop)
+	}()
+	var inFlightReads atomic.Int64
+	reader := func(read func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					read(i)
+				}
+			}
+		}()
+	}
+	for _, path := range []string{"/traces", "/invariants", "/metrics"} {
+		reader(func(int) {
+			if rec := do(t, h, "GET", path, nil); rec.Code != http.StatusOK {
+				t.Errorf("%s status = %d", path, rec.Code)
+			}
+		})
+	}
+	reader(func(i int) {
+		rec := do(t, h, "GET", "/traces/"+jsonUint(ids[i%len(ids)]), nil)
+		var resp TraceResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+			t.Errorf("trace status = %d: %v", rec.Code, err)
+		} else if !resp.Done {
+			inFlightReads.Add(1)
+		}
+	})
+	reader(func(i int) { // new work arriving while the engine is paced
+		do(t, h, "POST", "/invoke", InvokeRequest{Function: "resize", Region: i % 2, DelaySeconds: 1})
+		time.Sleep(time.Millisecond)
+	})
+
+	// Wait for the event, not the clock: the paced engine passing the last
+	// call's start time.
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		var stats StatsResponse
+		if err := json.Unmarshal(do(t, h, "GET", "/stats", nil).Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		if stats.VirtualTimeSec > 70 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("paced engine reached only %.0f virtual seconds", stats.VirtualTimeSec)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if inFlightReads.Load() == 0 {
+		t.Fatal("no reader saw an in-flight trace")
+	}
+	var inv InvariantsResponse
+	if err := json.Unmarshal(do(t, h, "GET", "/invariants", nil).Body.Bytes(), &inv); err != nil {
+		t.Fatal(err)
+	}
+	if inv.TotalViolations != 0 || inv.Totals.Acked == 0 {
+		t.Fatalf("paced run: %+v", inv)
+	}
 }

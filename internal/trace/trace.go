@@ -245,7 +245,6 @@ type Record struct {
 	// CallTrace is the sampled call's trace; Events is nil while no
 	// recorder has opened one.
 	CallTrace
-	inline [inlineEvents]Event
 	// owner is the recorder whose in-flight list holds the record through
 	// next/prev: nil for an untraced call, a finalized trace, and a trace in
 	// transit between partitions.
@@ -253,6 +252,10 @@ type Record struct {
 	next, prev *Record
 	// Ledger is invariant.Checker's entry for the call.
 	Ledger Ledger
+	// inline comes last so that what every transition reads — the Events
+	// header that ends CallTrace, owner, the ledger state — shares two
+	// cache lines of a record that is usually cold.
+	inline [inlineEvents]Event
 }
 
 // Ledger is the invariant ledger's per-call entry. It lives here because
