@@ -47,7 +47,7 @@ func TestEvaluationCostIgnoresBacklog(t *testing.T) {
 	var allocs [2]float64
 	for i, inflight := range [...]int{1_000, 100_000} {
 		k := backlogged(inflight)
-		allocs[i] = testing.AllocsPerRun(10, func() { k.evaluate(0) })
+		allocs[i] = testing.AllocsPerRun(200, func() { k.evaluate(0) })
 		if tot := k.Totals(); tot.InFlight != inflight || k.TotalViolations() != 0 {
 			t.Fatalf("%d in flight: totals %+v, violations %v", inflight, tot, k.Violations())
 		}

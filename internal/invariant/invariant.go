@@ -347,7 +347,7 @@ func (k *Checker) open(c *function.Call, e *trace.Ledger, live bool, state uint8
 	k.mu.Lock()
 	if e == nil {
 		e = &trace.Attach(c).Ledger
-		*e = trace.Ledger{Counts: k.fcounts(c.Spec.Name)}
+		e.Counts, e.Orphaned = k.fcounts(c.Spec.Name), false // another ledger's flag does not carry
 	}
 	if live {
 		k.book(e, -1, nil) // a duplicate overwrites the entry it collides with
@@ -411,7 +411,7 @@ func (k *Checker) On(c *function.Call, kind trace.Kind, arg int64) {
 	case trace.KindLeaseExpired:
 		k.settle(c, e, "expire")
 	case trace.KindDispatch:
-		k.dispatch(c, e, live, int(region), worker, ref)
+		k.dispatch(c, e, live, int(region), worker)
 	case trace.KindComplete:
 		k.complete(c, e, ref)
 	case trace.KindHedgeDispatch:
@@ -547,7 +547,8 @@ func (k *Checker) lease(c *function.Call, e *trace.Ledger, live bool) {
 // but leased is a breach; dispatch while already running is the lease-
 // exclusivity violation — the same call executing on two workers under
 // one lease.
-func (k *Checker) dispatch(c *function.Call, e *trace.Ledger, live bool, region, worker int, ref int64) {
+func (k *Checker) dispatch(c *function.Call, e *trace.Ledger, live bool, region, worker int) {
+	ref := packRef(region, worker)
 	if !live {
 		if e != nil && e.Orphaned {
 			// A scheduler dispatching its copy of a call whose durable

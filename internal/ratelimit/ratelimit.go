@@ -61,7 +61,6 @@ type funcState struct {
 	peakLimit  float64
 	closedPeak float64
 	closedAt   sim.Time
-	closed     bool
 }
 
 // NewCentral returns a limiter measuring RPS over a 10-second window.
@@ -214,9 +213,8 @@ func (c *Central) Window() time.Duration { return c.window }
 // watermark of the one just begun.
 func (c *Central) TakePeakAllowedRPS(spec *function.Spec) float64 {
 	fs := c.state(spec)
-	if now := c.engine.Now(); !fs.closed || now != fs.closedAt {
-		fs.closedPeak, fs.peakLimit = fs.peakLimit, c.RPSLimit(spec)
-		fs.closed, fs.closedAt = true, now
+	if now := c.engine.Now(); now != fs.closedAt {
+		fs.closedPeak, fs.peakLimit, fs.closedAt = fs.peakLimit, c.RPSLimit(spec), now
 	} else if fs.peakLimit > fs.closedPeak {
 		fs.closedPeak = fs.peakLimit // admitted at this instant, after the first read
 	}

@@ -26,15 +26,8 @@
 // (function.Call.Obs): the trace header, its first events inline, the
 // invariant ledger's entry, and the links of the recorder's in-flight
 // list. An event costs a pointer load and an array store; nothing is
-// looked up by call ID.
-//
-// The Recorder's mutex guards what its snapshot methods read that no call
-// owns: the in-flight list, the retention buffers, the counters and the
-// control log. An in-flight trace's events are appended without it. An
-// HTTP reader (httpapi) that renders an in-flight trace is ordered
-// against the engine by the server's own mutex, which brackets both
-// Engine.RunFor and every handler; the simulation itself remains
-// single-threaded per partition.
+// looked up by call ID. The simulation itself is single-threaded per
+// partition; Recorder's comment says what its mutex covers.
 package trace
 
 import (
@@ -248,13 +241,14 @@ type Record struct {
 	// owner is the recorder whose in-flight list holds the record through
 	// next/prev: nil for an untraced call, a finalized trace, and a trace in
 	// transit between partitions.
-	owner      *Recorder
-	next, prev *Record
+	owner *Recorder
 	// Ledger is invariant.Checker's entry for the call.
-	Ledger Ledger
-	// inline comes last so that what every transition reads — the Events
-	// header that ends CallTrace, owner, the ledger state — shares two
-	// cache lines of a record that is usually cold.
+	Ledger     Ledger
+	next, prev *Record
+	// inline comes last, and the fields are in this order, so that what
+	// every transition reads — the Events header that ends CallTrace,
+	// owner, the ledger's state and tally — is some seventy contiguous
+	// bytes of a record that is usually cold.
 	inline [inlineEvents]Event
 }
 
@@ -262,16 +256,16 @@ type Record struct {
 // the record type must be visible to both consumers and invariant imports
 // trace; only invariant.Checker reads or writes it.
 type Ledger struct {
+	State uint8
+	// Live is false before the entry opens and after a terminal; Orphaned
+	// outlives the terminal.
+	Live, Orphaned bool
+	Region         int32
+	Attempt        int32
 	// Counts is the owning checker's tallies of the call's function,
 	// resolved once when the entry opens. It also says whose entry this is.
 	Counts        any
 	Worker, Hedge int64
-	Region        int32
-	Attempt       int32
-	State         uint8
-	// Live is false before the entry opens and after a terminal; Orphaned
-	// outlives the terminal.
-	Live, Orphaned bool
 }
 
 // RecordOf returns c's observer record, nil for a call no consumer has
@@ -343,7 +337,11 @@ func DefaultParams() Params {
 
 // Recorder collects call traces and control-plane events. All methods
 // are safe on a nil receiver (no-ops), so components hold a plain field
-// and never branch on configuration.
+// and never branch on configuration. mu guards the in-flight list, the
+// retention buffers, the counters and the control log; an in-flight
+// trace's events are appended without it, and a reader that renders them
+// while the engine runs must be ordered against the engine by the caller
+// (httpapi's server mutex brackets Engine.RunFor and every handler).
 type Recorder struct {
 	engine *sim.Engine
 	params Params
