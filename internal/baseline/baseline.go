@@ -24,11 +24,6 @@ type Params struct {
 	HostMemoryMB float64
 	HostCPUMIPS  float64
 	CoreMIPS     float64
-	// ColdStart is the container initialization time (Figure 1 steps
-	// 1-7: container start, runtime init, code download/load).
-	ColdStart time.Duration
-	// IdleTimeout keeps a finished container warm for reuse.
-	IdleTimeout time.Duration
 	// ContainerOverheadMB is resident memory per container beyond the
 	// function's working set (runtime copy per container — the paper's
 	// §4.5 motivation for sharing one runtime process).
@@ -37,6 +32,14 @@ type Params struct {
 	MaxQueue int
 }
 
+const (
+	// ColdStart is the container initialization time (Figure 1 steps
+	// 1-7: container start, runtime init, code download/load).
+	ColdStart time.Duration = 8 * time.Second
+	// idleTimeout keeps a finished container warm for reuse.
+	idleTimeout time.Duration = 10 * time.Minute
+)
+
 // DefaultParams mirror the public-cloud numbers the paper cites.
 func DefaultParams() Params {
 	return Params{
@@ -44,8 +47,6 @@ func DefaultParams() Params {
 		HostMemoryMB:        64 * 1024,
 		HostCPUMIPS:         1500,
 		CoreMIPS:            150,
-		ColdStart:           8 * time.Second,
-		IdleTimeout:         10 * time.Minute,
 		ContainerOverheadMB: 256,
 		MaxQueue:            0,
 	}
@@ -151,7 +152,7 @@ func (p *Platform) dispatch(pd pending) {
 		p.ColdStarts.Inc()
 		p.perFnCold[fn]++
 		p.perFnTotal[fn]++
-		p.engine.Schedule(p.params.ColdStart, func() { p.run(ct, pd) })
+		p.engine.Schedule(ColdStart, func() { p.run(ct, pd) })
 		return
 	}
 	// Queue until capacity frees up.
@@ -214,7 +215,7 @@ func (p *Platform) finish(ct *container) {
 	}
 	ct.state = stateIdle
 	p.idle[fn] = append(p.idle[fn], ct)
-	ct.idleTimer = p.engine.Schedule(p.params.IdleTimeout, func() { p.reap(ct) })
+	ct.idleTimer = p.engine.Schedule(idleTimeout, func() { p.reap(ct) })
 	// Freed capacity may admit queued calls of other functions (they
 	// need fresh containers).
 	p.drainQueues()
@@ -250,7 +251,7 @@ func (p *Platform) drainQueues() {
 			p.ColdStarts.Inc()
 			p.perFnCold[fn]++
 			p.perFnTotal[fn]++
-			p.engine.Schedule(p.params.ColdStart, func() { p.run(ct, pd) })
+			p.engine.Schedule(ColdStart, func() { p.run(ct, pd) })
 		}
 		p.queue[fn] = q
 	}

@@ -261,15 +261,28 @@ func (inj *Injector) SetJournalLag(region cluster.RegionID, idx int, lag time.Du
 	inj.record("journal-lag", "%v no journal, ignored", sh.ID)
 }
 
+// Rebuild delays of the stateless tiers: their state reconstitutes from
+// live shards and the config store.
+const (
+	// SchedulerRebuildDelay is how long a crashed scheduler replica takes
+	// to restart before it resumes polling.
+	SchedulerRebuildDelay time.Duration = 5 * time.Second
+	// queueLBRebuildDelay is the same for a crashed QueueLB.
+	queueLBRebuildDelay time.Duration = 2 * time.Second
+	// SubmitterRebuildDelay is the same for a crashed submitter; only the
+	// unflushed batch window dies with the process.
+	SubmitterRebuildDelay time.Duration = time.Second
+)
+
 // CrashSubmitter kills one of the region's submitters (pool: "normal" or
 // "spiky"): its unflushed batch buffer — calls accepted but not yet
-// persisted — is terminally lost, and submissions fail until the rebuild
-// delay from the platform's durability config elapses.
+// persisted — is terminally lost, and submissions fail until
+// SubmitterRebuildDelay elapses.
 func (inj *Injector) CrashSubmitter(region cluster.RegionID, spiky bool) {
 	s := inj.submitter(region, spiky)
 	buffered := s.BatchLen()
 	s.Crash()
-	s.Restart(inj.p.Durability().SubmitterRebuildDelay)
+	s.Restart(SubmitterRebuildDelay)
 	inj.record("submitter-crash", "r%d spiky=%v lost=%d", region, spiky, buffered)
 }
 
@@ -284,11 +297,11 @@ func (inj *Injector) submitter(region cluster.RegionID, spiky bool) *submitter.S
 // run queue and lease tracking vanish, orphaning the DurableQ leases it
 // held — they redeliver after LeaseTimeout, the dominant term in the
 // scheduler-crash recovery time. The replica restarts stateless after
-// the durability config's rebuild delay.
+// SchedulerRebuildDelay.
 func (inj *Injector) CrashScheduler(region cluster.RegionID, idx int) {
 	sc := inj.p.Region(region).Scheds[idx]
 	sc.Crash()
-	sc.Restart(inj.p.Durability().SchedulerRebuildDelay)
+	sc.Restart(SchedulerRebuildDelay)
 	inj.record("scheduler-crash", "r%d replica=%d", region, idx)
 }
 
@@ -299,12 +312,11 @@ func (inj *Injector) CrashScheduler(region cluster.RegionID, idx int) {
 func (inj *Injector) CrashQueueLB(region cluster.RegionID) {
 	lb := inj.p.Region(region).QueueLB
 	lb.SetDown(true)
-	delay := inj.p.Durability().QueueLBRebuildDelay
-	inj.p.Engine.Schedule(delay, func() {
+	inj.p.Engine.Schedule(queueLBRebuildDelay, func() {
 		lb.SetDown(false)
 		inj.record("queuelb-restart", "r%d", region)
 	})
-	inj.record("queuelb-crash", "r%d back in %s", region, delay)
+	inj.record("queuelb-crash", "r%d back in %s", region, queueLBRebuildDelay)
 }
 
 // Brownout cuts a downstream service to frac of its healthy capacity and

@@ -45,44 +45,31 @@ type Config struct {
 	// TotalWorkers across all regions; split unevenly (lognormal weights)
 	// to match Figure 5's skew.
 	TotalWorkers int
-	// ShardsPerRegionMin guarantees each region has at least this many
-	// DurableQ shards.
-	ShardsPerRegionMin int
 	// Skew is the lognormal sigma of the capacity weights (0 = even).
 	Skew float64
-	// IntraLatency and CrossLatencyPerUnit parameterize the latency model;
-	// zero values pick paper-plausible defaults (0.1ms intra, ~10-100ms
-	// cross region).
-	IntraLatency        time.Duration
-	CrossLatencyPerUnit time.Duration
 }
+
+const (
+	// shardsPerRegionMin guarantees each region has at least this many
+	// DurableQ shards.
+	shardsPerRegionMin int = 2
+	// intraLatency and crossLatencyPerUnit parameterize the generated
+	// latency model: paper-plausible 0.1ms within a region, ~10-100ms
+	// across regions.
+	intraLatency        time.Duration = 100 * time.Microsecond
+	crossLatencyPerUnit time.Duration = 15 * time.Millisecond
+)
 
 // DefaultConfig mirrors the paper's setting at simulation scale: 12
 // regions (Figure 7 shows 12), skewed capacities.
 func DefaultConfig() Config {
-	return Config{
-		Regions:             12,
-		TotalWorkers:        1200,
-		ShardsPerRegionMin:  2,
-		Skew:                0.8,
-		IntraLatency:        100 * time.Microsecond,
-		CrossLatencyPerUnit: 15 * time.Millisecond,
-	}
+	return Config{Regions: 12, TotalWorkers: 1200, Skew: 0.8}
 }
 
 // Generate builds a synthetic topology with unevenly distributed capacity.
 func Generate(cfg Config, src *rng.Source) *Topology {
 	if cfg.Regions <= 0 || cfg.TotalWorkers < cfg.Regions {
 		panic("cluster: invalid config")
-	}
-	if cfg.IntraLatency == 0 {
-		cfg.IntraLatency = 100 * time.Microsecond
-	}
-	if cfg.CrossLatencyPerUnit == 0 {
-		cfg.CrossLatencyPerUnit = 15 * time.Millisecond
-	}
-	if cfg.ShardsPerRegionMin <= 0 {
-		cfg.ShardsPerRegionMin = 1
 	}
 	weights := make([]float64, cfg.Regions)
 	total := 0.0
@@ -101,7 +88,7 @@ func Generate(cfg Config, src *rng.Source) *Topology {
 			ID:             RegionID(i),
 			Name:           fmt.Sprintf("region-%02d", i),
 			Workers:        w,
-			DurableQShards: cfg.ShardsPerRegionMin + w/64,
+			DurableQShards: shardsPerRegionMin + w/64,
 			Coord:          float64(i) + src.Range(-0.2, 0.2),
 		}
 		assigned += w
@@ -118,8 +105,8 @@ func Generate(cfg Config, src *rng.Source) *Topology {
 	}
 	return &Topology{
 		regions:             regions,
-		intraLatency:        cfg.IntraLatency,
-		crossLatencyPerUnit: cfg.CrossLatencyPerUnit,
+		intraLatency:        intraLatency,
+		crossLatencyPerUnit: crossLatencyPerUnit,
 	}
 }
 

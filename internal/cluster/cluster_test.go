@@ -139,7 +139,7 @@ func TestGeneratePanicsOnInvalidConfig(t *testing.T) {
 }
 
 func TestGenerateDefaultsFillZeroParams(t *testing.T) {
-	cfg := Config{Regions: 2, TotalWorkers: 4} // latencies and shard mins zero
+	cfg := Config{Regions: 2, TotalWorkers: 4} // latency model and shard minimum are constants
 	topo := Generate(cfg, rng.New(2))
 	if topo.Latency(0, 1) <= topo.Latency(0, 0) {
 		t.Fatal("default latencies not applied")

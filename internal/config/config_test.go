@@ -133,35 +133,17 @@ func TestSubscribeWhileDownNoBootstrap(t *testing.T) {
 }
 
 func TestDefaultSections(t *testing.T) {
-	c := DefaultChaos()
-	if got, want := c.DetectionLag(), c.HeartbeatInterval*time.Duration(c.MissedThreshold); got != want {
-		t.Fatalf("DetectionLag = %v, want %v", got, want)
+	if o := DefaultObserve(); o.Accounting || o.SLO {
+		t.Fatal("observation must default off")
 	}
 
-	d := DefaultDurability()
-	if d.JournalEnabled {
-		t.Fatal("journaling must be opt-in")
-	}
-	if got, want := d.ReplayDelay(100), d.ReplayBase+100*d.ReplayPerEntry; got != want {
-		t.Fatalf("ReplayDelay(100) = %v, want %v", got, want)
-	}
-
-	r := DefaultResilience()
-	if r.RetryBudgetEnabled || r.ShedEnabled || r.ExpirySweep {
-		t.Fatal("resilience mechanisms must default off")
-	}
+	var r Resilience
 	on := r.EnableAll()
-	if !on.RetryBudgetEnabled || !on.ShedEnabled || !on.ExpirySweep {
+	if !on.RetryBudgetEnabled || !on.ShedEnabled || !on.ExpirySweep || !on.Hedge.Enabled {
 		t.Fatal("EnableAll must switch every mechanism on")
 	}
 	if r.RetryBudgetEnabled {
 		t.Fatal("EnableAll must not mutate the receiver")
-	}
-	targets := []time.Duration{r.ShedTargetLow, r.ShedTargetNormal, r.ShedTargetHigh, r.ShedTargetHigh}
-	for level, want := range targets {
-		if got := r.ShedTarget(level); got != want {
-			t.Fatalf("ShedTarget(%d) = %v, want %v", level, got, want)
-		}
 	}
 }
 

@@ -23,8 +23,6 @@ import (
 // back-pressure threshold for its two largest downstreams at 5,000
 // exceptions/minute; M and I are "tunable parameters".
 type AIMDParams struct {
-	// Window is the adjustment period.
-	Window time.Duration
 	// BackpressureThreshold is the exceptions-per-window level above which
 	// the limit is cut.
 	BackpressureThreshold float64
@@ -37,10 +35,12 @@ type AIMDParams struct {
 	Floor, Ceiling float64
 }
 
+// aimdWindow is the AIMD adjustment period.
+const aimdWindow time.Duration = time.Minute
+
 // DefaultAIMDParams mirror the paper's published numbers where given.
 func DefaultAIMDParams() AIMDParams {
 	return AIMDParams{
-		Window:                time.Minute,
 		BackpressureThreshold: 5000,
 		DecreaseFactor:        0.5,
 		Increase:              50,
@@ -60,20 +60,16 @@ type AIMD struct {
 
 // NewAIMD returns a controller starting at the given initial limit.
 func NewAIMD(params AIMDParams, initial float64) *AIMD {
-	if params.Window <= 0 || params.DecreaseFactor <= 0 || params.DecreaseFactor >= 1 {
+	if params.DecreaseFactor <= 0 || params.DecreaseFactor >= 1 {
 		panic("congestion: invalid AIMD params")
 	}
 	if initial < params.Floor {
 		initial = params.Floor
 	}
-	slots := int(params.Window / time.Second)
-	if slots < 1 {
-		slots = 1
-	}
 	return &AIMD{
 		params:     params,
 		limit:      initial,
-		exceptions: stats.NewWindowRate(time.Second, slots),
+		exceptions: stats.NewWindowRate(time.Second, int(aimdWindow/time.Second)),
 	}
 }
 
@@ -83,7 +79,7 @@ func (a *AIMD) OnBackpressure(now sim.Time) {
 }
 
 // Tick applies one window's adjustment at virtual time now and returns
-// the new limit. Call once per Window.
+// the new limit. Call once per aimdWindow.
 func (a *AIMD) Tick(now sim.Time) float64 {
 	if a.exceptions.Total(now) > a.params.BackpressureThreshold {
 		a.limit *= a.params.DecreaseFactor
@@ -113,36 +109,35 @@ func (a *AIMD) ExceptionsInWindow(now sim.Time) float64 {
 	return a.exceptions.Total(now)
 }
 
-// SlowStartParams are the empirically chosen values from §4.6.3:
-// W = 1 minute, T = 100 calls, α = 20%.
-type SlowStartParams struct {
-	Window    time.Duration
-	Threshold float64
-	Alpha     float64
-}
+// The empirically chosen slow-start values from §4.6.3: W = 1 minute,
+// T = 100 calls, α = 20%.
+const (
+	slowStartWindow time.Duration = time.Minute
+	// SlowStartThreshold is T: the per-window dispatch count every
+	// function may reach regardless of its previous window.
+	SlowStartThreshold float64 = 100
+	slowStartAlpha     float64 = 0.20
+)
 
-// DefaultSlowStartParams returns the paper's values.
-func DefaultSlowStartParams() SlowStartParams {
-	return SlowStartParams{Window: time.Minute, Threshold: 100, Alpha: 0.20}
-}
+// SlowStartParams is empty: slow start has no tunables. The type and its
+// constructor remain because benchmark/ names them in NewManager's
+// signature.
+type SlowStartParams struct{}
+
+// DefaultSlowStartParams returns the (empty) slow-start parameters.
+func DefaultSlowStartParams() SlowStartParams { return SlowStartParams{} }
 
 // SlowStart caps the growth of a function's per-window dispatch count.
 type SlowStart struct {
-	params    SlowStartParams
 	windowIdx int64
 	prev, cur float64
 }
 
 // NewSlowStart returns a slow-start gate.
-func NewSlowStart(params SlowStartParams) *SlowStart {
-	if params.Window <= 0 || params.Alpha < 0 {
-		panic("congestion: invalid slow start params")
-	}
-	return &SlowStart{params: params, windowIdx: -1}
-}
+func NewSlowStart() *SlowStart { return &SlowStart{windowIdx: -1} }
 
 func (s *SlowStart) roll(now sim.Time) {
-	idx := int64(now / s.params.Window)
+	idx := int64(now / slowStartWindow)
 	switch {
 	case s.windowIdx < 0:
 		s.windowIdx = idx
@@ -160,9 +155,9 @@ func (s *SlowStart) roll(now sim.Time) {
 // window containing now.
 func (s *SlowStart) Cap(now sim.Time) float64 {
 	s.roll(now)
-	grown := s.prev * (1 + s.params.Alpha)
-	if grown < s.params.Threshold {
-		return s.params.Threshold
+	grown := s.prev * (1 + slowStartAlpha)
+	if grown < SlowStartThreshold {
+		return SlowStartThreshold
 	}
 	return grown
 }
@@ -182,9 +177,6 @@ func (s *SlowStart) InWindow(now sim.Time) float64 {
 	s.roll(now)
 	return s.cur
 }
-
-// Params returns the gate's tunables (for bound checks).
-func (s *SlowStart) Params() SlowStartParams { return s.params }
 
 // Concurrency tracks running instances of a function against its
 // concurrency limit (0 = unlimited).

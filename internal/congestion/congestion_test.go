@@ -109,7 +109,7 @@ func TestAIMDBoundsProperty(t *testing.T) {
 }
 
 func TestSlowStartThresholdFree(t *testing.T) {
-	s := NewSlowStart(DefaultSlowStartParams())
+	s := NewSlowStart()
 	// Below T=100 per window there is no constraint.
 	for i := 0; i < 100; i++ {
 		if !s.Allow(0) {
@@ -122,7 +122,7 @@ func TestSlowStartThresholdFree(t *testing.T) {
 }
 
 func TestSlowStartGrowthCap(t *testing.T) {
-	s := NewSlowStart(DefaultSlowStartParams())
+	s := NewSlowStart()
 	now := sim.Time(0)
 	prevAdmitted := 0
 	for w := 0; w < 8; w++ {
@@ -151,7 +151,7 @@ func TestSlowStartGrowthCap(t *testing.T) {
 }
 
 func TestSlowStartResetsAfterGap(t *testing.T) {
-	s := NewSlowStart(DefaultSlowStartParams())
+	s := NewSlowStart()
 	now := sim.Time(0)
 	for w := 0; w < 10; w++ {
 		for i := 0; i < 100000; i++ {

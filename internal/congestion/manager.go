@@ -32,7 +32,6 @@ func (c *Control) DispatchRPS(now sim.Time) float64 {
 type Manager struct {
 	engine *sim.Engine
 	params AIMDParams
-	ss     SlowStartParams
 	// InitialLimit seeds each function's AIMD limit.
 	InitialLimit float64
 	// Advice, when set, returns RIM's pacing multiplier for a downstream
@@ -55,15 +54,14 @@ type Manager struct {
 
 // NewManager returns a manager with the given parameters and starts the
 // per-window AIMD tick on the engine.
-func NewManager(engine *sim.Engine, params AIMDParams, ss SlowStartParams) *Manager {
+func NewManager(engine *sim.Engine, params AIMDParams, _ SlowStartParams) *Manager {
 	m := &Manager{
 		engine:       engine,
 		params:       params,
-		ss:           ss,
 		InitialLimit: 1000,
 		funcs:        make(map[string]*Control),
 	}
-	engine.Every(params.Window, m.tick)
+	engine.Every(aimdWindow, m.tick)
 	return m
 }
 
@@ -85,7 +83,7 @@ func (m *Manager) Control(spec *function.Spec) *Control {
 	if !ok {
 		ctl = &Control{
 			AIMD:       NewAIMD(m.params, m.InitialLimit),
-			Slow:       NewSlowStart(m.ss),
+			Slow:       NewSlowStart(),
 			Conc:       NewConcurrency(spec.ConcurrencyLimit),
 			dispatched: stats.NewWindowRate(time.Second, 10),
 		}

@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"xfaas/internal/function"
+	"xfaas/internal/queuelb"
+	"xfaas/internal/rng"
+	"xfaas/internal/workload"
 )
 
 func TestLoadConfigExample(t *testing.T) {
@@ -143,4 +146,111 @@ func FuzzParseConfigFile(f *testing.F) {
 			t.Fatalf("validated config violates bounds: %+v", cfg)
 		}
 	})
+}
+
+// jsonKeys lists the dotted JSON key of every leaf of a ConfigFile-shaped
+// struct (pointers to structs are sections).
+func jsonKeys(t reflect.Type, prefix string) []string {
+	var keys []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if f.Type.Kind() == reflect.Pointer && f.Type.Elem().Kind() == reflect.Struct {
+			keys = append(keys, jsonKeys(f.Type.Elem(), prefix+name+".")...)
+			continue
+		}
+		keys = append(keys, prefix+name)
+	}
+	return keys
+}
+
+// TestConfigFileKeysReachThePlatform sets each ConfigFile key alone and
+// checks the built platform behaves differently for it, so no key can be
+// accepted by the parser and then dropped on the way to a component.
+func TestConfigFileKeysReachThePlatform(t *testing.T) {
+	base := DefaultConfig()
+	base.Cluster.Regions = 2
+	base.Cluster.TotalWorkers = 40
+	pcfg := workload.DefaultPopulationConfig()
+	pcfg.Functions = 8
+	pop := workload.NewPopulation(pcfg, rng.New(1))
+	aFunc := pop.Registry.Names()[0]
+
+	cases := []struct {
+		key, doc string
+		run      time.Duration
+		check    func(p *Platform) bool
+	}{
+		{"seed", `{"seed": 99}`, 0, func(p *Platform) bool { // the seed draws the capacity skew
+			return len(p.Region(0).Workers) != len(New(base, pop.Registry).Region(0).Workers)
+		}},
+		{"regions", `{"regions": 3}`, 0, func(p *Platform) bool { return len(p.Regions()) == 3 }},
+		{"total_workers", `{"total_workers": 50}`, 0, func(p *Platform) bool {
+			return len(p.Region(0).Workers)+len(p.Region(1).Workers) == 50
+		}},
+		{"schedulers_per_region", `{"schedulers_per_region": 3}`, 0, func(p *Platform) bool {
+			return len(p.Region(0).Scheds) == 3 && len(p.Region(1).Scheds) == 3
+		}},
+		{"lease_timeout_seconds", `{"lease_timeout_seconds": 90}`, 0, func(p *Platform) bool {
+			for _, reg := range p.Regions() {
+				for _, sh := range reg.Shards {
+					if sh.LeaseTimeout != 90*time.Second {
+						return false
+					}
+				}
+			}
+			return true
+		}},
+		{"queue_local_frac", `{"queue_local_frac": 0.5}`, 0, func(p *Platform) bool {
+			v, _, ok := p.Store.Get(queuelb.PolicyKey)
+			return ok && v.(queuelb.RoutingPolicy)[0][0] == 0.5
+		}},
+		{"locality_groups", `{"locality_groups": 2}`, 0, func(p *Platform) bool {
+			a := p.Region(0).LB.Assignment()
+			return a != nil && a.Groups == 2
+		}},
+		{"enable_gtc", `{"enable_gtc": false}`, 0, func(p *Platform) bool { return p.GTC == nil }},
+		{"code_push_interval_seconds", `{"code_push_interval_seconds": 60}`, time.Minute, func(p *Platform) bool {
+			return p.codeVersion == 1
+		}},
+		{"spiky_clients", `{"spiky_clients": ["bursty"]}`, 0, func(p *Platform) bool {
+			return p.spiky["bursty"] && !p.spiky["team-spiky"]
+		}},
+		{"prewarm_jit", `{"prewarm_jit": false}`, 0, func(p *Platform) bool {
+			return !p.Region(0).Workers[0].Runtime.Optimized(aFunc, 0)
+		}},
+		{"utilization_target", `{"utilization_target": 0.5}`, base.Util.Interval, func(p *Platform) bool {
+			return p.Util.S() == 1+base.Util.Gain*0.5 // one step on an idle fleet
+		}},
+		{"trace.enabled", `{"trace": {"enabled": true}}`, 0, func(p *Platform) bool { return p.Tracer.Enabled() }},
+		{"trace.sample_every", `{"trace": {"sample_every": 16}}`, 0, func(p *Platform) bool {
+			return p.Tracer.Params().SampleEvery == 16
+		}},
+		{"invariants.enabled", `{"invariants": {"enabled": true}}`, 0, func(p *Platform) bool { return p.Inv.Enabled() }},
+		{"invariants.interval_seconds", `{"invariants": {"enabled": true, "interval_seconds": 10}}`, time.Minute,
+			func(p *Platform) bool { return p.Inv.Evals() == 6 }},
+	}
+
+	var covered []string
+	for _, tc := range cases {
+		covered = append(covered, tc.key)
+		build := func(cfg Config) *Platform {
+			p := New(cfg, pop.Registry)
+			p.Engine.RunFor(tc.run)
+			return p
+		}
+		cfg, err := LoadConfig([]byte(tc.doc), base)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.key, err)
+		}
+		if !tc.check(build(cfg)) {
+			t.Errorf("%s: the platform built from %s does not observe the key", tc.key, tc.doc)
+		}
+		if tc.check(build(base)) {
+			t.Errorf("%s: the check also holds without the key, so it proves nothing", tc.key)
+		}
+	}
+	if want := jsonKeys(reflect.TypeOf(ConfigFile{}), ""); !reflect.DeepEqual(covered, want) {
+		t.Errorf("table covers %v, ConfigFile has %v", covered, want)
+	}
 }

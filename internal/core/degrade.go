@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"xfaas/internal/cluster"
 	"xfaas/internal/function"
@@ -15,6 +16,18 @@ import (
 // region's schedulers from pulling work that healthier regions should
 // execute. Everything keys off the heartbeat-detected health view — the
 // degradation controller has no out-of-band knowledge of failures.
+
+const (
+	// DegradeInterval is the degradation controller's evaluation cadence.
+	DegradeInterval time.Duration = 15 * time.Second
+	// BreakerMinHealthyFrac is the per-region detected-healthy fraction
+	// below which the region's circuit breaker opens: its schedulers stop
+	// pulling and evacuate held leases so other regions execute the work.
+	BreakerMinHealthyFrac float64 = 0.25
+	// breakerCooldown is how long an open breaker waits before
+	// half-opening to re-test the region's health.
+	breakerCooldown time.Duration = 2 * time.Minute
+)
 
 // breakerState is a region circuit breaker's position.
 type breakerState int
@@ -130,19 +143,19 @@ func (p *Platform) degradeTick() {
 		b := &p.breakers[i]
 		switch b.state {
 		case breakerClosed:
-			if cc.BreakerMinHealthyFrac > 0 && rfrac < cc.BreakerMinHealthyFrac {
+			if rfrac < BreakerMinHealthyFrac {
 				b.state = breakerOpen
 				b.openedAt = now
 				p.BreakerOpens.Inc()
 				p.Tracer.Control("breaker.open", fmt.Sprintf("r%d healthy=%.3f", reg.ID, rfrac))
 			}
 		case breakerOpen:
-			if now-b.openedAt >= cc.BreakerCooldown {
+			if now-b.openedAt >= breakerCooldown {
 				b.state = breakerHalfOpen
 				p.Tracer.Control("breaker.half-open", fmt.Sprintf("r%d", reg.ID))
 			}
 		case breakerHalfOpen:
-			if rfrac >= cc.BreakerMinHealthyFrac {
+			if rfrac >= BreakerMinHealthyFrac {
 				b.state = breakerClosed
 				p.Tracer.Control("breaker.closed", fmt.Sprintf("r%d", reg.ID))
 			} else {

@@ -5,8 +5,10 @@ import (
 	"math"
 
 	"xfaas/internal/congestion"
+	"xfaas/internal/durableq"
 	"xfaas/internal/function"
 	"xfaas/internal/invariant"
+	"xfaas/internal/scheduler"
 	"xfaas/internal/sim"
 	"xfaas/internal/slo"
 )
@@ -23,7 +25,7 @@ func (p *Platform) registerInvariantProbes() {
 	}
 
 	// Locality containment is checked at dispatch time (assignments
-	// refresh every LocalityInterval, so a probe-time check would flag
+	// refresh every localityInterval, so a probe-time check would flag
 	// calls placed legally under the previous assignment).
 	p.Inv.LocalityCheck = func(c *function.Call, region, workerIdx int) string {
 		if region < 0 || region >= len(p.regions) {
@@ -198,13 +200,12 @@ func (p *Platform) registerInvariantProbes() {
 					shardCount++
 				}
 			}
-			res := p.cfg.Resilience
-			burstCap := res.RetryBudgetBurst * float64(shardCount*p.Registry.Len())
-			bound := res.RetryBudgetRatio*firstAcks + burstCap
+			burstCap := durableq.DefaultBudgetBurst * float64(shardCount*p.Registry.Len())
+			bound := durableq.DefaultBudgetRatio*firstAcks + burstCap
 			if spent > bound+1e-6 {
 				return []string{fmt.Sprintf(
 					"retry budget spent %.0f exceeds bound %.0f (β=%.2f firstAcks=%.0f burst=%.0f)",
-					spent, bound, res.RetryBudgetRatio, firstAcks, burstCap)}
+					spent, bound, durableq.DefaultBudgetRatio, firstAcks, burstCap)}
 			}
 			return nil
 		})
@@ -213,7 +214,7 @@ func (p *Platform) registerInvariantProbes() {
 	// Hedge amplification: with hedging on, the speculative copies the
 	// schedulers dispatched can never exceed the budget fraction of
 	// primary dispatches plus each region's burst allowance — hedged load
-	// is bounded at (1 + BudgetFrac) × primary load plus a constant, no
+	// is bounded at (1 + HedgeBudgetFrac) × primary load plus a constant, no
 	// matter how gray the fleet looks.
 	if p.cfg.Resilience.Hedge.Enabled {
 		p.Inv.RegisterProbe("hedge-amplification", func(now sim.Time) []string {
@@ -225,12 +226,12 @@ func (p *Platform) registerInvariantProbes() {
 				spent += hb.Spent.Value()
 				earned += hb.Earned.Value()
 			}
-			h := p.cfg.Resilience.Hedge
-			bound := h.BudgetFrac*earned + h.BudgetBurst*float64(len(p.hedgeBudgets))
+			const frac, burst = scheduler.HedgeBudgetFrac, scheduler.HedgeBudgetBurst
+			bound := frac*earned + burst*float64(len(p.hedgeBudgets))
 			if spent > bound+1e-6 {
 				return []string{fmt.Sprintf(
 					"hedge budget spent %.0f exceeds bound %.0f (frac=%.3f primaries=%.0f burst=%.0f×%d)",
-					spent, bound, h.BudgetFrac, earned, h.BudgetBurst, len(p.hedgeBudgets))}
+					spent, bound, frac, earned, burst, len(p.hedgeBudgets))}
 			}
 			return nil
 		})
@@ -269,11 +270,10 @@ func (p *Platform) registerInvariantProbes() {
 				out = append(out, fmt.Sprintf("func %s aimd limit %.2f outside [%.2f, %.2f]",
 					name, lim, ap.Floor, ap.Ceiling))
 			}
-			sp := ctl.Slow.Params()
 			cap := ctl.Slow.Cap(now)
-			if cap < sp.Threshold {
+			if cap < congestion.SlowStartThreshold {
 				out = append(out, fmt.Sprintf("func %s slow-start cap %.1f below threshold %.1f",
-					name, cap, sp.Threshold))
+					name, cap, congestion.SlowStartThreshold))
 			}
 			if in := ctl.Slow.InWindow(now); in > cap+1e-9 {
 				out = append(out, fmt.Sprintf("func %s slow-start window count %.0f exceeds cap %.1f",

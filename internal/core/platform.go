@@ -72,9 +72,7 @@ type Config struct {
 	Worker    worker.Params
 	Submitter submitter.Params
 	AIMD      congestion.AIMDParams
-	SlowStart congestion.SlowStartParams
 	Util      utilization.Params
-	Rollout   jit.RolloutParams
 
 	// SchedulersPerRegion is the number of stateless scheduler replicas
 	// per region (the paper runs hundreds; they coordinate only through
@@ -87,12 +85,8 @@ type Config struct {
 	// LocalityGroups per region (0 disables locality groups — the §5.2
 	// ablation baseline).
 	LocalityGroups int
-	// LocalityInterval is the Locality Optimizer's refresh period.
-	LocalityInterval time.Duration
 	// EnableGTC turns on cross-region dispatch.
 	EnableGTC bool
-	// GTCInterval is the traffic-matrix recompute period.
-	GTCInterval time.Duration
 	// CodePushInterval is the cooperative-JIT push cadence (paper: every
 	// three hours); 0 disables pushes.
 	CodePushInterval time.Duration
@@ -106,31 +100,26 @@ type Config struct {
 	// experiments do).
 	RIM       rim.Params
 	EnableRIM bool
-	// MetricsInterval is the utilization/memory sampling period.
-	MetricsInterval time.Duration
 	// PrewarmJIT starts workers with all registered functions already
 	// JIT-compiled — the steady state of a long-running fleet. Disable
 	// for cold-ramp experiments (Figure 12).
 	PrewarmJIT bool
-	// Chaos is the fault model: heartbeat failure detection and graceful
-	// degradation (load shedding, region circuit breakers). A zero
-	// HeartbeatInterval disables detection (unit-test rigs), in which
-	// case the LB's detected view degenerates to direct observation.
+	// Chaos is the graceful-degradation model: the healthy-capacity
+	// fraction below which opportunistic traffic is shed.
 	Chaos config.Chaos
 	// Durability is the crash-recovery model: DurableQ journaling (off by
-	// default), replay pacing, retry-backoff cap, and the stateless
-	// tiers' restart delays.
+	// default) and its flush lag.
 	Durability config.Durability
-	// Resilience is the overload-resilience model: retry budgets,
-	// queue-delay shedding, deadline expiry sweeping, and hedged
+	// Resilience switches the overload-resilience mechanisms: retry
+	// budgets, queue-delay shedding, deadline expiry sweeping, and hedged
 	// dispatch (all off by default).
 	Resilience config.Resilience
 	// GrayDetection is the completion-driven latency-outlier detector
 	// (detection v2): per-worker exec-time inflation scoring with a
 	// probation → ejected → reinstated state machine (off by default).
 	GrayDetection config.GrayDetection
-	// Drain is the regional drain controller's staging model (off by
-	// default; DrainRegion becomes a no-op with a control event).
+	// Drain arms the regional drain controller (off by default;
+	// DrainRegion becomes a no-op with a control event).
 	Drain config.Drain
 	// Trace configures per-call tracing (disabled by default: the
 	// recorder still exists and collects control-plane events, but no
@@ -141,12 +130,21 @@ type Config struct {
 	// SLO engine all off, every lifecycle emit on the hot path is one
 	// inlined check on the spine, preserving the zero-alloc submit path.
 	Invariants invariant.Params
-	// Observe is the utilization-accounting and SLO model: per-worker
-	// core-second meters with exact busy/idle closure, windowed
+	// Observe switches utilization accounting and the SLO engine:
+	// per-worker core-second meters with exact busy/idle closure, windowed
 	// utilization timelines, per-tenant cost attribution, and
 	// multi-window burn-rate alerting (all off by default).
 	Observe config.Observe
 }
+
+const (
+	// localityInterval is the Locality Optimizer's refresh period.
+	localityInterval time.Duration = 10 * time.Minute
+	// gtcInterval is the traffic-matrix recompute period.
+	gtcInterval time.Duration = time.Minute
+	// metricsInterval is the utilization/memory sampling period.
+	metricsInterval time.Duration = 30 * time.Second
+)
 
 // DefaultConfig returns a paper-shaped platform at simulation scale: 12
 // regions with skewed capacity, workers scaled down so that the default
@@ -166,27 +164,20 @@ func DefaultConfig() Config {
 		Worker:              wp,
 		Submitter:           submitter.DefaultParams(),
 		AIMD:                congestion.DefaultAIMDParams(),
-		SlowStart:           congestion.DefaultSlowStartParams(),
 		Util:                utilization.DefaultParams(),
-		Rollout:             jit.DefaultRolloutParams(),
 		SchedulersPerRegion: 1,
 		LeaseTimeout:        15 * time.Minute,
 		QueueLocalFrac:      0.85,
 		LocalityGroups:      4,
-		LocalityInterval:    10 * time.Minute,
 		EnableGTC:           true,
-		GTCInterval:         time.Minute,
 		CodePushInterval:    3 * time.Hour,
 		SpikyClients:        []string{"team-spiky"},
 		RIM:                 rim.DefaultParams(),
 		EnableRIM:           true,
-		MetricsInterval:     30 * time.Second,
 		PrewarmJIT:          true,
-		Chaos:               config.DefaultChaos(),
-		Durability:          config.DefaultDurability(),
-		Resilience:          config.DefaultResilience(),
-		GrayDetection:       config.DefaultGrayDetection(),
-		Drain:               config.DefaultDrain(),
+		Chaos:               config.Chaos{ShedHealthyFrac: 0.85},
+		Durability:          config.Durability{FlushLag: 200 * time.Millisecond},
+		GrayDetection:       config.GrayDetection{Probation: 30 * time.Second},
 		Trace:               trace.DefaultParams(),
 		Invariants:          invariant.DefaultParams(),
 		Observe:             config.DefaultObserve(),
@@ -402,13 +393,13 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		for r := 0; r < nRegions; r++ {
 			regionNames[r] = fmt.Sprintf("r%d", r)
 		}
-		p.Acct = slo.NewAccountant(p.Metrics, regionNames, effectiveCoreMIPS(cfg.Worker), cfg.Observe.UtilWindow, engine.Now())
+		p.Acct = slo.NewAccountant(p.Metrics, regionNames, effectiveCoreMIPS(cfg.Worker), slo.UtilWindow, engine.Now())
 	}
 	if cfg.Observe.SLO {
 		p.SLO = slo.NewEngine(p.Metrics, cfg.Observe, p.Tracer.Control)
 	}
 	p.Obs = lifecycle.New(engine, p.Tracer, p.Inv, p.SLO)
-	p.Cong = congestion.NewManager(engine, cfg.AIMD, cfg.SlowStart)
+	p.Cong = congestion.NewManager(engine, cfg.AIMD, congestion.SlowStartParams{})
 	p.Cong.Obs = p.Obs
 	for _, c := range cfg.SpikyClients {
 		p.spiky[c] = true
@@ -436,13 +427,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		for k := 0; k < r.DurableQShards; k++ {
 			sh := durableq.NewShard(durableq.ShardID{Region: r.ID, Index: k}, engine, shardSrc.Split())
 			sh.LeaseTimeout = cfg.LeaseTimeout
-			sh.BackoffCap = cfg.Durability.BackoffCap
-			sh.ReplayBase = cfg.Durability.ReplayBase
-			sh.ReplayPerEntry = cfg.Durability.ReplayPerEntry
-			sh.ReplayBatch = cfg.Durability.ReplayBatch
 			sh.BudgetEnabled = cfg.Resilience.RetryBudgetEnabled
-			sh.BudgetRatio = cfg.Resilience.RetryBudgetRatio
-			sh.BudgetBurst = cfg.Resilience.RetryBudgetBurst
 			sh.SweepExpired = cfg.Resilience.ExpirySweep
 			if cfg.Durability.JournalEnabled {
 				sh.EnableJournal(cfg.Durability.FlushLag)
@@ -464,37 +449,23 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			UtilSeries: p.Metrics.SeriesVec("region_utilization", time.Minute, stats.ModeMean, "region").With(regLabel),
 			MemSeries:  p.Metrics.SeriesVec("region_memory_mb", time.Minute, stats.ModeMean, "region").With(regLabel),
 		}
-		wparams := cfg.Worker
-		wparams.DeadlineRetryCut = wparams.DeadlineRetryCut || cfg.Resilience.ExpirySweep
 		for w := 0; w < r.Workers; w++ {
-			wk := worker.New(worker.ID{Region: r.ID, Index: w}, engine, wparams, src.Split(), p.Downstreams)
+			wk := worker.New(worker.ID{Region: r.ID, Index: w}, engine, cfg.Worker, src.Split(), p.Downstreams)
 			if cfg.PrewarmJIT {
 				wk.Runtime.Prewarm(registry.Names())
 			}
+			wk.DeadlineRetryCut = cfg.Resilience.ExpirySweep
 			wk.Obs = p.Obs
 			if p.Acct != nil {
-				wk.Acct = p.Acct.NewMeter(int(r.ID), wparams.CPUMIPS, effectiveCoreMIPS(wparams), engine.Now())
+				wk.Acct = p.Acct.NewMeter(int(r.ID), cfg.Worker.CPUMIPS, effectiveCoreMIPS(cfg.Worker), engine.Now())
 			}
 			reg.Workers = append(reg.Workers, wk)
 		}
 		reg.LB = workerlb.New(src.Split(), reg.Workers)
 		reg.LB.Obs = p.Obs
-		if cfg.Chaos.HeartbeatInterval > 0 {
-			reg.LB.StartHealthChecks(engine, workerlb.HealthParams{
-				Interval:              cfg.Chaos.HeartbeatInterval,
-				MissedThreshold:       cfg.Chaos.MissedThreshold,
-				GraySlowdownThreshold: cfg.Chaos.GraySlowdownThreshold,
-				GrayThreshold:         cfg.Chaos.GrayThreshold,
-			})
-		}
+		reg.LB.StartHealthChecks(engine)
 		if cfg.GrayDetection.Enabled {
-			reg.LB.StartOutlierDetection(engine, workerlb.OutlierParams{
-				Alpha:              cfg.GrayDetection.Alpha,
-				EjectThreshold:     cfg.GrayDetection.EjectThreshold,
-				ReinstateThreshold: cfg.GrayDetection.ReinstateThreshold,
-				Probation:          cfg.GrayDetection.Probation,
-				MinSamples:         cfg.GrayDetection.MinSamples,
-			})
+			reg.LB.StartOutlierDetection(engine, cfg.GrayDetection.Probation)
 		}
 		reg.QueueLB = queuelb.New(r.ID, src.Split(), allShards, p.Store)
 		reg.QueueLB.Obs = p.Obs
@@ -519,20 +490,19 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			nSched = 1
 		}
 		from := r.ID
-		sparams := cfg.Scheduler
-		sparams.Resilience = cfg.Resilience
 		var hb *scheduler.HedgeBudget
 		if cfg.Resilience.Hedge.Enabled {
 			// One bucket per region, shared by its replicas, so the
 			// amplification bound holds region-wide regardless of how
 			// many schedulers dispatch hedges.
-			hb = scheduler.NewHedgeBudget(cfg.Resilience.Hedge.BudgetFrac, cfg.Resilience.Hedge.BudgetBurst)
+			hb = scheduler.NewHedgeBudget(scheduler.HedgeBudgetFrac, scheduler.HedgeBudgetBurst)
 			p.hedgeBudgets = append(p.hedgeBudgets, hb)
 		}
 		for k := 0; k < nSched; k++ {
-			sc := scheduler.New(engine, src.Split(), r.ID, sparams, allShards, reg.LB, p.Central, p.Cong, p.Store)
+			sc := scheduler.NewHedged(engine, src.Split(), r.ID, cfg.Scheduler, allShards, reg.LB, p.Central, p.Cong, p.Store, hb)
+			sc.ShedEnabled = cfg.Resilience.ShedEnabled
+			sc.SweepExpired = cfg.Resilience.ExpirySweep
 			sc.Obs = p.Obs
-			sc.HedgeBudget = hb
 			sc.OnExecuted = p.onExecuted
 			sc.Reachable = func(dst cluster.RegionID) bool { return p.Reachable(from, dst) }
 			sc.AllowPull = func() bool { return !p.breakers[from].isOpen() }
@@ -544,7 +514,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 
 	// Control plane.
 	if cfg.EnableGTC {
-		p.GTC = gtc.NewConductor(engine, p.Topo, p.Store, cfg.GTCInterval, p.snapshot)
+		p.GTC = gtc.NewConductor(engine, p.Topo, p.Store, gtcInterval, p.snapshot)
 	}
 	p.Util = utilization.New(engine, cfg.Util, p.Store, p.MeanUtilization)
 	p.Store.Subscribe(utilization.ScaleKey, func(v config.Value, _ uint64) {
@@ -552,18 +522,18 @@ func New(cfg Config, registry *function.Registry) *Platform {
 	})
 	if cfg.LocalityGroups > 0 {
 		p.refreshLocality()
-		engine.Every(cfg.LocalityInterval, p.refreshLocality)
+		engine.Every(localityInterval, p.refreshLocality)
 	}
-	p.Distributor = jit.NewDistributor(engine, cfg.Rollout)
+	p.Distributor = jit.NewDistributor(engine)
 	if cfg.CodePushInterval > 0 {
 		engine.Every(cfg.CodePushInterval, p.pushCode)
 	}
-	engine.Every(cfg.MetricsInterval, p.sampleMetrics)
+	engine.Every(metricsInterval, p.sampleMetrics)
 	if p.Acct != nil {
-		engine.Every(cfg.Observe.UtilWindow, func() { p.Acct.Tick(engine.Now()) })
+		engine.Every(slo.UtilWindow, func() { p.Acct.Tick(engine.Now()) })
 	}
 	if p.SLO != nil {
-		engine.Every(cfg.Observe.EvalInterval, func() { p.SLO.Eval(engine.Now()) })
+		engine.Every(slo.EvalInterval, func() { p.SLO.Eval(engine.Now()) })
 	}
 	p.partitioned = make([]bool, p.Topo.NumRegions())
 	p.drained = make([]bool, p.Topo.NumRegions())
@@ -577,9 +547,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 	p.Drainer = drain.NewController(engine, cfg.Drain, views, queueLBs)
 	p.Drainer.Obs = p.Obs
 	p.Drainer.MarkRegion = func(r int, d bool) { p.drained[r] = d }
-	if cfg.Chaos.DegradeInterval > 0 {
-		engine.Every(cfg.Chaos.DegradeInterval, p.degradeTick)
-	}
+	engine.Every(DegradeInterval, p.degradeTick)
 	p.registerInvariantProbes()
 	return p
 }
@@ -589,13 +557,6 @@ func (p *Platform) Regions() []*Region { return p.regions }
 
 // Region returns one region's components.
 func (p *Platform) Region(id cluster.RegionID) *Region { return p.regions[id] }
-
-// Durability exposes the platform's crash-recovery configuration (chaos
-// injectors read rebuild delays from it).
-func (p *Platform) Durability() config.Durability { return p.cfg.Durability }
-
-// Resilience exposes the platform's overload-resilience configuration.
-func (p *Platform) Resilience() config.Resilience { return p.cfg.Resilience }
 
 // Submit enters one call into the platform through the submitter tier of
 // the given region, selecting the spiky pool for negotiated spiky

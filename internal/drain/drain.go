@@ -6,7 +6,7 @@
 //  1. Stop admitting: every QueueLB marks the region drained, so the
 //     normal shard-selection fallback chain reroutes new submissions to
 //     peer regions without failing a single client.
-//  2. Release (after StageDelay): the region's scheduler replicas stop
+//  2. Release (after stageDelay): the region's scheduler replicas stop
 //     their tick pipelines and gracefully hand held-but-not-executing
 //     calls back to their DurableQ shards (Shard.Release — no failure,
 //     no retry accounting). Executions already on workers run to
@@ -20,7 +20,7 @@
 //  4. Quiesce: the controller polls until no call is in flight on the
 //     region's schedulers or workers and reports the drain RTO —
 //     evacuation start to quiet — on the control event log. If the region
-//     is still busy at QuiesceTimeout it raises drain.timeout once (the
+//     is still busy at quiesceTimeout it raises drain.timeout once (the
 //     operator's alarm) but keeps polling, so a long-running execution
 //     can still finish and the RTO is still reported.
 //
@@ -42,6 +42,21 @@ import (
 	"xfaas/internal/sim"
 	"xfaas/internal/stats"
 	"xfaas/internal/worker"
+)
+
+const (
+	// stageDelay is the pause between evacuation stages (admission stop →
+	// migration → quiesce), modeling staged rollout of the drain config.
+	stageDelay time.Duration = 10 * time.Second
+	// quiesceTimeout bounds the final stage: the drain raises its alarm
+	// at this point if the region is still busy.
+	quiesceTimeout time.Duration = 10 * time.Minute
+	// checkInterval is the quiescence re-check cadence.
+	checkInterval time.Duration = 5 * time.Second
+	// migrateBatchSize is the maximum queued CritHigh calls moved per
+	// shard per migration pass (the pass repeats every checkInterval
+	// until the backlog is empty).
+	migrateBatchSize int = 256
 )
 
 // RegionView is the controller's handle on one region's components.
@@ -91,18 +106,6 @@ type Controller struct {
 
 // NewController returns a drain controller over the platform's regions.
 func NewController(engine *sim.Engine, cfg config.Drain, regions []RegionView, queueLBs []*queuelb.LB) *Controller {
-	if cfg.StageDelay <= 0 {
-		cfg.StageDelay = 10 * time.Second
-	}
-	if cfg.CheckInterval <= 0 {
-		cfg.CheckInterval = 5 * time.Second
-	}
-	if cfg.QuiesceTimeout <= 0 {
-		cfg.QuiesceTimeout = 10 * time.Minute
-	}
-	if cfg.MigrateBatch <= 0 {
-		cfg.MigrateBatch = 256
-	}
 	return &Controller{
 		engine:   engine,
 		cfg:      cfg,
@@ -136,7 +139,7 @@ func (d *Controller) Drain(region int) {
 	}
 	d.Obs.Control("drain.begin", fmt.Sprintf("r%d admit-stopped", region))
 	d.Obs.Note("drain", fmt.Sprintf("r%d", region))
-	d.engine.Schedule(d.cfg.StageDelay, func() { d.stageRelease(region) })
+	d.engine.Schedule(stageDelay, func() { d.stageRelease(region) })
 }
 
 // Undrain ends a region's evacuation: admission and scheduling resume,
@@ -178,10 +181,10 @@ func (d *Controller) stageRelease(region int) {
 		sc.SetDraining(true)
 	}
 	d.Obs.Control("drain.released", fmt.Sprintf("r%d schedulers parked", region))
-	st.ticker = d.engine.Every(d.cfg.CheckInterval, func() { d.pump(region) })
+	st.ticker = d.engine.Every(checkInterval, func() { d.pump(region) })
 }
 
-// pump runs every CheckInterval during a drain: migrate a batch of
+// pump runs every checkInterval during a drain: migrate a batch of
 // queued CritHigh calls to peer regions, then — once migration runs dry —
 // check for quiesce and report the RTO.
 func (d *Controller) pump(region int) {
@@ -211,7 +214,7 @@ func (d *Controller) pump(region int) {
 	// long-running execution (the default population's tail reaches tens
 	// of minutes) must still be allowed to finish and the RTO must still
 	// be reported when the region finally quiets.
-	if !st.timedOut && now-st.startedAt >= d.cfg.QuiesceTimeout {
+	if !st.timedOut && now-st.startedAt >= quiesceTimeout {
 		st.timedOut = true
 		d.Obs.Control("drain.timeout",
 			fmt.Sprintf("r%d still busy after %s", region, now-st.startedAt))
@@ -224,7 +227,7 @@ func critHigh(c *function.Call) bool {
 	return c.Spec.Criticality >= function.CritHigh
 }
 
-// migrateBatch extracts up to MigrateBatch CritHigh calls per shard of
+// migrateBatch extracts up to migrateBatchSize CritHigh calls per shard of
 // the draining region and adopts them round-robin across peer-region
 // shards (index order — deterministic). Returns the number moved.
 func (d *Controller) migrateBatch(region int, st *regionState) int {
@@ -245,7 +248,7 @@ func (d *Controller) migrateBatch(region int, st *regionState) int {
 	}
 	moved := 0
 	for _, sh := range d.regions[region].Shards {
-		calls := sh.DrainExtract(d.scratch[:0], d.cfg.MigrateBatch, critHigh)
+		calls := sh.DrainExtract(d.scratch[:0], migrateBatchSize, critHigh)
 		for _, c := range calls {
 			dst := peers[st.rr%len(peers)]
 			st.rr++

@@ -120,15 +120,13 @@ func (r *rig) controlAt(t *testing.T, kind, detail string) sim.Time {
 // drain.* control events, the ledger note, and a closed ledger with
 // nothing lost.
 func TestDrainStages(t *testing.T) {
-	r := newRig(config.Drain{
-		Enabled: true, StageDelay: 10 * time.Second, CheckInterval: 5 * time.Second,
-		QuiesceTimeout: time.Minute, MigrateBatch: 256,
-	})
-	// Region 0: four minutes-long calls on two single-threaded workers (two
-	// run, two wait in the scheduler), ten deferred CritHigh calls (the
-	// durable backlog migration moves) and five deferred CritNormal calls
-	// (time-shifted in place). Region 1 idles.
-	r.submit(0, spec("long", function.CritNormal), 4, 60, 0)
+	r := newRig(config.Drain{Enabled: true})
+	// Region 0: four calls that outlast quiesceTimeout on two
+	// single-threaded workers (two run, two wait in the scheduler), ten
+	// deferred CritHigh calls (the durable backlog migration moves) and
+	// five deferred CritNormal calls (time-shifted in place). Region 1
+	// idles.
+	r.submit(0, spec("long", function.CritNormal), 4, 250, 0)
 	r.submit(0, spec("crit", function.CritHigh), 10, 1, time.Hour)
 	r.submit(0, spec("defer", function.CritNormal), 5, 1, time.Hour)
 	r.engine.RunFor(2 * time.Second)
@@ -148,14 +146,14 @@ func TestDrainStages(t *testing.T) {
 		t.Fatalf("submission during the drain: region 1 enqueued %v, want 1", got)
 	}
 
-	r.engine.RunFor(10 * time.Minute)
+	r.engine.RunFor(30 * time.Minute)
 	if at := r.controlAt(t, "drain.begin", "r0"); at != start {
 		t.Errorf("drain.begin at %s, want %s", at, start)
 	}
-	// Stage 2 after StageDelay: the scheduler parks and hands its two
+	// Stage 2 after stageDelay: the scheduler parks and hands its two
 	// waiting calls back as plain queued work.
-	if at := r.controlAt(t, "drain.released", "r0"); at != start+10*time.Second {
-		t.Errorf("drain.released at %s, want %s", at, start+10*time.Second)
+	if at := r.controlAt(t, "drain.released", "r0"); at != start+stageDelay {
+		t.Errorf("drain.released at %s, want %s", at, start+stageDelay)
 	}
 	if got := r.shards[0][0].Released.Value(); got != 2 {
 		t.Errorf("released %v held calls, want 2", got)
@@ -168,14 +166,14 @@ func TestDrainStages(t *testing.T) {
 	if got := r.ctl.MigratedCalls(0); got != 10 {
 		t.Errorf("MigratedCalls = %d, want 10", got)
 	}
-	// Stage 4: the two running calls outlast QuiesceTimeout (one alarm),
+	// Stage 4: the two running calls outlast quiesceTimeout (one alarm),
 	// then finish, and the RTO is reported.
-	if at := r.controlAt(t, "drain.timeout", "r0"); at < start+time.Minute {
-		t.Errorf("drain.timeout at %s, before the %s timeout", at, time.Minute)
+	if at := r.controlAt(t, "drain.timeout", "r0"); at < start+quiesceTimeout {
+		t.Errorf("drain.timeout at %s, before the %s timeout", at, quiesceTimeout)
 	}
 	quiesced := r.controlAt(t, "drain.quiesced", "r0 rto=")
 	rto, ok := r.ctl.LastRTO(0)
-	if !ok || !r.ctl.Quiesced(0) || rto != quiesced-start || rto <= time.Minute {
+	if !ok || !r.ctl.Quiesced(0) || rto != quiesced-start || rto <= quiesceTimeout {
 		t.Errorf("rto=%s ok=%v quiesced at %s (drain began %s)", rto, ok, quiesced, start)
 	}
 	if got := r.scheds[0].Acked.Value(); got != 2 {

@@ -208,8 +208,17 @@ type Shard struct {
 	Obs *lifecycle.Spine
 }
 
-// NewShard returns an empty shard with a 5-minute lease timeout. src
-// seeds retry-backoff jitter and may be nil (fixed backoff).
+// The retry budget every shard starts with: β (at most 20% extra attempts)
+// and a per-function burst so cold functions can retry before earning
+// anything. Exported for the amplification bounds computed elsewhere.
+const (
+	DefaultBudgetRatio float64 = 0.2
+	DefaultBudgetBurst float64 = 10
+)
+
+// NewShard returns an empty shard with a 5-minute lease timeout and the
+// recovery and retry-budget defaults below. src seeds retry-backoff
+// jitter and may be nil (fixed backoff).
 func NewShard(id ShardID, engine *sim.Engine, src *rng.Source) *Shard {
 	s := &Shard{
 		ID:             id,
@@ -220,6 +229,8 @@ func NewShard(id ShardID, engine *sim.Engine, src *rng.Source) *Shard {
 		ReplayBase:     2 * time.Second,
 		ReplayPerEntry: 200 * time.Microsecond,
 		ReplayBatch:    256,
+		BudgetRatio:    DefaultBudgetRatio,
+		BudgetBurst:    DefaultBudgetBurst,
 		queues:         make(map[string]*funcQueue),
 		leases:         make(map[uint64]*lease),
 	}

@@ -5,6 +5,7 @@ import (
 
 	"xfaas/internal/chaos"
 	"xfaas/internal/core"
+	"xfaas/internal/workerlb"
 )
 
 // The chaos experiments drive the fault-injection engine end to end:
@@ -151,8 +152,7 @@ func runChaosGray(s Scale) *Result {
 	}
 	// Gray detection needs GrayThreshold consecutive slow probes; allow
 	// two extra probe intervals of scheduling slack.
-	chaosCfg := core.DefaultConfig().Chaos
-	detectWindow := time.Duration(chaosCfg.GrayThreshold+2) * chaosCfg.HeartbeatInterval
+	detectWindow := time.Duration(workerlb.GrayThreshold+2) * workerlb.HeartbeatInterval
 	p.Engine.RunFor(detectWindow)
 	detected := int(victim.LB.DetectedGray.Value())
 	r.row("gray workers injected vs detected", "all detected within lag", "%d injected, %d detected in %v",
@@ -200,13 +200,12 @@ func runChaosCorrelated(s Scale) *Result {
 	r := &Result{ID: "chaos_correlated", Title: "Correlated rack failure: detection, evacuation, degradation"}
 	f := startFaultRun(s, chaosRig(s, 0.60))
 	p, inj, victim := f.P, f.Inj, f.victim
-	cfg := core.DefaultConfig().Chaos
 	crashed := inj.CorrelatedCrash(victim.ID, 0.8, true) // silent: only heartbeats can notice
 	k := len(crashed)
 
 	// Detection lag plus one probe interval of slack, plus one degradation
 	// tick so shedding and the breaker have reacted.
-	detectWindow := cfg.DetectionLag() + cfg.HeartbeatInterval + cfg.DegradeInterval
+	detectWindow := workerlb.DetectionLag + workerlb.HeartbeatInterval + core.DegradeInterval
 	p.Engine.RunFor(detectWindow)
 
 	detectedDown := victim.LB.DetectedDown()
@@ -224,10 +223,10 @@ func runChaosCorrelated(s Scale) *Result {
 		"%.0f evacuated", evacuated)
 	regionFrac := float64(victim.LB.DetectedHealthy()) / float64(len(victim.Workers))
 	r.check("region circuit breaker opens below min healthy frac",
-		regionFrac >= cfg.BreakerMinHealthyFrac || p.BreakerState(victim.ID) == "open",
+		regionFrac >= core.BreakerMinHealthyFrac || p.BreakerState(victim.ID) == "open",
 		"region frac %.2f, breaker %s", regionFrac, p.BreakerState(victim.ID))
 	r.check("load shedding engages when fleet degrades past threshold",
-		fleetFrac >= cfg.ShedHealthyFrac || p.Central.Shed() < 1,
+		fleetFrac >= core.DefaultConfig().Chaos.ShedHealthyFrac || p.Central.Shed() < 1,
 		"fleet frac %.2f, shed %.2f", fleetFrac, p.Central.Shed())
 
 	faulted := ackPhase(p, f.fault)

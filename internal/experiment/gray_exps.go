@@ -3,10 +3,11 @@ package experiment
 import (
 	"time"
 
-	"xfaas/internal/core"
 	"xfaas/internal/function"
 	"xfaas/internal/rng"
+	"xfaas/internal/scheduler"
 	"xfaas/internal/stats"
+	"xfaas/internal/workerlb"
 	"xfaas/internal/workload"
 )
 
@@ -132,8 +133,7 @@ func runChaosGrayTail(s Scale) *Result {
 
 	off := run(false)
 	on := run(true)
-	hcfg := core.DefaultConfig().Resilience.EnableAll().Hedge
-	budgetBound := hcfg.BudgetFrac*on.t.hedgeEarned + hcfg.BudgetBurst
+	budgetBound := scheduler.HedgeBudgetFrac*on.t.hedgeEarned + scheduler.HedgeBudgetBurst
 
 	r.row("CritHigh p99 healthy → gray (undefended)", "tail triples, probes silent", "%.2fs → %.2fs",
 		off.p99Healthy, off.p99Gray)
@@ -168,7 +168,7 @@ func runChaosGrayTail(s Scale) *Result {
 	r.series("executed/min (undefended)", time.Minute, off.executed)
 	r.series("executed/min (defended)", time.Minute, on.executed)
 	r.note("%d of %d workers at 1/%.0f speed — below the %.0fx probe threshold; only exec-time outlier scoring can see them",
-		grayed, workers, slowdown, core.DefaultConfig().Chaos.GraySlowdownThreshold)
+		grayed, workers, slowdown, workerlb.GraySlowdownThreshold)
 	return r
 }
 
@@ -178,7 +178,7 @@ func runChaosFlapping(s Scale) *Result {
 	// Toggle every 4 probe intervals: 3 consecutive slow probes flip the
 	// worker Gray just before the clear phase flips it back — the worst
 	// duty cycle for threshold-based detection.
-	probe := core.DefaultConfig().Chaos.HeartbeatInterval
+	probe := workerlb.HeartbeatInterval
 	halfPeriod := 4 * probe
 	const probation = 5 * time.Minute
 	mix := workload.DefaultGrayMix()
@@ -243,7 +243,7 @@ func runChaosFlapping(s Scale) *Result {
 	r.series("executed/min (undefended)", time.Minute, off.executed)
 	r.series("executed/min (defended)", time.Minute, on.executed)
 	r.note("worker 0 toggles 8x↔1x every %v; Gray needs %d consecutive slow probes at %v cadence",
-		halfPeriod, core.DefaultConfig().Chaos.GrayThreshold, probe)
+		halfPeriod, workerlb.GrayThreshold, probe)
 	return r
 }
 

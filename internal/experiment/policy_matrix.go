@@ -139,7 +139,6 @@ func jainIndex(perFunc map[string]float64) float64 {
 
 func matrixScenarios() []matrixScenario {
 	mix := workload.DefaultStormMix("backend")
-	nn := workload.DefaultNoisyNeighbor()
 	return []matrixScenario{
 		{"retrystorm", func(s Scale) rigConfig { return stormRig(s, mix) }, func(mp *matrixProbe, rg *rig) {
 			mp.runSampled(5 * time.Minute)
@@ -151,8 +150,8 @@ func matrixScenarios() []matrixScenario {
 		{"midnightspike", midnightSpikeRig, func(mp *matrixProbe, _ *rig) {
 			mp.runSampled(90 * time.Minute)
 		}},
-		{"zipfneighbor", func(s Scale) rigConfig { return neighbourRig(s, nn) }, func(mp *matrixProbe, _ *rig) {
-			mp.runSampled(nn.FloodStart + nn.FloodLen + 20*time.Minute)
+		{"zipfneighbor", neighbourRig, func(mp *matrixProbe, _ *rig) {
+			mp.runSampled(workload.NoisyFloodStart + workload.NoisyFloodLen + 20*time.Minute)
 		}},
 		{"spikyclient", spikyClientRig, func(mp *matrixProbe, _ *rig) {
 			mp.runSampled(2 * time.Hour)

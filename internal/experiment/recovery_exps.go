@@ -3,6 +3,7 @@ package experiment
 import (
 	"time"
 
+	"xfaas/internal/chaos"
 	"xfaas/internal/core"
 	"xfaas/internal/sim"
 )
@@ -103,7 +104,8 @@ func ledgerCheck(r *Result, p *core.Platform) {
 
 func runChaosShardCrash(s Scale) *Result {
 	r := &Result{ID: "chaos_shardcrash", Title: "DurableQ shard crash: journal replay, bounded loss, at-least-once"}
-	f := startFaultRun(s, recoveryRig(s, 0.60, core.DefaultConfig().Durability.FlushLag))
+	flushLag := core.DefaultConfig().Durability.FlushLag
+	f := startFaultRun(s, recoveryRig(s, 0.60, flushLag))
 	p, inj, victim := f.P, f.Inj, f.victim
 	held := countersOf(victim).held
 	resurrectedBefore := p.Inv.Totals().Resurrected
@@ -124,7 +126,7 @@ func runChaosShardCrash(s Scale) *Result {
 	r.row("calls held by the crashed shards", "journal bounds the loss", "%d held, %.0f lost, %.0f replayed",
 		held, lost, replayed)
 	r.check("journal loses only the unflushed tail", lost < float64(held)/2 && replayed > 0,
-		"%.0f of %d held lost (flush lag %s), %.0f replayed", lost, held, p.Durability().FlushLag, replayed)
+		"%.0f of %d held lost (flush lag %s), %.0f replayed", lost, held, flushLag, replayed)
 	r.row("recovery time objective (crash -> last replay-end)", "restart delay + replay", "%v (%d/%d shards replayed)",
 		rto, replaysDone, len(victim.Shards))
 	r.check("every crashed shard replays its journal", replaysDone == len(victim.Shards),
@@ -155,7 +157,7 @@ func runChaosSubmitterCrash(s Scale) *Result {
 	buffered := sub.BatchLen()
 	inj.CrashSubmitter(victim.ID, false)
 	lost := sub.LostOnCrash.Value()
-	rebuild := p.Durability().SubmitterRebuildDelay
+	rebuild := chaos.SubmitterRebuildDelay
 
 	r.row("unflushed batch at crash", "the only loss window", "%d buffered, %.0f lost", buffered, lost)
 	r.check("loss is exactly the unflushed window", lost == float64(buffered),
@@ -181,7 +183,7 @@ func runChaosSchedCrash(s Scale) *Result {
 	orphaned := sc.Buffered() + sc.RunQLen()
 	redeliveredBefore := countersOf(victim).redelivered
 	inj.CrashScheduler(victim.ID, 0)
-	rebuild := p.Durability().SchedulerRebuildDelay
+	rebuild := chaos.SchedulerRebuildDelay
 	lease := core.DefaultConfig().LeaseTimeout
 
 	p.Engine.RunFor(rebuild + time.Second)

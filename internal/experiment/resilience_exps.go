@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"xfaas/internal/core"
+	"xfaas/internal/durableq"
 	"xfaas/internal/function"
 	"xfaas/internal/rng"
 	"xfaas/internal/workload"
@@ -197,13 +198,12 @@ func runChaosRetryStorm(s Scale) *Result {
 
 	off := run(false)
 	on := run(true)
-	res := core.DefaultConfig().Resilience.EnableAll()
 	// The budget bound: redeliveries can spend at most the earned budget
 	// (β per first-attempt success) plus the per-function burst allowance
 	// on every shard.
-	burstAllowance := res.RetryBudgetBurst * float64(on.t.shards) *
+	burstAllowance := durableq.DefaultBudgetBurst * float64(on.t.shards) *
 		float64(mix.StormFunctions+mix.CleanFunctions)
-	ampBound := 1 + res.RetryBudgetRatio + burstAllowance/math.Max(1, on.t.enqueued)
+	ampBound := 1 + durableq.DefaultBudgetRatio + burstAllowance/math.Max(1, on.t.enqueued)
 
 	r.row("clean goodput healthy (off/on)", "~1", "%.2f / %.2f", off.healthy, on.healthy)
 	r.row("clean goodput during storm (off/on)", "collapses vs holds", "%.2f / %.2f", off.during, on.during)
@@ -371,20 +371,20 @@ func runChaosSpikyClient(s Scale) *Result {
 
 // neighbourRig is the noisy-neighbour scenario: three workers shared by a
 // flooding tenant and its small reserved victims.
-func neighbourRig(s Scale, nn workload.NoisyNeighborConfig) rigConfig {
+func neighbourRig(s Scale) rigConfig {
 	rc := smallFleet(s, 1, 3)
 	rc.Seeds = neighbourSeeds
 	rc.Fill = func(pop *workload.Population, seed uint64) {
-		workload.BuildNoisyNeighbor(pop, nn, rng.New(seed))
+		workload.BuildNoisyNeighbor(pop, rng.New(seed))
 	}
 	return rc
 }
 
 func runChaosZipfNeighbor(s Scale) *Result {
 	r := &Result{ID: "chaos_zipfneighbor", Title: "Noisy neighbor: shedding confines the damage"}
-	nn := workload.DefaultNoisyNeighbor()
+	const floodStart, floodLen = workload.NoisyFloodStart, workload.NoisyFloodLen
 	post := 20 * time.Minute
-	victimRPS := nn.VictimRPSPerFunc * float64(nn.Victims)
+	victimRPS := workload.NoisyVictimRPS * float64(workload.NoisyVictims)
 
 	type outcome struct {
 		healthy, during float64
@@ -393,7 +393,7 @@ func runChaosZipfNeighbor(s Scale) *Result {
 		executed        []float64
 	}
 	run := func(enabled bool) outcome {
-		rc := neighbourRig(s, nn)
+		rc := neighbourRig(s)
 		if enabled {
 			rc.Platform.Resilience = rc.Platform.Resilience.EnableAll()
 		}
@@ -410,9 +410,9 @@ func runChaosZipfNeighbor(s Scale) *Result {
 			p.Engine.RunFor(d)
 			return (victimDone - before) / (victimRPS * d.Seconds())
 		}
-		p.Engine.RunFor(nn.FloodStart - 10*time.Minute)
+		p.Engine.RunFor(floodStart - 10*time.Minute)
 		healthy := goodput(10 * time.Minute)
-		during := goodput(nn.FloodLen)
+		during := goodput(floodLen)
 		p.Engine.RunFor(post)
 		return outcome{healthy, during, p.PendingCalls(), countersOf(p.Regions()...), p.Executed.Values()}
 	}
@@ -420,8 +420,8 @@ func runChaosZipfNeighbor(s Scale) *Result {
 	off := run(false)
 	on := run(true)
 
-	floodSize := nn.FloodRPS * nn.FloodLen.Seconds()
-	r.row("flood size (opportunistic calls)", "far beyond fleet capacity", "%.0f over %v", floodSize, nn.FloodLen)
+	floodSize := workload.NoisyFloodRPS * floodLen.Seconds()
+	r.row("flood size (opportunistic calls)", "far beyond fleet capacity", "%.0f over %v", floodSize, floodLen)
 	r.row("victim goodput healthy → flood (off)", "criticality already shields", "%.2f → %.2f", off.healthy, off.during)
 	r.row("victim goodput healthy → flood (on)", "stays high", "%.2f → %.2f", on.healthy, on.during)
 	r.row("backlog after the flood (off/on)", "unbounded vs bounded", "%d / %d", off.pending, on.pending)

@@ -47,9 +47,13 @@ type Params struct {
 	MaxViolations int
 }
 
+// defaultMaxViolations is the retention bound DefaultParams carries and a
+// zero MaxViolations means.
+const defaultMaxViolations int = 64
+
 // DefaultParams checks every simulated minute and keeps 64 violations.
 func DefaultParams() Params {
-	return Params{Interval: time.Minute, MaxViolations: 64}
+	return Params{Interval: time.Minute, MaxViolations: defaultMaxViolations}
 }
 
 // Violation is one observed invariant breach.
@@ -222,7 +226,7 @@ func NewChecker(engine *sim.Engine, params Params, numRegions int) *Checker {
 		return nil
 	}
 	if params.MaxViolations <= 0 {
-		params.MaxViolations = 64
+		params.MaxViolations = defaultMaxViolations
 	}
 	k := &Checker{
 		engine:   engine,

@@ -22,33 +22,30 @@ import (
 	"xfaas/internal/sim"
 )
 
-// Params tune the JIT model. Defaults reproduce Figure 12's 3-minute vs
-// 21-minute ramp.
+// Params tune the JIT model.
 type Params struct {
 	// Slowdown is the execution-time multiplier for unoptimized code.
 	Slowdown float64
+}
+
+// The compile timings fit the paper's measurements: they reproduce Figure
+// 12's 3-minute vs 21-minute ramp.
+const (
 	// ProfileTime is the wall-clock instrumentation budget per function
 	// before self-profiled compilation can start, measured from the
 	// function's first execution on the new version.
-	ProfileTime time.Duration
+	ProfileTime time.Duration = 18 * time.Minute
 	// CompileDelay is the time to compile one function once its profile
 	// exists.
-	CompileDelay time.Duration
-	// SeededCompilePerFunc is the per-function cost of precompiling from
+	CompileDelay time.Duration = 2 * time.Minute
+	// seededCompilePerFunc is the per-function cost of precompiling from
 	// a seeded profile; hot functions compile in a queue at this rate at
 	// runtime start.
-	SeededCompilePerFunc time.Duration
-}
+	seededCompilePerFunc time.Duration = 3 * time.Second
+)
 
 // DefaultParams fit the paper's measurements.
-func DefaultParams() Params {
-	return Params{
-		Slowdown:             3.0,
-		ProfileTime:          18 * time.Minute,
-		CompileDelay:         2 * time.Minute,
-		SeededCompilePerFunc: 3 * time.Second,
-	}
-}
+func DefaultParams() Params { return Params{Slowdown: 3.0} }
 
 type funcState int
 
@@ -89,7 +86,7 @@ func (r *Runtime) Version() int { return r.version }
 
 // SwitchVersion deploys code version v, discarding all JIT state. If
 // seeded, the hot functions precompile immediately in a queue (one per
-// SeededCompilePerFunc) without needing any calls; otherwise every
+// seededCompilePerFunc) without needing any calls; otherwise every
 // function must self-profile from its first use.
 func (r *Runtime) SwitchVersion(v int, now sim.Time, seeded bool, hot []string) {
 	r.version = v
@@ -100,7 +97,7 @@ func (r *Runtime) SwitchVersion(v int, now sim.Time, seeded bool, hot []string) 
 	for i, fn := range hot {
 		r.funcs[fn] = &funcJIT{
 			state:   stateProfiling,
-			readyAt: now + time.Duration(i+1)*r.params.SeededCompilePerFunc,
+			readyAt: now + time.Duration(i+1)*seededCompilePerFunc,
 		}
 		r.SeededCompilations++
 	}
@@ -132,7 +129,7 @@ func (r *Runtime) SpeedFactor(fn string, now sim.Time) float64 {
 	switch f.state {
 	case stateCold:
 		f.state = stateProfiling
-		f.readyAt = now + r.params.ProfileTime + r.params.CompileDelay
+		f.readyAt = now + ProfileTime + CompileDelay
 		r.SelfCompilations++
 		return r.params.Slowdown
 	case stateProfiling:
@@ -176,74 +173,64 @@ type Target interface {
 	SwitchVersion(v int, seeded bool, hot []string)
 }
 
-// RolloutParams shape the three-phase code push (paper §4.5.1: phases at
-// a small set, 2% + seeders, then all workers).
-type RolloutParams struct {
-	// Phase1Frac and Phase2Frac are the worker fractions switched in the
+// The shape of the three-phase code push (paper §4.5.1: phases at a small
+// set, 2% + seeders, then all workers; the paper cites up to 25 minutes of
+// HHVM profiling).
+const (
+	// phase1Frac and phase2Frac are the worker fractions switched in the
 	// first two phases.
-	Phase1Frac, Phase2Frac float64
-	// Phase1Dur is the canary soak time; Phase2Dur is the seeder
+	phase1Frac float64 = 0.002
+	phase2Frac float64 = 0.02
+	// phase1Dur is the canary soak time; phase2Dur is the seeder
 	// profiling time before the fleet-wide seeded push.
-	Phase1Dur, Phase2Dur time.Duration
-}
-
-// DefaultRolloutParams use a 10-minute canary and a 25-minute seeder
-// profile (the paper cites up to 25 minutes of HHVM profiling).
-func DefaultRolloutParams() RolloutParams {
-	return RolloutParams{
-		Phase1Frac: 0.002,
-		Phase2Frac: 0.02,
-		Phase1Dur:  10 * time.Minute,
-		Phase2Dur:  25 * time.Minute,
-	}
-}
+	phase1Dur time.Duration = 10 * time.Minute
+	phase2Dur time.Duration = 25 * time.Minute
+)
 
 // Distributor performs staged code pushes over locality groups of
 // targets. Each group's phase-2 slice acts as its seeders; the phase-3
 // fleet push is seeded.
 type Distributor struct {
 	engine *sim.Engine
-	params RolloutParams
 	// Pushes counts completed rollouts.
 	Pushes uint64
 }
 
 // NewDistributor returns a distributor on the engine.
-func NewDistributor(engine *sim.Engine, params RolloutParams) *Distributor {
-	return &Distributor{engine: engine, params: params}
+func NewDistributor(engine *sim.Engine) *Distributor {
+	return &Distributor{engine: engine}
 }
 
 // Push rolls code version v with hot-function list hot out to the groups.
 // Phase 1 switches a canary slice unseeded; phase 2 switches the seeder
 // slice unseeded (they profile); phase 3 switches the remainder seeded.
 func (d *Distributor) Push(v int, groups [][]Target, hot []string) {
-	p := d.params
 	for _, group := range groups {
 		group := group
 		n := len(group)
 		if n == 0 {
 			continue
 		}
-		p1 := fracCount(n, p.Phase1Frac)
-		p2 := p1 + fracCount(n, p.Phase2Frac)
+		p1 := fracCount(n, phase1Frac)
+		p2 := p1 + fracCount(n, phase2Frac)
 		if p2 > n {
 			p2 = n
 		}
 		for _, t := range group[:p1] {
 			t.SwitchVersion(v, false, hot)
 		}
-		d.engine.Schedule(p.Phase1Dur, func() {
+		d.engine.Schedule(phase1Dur, func() {
 			for _, t := range group[p1:p2] {
 				t.SwitchVersion(v, false, hot)
 			}
 		})
-		d.engine.Schedule(p.Phase1Dur+p.Phase2Dur, func() {
+		d.engine.Schedule(phase1Dur+phase2Dur, func() {
 			for _, t := range group[p2:] {
 				t.SwitchVersion(v, true, hot)
 			}
 		})
 	}
-	d.engine.Schedule(p.Phase1Dur+p.Phase2Dur, func() { d.Pushes++ })
+	d.engine.Schedule(phase1Dur+phase2Dur, func() { d.Pushes++ })
 }
 
 // fracCount returns ceil(n·frac) with a minimum of 1 when frac > 0.

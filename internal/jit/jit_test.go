@@ -22,7 +22,7 @@ func TestSelfProfilingCompletes(t *testing.T) {
 	p := DefaultParams()
 	r := NewRuntime(p)
 	r.SpeedFactor("f", 0) // first use starts instrumentation
-	ready := sim.Time(p.ProfileTime + p.CompileDelay)
+	ready := sim.Time(ProfileTime + CompileDelay)
 	if f := r.SpeedFactor("f", ready-time.Second); f != p.Slowdown {
 		t.Fatalf("pre-ready speed = %v", f)
 	}
@@ -100,12 +100,12 @@ func TestSwitchVersionResetsState(t *testing.T) {
 	p := DefaultParams()
 	r := NewRuntime(p)
 	r.SpeedFactor("f", 0)
-	r.SpeedFactor("f", sim.Time(p.ProfileTime+p.CompileDelay)) // optimized
+	r.SpeedFactor("f", sim.Time(ProfileTime+CompileDelay)) // optimized
 	r.SwitchVersion(2, 0, false, nil)
 	if r.Version() != 2 {
 		t.Fatalf("version = %d", r.Version())
 	}
-	if r.Optimized("f", sim.Time(p.ProfileTime+p.CompileDelay)) {
+	if r.Optimized("f", sim.Time(ProfileTime+CompileDelay)) {
 		t.Fatal("optimization survived a code push")
 	}
 }
@@ -125,8 +125,7 @@ func (f *fakeTarget) SwitchVersion(v int, seeded bool, hot []string) {
 
 func TestDistributorPhases(t *testing.T) {
 	e := sim.NewEngine()
-	rp := DefaultRolloutParams()
-	d := NewDistributor(e, rp)
+	d := NewDistributor(e)
 	group := make([]Target, 100)
 	targets := make([]*fakeTarget, 100)
 	for i := range group {
@@ -144,9 +143,9 @@ func TestDistributorPhases(t *testing.T) {
 		switch {
 		case ft.at == 0 && !ft.seeded:
 			phase1++
-		case ft.at == sim.Time(rp.Phase1Dur) && !ft.seeded:
+		case ft.at == sim.Time(phase1Dur) && !ft.seeded:
 			phase2++
-		case ft.at == sim.Time(rp.Phase1Dur+rp.Phase2Dur) && ft.seeded:
+		case ft.at == sim.Time(phase1Dur+phase2Dur) && ft.seeded:
 			phase3++
 		default:
 			t.Fatalf("target switched at unexpected time %v seeded=%v", ft.at, ft.seeded)
@@ -168,7 +167,7 @@ func TestDistributorPhases(t *testing.T) {
 
 func TestDistributorTinyGroup(t *testing.T) {
 	e := sim.NewEngine()
-	d := NewDistributor(e, DefaultRolloutParams())
+	d := NewDistributor(e)
 	ft := &fakeTarget{engine: e}
 	d.Push(1, [][]Target{{ft}}, nil)
 	e.RunFor(time.Hour)
@@ -199,7 +198,7 @@ func TestFracCount(t *testing.T) {
 
 func TestDistributorSkipsEmptyGroup(t *testing.T) {
 	e := sim.NewEngine()
-	d := NewDistributor(e, DefaultRolloutParams())
+	d := NewDistributor(e)
 	ft := &fakeTarget{engine: e}
 	d.Push(2, [][]Target{{}, {ft}}, nil)
 	e.RunFor(time.Hour)

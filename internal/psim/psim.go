@@ -159,12 +159,10 @@ func New(opts Options) *Runner {
 		panic("psim: Parts must be positive")
 	}
 	root := rng.New(opts.Seed)
-	topo := cluster.Generate(cluster.Config{
-		Regions:            opts.Regions,
-		TotalWorkers:       opts.TotalWorkers,
-		ShardsPerRegionMin: 2,
-		Skew:               0.8,
-	}, root.Split())
+	ccfg := cluster.DefaultConfig()
+	ccfg.Regions = opts.Regions
+	ccfg.TotalWorkers = opts.TotalWorkers
+	topo := cluster.Generate(ccfg, root.Split())
 
 	popCfg := workload.DefaultPopulationConfig()
 	popCfg.Functions = opts.Functions

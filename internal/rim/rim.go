@@ -37,27 +37,23 @@ type Source interface {
 
 // Params tune the advice function.
 type Params struct {
-	// Interval between metric collections.
-	Interval time.Duration
-	// Soft is the utilization below which advice is 1 (no constraint).
-	Soft float64
-	// Hard is the utilization at which advice reaches Floor.
+	// Hard is the utilization at which advice reaches floor.
 	Hard float64
-	// Floor is the minimum multiplier (keeps recovery probes alive).
-	Floor float64
 }
 
-// DefaultParams advise throttling from 80% utilization, floor 5%.
-func DefaultParams() Params {
-	return Params{
-		Interval: 15 * time.Second,
-		Soft:     0.8,
-		Hard:     1.2,
-		Floor:    0.05,
-	}
-}
+const (
+	// interval between metric collections.
+	interval time.Duration = 15 * time.Second
+	// soft is the utilization below which advice is 1 (no constraint).
+	soft float64 = 0.8
+	// floor is the minimum multiplier (keeps recovery probes alive).
+	floor float64 = 0.05
+)
 
-// Advice maps component name → rate multiplier in [Floor, 1].
+// DefaultParams reach the floor at 120% utilization.
+func DefaultParams() Params { return Params{Hard: 1.2} }
+
+// Advice maps component name → rate multiplier in [floor, 1].
 type Advice map[string]float64
 
 // Multiplier returns the advice for name (1 when unknown).
@@ -83,13 +79,10 @@ type RIM struct {
 	Constrained stats.Counter
 }
 
-// New starts a RIM aggregating the given sources every Interval.
+// New starts a RIM aggregating the given sources every interval.
 func New(engine *sim.Engine, params Params, store *config.Store, sources ...Source) *RIM {
-	if params.Hard <= params.Soft {
-		panic("rim: Hard must exceed Soft")
-	}
-	if params.Floor <= 0 || params.Floor > 1 {
-		panic("rim: Floor out of (0, 1]")
+	if params.Hard <= soft {
+		panic("rim: Hard must exceed soft")
 	}
 	r := &RIM{
 		engine:  engine,
@@ -98,7 +91,7 @@ func New(engine *sim.Engine, params Params, store *config.Store, sources ...Sour
 		sources: sources,
 		current: Advice{},
 	}
-	engine.Every(params.Interval, r.collect)
+	engine.Every(interval, r.collect)
 	return r
 }
 
@@ -139,17 +132,17 @@ func (r *RIM) collect() {
 	}
 }
 
-// multiplier maps utilization to a pacing multiplier: 1 below Soft,
-// linear ramp to Floor at Hard, Floor beyond.
+// multiplier maps utilization to a pacing multiplier: 1 below soft,
+// linear ramp to floor at Hard, floor beyond.
 func (r *RIM) multiplier(util float64) float64 {
-	p := r.params
+	hard := r.params.Hard
 	switch {
-	case util <= p.Soft:
+	case util <= soft:
 		return 1
-	case util >= p.Hard:
-		return p.Floor
+	case util >= hard:
+		return floor
 	default:
-		frac := (util - p.Soft) / (p.Hard - p.Soft)
-		return 1 - frac*(1-p.Floor)
+		frac := (util - soft) / (hard - soft)
+		return 1 - frac*(1-floor)
 	}
 }

@@ -97,7 +97,7 @@ func TestCurrentIsACopy(t *testing.T) {
 func TestInvalidParamsPanic(t *testing.T) {
 	e := sim.NewEngine()
 	p := DefaultParams()
-	p.Hard = p.Soft
+	p.Hard = soft
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Hard == Soft should panic")

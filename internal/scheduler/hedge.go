@@ -18,10 +18,11 @@ import (
 // callback; the first completion wins and the loser's execution is
 // cancelled (worker.Cancel — resource unwind, no callback). A per-region
 // token budget shared by the region's scheduler replicas bounds the extra
-// load: every primary dispatch earns BudgetFrac of a token, every hedge
-// spends one, so hedge amplification can never exceed 1 + BudgetFrac
-// (plus the constant burst) — the hedge-amplification invariant probe
-// enforces the same inequality continuously from the counters.
+// load: every primary dispatch earns HedgeBudgetFrac of a token, every
+// hedge spends one, so hedge amplification can never exceed
+// 1 + HedgeBudgetFrac (plus the constant burst) — the hedge-amplification
+// invariant probe enforces the same inequality continuously from the
+// counters.
 //
 // Conservation: the speculative copy is a shallow clone sharing the
 // primary's call ID and never touches a DurableQ, so the invariant ledger
@@ -31,6 +32,25 @@ import (
 // flow settles it, and every other disposition clears the ref
 // (OnHedgeCancel) — so lease exclusivity and the orphaned-copy machinery
 // keep working unchanged.
+
+const (
+	// hedgeQuantile of the function's recent exec times is the hedge
+	// delay: a call still running past this quantile is assumed stuck on
+	// a straggler and gets a speculative copy.
+	hedgeQuantile float64 = 0.95
+	// hedgeWindow is how many recent exec-time samples per function the
+	// online quantile estimator keeps.
+	hedgeWindow int = 64
+	// hedgeMinSamples is the estimator's warm-up: no hedging for a
+	// function until it has observed at least this many completions.
+	hedgeMinSamples int = 8
+	// HedgeBudgetFrac is the token fraction earned per primary dispatch —
+	// the hedge-amplification bound above 1.
+	HedgeBudgetFrac float64 = 0.05
+	// HedgeBudgetBurst is each region's initial token balance, so hedging
+	// can start before the budget has earned anything.
+	HedgeBudgetBurst float64 = 10
+)
 
 // HedgeBudget is one region's hedge token bucket, shared by its scheduler
 // replicas (mirroring the per-shard retry budgets: earn a fraction per
@@ -70,7 +90,7 @@ func (b *HedgeBudget) Spend() {
 // of the most recent successful exec times, answering quantile queries
 // from a sorted copy that stays valid until the next sample arrives —
 // every dispatch asks, only completions observe. No hedging happens for a
-// function until it has observed MinSamples completions.
+// function until it has observed hedgeMinSamples completions.
 type hedgeEstimator struct {
 	ring  []float64
 	next  int
@@ -175,18 +195,15 @@ func (s *Scheduler) armHedge(c *function.Call, w *worker.Worker) {
 	if s.hedges == nil {
 		return
 	}
-	if s.HedgeBudget != nil {
-		s.HedgeBudget.Earn()
-	}
+	s.HedgeBudget.Earn()
 	if c.Spec.Criticality != function.CritHigh {
 		return
 	}
-	hcfg := &s.params.Resilience.Hedge
 	est := s.est[c.Spec.Name]
-	if est == nil || est.Samples() < hcfg.MinSamples {
+	if est == nil || est.Samples() < hedgeMinSamples {
 		return
 	}
-	delay := time.Duration(est.Quantile(hcfg.Quantile) * float64(time.Second))
+	delay := time.Duration(est.Quantile(hedgeQuantile) * float64(time.Second))
 	if delay < time.Millisecond {
 		delay = time.Millisecond
 	}
@@ -211,7 +228,7 @@ func (s *Scheduler) fireHedge(e *hedgeEntry) {
 		s.putHedge(e)
 		return
 	}
-	if s.HedgeBudget == nil || !s.HedgeBudget.Available() {
+	if !s.HedgeBudget.Available() {
 		s.HedgeDenied.Inc()
 		delete(s.hedges, e.id)
 		s.putHedge(e)
@@ -358,7 +375,7 @@ func (s *Scheduler) abortHedge(id uint64) {
 func (s *Scheduler) hedgeObserve(fn string, secs float64) {
 	est := s.est[fn]
 	if est == nil {
-		est = newHedgeEstimator(s.params.Resilience.Hedge.Window)
+		est = newHedgeEstimator(hedgeWindow)
 		s.est[fn] = est
 	}
 	est.Observe(secs)

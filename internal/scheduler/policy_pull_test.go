@@ -314,7 +314,7 @@ func TestGateOpportunisticDefersPolling(t *testing.T) {
 // terminated, counted, and never offered to the picker.
 func TestDispatchWithSweepsExpired(t *testing.T) {
 	r := newRig(1, 1000)
-	r.sched.params.Resilience.ExpirySweep = true
+	r.sched.SweepExpired = true
 	spec := rigSpec("doomed", function.CritNormal)
 	r.engine.RunFor(10 * time.Second) // move the clock past the doomed deadline
 	expired := &function.Call{ID: 1, Spec: spec, Deadline: sim.Time(time.Second)}

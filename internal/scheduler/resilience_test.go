@@ -58,8 +58,8 @@ func (r *rig) enqueueSlow(s *function.Spec, n int, execSecs float64) []*function
 func TestShedSweepDropsOverDelayedOpportunistic(t *testing.T) {
 	p := DefaultParams()
 	p.RunQLimit = 1
-	p.Resilience.ShedEnabled = true
 	r := resilRig(p)
+	r.sched.ShedEnabled = true
 	r.enqueueSlow(blockSpec(), 100, 120)
 	// CritLow target is 2m and deadline/4 is also 2m: shedding must start
 	// once the head delay outlasts 2m plus the 30s observation window.
@@ -85,8 +85,8 @@ func TestShedSweepDropsOverDelayedOpportunistic(t *testing.T) {
 func TestShedNeverTouchesReservedOrHighCriticality(t *testing.T) {
 	p := DefaultParams()
 	p.RunQLimit = 1
-	p.Resilience.ShedEnabled = true
 	r := resilRig(p)
+	r.sched.ShedEnabled = true
 	r.enqueueSlow(blockSpec(), 100, 120)
 	reserved := rigSpec("reserved-victim", function.CritLow)
 	reserved.Deadline = 8 * time.Minute
@@ -108,8 +108,8 @@ func TestShedTargetScalesWithDeadline(t *testing.T) {
 	// overload — a 10-minute head delay must not shed.
 	p := DefaultParams()
 	p.RunQLimit = 1
-	p.Resilience.ShedEnabled = true
 	r := resilRig(p)
+	r.sched.ShedEnabled = true
 	r.enqueueSlow(blockSpec(), 100, 120)
 	r.enqueue(oppSpec("pipeline", function.CritLow, 24*time.Hour), 20)
 	r.engine.RunFor(10 * time.Minute)
@@ -136,9 +136,8 @@ func TestShedDisabledByDefault(t *testing.T) {
 }
 
 func TestDispatchSweepsExpiredFromRunQ(t *testing.T) {
-	p := DefaultParams()
-	p.Resilience.ExpirySweep = true
-	r := resilRig(p)
+	r := resilRig(DefaultParams())
+	r.sched.SweepExpired = true
 	// The blocker occupies the single worker thread for a minute, so the
 	// short-deadline victim waits in the RunQ past its deadline.
 	r.enqueueSlow(blockSpec(), 1, 60)
@@ -184,8 +183,8 @@ func TestDispatchDeliversExpiredWhenSweepOff(t *testing.T) {
 func TestShedReleasesLeases(t *testing.T) {
 	p := DefaultParams()
 	p.RunQLimit = 1
-	p.Resilience.ShedEnabled = true
 	r := resilRig(p)
+	r.sched.ShedEnabled = true
 	r.enqueueSlow(blockSpec(), 2, 30)
 	r.enqueue(oppSpec("victim", function.CritLow, 8*time.Minute), 15)
 	r.engine.RunFor(5 * time.Minute)

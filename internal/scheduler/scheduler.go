@@ -40,27 +40,9 @@ import (
 type Params struct {
 	// PollInterval is the DurableQ polling and scheduling cadence.
 	PollInterval time.Duration
-	// PollBatch bounds calls pulled per tick across all source regions.
-	PollBatch int
 	// RunQLimit is the flow-control threshold: polling and buffer→RunQ
 	// movement pause while the RunQ is this deep (slow workers).
 	RunQLimit int
-	// BufferCap bounds each FuncBuffer; full buffers stop polling that
-	// function so deferred calls wait durably in the DurableQ rather
-	// than in scheduler memory.
-	BufferCap int
-	// DispatchBatch bounds dispatches per tick.
-	DispatchBatch int
-	// ShardsPerPoll is how many shards are sampled per source region per
-	// tick.
-	ShardsPerPoll int
-	// LeaseRenewInterval is how often the scheduler renews the DurableQ
-	// leases of calls it still holds (buffered, queued or running), so
-	// only a crashed scheduler's calls are redelivered.
-	LeaseRenewInterval time.Duration
-	// Resilience configures queue-delay shedding and deadline expiry
-	// sweeping (both off by default; see config.Resilience).
-	Resilience config.Resilience
 	// Policy selects the scheduling policy by name with its knobs; the
 	// zero value is the default push policy, whose seeded output is
 	// byte-identical to the pre-policy scheduler.
@@ -70,21 +52,44 @@ type Params struct {
 	PolicyFactory func() policy.Policy
 }
 
+const (
+	// pollBatch bounds calls pulled per tick across all source regions.
+	pollBatch int = 4096
+	// bufferCap bounds each FuncBuffer; full buffers stop polling that
+	// function so deferred calls wait durably in the DurableQ rather
+	// than in scheduler memory.
+	bufferCap int = 2048
+	// dispatchBatch bounds dispatches per tick.
+	dispatchBatch int = 4096
+	// shardsPerPoll is how many shards are sampled per source region per
+	// tick.
+	shardsPerPoll int = 4
+	// leaseRenewInterval is how often the scheduler renews the DurableQ
+	// leases of calls it still holds (buffered, queued or running), so
+	// only a crashed scheduler's calls are redelivered.
+	leaseRenewInterval time.Duration = 4 * time.Minute
+	// shedInterval is the sliding observation window of queue-delay
+	// shedding: delay must stay above target this long before shedding
+	// starts (hysteresis against transient spikes).
+	shedInterval time.Duration = 30 * time.Second
+)
+
+// shedTarget is the queue-delay target per criticality. Low-criticality,
+// time-shiftable work tolerates the least sitting in an overloaded
+// buffer; high-criticality work is never shed but its target still gates
+// the shed-state bookkeeping.
+var shedTarget = [...]time.Duration{
+	function.CritLow:    2 * time.Minute,
+	function.CritNormal: 5 * time.Minute,
+	function.CritHigh:   15 * time.Minute,
+}
+
 // DefaultParams suit the simulation scale. The RunQ is a short staging
 // buffer (the paper slows FuncBuffer→RunQ movement as soon as it builds
 // up); keeping it shallow means a quota change (e.g. S dropping to zero)
 // never strands thousands of already-admitted calls.
 func DefaultParams() Params {
-	return Params{
-		PollInterval:       time.Second,
-		PollBatch:          4096,
-		RunQLimit:          512,
-		BufferCap:          2048,
-		DispatchBatch:      4096,
-		ShardsPerPoll:      4,
-		LeaseRenewInterval: 4 * time.Minute,
-		Resilience:         config.DefaultResilience(),
-	}
+	return Params{PollInterval: time.Second, RunQLimit: 512}
 }
 
 // shedState is the per-function CoDel bookkeeping: when the function's
@@ -146,16 +151,23 @@ type Scheduler struct {
 	inflight         map[uint64]*worker.Worker
 	inflightByWorker map[*worker.Worker]map[uint64]*function.Call
 
-	// Hedged dispatch (hedges stays nil until Resilience.Hedge enables
-	// it; every hot-path hook is a single nil check when off). est holds
-	// the per-function hedge-delay estimators; hedgeSrc is a dedicated
+	// ShedEnabled turns on queue-delay shedding (shedSweep); SweepExpired
+	// dead-letters RunQ calls past their deadline at dispatch time instead
+	// of letting doomed work occupy workers. The platform sets both from
+	// config.Resilience.
+	ShedEnabled  bool
+	SweepExpired bool
+
+	// Hedged dispatch (hedges stays nil unless NewHedged got a budget;
+	// every hot-path hook is a single nil check when off). est holds the
+	// per-function hedge-delay estimators; hedgeSrc is a dedicated
 	// stream so hedge worker picks never perturb the scheduler's draws.
 	hedges    map[uint64]*hedgeEntry
 	freeHedge []*hedgeEntry
 	hedgeSrc  *rng.Source
 	est       map[string]*hedgeEstimator
-	// HedgeBudget, when set, is the region's shared hedge token bucket
-	// (one per region, shared by its replicas; see NewHedgeBudget).
+	// HedgeBudget is the region's shared hedge token bucket (one per
+	// region, shared by its replicas; see NewHedged), nil when off.
 	HedgeBudget *HedgeBudget
 
 	// draining marks a regional drain in progress: ticks no-op (no new
@@ -222,11 +234,20 @@ type Scheduler struct {
 	ExecutedCPUSeries *stats.TimeSeries
 }
 
-// New returns a running scheduler for region. store supplies the GTC
-// traffic matrix; pass the same instance the conductor publishes to.
+// New returns a running scheduler for region without hedged dispatch.
+// store supplies the GTC traffic matrix; pass the same instance the
+// conductor publishes to.
 func New(engine *sim.Engine, src *rng.Source, region cluster.RegionID, params Params,
 	shards [][]*durableq.Shard, lb *workerlb.LB, cen *ratelimit.Central,
 	cong *congestion.Manager, store *config.Store) *Scheduler {
+	return NewHedged(engine, src, region, params, shards, lb, cen, cong, store, nil)
+}
+
+// NewHedged is New with hedged dispatch on when budget, the region's
+// shared hedge token bucket, is non-nil.
+func NewHedged(engine *sim.Engine, src *rng.Source, region cluster.RegionID, params Params,
+	shards [][]*durableq.Shard, lb *workerlb.LB, cen *ratelimit.Central,
+	cong *congestion.Manager, store *config.Store, budget *HedgeBudget) *Scheduler {
 
 	s := &Scheduler{
 		engine:            engine,
@@ -253,10 +274,11 @@ func New(engine *sim.Engine, src *rng.Source, region cluster.RegionID, params Pa
 	s.completeFn = s.complete
 	s.placeFn = s.placeLB
 	s.filterFn = s.pollFilter
-	if params.Resilience.Hedge.Enabled {
+	if budget != nil {
 		// Split the hedge stream eagerly so runs with hedging on are
 		// deterministic; with it off, no split happens and the
 		// scheduler's draw sequence is byte-identical to before.
+		s.HedgeBudget = budget
 		s.hedges = make(map[uint64]*hedgeEntry)
 		s.est = make(map[string]*hedgeEstimator)
 		s.hedgeSrc = src.Split()
@@ -265,9 +287,7 @@ func New(engine *sim.Engine, src *rng.Source, region cluster.RegionID, params Pa
 	s.pol.Attach(s)
 	lb.OnWorkerDown(s.onWorkerDown)
 	s.ticker = engine.Every(params.PollInterval, s.tick)
-	if params.LeaseRenewInterval > 0 {
-		s.renewer = engine.Every(params.LeaseRenewInterval, s.renewLeases)
-	}
+	s.renewer = engine.Every(leaseRenewInterval, s.renewLeases)
 	return s
 }
 
@@ -369,9 +389,7 @@ func (s *Scheduler) buffersByName() []*FuncBuffer {
 // timeouts.
 func (s *Scheduler) Stop() {
 	s.ticker.Stop()
-	if s.renewer != nil {
-		s.renewer.Stop()
-	}
+	s.renewer.Stop()
 }
 
 // Crash models a scheduler process failure: every in-memory structure —
@@ -499,12 +517,12 @@ func (s *Scheduler) Rand() *rng.Source {
 }
 
 // DefaultPoll implements policy.Host.
-func (s *Scheduler) DefaultPoll() { s.poll(s.params.PollBatch) }
+func (s *Scheduler) DefaultPoll() { s.poll(pollBatch) }
 
 // PollScaled implements policy.Host: poll with the budget scaled by
 // mult (pre-push ahead of a forecast spike).
 func (s *Scheduler) PollScaled(mult float64) {
-	budget := int(float64(s.params.PollBatch)*mult + 0.5)
+	budget := int(float64(pollBatch)*mult + 0.5)
 	if budget < 1 {
 		budget = 1
 	}
@@ -513,7 +531,7 @@ func (s *Scheduler) PollScaled(mult float64) {
 
 // DefaultShedSweep implements policy.Host.
 func (s *Scheduler) DefaultShedSweep() {
-	if s.params.Resilience.ShedEnabled {
+	if s.ShedEnabled {
 		s.shedSweep()
 	}
 }
@@ -554,12 +572,11 @@ func (s *Scheduler) PoolUtilization() float64 { return s.lb.MeanUtilization() }
 // control skips scheduling exactly when workers are behind, which is
 // when shedding matters most). Per backlogged function it compares the
 // head-of-buffer queue delay against the function's criticality target;
-// delay above target for a full ShedInterval starts a shedding spell
+// delay above target for a full shedInterval starts a shedding spell
 // that dead-letters sheddable calls (opportunistic quota, below high
 // criticality — the paper's time-shifted work) until the head's delay
 // drops back under target or the buffer empties.
 func (s *Scheduler) shedSweep() {
-	res := &s.params.Resilience
 	now := s.engine.Now()
 	for _, b := range s.buffersByName() {
 		name := b.spec.Name
@@ -574,7 +591,7 @@ func (s *Scheduler) shedSweep() {
 			continue
 		}
 		spec := b.Spec()
-		target := res.ShedTarget(int(spec.Criticality))
+		target := shedTarget[spec.Criticality]
 		// Delay-tolerant work (the paper's time-shifted pipelines) is
 		// deferred by the utilization controller and may legitimately sit
 		// queued for hours before polling; scale its target with the
@@ -603,7 +620,7 @@ func (s *Scheduler) shedSweep() {
 			st.above = true
 			st.firstAbove = now
 		}
-		if !st.shedding && now-st.firstAbove < res.ShedInterval {
+		if !st.shedding && now-st.firstAbove < shedInterval {
 			continue // hysteresis: a transient spike must outlast the window
 		}
 		if !st.shedding {
@@ -679,7 +696,7 @@ func (s *Scheduler) pollFilter(c *function.Call) bool {
 	// Buffer at most ~a minute of dispatchable work per function so
 	// quota-throttled calls wait in the DurableQ (not in scheduler
 	// memory past their lease).
-	cap := s.params.BufferCap
+	cap := bufferCap
 	if limit := s.cen.RPSLimit(c.Spec); limit >= 0 {
 		byRate := int(limit*60) + 16
 		if byRate < cap {
@@ -697,8 +714,8 @@ func (s *Scheduler) pullFrom(region int, max int) {
 	if max <= 0 || len(s.shards[region]) == 0 {
 		return
 	}
-	perShard := max/s.params.ShardsPerPoll + 1
-	for i := 0; i < s.params.ShardsPerPoll && max > 0; i++ {
+	perShard := max/shardsPerPoll + 1
+	for i := 0; i < shardsPerPoll && max > 0; i++ {
 		shard := s.shards[region][s.src.Intn(len(s.shards[region]))]
 		n := perShard
 		if n > max {
@@ -870,10 +887,10 @@ func (s *Scheduler) drainRunQ(place placeFunc) {
 	const maxConsecutiveRejects = 16
 	rejects, dispatched := 0, 0
 	now := s.engine.Now()
-	sweep := s.params.Resilience.ExpirySweep
+	sweep := s.SweepExpired
 	q := s.runQ
 	i, kept := 0, 0
-	for i < len(q) && dispatched < s.params.DispatchBatch {
+	for i < len(q) && dispatched < dispatchBatch {
 		c := q[i]
 		i++
 		if sweep && c.IsExpired(now) {

@@ -310,7 +310,7 @@ func TestFlowControlBoundsRunQ(t *testing.T) {
 	if got := r.sched.RunQLen(); got > r.sched.params.RunQLimit {
 		t.Fatalf("RunQ = %d exceeds limit %d", got, r.sched.params.RunQLimit)
 	}
-	if r.sched.Buffered() > r.sched.params.BufferCap*2 {
+	if r.sched.Buffered() > bufferCap*2 {
 		t.Fatalf("buffers grew unboundedly: %d", r.sched.Buffered())
 	}
 }
@@ -417,12 +417,8 @@ func TestSilentDeathDetectedViaHeartbeatsEvacuatesLeases(t *testing.T) {
 	// Lease timeout far beyond the test horizon: the ONLY way these calls
 	// can be redelivered is the heartbeat → onWorkerDown → NACK path.
 	r.shard.LeaseTimeout = 30 * time.Minute
-	r.lb.StartHealthChecks(r.engine, workerlb.HealthParams{
-		Interval:              time.Second,
-		MissedThreshold:       3,
-		GraySlowdownThreshold: 4,
-		GrayThreshold:         3,
-	})
+	r.lb.StartHealthChecks(r.engine)
+	const hb = workerlb.HeartbeatInterval
 	s := rigSpec("f", function.CritNormal)
 	calls := r.enqueueLong(s, 8, 60)
 	r.engine.RunFor(3 * time.Second)
@@ -434,14 +430,14 @@ func TestSilentDeathDetectedViaHeartbeatsEvacuatesLeases(t *testing.T) {
 	// Silent death: no completion callbacks fire, so the scheduler's only
 	// source of truth is the heartbeat prober.
 	r.pool[0].FailSilent()
-	r.engine.RunFor(2500 * time.Millisecond) // probes at t=4s,5s miss — below threshold
+	r.engine.RunFor(2 * hb) // two probes miss — below threshold
 	if got := r.sched.Evacuated.Value(); got != 0 {
 		t.Fatalf("evacuated %v leases before detection threshold", got)
 	}
 	if r.shard.Leased() != 8 {
 		t.Fatalf("leases released early: leased=%d", r.shard.Leased())
 	}
-	r.engine.RunFor(time.Second) // third miss at t=6s: detected dead
+	r.engine.RunFor(hb) // third miss: detected dead
 	if got := r.sched.Evacuated.Value(); got != 8 {
 		t.Fatalf("evacuated = %v after detection, want 8", got)
 	}

@@ -2,12 +2,41 @@ package slo
 
 import (
 	"fmt"
+	"time"
 
 	"xfaas/internal/config"
 	"xfaas/internal/function"
 	"xfaas/internal/sim"
 	"xfaas/internal/stats"
 )
+
+const (
+	// UtilWindow is the utilization timeline resolution: each accountant
+	// tick closes one window and records its mean utilization.
+	UtilWindow time.Duration = time.Minute
+	// critHighLatency is the completion-latency target for CritHigh calls;
+	// a completion slower than this is an SLO miss.
+	critHighLatency time.Duration = 60 * time.Second
+	// fastWindow and slowWindow are the two burn-rate evaluation windows:
+	// the fast one catches onset, the slow one filters blips (see Engine).
+	fastWindow time.Duration = 5 * time.Minute
+	slowWindow time.Duration = time.Hour
+	// EvalInterval is how often burn rates are evaluated and alert
+	// transitions emitted into the control event ring.
+	EvalInterval time.Duration = 30 * time.Second
+	// burnThreshold is the burn-rate level at which an alert fires; 1.0
+	// means "consuming error budget exactly as fast as it accrues".
+	burnThreshold float64 = 1.0
+)
+
+// errorBudget is the per-class error budget: the fraction of observations
+// allowed to miss the objective. Burn rate is the observed bad fraction
+// divided by the budget.
+var errorBudget = [numCrit]float64{
+	function.CritLow:    0.05,
+	function.CritNormal: 0.05,
+	function.CritHigh:   0.01,
+}
 
 // classState tracks one criticality class's objective over the two burn
 // windows. Each window keeps a good-count and a total-count sliding rate;
@@ -29,7 +58,7 @@ type classState struct {
 
 // Engine evaluates per-criticality SLOs with multi-window burn-rate
 // alerting (Google SRE style, on the simulated clock). CritHigh's
-// objective is completion latency (e2e ≤ CritHighLatency); the
+// objective is completion latency (e2e ≤ critHighLatency); the
 // delay-tolerant classes' objective is goodput within deadline. Every
 // completion and dead-letter is an observation; an EvalInterval ticker
 // computes burn = badFraction/budget over the fast (5 m) and slow (1 h)
@@ -38,21 +67,22 @@ type classState struct {
 // threshold and clears when either recovers. All hook methods are
 // nil-safe and allocation-free.
 type Engine struct {
-	cfg     config.Observe
 	control func(kind, detail string)
 	classes [numCrit]classState
 }
 
 // NewEngine builds the SLO engine, registering its slo_* metric families
 // in reg. control receives alert transitions (pass the trace recorder's
-// Control method); nil means transitions are not logged.
-func NewEngine(reg *stats.Registry, cfg config.Observe, control func(kind, detail string)) *Engine {
-	e := &Engine{cfg: cfg, control: control}
+// Control method); nil means transitions are not logged. The section
+// argument carries only the on/off switches the caller has already acted
+// on; it stays in the signature because benchmark/ names it.
+func NewEngine(reg *stats.Registry, _ config.Observe, control func(kind, detail string)) *Engine {
+	e := &Engine{control: control}
 	if e.control == nil {
 		e.control = func(string, string) {}
 	}
-	fastSlot := cfg.FastWindow / 10
-	slowSlot := cfg.SlowWindow / 12
+	fastSlot := fastWindow / 10
+	slowSlot := slowWindow / 12
 	goodCtr := reg.CounterVec("slo_good_total", "crit")
 	badCtr := reg.CounterVec("slo_bad_total", "crit")
 	burnFast := reg.GaugeVec("slo_burn_fast", "crit")
@@ -82,7 +112,7 @@ func (e *Engine) Observe(c *function.Call, now sim.Time) {
 	}
 	good := true
 	if c.Criticality() == function.CritHigh {
-		good = now-c.SubmitTime <= sim.Time(e.cfg.CritHighLatency)
+		good = now-c.SubmitTime <= sim.Time(critHighLatency)
 	} else {
 		good = !c.Expired(now)
 	}
@@ -114,7 +144,7 @@ func (e *Engine) observe(ci int, now sim.Time, good bool) {
 // burn returns badFraction/budget for one window; an empty window burns 0.
 func burn(good, tot *stats.WindowRate, now sim.Time, budget float64) float64 {
 	t := tot.Total(now)
-	if t <= 0 || budget <= 0 {
+	if t <= 0 {
 		return 0
 	}
 	badFrac := 1 - good.Total(now)/t
@@ -130,18 +160,18 @@ func burn(good, tot *stats.WindowRate, now sim.Time, budget float64) float64 {
 func (e *Engine) Eval(now sim.Time) {
 	for i := range e.classes {
 		cs := &e.classes[i]
-		budget := e.cfg.Budget(i)
+		budget := errorBudget[i]
 		bf := burn(cs.goodFast, cs.totFast, now, budget)
 		bs := burn(cs.goodSlow, cs.totSlow, now, budget)
 		cs.burnFast.Set(bf)
 		cs.burnSlow.Set(bs)
-		if !cs.firing && bf >= e.cfg.BurnThreshold && bs >= e.cfg.BurnThreshold {
+		if !cs.firing && bf >= burnThreshold && bs >= burnThreshold {
 			cs.firing = true
 			cs.fires++
 			cs.firingG.Set(1)
 			e.control("slo.fire", fmt.Sprintf("crit=%s burn_fast=%.2f burn_slow=%.2f budget=%.3f",
 				function.Criticality(i), bf, bs, budget))
-		} else if cs.firing && (bf < e.cfg.BurnThreshold || bs < e.cfg.BurnThreshold) {
+		} else if cs.firing && (bf < burnThreshold || bs < burnThreshold) {
 			cs.firing = false
 			cs.clears++
 			cs.firingG.Set(0)
@@ -184,16 +214,16 @@ func (e *Engine) Snapshot(now sim.Time) SLOSnapshot {
 	}
 	s := SLOSnapshot{
 		NowSecs:        now.Seconds(),
-		BurnThreshold:  e.cfg.BurnThreshold,
-		FastWindowSecs: e.cfg.FastWindow.Seconds(),
-		SlowWindowSecs: e.cfg.SlowWindow.Seconds(),
+		BurnThreshold:  burnThreshold,
+		FastWindowSecs: fastWindow.Seconds(),
+		SlowWindowSecs: slowWindow.Seconds(),
 	}
 	for i := range e.classes {
 		cs := &e.classes[i]
-		budget := e.cfg.Budget(i)
+		budget := errorBudget[i]
 		obj := "goodput-within-deadline"
 		if function.Criticality(i) == function.CritHigh {
-			obj = fmt.Sprintf("e2e<=%s", e.cfg.CritHighLatency)
+			obj = fmt.Sprintf("e2e<=%s", critHighLatency)
 		}
 		s.Classes = append(s.Classes, ClassSnapshot{
 			Crit:      function.Criticality(i).String(),

@@ -22,7 +22,7 @@ func TestCrashLosesOnlyUnflushedWindow(t *testing.T) {
 		f.sub.Submit("c", c)
 		flushed = append(flushed, c)
 	}
-	f.engine.RunFor(p.FlushInterval + time.Millisecond) // persists the first window
+	f.engine.RunFor(flushInterval + time.Millisecond) // persists the first window
 	for i := 0; i < 3; i++ {
 		c := &function.Call{Spec: subSpec()}
 		f.sub.Submit("c", c)

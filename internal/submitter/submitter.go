@@ -43,11 +43,6 @@ const (
 type Params struct {
 	// BatchSize triggers a flush when this many calls are buffered.
 	BatchSize int
-	// FlushInterval flushes partial batches.
-	FlushInterval time.Duration
-	// ArgInlineMax is the largest argument payload written inline to the
-	// DurableQ; bigger ones go to the KV store.
-	ArgInlineMax int
 	// NormalClientRPS is the per-client sustained rate allowed on the
 	// normal pool before throttling kicks in (spiky pool is exempt).
 	NormalClientRPS float64
@@ -55,12 +50,18 @@ type Params struct {
 	NormalClientBurst float64
 }
 
+const (
+	// flushInterval flushes partial batches.
+	flushInterval time.Duration = 50 * time.Millisecond
+	// argInlineMax is the largest argument payload written inline to the
+	// DurableQ; bigger ones go to the KV store.
+	argInlineMax int = 64 << 10
+)
+
 // DefaultParams return production-plausible values at simulation scale.
 func DefaultParams() Params {
 	return Params{
 		BatchSize:         64,
-		FlushInterval:     50 * time.Millisecond,
-		ArgInlineMax:      64 << 10,
 		NormalClientRPS:   2000,
 		NormalClientBurst: 10000,
 	}
@@ -98,7 +99,7 @@ type Submitter struct {
 	RouteFailed stats.Counter
 	// Crashes counts Crash invocations; LostOnCrash counts accepted calls
 	// destroyed with the in-memory batch buffer — the flush window is the
-	// submitter's only state, so a crash loses at most FlushInterval (or
+	// submitter's only state, so a crash loses at most flushInterval (or
 	// BatchSize) worth of accepted-but-unpersisted calls.
 	Crashes     stats.Counter
 	LostOnCrash stats.Counter
@@ -142,7 +143,7 @@ func New(engine *sim.Engine, region cluster.RegionID, pool Pool, params Params, 
 		idSeq:   idSeq,
 		clients: make(map[string]*clientState),
 	}
-	engine.Every(params.FlushInterval, s.flush)
+	engine.Every(flushInterval, s.flush)
 	return s
 }
 
@@ -168,7 +169,7 @@ func (s *Submitter) Submit(client string, c *function.Call) error {
 	if c.Deadline == 0 {
 		c.Deadline = c.StartAfter + c.Spec.Deadline
 	}
-	if c.ArgBytes > s.params.ArgInlineMax {
+	if c.ArgBytes > argInlineMax {
 		c.ArgKey = fmt.Sprintf("args/%d", c.ID)
 		s.store.Put(c.ArgKey, make([]byte, c.ArgBytes))
 		s.ArgsOffloaded.Inc()

@@ -57,11 +57,6 @@ type Params struct {
 	// FailureSlowdown scales how much of the nominal duration a failed
 	// invocation still occupies the worker (exceptions surface quickly).
 	FailureSlowdown float64
-	// DeadlineRetryCut, when set, propagates the call's remaining
-	// deadline into the downstream retry loop: a call that can no longer
-	// finish before its deadline gets no downstream retries, so doomed
-	// work stops amplifying load on a struggling service.
-	DeadlineRetryCut bool
 }
 
 // DefaultParams return a paper-plausible worker: 64 GB, high core count.
@@ -151,6 +146,13 @@ type Worker struct {
 	// Cancelled counts executions cancelled mid-flight (a hedged dispatch
 	// elsewhere finished first).
 	Cancelled stats.Counter
+
+	// DeadlineRetryCut, when set (the platform's expiry sweep), propagates
+	// the call's remaining deadline into the downstream retry loop: a call
+	// that can no longer finish before its deadline gets no downstream
+	// retries, so doomed work stops amplifying load on a struggling
+	// service.
+	DeadlineRetryCut bool
 
 	// Obs, when set, hears execution start/end for sampled calls.
 	Obs *lifecycle.Spine
@@ -351,7 +353,7 @@ func (w *Worker) TryExecute(c *function.Call, done DoneFunc) bool {
 	// Downstream interaction happens during execution; resolve the
 	// outcome now, deterministically per call.
 	maxRetries := w.params.DownstreamRetries
-	if w.params.DeadlineRetryCut {
+	if w.DeadlineRetryCut {
 		if rem := c.Remaining(now); rem >= 0 && rem < duration {
 			maxRetries = 0 // doomed: no deadline budget left for retries
 		}

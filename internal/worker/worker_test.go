@@ -8,6 +8,7 @@ import (
 
 	"xfaas/internal/downstream"
 	"xfaas/internal/function"
+	"xfaas/internal/jit"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
 )
@@ -164,7 +165,7 @@ func TestJITSecondCallFasterAfterOptimization(t *testing.T) {
 	nop := func(*function.Call, error) {}
 	w.TryExecute(testCall(s, 10, 1, 1), nop)
 	// Wait past the self-profiling budget.
-	e.RunFor(p.JIT.ProfileTime + p.JIT.CompileDelay + time.Minute)
+	e.RunFor(jit.ProfileTime + jit.CompileDelay + time.Minute)
 	c := testCall(s, 10, 1, 1)
 	w.TryExecute(c, nop)
 	e.RunFor(time.Minute)
@@ -316,7 +317,7 @@ func TestWorkerRecoverColdRuntime(t *testing.T) {
 	s := testSpec("f")
 	// Warm the JIT.
 	w.TryExecute(testCall(s, 10, 1, 1), func(*function.Call, error) {})
-	e.RunFor(p.JIT.ProfileTime + p.JIT.CompileDelay + time.Minute)
+	e.RunFor(jit.ProfileTime + jit.CompileDelay + time.Minute)
 	if !w.Runtime.Optimized("f", e.Now()) {
 		t.Fatal("function should be optimized before failure")
 	}

@@ -36,18 +36,24 @@ func (s HealthState) String() string {
 	}
 }
 
-// HealthParams configure the heartbeat prober.
-type HealthParams struct {
-	// Interval is the probe cadence.
-	Interval time.Duration
-	// MissedThreshold is the consecutive missed probes before Dead.
-	MissedThreshold int
-	// GraySlowdownThreshold is the probe slowdown factor (1 = nominal)
-	// at or above which a probe counts as slow.
-	GraySlowdownThreshold float64
-	// GrayThreshold is the consecutive slow probes before Gray.
-	GrayThreshold int
-}
+// The heartbeat prober's cadence and thresholds, exported for the
+// experiments that size their observation windows from them.
+const (
+	// HeartbeatInterval is the worker health-probe cadence.
+	HeartbeatInterval time.Duration = 5 * time.Second
+	// MissedThreshold is the number of consecutive missed heartbeats after
+	// which a worker is declared dead.
+	MissedThreshold int = 3
+	// DetectionLag is the worst-case time between a worker dying and its
+	// detected-dead transition.
+	DetectionLag time.Duration = HeartbeatInterval * time.Duration(MissedThreshold)
+	// GraySlowdownThreshold is the probe-response slowdown factor (1 =
+	// nominal speed) at or above which a probe counts as "slow".
+	GraySlowdownThreshold float64 = 4
+	// GrayThreshold is the number of consecutive slow probes after which a
+	// worker is declared gray (alive but degraded) and routed around.
+	GrayThreshold int = 3
+)
 
 type workerHealth struct {
 	state      HealthState
@@ -61,23 +67,11 @@ type workerHealth struct {
 	lastFlip sim.Time
 }
 
-// StartHealthChecks begins probing every worker each interval. Before the
-// first probe all workers are presumed healthy; each transition to Dead
-// invokes the OnWorkerDown subscribers with the worker, in pool order.
-func (lb *LB) StartHealthChecks(engine *sim.Engine, hp HealthParams) {
-	if hp.Interval <= 0 {
-		panic("workerlb: non-positive health-check interval")
-	}
-	if hp.MissedThreshold < 1 {
-		hp.MissedThreshold = 1
-	}
-	if hp.GrayThreshold < 1 {
-		hp.GrayThreshold = 1
-	}
-	if hp.GraySlowdownThreshold <= 1 {
-		hp.GraySlowdownThreshold = 1.0000001
-	}
-	lb.hp = hp
+// StartHealthChecks begins probing every worker each HeartbeatInterval.
+// Before the first probe all workers are presumed healthy; each transition
+// to Dead invokes the OnWorkerDown subscribers with the worker, in pool
+// order.
+func (lb *LB) StartHealthChecks(engine *sim.Engine) {
 	lb.engine = engine
 	lb.health = make([]workerHealth, len(lb.workers))
 	if lb.index == nil {
@@ -86,7 +80,7 @@ func (lb *LB) StartHealthChecks(engine *sim.Engine, hp HealthParams) {
 			lb.index[w] = i
 		}
 	}
-	lb.prober = engine.Every(hp.Interval, lb.probeAll)
+	lb.prober = engine.Every(HeartbeatInterval, lb.probeAll)
 }
 
 // StopHealthChecks halts the prober (teardown in tests).
@@ -111,7 +105,7 @@ func (lb *LB) probeAll() {
 		if !ok {
 			h.missed++
 			h.slowStreak = 0
-			if h.missed >= lb.hp.MissedThreshold && h.state != Dead {
+			if h.missed >= MissedThreshold && h.state != Dead {
 				h.state = Dead
 				lb.DetectedDead.Inc()
 				lb.Obs.Control("health.dead", w.ID.String())
@@ -127,9 +121,9 @@ func (lb *LB) probeAll() {
 			lb.DetectedRecovered.Inc()
 			lb.Obs.Control("health.recovered", w.ID.String())
 		}
-		if slowdown >= lb.hp.GraySlowdownThreshold {
+		if slowdown >= GraySlowdownThreshold {
 			h.slowStreak++
-			if h.slowStreak >= lb.hp.GrayThreshold && h.state == Healthy && lb.flipAllowed(h) {
+			if h.slowStreak >= GrayThreshold && h.state == Healthy && lb.flipAllowed(h) {
 				h.state = Gray
 				h.lastFlip = lb.engine.Now()
 				lb.DetectedGray.Inc()
@@ -156,7 +150,7 @@ func (lb *LB) flipAllowed(h *workerHealth) bool {
 	if lb.outliers == nil {
 		return true
 	}
-	return h.lastFlip == 0 || lb.engine.Now()-h.lastFlip >= lb.op.Probation
+	return h.lastFlip == 0 || lb.engine.Now()-h.lastFlip >= lb.probation
 }
 
 // StateOf returns the detected health of a pool worker. Without health

@@ -10,31 +10,25 @@ import (
 	"xfaas/internal/worker"
 )
 
-func testHP() HealthParams {
-	return HealthParams{
-		Interval:              time.Second,
-		MissedThreshold:       3,
-		GraySlowdownThreshold: 4,
-		GrayThreshold:         3,
-	}
-}
+// probe abbreviates the heartbeat cadence the timings below count in.
+const probe = HeartbeatInterval
 
 func TestDetectDeadAfterMissedThreshold(t *testing.T) {
 	e := sim.NewEngine()
 	workers := pool(e, 4, 100000)
 	lb := New(rng.New(1), workers)
-	lb.StartHealthChecks(e, testHP())
+	lb.StartHealthChecks(e)
 	var downed []*worker.Worker
 	lb.OnWorkerDown(func(w *worker.Worker) { downed = append(downed, w) })
 
 	workers[1].FailSilent()
-	// Two missed probes (t=1s, 2s) are below the threshold of three.
-	e.RunFor(2500 * time.Millisecond)
+	// Two missed probes are below the threshold of three.
+	e.RunFor(probe * 5 / 2)
 	if lb.DetectedHealthy() != 4 || len(downed) != 0 {
 		t.Fatalf("detected dead before threshold: healthy=%d downed=%d", lb.DetectedHealthy(), len(downed))
 	}
-	// The third miss at t=3s crosses it: detection lag = interval × threshold.
-	e.RunFor(time.Second)
+	// The third miss crosses it: detection lag = interval × threshold.
+	e.RunFor(probe)
 	if lb.DetectedHealthy() != 3 || lb.DetectedDown() != 1 {
 		t.Fatalf("after threshold: healthy=%d down=%d", lb.DetectedHealthy(), lb.DetectedDown())
 	}
@@ -48,7 +42,7 @@ func TestDetectDeadAfterMissedThreshold(t *testing.T) {
 		t.Fatalf("DetectedDead = %v", lb.DetectedDead.Value())
 	}
 	// A dead worker is detected once, not once per probe.
-	e.RunFor(10 * time.Second)
+	e.RunFor(10 * probe)
 	if len(downed) != 1 || lb.DetectedDead.Value() != 1 {
 		t.Fatalf("repeated detection: downed=%d counter=%v", len(downed), lb.DetectedDead.Value())
 	}
@@ -58,14 +52,14 @@ func TestDetectGrayAndClear(t *testing.T) {
 	e := sim.NewEngine()
 	workers := pool(e, 4, 100000)
 	lb := New(rng.New(1), workers)
-	lb.StartHealthChecks(e, testHP())
+	lb.StartHealthChecks(e)
 
 	workers[2].SetSlowdown(8)
-	e.RunFor(2500 * time.Millisecond) // two slow probes < GrayThreshold
+	e.RunFor(probe * 5 / 2) // two slow probes < GrayThreshold
 	if lb.StateOf(workers[2]) != Healthy {
 		t.Fatal("gray before threshold")
 	}
-	e.RunFor(time.Second) // third slow probe
+	e.RunFor(probe) // third slow probe
 	if lb.StateOf(workers[2]) != Gray {
 		t.Fatalf("StateOf = %v, want Gray", lb.StateOf(workers[2]))
 	}
@@ -74,7 +68,7 @@ func TestDetectGrayAndClear(t *testing.T) {
 	}
 	// A single fast probe clears the gray mark.
 	workers[2].SetSlowdown(1)
-	e.RunFor(time.Second)
+	e.RunFor(probe)
 	if lb.StateOf(workers[2]) != Healthy || lb.DetectedRecovered.Value() != 1 {
 		t.Fatalf("gray not cleared: state=%v recovered=%v", lb.StateOf(workers[2]), lb.DetectedRecovered.Value())
 	}
@@ -84,15 +78,15 @@ func TestDeadWorkerRecoveryDetected(t *testing.T) {
 	e := sim.NewEngine()
 	workers := pool(e, 2, 100000)
 	lb := New(rng.New(1), workers)
-	lb.StartHealthChecks(e, testHP())
+	lb.StartHealthChecks(e)
 
 	workers[0].FailSilent()
-	e.RunFor(4 * time.Second)
+	e.RunFor(4 * probe)
 	if lb.StateOf(workers[0]) != Dead {
 		t.Fatal("not detected dead")
 	}
 	workers[0].Recover()
-	e.RunFor(time.Second) // first successful probe flips Dead → Healthy
+	e.RunFor(probe) // first successful probe flips Dead → Healthy
 	if lb.StateOf(workers[0]) != Healthy {
 		t.Fatalf("StateOf = %v after recovery", lb.StateOf(workers[0]))
 	}
@@ -105,10 +99,10 @@ func TestDispatchRoutesAroundDetectedBad(t *testing.T) {
 	e := sim.NewEngine()
 	workers := pool(e, 4, 100000)
 	lb := New(rng.New(3), workers)
-	lb.StartHealthChecks(e, testHP())
+	lb.StartHealthChecks(e)
 
 	workers[0].SetSlowdown(8)
-	e.RunFor(4 * time.Second)
+	e.RunFor(4 * probe)
 	if lb.StateOf(workers[0]) != Gray {
 		t.Fatal("setup: worker 0 not gray")
 	}
@@ -145,10 +139,10 @@ func TestStopHealthChecksFreezesView(t *testing.T) {
 	e := sim.NewEngine()
 	workers := pool(e, 2, 100000)
 	lb := New(rng.New(1), workers)
-	lb.StartHealthChecks(e, testHP())
+	lb.StartHealthChecks(e)
 	lb.StopHealthChecks()
 	workers[0].FailSilent()
-	e.RunFor(10 * time.Second)
+	e.RunFor(10 * probe)
 	// No prober runs, so the (stale) detected view still says healthy —
 	// exactly the failure mode heartbeats exist to prevent.
 	if lb.DetectedHealthy() != 2 {

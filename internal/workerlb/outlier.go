@@ -23,22 +23,16 @@ import (
 // flapping worker from oscillating routing — at most one routing flip per
 // probation window, by construction.
 
-// OutlierParams configure completion-driven outlier detection (mirrors
-// config.GrayDetection; core converts).
-type OutlierParams struct {
-	// Alpha is the EWMA factor for folding new inflation samples in.
-	Alpha float64
-	// EjectThreshold is the inflation score at or above which a worker
-	// enters probation and, after one full probation window, is ejected.
-	EjectThreshold float64
-	// ReinstateThreshold is the score at or below which an ejected worker
-	// becomes eligible for reinstatement.
-	ReinstateThreshold float64
-	// Probation is the hysteresis window between routing flips.
-	Probation time.Duration
-	// MinSamples is the per-worker warm-up before ejection is possible.
-	MinSamples int
-}
+const (
+	// ejectThreshold is the inflation score at or above which a worker
+	// enters probation (and, if it stays there a full probation window,
+	// is ejected from routing). 1 means fleet-baseline speed.
+	ejectThreshold float64 = 2.0
+	// reinstateThreshold is the score at or below which an ejected worker
+	// becomes eligible for reinstatement. It sits below ejectThreshold:
+	// the gap is the hysteresis band.
+	reinstateThreshold float64 = 1.3
+)
 
 type outlierState uint8
 
@@ -69,21 +63,15 @@ const baselineAlpha = 0.05
 // StartOutlierDetection turns completion scoring on. Safe to call with or
 // without StartHealthChecks; the two views compose in StateOf (probe
 // detection answers Dead/Gray first, ejection reads as Gray on top).
-func (lb *LB) StartOutlierDetection(engine *sim.Engine, op OutlierParams) {
-	if op.Alpha <= 0 || op.Alpha > 1 {
-		op.Alpha = 0.2
-	}
-	if op.EjectThreshold <= 1 {
-		op.EjectThreshold = 2
-	}
-	if op.ReinstateThreshold <= 0 || op.ReinstateThreshold >= op.EjectThreshold {
-		op.ReinstateThreshold = (1 + op.EjectThreshold) / 2
-	}
-	if op.MinSamples < 1 {
-		op.MinSamples = 1
-	}
+// probation is the hysteresis window: a routing flip (ejection or
+// reinstatement) requires the worker to have held its state this long,
+// and the same window rate-limits the probe-driven Gray↔Healthy
+// transitions.
+func (lb *LB) StartOutlierDetection(engine *sim.Engine, probation time.Duration) {
 	lb.engine = engine
-	lb.op = op
+	lb.probation = probation
+	lb.outlierAlpha = 0.2
+	lb.outlierMinSamples = 5
 	lb.outliers = make([]workerOutlier, len(lb.workers))
 	lb.baseline = make(map[string]*fleetBaseline)
 	if lb.index == nil {
@@ -143,14 +131,14 @@ func (lb *LB) observe(i int, inflation float64) {
 	if o.samples == 0 {
 		o.ewma = inflation
 	} else {
-		o.ewma = (1-lb.op.Alpha)*o.ewma + lb.op.Alpha*inflation
+		o.ewma = (1-lb.outlierAlpha)*o.ewma + lb.outlierAlpha*inflation
 	}
 	o.samples++
 	now := lb.engine.Now()
 	w := lb.workers[i]
 	switch o.state {
 	case outlierTrusted:
-		if o.samples >= lb.op.MinSamples && o.ewma >= lb.op.EjectThreshold {
+		if o.samples >= lb.outlierMinSamples && o.ewma >= ejectThreshold {
 			// Probation is not a routing change: the worker keeps its
 			// traffic while the window confirms the signal.
 			o.state = outlierProbation
@@ -158,20 +146,20 @@ func (lb *LB) observe(i int, inflation float64) {
 			lb.Obs.Control("health.probation", w.ID.String())
 		}
 	case outlierProbation:
-		if o.ewma < lb.op.EjectThreshold {
+		if o.ewma < ejectThreshold {
 			// The signal did not survive the window; return quietly.
 			o.state = outlierTrusted
 			o.since = now
 			return
 		}
-		if now-o.since >= lb.op.Probation {
+		if now-o.since >= lb.probation {
 			o.state = outlierEjected
 			o.since = now
 			lb.Ejected.Inc()
 			lb.Obs.Control("health.ejected", w.ID.String())
 		}
 	case outlierEjected:
-		if o.ewma <= lb.op.ReinstateThreshold && now-o.since >= lb.op.Probation {
+		if o.ewma <= reinstateThreshold && now-o.since >= lb.probation {
 			o.state = outlierTrusted
 			o.since = now
 			lb.Reinstated.Inc()

@@ -8,14 +8,12 @@ import (
 	"xfaas/internal/sim"
 )
 
-func testOP() OutlierParams {
-	return OutlierParams{
-		Alpha:              1, // score = latest inflation: crisp transitions
-		EjectThreshold:     2,
-		ReinstateThreshold: 1.3,
-		Probation:          10 * time.Second,
-		MinSamples:         3,
-	}
+// startSharpDetection turns outlier detection on with score = latest
+// inflation (crisp transitions) and the given warm-up.
+func startSharpDetection(lb *LB, e *sim.Engine, probation time.Duration, minSamples int) {
+	lb.StartOutlierDetection(e, probation)
+	lb.outlierAlpha = 1
+	lb.outlierMinSamples = minSamples
 }
 
 // TestOutlierEjectAndReinstate walks one worker through the full state
@@ -25,7 +23,7 @@ func TestOutlierEjectAndReinstate(t *testing.T) {
 	e := sim.NewEngine()
 	workers := pool(e, 3, 100000)
 	lb := New(rng.New(1), workers)
-	lb.StartOutlierDetection(e, testOP())
+	startSharpDetection(lb, e, 10*time.Second, 3)
 	if !lb.OutlierDetection() {
 		t.Fatal("detection not reported on")
 	}
@@ -114,10 +112,7 @@ func TestOutlierHysteresisFlapping(t *testing.T) {
 			e := sim.NewEngine()
 			workers := pool(e, 3, 100000)
 			lb := New(rng.New(1), workers)
-			op := testOP()
-			op.Probation = probation
-			op.MinSamples = 1
-			lb.StartOutlierDetection(e, op)
+			startSharpDetection(lb, e, probation, 1)
 
 			var flips []sim.Time
 			ejected := false
@@ -161,21 +156,19 @@ func TestOutlierHysteresisFlapping(t *testing.T) {
 // Healthy↔Gray at most once per probation window even when the worker's
 // measured slowdown oscillates across the gray threshold every probe.
 func TestHeartbeatFlipRateLimited(t *testing.T) {
-	const probation = 20 * time.Second
+	const probation, horizon = 20 * probe, 120 * probe
 	run := func(withHysteresis bool) float64 {
 		e := sim.NewEngine()
 		workers := pool(e, 2, 100000)
 		lb := New(rng.New(1), workers)
-		lb.StartHealthChecks(e, testHP()) // 1s probes, gray ≥ 3 slow in a row
+		lb.StartHealthChecks(e) // gray ≥ 3 slow probes in a row
 		if withHysteresis {
-			op := testOP()
-			op.Probation = probation
-			lb.StartOutlierDetection(e, op)
+			startSharpDetection(lb, e, probation, 3)
 		}
-		// Slow for 5s, fast for 5s, forever: fast enough to flap an
-		// unguarded prober every cycle.
+		// Slow for 5 probes, fast for 5 probes, forever: fast enough to flap
+		// an unguarded prober every cycle.
 		phase := 0
-		tk := e.Every(5*time.Second, func() {
+		tk := e.Every(5*probe, func() {
 			phase++
 			if phase%2 == 1 {
 				workers[0].SetSlowdown(8)
@@ -183,7 +176,7 @@ func TestHeartbeatFlipRateLimited(t *testing.T) {
 				workers[0].SetSlowdown(1)
 			}
 		})
-		e.RunFor(2 * time.Minute)
+		e.RunFor(horizon)
 		tk.Stop()
 		return lb.DetectedGray.Value() + lb.DetectedRecovered.Value()
 	}
@@ -193,10 +186,10 @@ func TestHeartbeatFlipRateLimited(t *testing.T) {
 	if raw < 8 {
 		t.Fatalf("setup: unguarded prober flipped only %.0f times; the flap pattern is too slow", raw)
 	}
-	// 2 minutes / 20s probation allows at most 7 flips (one per window
-	// boundary, plus the initial detection).
-	if cap := float64(2*time.Minute/probation) + 1; limited > cap {
-		t.Fatalf("hysteresis allowed %.0f flips in 2m, want ≤ %.0f (unguarded: %.0f)", limited, cap, raw)
+	// 120 probes / a 20-probe probation allows at most 7 flips (one per
+	// window boundary, plus the initial detection).
+	if cap := float64(horizon/probation) + 1; limited > cap {
+		t.Fatalf("hysteresis allowed %.0f flips in %v, want ≤ %.0f (unguarded: %.0f)", limited, horizon, cap, raw)
 	}
 	if limited == 0 {
 		t.Fatal("hysteresis suppressed detection entirely")

@@ -7,6 +7,8 @@
 package workerlb
 
 import (
+	"time"
+
 	"xfaas/internal/function"
 	"xfaas/internal/lifecycle"
 	"xfaas/internal/locality"
@@ -24,18 +26,22 @@ type LB struct {
 	groups  [][]*worker.Worker
 
 	// Heartbeat health detection (nil health until StartHealthChecks).
-	hp     HealthParams
 	health []workerHealth
 	index  map[*worker.Worker]int
 	prober *sim.Ticker
 	onDown []func(*worker.Worker)
 
 	// Completion-driven outlier detection (nil outliers until
-	// StartOutlierDetection).
-	engine   *sim.Engine
-	op       OutlierParams
-	outliers []workerOutlier
-	baseline map[string]*fleetBaseline
+	// StartOutlierDetection). outlierAlpha is the EWMA factor folding each
+	// new inflation sample into a worker's score (higher = faster
+	// reaction, noisier); outlierMinSamples is the per-worker warm-up
+	// before ejection is possible.
+	engine            *sim.Engine
+	probation         time.Duration
+	outlierAlpha      float64
+	outlierMinSamples int
+	outliers          []workerOutlier
+	baseline          map[string]*fleetBaseline
 
 	Dispatched stats.Counter
 	Rejected   stats.Counter

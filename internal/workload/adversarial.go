@@ -56,20 +56,24 @@ type StormMixConfig struct {
 	StormFunctions  int
 	StormRPSPerFunc float64
 	Downstream      string
-	// StormRetry is the aggressors' redelivery policy; a high attempt
-	// count with a short base backoff is what makes the storm build.
-	StormRetry function.RetryPolicy
-	// StormDeadline bounds each aggressor call's useful life.
-	StormDeadline time.Duration
 	// CleanFunctions victims each offer CleanRPSPerFunc of ordinary
 	// reserved work with no downstream dependency.
 	CleanFunctions  int
 	CleanRPSPerFunc float64
-	// ExecSecs is the nominal execution time of every call in the mix
-	// (failures occupy workers for the full duration under
-	// FailureSlowdown=1, so this sets the storm's cost per delivery).
-	ExecSecs float64
 }
+
+// stormRetry is the aggressors' redelivery policy; a high attempt count
+// with a short base backoff is what makes the storm build.
+var stormRetry = function.RetryPolicy{MaxAttempts: 50, Backoff: 2 * time.Second}
+
+const (
+	// stormDeadline bounds each aggressor call's useful life.
+	stormDeadline time.Duration = 20 * time.Minute
+	// stormExecSecs is the nominal execution time of every call in the
+	// storm mix (failures occupy workers for the full duration under
+	// FailureSlowdown=1, so this sets the storm's cost per delivery).
+	stormExecSecs float64 = 2.0
+)
 
 // DefaultStormMix returns the scenario-library storm mix against the
 // named downstream.
@@ -78,11 +82,8 @@ func DefaultStormMix(downstream string) StormMixConfig {
 		StormFunctions:  8,
 		StormRPSPerFunc: 0.5,
 		Downstream:      downstream,
-		StormRetry:      function.RetryPolicy{MaxAttempts: 50, Backoff: 2 * time.Second},
-		StormDeadline:   20 * time.Minute,
 		CleanFunctions:  8,
 		CleanRPSPerFunc: 0.5,
-		ExecSecs:        2.0,
 	}
 }
 
@@ -107,7 +108,7 @@ func BuildStormMix(pop *Population, cfg StormMixConfig, src *rng.Source) {
 			Resources: function.ResourceModel{
 				CPUMu: math.Log(10), CPUSigma: 0.2,
 				MemMu: math.Log(8), MemSigma: 0.2,
-				TimeMu: math.Log(cfg.ExecSecs), TimeSigma: 0.1,
+				TimeMu: math.Log(stormExecSecs), TimeSigma: 0.1,
 				CodeMB: 8, JITCodeMB: 4,
 			},
 		}
@@ -117,7 +118,7 @@ func BuildStormMix(pop *Population, cfg StormMixConfig, src *rng.Source) {
 	}
 	for i := 0; i < cfg.StormFunctions; i++ {
 		mk(fmt.Sprintf("storm-%02d", i), "team-storm", function.CritHigh,
-			cfg.StormDeadline, cfg.StormRetry, cfg.Downstream, cfg.StormRPSPerFunc)
+			stormDeadline, stormRetry, cfg.Downstream, cfg.StormRPSPerFunc)
 	}
 	for i := 0; i < cfg.CleanFunctions; i++ {
 		mk(fmt.Sprintf("clean-%02d", i), fmt.Sprintf("team-clean-%02d", i),
@@ -125,47 +126,35 @@ func BuildStormMix(pop *Population, cfg StormMixConfig, src *rng.Source) {
 	}
 }
 
-// NoisyNeighborConfig shapes the multi-tenant noisy-neighbor workload:
-// small reserved tenants with steady traffic, plus one Zipf-dominant
-// tenant whose opportunistic function floods during a window.
-type NoisyNeighborConfig struct {
-	// Victims reserved tenants each offer VictimRPSPerFunc steadily.
-	Victims          int
-	VictimRPSPerFunc float64
-	// FloodStart/FloodLen/FloodRPS shape the noisy tenant's burst.
-	FloodStart time.Duration
-	FloodLen   time.Duration
-	FloodRPS   float64
-	// NoisyDeadline is the flood calls' deadline (sets the shed target
+// The noisy-neighbor workload: small reserved tenants with steady traffic,
+// plus one Zipf-dominant tenant whose opportunistic function floods during
+// a window.
+const (
+	// NoisyVictims reserved tenants each offer NoisyVictimRPS steadily.
+	NoisyVictims   int     = 6
+	NoisyVictimRPS float64 = 1.0
+	// NoisyFloodStart/NoisyFloodLen/NoisyFloodRPS shape the noisy
+	// tenant's burst.
+	NoisyFloodStart time.Duration = 20 * time.Minute
+	NoisyFloodLen   time.Duration = 40 * time.Minute
+	NoisyFloodRPS   float64       = 60
+	// noisyDeadline is the flood calls' deadline (sets the shed target
 	// via deadline/4).
-	NoisyDeadline time.Duration
-	// ExecSecs is the nominal execution time across the mix.
-	ExecSecs float64
-}
-
-// DefaultNoisyNeighbor returns the scenario-library noisy-neighbor mix.
-func DefaultNoisyNeighbor() NoisyNeighborConfig {
-	return NoisyNeighborConfig{
-		Victims:          6,
-		VictimRPSPerFunc: 1.0,
-		FloodStart:       20 * time.Minute,
-		FloodLen:         40 * time.Minute,
-		FloodRPS:         60,
-		NoisyDeadline:    20 * time.Minute,
-		ExecSecs:         1.0,
-	}
-}
+	noisyDeadline time.Duration = 20 * time.Minute
+	// noisyExecSecs is the nominal execution time across the mix.
+	noisyExecSecs float64 = 1.0
+)
 
 // BuildNoisyNeighbor instantiates the noisy-neighbor mix into pop. The
 // noisy tenant's function is named noisy-00; victims victim-NN.
-func BuildNoisyNeighbor(pop *Population, cfg NoisyNeighborConfig, src *rng.Source) {
+func BuildNoisyNeighbor(pop *Population, src *rng.Source) {
 	res := function.ResourceModel{
 		CPUMu: math.Log(10), CPUSigma: 0.2,
 		MemMu: math.Log(8), MemSigma: 0.2,
-		TimeMu: math.Log(cfg.ExecSecs), TimeSigma: 0.1,
+		TimeMu: math.Log(noisyExecSecs), TimeSigma: 0.1,
 		CodeMB: 8, JITCodeMB: 4,
 	}
-	for i := 0; i < cfg.Victims; i++ {
+	for i := 0; i < NoisyVictims; i++ {
 		name := fmt.Sprintf("victim-%02d", i)
 		team := fmt.Sprintf("team-victim-%02d", i)
 		spec := &function.Spec{
@@ -184,7 +173,7 @@ func BuildNoisyNeighbor(pop *Population, cfg NoisyNeighborConfig, src *rng.Sourc
 		}
 		pop.Registry.MustRegister(spec)
 		pop.TeamOf[name] = team
-		pop.Models = append(pop.Models, NewModel(spec, cfg.VictimRPSPerFunc, team, src.Split()))
+		pop.Models = append(pop.Models, NewModel(spec, NoisyVictimRPS, team, src.Split()))
 	}
 	spec := &function.Spec{
 		Name:        "noisy-00",
@@ -194,8 +183,8 @@ func BuildNoisyNeighbor(pop *Population, cfg NoisyNeighborConfig, src *rng.Sourc
 		Trigger:     function.TriggerQueue,
 		Criticality: function.CritLow,
 		Quota:       function.QuotaOpportunistic,
-		QuotaMIPS:   cfg.FloodRPS * 10 * 2, // loose: quota is not the valve under test
-		Deadline:    cfg.NoisyDeadline,
+		QuotaMIPS:   NoisyFloodRPS * 10 * 2, // loose: quota is not the valve under test
+		Deadline:    noisyDeadline,
 		Retry:       function.DefaultRetry,
 		Zone:        isolation.NewZone(isolation.Internal),
 		Resources:   res,
@@ -207,9 +196,9 @@ func BuildNoisyNeighbor(pop *Population, cfg NoisyNeighborConfig, src *rng.Sourc
 		Client: spec.Team,
 		Burst: &Burst{
 			Every:  1000 * time.Hour, // one-shot within any experiment window
-			Offset: 1000*time.Hour - cfg.FloodStart,
-			Len:    cfg.FloodLen,
-			RPS:    cfg.FloodRPS,
+			Offset: 1000*time.Hour - NoisyFloodStart,
+			Len:    NoisyFloodLen,
+			RPS:    NoisyFloodRPS,
 		},
 		draw: src.Split(),
 	})

@@ -52,11 +52,11 @@ func TestBuildStormMixShape(t *testing.T) {
 		if spec.Criticality != function.CritHigh {
 			t.Fatalf("%s criticality %v, want high — the storm must come from important work", name, spec.Criticality)
 		}
-		if spec.Retry != cfg.StormRetry {
-			t.Fatalf("%s retry %+v, want the storm policy %+v", name, spec.Retry, cfg.StormRetry)
+		if spec.Retry != stormRetry {
+			t.Fatalf("%s retry %+v, want the storm policy %+v", name, spec.Retry, stormRetry)
 		}
-		if spec.Deadline != cfg.StormDeadline {
-			t.Fatalf("%s deadline %v, want %v", name, spec.Deadline, cfg.StormDeadline)
+		if spec.Deadline != stormDeadline {
+			t.Fatalf("%s deadline %v, want %v", name, spec.Deadline, stormDeadline)
 		}
 		if pop.TeamOf[name] != "team-storm" {
 			t.Fatalf("%s team %q", name, pop.TeamOf[name])
@@ -110,12 +110,11 @@ func TestBuildStormMixDrawsAreIndependent(t *testing.T) {
 }
 
 func TestBuildNoisyNeighborShape(t *testing.T) {
-	cfg := DefaultNoisyNeighbor()
 	pop := emptyPop()
-	BuildNoisyNeighbor(pop, cfg, rng.New(1))
+	BuildNoisyNeighbor(pop, rng.New(1))
 
-	if pop.Registry.Len() != cfg.Victims+1 {
-		t.Fatalf("registered %d specs, want %d victims + 1 noisy", pop.Registry.Len(), cfg.Victims)
+	if pop.Registry.Len() != NoisyVictims+1 {
+		t.Fatalf("registered %d specs, want %d victims + 1 noisy", pop.Registry.Len(), NoisyVictims)
 	}
 	noisy, ok := pop.Registry.Get("noisy-00")
 	if !ok {
@@ -125,10 +124,10 @@ func TestBuildNoisyNeighborShape(t *testing.T) {
 		t.Fatalf("noisy tenant must be low-crit opportunistic, got quota=%v crit=%v",
 			noisy.Quota, noisy.Criticality)
 	}
-	if noisy.Deadline != cfg.NoisyDeadline {
-		t.Fatalf("noisy deadline %v, want %v", noisy.Deadline, cfg.NoisyDeadline)
+	if noisy.Deadline != noisyDeadline {
+		t.Fatalf("noisy deadline %v, want %v", noisy.Deadline, noisyDeadline)
 	}
-	for i := 0; i < cfg.Victims; i++ {
+	for i := 0; i < NoisyVictims; i++ {
 		name := fmt.Sprintf("victim-%02d", i)
 		spec, ok := pop.Registry.Get(name)
 		if !ok {
@@ -144,9 +143,8 @@ func TestBuildNoisyNeighborShape(t *testing.T) {
 }
 
 func TestBuildNoisyNeighborFloodWindow(t *testing.T) {
-	cfg := DefaultNoisyNeighbor()
 	pop := emptyPop()
-	BuildNoisyNeighbor(pop, cfg, rng.New(1))
+	BuildNoisyNeighbor(pop, rng.New(1))
 
 	var noisy *FuncModel
 	for _, m := range pop.Models {
@@ -163,10 +161,10 @@ func TestBuildNoisyNeighborFloodWindow(t *testing.T) {
 		want float64
 	}{
 		{0, 0}, // before the flood
-		{sim.Time(cfg.FloodStart) - eps, 0},
-		{sim.Time(cfg.FloodStart) + eps, cfg.FloodRPS},
-		{sim.Time(cfg.FloodStart + cfg.FloodLen/2), cfg.FloodRPS},
-		{sim.Time(cfg.FloodStart+cfg.FloodLen) + eps, 0},
+		{sim.Time(NoisyFloodStart) - eps, 0},
+		{sim.Time(NoisyFloodStart) + eps, NoisyFloodRPS},
+		{sim.Time(NoisyFloodStart + NoisyFloodLen/2), NoisyFloodRPS},
+		{sim.Time(NoisyFloodStart+NoisyFloodLen) + eps, 0},
 		{sim.Time(10 * time.Hour), 0}, // one-shot: silent for the rest of the run
 		{sim.Time(100 * time.Hour), 0},
 	}
@@ -180,10 +178,10 @@ func TestBuildNoisyNeighborFloodWindow(t *testing.T) {
 		if m.Spec.Name == "noisy-00" {
 			continue
 		}
-		for _, at := range []sim.Time{0, sim.Time(cfg.FloodStart + cfg.FloodLen/2), sim.Time(30 * time.Hour)} {
-			if got := m.RateAt(at); got != cfg.VictimRPSPerFunc {
+		for _, at := range []sim.Time{0, sim.Time(NoisyFloodStart + NoisyFloodLen/2), sim.Time(30 * time.Hour)} {
+			if got := m.RateAt(at); got != NoisyVictimRPS {
 				t.Fatalf("victim %s rate at %v = %g, want %g",
-					m.Spec.Name, time.Duration(at), got, cfg.VictimRPSPerFunc)
+					m.Spec.Name, time.Duration(at), got, NoisyVictimRPS)
 			}
 		}
 	}

@@ -73,8 +73,6 @@ type PopulationConfig struct {
 	TotalRPS float64
 	// Teams is the number of owning teams (drives the §6 skew analysis).
 	Teams int
-	// TeamSkew is the Zipf exponent of team capacity shares.
-	TeamSkew float64
 	// SpikyFunctions get an on/off burst pattern like Figure 4.
 	SpikyFunctions int
 	// SpikeBurstRPS and SpikeBurstLen shape those bursts.
@@ -97,13 +95,15 @@ type PopulationConfig struct {
 	Downstreams    []string
 }
 
+// teamSkew is the Zipf exponent of team capacity shares.
+const teamSkew float64 = 1.9
+
 // DefaultPopulationConfig is the standard simulation-scale population.
 func DefaultPopulationConfig() PopulationConfig {
 	return PopulationConfig{
 		Functions:         240,
 		TotalRPS:          1200,
 		Teams:             40,
-		TeamSkew:          1.9,
 		SpikyFunctions:    2,
 		SpikeBurstRPS:     900,
 		SpikeBurstLen:     15 * time.Minute,
@@ -219,7 +219,7 @@ func NewPopulation(cfg PopulationConfig, src *rng.Source) *Population {
 		cfg.Teams = 1
 	}
 	pop := &Population{Registry: function.NewRegistry(), TeamOf: make(map[string]string)}
-	teamZipf := rng.NewZipf(src.Split(), cfg.Teams, cfg.TeamSkew)
+	teamZipf := rng.NewZipf(src.Split(), cfg.Teams, teamSkew)
 	dsIdx := 0
 
 	for mi, tm := range models {
