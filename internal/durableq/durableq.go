@@ -147,7 +147,10 @@ type Shard struct {
 	jrn *journal.Log
 	// crashed marks the window between Crash and the end of Restart's
 	// replay; the shard is down throughout.
-	crashed     bool
+	crashed bool
+	// replaying marks a Restart whose replay has not finished; a second
+	// Restart in that window is a no-op.
+	replaying   bool
 	replayer    *journal.Replayer
 	replayLast  map[uint64]journal.Entry // last durable record per call
 	replayTimer sim.Timer
@@ -891,6 +894,7 @@ func (s *Shard) Crash() {
 	s.crashed = true
 	s.replayTimer.Stop()
 	s.replayer = nil
+	s.replaying = false
 
 	// Snapshot what memory held, in deterministic order, before wiping.
 	var held []*function.Call
@@ -977,12 +981,17 @@ func (s *Shard) lose(c *function.Call) {
 // steps, each step costing ReplayPerEntry per record of virtual time.
 // Non-terminal calls are requeued — orphaned leases immediately, since
 // their outcome is unknown (the at-least-once redelivery) — and the
-// shard accepts requests again once the last batch lands.
+// shard accepts requests again once the last batch lands. Restarting a
+// shard whose replay is already under way changes nothing.
 func (s *Shard) Restart() {
 	if !s.crashed {
 		s.down = false
 		return
 	}
+	if s.replaying {
+		return
+	}
+	s.replaying = true
 	if s.jrn == nil {
 		// Stateless restart: the shard returns empty after the base delay.
 		s.Obs.Control("durableq.replay-begin", fmt.Sprintf("%v entries=0", s.ID))
@@ -1012,6 +1021,7 @@ func (s *Shard) replayStep() {
 func (s *Shard) finishReplay(replayed int) {
 	s.down = false
 	s.crashed = false
+	s.replaying = false
 	s.crashHeld = 0
 	s.replayer = nil
 	s.replayLast = nil

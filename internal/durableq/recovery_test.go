@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"xfaas/internal/function"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
+	"xfaas/internal/trace"
 )
 
 // drainReplay runs virtual time far enough for any replay to finish.
@@ -620,5 +622,45 @@ func TestRenewDeniedWhileDownThenExpiryRedelivers(t *testing.T) {
 	got := sh.Poll(10, nil)
 	if len(got) != 1 || got[0].ID != c.ID || got[0].Attempt != 2 {
 		t.Fatalf("redelivery after denied renewals: %v", got)
+	}
+}
+
+// TestRestartDuringReplayIsNoOp: a second Restart while the first one's
+// replay is still pending (two overlapping crash-restart windows) must not
+// start a second replayer and timer chain over the same journal.
+func TestRestartDuringReplayIsNoOp(t *testing.T) {
+	const records = 2000
+	run := func(restarts int) (pending int, controls map[string]int) {
+		e := sim.NewEngine()
+		tr := trace.NewRecorder(e, 1, trace.DefaultParams())
+		sh := newShard(e)
+		sh.Obs = lifecycle.New(e, tr, nil, nil)
+		sh.EnableJournal(0)
+		for i := 0; i < records; i++ {
+			sh.Enqueue(call(spec("f", 3), 0))
+		}
+		sh.Crash()
+		sh.Restart()
+		e.RunFor(sh.ReplayBase + 100*time.Millisecond) // two batches in
+		if sh.Pending() == 0 || sh.Pending() == records {
+			t.Fatalf("setup: %d of %d requeued, want mid-replay", sh.Pending(), records)
+		}
+		for i := 1; i < restarts; i++ {
+			sh.Restart()
+		}
+		drainReplay(t, e, sh)
+		controls = make(map[string]int)
+		for _, ev := range tr.Controls() {
+			controls[ev.Kind]++
+		}
+		return sh.Pending(), controls
+	}
+	wantPending, _ := run(1)
+	pending, controls := run(2)
+	if pending != wantPending || pending != records {
+		t.Fatalf("pending = %d after a double Restart, %d after a single one, want %d", pending, wantPending, records)
+	}
+	if b, e := controls["durableq.replay-begin"], controls["durableq.replay-end"]; b != 1 || e != 1 {
+		t.Fatalf("replay-begin ×%d, replay-end ×%d, want one pair", b, e)
 	}
 }
