@@ -120,8 +120,7 @@ const (
 )
 
 // SlowStartParams is empty: slow start has no tunables. The type and its
-// constructor remain because benchmark/ names them in NewManager's
-// signature.
+// constructor remain because benchmark/ passes them to NewManager.
 type SlowStartParams struct{}
 
 // DefaultSlowStartParams returns the (empty) slow-start parameters.

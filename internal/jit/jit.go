@@ -197,9 +197,7 @@ type Distributor struct {
 }
 
 // NewDistributor returns a distributor on the engine.
-func NewDistributor(engine *sim.Engine) *Distributor {
-	return &Distributor{engine: engine}
-}
+func NewDistributor(engine *sim.Engine) *Distributor { return &Distributor{engine: engine} }
 
 // Push rolls code version v with hot-function list hot out to the groups.
 // Phase 1 switches a canary slice unseeded; phase 2 switches the seeder

@@ -73,9 +73,8 @@ type Engine struct {
 
 // NewEngine builds the SLO engine, registering its slo_* metric families
 // in reg. control receives alert transitions (pass the trace recorder's
-// Control method); nil means transitions are not logged. The section
-// argument carries only the on/off switches the caller has already acted
-// on; it stays in the signature because benchmark/ names it.
+// Control method); nil means transitions are not logged. The section holds
+// only switches the caller has acted on; benchmark/ pins the signature.
 func NewEngine(reg *stats.Registry, _ config.Observe, control func(kind, detail string)) *Engine {
 	e := &Engine{control: control}
 	if e.control == nil {
