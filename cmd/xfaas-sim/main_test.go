@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,5 +80,21 @@ func TestStartProfilesWritesBothFiles(t *testing.T) {
 	}
 	if stop, err = startProfiles("", ""); err != nil || stop() != nil {
 		t.Fatalf("no profiles asked for: %v", err)
+	}
+}
+
+// TestRejectsBadFlags: a value no run can use is a usage error (exit 2)
+// before anything runs, not a silent empty run.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-parallel", "2", "-minutes", "-5"},
+		{"-parallel", "2", "-minutes", "0"},
+		{"-parallel", "-1"},
+	} {
+		flag.CommandLine = flag.NewFlagSet("xfaas-sim", flag.ContinueOnError)
+		os.Args = append([]string{"xfaas-sim"}, args...)
+		if code := run(); code != 2 {
+			t.Errorf("xfaas-sim %v: exit %d, want 2", args, code)
+		}
 	}
 }

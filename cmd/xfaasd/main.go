@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"xfaas/internal/core"
 	"xfaas/internal/function"
@@ -45,6 +47,10 @@ func main() {
 		workPath = flag.String("workload", "", "JSON workload spec: functions to pre-register and generate")
 	)
 	flag.Parse()
+	if err := checkFlags(*regions, *workers, *speedup); err != nil {
+		fmt.Fprintln(os.Stderr, "xfaasd:", err)
+		os.Exit(2)
+	}
 
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
@@ -110,10 +116,24 @@ func main() {
 	go srv.Pace(stop)
 	defer close(stop)
 
+	// SIGINT or SIGTERM stops the server and returns from main.
+	server := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() { <-sig; server.Close() }()
 	fmt.Printf("xfaasd: %d regions, %d workers, %gx time compression, listening on %s\n",
 		cfg.Cluster.Regions, cfg.Cluster.TotalWorkers, *speedup, *listen)
-	if err := http.ListenAndServe(*listen, srv.Handler()); err != nil {
+	if err := server.ListenAndServe(); err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects a topology the cluster cannot build and a clock that
+// would not advance.
+func checkFlags(regions, workers int, speedup float64) error {
+	if regions < 1 || workers < regions || !(speedup > 0) {
+		return fmt.Errorf("want -regions >= 1, -workers >= -regions and -speedup > 0 (have %d, %d, %g)", regions, workers, speedup)
+	}
+	return nil
 }
