@@ -281,9 +281,6 @@ func (p *Platform) IdleMemoryMB() float64 {
 	return s
 }
 
-// Queued returns the number of waiting calls.
-func (p *Platform) Queued() int { return p.queued }
-
 // MostlyColdFunctions returns the fraction of invoked functions whose
 // starts were ≥ half cold — the long tail the paper's §1 quotes ("81% of
 // the applications are invoked once per minute or less on average").

@@ -87,8 +87,8 @@ func TestMemoryExhaustionQueues(t *testing.T) {
 		p.Submit(blCall(blSpec("f"), 10, 200, 60))
 	}
 	e.RunFor(30 * time.Second)
-	if p.Queued() != 2 {
-		t.Fatalf("queued = %d, want 2 of 4", p.Queued())
+	if p.queued != 2 {
+		t.Fatalf("queued = %d, want 2 of 4", p.queued)
 	}
 	// As containers finish, queued calls reuse them warm.
 	e.RunFor(5 * time.Minute)

@@ -2,8 +2,9 @@
 // It drives every failure mode the paper's robustness story depends on —
 // worker crashes and restarts, gray failures (a worker silently running
 // at a fraction of its speed), region partitions, DurableQ shard
-// unavailability windows, downstream brownouts, and correlated failures
-// taking out a whole rack at once — as events on the simulation engine,
+// unavailability and crashes, submitter and scheduler crashes, buggy
+// downstream releases, and correlated failures taking out a whole rack at
+// once — as events on the simulation engine,
 // drawn from a seeded RNG stream. The same seed always yields the same
 // fault schedule, so a chaos run is as reproducible as a healthy one.
 //
@@ -21,7 +22,6 @@ import (
 
 	"xfaas/internal/cluster"
 	"xfaas/internal/core"
-	"xfaas/internal/downstream"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
 	"xfaas/internal/submitter"
@@ -40,8 +40,8 @@ func (e Event) String() string {
 }
 
 // Injector applies faults to a platform. All methods act at the current
-// virtual time; compose them with Scenario or the engine's own timers for
-// scheduled injection. Not safe for concurrent use (the simulation is
+// virtual time; compose them with the engine's timers for scheduled
+// injection. Not safe for concurrent use (the simulation is
 // single-threaded).
 type Injector struct {
 	p      *core.Platform
@@ -112,28 +112,6 @@ func (inj *Injector) ClearGray(region cluster.RegionID, idx int) {
 	w := inj.p.Region(region).Workers[idx]
 	w.SetSlowdown(1)
 	inj.record("gray-clear", "worker %v", w.ID)
-}
-
-// CrashRandomWorkers crashes n distinct not-yet-failed workers of the
-// region, chosen uniformly, and returns their indices in ascending order.
-func (inj *Injector) CrashRandomWorkers(region cluster.RegionID, n int, silent bool) []int {
-	pool := inj.p.Region(region).Workers
-	var alive []int
-	for i, w := range pool {
-		if !w.Failed() {
-			alive = append(alive, i)
-		}
-	}
-	if n > len(alive) {
-		n = len(alive)
-	}
-	inj.src.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
-	picked := append([]int(nil), alive[:n]...)
-	sort.Ints(picked)
-	for _, i := range picked {
-		inj.CrashWorker(region, i, silent)
-	}
-	return picked
 }
 
 // CorrelatedCrash takes out a contiguous block of frac of the region's
@@ -248,27 +226,12 @@ func (inj *Injector) ShardCrashRestart(region cluster.RegionID, idx int, downFor
 	inj.p.Engine.Schedule(downFor, func() { inj.RestartShard(region, idx) })
 }
 
-// SetJournalLag changes a shard's journal flush lag mid-run (0 =
-// synchronous), widening or closing the torn-tail loss window the next
-// crash sees. No-op (recorded) on a shard without a journal.
-func (inj *Injector) SetJournalLag(region cluster.RegionID, idx int, lag time.Duration) {
-	sh := inj.p.Region(region).Shards[idx]
-	if j := sh.Journal(); j != nil {
-		j.SetFlushLag(lag)
-		inj.record("journal-lag", "%v lag=%s", sh.ID, lag)
-		return
-	}
-	inj.record("journal-lag", "%v no journal, ignored", sh.ID)
-}
-
 // Rebuild delays of the stateless tiers: their state reconstitutes from
 // live shards and the config store.
 const (
 	// SchedulerRebuildDelay is how long a crashed scheduler replica takes
 	// to restart before it resumes polling.
 	SchedulerRebuildDelay time.Duration = 5 * time.Second
-	// queueLBRebuildDelay is the same for a crashed QueueLB.
-	queueLBRebuildDelay time.Duration = 2 * time.Second
 	// SubmitterRebuildDelay is the same for a crashed submitter; only the
 	// unflushed batch window dies with the process.
 	SubmitterRebuildDelay time.Duration = time.Second
@@ -305,46 +268,9 @@ func (inj *Injector) CrashScheduler(region cluster.RegionID, idx int) {
 	inj.record("scheduler-crash", "r%d replica=%d", region, idx)
 }
 
-// CrashQueueLB kills the region's QueueLB process: every flush routed
-// through it fails (clients see failed submissions) until the rebuild
-// delay elapses. The LB is stateless — its policy lives in the config
-// store — so recovery is purely the restart delay.
-func (inj *Injector) CrashQueueLB(region cluster.RegionID) {
-	lb := inj.p.Region(region).QueueLB
-	lb.SetDown(true)
-	inj.p.Engine.Schedule(queueLBRebuildDelay, func() {
-		lb.SetDown(false)
-		inj.record("queuelb-restart", "r%d", region)
-	})
-	inj.record("queuelb-crash", "r%d back in %s", region, queueLBRebuildDelay)
-}
-
-// Brownout cuts a downstream service to frac of its healthy capacity and
-// returns a repair function restoring the original capacity. It panics on
-// an unknown service (a misspelled scenario should fail loudly).
-func (inj *Injector) Brownout(name string, frac float64) (restore func()) {
-	svc, ok := inj.p.Downstreams.Get(name)
-	if !ok {
-		panic("chaos: unknown downstream " + name)
-	}
-	orig := svc.Capacity()
-	svc.SetCapacity(orig * frac)
-	inj.record("brownout", "%s capacity %.0f -> %.0f", name, orig, orig*frac)
-	return func() {
-		svc.SetCapacity(orig)
-		inj.record("brownout-heal", "%s capacity restored to %.0f", name, orig)
-	}
-}
-
-// BrownoutFor browns out the service now and schedules the repair after d.
-func (inj *Injector) BrownoutFor(name string, frac float64, d time.Duration) {
-	restore := inj.Brownout(name, frac)
-	inj.p.Engine.Schedule(d, restore)
-}
-
 // Buggy makes a downstream service fail a fraction of its requests with
 // plain (retryable) errors — the §5.5 incident's buggy release. Unlike a
-// brownout's back-pressure, which workers honor immediately without
+// capacity cut's back-pressure, which workers honor immediately without
 // retrying, plain failures are retried downstream and platform-wide,
 // amplifying load: the retry-storm trigger. Returns a repair function
 // restoring the healthy service; panics on an unknown name.
@@ -365,10 +291,4 @@ func (inj *Injector) Buggy(name string, rate float64) (restore func()) {
 func (inj *Injector) BuggyFor(name string, rate float64, d time.Duration) {
 	restore := inj.Buggy(name, rate)
 	inj.p.Engine.Schedule(d, restore)
-}
-
-// Downstream returns the named service for assertions (nil if absent).
-func (inj *Injector) Downstream(name string) *downstream.Service {
-	svc, _ := inj.p.Downstreams.Get(name)
-	return svc
 }

@@ -31,24 +31,22 @@ func testPlatform(seed uint64) *core.Platform {
 	return p
 }
 
-// chaosRun drives one platform through a fixed mix of scripted and
-// stochastic faults and returns the injector afterwards.
+// chaosRun drives one platform through a fixed mix of faults, some of
+// them placed by the injector's seeded stream, and returns the injector
+// afterwards.
 func chaosRun(seed uint64) (*core.Platform, *Injector) {
 	p := testPlatform(seed)
 	inj := NewInjector(p, rng.New(seed+9000))
-	sc := NewScenario("mixed").
-		At(2*time.Minute, func(i *Injector) { i.CorrelatedCrash(0, 0.5, true) }).
-		At(5*time.Minute, func(i *Injector) { i.PartitionRegion(1) }).
-		At(8*time.Minute, func(i *Injector) { i.HealPartition(1) }).
-		At(10*time.Minute, func(i *Injector) { i.ShardOutage(2, 0, 3*time.Minute) }).
-		At(12*time.Minute, func(i *Injector) { i.BrownoutFor("db", 0.2, 2*time.Minute) })
-	inj.Play(sc)
-	stopCrash := inj.CrashRestartProcess(2, 4*time.Minute, 2*time.Minute, true)
-	stopGray := inj.GrayProcess(1, 5*time.Minute, 3*time.Minute, 2, 10)
-	p.Engine.RunFor(25 * time.Minute)
-	stopCrash()
-	stopGray()
-	p.Engine.RunFor(5 * time.Minute)
+	at := func(d time.Duration, fn func()) { p.Engine.Schedule(d, fn) }
+	at(2*time.Minute, func() { inj.CorrelatedCrash(0, 0.5, true) })
+	at(4*time.Minute, func() { inj.GrayWorker(1, 0, 10) })
+	at(5*time.Minute, func() { inj.PartitionRegion(1) })
+	at(6*time.Minute, func() { inj.CorrelatedCrash(2, 0.25, false) })
+	at(8*time.Minute, func() { inj.HealPartition(1) })
+	at(9*time.Minute, func() { inj.ClearGray(1, 0) })
+	at(10*time.Minute, func() { inj.ShardOutage(2, 0, 3*time.Minute) })
+	at(12*time.Minute, func() { inj.BuggyFor("db", 0.8, 2*time.Minute) })
+	p.Engine.RunFor(30 * time.Minute)
 	return p, inj
 }
 
@@ -100,21 +98,6 @@ func TestInjectorSeedChangesSchedule(t *testing.T) {
 	}
 }
 
-func TestScenarioPlaysStepsInOffsetOrder(t *testing.T) {
-	p := testPlatform(3)
-	inj := NewInjector(p, rng.New(1))
-	var fired []time.Duration
-	sc := NewScenario("order").
-		At(3*time.Second, func(*Injector) { fired = append(fired, 3*time.Second) }).
-		At(time.Second, func(*Injector) { fired = append(fired, time.Second) }).
-		At(2*time.Second, func(*Injector) { fired = append(fired, 2*time.Second) })
-	inj.Play(sc)
-	p.Engine.RunFor(5 * time.Second)
-	if len(fired) != 3 || fired[0] != time.Second || fired[1] != 2*time.Second || fired[2] != 3*time.Second {
-		t.Fatalf("steps fired out of order: %v", fired)
-	}
-}
-
 func TestCorrelatedCrashContiguousBlock(t *testing.T) {
 	p := testPlatform(5)
 	inj := NewInjector(p, rng.New(11))
@@ -146,35 +129,6 @@ func TestCorrelatedCrashContiguousBlock(t *testing.T) {
 	}
 }
 
-func TestBrownoutCutsAndRestoresCapacity(t *testing.T) {
-	p := testPlatform(2)
-	inj := NewInjector(p, rng.New(1))
-	svc := inj.Downstream("db")
-	if svc == nil {
-		t.Fatal("downstream db not registered")
-	}
-	orig := svc.Capacity()
-	restore := inj.Brownout("db", 0.25)
-	if got := svc.Capacity(); got != orig*0.25 {
-		t.Fatalf("browned-out capacity = %v, want %v", got, orig*0.25)
-	}
-	restore()
-	if got := svc.Capacity(); got != orig {
-		t.Fatalf("restored capacity = %v, want %v", got, orig)
-	}
-
-	// Scheduled variant: restore happens at +d on the virtual clock.
-	inj.BrownoutFor("db", 0.5, 10*time.Second)
-	p.Engine.RunFor(9 * time.Second)
-	if got := svc.Capacity(); got != orig*0.5 {
-		t.Fatalf("capacity during scheduled brownout = %v", got)
-	}
-	p.Engine.RunFor(2 * time.Second)
-	if got := svc.Capacity(); got != orig {
-		t.Fatalf("capacity after scheduled restore = %v", got)
-	}
-}
-
 func TestShardOutageWindow(t *testing.T) {
 	p := testPlatform(2)
 	inj := NewInjector(p, rng.New(1))
@@ -190,29 +144,5 @@ func TestShardOutageWindow(t *testing.T) {
 	p.Engine.RunFor(2 * time.Second)
 	if sh.IsDown() {
 		t.Fatal("shard still down after outage window")
-	}
-}
-
-func TestCrashRandomWorkersPicksDistinctAlive(t *testing.T) {
-	p := testPlatform(4)
-	inj := NewInjector(p, rng.New(9))
-	reg := p.Region(cluster.RegionID(2))
-	n := len(reg.Workers)
-	first := inj.CrashRandomWorkers(2, 2, true)
-	if len(first) != 2 || first[0] == first[1] {
-		t.Fatalf("picked = %v, want 2 distinct", first)
-	}
-	// A second wave only draws from survivors; asking for more than
-	// remain crashes exactly the survivors.
-	second := inj.CrashRandomWorkers(2, n, true)
-	if len(second) != n-2 {
-		t.Fatalf("second wave = %d workers, want %d survivors", len(second), n-2)
-	}
-	seen := map[int]bool{}
-	for _, i := range append(first, second...) {
-		if seen[i] {
-			t.Fatalf("worker %d crashed twice across waves", i)
-		}
-		seen[i] = true
 	}
 }

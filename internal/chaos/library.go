@@ -1,5 +1,7 @@
 package chaos
 
+import "strings"
+
 // LibraryEntry describes one adversarial scenario in the platform's
 // catalog: a named fault or overload pattern with a deterministic,
 // regenerable run behind it.
@@ -104,4 +106,17 @@ func Library() []LibraryEntry {
 			Experiment:  "chaos_zipfneighbor",
 		},
 	}
+}
+
+// Names lists the library's scenario names, comma-separated, for flag
+// help and unknown-name errors; inspectOnly keeps just the scenarios
+// xfaas-inspect runs.
+func Names(inspectOnly bool) string {
+	var names []string
+	for _, c := range Library() {
+		if c.Inspect || !inspectOnly {
+			names = append(names, c.Name)
+		}
+	}
+	return strings.Join(names, ", ")
 }

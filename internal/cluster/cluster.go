@@ -45,11 +45,11 @@ type Config struct {
 	// TotalWorkers across all regions; split unevenly (lognormal weights)
 	// to match Figure 5's skew.
 	TotalWorkers int
-	// Skew is the lognormal sigma of the capacity weights (0 = even).
-	Skew float64
 }
 
 const (
+	// capacitySkew is the lognormal sigma of the regions' capacity weights.
+	capacitySkew float64 = 0.8
 	// shardsPerRegionMin guarantees each region has at least this many
 	// DurableQ shards.
 	shardsPerRegionMin int = 2
@@ -63,7 +63,7 @@ const (
 // DefaultConfig mirrors the paper's setting at simulation scale: 12
 // regions (Figure 7 shows 12), skewed capacities.
 func DefaultConfig() Config {
-	return Config{Regions: 12, TotalWorkers: 1200, Skew: 0.8}
+	return Config{Regions: 12, TotalWorkers: 1200}
 }
 
 // Generate builds a synthetic topology with unevenly distributed capacity.
@@ -74,7 +74,7 @@ func Generate(cfg Config, src *rng.Source) *Topology {
 	weights := make([]float64, cfg.Regions)
 	total := 0.0
 	for i := range weights {
-		weights[i] = src.LogNormal(0, cfg.Skew)
+		weights[i] = src.LogNormal(0, capacitySkew)
 		total += weights[i]
 	}
 	regions := make([]Region, cfg.Regions)

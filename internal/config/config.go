@@ -132,6 +132,3 @@ func NewCache(store *Store, key string) *Cache {
 // Get returns the cached value; ok is false only if no value was ever
 // delivered.
 func (c *Cache) Get() (Value, bool) { return c.value, c.has }
-
-// Version returns the cached version (0 if none).
-func (c *Cache) Version() uint64 { return c.version }

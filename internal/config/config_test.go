@@ -90,8 +90,8 @@ func TestVersionsIncrement(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		s.Set("k", i)
 		e.RunFor(time.Minute)
-		if c.Version() != uint64(i) {
-			t.Fatalf("version = %d, want %d", c.Version(), i)
+		if c.version != uint64(i) {
+			t.Fatalf("version = %d, want %d", c.version, i)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package config
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Shipped scheduling-policy names. The scheduler instantiates the policy
 // by name; unknown names are a configuration error caught by Validate.
@@ -172,95 +168,4 @@ func (p Policy) validateSPES() error {
 		return fmt.Errorf("policy: spes.interval_ticks %d outside [0,2^20]", sp.IntervalTicks)
 	}
 	return nil
-}
-
-// policyFile is the on-disk JSON shape: a policy name plus one optional
-// knob block per policy. Pointer fields distinguish "absent" (keep the
-// default) from an explicit zero, mirroring the platform config-file
-// idiom.
-type policyFile struct {
-	Name    string         `json:"name"`
-	Pull    *pullKnobsFile `json:"pull,omitempty"`
-	Prewarm *prewarmFile   `json:"prewarm,omitempty"`
-	SPES    *spesFile      `json:"spes,omitempty"`
-}
-
-type pullKnobsFile struct {
-	MaxPerWorker *int `json:"max_per_worker,omitempty"`
-}
-
-type prewarmFile struct {
-	Alpha         *float64 `json:"alpha,omitempty"`
-	Beta          *float64 `json:"beta,omitempty"`
-	HorizonTicks  *int     `json:"horizon_ticks,omitempty"`
-	MaxBoost      *float64 `json:"max_boost,omitempty"`
-	TopK          *int     `json:"top_k,omitempty"`
-	IntervalTicks *int     `json:"interval_ticks,omitempty"`
-}
-
-type spesFile struct {
-	Perf          *float64 `json:"perf,omitempty"`
-	SpareTarget   *float64 `json:"spare_target,omitempty"`
-	TopK          *int     `json:"top_k,omitempty"`
-	IntervalTicks *int     `json:"interval_ticks,omitempty"`
-}
-
-// ParsePolicy parses a strict-JSON policy document — a name plus knob
-// blocks overriding DefaultPolicy — and validates the result. Unknown
-// fields, trailing data, and out-of-bounds knobs are errors.
-func ParsePolicy(data []byte) (Policy, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var f policyFile
-	if err := dec.Decode(&f); err != nil {
-		return Policy{}, fmt.Errorf("policy: %w", err)
-	}
-	if dec.More() {
-		return Policy{}, fmt.Errorf("policy: trailing data after document")
-	}
-	p := DefaultPolicy()
-	p.Name = f.Name
-	if f.Pull != nil {
-		if v := f.Pull.MaxPerWorker; v != nil {
-			p.Pull.MaxPerWorker = *v
-		}
-	}
-	if f.Prewarm != nil {
-		if v := f.Prewarm.Alpha; v != nil {
-			p.Prewarm.Alpha = *v
-		}
-		if v := f.Prewarm.Beta; v != nil {
-			p.Prewarm.Beta = *v
-		}
-		if v := f.Prewarm.HorizonTicks; v != nil {
-			p.Prewarm.HorizonTicks = *v
-		}
-		if v := f.Prewarm.MaxBoost; v != nil {
-			p.Prewarm.MaxBoost = *v
-		}
-		if v := f.Prewarm.TopK; v != nil {
-			p.Prewarm.TopK = *v
-		}
-		if v := f.Prewarm.IntervalTicks; v != nil {
-			p.Prewarm.IntervalTicks = *v
-		}
-	}
-	if f.SPES != nil {
-		if v := f.SPES.Perf; v != nil {
-			p.SPES.Perf = *v
-		}
-		if v := f.SPES.SpareTarget; v != nil {
-			p.SPES.SpareTarget = *v
-		}
-		if v := f.SPES.TopK; v != nil {
-			p.SPES.TopK = *v
-		}
-		if v := f.SPES.IntervalTicks; v != nil {
-			p.SPES.IntervalTicks = *v
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return Policy{}, err
-	}
-	return p, nil
 }

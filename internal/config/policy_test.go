@@ -1,9 +1,6 @@
 package config
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestDefaultPolicyValidatesAndIsPush(t *testing.T) {
 	p := DefaultPolicy()
@@ -56,63 +53,6 @@ func TestPolicyValidateBounds(t *testing.T) {
 		tc.mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted it", tc.label)
-		}
-	}
-}
-
-func TestParsePolicyOverrides(t *testing.T) {
-	p, err := ParsePolicy([]byte(`{
-		"name": "prewarm",
-		"prewarm": {"alpha": 0.5, "top_k": 8},
-		"spes": {"perf": 0.9}
-	}`))
-	if err != nil {
-		t.Fatalf("ParsePolicy: %v", err)
-	}
-	if p.Name != PolicyPrewarm {
-		t.Fatalf("name %q", p.Name)
-	}
-	if p.Prewarm.Alpha != 0.5 || p.Prewarm.TopK != 8 {
-		t.Fatalf("prewarm overrides not applied: %+v", p.Prewarm)
-	}
-	// Absent knobs keep defaults; absence and explicit zero are distinct.
-	def := DefaultPolicy()
-	if p.Prewarm.Beta != def.Prewarm.Beta || p.Prewarm.MaxBoost != def.Prewarm.MaxBoost {
-		t.Fatalf("absent prewarm knobs lost their defaults: %+v", p.Prewarm)
-	}
-	if p.SPES.Perf != 0.9 || p.SPES.SpareTarget != def.SPES.SpareTarget {
-		t.Fatalf("spes block mis-merged: %+v", p.SPES)
-	}
-
-	zero, err := ParsePolicy([]byte(`{"name": "pull", "pull": {"max_per_worker": 0}}`))
-	if err != nil {
-		t.Fatalf("ParsePolicy explicit zero: %v", err)
-	}
-	if zero.Pull.MaxPerWorker != 0 {
-		t.Fatalf("explicit zero overridden by default: %d", zero.Pull.MaxPerWorker)
-	}
-}
-
-func TestParsePolicyRejects(t *testing.T) {
-	cases := []struct {
-		label, doc, wantErr string
-	}{
-		{"unknown top-level field", `{"name": "push", "bogus": 1}`, "bogus"},
-		{"unknown knob", `{"name": "pull", "pull": {"max_worker": 3}}`, "max_worker"},
-		{"trailing data", `{"name": "push"} {"name": "pull"}`, "trailing"},
-		{"unknown policy", `{"name": "lifo"}`, "unknown policy"},
-		{"out-of-bounds knob", `{"name": "prewarm", "prewarm": {"alpha": 7}}`, "alpha"},
-		{"type mismatch", `{"name": "pull", "pull": {"max_per_worker": "many"}}`, ""},
-		{"not json", `push`, ""},
-	}
-	for _, tc := range cases {
-		_, err := ParsePolicy([]byte(tc.doc))
-		if err == nil {
-			t.Errorf("%s: ParsePolicy accepted %s", tc.label, tc.doc)
-			continue
-		}
-		if tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: error %q does not mention %q", tc.label, err, tc.wantErr)
 		}
 	}
 }

@@ -103,12 +103,6 @@ func (a *AIMD) Limit() float64 { return a.limit }
 // Params returns the controller's tunables (for bound checks).
 func (a *AIMD) Params() AIMDParams { return a.params }
 
-// ExceptionsInWindow returns the back-pressure count inside the current
-// window.
-func (a *AIMD) ExceptionsInWindow(now sim.Time) float64 {
-	return a.exceptions.Total(now)
-}
-
 // The empirically chosen slow-start values from §4.6.3: W = 1 minute,
 // T = 100 calls, α = 20%.
 const (

@@ -217,7 +217,7 @@ func TestConfigFileKeysReachThePlatform(t *testing.T) {
 			return p.spiky["bursty"] && !p.spiky["team-spiky"]
 		}},
 		{"prewarm_jit", `{"prewarm_jit": false}`, 0, func(p *Platform) bool {
-			return !p.Region(0).Workers[0].Runtime.Optimized(aFunc, 0)
+			return p.Region(0).Workers[0].Runtime.SpeedFactor(aFunc, 0) != 1
 		}},
 		{"utilization_target", `{"utilization_target": 0.5}`, base.Util.Interval, func(p *Platform) bool {
 			return p.Util.S() == 1+base.Util.Gain*0.5 // one step on an idle fleet

@@ -63,11 +63,6 @@ func (p *Platform) SetRegionPartitioned(id cluster.RegionID, partitioned bool) {
 	p.partitioned[id] = partitioned
 }
 
-// RegionPartitioned reports whether the region is currently cut off.
-func (p *Platform) RegionPartitioned(id cluster.RegionID) bool {
-	return p.partitioned[id]
-}
-
 // Reachable reports whether region dst's DurableQs are reachable from
 // region from: always within a region, and across regions only when
 // neither side is partitioned.

@@ -30,7 +30,7 @@ func mutationRig(t *testing.T) (*Platform, *durableq.Shard, *function.Call) {
 	}
 	for _, reg := range p.Regions() {
 		for _, sc := range reg.Scheds {
-			sc.Stop()
+			sc.Crash()
 		}
 	}
 	p.Engine.RunFor(time.Minute)

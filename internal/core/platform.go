@@ -287,6 +287,7 @@ type Platform struct {
 	lastShed    float64
 	lastMinCrit function.Criticality
 
+	// codeVersion counts code rollouts started.
 	codeVersion int
 	// localityWarm flips once locality groups have been partitioned from
 	// measured (not cold-start) rates; afterwards only worker counts
@@ -764,7 +765,7 @@ func (p *Platform) pushCode() {
 			idx += n
 		}
 	}
-	p.Distributor.Push(p.codeVersion, groups, hot)
+	p.Distributor.Push(groups, hot)
 }
 
 // hotFunctions returns the names of functions with measurable traffic

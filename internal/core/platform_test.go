@@ -143,15 +143,18 @@ func TestPlatformCodePushRollsVersions(t *testing.T) {
 	if p.Distributor.Pushes == 0 {
 		t.Fatal("no code pushes completed")
 	}
-	// All workers should be on the latest pushed version.
-	versions := map[int]int{}
-	for _, reg := range p.Regions() {
-		for _, w := range reg.Workers {
-			versions[w.Runtime.Version()]++
-		}
+	if p.codeVersion != 2 {
+		t.Fatalf("%d rollouts started, want 2", p.codeVersion)
 	}
-	if versions[0] != 0 {
-		t.Fatalf("workers stuck on version 0: %v", versions)
+	// The fleet-wide phase is seeded: every region precompiled hot code.
+	for _, reg := range p.Regions() {
+		var seeded uint64
+		for _, w := range reg.Workers {
+			seeded += w.Runtime.SeededCompilations
+		}
+		if seeded == 0 {
+			t.Fatalf("region %v took no seeded rollout", reg.ID)
+		}
 	}
 }
 
@@ -342,7 +345,7 @@ func TestSchedulerReplicaCrashFailover(t *testing.T) {
 	// One replica per region crashes; leases expire and the survivor
 	// takes over its calls.
 	for _, reg := range p.Regions() {
-		reg.Scheds[0].Stop()
+		reg.Scheds[0].Crash()
 	}
 	p.Engine.RunFor(90 * time.Minute)
 	if p.Acked() < gen.Generated.Value()*0.5 {

@@ -71,9 +71,6 @@ func (s *Service) SetCapacity(c float64) {
 	s.capacity = c
 }
 
-// Capacity returns the current healthy capacity.
-func (s *Service) Capacity() float64 { return s.capacity }
-
 // SetBugRate sets the fraction of requests that fail outright regardless
 // of load (0 clears the incident).
 func (s *Service) SetBugRate(r float64) {

@@ -235,12 +235,3 @@ func All() []*Experiment {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
-
-// IDs returns all experiment ids, sorted.
-func IDs() []string {
-	var ids []string
-	for _, e := range All() {
-		ids = append(ids, e.ID)
-	}
-	return ids
-}

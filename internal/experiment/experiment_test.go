@@ -76,10 +76,10 @@ func TestGetUnknown(t *testing.T) {
 }
 
 func TestIDsSorted(t *testing.T) {
-	ids := IDs()
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Fatalf("ids not sorted/unique: %v", ids)
+	all := All()
+	for i := 1; i < len(all); i++ {
+		if all[i-1].ID >= all[i].ID {
+			t.Fatalf("ids not sorted/unique: %s before %s", all[i-1].ID, all[i].ID)
 		}
 	}
 }

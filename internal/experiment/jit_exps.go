@@ -46,7 +46,7 @@ func jitRamp(seed uint64, seeded bool, window time.Duration) []float64 {
 		hot[i] = name
 	}
 	// Restart the runtime on new code at t=0.
-	w.SwitchVersion(1, seeded, hot)
+	w.SwitchVersion(seeded, hot)
 
 	completions := stats.NewTimeSeries(30*time.Second, stats.ModeSum)
 	var id uint64

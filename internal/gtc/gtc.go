@@ -37,29 +37,6 @@ func Identity(n int) Matrix {
 	return m
 }
 
-// Validate checks row-stochasticity.
-func (m Matrix) Validate(n int) bool {
-	if len(m) != n {
-		return false
-	}
-	for _, row := range m {
-		if len(row) != n {
-			return false
-		}
-		sum := 0.0
-		for _, v := range row {
-			if v < -1e-9 {
-				return false
-			}
-			sum += v
-		}
-		if sum < 0.999999 || sum > 1.000001 {
-			return false
-		}
-	}
-	return true
-}
-
 // Snapshot is the GTC's per-region input.
 type Snapshot struct {
 	// Demand is each region's pending work, in the same unit as Supply

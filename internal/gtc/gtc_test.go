@@ -179,6 +179,30 @@ func TestIdentityMatrix(t *testing.T) {
 	}
 }
 
+// Validate checks row-stochasticity: the property every computed
+// matrix must have.
+func (m Matrix) Validate(n int) bool {
+	if len(m) != n {
+		return false
+	}
+	for _, row := range m {
+		if len(row) != n {
+			return false
+		}
+		sum := 0.0
+		for _, v := range row {
+			if v < -1e-9 {
+				return false
+			}
+			sum += v
+		}
+		if sum < 0.999999 || sum > 1.000001 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestMatrixValidateRejects(t *testing.T) {
 	if (Matrix{{0.5, 0.4}}).Validate(2) {
 		t.Fatal("short matrix validated")

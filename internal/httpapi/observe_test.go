@@ -15,6 +15,7 @@ import (
 	"xfaas/internal/core"
 	"xfaas/internal/function"
 	"xfaas/internal/rng"
+	"xfaas/internal/slo"
 )
 
 // newTracedServer is newTestServer with per-call tracing on at sample
@@ -341,5 +342,62 @@ func TestReadersRaceThePacedEngine(t *testing.T) {
 	}
 	if inv.TotalViolations != 0 || inv.Totals.Acked == 0 {
 		t.Fatalf("paced run: %+v", inv)
+	}
+}
+
+// TestUtilizationAndSLOEndpoints serves with core-second accounting and
+// the SLO engine on and checks both bodies describe the calls served; with
+// them off, both endpoints answer 404.
+func TestUtilizationAndSLOEndpoints(t *testing.T) {
+	_, off := newTracedServer(t)
+	for _, path := range []string{"/utilization", "/slo"} {
+		if rec := do(t, off, "GET", path, nil); rec.Code != http.StatusNotFound {
+			t.Fatalf("%s with accounting off: status = %d", path, rec.Code)
+		}
+	}
+
+	cfg := core.DefaultConfig()
+	cfg.Cluster.Regions = 2
+	cfg.Cluster.TotalWorkers = 6
+	cfg.CodePushInterval = 0
+	cfg.Observe = cfg.Observe.EnableAll()
+	s := NewServer(core.New(cfg, function.NewRegistry()), 7)
+	h := s.Handler()
+	do(t, h, "POST", "/functions", FunctionRequest{Name: "resize", ExecMedianS: 0.1})
+	for i := 0; i < 20; i++ {
+		do(t, h, "POST", "/invoke", InvokeRequest{Function: "resize", Region: i % 2})
+	}
+	s.Advance(2 * time.Minute)
+
+	rec := do(t, h, "GET", "/utilization", nil)
+	var u slo.UtilizationSnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &u); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("utilization status = %d: %v: %s", rec.Code, err, rec.Body)
+	}
+	if u.NowSecs != 120 || u.CapacityCores <= 0 || len(u.Regions) != 2 {
+		t.Fatalf("utilization snapshot: now=%v cap=%v regions=%d", u.NowSecs, u.CapacityCores, len(u.Regions))
+	}
+	if u.BusyCoreSecs <= 0 || u.Utilization <= 0 || u.Utilization > 1 {
+		t.Fatalf("served calls left busy=%v utilization=%v", u.BusyCoreSecs, u.Utilization)
+	}
+
+	rec = do(t, h, "GET", "/slo", nil)
+	var sl slo.SLOSnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &sl); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("slo status = %d: %v: %s", rec.Code, err, rec.Body)
+	}
+	if sl.NowSecs != 120 || len(sl.Classes) == 0 {
+		t.Fatalf("slo snapshot: now=%v classes=%d", sl.NowSecs, len(sl.Classes))
+	}
+	good, bad := 0.0, 0.0
+	for _, c := range sl.Classes {
+		good += c.Good
+		bad += c.Bad
+		if c.Firing {
+			t.Errorf("class %s firing after a clean run", c.Crit)
+		}
+	}
+	if good != 20 || bad != 0 {
+		t.Fatalf("slo good/bad = %v/%v, want 20/0", good, bad)
 	}
 }

@@ -65,15 +65,14 @@ type funcJIT struct {
 // Runtime is the per-worker JIT state for the currently deployed code
 // version.
 type Runtime struct {
-	params  Params
-	version int
-	funcs   map[string]*funcJIT
+	params Params
+	funcs  map[string]*funcJIT
 	// Compilations counts optimizations performed, split by source.
 	SelfCompilations   uint64
 	SeededCompilations uint64
 }
 
-// NewRuntime returns a runtime at code version 0 with nothing optimized.
+// NewRuntime returns a runtime with nothing optimized.
 func NewRuntime(params Params) *Runtime {
 	if params.Slowdown < 1 {
 		panic("jit: slowdown below 1")
@@ -81,15 +80,11 @@ func NewRuntime(params Params) *Runtime {
 	return &Runtime{params: params, funcs: make(map[string]*funcJIT)}
 }
 
-// Version returns the deployed code version.
-func (r *Runtime) Version() int { return r.version }
-
-// SwitchVersion deploys code version v, discarding all JIT state. If
+// SwitchVersion deploys a new code version, discarding all JIT state. If
 // seeded, the hot functions precompile immediately in a queue (one per
 // seededCompilePerFunc) without needing any calls; otherwise every
 // function must self-profile from its first use.
-func (r *Runtime) SwitchVersion(v int, now sim.Time, seeded bool, hot []string) {
-	r.version = v
+func (r *Runtime) SwitchVersion(now sim.Time, seeded bool, hot []string) {
 	r.funcs = make(map[string]*funcJIT, len(hot))
 	if !seeded {
 		return
@@ -143,34 +138,11 @@ func (r *Runtime) SpeedFactor(fn string, now sim.Time) float64 {
 	}
 }
 
-// Optimized reports whether fn is running optimized code at now.
-func (r *Runtime) Optimized(fn string, now sim.Time) bool {
-	f, ok := r.funcs[fn]
-	if !ok {
-		return false
-	}
-	if f.state == stateProfiling && now >= f.readyAt {
-		f.state = stateOptimized
-	}
-	return f.state == stateOptimized
-}
-
-// OptimizedCount returns how many known functions are optimized at now.
-func (r *Runtime) OptimizedCount(now sim.Time) int {
-	n := 0
-	for fn := range r.funcs {
-		if r.Optimized(fn, now) {
-			n++
-		}
-	}
-	return n
-}
-
 // Target is the rollout-facing surface of a worker's runtime.
 type Target interface {
 	// SwitchVersion deploys a new code version; seeded indicates that the
 	// locality group's seeder profile accompanies the code.
-	SwitchVersion(v int, seeded bool, hot []string)
+	SwitchVersion(seeded bool, hot []string)
 }
 
 // The shape of the three-phase code push (paper §4.5.1: phases at a small
@@ -199,10 +171,10 @@ type Distributor struct {
 // NewDistributor returns a distributor on the engine.
 func NewDistributor(engine *sim.Engine) *Distributor { return &Distributor{engine: engine} }
 
-// Push rolls code version v with hot-function list hot out to the groups.
+// Push rolls a new code version with hot-function list hot out to the groups.
 // Phase 1 switches a canary slice unseeded; phase 2 switches the seeder
 // slice unseeded (they profile); phase 3 switches the remainder seeded.
-func (d *Distributor) Push(v int, groups [][]Target, hot []string) {
+func (d *Distributor) Push(groups [][]Target, hot []string) {
 	for _, group := range groups {
 		group := group
 		n := len(group)
@@ -215,16 +187,16 @@ func (d *Distributor) Push(v int, groups [][]Target, hot []string) {
 			p2 = n
 		}
 		for _, t := range group[:p1] {
-			t.SwitchVersion(v, false, hot)
+			t.SwitchVersion(false, hot)
 		}
 		d.engine.Schedule(phase1Dur, func() {
 			for _, t := range group[p1:p2] {
-				t.SwitchVersion(v, false, hot)
+				t.SwitchVersion(false, hot)
 			}
 		})
 		d.engine.Schedule(phase1Dur+phase2Dur, func() {
 			for _, t := range group[p2:] {
-				t.SwitchVersion(v, true, hot)
+				t.SwitchVersion(true, hot)
 			}
 		})
 	}

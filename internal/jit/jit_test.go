@@ -8,6 +8,29 @@ import (
 	"xfaas/internal/sim"
 )
 
+// Optimized reports whether fn is running optimized code at now.
+func (r *Runtime) Optimized(fn string, now sim.Time) bool {
+	f, ok := r.funcs[fn]
+	if !ok {
+		return false
+	}
+	if f.state == stateProfiling && now >= f.readyAt {
+		f.state = stateOptimized
+	}
+	return f.state == stateOptimized
+}
+
+// OptimizedCount returns how many known functions are optimized at now.
+func (r *Runtime) OptimizedCount(now sim.Time) int {
+	n := 0
+	for fn := range r.funcs {
+		if r.Optimized(fn, now) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestColdFunctionRunsSlow(t *testing.T) {
 	r := NewRuntime(DefaultParams())
 	if f := r.SpeedFactor("f", 0); f != 3.0 {
@@ -41,7 +64,7 @@ func TestSeededPrecompilation(t *testing.T) {
 	p := DefaultParams()
 	r := NewRuntime(p)
 	hot := []string{"a", "b", "c"}
-	r.SwitchVersion(1, 0, true, hot)
+	r.SwitchVersion(0, true, hot)
 	// Functions compile in a queue: a at 3s, b at 6s, c at 9s.
 	if r.Optimized("c", 8*time.Second) {
 		t.Fatal("c optimized before its queue slot")
@@ -68,9 +91,9 @@ func TestSeededRampMuchFasterThanSelf(t *testing.T) {
 		hot[i] = fmt.Sprintf("f%02d", i)
 	}
 	seeded := NewRuntime(p)
-	seeded.SwitchVersion(1, 0, true, hot)
+	seeded.SwitchVersion(0, true, hot)
 	selfp := NewRuntime(p)
-	selfp.SwitchVersion(1, 0, false, hot)
+	selfp.SwitchVersion(0, false, hot)
 	for _, fn := range hot {
 		selfp.SpeedFactor(fn, 0) // traffic arrives immediately
 	}
@@ -101,24 +124,21 @@ func TestSwitchVersionResetsState(t *testing.T) {
 	r := NewRuntime(p)
 	r.SpeedFactor("f", 0)
 	r.SpeedFactor("f", sim.Time(ProfileTime+CompileDelay)) // optimized
-	r.SwitchVersion(2, 0, false, nil)
-	if r.Version() != 2 {
-		t.Fatalf("version = %d", r.Version())
-	}
+	r.SwitchVersion(0, false, nil)
 	if r.Optimized("f", sim.Time(ProfileTime+CompileDelay)) {
 		t.Fatal("optimization survived a code push")
 	}
 }
 
 type fakeTarget struct {
-	version int
-	seeded  bool
-	at      sim.Time
-	engine  *sim.Engine
+	switched bool
+	seeded   bool
+	at       sim.Time
+	engine   *sim.Engine
 }
 
-func (f *fakeTarget) SwitchVersion(v int, seeded bool, hot []string) {
-	f.version = v
+func (f *fakeTarget) SwitchVersion(seeded bool, hot []string) {
+	f.switched = true
 	f.seeded = seeded
 	f.at = f.engine.Now()
 }
@@ -132,12 +152,12 @@ func TestDistributorPhases(t *testing.T) {
 		targets[i] = &fakeTarget{engine: e}
 		group[i] = targets[i]
 	}
-	d.Push(7, [][]Target{group}, []string{"hot"})
+	d.Push([][]Target{group}, []string{"hot"})
 	e.RunFor(2 * time.Hour)
 
 	var phase1, phase2, phase3 int
 	for _, ft := range targets {
-		if ft.version != 7 {
+		if !ft.switched {
 			t.Fatal("target missed the push")
 		}
 		switch {
@@ -169,9 +189,9 @@ func TestDistributorTinyGroup(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDistributor(e)
 	ft := &fakeTarget{engine: e}
-	d.Push(1, [][]Target{{ft}}, nil)
+	d.Push([][]Target{{ft}}, nil)
 	e.RunFor(time.Hour)
-	if ft.version != 1 {
+	if !ft.switched {
 		t.Fatal("single-worker group missed the push")
 	}
 }
@@ -200,9 +220,9 @@ func TestDistributorSkipsEmptyGroup(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDistributor(e)
 	ft := &fakeTarget{engine: e}
-	d.Push(2, [][]Target{{}, {ft}}, nil)
+	d.Push([][]Target{{}, {ft}}, nil)
 	e.RunFor(time.Hour)
-	if ft.version != 2 {
+	if !ft.switched {
 		t.Fatal("non-empty group missed the push")
 	}
 }

@@ -151,9 +151,6 @@ func (l *Log) SetFlushLag(lag time.Duration) {
 	l.flusher = l.engine.Every(lag, l.flush)
 }
 
-// FlushLag returns the current sync-horizon lag.
-func (l *Log) FlushLag() time.Duration { return l.flushLag }
-
 // Append adds one record and returns its sequence number. With a zero
 // flush lag the record is durable immediately; otherwise it sits in the
 // torn-tail window until the next flush tick.

@@ -1,22 +1,13 @@
 // Package kv is a minimal sharded key-value store. XFaaS submitters use it
 // to offload large function arguments out of the DurableQ write path
-// (paper §4.2); the store also backs the Utilization Controller's shared
-// scaling factor (paper §4.6.2 stores S "in a database").
+// (paper §4.2).
 package kv
 
-import (
-	"errors"
-	"fmt"
-	"hash/fnv"
-)
+import "hash/fnv"
 
-// ErrNotFound is returned by Get for a missing key.
-var ErrNotFound = errors.New("kv: key not found")
-
-// Store is a sharded in-memory key-value store with byte accounting.
+// Store is a sharded in-memory key-value store.
 type Store struct {
 	shards []map[string][]byte
-	bytes  int64
 }
 
 // NewStore returns a store with the given shard count (min 1).
@@ -38,40 +29,4 @@ func (s *Store) shardOf(key string) map[string][]byte {
 }
 
 // Put stores value under key, replacing any previous value.
-func (s *Store) Put(key string, value []byte) {
-	sh := s.shardOf(key)
-	if old, ok := sh[key]; ok {
-		s.bytes -= int64(len(old))
-	}
-	sh[key] = value
-	s.bytes += int64(len(value))
-}
-
-// Get returns the value stored under key.
-func (s *Store) Get(key string) ([]byte, error) {
-	if v, ok := s.shardOf(key)[key]; ok {
-		return v, nil
-	}
-	return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-}
-
-// Delete removes key; deleting a missing key is a no-op.
-func (s *Store) Delete(key string) {
-	sh := s.shardOf(key)
-	if old, ok := sh[key]; ok {
-		s.bytes -= int64(len(old))
-		delete(sh, key)
-	}
-}
-
-// Bytes returns the total stored payload size.
-func (s *Store) Bytes() int64 { return s.bytes }
-
-// Len returns the number of stored keys.
-func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += len(sh)
-	}
-	return n
-}
+func (s *Store) Put(key string, value []byte) { s.shardOf(key)[key] = value }

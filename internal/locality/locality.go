@@ -179,23 +179,3 @@ func (a *Assignment) Rebalance(measuredLoad []float64, totalWorkers int) {
 	a.GroupLoad = append([]float64(nil), measuredLoad...)
 	a.WorkerCounts = WorkerShares(measuredLoad, totalWorkers)
 }
-
-// SpreadTopHogs verifies (for tests and invariant checks) that the k
-// largest memory consumers are all in distinct groups; it reports the
-// first violation.
-func (a *Assignment) SpreadTopHogs(profiles []FuncProfile, k int) bool {
-	if k > a.Groups {
-		k = a.Groups
-	}
-	sorted := append([]FuncProfile(nil), profiles...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].MemMB > sorted[j].MemMB })
-	seen := make(map[int]bool)
-	for i := 0; i < k && i < len(sorted); i++ {
-		g := a.GroupOf(sorted[i].Name)
-		if seen[g] {
-			return false
-		}
-		seen[g] = true
-	}
-	return true
-}

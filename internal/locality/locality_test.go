@@ -2,6 +2,7 @@ package locality
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -37,10 +38,29 @@ func TestPartitionCoversAllFunctions(t *testing.T) {
 	}
 }
 
+// spreadTopHogs reports whether the k largest memory consumers are all in
+// distinct groups.
+func (a *Assignment) spreadTopHogs(profiles []FuncProfile, k int) bool {
+	if k > a.Groups {
+		k = a.Groups
+	}
+	sorted := append([]FuncProfile(nil), profiles...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].MemMB > sorted[j].MemMB })
+	seen := make(map[int]bool)
+	for i := 0; i < k && i < len(sorted); i++ {
+		g := a.GroupOf(sorted[i].Name)
+		if seen[g] {
+			return false
+		}
+		seen[g] = true
+	}
+	return true
+}
+
 func TestMemoryHogsSpread(t *testing.T) {
 	ps := profiles(200, rng.New(2))
 	a := Partition(ps, 10, 100)
-	if !a.SpreadTopHogs(ps, 10) {
+	if !a.spreadTopHogs(ps, 10) {
 		t.Fatal("top-10 memory hogs share a group")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"xfaas/internal/config"
 	"xfaas/internal/function"
 	"xfaas/internal/rng"
-	"xfaas/internal/sim"
 	"xfaas/internal/worker"
 )
 
@@ -29,8 +28,6 @@ import (
 // the push pipeline extracted verbatim; competitor policies recombine
 // them with the finer-grained levers below.
 type Host interface {
-	// Now returns the simulation clock.
-	Now() sim.Time
 	// Rand returns the policy's RNG stream, split lazily from the
 	// scheduler's source on first use. The push policy never calls it,
 	// keeping the scheduler's draw sequence untouched.

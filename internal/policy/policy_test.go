@@ -7,7 +7,6 @@ import (
 	"xfaas/internal/config"
 	"xfaas/internal/function"
 	"xfaas/internal/rng"
-	"xfaas/internal/sim"
 	"xfaas/internal/worker"
 )
 
@@ -26,7 +25,6 @@ type fakeHost struct {
 	warmed []string
 }
 
-func (h *fakeHost) Now() sim.Time { return 0 }
 func (h *fakeHost) Rand() *rng.Source {
 	if h.src == nil {
 		h.src = rng.New(1)

@@ -57,40 +57,12 @@ func LocalFirstPolicy(topo *cluster.Topology, localFrac float64) RoutingPolicy {
 	return p
 }
 
-// Validate checks the policy is row-stochastic over n regions.
-func (p RoutingPolicy) Validate(n int) bool {
-	if len(p) != n {
-		return false
-	}
-	for _, row := range p {
-		if len(row) != n {
-			return false
-		}
-		sum := 0.0
-		for _, v := range row {
-			if v < 0 {
-				return false
-			}
-			sum += v
-		}
-		if sum < 0.999999 || sum > 1.000001 {
-			return false
-		}
-	}
-	return true
-}
-
 // LB is one region's queue load balancer.
 type LB struct {
 	region cluster.RegionID
 	src    *rng.Source
 	shards [][]*durableq.Shard // indexed by region
 	cache  *config.Cache
-
-	// down marks the window between Crash and Restart: the routing
-	// process is gone and every Route fails, so the submitter tier drops
-	// the flush (the client sees failed submissions) until it returns.
-	down bool
 
 	// drained marks regions under an evacuation drill: pickShard refuses
 	// them, so the normal fallback chain (policy destination → local →
@@ -102,11 +74,8 @@ type LB struct {
 	Routed      stats.Counter
 	CrossRegion stats.Counter
 	// Unroutable counts submissions dropped because no shard anywhere was
-	// available (total durable-queue outage) or because the LB process
-	// itself is down.
+	// available (total durable-queue outage).
 	Unroutable stats.Counter
-	// Crashes counts Crash invocations.
-	Crashes stats.Counter
 	// Obs, when set, hears routing decisions.
 	Obs *lifecycle.Spine
 
@@ -131,19 +100,6 @@ type LB struct {
 	// PolicyPlaced counts submissions the hook placed.
 	PolicyPlaced stats.Counter
 }
-
-// SetDown marks the LB process crashed (true) or recovered (false); the
-// LB is stateless (its policy lives in the config store), so recovery is
-// purely a restart delay — the chaos injector schedules it.
-func (lb *LB) SetDown(down bool) {
-	if down {
-		lb.Crashes.Inc()
-	}
-	lb.down = down
-}
-
-// IsDown reports whether the LB is crashed and not yet restarted.
-func (lb *LB) IsDown() bool { return lb.down }
 
 // New returns a QueueLB for region, routing over the per-region shard
 // pools, with the routing policy subscribed from store.
@@ -205,7 +161,7 @@ func (lb *LB) pickRegion() cluster.RegionID {
 // platform partition. It reports whether the call found a home — locally
 // persisted or handed off.
 func (lb *LB) RouteOK(c *function.Call) bool {
-	if lb.Remote != nil && !lb.down && lb.RemoteFrac > 0 && lb.src.Float64() < lb.RemoteFrac {
+	if lb.Remote != nil && lb.RemoteFrac > 0 && lb.src.Float64() < lb.RemoteFrac {
 		if lb.Remote(c) {
 			lb.RemoteForwarded.Inc()
 			return true
@@ -219,10 +175,6 @@ func (lb *LB) RouteOK(c *function.Call) bool {
 // shard. It returns nil only when every shard everywhere is down (the
 // submitter reports the submission failure to the client).
 func (lb *LB) Route(c *function.Call) *durableq.Shard {
-	if lb.down {
-		lb.Unroutable.Inc()
-		return nil
-	}
 	dst := lb.placeOrPick(c)
 	if shard := lb.pickShard(dst); shard != nil {
 		lb.finishRoute(c, shard, dst)

@@ -44,17 +44,8 @@ func (b *TokenBucket) Allow(now sim.Time, n float64) bool {
 	return true
 }
 
-// Level returns the current token level (after refilling to now).
-func (b *TokenBucket) Level(now sim.Time) float64 {
-	b.refill(now)
-	return b.level
-}
-
 // Rate returns the sustained refill rate.
 func (b *TokenBucket) Rate() float64 { return b.rate }
-
-// Burst returns the bucket capacity.
-func (b *TokenBucket) Burst() float64 { return b.burst }
 
 // SetRate changes the sustained rate going forward.
 func (b *TokenBucket) SetRate(now sim.Time, rate float64) {

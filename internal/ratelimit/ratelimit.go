@@ -199,9 +199,6 @@ func (c *Central) CurrentRPS(spec *function.Spec) float64 {
 	return c.state(spec).rate.PerSecond(c.engine.Now())
 }
 
-// Window returns the RPS measurement window.
-func (c *Central) Window() time.Duration { return c.window }
-
 // TakePeakAllowedRPS returns the largest RPS the limiter could have
 // legitimately admitted over the measurement window since the last call
 // — the high-watermark limit plus the burst allowance amortized over the

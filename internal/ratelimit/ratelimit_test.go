@@ -123,6 +123,12 @@ func TestRecordCostShiftsLimit(t *testing.T) {
 	}
 }
 
+// levelAt returns the token level after refilling to now.
+func (b *TokenBucket) levelAt(now sim.Time) float64 {
+	b.refill(now)
+	return b.level
+}
+
 func TestTokenBucketBasics(t *testing.T) {
 	b := NewTokenBucket(10, 20)
 	if !b.Allow(0, 20) {
@@ -134,14 +140,14 @@ func TestTokenBucketBasics(t *testing.T) {
 	if !b.Allow(time.Second, 10) {
 		t.Fatal("refill after 1s should grant 10 tokens")
 	}
-	if b.Level(time.Second) != 0 {
-		t.Fatalf("level = %v", b.Level(time.Second))
+	if b.levelAt(time.Second) != 0 {
+		t.Fatalf("level = %v", b.levelAt(time.Second))
 	}
 }
 
 func TestTokenBucketCapsAtBurst(t *testing.T) {
 	b := NewTokenBucket(10, 20)
-	if lvl := b.Level(time.Hour); lvl != 20 {
+	if lvl := b.levelAt(time.Hour); lvl != 20 {
 		t.Fatalf("level = %v, want capped at 20", lvl)
 	}
 }
@@ -168,7 +174,7 @@ func TestTokenBucketConservation(t *testing.T) {
 			if b.Allow(now, n) {
 				granted += n
 			}
-			lvl := b.Level(now)
+			lvl := b.levelAt(now)
 			if lvl < 0 || lvl > 10 {
 				return false
 			}
@@ -218,12 +224,12 @@ func TestCurrentRPSTracksAdmission(t *testing.T) {
 
 func TestTokenBucketSetBurst(t *testing.T) {
 	b := NewTokenBucket(10, 100)
-	if b.Burst() != 100 {
-		t.Fatalf("burst = %v", b.Burst())
+	if b.burst != 100 {
+		t.Fatalf("burst = %v", b.burst)
 	}
 	b.SetBurst(0, 5)
-	if b.Level(0) > 5 {
-		t.Fatalf("level not clamped: %v", b.Level(0))
+	if b.levelAt(0) > 5 {
+		t.Fatalf("level not clamped: %v", b.levelAt(0))
 	}
 	defer func() {
 		if recover() == nil {

@@ -95,21 +95,9 @@ func New(engine *sim.Engine, params Params, store *config.Store, sources ...Sour
 	return r
 }
 
-// Register adds a source after construction.
-func (r *RIM) Register(s Source) { r.sources = append(r.sources, s) }
-
 // MultiplierFor returns the current advice for a component (1 when
 // unknown) — the scheduler-side read path.
 func (r *RIM) MultiplierFor(name string) float64 { return r.current.Multiplier(name) }
-
-// Current returns a copy of the advice map in name order.
-func (r *RIM) Current() Advice {
-	out := make(Advice, len(r.current))
-	for k, v := range r.current {
-		out[k] = v
-	}
-	return out
-}
 
 func (r *RIM) collect() {
 	advice := make(Advice, len(r.sources))

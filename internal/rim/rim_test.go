@@ -70,30 +70,6 @@ func TestPublishesThroughConfigStore(t *testing.T) {
 	}
 }
 
-func TestRegisterAfterConstruction(t *testing.T) {
-	e := sim.NewEngine()
-	r := New(e, DefaultParams(), config.NewStore(e))
-	r.Register(&fakeSource{name: "late", util: 3})
-	e.RunFor(time.Minute)
-	if m := r.MultiplierFor("late"); m != 0.05 {
-		t.Fatalf("late source multiplier = %v", m)
-	}
-	if r.Constrained.Value() == 0 {
-		t.Fatal("constrained publications not counted")
-	}
-}
-
-func TestCurrentIsACopy(t *testing.T) {
-	e := sim.NewEngine()
-	r := New(e, DefaultParams(), config.NewStore(e), &fakeSource{name: "a", util: 0})
-	e.RunFor(time.Minute)
-	c := r.Current()
-	c["a"] = 0.001
-	if r.MultiplierFor("a") != 1 {
-		t.Fatal("Current exposed internal state")
-	}
-}
-
 func TestInvalidParamsPanic(t *testing.T) {
 	e := sim.NewEngine()
 	p := DefaultParams()

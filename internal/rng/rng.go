@@ -1,6 +1,6 @@
 // Package rng provides a small, fast, deterministic random number
 // generator with splittable streams, plus the distributions the XFaaS
-// workload models need (exponential, Poisson, lognormal, Pareto, Zipf).
+// workload models need (Poisson, normal, lognormal, Zipf).
 //
 // The generator is SplitMix64-seeded xoshiro256**, which is the same family
 // the Go runtime uses; we implement it ourselves so that simulation traces
@@ -65,14 +65,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (s *Source) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with non-positive n")
-	}
-	return int64(s.Uint64() % uint64(n))
-}
-
 // Range returns a uniform float64 in [lo, hi).
 func (s *Source) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
@@ -80,15 +72,6 @@ func (s *Source) Range(lo, hi float64) float64 {
 
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.Float64() < p }
-
-// Exp returns an exponentially distributed value with the given mean.
-func (s *Source) Exp(mean float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return -mean * math.Log(u)
-}
 
 // Poisson returns a Poisson-distributed count with the given mean, using
 // Knuth's method for small means and a normal approximation above 64 where
@@ -132,15 +115,6 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.Normal())
 }
 
-// Pareto returns a Pareto(ale=xm, shape=alpha) variate: xm / U^(1/alpha).
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -152,56 +126,6 @@ func (s *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomly reorders n elements via swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// LogNormalFromQuantiles returns (mu, sigma) of the lognormal whose median
-// is p50 and whose q-quantile is pq (q in (0.5, 1)). It is how we fit the
-// paper's Table 3 percentile pairs into generators.
-func LogNormalFromQuantiles(p50, pq, q float64) (mu, sigma float64) {
-	if p50 <= 0 || pq <= p50 || q <= 0.5 || q >= 1 {
-		panic("rng: invalid lognormal quantile fit")
-	}
-	mu = math.Log(p50)
-	z := NormalQuantile(q)
-	sigma = (math.Log(pq) - mu) / z
-	return mu, sigma
-}
-
-// NormalQuantile returns the standard normal quantile for p in (0, 1)
-// using the Acklam rational approximation (relative error < 1.15e-9).
-func NormalQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic("rng: NormalQuantile domain")
-	}
-	// Coefficients of the Acklam approximation.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02, 1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02, 6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00, -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00, 3.754408661907416e+00}
-	const plow, phigh = 0.02425, 1 - 0.02425
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p > phigh:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	default:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	}
 }
 
 // Zipf draws from a Zipf distribution over [0, n) with exponent s > 1 is

@@ -62,19 +62,6 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	s := New(11)
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += s.Exp(2.5)
-	}
-	mean := sum / n
-	if math.Abs(mean-2.5) > 0.05 {
-		t.Fatalf("Exp mean = %v, want ≈2.5", mean)
-	}
-}
-
 func TestPoissonMean(t *testing.T) {
 	s := New(13)
 	for _, mean := range []float64{0.5, 3, 20, 200} {
@@ -128,61 +115,6 @@ func TestLogNormalMedian(t *testing.T) {
 	frac := float64(below) / n
 	if math.Abs(frac-0.5) > 0.01 {
 		t.Fatalf("lognormal median fraction = %v", frac)
-	}
-}
-
-func TestLogNormalFromQuantiles(t *testing.T) {
-	mu, sigma := LogNormalFromQuantiles(100, 10000, 0.99)
-	s := New(23)
-	var sample []float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		sample = append(sample, s.LogNormal(mu, sigma))
-	}
-	var under50, under99 int
-	for _, v := range sample {
-		if v < 100 {
-			under50++
-		}
-		if v < 10000 {
-			under99++
-		}
-	}
-	if f := float64(under50) / n; math.Abs(f-0.5) > 0.01 {
-		t.Fatalf("fitted p50 off: fraction below=%v", f)
-	}
-	if f := float64(under99) / n; math.Abs(f-0.99) > 0.005 {
-		t.Fatalf("fitted p99 off: fraction below=%v", f)
-	}
-}
-
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999} {
-		z := NormalQuantile(p)
-		// Φ(z) via erf.
-		back := 0.5 * (1 + math.Erf(z/math.Sqrt2))
-		if math.Abs(back-p) > 1e-6 {
-			t.Fatalf("NormalQuantile(%v) = %v, Φ back = %v", p, z, back)
-		}
-	}
-}
-
-func TestParetoTail(t *testing.T) {
-	s := New(29)
-	const n = 100000
-	var above int
-	for i := 0; i < n; i++ {
-		v := s.Pareto(1, 2)
-		if v < 1 {
-			t.Fatalf("Pareto below scale: %v", v)
-		}
-		if v > 10 {
-			above++
-		}
-	}
-	// P(X>10) = (1/10)^2 = 0.01.
-	if f := float64(above) / n; math.Abs(f-0.01) > 0.004 {
-		t.Fatalf("Pareto tail fraction = %v, want ≈0.01", f)
 	}
 }
 

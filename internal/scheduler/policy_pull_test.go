@@ -58,8 +58,8 @@ func TestPullPolicyDrawSequence(t *testing.T) {
 	schedSrc := src.Split()
 	sched := New(engine, schedSrc, 0, params, [][]*durableq.Shard{{shard}}, lb, cen, cong, store)
 	sched.Obs = lifecycle.New(engine, rec, nil, nil)
-	if sched.Policy().Name() != config.PolicyPull {
-		t.Fatalf("installed policy %q", sched.Policy().Name())
+	if sched.pol.Name() != config.PolicyPull {
+		t.Fatalf("installed policy %q", sched.pol.Name())
 	}
 
 	// Mirror the policy stream: New attaches the policy before anything
@@ -192,7 +192,7 @@ func TestPolicyFactoryOverride(t *testing.T) {
 	params.Policy, _ = config.PolicyByName(config.PolicyPull) // must be ignored
 	params.PolicyFactory = func() policy.Policy { return probe }
 	sched := New(engine, src.Split(), 0, params, [][]*durableq.Shard{{shard}}, lb, cen, cong, store)
-	if sched.Policy() != probe {
+	if sched.pol != probe {
 		t.Fatal("PolicyFactory did not override the named policy")
 	}
 
@@ -254,9 +254,6 @@ func TestForecastPoliciesDriveHostSurface(t *testing.T) {
 		engine.RunFor(time.Minute)
 		if got := sched.Dispatched.Value(); got != 30 {
 			t.Fatalf("%s: dispatched %v of 30 calls", name, got)
-		}
-		if now := sched.Now(); now != engine.Now() {
-			t.Fatalf("%s: Host.Now() = %v, engine at %v", name, now, engine.Now())
 		}
 		// The periodic pre-warm pass must have warmed the one hot
 		// function: its next execution runs at full JIT speed.

@@ -20,7 +20,7 @@ func resilRig(params Params) *rig {
 	wp.CPUMIPS = 100000
 	r.pool[0] = worker.New(worker.ID{}, r.engine, wp, rng.New(1), nil)
 	r.lb = workerlb.New(rng.New(2), r.pool)
-	r.sched.Stop()
+	r.sched.Crash()
 	r.sched = New(r.engine, rng.New(3), 0, params, r.shards, r.lb, r.cen, r.cong, r.store)
 	return r
 }

@@ -384,14 +384,6 @@ func (s *Scheduler) buffersByName() []*FuncBuffer {
 	return s.byName
 }
 
-// Stop halts the scheduler (crash injection in tests). Leased calls left
-// behind stop being renewed and are redelivered by DurableQ lease
-// timeouts.
-func (s *Scheduler) Stop() {
-	s.ticker.Stop()
-	s.renewer.Stop()
-}
-
 // Crash models a scheduler process failure: every in-memory structure —
 // FuncBuffers, RunQ, origin map, in-flight tracking — is destroyed. The
 // DurableQ leases those calls held are orphaned (nobody renews them) and
@@ -449,9 +441,6 @@ func (s *Scheduler) Restart(delay time.Duration) {
 // IsDown reports whether the replica is crashed and not yet restarted.
 func (s *Scheduler) IsDown() bool { return s.down }
 
-// IsolationChecker exposes the flow checker for inspection.
-func (s *Scheduler) IsolationChecker() *isolation.Checker { return s.check }
-
 // Buffered returns the number of calls across all FuncBuffers.
 func (s *Scheduler) Buffered() int {
 	n := 0
@@ -494,17 +483,11 @@ func (s *Scheduler) newPolicy() policy.Policy {
 	return policy.New(s.params.Policy)
 }
 
-// Policy returns the replica's installed policy (inspection in tests).
-func (s *Scheduler) Policy() policy.Policy { return s.pol }
-
 // The policy.Host surface. The Default* stages are the pre-policy tick
 // body verbatim; the finer-grained levers below them exist for the
 // competitor policies and are never invoked by push, so the default
 // remains byte-identical.
 var _ policy.Host = (*Scheduler)(nil)
-
-// Now implements policy.Host.
-func (s *Scheduler) Now() sim.Time { return s.engine.Now() }
 
 // Rand implements policy.Host: the policy RNG, split from the
 // scheduler's source on first use. Push never calls it, so the
@@ -1041,9 +1024,6 @@ func (s *Scheduler) SetDraining(drain bool) {
 		s.releaseHeld()
 	}
 }
-
-// Draining reports whether the replica is in a drain.
-func (s *Scheduler) Draining() bool { return s.draining }
 
 // InFlight returns the number of calls currently executing on workers
 // under this replica (the drain controller's quiesce gate).

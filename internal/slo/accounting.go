@@ -268,26 +268,6 @@ func (a *Accountant) Tick(now sim.Time) {
 	}
 }
 
-// MeanUtilization advances all meters and returns cumulative fleet
-// utilization: total busy core-seconds over capacity × elapsed.
-func (a *Accountant) MeanUtilization(now sim.Time) float64 {
-	if a == nil || a.totalCap == 0 {
-		return 0
-	}
-	elapsed := (now - a.created).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	var busy float64
-	for _, m := range a.meters {
-		m.advanceTo(now)
-		for _, b := range m.busy {
-			busy += b
-		}
-	}
-	return busy / (a.totalCap * elapsed)
-}
-
 // Meters returns the registered worker meters (for the closure probe).
 func (a *Accountant) Meters() []*WorkerMeter {
 	if a == nil {

@@ -135,7 +135,7 @@ func TestNilSafety(t *testing.T) {
 	m.Waste("t", 100, time.Second)
 	var a *Accountant
 	a.OnExecuted(&function.Call{Spec: &function.Spec{}})
-	if a.MeanUtilization(sec(10)) != 0 || a.Meters() != nil {
+	if a.Meters() != nil {
 		t.Error("nil accountant not zero-valued")
 	}
 	if s := a.Snapshot(sec(10)); s.CapacityCores != 0 {
@@ -254,7 +254,7 @@ func TestWindowedTimeline(t *testing.T) {
 	if v := ts.Value(1); v != 0 {
 		t.Errorf("window 2 mean = %v, want 0 (fully idle)", v)
 	}
-	if u := a.MeanUtilization(sec(120)); u != 0.5 {
+	if u := a.Snapshot(sec(120)).Utilization; u != 0.5 {
 		t.Errorf("cumulative utilization = %v, want 0.5", u)
 	}
 }

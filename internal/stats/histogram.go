@@ -198,16 +198,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// Reset discards all observations.
-func (h *Histogram) Reset() {
-	h.counts = h.counts[:0]
-	h.underflow = 0
-	h.total = 0
-	h.sum = 0
-	h.max = 0
-	h.minSeen = math.Inf(1)
-}
-
 // Summary describes a distribution at the percentiles the paper reports.
 type Summary struct {
 	Count                   uint64

@@ -106,18 +106,3 @@ func TestHistogramMergeEmptyAndNegative(t *testing.T) {
 		t.Fatalf("a←b: max/sum = %v/%v", a.Max(), a.Sum())
 	}
 }
-
-// TestHistogramResetClearsMax checks Reset returns the histogram to the
-// empty state, including the seeded max.
-func TestHistogramResetClearsMax(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(-2)
-	h.Reset()
-	if h.Max() != 0 || h.Count() != 0 || h.Quantile(1) != 0 {
-		t.Fatalf("after Reset: max=%v count=%d q1=%v", h.Max(), h.Count(), h.Quantile(1))
-	}
-	h.Observe(-9)
-	if h.Max() != -9 {
-		t.Fatalf("Max after Reset+Observe = %v, want -9", h.Max())
-	}
-}

@@ -57,18 +57,6 @@ func (p *PromWriter) Sample(name, labels string, v float64) {
 	p.printf("%s%s %s\n", name, labels, promFloat(v))
 }
 
-// Counter emits a counter family with one unlabeled sample.
-func (p *PromWriter) Counter(name string, c *Counter) {
-	p.Type(name, "counter")
-	p.Sample(name, "", c.Value())
-}
-
-// Gauge emits a gauge family with one unlabeled sample.
-func (p *PromWriter) Gauge(name string, g *Gauge) {
-	p.Type(name, "gauge")
-	p.Sample(name, "", g.Value())
-}
-
 // histQuantiles are the percentiles exposed per histogram, matching the
 // ones the paper reports.
 var histQuantiles = []float64{0.5, 0.95, 0.99}
@@ -97,10 +85,6 @@ func (r *Registry) WritePrometheus(w io.Writer, prefix string) error {
 	p := NewPromWriter(w)
 	for _, kn := range r.Names() {
 		switch {
-		case len(kn) > 8 && kn[:8] == "counter/":
-			p.Counter(prefix+SanitizeName(kn[8:]), r.counters[kn[8:]])
-		case len(kn) > 6 && kn[:6] == "gauge/":
-			p.Gauge(prefix+SanitizeName(kn[6:]), r.gauges[kn[6:]])
 		case len(kn) > 10 && kn[:10] == "histogram/":
 			p.Histogram(prefix+SanitizeName(kn[10:]), "", r.hists[kn[10:]])
 		case len(kn) > 7 && kn[:7] == "series/":
@@ -115,25 +99,25 @@ func (r *Registry) WritePrometheus(w io.Writer, prefix string) error {
 			v := r.cvecs[kn[11:]]
 			name := prefix + SanitizeName(kn[11:])
 			p.Type(name, "counter")
-			v.Do(func(vals []string, c *Counter) {
-				p.Sample(name, labelPairs(v.Labels(), vals), c.Value())
+			v.vec.do(func(vals []string, c *Counter) {
+				p.Sample(name, labelPairs(v.vec.labels, vals), c.Value())
 			})
 		case len(kn) > 9 && kn[:9] == "gaugevec/":
 			v := r.gvecs[kn[9:]]
 			name := prefix + SanitizeName(kn[9:])
 			p.Type(name, "gauge")
-			v.Do(func(vals []string, g *Gauge) {
-				p.Sample(name, labelPairs(v.Labels(), vals), g.Value())
+			v.vec.do(func(vals []string, g *Gauge) {
+				p.Sample(name, labelPairs(v.vec.labels, vals), g.v)
 			})
 		case len(kn) > 10 && kn[:10] == "seriesvec/":
 			v := r.svecs[kn[10:]]
 			name := prefix + SanitizeName(kn[10:])
 			p.Type(name, "gauge")
-			v.Do(func(vals []string, ts *TimeSeries) {
+			v.vec.do(func(vals []string, ts *TimeSeries) {
 				if ts.Len() == 0 {
 					return
 				}
-				p.Sample(name, labelPairs(v.Labels(), vals), ts.Value(ts.Len()-1))
+				p.Sample(name, labelPairs(v.vec.labels, vals), ts.Value(ts.Len()-1))
 			})
 		}
 	}

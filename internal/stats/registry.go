@@ -29,12 +29,6 @@ type Gauge struct{ v float64 }
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.v = v }
 
-// Add adjusts the gauge by d (may be negative).
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
 // WindowRate measures an event rate over a sliding window of fixed-width
 // slots on the virtual timeline — the structure behind every
 // "exceptions per minute" and "RPS" decision in the congestion code.
@@ -105,46 +99,22 @@ func (w *WindowRate) PerSecond(now time.Duration) float64 {
 // metrics through a registry so the experiment harness can enumerate and
 // snapshot them.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	series   map[string]*TimeSeries
-	cvecs    map[string]*CounterVec
-	gvecs    map[string]*GaugeVec
-	svecs    map[string]*SeriesVec
+	hists  map[string]*Histogram
+	series map[string]*TimeSeries
+	cvecs  map[string]*CounterVec
+	gvecs  map[string]*GaugeVec
+	svecs  map[string]*SeriesVec
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		series:   map[string]*TimeSeries{},
-		cvecs:    map[string]*CounterVec{},
-		gvecs:    map[string]*GaugeVec{},
-		svecs:    map[string]*SeriesVec{},
+		hists:  map[string]*Histogram{},
+		series: map[string]*TimeSeries{},
+		cvecs:  map[string]*CounterVec{},
+		gvecs:  map[string]*GaugeVec{},
+		svecs:  map[string]*SeriesVec{},
 	}
-}
-
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns (creating if needed) the named histogram.
@@ -171,12 +141,6 @@ func (r *Registry) Series(name string, step time.Duration, mode SeriesMode) *Tim
 // Names returns all metric names, sorted, prefixed with their kind.
 func (r *Registry) Names() []string {
 	var names []string
-	for n := range r.counters {
-		names = append(names, "counter/"+n)
-	}
-	for n := range r.gauges {
-		names = append(names, "gauge/"+n)
-	}
 	for n := range r.hists {
 		names = append(names, "histogram/"+n)
 	}
@@ -196,33 +160,7 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Dump renders a human-readable snapshot, for debugging CLIs.
-func (r *Registry) Dump() string {
-	out := ""
-	for _, n := range r.Names() {
-		switch {
-		case len(n) > 8 && n[:8] == "counter/":
-			out += fmt.Sprintf("%s = %g\n", n, r.counters[n[8:]].Value())
-		case len(n) > 6 && n[:6] == "gauge/":
-			out += fmt.Sprintf("%s = %g\n", n, r.gauges[n[6:]].Value())
-		case len(n) > 10 && n[:10] == "histogram/":
-			out += fmt.Sprintf("%s: %s\n", n, r.hists[n[10:]].Summarize())
-		case len(n) > 11 && n[:11] == "countervec/":
-			v := r.cvecs[n[11:]]
-			v.Do(func(vals []string, c *Counter) {
-				out += fmt.Sprintf("%s{%s} = %g\n", n, labelPairs(v.Labels(), vals), c.Value())
-			})
-		case len(n) > 9 && n[:9] == "gaugevec/":
-			v := r.gvecs[n[9:]]
-			v.Do(func(vals []string, g *Gauge) {
-				out += fmt.Sprintf("%s{%s} = %g\n", n, labelPairs(v.Labels(), vals), g.Value())
-			})
-		}
-	}
-	return out
-}
-
-// labelPairs renders name="value" pairs for Dump and exposition output.
+// labelPairs renders name="value" pairs for exposition output.
 func labelPairs(names, values []string) string {
 	out := ""
 	for i, n := range names {

@@ -38,9 +38,6 @@ func NewTimeSeries(step time.Duration, mode SeriesMode) *TimeSeries {
 	return &TimeSeries{step: step, mode: mode}
 }
 
-// Step returns the bin width.
-func (ts *TimeSeries) Step() time.Duration { return ts.step }
-
 func (ts *TimeSeries) binFor(at time.Duration) int {
 	if len(ts.sums) == 0 {
 		ts.start = at - (at % ts.step)
@@ -99,11 +96,6 @@ func (ts *TimeSeries) Values() []float64 {
 		out[i] = ts.Value(i)
 	}
 	return out
-}
-
-// TimeOf returns the start time of bin i.
-func (ts *TimeSeries) TimeOf(i int) time.Duration {
-	return ts.start + time.Duration(i)*ts.step
 }
 
 // PeakToTrough returns max/min over the bins. Returns 0 if fewer than 2

@@ -56,8 +56,6 @@ func (v *vec[M]) do(fn func(values []string, m *M)) {
 	}
 }
 
-func (v *vec[M]) len() int { return len(v.children) }
-
 // CounterVec is a family of counters keyed by label values.
 type CounterVec struct {
 	name string
@@ -67,15 +65,6 @@ type CounterVec struct {
 // With returns (creating if needed) the child for the given label values.
 func (c *CounterVec) With(values ...string) *Counter { return c.vec.with(values) }
 
-// Labels returns the family's label names.
-func (c *CounterVec) Labels() []string { return c.vec.labels }
-
-// Do visits children in sorted label order.
-func (c *CounterVec) Do(fn func(values []string, m *Counter)) { c.vec.do(fn) }
-
-// Len returns the number of children.
-func (c *CounterVec) Len() int { return c.vec.len() }
-
 // GaugeVec is a family of gauges keyed by label values.
 type GaugeVec struct {
 	name string
@@ -84,15 +73,6 @@ type GaugeVec struct {
 
 // With returns (creating if needed) the child for the given label values.
 func (g *GaugeVec) With(values ...string) *Gauge { return g.vec.with(values) }
-
-// Labels returns the family's label names.
-func (g *GaugeVec) Labels() []string { return g.vec.labels }
-
-// Do visits children in sorted label order.
-func (g *GaugeVec) Do(fn func(values []string, m *Gauge)) { g.vec.do(fn) }
-
-// Len returns the number of children.
-func (g *GaugeVec) Len() int { return g.vec.len() }
 
 // SeriesVec is a family of time series keyed by label values. Step and
 // mode are fixed per family and apply to every child.
@@ -105,15 +85,6 @@ type SeriesVec struct {
 
 // With returns (creating if needed) the child for the given label values.
 func (s *SeriesVec) With(values ...string) *TimeSeries { return s.vec.with(values) }
-
-// Labels returns the family's label names.
-func (s *SeriesVec) Labels() []string { return s.vec.labels }
-
-// Do visits children in sorted label order.
-func (s *SeriesVec) Do(fn func(values []string, m *TimeSeries)) { s.vec.do(fn) }
-
-// Len returns the number of children.
-func (s *SeriesVec) Len() int { return s.vec.len() }
 
 // CounterVec returns (creating if needed) the named counter family.
 // Label names apply only on creation; asking for an existing family with

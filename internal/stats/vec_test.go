@@ -14,11 +14,11 @@ func TestCounterVecSortedIteration(t *testing.T) {
 	v.With("r0", "reserved").Inc()
 	v.With("r0", "opportunistic").Add(2)
 	v.With("r1", "reserved").Inc() // same child again
-	if v.Len() != 3 {
-		t.Fatalf("len = %d, want 3", v.Len())
+	if n := len(v.vec.children); n != 3 {
+		t.Fatalf("len = %d, want 3", n)
 	}
 	var got []string
-	v.Do(func(vals []string, c *Counter) {
+	v.vec.do(func(vals []string, c *Counter) {
 		got = append(got, strings.Join(vals, "/")+"="+promFloat(c.Value()))
 	})
 	want := []string{"r0/opportunistic=2", "r0/reserved=1", "r1/reserved=4"}
@@ -83,9 +83,7 @@ func TestRegistryNamesIncludeVecs(t *testing.T) {
 // drift must be a conscious choice.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("acked_total").Add(41)
-	r.Counter("acked_total").Inc()
-	r.Gauge("pending").Set(7.5)
+	r.GaugeVec("pending", "shard").With("s0").Set(7.5)
 	h := r.Histogram("e2e_seconds")
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i) / 100)
@@ -102,13 +100,11 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if err := r.WritePrometheus(&buf, "xfaas_"); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
-	golden := `# TYPE xfaas_acked_total counter
-xfaas_acked_total 42
-# TYPE xfaas_completions_total counter
+	golden := `# TYPE xfaas_completions_total counter
 xfaas_completions_total{region="r0",quota="reserved"} 10
 xfaas_completions_total{region="r1",quota="opportunistic"} 5
 # TYPE xfaas_pending gauge
-xfaas_pending 7.5
+xfaas_pending{shard="s0"} 7.5
 # TYPE xfaas_e2e_seconds summary
 xfaas_e2e_seconds{quantile="0.5"} ` + promFloat(h.Quantile(0.5)) + `
 xfaas_e2e_seconds{quantile="0.95"} ` + promFloat(h.Quantile(0.95)) + `

@@ -70,7 +70,7 @@ func TestCrashedSubmitterRejectsUntilRestart(t *testing.T) {
 	if err := f.sub.Submit("c", &function.Call{Spec: subSpec()}); err != nil {
 		t.Fatalf("submit after restart: %v", err)
 	}
-	f.sub.Flush()
+	f.sub.flush()
 	if f.shard.Pending() != 1 {
 		t.Fatalf("post-restart call not persisted: pending = %d", f.shard.Pending())
 	}

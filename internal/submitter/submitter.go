@@ -212,9 +212,6 @@ func (s *Submitter) flush() {
 	s.Batches.Inc()
 }
 
-// Flush forces out any buffered calls (tests and shutdown).
-func (s *Submitter) Flush() { s.flush() }
-
 // Crash models a submitter process failure: the in-memory batch buffer —
 // calls accepted from clients but not yet flushed to a DurableQ — dies
 // with the process. Those calls are terminally lost (the client got an
@@ -250,6 +247,3 @@ func (s *Submitter) IsDown() bool { return s.down }
 // accepted but not yet durably persisted, the first in-flight stage of
 // the conservation closure.
 func (s *Submitter) BatchLen() int { return len(s.batch) }
-
-// Pool returns which submitter set this instance belongs to.
-func (s *Submitter) Pool() Pool { return s.pool }

@@ -214,19 +214,6 @@ func (w *Worker) CPUUtilization() float64 {
 	return u
 }
 
-// EachRunning visits every in-flight call in ascending call-ID order
-// (deterministic for the invariant checker's cross-worker scans).
-func (w *Worker) EachRunning(fn func(*function.Call)) {
-	ids := make([]uint64, 0, len(w.running))
-	for id := range w.running {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		fn(w.running[id].call)
-	}
-}
-
 // AccountingDrift recomputes the worker's resource books from first
 // principles and returns the signed error of each cached aggregate:
 // cpuInUse vs the sum of running calls' rates, workMem vs their working
@@ -483,9 +470,6 @@ func (w *Worker) SetSlowdown(factor float64) {
 	w.slowdown = factor
 }
 
-// Slowdown returns the current gray-degradation factor (1 = nominal).
-func (w *Worker) Slowdown() float64 { return w.slowdown }
-
 // Probe answers a health check. ok is false when the worker is down
 // (loudly or silently); otherwise the returned slowdown factor is the
 // prober's proxy for response latency, exposing gray degradation.
@@ -620,6 +604,6 @@ func (w *Worker) loadCode(spec *function.Spec, now sim.Time) *codeEntry {
 
 // SwitchVersion implements jit.Target so the code-push distributor can
 // roll new code to this worker.
-func (w *Worker) SwitchVersion(v int, seeded bool, hot []string) {
-	w.Runtime.SwitchVersion(v, w.engine.Now(), seeded, hot)
+func (w *Worker) SwitchVersion(seeded bool, hot []string) {
+	w.Runtime.SwitchVersion(w.engine.Now(), seeded, hot)
 }

@@ -258,9 +258,9 @@ func TestFailedCallReleasesQuickly(t *testing.T) {
 func TestSwitchVersionTarget(t *testing.T) {
 	e := sim.NewEngine()
 	w := newWorker(e, DefaultParams())
-	w.SwitchVersion(3, true, []string{"hot"})
-	if w.Runtime.Version() != 3 {
-		t.Fatalf("version = %d", w.Runtime.Version())
+	w.SwitchVersion(true, []string{"hot"})
+	if w.Runtime.SeededCompilations != 1 {
+		t.Fatalf("seeded compilations = %d, want the one hot function", w.Runtime.SeededCompilations)
 	}
 }
 
@@ -318,12 +318,12 @@ func TestWorkerRecoverColdRuntime(t *testing.T) {
 	// Warm the JIT.
 	w.TryExecute(testCall(s, 10, 1, 1), func(*function.Call, error) {})
 	e.RunFor(jit.ProfileTime + jit.CompileDelay + time.Minute)
-	if !w.Runtime.Optimized("f", e.Now()) {
+	if w.Runtime.SpeedFactor("f", e.Now()) != 1 {
 		t.Fatal("function should be optimized before failure")
 	}
 	w.Fail()
 	w.Recover()
-	if w.Runtime.Optimized("f", e.Now()) {
+	if w.Runtime.SpeedFactor("f", e.Now()) == 1 {
 		t.Fatal("JIT state survived a machine failure")
 	}
 	if !w.TryExecute(testCall(s, 10, 1, 1), func(*function.Call, error) {}) {
@@ -458,8 +458,8 @@ func TestSlowdownClampAndProbe(t *testing.T) {
 		t.Fatalf("healthy probe = (%v, %v)", ok, slow)
 	}
 	w.SetSlowdown(0.25) // speedups clamp to nominal
-	if w.Slowdown() != 1 {
-		t.Fatalf("slowdown = %v after clamp", w.Slowdown())
+	if w.slowdown != 1 {
+		t.Fatalf("slowdown = %v after clamp", w.slowdown)
 	}
 	w.SetSlowdown(8)
 	if ok, slow := w.Probe(); !ok || slow != 8 {

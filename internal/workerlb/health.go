@@ -80,15 +80,7 @@ func (lb *LB) StartHealthChecks(engine *sim.Engine) {
 			lb.index[w] = i
 		}
 	}
-	lb.prober = engine.Every(HeartbeatInterval, lb.probeAll)
-}
-
-// StopHealthChecks halts the prober (teardown in tests).
-func (lb *LB) StopHealthChecks() {
-	if lb.prober != nil {
-		lb.prober.Stop()
-		lb.prober = nil
-	}
+	engine.Every(HeartbeatInterval, lb.probeAll)
 }
 
 // OnWorkerDown registers fn to run when a worker transitions to detected
@@ -159,23 +151,14 @@ func (lb *LB) flipAllowed(h *workerHealth) bool {
 // the outlier scorer has ejected reads as Gray on top of either view, so
 // choose/Usable route around it with no extra logic.
 func (lb *LB) StateOf(w *worker.Worker) HealthState {
-	if lb.health == nil {
-		if w.Failed() {
-			return Dead
-		}
-		if lb.EjectedWorker(w) {
-			return Gray
-		}
-		return Healthy
-	}
 	i, ok := lb.index[w]
-	if !ok {
-		return Healthy
+	if lb.health == nil && w.Failed() {
+		return Dead
 	}
-	if s := lb.health[i].state; s != Healthy {
-		return s
+	if lb.health != nil && ok && lb.health[i].state != Healthy {
+		return lb.health[i].state
 	}
-	if lb.outliers != nil && lb.outliers[i].state == outlierEjected {
+	if ok && lb.outliers != nil && lb.outliers[i].state == outlierEjected {
 		return Gray
 	}
 	return Healthy

@@ -134,18 +134,3 @@ func TestStateFallbackWithoutHealthChecks(t *testing.T) {
 		t.Fatalf("fallback counts: healthy=%d down=%d", lb.DetectedHealthy(), lb.DetectedDown())
 	}
 }
-
-func TestStopHealthChecksFreezesView(t *testing.T) {
-	e := sim.NewEngine()
-	workers := pool(e, 2, 100000)
-	lb := New(rng.New(1), workers)
-	lb.StartHealthChecks(e)
-	lb.StopHealthChecks()
-	workers[0].FailSilent()
-	e.RunFor(10 * probe)
-	// No prober runs, so the (stale) detected view still says healthy —
-	// exactly the failure mode heartbeats exist to prevent.
-	if lb.DetectedHealthy() != 2 {
-		t.Fatalf("stopped prober still updated view: healthy=%d", lb.DetectedHealthy())
-	}
-}

@@ -82,18 +82,6 @@ func (lb *LB) StartOutlierDetection(engine *sim.Engine, probation time.Duration)
 	}
 }
 
-// OutlierDetection reports whether completion scoring is on.
-func (lb *LB) OutlierDetection() bool { return lb.outliers != nil }
-
-// Ejected reports whether w is currently ejected by the outlier scorer.
-func (lb *LB) EjectedWorker(w *worker.Worker) bool {
-	if lb.outliers == nil {
-		return false
-	}
-	i, ok := lb.index[w]
-	return ok && lb.outliers[i].state == outlierEjected
-}
-
 // ObserveExec folds one completed execution into the scorer: the
 // function's fleet baseline absorbs the sample, and the worker's EWMA
 // absorbs the inflation ratio against that baseline. No-op until

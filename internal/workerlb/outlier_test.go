@@ -6,10 +6,17 @@ import (
 
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
+	"xfaas/internal/worker"
 )
 
 // startSharpDetection turns outlier detection on with score = latest
 // inflation (crisp transitions) and the given warm-up.
+// ejected reports whether w is currently ejected by the outlier scorer.
+func (lb *LB) ejected(w *worker.Worker) bool {
+	i, ok := lb.index[w]
+	return ok && lb.outliers != nil && lb.outliers[i].state == outlierEjected
+}
+
 func startSharpDetection(lb *LB, e *sim.Engine, probation time.Duration, minSamples int) {
 	lb.StartOutlierDetection(e, probation)
 	lb.outlierAlpha = 1
@@ -24,7 +31,7 @@ func TestOutlierEjectAndReinstate(t *testing.T) {
 	workers := pool(e, 3, 100000)
 	lb := New(rng.New(1), workers)
 	startSharpDetection(lb, e, 10*time.Second, 3)
-	if !lb.OutlierDetection() {
+	if lb.outliers == nil {
 		t.Fatal("detection not reported on")
 	}
 
@@ -37,7 +44,7 @@ func TestOutlierEjectAndReinstate(t *testing.T) {
 		lb.ObserveExec(workers[0], "f", 1.0)
 		lb.ObserveExec(workers[1], "f", 1.0)
 		switch {
-		case lb.EjectedWorker(workers[2]):
+		case lb.ejected(workers[2]):
 			// An ejected worker gets no dispatches; only probes feed it.
 			healed = true
 			lb.observeProbe(lb.index[workers[2]], 1.0)
@@ -52,7 +59,7 @@ func TestOutlierEjectAndReinstate(t *testing.T) {
 	// MinSamples=3 inflated completions put worker 2 in probation; the
 	// window must elapse before routing changes.
 	e.RunFor(5 * time.Second)
-	if lb.EjectedWorker(workers[2]) {
+	if lb.ejected(workers[2]) {
 		t.Fatal("ejected during probation: routing flipped before the window elapsed")
 	}
 	if lb.outliers[lb.index[workers[2]]].state != outlierProbation {
@@ -60,7 +67,7 @@ func TestOutlierEjectAndReinstate(t *testing.T) {
 	}
 
 	e.RunFor(10 * time.Second)
-	if !lb.EjectedWorker(workers[2]) {
+	if !lb.ejected(workers[2]) {
 		t.Fatal("not ejected after a full probation window of bad scores")
 	}
 	if got := lb.StateOf(workers[2]); got != Gray {
@@ -70,14 +77,14 @@ func TestOutlierEjectAndReinstate(t *testing.T) {
 		t.Fatalf("Ejected = %v", lb.Ejected.Value())
 	}
 	// Healthy peers are untouched.
-	if lb.EjectedWorker(workers[0]) || lb.StateOf(workers[0]) != Healthy {
+	if lb.ejected(workers[0]) || lb.StateOf(workers[0]) != Healthy {
 		t.Fatal("healthy worker mis-scored")
 	}
 
 	// Clean probes (inflation 1.0) clear the score; reinstatement still
 	// waits out a full window from ejection.
 	e.RunFor(25 * time.Second)
-	if lb.EjectedWorker(workers[2]) {
+	if lb.ejected(workers[2]) {
 		t.Fatal("not reinstated after recovery plus a probation window")
 	}
 	if lb.Reinstated.Value() != 1 {
@@ -124,13 +131,13 @@ func TestOutlierHysteresisFlapping(t *testing.T) {
 				// while routed-to and via probes once ejected — both are
 				// inflation readings, so the sequence drives either path.
 				x := tc.seq[tick%len(tc.seq)]
-				if lb.EjectedWorker(workers[2]) {
+				if lb.ejected(workers[2]) {
 					lb.observeProbe(lb.index[workers[2]], x)
 				} else {
 					lb.ObserveExec(workers[2], "f", x)
 				}
 				tick++
-				if now := lb.EjectedWorker(workers[2]); now != ejected {
+				if now := lb.ejected(workers[2]); now != ejected {
 					ejected = now
 					flips = append(flips, e.Now())
 				}

@@ -28,7 +28,6 @@ type LB struct {
 	// Heartbeat health detection (nil health until StartHealthChecks).
 	health []workerHealth
 	index  map[*worker.Worker]int
-	prober *sim.Ticker
 	onDown []func(*worker.Worker)
 
 	// Completion-driven outlier detection (nil outliers until

@@ -169,15 +169,8 @@ func TestParallelFacade(t *testing.T) {
 		t.Fatalf("parallel report diverged from -seq reference:\n--- seq ---\n%s--- parallel ---\n%s", ref, got)
 	}
 
-	g := r.Group
-	if g.Size() != opts.Parts {
-		t.Fatalf("group size = %d, want %d", g.Size(), opts.Parts)
-	}
-	if g.Processed() == 0 {
+	if r.Group.Processed() == 0 {
 		t.Fatal("no events processed")
-	}
-	if la := g.Lookahead(0, 1); la <= 0 {
-		t.Fatalf("fabric edge 0→1 lookahead = %v, want > 0", la)
 	}
 }
 
