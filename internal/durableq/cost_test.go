@@ -2,6 +2,8 @@ package durableq
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -173,18 +175,19 @@ func BenchmarkPollInto(b *testing.B) {
 	}
 }
 
-// medianRatio times two rigs back to back five times and returns the
-// median of the ratios, so neither drift nor one noisy spell on a shared
-// runner decides.
-func medianRatio(t *testing.T, what string, num, den func() float64) float64 {
-	var ratios []float64
+// bestRatio times two rigs back to back five times and returns the
+// ratio of each rig's fastest run. Interference from other work on a
+// shared runner only ever adds time, so the fastest run is the closest
+// to what the code itself costs, and neither drift nor a noisy spell
+// decides.
+func bestRatio(t *testing.T, what string, num, den func() float64) float64 {
+	bestN, bestD := math.Inf(1), math.Inf(1)
 	for range 5 {
 		n, d := num(), den()
 		t.Logf("%s: %.1f ns against %.1f ns", what, n, d)
-		ratios = append(ratios, n/d)
+		bestN, bestD = min(bestN, n), min(bestD, d)
 	}
-	slices.Sort(ratios)
-	return ratios[2]
+	return bestN / bestD
 }
 
 // With a timer per lease a renewal was a removal from and a push onto an
@@ -199,6 +202,11 @@ func TestRenewCostDoesNotFollowLeasesHeld(t *testing.T) {
 		return func() float64 {
 			r := newLeasedRig(held)
 			rounds := 2_000_000 / held
+			// Collect what building the rig left behind and touch every
+			// lease once, so neither a collection over the larger heap nor
+			// a cold first round lands inside the timed renewals.
+			runtime.GC()
+			r.renewAll()
 			t0 := time.Now()
 			for range rounds {
 				r.renewAll()
@@ -206,7 +214,7 @@ func TestRenewCostDoesNotFollowLeasesHeld(t *testing.T) {
 			return float64(time.Since(t0)) / float64(rounds*held)
 		}
 	}
-	if x := medianRatio(t, "renew at 100k held against 1k", perRenew(100_000), perRenew(1_000)); x > 3 {
+	if x := bestRatio(t, "renew at 100k held against 1k", perRenew(100_000), perRenew(1_000)); x > 3 {
 		t.Fatalf("a renewal with 100k leases held costs %.1fx one with 1k held, want at most 3x", x)
 	}
 }
@@ -231,7 +239,7 @@ func TestPollCostFollowsDueQueues(t *testing.T) {
 			return float64(time.Since(t0)) / polls
 		}
 	}
-	if x := medianRatio(t, "poll with 0 of 192 due against 192 of 192", perPoll(0), perPoll(costFuncs)); x > 0.5 {
+	if x := bestRatio(t, "poll with 0 of 192 due against 192 of 192", perPoll(0), perPoll(costFuncs)); x > 0.5 {
 		t.Fatalf("a poll that finds nothing due costs %.2fx one that opens all %d queues, want at most 0.5x", x, costFuncs)
 	}
 }
