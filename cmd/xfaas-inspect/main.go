@@ -298,27 +298,12 @@ func printHedging(p *core.Platform) {
 	fmt.Printf("%-8s %8s %8s %10s %8s %10s %10s\n",
 		"region", "hedged", "wins", "cancelled", "denied", "earned", "spent")
 	for _, reg := range p.Regions() {
-		var hedged, wins, cancelled, denied float64
-		for _, sc := range reg.Scheds {
-			hedged += sc.Hedged.Value()
-			wins += sc.HedgeWins.Value()
-			cancelled += sc.HedgeCancelled.Value()
-			denied += sc.HedgeDenied.Value()
-		}
-		var earned, spent float64
-		if hb := reg.Scheds[0].HedgeBudget; hb != nil {
-			earned = hb.Earned.Value()
-			spent = hb.Spent.Value()
-		}
+		c := core.CountersOf(reg)
 		fmt.Printf("r%-7d %8.0f %8.0f %10.0f %8.0f %10.0f %10.0f\n",
-			reg.ID, hedged, wins, cancelled, denied, earned, spent)
+			reg.ID, c.Hedged, c.HedgeWins, c.HedgeCancelled, c.HedgeDenied, c.HedgeEarned, c.HedgeSpent)
 	}
-	var ejected, reinstated float64
-	for _, reg := range p.Regions() {
-		ejected += reg.LB.Ejected.Value()
-		reinstated += reg.LB.Reinstated.Value()
-	}
-	fmt.Printf("outlier detection: ejected=%.0f reinstated=%.0f\n", ejected, reinstated)
+	c := core.CountersOf(p.Regions()...)
+	fmt.Printf("outlier detection: ejected=%.0f reinstated=%.0f\n", c.Ejected, c.Reinstated)
 }
 
 // printDrains renders the drain-RTO breakdown for every region that was

@@ -60,27 +60,16 @@ func (p *Platform) registerInvariantProbes() {
 				"ledger gap %+d (submitted=%d resurrected=%d acked=%d dead=%d dropped=%d lost=%d inflight=%d)",
 				gap, t.Submitted, t.Resurrected, t.Acked, t.DeadLettered, t.Dropped, t.Lost, t.InFlight))
 		}
-		var submitted, dropped, acked, dead float64
-		held := 0
-		for _, reg := range p.regions {
-			submitted += reg.Normal.Submitted.Value() + reg.Spiky.Submitted.Value()
-			dropped += reg.Normal.RouteFailed.Value() + reg.Spiky.RouteFailed.Value()
-			held += reg.Normal.BatchLen() + reg.Spiky.BatchLen()
-			for _, sh := range reg.Shards {
-				acked += sh.Acked.Value()
-				dead += sh.DeadLetters.Value()
-				held += sh.Pending() + sh.Leased() + sh.CrashHeld()
-			}
-		}
-		if uint64(submitted) != t.Submitted {
+		c := CountersOf(p.regions...)
+		if uint64(c.Submitted) != t.Submitted {
 			out = append(out, fmt.Sprintf("submitter counters say %.0f submitted, ledger %d",
-				submitted, t.Submitted))
+				c.Submitted, t.Submitted))
 		}
 		// Fabric handoffs that found no live shard in the destination
 		// partition are dropped there, not at a submitter.
-		if uint64(dropped+p.MigratedDropped.Value()) != t.Dropped {
+		if uint64(c.RouteFailed+p.MigratedDropped.Value()) != t.Dropped {
 			out = append(out, fmt.Sprintf("submitter+fabric counters say %.0f dropped, ledger %d",
-				dropped+p.MigratedDropped.Value(), t.Dropped))
+				c.RouteFailed+p.MigratedDropped.Value(), t.Dropped))
 		}
 		if uint64(p.MigratedOut.Value()) != t.MigratedOut {
 			out = append(out, fmt.Sprintf("fabric counter says %.0f migrated out, ledger %d",
@@ -90,15 +79,15 @@ func (p *Platform) registerInvariantProbes() {
 			out = append(out, fmt.Sprintf("fabric counter says %.0f migrated in, ledger %d",
 				p.MigratedIn.Value(), t.MigratedIn))
 		}
-		if uint64(acked) != t.Acked {
+		if uint64(c.ShardAcked) != t.Acked {
 			out = append(out, fmt.Sprintf("shard counters say %.0f acked, ledger %d",
-				acked, t.Acked))
+				c.ShardAcked, t.Acked))
 		}
-		if uint64(dead) != t.DeadLettered {
+		if uint64(c.DeadLetters) != t.DeadLettered {
 			out = append(out, fmt.Sprintf("shard counters say %.0f dead-lettered, ledger %d",
-				dead, t.DeadLettered))
+				c.DeadLetters, t.DeadLettered))
 		}
-		if held != t.InFlight {
+		if held := c.Batched + c.Pending + c.Leased + c.CrashHeld; held != t.InFlight {
 			out = append(out, fmt.Sprintf(
 				"queues+batches hold %d calls, ledger has %d in flight", held, t.InFlight))
 		}
@@ -128,19 +117,12 @@ func (p *Platform) registerInvariantProbes() {
 	p.Inv.RegisterProbe("acked-durability", func(now sim.Time) []string {
 		var out []string
 		t := p.Inv.Totals()
-		var lost, replayed float64
-		for _, reg := range p.regions {
-			lost += reg.Normal.LostOnCrash.Value() + reg.Spiky.LostOnCrash.Value()
-			for _, sh := range reg.Shards {
-				lost += sh.LostOnCrash.Value()
-				replayed += sh.Replayed.Value()
-			}
-		}
-		if uint64(lost) != t.Lost {
+		c := CountersOf(p.regions...)
+		if lost := c.SubmitterLost + c.ShardLost; uint64(lost) != t.Lost {
 			out = append(out, fmt.Sprintf(
 				"components report %.0f crash losses, ledger has %d lost", lost, t.Lost))
 		}
-		if t.Resurrected > 0 && replayed == 0 {
+		if t.Resurrected > 0 && c.Replayed == 0 {
 			out = append(out, fmt.Sprintf(
 				"ledger resurrected %d calls with no journal replay to account for them",
 				t.Resurrected))
@@ -160,26 +142,18 @@ func (p *Platform) registerInvariantProbes() {
 				"reasons sum %d != dead-lettered %d (exhausted=%d expired=%d budget=%d shed=%d)",
 				sum, t.DeadLettered, t.Exhausted, t.Expired, t.BudgetDenied, t.Shed))
 		}
-		var exhausted, expired, budget, shed float64
-		for _, reg := range p.regions {
-			for _, sh := range reg.Shards {
-				exhausted += sh.DeadExhausted.Value()
-				expired += sh.DeadExpired.Value()
-				budget += sh.DeadBudget.Value()
-				shed += sh.DeadShed.Value()
-			}
+		c := CountersOf(p.regions...)
+		if uint64(c.DeadExhausted) != t.Exhausted {
+			out = append(out, fmt.Sprintf("shards report %.0f exhausted, ledger %d", c.DeadExhausted, t.Exhausted))
 		}
-		if uint64(exhausted) != t.Exhausted {
-			out = append(out, fmt.Sprintf("shards report %.0f exhausted, ledger %d", exhausted, t.Exhausted))
+		if uint64(c.DeadExpired) != t.Expired {
+			out = append(out, fmt.Sprintf("shards report %.0f expired, ledger %d", c.DeadExpired, t.Expired))
 		}
-		if uint64(expired) != t.Expired {
-			out = append(out, fmt.Sprintf("shards report %.0f expired, ledger %d", expired, t.Expired))
+		if uint64(c.DeadBudget) != t.BudgetDenied {
+			out = append(out, fmt.Sprintf("shards report %.0f budget-denied, ledger %d", c.DeadBudget, t.BudgetDenied))
 		}
-		if uint64(budget) != t.BudgetDenied {
-			out = append(out, fmt.Sprintf("shards report %.0f budget-denied, ledger %d", budget, t.BudgetDenied))
-		}
-		if uint64(shed) != t.Shed {
-			out = append(out, fmt.Sprintf("shards report %.0f shed, ledger %d", shed, t.Shed))
+		if uint64(c.DeadShed) != t.Shed {
+			out = append(out, fmt.Sprintf("shards report %.0f shed, ledger %d", c.DeadShed, t.Shed))
 		}
 		return out
 	})
@@ -191,21 +165,13 @@ func (p *Platform) registerInvariantProbes() {
 	// amplification bound of 1+β.
 	if p.cfg.Resilience.RetryBudgetEnabled {
 		p.Inv.RegisterProbe("retry-amplification", func(now sim.Time) []string {
-			var spent, firstAcks float64
-			shardCount := 0
-			for _, reg := range p.regions {
-				for _, sh := range reg.Shards {
-					spent += sh.BudgetSpent.Value()
-					firstAcks += sh.FirstAcks.Value()
-					shardCount++
-				}
-			}
-			burstCap := durableq.DefaultBudgetBurst * float64(shardCount*p.Registry.Len())
-			bound := durableq.DefaultBudgetRatio*firstAcks + burstCap
-			if spent > bound+1e-6 {
+			c := CountersOf(p.regions...)
+			burstCap := durableq.DefaultBudgetBurst * float64(c.Shards*p.Registry.Len())
+			bound := durableq.DefaultBudgetRatio*c.FirstAcks + burstCap
+			if c.BudgetSpent > bound+1e-6 {
 				return []string{fmt.Sprintf(
 					"retry budget spent %.0f exceeds bound %.0f (β=%.2f firstAcks=%.0f burst=%.0f)",
-					spent, bound, durableq.DefaultBudgetRatio, firstAcks, burstCap)}
+					c.BudgetSpent, bound, durableq.DefaultBudgetRatio, c.FirstAcks, burstCap)}
 			}
 			return nil
 		})
@@ -218,20 +184,13 @@ func (p *Platform) registerInvariantProbes() {
 	// matter how gray the fleet looks.
 	if p.cfg.Resilience.Hedge.Enabled {
 		p.Inv.RegisterProbe("hedge-amplification", func(now sim.Time) []string {
-			var spent, earned float64
-			for _, hb := range p.hedgeBudgets {
-				if hb == nil {
-					continue
-				}
-				spent += hb.Spent.Value()
-				earned += hb.Earned.Value()
-			}
+			c := CountersOf(p.regions...)
 			const frac, burst = scheduler.HedgeBudgetFrac, scheduler.HedgeBudgetBurst
-			bound := frac*earned + burst*float64(len(p.hedgeBudgets))
-			if spent > bound+1e-6 {
+			bound := frac*c.HedgeEarned + burst*float64(len(p.regions))
+			if c.HedgeSpent > bound+1e-6 {
 				return []string{fmt.Sprintf(
 					"hedge budget spent %.0f exceeds bound %.0f (frac=%.3f primaries=%.0f burst=%.0f×%d)",
-					spent, bound, frac, earned, burst, len(p.hedgeBudgets))}
+					c.HedgeSpent, bound, frac, c.HedgeEarned, burst, len(p.regions))}
 			}
 			return nil
 		})

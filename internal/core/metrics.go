@@ -3,164 +3,61 @@ package core
 import (
 	"fmt"
 	"io"
+	"reflect"
 
 	"xfaas/internal/stats"
 )
 
+// regionFamilies are the per-region families of WriteMetrics, in
+// exposition order: each renders one Counters field, by name.
+var regionFamilies = [...]struct{ name, typ, field string }{
+	{"xfaas_submitted_total", "counter", "Submitted"},
+	{"xfaas_submit_throttled_total", "counter", "Throttled"},
+	{"xfaas_submit_route_failed_total", "counter", "RouteFailed"},
+	{"xfaas_queuelb_routed_total", "counter", "Routed"},
+	{"xfaas_queuelb_cross_region_total", "counter", "CrossRegion"},
+	{"xfaas_dq_enqueued_total", "counter", "Enqueued"},
+	{"xfaas_dq_acked_total", "counter", "ShardAcked"},
+	{"xfaas_dq_redelivered_total", "counter", "Redelivered"},
+	{"xfaas_dq_dead_letters_total", "counter", "DeadLetters"},
+	{"xfaas_dq_lease_expired_total", "counter", "LeaseExpired"},
+	{"xfaas_dq_pending", "gauge", "Pending"},
+	{"xfaas_sched_polled_total", "counter", "Polled"},
+	{"xfaas_sched_dispatched_total", "counter", "Dispatched"},
+	{"xfaas_sched_quota_throttled_total", "counter", "QuotaThrottled"},
+	{"xfaas_sched_congestion_denied_total", "counter", "CongestionDenied"},
+	{"xfaas_sched_evacuated_total", "counter", "Evacuated"},
+	{"xfaas_sched_slo_misses_total", "counter", "SLOMisses"},
+	{"xfaas_worker_executions_total", "counter", "Executions"},
+	{"xfaas_worker_failures_total", "counter", "Failures"},
+	{"xfaas_worker_rejections_total", "counter", "Rejections"},
+	{"xfaas_lb_detected_dead_total", "counter", "DetectedDead"},
+	{"xfaas_lb_detected_gray_total", "counter", "DetectedGray"},
+}
+
 // WriteMetrics renders the platform's observable state in Prometheus
-// text exposition format: the labeled Metrics registry first, then a
-// curated set of per-region component counters gathered from the data
-// plane, then tracer health. Everything iterates regions in index order
-// and registry families in sorted order, so the output for a given
-// simulation state is byte-deterministic — the determinism CI diffs it.
+// text exposition format: the labeled Metrics registry first, then each
+// region's Counters, then tracer health. Everything iterates regions in
+// index order and registry families in sorted order, so the output for a
+// given simulation state is byte-deterministic — the determinism CI
+// diffs it.
 func (p *Platform) WriteMetrics(w io.Writer) error {
 	if err := p.Metrics.WritePrometheus(w, "xfaas_"); err != nil {
 		return err
 	}
 	pw := stats.NewPromWriter(w)
 
-	perRegion := func(name, typ string, get func(*Region) float64) {
-		pw.Type(name, typ)
-		for _, reg := range p.regions {
-			pw.Sample(name, fmt.Sprintf("region=%q", fmt.Sprintf("r%d", reg.ID)), get(reg))
+	perRegion := make([]reflect.Value, len(p.regions))
+	for i, reg := range p.regions {
+		perRegion[i] = reflect.ValueOf(CountersOf(reg))
+	}
+	for _, f := range regionFamilies {
+		pw.Type(f.name, f.typ)
+		for i, reg := range p.regions {
+			v := perRegion[i].FieldByName(f.field).Convert(reflect.TypeFor[float64]())
+			pw.Sample(f.name, fmt.Sprintf("region=%q", fmt.Sprintf("r%d", reg.ID)), v.Float())
 		}
 	}
-
-	// Submitter tier (normal + spiky pools).
-	perRegion("xfaas_submitted_total", "counter", func(r *Region) float64 {
-		return r.Normal.Submitted.Value() + r.Spiky.Submitted.Value()
-	})
-	perRegion("xfaas_submit_throttled_total", "counter", func(r *Region) float64 {
-		return r.Normal.Throttled.Value() + r.Spiky.Throttled.Value()
-	})
-	perRegion("xfaas_submit_route_failed_total", "counter", func(r *Region) float64 {
-		return r.Normal.RouteFailed.Value() + r.Spiky.RouteFailed.Value()
-	})
-
-	// QueueLB.
-	perRegion("xfaas_queuelb_routed_total", "counter", func(r *Region) float64 {
-		return r.QueueLB.Routed.Value()
-	})
-	perRegion("xfaas_queuelb_cross_region_total", "counter", func(r *Region) float64 {
-		return r.QueueLB.CrossRegion.Value()
-	})
-
-	// DurableQ shards, summed per region.
-	perRegion("xfaas_dq_enqueued_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, sh := range r.Shards {
-			s += sh.Enqueued.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_dq_acked_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, sh := range r.Shards {
-			s += sh.Acked.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_dq_redelivered_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, sh := range r.Shards {
-			s += sh.Redelivered.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_dq_dead_letters_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, sh := range r.Shards {
-			s += sh.DeadLetters.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_dq_lease_expired_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, sh := range r.Shards {
-			s += sh.Expired.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_dq_pending", "gauge", func(r *Region) float64 {
-		s := 0.0
-		for _, sh := range r.Shards {
-			s += float64(sh.Pending())
-		}
-		return s
-	})
-
-	// Schedulers, summed over replicas.
-	perRegion("xfaas_sched_polled_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, sc := range r.Scheds {
-			s += sc.Polled.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_sched_dispatched_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, sc := range r.Scheds {
-			s += sc.Dispatched.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_sched_quota_throttled_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, sc := range r.Scheds {
-			s += sc.QuotaThrottled.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_sched_congestion_denied_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, sc := range r.Scheds {
-			s += sc.CongestionDenied.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_sched_evacuated_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, sc := range r.Scheds {
-			s += sc.Evacuated.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_sched_slo_misses_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, sc := range r.Scheds {
-			s += sc.SLOMisses.Value()
-		}
-		return s
-	})
-
-	// Workers, summed per region.
-	perRegion("xfaas_worker_executions_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, wk := range r.Workers {
-			s += wk.Executions.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_worker_failures_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, wk := range r.Workers {
-			s += wk.Failures.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_worker_rejections_total", "counter", func(r *Region) float64 {
-		s := 0.0
-		for _, wk := range r.Workers {
-			s += wk.Rejections.Value()
-		}
-		return s
-	})
-	perRegion("xfaas_lb_detected_dead_total", "counter", func(r *Region) float64 {
-		return r.LB.DetectedDead.Value()
-	})
-	perRegion("xfaas_lb_detected_gray_total", "counter", func(r *Region) float64 {
-		return r.LB.DetectedGray.Value()
-	})
 
 	// Platform-level scalars.
 	pw.Type("xfaas_breaker_opens_total", "counter")

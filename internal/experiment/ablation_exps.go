@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"xfaas/internal/core"
 	"xfaas/internal/stats"
 	"xfaas/internal/worker"
 )
@@ -135,14 +136,13 @@ func runAblationGTC(s Scale) *Result {
 		var utils []float64
 		for _, reg := range rg.P.Regions() {
 			utils = append(utils, stats.MeanOf(reg.UtilSeries.Values()))
-			crossPulls += reg.Sched.CrossRegionPulls.Value()
 		}
 		mean := stats.MeanOf(utils)
 		varr := 0.0
 		for _, u := range utils {
 			varr += (u - mean) * (u - mean)
 		}
-		return math.Sqrt(varr / float64(len(utils))), rg.P.PendingCalls(), crossPulls
+		return math.Sqrt(varr / float64(len(utils))), rg.P.PendingCalls(), core.CountersOf(rg.P.Regions()...).CrossRegionPulls
 	}
 
 	stdWith, backlogWith, pullsWith := run(true)

@@ -176,10 +176,10 @@ func runChaosPartition(s Scale) *Result {
 	r := &Result{ID: "chaos_partition", Title: "Region partition and heal"}
 	f := startFaultRun(s, chaosRig(s, 0.60))
 	p, inj, victim, healthy := f.P, f.Inj, f.victim, f.healthy
-	crossBefore := countersOf(victim).crossPulls
+	crossBefore := core.CountersOf(victim).CrossRegionPulls
 	inj.PartitionRegion(victim.ID)
 	faulted := ackPhase(p, f.fault)
-	crossDuring := countersOf(victim).crossPulls - crossBefore
+	crossDuring := core.CountersOf(victim).CrossRegionPulls - crossBefore
 
 	r.row("cross-region pulls by the cut region during partition", "frozen at 0", "%.0f", crossDuring)
 	r.check("partition severs cross-region pulls", crossDuring == 0, "%.0f pulls across the cut", crossDuring)
@@ -209,7 +209,7 @@ func runChaosCorrelated(s Scale) *Result {
 	p.Engine.RunFor(detectWindow)
 
 	detectedDown := victim.LB.DetectedDown()
-	evacuated := countersOf(victim).evacuated
+	evacuated := core.CountersOf(victim).Evacuated
 	fleetFrac := p.DetectedHealthyFrac()
 	r.row("workers crashed vs detected dead", "whole block within detection lag", "%d crashed, %d detected in %v",
 		k, detectedDown, detectWindow)
@@ -247,10 +247,10 @@ func runChaosDQ(s Scale) *Result {
 	for i := range victim.Shards {
 		inj.DownShard(victim.ID, i)
 	}
-	ackedOnVictimAtCut := countersOf(victim).shardAcked
+	ackedOnVictimAtCut := core.CountersOf(victim).ShardAcked
 	faulted := ackPhase(p, f.fault)
-	t := countersOf(p.Regions()...)
-	unroutable, routeFailed := t.unroutable, t.routeFailed
+	t := core.CountersOf(p.Regions()...)
+	unroutable, routeFailed := t.Unroutable, t.RouteFailed
 
 	r.row("shards down", "one region's whole pool", "%d", len(victim.Shards))
 	r.row("submissions lost to routing", "0 — QueueLB routes around", "%.0f unroutable, %.0f failed",
@@ -264,7 +264,7 @@ func runChaosDQ(s Scale) *Result {
 		inj.UpShard(victim.ID, i)
 	}
 	f.reportRecovery(r, faulted)
-	ackedOnVictimAfter := countersOf(victim).shardAcked
+	ackedOnVictimAfter := core.CountersOf(victim).ShardAcked
 	r.check("returned shards drain their backlog", ackedOnVictimAfter > ackedOnVictimAtCut,
 		"%.0f acks on the victim pool after recovery", ackedOnVictimAfter-ackedOnVictimAtCut)
 	r.row("calls generated vs terminal", "at-least-once", "%.0f generated, %.0f acked, %d still queued",

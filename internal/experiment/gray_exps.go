@@ -3,6 +3,7 @@ package experiment
 import (
 	"time"
 
+	"xfaas/internal/core"
 	"xfaas/internal/function"
 	"xfaas/internal/rng"
 	"xfaas/internal/scheduler"
@@ -80,7 +81,7 @@ func runChaosGrayTail(s Scale) *Result {
 		p99Healthy, p99Gray float64
 		detectedGray        float64 // heartbeat (v1) detections
 		ejected, reinstated float64 // outlier (v2) actions
-		t                   counterTotals
+		t                   core.Counters
 		recovered           bool
 		executed            []float64
 	}
@@ -119,7 +120,7 @@ func runChaosGrayTail(s Scale) *Result {
 			p99Gray:      p99Gray,
 			detectedGray: lb.DetectedGray.Value(),
 			ejected:      lb.Ejected.Value(),
-			t:            countersOf(p.Regions()...),
+			t:            core.CountersOf(p.Regions()...),
 		}
 		for i := 0; i < grayed; i++ {
 			inj.ClearGray(0, i)
@@ -133,7 +134,7 @@ func runChaosGrayTail(s Scale) *Result {
 
 	off := run(false)
 	on := run(true)
-	budgetBound := scheduler.HedgeBudgetFrac*on.t.hedgeEarned + scheduler.HedgeBudgetBurst
+	budgetBound := scheduler.HedgeBudgetFrac*on.t.HedgeEarned + scheduler.HedgeBudgetBurst
 
 	r.row("CritHigh p99 healthy → gray (undefended)", "tail triples, probes silent", "%.2fs → %.2fs",
 		off.p99Healthy, off.p99Gray)
@@ -144,9 +145,9 @@ func runChaosGrayTail(s Scale) *Result {
 	r.row("outlier ejections / reinstatements (defended)", "both gray workers", "%.0f / %.0f",
 		on.ejected, on.reinstated)
 	r.row("hedges dispatched / wins / cancelled / denied", "budget-bounded speculation",
-		"%.0f / %.0f / %.0f / %.0f", on.t.hedged, on.t.hedgeWins, on.t.hedgeCancelled, on.t.hedgeDenied)
+		"%.0f / %.0f / %.0f / %.0f", on.t.Hedged, on.t.HedgeWins, on.t.HedgeCancelled, on.t.HedgeDenied)
 	r.row("hedge tokens spent vs bound", "spent ≤ frac·primaries + burst", "%.0f vs %.0f",
-		on.t.hedgeSpent, budgetBound)
+		on.t.HedgeSpent, budgetBound)
 
 	r.check("subtle gray is invisible to heartbeat probing", off.detectedGray == 0,
 		"%.0f v1 detections at %.1fx slowdown", off.detectedGray, slowdown)
@@ -156,12 +157,12 @@ func runChaosGrayTail(s Scale) *Result {
 		"%.0f ejections of %d gray workers", on.ejected, grayed)
 	r.check("defended CritHigh p99 materially better", on.p99Gray <= 0.6*off.p99Gray,
 		"%.2fs defended vs %.2fs undefended", on.p99Gray, off.p99Gray)
-	r.check("hedged dispatch wins races against gray workers", on.t.hedgeWins > 0,
-		"%.0f hedge wins", on.t.hedgeWins)
-	r.check("hedge amplification respects the budget bound", on.t.hedgeSpent <= budgetBound+1e-6,
-		"%.0f spent vs bound %.0f", on.t.hedgeSpent, budgetBound)
-	r.check("no hedging without the feature enabled", off.t.hedged == 0,
-		"%.0f hedges in the undefended run", off.t.hedged)
+	r.check("hedged dispatch wins races against gray workers", on.t.HedgeWins > 0,
+		"%.0f hedge wins", on.t.HedgeWins)
+	r.check("hedge amplification respects the budget bound", on.t.HedgeSpent <= budgetBound+1e-6,
+		"%.0f spent vs bound %.0f", on.t.HedgeSpent, budgetBound)
+	r.check("no hedging without the feature enabled", off.t.Hedged == 0,
+		"%.0f hedges in the undefended run", off.t.Hedged)
 	r.check("cleared workers are reinstated and the tail recovers", on.reinstated >= grayed && on.recovered,
 		"%.0f reinstatements, recovered=%v", on.reinstated, on.recovered)
 
@@ -293,14 +294,14 @@ func runDrillEvacuation(s Scale) *Result {
 	p, inj := rg.P, rg.Inj
 
 	routeFailed := func() float64 {
-		t := countersOf(p.Regions()...)
-		return t.unroutable + t.routeFailed
+		t := core.CountersOf(p.Regions()...)
+		return t.Unroutable + t.RouteFailed
 	}
 	lost := func() float64 {
-		t := countersOf(p.Regions()...)
-		return t.submitterLost + t.shardLost
+		t := core.CountersOf(p.Regions()...)
+		return t.SubmitterLost + t.ShardLost
 	}
-	region0Acked := func() float64 { return countersOf(p.Region(0)).schedAcked }
+	region0Acked := func() float64 { return core.CountersOf(p.Region(0)).SchedAcked }
 
 	p.Engine.RunFor(warm)
 	healthy := ackPhase(p, 5*time.Minute)
@@ -310,9 +311,9 @@ func runDrillEvacuation(s Scale) *Result {
 	drainRate := ackPhase(p, drainLen)
 	rto, quiesced := p.Drainer.LastRTO(0)
 	migrated := p.Drainer.MigratedCalls(0)
-	released := countersOf(p.Region(0)).released
+	released := core.CountersOf(p.Region(0)).Released
 	r0AckedAtDrainEnd := region0Acked()
-	t := countersOf(p.Regions()...)
+	t := core.CountersOf(p.Regions()...)
 
 	r.row("drain RTO (admit-stop → quiesce)", "minutes, reported on the event log", "%v (quiesced=%v)",
 		rto, quiesced)
@@ -328,8 +329,8 @@ func runDrillEvacuation(s Scale) *Result {
 		"%d calls moved", migrated)
 	r.check("no submission fails during the drain", routeFailed()-failedBefore == 0,
 		"%.0f route failures", routeFailed()-failedBefore)
-	r.check("zero acked-call loss across the drill", lost()-lostBefore == 0 && t.deadTotal == 0,
-		"%.0f lost, %.0f dead-lettered", lost()-lostBefore, t.deadTotal)
+	r.check("zero acked-call loss across the drill", lost()-lostBefore == 0 && t.DeadLetters == 0,
+		"%.0f lost, %.0f dead-lettered", lost()-lostBefore, t.DeadLetters)
 	r.check("the fleet keeps serving through the drain", drainRate > 0.5*healthy,
 		"%.1f vs %.1f RPS", drainRate, healthy)
 

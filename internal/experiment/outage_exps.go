@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"time"
+
+	"xfaas/internal/core"
 )
 
 func init() {
@@ -61,7 +63,7 @@ func runOutage(s Scale) *Result {
 		"%.1f vs %.1f RPS", recoveredRate, healthyRate)
 	// No calls lost: everything generated eventually lands terminal
 	// (still-pending future-start calls excluded by construction).
-	drained := p.Acked() + countersOf(p.Regions()...).deadTotal
+	drained := p.Acked() + core.CountersOf(p.Regions()...).DeadLetters
 	r.row("calls generated vs terminal", "at-least-once", "%.0f generated, %.0f terminal, %d still queued",
 		rig.Gen.Generated.Value(), drained, p.PendingCalls())
 	return r

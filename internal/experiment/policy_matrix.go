@@ -102,14 +102,14 @@ func (mp *matrixProbe) cell(scenario, policy string) PolicyCell {
 		c.UtilizationMean /= float64(len(mp.utils))
 	}
 	c.P99E2ESeconds = mp.p.E2ELatency.Quantile(0.99)
-	t := countersOf(mp.p.Regions()...)
-	if t.executions > 0 {
-		c.ColdStartExposure = t.coldExecutions / t.executions
+	t := core.CountersOf(mp.p.Regions()...)
+	if t.Executions > 0 {
+		c.ColdStartExposure = t.ColdExecutions / t.Executions
 	}
-	c.ShedCalls = t.shedCalls
-	c.ExpiredCalls = t.expiredSwept + t.deadExpired
+	c.ShedCalls = t.ShedCalls
+	c.ExpiredCalls = t.ExpiredSwept + t.DeadExpired
 	c.JainFairness = jainIndex(mp.perFunc)
-	c.Executed = t.executions
+	c.Executed = t.Executions
 	return c
 }
 

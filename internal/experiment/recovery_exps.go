@@ -107,21 +107,22 @@ func runChaosShardCrash(s Scale) *Result {
 	flushLag := core.DefaultConfig().Durability.FlushLag
 	f := startFaultRun(s, recoveryRig(s, 0.60, flushLag))
 	p, inj, victim := f.P, f.Inj, f.victim
-	held := countersOf(victim).held
+	before := core.CountersOf(victim)
+	held := before.Pending + before.Leased
 	resurrectedBefore := p.Inv.Totals().Resurrected
 	crashAt := p.Engine.Now()
 	const downFor = 30 * time.Second
 	for i := range victim.Shards {
 		inj.ShardCrashRestart(victim.ID, i, downFor)
 	}
-	lost := countersOf(victim).shardLost
+	lost := core.CountersOf(victim).ShardLost
 
 	// Let the restarts and journal replays finish, then read the RTO off
 	// the control-plane event log before the ring evicts it.
 	p.Engine.RunFor(downFor + 2*time.Minute)
 	replayEnd, replaysDone := lastControlAfter(p, "durableq.replay-end", crashAt)
 	rto := replayEnd - crashAt
-	replayed := countersOf(victim).replayed
+	replayed := core.CountersOf(victim).Replayed
 
 	r.row("calls held by the crashed shards", "journal bounds the loss", "%d held, %.0f lost, %.0f replayed",
 		held, lost, replayed)
@@ -135,8 +136,8 @@ func runChaosShardCrash(s Scale) *Result {
 	faulted := ackPhase(p, f.fault)
 	f.reportRecovery(r, faulted)
 
-	t := countersOf(victim)
-	replayed, dups := t.replayed, t.dupSuppressed
+	t := core.CountersOf(victim)
+	replayed, dups := t.Replayed, t.DupSuppressed
 	resurrected := p.Inv.Totals().Resurrected - resurrectedBefore
 	dupRate := 0.0
 	if replayed > 0 {
@@ -181,7 +182,7 @@ func runChaosSchedCrash(s Scale) *Result {
 	p, inj, victim := f.P, f.Inj, f.victim
 	sc := victim.Scheds[0]
 	orphaned := sc.Buffered() + sc.RunQLen()
-	redeliveredBefore := countersOf(victim).redelivered
+	redeliveredBefore := core.CountersOf(victim).Redelivered
 	inj.CrashScheduler(victim.ID, 0)
 	rebuild := chaos.SchedulerRebuildDelay
 	lease := core.DefaultConfig().LeaseTimeout
@@ -192,7 +193,7 @@ func runChaosSchedCrash(s Scale) *Result {
 
 	// The orphaned leases redeliver once the lease timeout passes.
 	p.Engine.RunFor(lease + time.Minute)
-	redelivered := countersOf(victim).redelivered - redeliveredBefore
+	redelivered := core.CountersOf(victim).Redelivered - redeliveredBefore
 	r.row("scheduler state destroyed at crash", "rebuilt by polling, not recovered",
 		"%d buffered+runq calls, leases orphaned", orphaned)
 	r.row("recovery time objective", "rebuild delay + lease timeout", "%v + %v", rebuild, lease)
@@ -224,13 +225,14 @@ func runRecoveryFlushLag(s Scale) *Result {
 		p, inj := rg.P, rg.Inj
 		p.Engine.RunFor(warm)
 		victim := largestRegion(p)
-		held := countersOf(victim).held
+		before := core.CountersOf(victim)
+		held := before.Pending + before.Leased
 		for j := range victim.Shards {
 			inj.ShardCrashRestart(victim.ID, j, 10*time.Second)
 		}
 		p.Engine.RunFor(drain)
-		vt := countersOf(victim)
-		lost, replayed, dups := vt.shardLost, vt.replayed, vt.dupSuppressed
+		vt := core.CountersOf(victim)
+		lost, replayed, dups := vt.ShardLost, vt.Replayed, vt.DupSuppressed
 		losses[i] = lost
 		t := p.Inv.Totals()
 		r.row("flush lag "+lag.String(), "loss grows with the lag",

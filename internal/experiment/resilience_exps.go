@@ -55,79 +55,13 @@ func init() {
 	})
 }
 
-// counterTotals sums the counters the fault and overload experiments
-// read, across every shard, scheduler replica and submitter of the given
-// regions.
-type counterTotals struct {
-	enqueued, redelivered, shardAcked  float64
-	deadExhausted, deadExpired         float64
-	deadBudget, deadShed, deadTotal    float64
-	shardLost, replayed, dupSuppressed float64
-	shedCalls, expiredSwept            float64
-	schedAcked, crossPulls, evacuated  float64
-	submitterLost                      float64
-	unroutable, routeFailed            float64
-	hedged, hedgeWins                  float64
-	hedgeCancelled, hedgeDenied        float64
-	hedgeEarned, hedgeSpent            float64
-	coldExecutions, executions         float64
-	released                           float64
-	shards, held                       int // held: pending + leased
-}
-
-func countersOf(regions ...*core.Region) counterTotals {
-	var t counterTotals
-	for _, reg := range regions {
-		for _, sh := range reg.Shards {
-			t.enqueued += sh.Enqueued.Value()
-			t.redelivered += sh.Redelivered.Value()
-			t.shardAcked += sh.Acked.Value()
-			t.deadExhausted += sh.DeadExhausted.Value()
-			t.deadExpired += sh.DeadExpired.Value()
-			t.deadBudget += sh.DeadBudget.Value()
-			t.deadShed += sh.DeadShed.Value()
-			t.deadTotal += sh.DeadLetters.Value()
-			t.shardLost += sh.LostOnCrash.Value()
-			t.replayed += sh.Replayed.Value()
-			t.dupSuppressed += sh.DupSuppressed.Value()
-			t.shards++
-			t.held += sh.Pending() + sh.Leased()
-		}
-		for _, sc := range reg.Scheds {
-			t.shedCalls += sc.ShedCalls.Value()
-			t.expiredSwept += sc.ExpiredSwept.Value()
-			t.schedAcked += sc.Acked.Value()
-			t.crossPulls += sc.CrossRegionPulls.Value()
-			t.evacuated += sc.Evacuated.Value()
-			t.released += sc.Released.Value()
-			t.hedged += sc.Hedged.Value()
-			t.hedgeWins += sc.HedgeWins.Value()
-			t.hedgeCancelled += sc.HedgeCancelled.Value()
-			t.hedgeDenied += sc.HedgeDenied.Value()
-		}
-		// The hedge budget is shared per region; read it once via any replica.
-		if hb := reg.Scheds[0].HedgeBudget; hb != nil {
-			t.hedgeEarned += hb.Earned.Value()
-			t.hedgeSpent += hb.Spent.Value()
-		}
-		for _, w := range reg.Workers {
-			t.coldExecutions += w.ColdExecutions.Value()
-			t.executions += w.Executions.Value()
-		}
-		t.submitterLost += reg.Normal.LostOnCrash.Value() + reg.Spiky.LostOnCrash.Value()
-		t.routeFailed += reg.Normal.RouteFailed.Value() + reg.Spiky.RouteFailed.Value()
-		t.unroutable += reg.QueueLB.Unroutable.Value()
-	}
-	return t
-}
-
 // amplification is deliveries per unique enqueued call: 1 means every
 // call was delivered exactly once.
-func (t counterTotals) amplification() float64 {
-	if t.enqueued == 0 {
+func amplification(t core.Counters) float64 {
+	if t.Enqueued == 0 {
 		return 1
 	}
-	return (t.enqueued + t.redelivered) / t.enqueued
+	return (t.Enqueued + t.Redelivered) / t.Enqueued
 }
 
 // stormRig is the retry-storm scenario's fleet and workload: four workers,
@@ -157,7 +91,7 @@ func runChaosRetryStorm(s Scale) *Result {
 
 	type outcome struct {
 		healthy, during, after float64 // clean-cohort goodput fractions
-		t                      counterTotals
+		t                      core.Counters
 		executed               []float64
 	}
 	run := func(enabled bool) outcome {
@@ -193,7 +127,7 @@ func runChaosRetryStorm(s Scale) *Result {
 		during := goodput(tail)
 		restore()
 		after := goodput(heal)
-		return outcome{healthy, during, after, countersOf(p.Regions()...), p.Executed.Values()}
+		return outcome{healthy, during, after, core.CountersOf(p.Regions()...), p.Executed.Values()}
 	}
 
 	off := run(false)
@@ -201,28 +135,28 @@ func runChaosRetryStorm(s Scale) *Result {
 	// The budget bound: redeliveries can spend at most the earned budget
 	// (β per first-attempt success) plus the per-function burst allowance
 	// on every shard.
-	burstAllowance := durableq.DefaultBudgetBurst * float64(on.t.shards) *
+	burstAllowance := durableq.DefaultBudgetBurst * float64(on.t.Shards) *
 		float64(mix.StormFunctions+mix.CleanFunctions)
-	ampBound := 1 + durableq.DefaultBudgetRatio + burstAllowance/math.Max(1, on.t.enqueued)
+	ampBound := 1 + durableq.DefaultBudgetRatio + burstAllowance/math.Max(1, on.t.Enqueued)
 
 	r.row("clean goodput healthy (off/on)", "~1", "%.2f / %.2f", off.healthy, on.healthy)
 	r.row("clean goodput during storm (off/on)", "collapses vs holds", "%.2f / %.2f", off.during, on.during)
 	r.row("clean goodput after heal (off/on)", "recovers", "%.2f / %.2f", off.after, on.after)
 	r.row("retry amplification (off/on)", "unbounded vs ≤1+β", "%.2f / %.3f",
-		off.t.amplification(), on.t.amplification())
+		amplification(off.t), amplification(on.t))
 	r.row("dead-letter reasons with budgets", "mostly budget", "exhausted=%.0f expired=%.0f budget=%.0f shed=%.0f",
-		on.t.deadExhausted, on.t.deadExpired, on.t.deadBudget, on.t.deadShed)
+		on.t.DeadExhausted, on.t.DeadExpired, on.t.DeadBudget, on.t.DeadShed)
 
 	r.check("unbudgeted retry storm starves the clean cohort", off.during < 0.2,
 		"clean goodput %.2f of offered during the storm without budgets", off.during)
 	r.check("budgets keep clean goodput through the storm", on.during >= 0.7,
 		"clean goodput %.2f of offered with budgets+shedding+expiry on", on.during)
-	r.check("retry amplification respects the budget bound", on.t.amplification() <= ampBound+1e-9,
-		"%.3f vs bound %.3f (1+β plus burst allowance)", on.t.amplification(), ampBound)
-	r.check("budgets collapse redelivery volume", off.t.redelivered > 5*on.t.redelivered,
-		"%.0f unbudgeted redeliveries vs %.0f budgeted", off.t.redelivered, on.t.redelivered)
-	r.check("doomed retries are dead-lettered under the budget reason", on.t.deadBudget > 0,
-		"%.0f budget dead-letters", on.t.deadBudget)
+	r.check("retry amplification respects the budget bound", amplification(on.t) <= ampBound+1e-9,
+		"%.3f vs bound %.3f (1+β plus burst allowance)", amplification(on.t), ampBound)
+	r.check("budgets collapse redelivery volume", off.t.Redelivered > 5*on.t.Redelivered,
+		"%.0f unbudgeted redeliveries vs %.0f budgeted", off.t.Redelivered, on.t.Redelivered)
+	r.check("doomed retries are dead-lettered under the budget reason", on.t.DeadBudget > 0,
+		"%.0f budget dead-letters", on.t.DeadBudget)
 	r.check("clean traffic recovers after the heal (budgets on)", on.after >= 0.7,
 		"%.2f of offered over the heal window", on.after)
 
@@ -272,19 +206,19 @@ func runChaosMidnightSpike(s Scale) *Result {
 	p.Engine.RunFor(30 * time.Minute)
 	resPostRate := (resDone - resBefore) / (30 * time.Minute).Seconds()
 	pendingEnd := p.PendingCalls()
-	t := countersOf(p.Regions()...)
+	t := core.CountersOf(p.Regions()...)
 
 	r.row("queued backlog at spike end vs +1h", "builds, then drains", "%d → %d", pendingPeak, pendingEnd)
 	r.row("reserved goodput in-spike vs post (RPS)", "unaffected", "%.1f vs %.1f", resSpikeRate, resPostRate)
 	r.row("opportunistic calls executed", "time-shifted out of the window", "%.0f", oppDone)
 	r.row("shed / expired / dead-lettered", "0 shed", "%.0f / %.0f / %.0f",
-		t.shedCalls, t.deadExpired+t.expiredSwept, t.deadTotal)
+		t.ShedCalls, t.DeadExpired+t.ExpiredSwept, t.DeadLetters)
 
 	r.check("pipeline backlog builds during the spike", pendingPeak > 0, "%d queued at spike end", pendingPeak)
 	r.check("backlog drains after the window", float64(pendingEnd) < 0.7*float64(pendingPeak),
 		"%d left of %d an hour later", pendingEnd, pendingPeak)
-	r.check("delay-tolerant spike work is deferred, never shed", t.shedCalls == 0 && t.deadShed == 0,
-		"%.0f scheduler sheds, %.0f shed dead-letters", t.shedCalls, t.deadShed)
+	r.check("delay-tolerant spike work is deferred, never shed", t.ShedCalls == 0 && t.DeadShed == 0,
+		"%.0f scheduler sheds, %.0f shed dead-letters", t.ShedCalls, t.DeadShed)
 	r.check("reserved traffic rides through the spike", resSpikeRate >= 0.6*resPostRate,
 		"%.1f RPS in-spike vs %.1f post", resSpikeRate, resPostRate)
 
@@ -346,23 +280,23 @@ func runChaosSpikyClient(s Scale) *Result {
 	p.Engine.RunFor(pcfg.SpikeBurstLen)
 	atBurstEnd := spikyDone
 	p.Engine.RunFor(total - pcfg.SpikeBurstLen)
-	t := countersOf(p.Regions()...)
+	t := core.CountersOf(p.Regions()...)
 
 	r.row("burst size (calls in 15 min)", "20M at Meta scale", "%.0f", burstSize)
 	r.row("burst executed inside its window", "small fraction (time-shifted)", "%.0f (%.0f%%)",
 		atBurstEnd, 100*atBurstEnd/burstSize)
 	r.row("burst executed by end of run", "all of it, hours later", "%.0f of %.0f (%.0f%%)",
 		spikyDone, burstSize, 100*spikyDone/burstSize)
-	r.row("shed / redelivered", "0 / ~0", "%.0f / %.0f", t.shedCalls, t.redelivered)
+	r.row("shed / redelivered", "0 / ~0", "%.0f / %.0f", t.ShedCalls, t.Redelivered)
 
 	r.check("burst is time-shifted, not executed inline", atBurstEnd < 0.5*burstSize,
 		"%.0f%% of the burst executed inside its window", 100*atBurstEnd/burstSize)
 	r.check("the burst eventually executes", spikyDone >= 0.7*burstSize,
 		"%.0f%% done after %v", 100*spikyDone/burstSize, total)
-	r.check("resilience machinery stays idle on benign overload", t.shedCalls == 0 && t.deadShed == 0,
-		"%.0f sheds on a delay-tolerant burst", t.shedCalls+t.deadShed)
-	r.check("no retry amplification without failures", t.amplification() < 1.05,
-		"amplification %.3f", t.amplification())
+	r.check("resilience machinery stays idle on benign overload", t.ShedCalls == 0 && t.DeadShed == 0,
+		"%.0f sheds on a delay-tolerant burst", t.ShedCalls+t.DeadShed)
+	r.check("no retry amplification without failures", amplification(t) < 1.05,
+		"amplification %.3f", amplification(t))
 
 	r.series("executed calls/min", time.Minute, p.Executed.Values())
 	r.note("the spiky function's quota pins drain rate at ~2.5 calls/s × S, so the 15-minute burst executes over more than an hour")
@@ -389,7 +323,7 @@ func runChaosZipfNeighbor(s Scale) *Result {
 	type outcome struct {
 		healthy, during float64
 		pending         int
-		t               counterTotals
+		t               core.Counters
 		executed        []float64
 	}
 	run := func(enabled bool) outcome {
@@ -414,7 +348,7 @@ func runChaosZipfNeighbor(s Scale) *Result {
 		healthy := goodput(10 * time.Minute)
 		during := goodput(floodLen)
 		p.Engine.RunFor(post)
-		return outcome{healthy, during, p.PendingCalls(), countersOf(p.Regions()...), p.Executed.Values()}
+		return outcome{healthy, during, p.PendingCalls(), core.CountersOf(p.Regions()...), p.Executed.Values()}
 	}
 
 	off := run(false)
@@ -426,18 +360,18 @@ func runChaosZipfNeighbor(s Scale) *Result {
 	r.row("victim goodput healthy → flood (on)", "stays high", "%.2f → %.2f", on.healthy, on.during)
 	r.row("backlog after the flood (off/on)", "unbounded vs bounded", "%d / %d", off.pending, on.pending)
 	r.row("shed / expired with shedding on", "flood excess dead-lettered", "%.0f / %.0f",
-		on.t.deadShed, on.t.deadExpired+on.t.expiredSwept)
+		on.t.DeadShed, on.t.DeadExpired+on.t.ExpiredSwept)
 
 	r.check("victim tenants keep goodput through the flood", on.during >= 0.7,
 		"%.2f of offered during the flood", on.during)
-	r.check("queue-delay shedding engages on the noisy tenant", on.t.shedCalls > 0,
-		"%.0f calls shed", on.t.shedCalls)
-	r.check("every shed is accounted at its shard", on.t.shedCalls == on.t.deadShed,
-		"%.0f scheduler sheds vs %.0f shed dead-letters", on.t.shedCalls, on.t.deadShed)
+	r.check("queue-delay shedding engages on the noisy tenant", on.t.ShedCalls > 0,
+		"%.0f calls shed", on.t.ShedCalls)
+	r.check("every shed is accounted at its shard", on.t.ShedCalls == on.t.DeadShed,
+		"%.0f scheduler sheds vs %.0f shed dead-letters", on.t.ShedCalls, on.t.DeadShed)
 	r.check("shedding and expiry bound the flood backlog", float64(on.pending) < 0.3*float64(off.pending),
 		"%d pending with the valve on vs %d without", on.pending, off.pending)
-	r.check("nothing is shed before the flood or from victims", off.t.deadShed == 0,
-		"(disabled run) %.0f sheds; victims are reserved and unsheddable by construction", off.t.deadShed)
+	r.check("nothing is shed before the flood or from victims", off.t.DeadShed == 0,
+		"(disabled run) %.0f sheds; victims are reserved and unsheddable by construction", off.t.DeadShed)
 
 	r.series("executed/min (resilience off)", time.Minute, off.executed)
 	r.series("executed/min (resilience on)", time.Minute, on.executed)

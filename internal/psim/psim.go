@@ -407,26 +407,22 @@ type partStats struct {
 
 func (r *Runner) stats(part *Partition) partStats {
 	p := part.Platform
+	c := core.CountersOf(p.Regions()...)
 	s := partStats{
 		generated:       part.Generator.Generated.Value(),
-		acked:           p.Acked(),
+		submitted:       c.Submitted,
+		acked:           c.SchedAcked,
 		completions:     p.Completions.Value(),
-		sloMisses:       p.SLOMisses(),
+		dropped:         c.RouteFailed,
+		lost:            c.SubmitterLost + c.ShardLost,
+		sloMisses:       c.SLOMisses,
 		migratedOut:     p.MigratedOut.Value(),
 		migratedIn:      p.MigratedIn.Value(),
 		migratedDropped: p.MigratedDropped.Value(),
+		remoteForwarded: c.RemoteForwarded,
 		drains:          p.Drainer.Drains.Value(),
 		drainMigrated:   p.Drainer.Migrated.Value(),
 		ctrlEvents:      p.Tracer.ControlCount(),
-	}
-	for _, reg := range p.Regions() {
-		s.submitted += reg.Normal.Submitted.Value() + reg.Spiky.Submitted.Value()
-		s.dropped += reg.Normal.RouteFailed.Value() + reg.Spiky.RouteFailed.Value()
-		s.lost += reg.Normal.LostOnCrash.Value() + reg.Spiky.LostOnCrash.Value()
-		s.remoteForwarded += reg.QueueLB.RemoteForwarded.Value()
-		for _, sh := range reg.Shards {
-			s.lost += sh.LostOnCrash.Value()
-		}
 	}
 	if p.Inv.Enabled() {
 		s.violations = p.Inv.TotalViolations()
