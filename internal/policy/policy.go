@@ -98,15 +98,6 @@ type Policy interface {
 	RetryBase(c *function.Call) (base time.Duration, ok bool)
 }
 
-// Placer is the QueueLB-side placement hook: a policy may skew which
-// region persists a submission before the routing-matrix draw happens.
-// ok false falls through to the configured routing policy (all shipped
-// policies do; the hook exists for placement-aware competitors and is
-// exercised by the queuelb tests).
-type Placer interface {
-	PlaceRegion(c *function.Call) (region int, ok bool)
-}
-
 // New builds the named policy from its knobs. The zero config (empty
 // name) is the push default, so zero-value scheduler Params keep the
 // pre-policy behavior.
@@ -134,4 +125,3 @@ func (Base) OnScheduled(*function.Call) {}
 func (Base) RetryBase(*function.Call) (time.Duration, bool) {
 	return 0, false
 }
-func (Base) PlaceRegion(*function.Call) (int, bool) { return 0, false }

@@ -125,7 +125,4 @@ func TestBaseHooksAreInert(t *testing.T) {
 	if base, ok := b.RetryBase(c); ok || base != 0 {
 		t.Fatalf("Base.RetryBase = (%v, %v), want decline", base, ok)
 	}
-	if r, ok := b.PlaceRegion(c); ok || r != 0 {
-		t.Fatalf("Base.PlaceRegion = (%v, %v), want decline", r, ok)
-	}
 }

@@ -13,7 +13,6 @@ import (
 	"xfaas/internal/durableq"
 	"xfaas/internal/function"
 	"xfaas/internal/lifecycle"
-	"xfaas/internal/policy"
 	"xfaas/internal/rng"
 	"xfaas/internal/stats"
 	"xfaas/internal/trace"
@@ -90,15 +89,6 @@ type LB struct {
 	RemoteFrac float64
 	// RemoteForwarded counts calls handed to another partition.
 	RemoteForwarded stats.Counter
-
-	// Place, when set, is the scheduling policy's placement hook: it may
-	// pin a submission's destination region before the routing-matrix
-	// draw. A declining hook (ok false) — which every shipped policy is —
-	// falls through to pickRegion with exactly the same RNG draws as an
-	// absent hook, so installing a policy never perturbs routing.
-	Place policy.Placer
-	// PolicyPlaced counts submissions the hook placed.
-	PolicyPlaced stats.Counter
 }
 
 // New returns a QueueLB for region, routing over the per-region shard
@@ -122,20 +112,6 @@ func (lb *LB) policyRow() []float64 {
 		return nil
 	}
 	return p[lb.region]
-}
-
-// placeOrPick gives the scheduling policy's placement hook first refusal
-// on the destination region, falling through to the routing-matrix draw.
-// An out-of-range placement falls through too (the hook cannot route
-// into a region that does not exist).
-func (lb *LB) placeOrPick(c *function.Call) cluster.RegionID {
-	if lb.Place != nil {
-		if r, ok := lb.Place.PlaceRegion(c); ok && r >= 0 && r < len(lb.shards) {
-			lb.PolicyPlaced.Inc()
-			return cluster.RegionID(r)
-		}
-	}
-	return lb.pickRegion()
 }
 
 // pickRegion samples a destination region from the policy row, falling
@@ -175,7 +151,7 @@ func (lb *LB) RouteOK(c *function.Call) bool {
 // shard. It returns nil only when every shard everywhere is down (the
 // submitter reports the submission failure to the client).
 func (lb *LB) Route(c *function.Call) *durableq.Shard {
-	dst := lb.placeOrPick(c)
+	dst := lb.pickRegion()
 	if shard := lb.pickShard(dst); shard != nil {
 		lb.finishRoute(c, shard, dst)
 		return shard
