@@ -118,6 +118,32 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
+// TestRequestBodiesValidated: a delay that time.Duration cannot hold, or
+// a negative one, is refused rather than run now, and both request
+// bodies reject unknown keys as a workload spec file does.
+func TestRequestBodiesValidated(t *testing.T) {
+	_, h := newTestServer(t)
+	if rec := do(t, h, "POST", "/functions", FunctionRequest{Name: "f"}); rec.Code != http.StatusCreated {
+		t.Fatalf("register status = %d: %s", rec.Code, rec.Body)
+	}
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/invoke", `{"function":"f","delay_seconds":1e9}`, http.StatusAccepted},
+		{"/invoke", `{"function":"f","delay_seconds":1e10}`, http.StatusBadRequest},
+		{"/invoke", `{"function":"f","delay_seconds":-5}`, http.StatusBadRequest},
+		{"/invoke", `{"function":"f","delay_secs":5}`, http.StatusBadRequest},
+		{"/functions", `{"name":"g","exec_median_s":0.1}`, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", tc.path, bytes.NewBufferString(tc.body)))
+		if rec.Code != tc.want {
+			t.Errorf("POST %s %s: status %d, want %d: %s", tc.path, tc.body, rec.Code, tc.want, rec.Body)
+		}
+	}
+}
+
 func TestDelayedInvocationHonored(t *testing.T) {
 	s, h := newTestServer(t)
 	do(t, h, "POST", "/functions", FunctionRequest{Name: "later", ExecMedianS: 0.05})

@@ -94,11 +94,11 @@ func (sf *SpecFile) Validate() error {
 // that build a FuncSpec directly rather than via JSON.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// maxSpecSeconds bounds duration-in-seconds fields so conversion to
-// time.Duration cannot overflow (~31 years); maxSpecRPS bounds arrival
-// rates so a generator tick stays tractable.
+// MaxSpecSeconds bounds duration-in-seconds fields, here and in HTTP
+// requests, so conversion to time.Duration cannot overflow (~31 years);
+// maxSpecRPS bounds arrival rates so a generator tick stays tractable.
 const (
-	maxSpecSeconds = 1e9
+	MaxSpecSeconds = 1e9
 	maxSpecRPS     = 1e6
 )
 
@@ -133,8 +133,8 @@ func (fs *FuncSpec) Validate() error {
 	if fs.Concurrency < 0 {
 		return fmt.Errorf("concurrency_limit must be non-negative, got %d", fs.Concurrency)
 	}
-	if fs.DeadlineSec > maxSpecSeconds {
-		return fmt.Errorf("deadline_seconds must be <= %g, got %v", float64(maxSpecSeconds), fs.DeadlineSec)
+	if fs.DeadlineSec > MaxSpecSeconds {
+		return fmt.Errorf("deadline_seconds must be <= %g, got %v", float64(MaxSpecSeconds), fs.DeadlineSec)
 	}
 	if fs.MeanRPS > maxSpecRPS {
 		return fmt.Errorf("mean_rps must be <= %g, got %v", float64(maxSpecRPS), fs.MeanRPS)
@@ -155,8 +155,8 @@ func (fs *FuncSpec) Validate() error {
 		if b.LenSec > b.EverySec {
 			return fmt.Errorf("burst len_seconds (%v) exceeds every_seconds (%v)", b.LenSec, b.EverySec)
 		}
-		if b.EverySec > maxSpecSeconds || b.OffsetSec > maxSpecSeconds {
-			return fmt.Errorf("burst periods must be <= %g seconds", float64(maxSpecSeconds))
+		if b.EverySec > MaxSpecSeconds || b.OffsetSec > MaxSpecSeconds {
+			return fmt.Errorf("burst periods must be <= %g seconds", float64(MaxSpecSeconds))
 		}
 		if b.RPS > maxSpecRPS {
 			return fmt.Errorf("burst rps must be <= %g, got %v", float64(maxSpecRPS), b.RPS)
