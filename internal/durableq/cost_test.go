@@ -2,8 +2,6 @@ package durableq
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -175,71 +173,62 @@ func BenchmarkPollInto(b *testing.B) {
 	}
 }
 
-// bestRatio times two rigs back to back five times and returns the
-// ratio of each rig's fastest run. Interference from other work on a
-// shared runner only ever adds time, so the fastest run is the closest
-// to what the code itself costs, and neither drift nor a noisy spell
-// decides.
-func bestRatio(t *testing.T, what string, num, den func() float64) float64 {
-	bestN, bestD := math.Inf(1), math.Inf(1)
-	for range 5 {
-		n, d := num(), den()
-		t.Logf("%s: %.1f ns against %.1f ns", what, n, d)
-		bestN, bestD = min(bestN, n), min(bestD, d)
-	}
-	return bestN / bestD
-}
-
 // With a timer per lease a renewal was a removal from and a push onto an
-// event heap as deep as the leases held. Now it relinks a list node, and
-// what still grows with the number held is the lookup in the lease map
-// (measured: 58 ns against 26 ns; with timers 293 ns against 167 ns).
+// event heap as deep as the leases held. Now it relinks a list node: a
+// renewal's key is the newest, so grant links the lease behind the tail
+// it finds, walks nothing, allocates nothing and adds no engine event.
+// What still grows with the number held is the lease-map lookup, which
+// BenchmarkRenew times.
 func TestRenewCostDoesNotFollowLeasesHeld(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison")
-	}
-	perRenew := func(held int) func() float64 {
-		return func() float64 {
-			r := newLeasedRig(held)
-			rounds := 2_000_000 / held
-			// Collect what building the rig left behind and touch every
-			// lease once, so neither a collection over the larger heap nor
-			// a cold first round lands inside the timed renewals.
-			runtime.GC()
-			r.renewAll()
-			t0 := time.Now()
-			for range rounds {
-				r.renewAll()
-			}
-			return float64(time.Since(t0)) / float64(rounds*held)
+	const held = 100_000
+	r := newLeasedRig(held)
+	r.e.RunFor(time.Minute)
+	events := r.e.Pending()
+	for range 1_000 {
+		tail, l := r.sh.leaseTail, r.sh.leaseHead
+		if !r.sh.Renew(l.call.ID) {
+			t.Fatalf("lease %d lost before its timeout", l.call.ID)
+		}
+		if r.sh.leaseTail != l || l.prev != tail {
+			t.Fatalf("renewed lease %d was not linked behind the tail it found", l.call.ID)
 		}
 	}
-	if x := bestRatio(t, "renew at 100k held against 1k", perRenew(100_000), perRenew(1_000)); x > 3 {
-		t.Fatalf("a renewal with 100k leases held costs %.1fx one with 1k held, want at most 3x", x)
+	if r.sh.Leased() != held || r.e.Pending() != events {
+		t.Fatalf("after renewals: %d leases held and %d engine events, want %d and %d",
+			r.sh.Leased(), r.e.Pending(), held, events)
+	}
+	renewHead := func() { r.sh.Renew(r.sh.leaseHead.call.ID) }
+	if avg := testing.AllocsPerRun(1_000, renewHead); avg != 0 {
+		t.Fatalf("a renewal with %d leases held allocates %v times, want 0", held, avg)
 	}
 }
 
 // The name walk paid for every function of the shard, a map lookup each,
-// whether or not anything was due. The scan pays one comparison per
-// function plus a visit per due queue, so a poll that finds nothing must
-// cost well under half of one that has to open every queue (measured:
-// 0.3 µs against 1.3 µs; the name walk took 2.7 µs against 3.1 µs).
+// whether or not anything was due. The scan reads the dense wake array and
+// opens only the queues whose head is due: with k of 192 due, a poll hands
+// the filter exactly k heads and writes no other queue's wake time.
 func TestPollCostFollowsDueQueues(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison")
-	}
-	perPoll := func(ready int) func() float64 {
-		return func() float64 {
-			const polls = 20_000
-			r := newPollRig(ready)
-			t0 := time.Now()
-			for range polls {
-				r.poll()
+	for _, ready := range []int{0, 8, costFuncs} {
+		r := newPollRig(ready)
+		now := r.sh.engine.Now()
+		// Move every queue that is not due one tick later: still not due,
+		// and a poll that opened the queue would write its head's time back.
+		for i, w := range r.sh.wake {
+			if w > now {
+				r.sh.wake[i] = w + 1
 			}
-			return float64(time.Since(t0)) / polls
 		}
-	}
-	if x := bestRatio(t, "poll with 0 of 192 due against 192 of 192", perPoll(0), perPoll(costFuncs)); x > 0.5 {
-		t.Fatalf("a poll that finds nothing due costs %.2fx one that opens all %d queues, want at most 0.5x", x, costFuncs)
+		want := slices.Clone(r.sh.wake)
+		offered := 0
+		r.buf = r.sh.PollInto(r.buf[:0], 64, func(*function.Call) bool { offered++; return false })
+		if offered != ready {
+			t.Fatalf("%d of %d queues due: the filter saw %d heads, want %d", ready, costFuncs, offered, ready)
+		}
+		for i := range want {
+			if r.sh.wake[i] != want[i] {
+				t.Fatalf("%d of %d queues due: the poll rewrote queue %d's wake time %v to %v",
+					ready, costFuncs, i, want[i], r.sh.wake[i])
+			}
+		}
 	}
 }
