@@ -48,7 +48,7 @@ func run() int {
 		md        = flag.Bool("markdown", false, "emit Markdown sections (EXPERIMENTS.md format) instead of terminal output")
 		inv       = flag.Bool("invariants", false, "run the platform invariant checker on every experiment and fail on violations")
 		slo       = flag.Bool("slo", false, "enable core-second accounting and SLO burn-rate evaluation on every run")
-		policy    = flag.String("policy", "", "scheduling policy for every run: push (default), pull, prewarm, spes")
+		policy    = flag.String("policy", "", "scheduling policy for every run: "+strings.Join(config.PolicyNames(), ", ")+" (default push)")
 		matrix    = flag.String("policy-matrix", "", "run every scheduling policy through every overload scenario and write the table to this JSON file; a pure function of -seed")
 
 		parallel = flag.Int("parallel", 0, "run the partitioned platform simulation with this many partitions (0 = off); output is deterministic and byte-identical to -seq")
@@ -76,7 +76,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}()
-	if _, err := config.PolicyByName(*policy); err != nil {
+	if err := config.CheckPolicy(*policy); err != nil {
 		fmt.Fprintf(os.Stderr, "%v; available: %s\n", err, strings.Join(config.PolicyNames(), ", "))
 		return 2
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"xfaas/internal/chaos"
-	"xfaas/internal/config"
 	"xfaas/internal/core"
 	"xfaas/internal/function"
 	"xfaas/internal/isolation"
@@ -173,13 +172,7 @@ func (rc rigConfig) build() *rig {
 	if s.Observe {
 		cfg.Observe = cfg.Observe.EnableAll()
 	}
-	if s.Policy != "" {
-		pol, err := config.PolicyByName(s.Policy)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Scheduler.Policy = pol
-	}
+	cfg.Scheduler.Policy = s.Policy
 	p := core.New(cfg, pop.Registry)
 	s.collect(p)
 	weights := p.Topo.CapacityShare()

@@ -78,8 +78,6 @@ type Host interface {
 // scheduler crash discards and rebuilds the instance, like any other
 // in-memory state).
 type Policy interface {
-	// Name returns the policy's config name.
-	Name() string
 	// Attach binds the policy to its host; called once at scheduler
 	// construction and again after a crash rebuild.
 	Attach(h Host)
@@ -98,21 +96,24 @@ type Policy interface {
 	RetryBase(c *function.Call) (base time.Duration, ok bool)
 }
 
-// New builds the named policy from its knobs. The zero config (empty
-// name) is the push default, so zero-value scheduler Params keep the
-// pre-policy behavior.
-func New(cfg config.Policy) Policy {
-	switch cfg.Name {
+// New builds the named policy with its shipped knobs. The empty name is
+// the push default, so zero-value scheduler Params keep the pre-policy
+// behavior.
+func New(name string) Policy {
+	switch name {
 	case "", config.PolicyPush:
 		return &Push{}
 	case config.PolicyPull:
-		return &Pull{knobs: cfg.Pull}
+		return &Pull{maxPerWorker: pullMaxPerWorker}
 	case config.PolicyPrewarm:
-		return &Prewarm{knobs: cfg.Prewarm}
+		return &Prewarm{
+			alpha: prewarmAlpha, beta: prewarmBeta, horizonTicks: prewarmHorizonTicks,
+			maxBoost: prewarmMaxBoost, topK: prewarmTopK, intervalTicks: prewarmIntervalTicks,
+		}
 	case config.PolicySPES:
-		return &SPES{knobs: cfg.SPES}
+		return &SPES{perf: spesPerf, spareTarget: spesSpareTarget, topK: spesTopK, intervalTicks: spesIntervalTicks}
 	default:
-		panic("policy: unknown policy " + cfg.Name + " (validate the config first)")
+		panic("policy: unknown policy " + name + " (check it with config.CheckPolicy first)")
 	}
 }
 

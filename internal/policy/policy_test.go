@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -54,20 +55,27 @@ func (h *fakeHost) PrewarmFunctions(fns []string) {
 }
 func (h *fakeHost) PoolUtilization() float64 { return h.util }
 
+// TestFactoryShippedNames: every shipped name builds its policy with the
+// shipped knob values, and the empty name is the push default.
 func TestFactoryShippedNames(t *testing.T) {
+	want := map[string]Policy{
+		"":                &Push{},
+		config.PolicyPush: &Push{},
+		config.PolicyPull: &Pull{maxPerWorker: 32},
+		config.PolicyPrewarm: &Prewarm{
+			alpha: 0.3, beta: 0.1, horizonTicks: 5, maxBoost: 4, topK: 16, intervalTicks: 30,
+		},
+		config.PolicySPES: &SPES{perf: 0.5, spareTarget: 0.3, topK: 16, intervalTicks: 30},
+	}
 	for _, name := range config.PolicyNames() {
-		cfg, err := config.PolicyByName(name)
-		if err != nil {
-			t.Fatalf("PolicyByName(%q): %v", name, err)
-		}
-		p := New(cfg)
-		if p.Name() != name {
-			t.Fatalf("New(%q).Name() = %q", name, p.Name())
+		if _, ok := want[name]; !ok {
+			t.Fatalf("shipped policy %q has no expectation here", name)
 		}
 	}
-	// The zero config is the push default.
-	if p := New(config.Policy{}); p.Name() != config.PolicyPush {
-		t.Fatalf("zero-config policy is %q, want push", p.Name())
+	for name, w := range want {
+		if got := New(name); !reflect.DeepEqual(got, w) {
+			t.Errorf("New(%q) = %+v, want %+v", name, got, w)
+		}
 	}
 }
 
@@ -77,12 +85,12 @@ func TestFactoryUnknownNamePanics(t *testing.T) {
 			t.Fatal("New with an unknown policy name did not panic")
 		}
 	}()
-	New(config.Policy{Name: "bogus"})
+	New("bogus")
 }
 
 func TestPushRunsDefaultPipelineOnly(t *testing.T) {
 	h := &fakeHost{}
-	p := New(config.Policy{Name: config.PolicyPush})
+	p := New(config.PolicyPush)
 	p.Attach(h)
 	p.Tick()
 	want := []string{"poll", "shed", "schedule", "dispatch"}
@@ -106,9 +114,8 @@ func TestPushRunsDefaultPipelineOnly(t *testing.T) {
 }
 
 func TestPullTickUsesDispatchWith(t *testing.T) {
-	cfg, _ := config.PolicyByName(config.PolicyPull)
 	h := &fakeHost{}
-	p := New(cfg)
+	p := New(config.PolicyPull)
 	p.Attach(h)
 	p.Tick()
 	want := []string{"poll", "shed", "schedule", "dispatchwith"}
@@ -121,9 +128,8 @@ func TestPullTickUsesDispatchWith(t *testing.T) {
 
 func TestSPESRetryBaseScalesWithPerf(t *testing.T) {
 	mk := func(perf float64) Policy {
-		cfg, _ := config.PolicyByName(config.PolicySPES)
-		cfg.SPES.Perf = perf
-		p := New(cfg)
+		p := New(config.PolicySPES).(*SPES)
+		p.perf = perf
 		p.Attach(&fakeHost{})
 		return p
 	}
@@ -147,9 +153,8 @@ func TestSPESRetryBaseScalesWithPerf(t *testing.T) {
 }
 
 func TestSPESGatesOpportunisticUnderPressure(t *testing.T) {
-	cfg, _ := config.PolicyByName(config.PolicySPES)
-	cfg.SPES.Perf = 0 // full reservation: reserve = SpareTarget = 0.3
-	p := New(cfg)
+	p := New(config.PolicySPES).(*SPES)
+	p.perf = 0                // full reservation: reserve = spareTarget = 0.3
 	h := &fakeHost{util: 0.9} // spare 0.1 < reserve 0.3 → gate
 	p.Attach(h)
 	p.Tick()

@@ -8,18 +8,6 @@ import (
 	"xfaas/internal/function"
 )
 
-func newPrewarm(t *testing.T, h *fakeHost, knobs config.PrewarmKnobs) *Prewarm {
-	t.Helper()
-	cfg, err := config.PolicyByName(config.PolicyPrewarm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Prewarm = knobs
-	p := New(cfg).(*Prewarm)
-	p.Attach(h)
-	return p
-}
-
 func admitN(p *Prewarm, name string, n int) {
 	spec := &function.Spec{Name: name}
 	for i := 0; i < n; i++ {
@@ -31,15 +19,14 @@ func admitN(p *Prewarm, name string, n int) {
 // rate the trend turns positive, the forecast exceeds the level, and the
 // poll budget multiplier climbs above 1 — capped at MaxBoost.
 func TestPrewarmBoostsPollOnRisingForecast(t *testing.T) {
-	knobs := config.PrewarmKnobs{
-		Alpha: 0.5, Beta: 0.5, HorizonTicks: 5, MaxBoost: 2.5,
-		TopK: 4, IntervalTicks: 1000, // no pre-warm pass in this test
+	p := &Prewarm{
+		alpha: 0.5, beta: 0.5, horizonTicks: 5, maxBoost: 2.5,
+		topK: 4, intervalTicks: 1000, // no pre-warm pass in this test
 	}
-	var p *Prewarm
 	tick := 0
 	h := &fakeHost{}
 	h.pollHook = func(float64) { admitN(p, "ramp", 10+10*tick) } // arrivals ramp hard
-	p = newPrewarm(t, h, knobs)
+	p.Attach(h)
 	for tick = 0; tick < 12; tick++ {
 		p.Tick()
 	}
@@ -68,13 +55,10 @@ func TestPrewarmBoostsPollOnRisingForecast(t *testing.T) {
 // forecast excess, multiplier pinned at 1 — the policy must not inflate
 // the poll budget without a predicted spike.
 func TestPrewarmStaysFlatOnSteadyRate(t *testing.T) {
-	var p *Prewarm
+	p := &Prewarm{alpha: 0.3, beta: 0.1, horizonTicks: 5, maxBoost: 4, topK: 4, intervalTicks: 1000}
 	h := &fakeHost{}
 	h.pollHook = func(float64) { admitN(p, "steady", 10) }
-	p = newPrewarm(t, h, config.PrewarmKnobs{
-		Alpha: 0.3, Beta: 0.1, HorizonTicks: 5, MaxBoost: 4,
-		TopK: 4, IntervalTicks: 1000,
-	})
+	p.Attach(h)
 	for i := 0; i < 20; i++ {
 		p.Tick()
 	}
@@ -88,17 +72,14 @@ func TestPrewarmStaysFlatOnSteadyRate(t *testing.T) {
 // TestPrewarmWarmsHottestFunctions: every IntervalTicks the policy
 // pre-warms the TopK hottest functions by smoothed arrival rate.
 func TestPrewarmWarmsHottestFunctions(t *testing.T) {
-	var p *Prewarm
+	p := &Prewarm{alpha: 0.5, beta: 0.1, horizonTicks: 5, maxBoost: 4, topK: 2, intervalTicks: 3}
 	h := &fakeHost{}
 	h.pollHook = func(float64) {
 		admitN(p, "hot", 50)
 		admitN(p, "warm", 5)
 		admitN(p, "cool", 1)
 	}
-	p = newPrewarm(t, h, config.PrewarmKnobs{
-		Alpha: 0.5, Beta: 0.1, HorizonTicks: 5, MaxBoost: 4,
-		TopK: 2, IntervalTicks: 3,
-	})
+	p.Attach(h)
 	for i := 0; i < 6; i++ {
 		p.Tick()
 	}
@@ -125,11 +106,8 @@ func TestPrewarmWarmsHottestFunctions(t *testing.T) {
 // ⌈Perf × TopK⌉ — zero at the resource end, full at the performance end.
 func TestSPESPrewarmScalesWithPerf(t *testing.T) {
 	runSPES := func(perf float64) []string {
-		cfg, _ := config.PolicyByName(config.PolicySPES)
-		cfg.SPES.Perf = perf
-		cfg.SPES.TopK = 4
-		cfg.SPES.IntervalTicks = 1
-		p := New(cfg).(*SPES)
+		p := New(config.PolicySPES).(*SPES)
+		p.perf, p.topK, p.intervalTicks = perf, 4, 1
 		h := &fakeHost{}
 		p.Attach(h)
 		for i := 0; i < 6; i++ {
@@ -153,9 +131,8 @@ func TestSPESPrewarmScalesWithPerf(t *testing.T) {
 // pressure and reopens when spare capacity recovers — one transition
 // each way, not a call per tick.
 func TestSPESUngatesWhenPressureClears(t *testing.T) {
-	cfg, _ := config.PolicyByName(config.PolicySPES)
-	cfg.SPES.Perf = 0 // reserve = SpareTarget = 0.3
-	p := New(cfg).(*SPES)
+	p := New(config.PolicySPES).(*SPES)
+	p.perf = 0 // reserve = spareTarget = 0.3
 	h := &fakeHost{util: 0.9}
 	p.Attach(h)
 	p.Tick()

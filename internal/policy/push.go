@@ -1,7 +1,5 @@
 package policy
 
-import "xfaas/internal/config"
-
 // Push is the paper's push/lease policy: the default pipeline stages in
 // their original order, nothing more. It draws no policy randomness and
 // keeps no state, so a seeded run under Push is byte-identical to the
@@ -10,9 +8,6 @@ type Push struct {
 	Base
 	h Host
 }
-
-// Name implements Policy.
-func (p *Push) Name() string { return config.PolicyPush }
 
 // Attach implements Policy.
 func (p *Push) Attach(h Host) { p.h = h }

@@ -128,7 +128,6 @@ type schedEntry struct {
 	watermark int
 }
 
-func (p *orderProbe) Name() string         { return p.inner.Name() }
 func (p *orderProbe) Attach(h policy.Host) { p.inner.Attach(h) }
 func (p *orderProbe) Tick()                { p.inner.Tick() }
 func (p *orderProbe) OnAdmit(c *function.Call) {
@@ -187,12 +186,8 @@ func TestPolicyNeverInvertsDeadlines(t *testing.T) {
 			for seed := uint64(11); seed <= 12; seed++ {
 				var probes []*orderProbe
 				h := build(seed, func(c *core.Config, _ *workload.PopulationConfig) {
-					cfg, err := config.PolicyByName(name)
-					if err != nil {
-						t.Fatal(err)
-					}
 					c.Scheduler.PolicyFactory = func() policy.Policy {
-						p := &orderProbe{inner: policy.New(cfg)}
+						p := &orderProbe{inner: policy.New(name)}
 						probes = append(probes, p)
 						return p
 					}
@@ -222,11 +217,7 @@ func TestPolicyNeverInvertsDeadlines(t *testing.T) {
 
 func withPolicy(name string) func(*core.Config, *workload.PopulationConfig) {
 	return func(c *core.Config, _ *workload.PopulationConfig) {
-		pol, err := config.PolicyByName(name)
-		if err != nil {
-			panic(err)
-		}
-		c.Scheduler.Policy = pol
+		c.Scheduler.Policy = name
 	}
 }
 

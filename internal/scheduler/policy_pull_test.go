@@ -50,16 +50,12 @@ func TestPullPolicyDrawSequence(t *testing.T) {
 	cong := congestion.NewManager(engine, congestion.DefaultAIMDParams(), congestion.DefaultSlowStartParams())
 
 	params := DefaultParams()
-	var err error
-	params.Policy, err = config.PolicyByName(config.PolicyPull)
-	if err != nil {
-		t.Fatal(err)
-	}
+	params.Policy = config.PolicyPull
 	schedSrc := src.Split()
 	sched := New(engine, schedSrc, 0, params, [][]*durableq.Shard{{shard}}, lb, cen, cong, store)
 	sched.Obs = lifecycle.New(engine, rec, nil, nil)
-	if sched.pol.Name() != config.PolicyPull {
-		t.Fatalf("installed policy %q", sched.pol.Name())
+	if _, ok := sched.pol.(*policy.Pull); !ok {
+		t.Fatalf("installed policy %T", sched.pol)
 	}
 
 	// Mirror the policy stream: New attaches the policy before anything
@@ -114,10 +110,10 @@ func TestPullPolicyDrawSequence(t *testing.T) {
 	}
 }
 
-// TestPullPolicyRespectsPerTickCap: with MaxPerWorker = 1 and a single
-// usable worker, each tick pulls exactly one call no matter how deep the
-// RunQ is — the cap is the guard against one idle machine draining the
-// whole queue before its load catches up.
+// TestPullPolicyRespectsPerTickCap: at the shipped cap of 32 calls per
+// worker per tick and a single usable worker, each tick pulls at most 32
+// calls no matter how deep the RunQ is — the cap is the guard against one
+// idle machine draining the whole queue before its load catches up.
 func TestPullPolicyRespectsPerTickCap(t *testing.T) {
 	engine := sim.NewEngine()
 	store := config.NewStore(engine)
@@ -130,27 +126,26 @@ func TestPullPolicyRespectsPerTickCap(t *testing.T) {
 	cong := congestion.NewManager(engine, congestion.DefaultAIMDParams(), congestion.DefaultSlowStartParams())
 
 	params := DefaultParams()
-	params.Policy, _ = config.PolicyByName(config.PolicyPull)
-	params.Policy.Pull.MaxPerWorker = 1
+	params.Policy = config.PolicyPull
 	sched := New(engine, src.Split(), 0, params, [][]*durableq.Shard{{shard}}, lb, cen, cong, store)
 
 	spec := &function.Spec{
 		Name: "zero", Namespace: "ns", Deadline: time.Hour,
 		Criticality: function.CritNormal, Retry: function.DefaultRetry,
 	}
-	for id := uint64(1); id <= 10; id++ {
+	for id := uint64(1); id <= 40; id++ {
 		shard.Enqueue(&function.Call{
 			ID: id, Spec: spec, Deadline: sim.Time(time.Hour),
 			CPUWorkM: 0, MemMB: 1, ExecSecs: 0.01,
 		})
 	}
 	engine.RunFor(1500 * time.Millisecond) // exactly one tick
-	if got := sched.Dispatched.Value(); got != 1 {
-		t.Fatalf("dispatched %v calls on the first tick with MaxPerWorker=1, want 1", got)
+	if got := sched.Dispatched.Value(); got != 32 {
+		t.Fatalf("dispatched %v calls on the first tick at a cap of 32, want 32", got)
 	}
 	engine.RunFor(time.Second)
-	if got := sched.Dispatched.Value(); got != 2 {
-		t.Fatalf("dispatched %v calls after two ticks, want 2", got)
+	if got := sched.Dispatched.Value(); got != 40 {
+		t.Fatalf("dispatched %v calls after two ticks, want 40", got)
 	}
 }
 
@@ -163,7 +158,6 @@ type probePolicy struct {
 	seq []*function.Call
 }
 
-func (p *probePolicy) Name() string         { return "probe" }
 func (p *probePolicy) Attach(h policy.Host) { p.h = h }
 func (p *probePolicy) Tick() {
 	p.h.DefaultPoll()
@@ -189,7 +183,7 @@ func TestPolicyFactoryOverride(t *testing.T) {
 
 	probe := &probePolicy{}
 	params := DefaultParams()
-	params.Policy, _ = config.PolicyByName(config.PolicyPull) // must be ignored
+	params.Policy = config.PolicyPull // must be ignored
 	params.PolicyFactory = func() policy.Policy { return probe }
 	sched := New(engine, src.Split(), 0, params, [][]*durableq.Shard{{shard}}, lb, cen, cong, store)
 	if sched.pol != probe {
@@ -230,14 +224,7 @@ func TestForecastPoliciesDriveHostSurface(t *testing.T) {
 		cong := congestion.NewManager(engine, congestion.DefaultAIMDParams(), congestion.DefaultSlowStartParams())
 
 		params := DefaultParams()
-		var err error
-		params.Policy, err = config.PolicyByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		params.Policy.Prewarm.IntervalTicks = 2
-		params.Policy.SPES.IntervalTicks = 2
-		params.Policy.SPES.Perf = 1 // full pre-warm set, no reservation
+		params.Policy = name
 		sched := New(engine, src.Split(), 0, params, [][]*durableq.Shard{{shard}}, lb, cen, cong, store)
 
 		spec := &function.Spec{

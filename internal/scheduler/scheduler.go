@@ -43,10 +43,10 @@ type Params struct {
 	// RunQLimit is the flow-control threshold: polling and buffer→RunQ
 	// movement pause while the RunQ is this deep (slow workers).
 	RunQLimit int
-	// Policy selects the scheduling policy by name with its knobs; the
-	// zero value is the default push policy, whose seeded output is
+	// Policy names the scheduling policy (config.PolicyNames); the empty
+	// name is the default push policy, whose seeded output is
 	// byte-identical to the pre-policy scheduler.
-	Policy config.Policy
+	Policy string
 	// PolicyFactory, when set, overrides Policy with a custom
 	// implementation (test probes, experimental policies).
 	PolicyFactory func() policy.Policy
@@ -475,7 +475,7 @@ func (s *Scheduler) tick() {
 }
 
 // newPolicy builds the replica's policy instance from Params (factory
-// override first, then by name; the zero config is push).
+// override first, then by name; the empty name is push).
 func (s *Scheduler) newPolicy() policy.Policy {
 	if s.params.PolicyFactory != nil {
 		return s.params.PolicyFactory()
