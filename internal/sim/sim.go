@@ -40,8 +40,8 @@ type timerNode struct {
 	origin int32
 	index  int32 // heap slot, -1 when not queued
 	gen    uint32
-	// owned marks a Ticker's or an Alarm's node: its owner reschedules it
-	// and Step never releases it to the pool.
+	// owned marks an Alarm's node: its owner re-arms it and Step never
+	// releases it to the pool.
 	owned bool
 }
 
@@ -75,44 +75,28 @@ func (t Timer) Stop() bool {
 func (t Timer) When() Time { return t.at }
 
 // Ticker repeatedly schedules a callback at a fixed virtual interval
-// until stopped. It owns a single timer node and reschedules it in place
-// on every tick, so a long-lived ticker allocates nothing after creation.
+// until stopped. It is an Alarm its own callback re-arms, one interval
+// ahead with the next sequence number — the key a fresh Schedule would
+// get — so a long-lived ticker allocates nothing after creation.
 type Ticker struct {
-	e        *Engine
+	a        Alarm
 	interval time.Duration
 	fn       func()
-	n        *timerNode
-	gen      uint32
 	stopped  bool
 }
 
-// Stop cancels all future ticks.
+// Stop cancels all future ticks. Called from inside the callback, it
+// keeps the tick that is firing from re-arming.
 func (tk *Ticker) Stop() {
-	if tk.stopped {
-		return
-	}
 	tk.stopped = true
-	n := tk.n
-	if n.gen == tk.gen && n.index >= 0 {
-		tk.e.remove(n)
-		tk.e.release(n)
-	}
-	// If the node is mid-fire (Stop called from inside a callback),
-	// tick() observes stopped and releases it instead.
+	tk.a.Stop()
 }
 
 func (tk *Ticker) tick() {
-	if tk.stopped {
-		return
-	}
 	tk.fn()
-	if tk.stopped { // fn may stop the ticker
-		if n := tk.n; n.gen == tk.gen && n.index < 0 {
-			tk.e.release(n)
-		}
-		return
+	if e := tk.a.n.e; !tk.stopped { // fn may stop the ticker
+		tk.a.Set(e.now+tk.interval, e.ReserveSeq())
 	}
-	tk.e.push(tk.n, tk.e.now+tk.interval)
 }
 
 // Alarm is one event whose ordering key its owner chooses. A component
@@ -241,12 +225,9 @@ func (e *Engine) Every(interval time.Duration, fn func()) *Ticker {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: Every called with non-positive interval %v", interval))
 	}
-	tk := &Ticker{e: e, interval: interval, fn: fn}
-	n := e.get()
-	n.owned = true
-	n.fn = tk.tick
-	tk.n, tk.gen = n, n.gen
-	e.push(n, e.now+interval)
+	tk := &Ticker{interval: interval, fn: fn}
+	tk.a.n = timerNode{e: e, fn: tk.tick, index: -1, owned: true}
+	tk.a.Set(e.now+interval, e.ReserveSeq())
 	return tk
 }
 
@@ -264,8 +245,7 @@ func (e *Engine) Step() bool {
 	e.now = n.at
 	e.processed++
 	if n.owned {
-		// Ticker- or Alarm-owned: the owner reschedules or releases the
-		// node itself.
+		// Alarm-owned: the alarm's owner re-arms it or leaves it unarmed.
 		n.fn()
 	} else {
 		fn := n.fn
@@ -305,7 +285,6 @@ func (e *Engine) get() *timerNode {
 func (e *Engine) release(n *timerNode) {
 	n.gen++
 	n.fn = nil
-	n.owned = false
 	n.index = -1
 	e.free = append(e.free, n)
 }
