@@ -174,15 +174,16 @@ func digestChaos(w io.Writer, name string) {
 		p.Engine.Schedule(at(0.3), func() { inj.DrainRegion(1) })
 		p.Engine.Schedule(at(0.6), func() { inj.UndrainRegion(1) })
 	case "crashes":
-		// Off the flush grid, so the submitter's batch is not empty.
-		p.Engine.Schedule(at(0.3)+45*time.Millisecond, func() {
-			inj.CrashScheduler(0, 0)
-			inj.CrashSubmitter(1, false)
-		})
+		// Once region 1's submitter batch holds a call, so the crash
+		// loses it.
+		p.Engine.RunUntil(at(0.3))
+		stepUntilBatched(p.Engine, p.Region(1).Normal)
+		inj.CrashScheduler(0, 0)
+		inj.CrashSubmitter(1, false)
 	default:
 		panic("unknown digest scenario " + name)
 	}
-	p.Engine.RunFor(dur)
+	p.Engine.RunUntil(dur)
 	// Let the deferred calls (up to eight hours out) run too, so the
 	// traces of everything the faults touched complete and are dumped.
 	gen.Stop()

@@ -6,6 +6,7 @@ import (
 	"xfaas/internal/chaos"
 	"xfaas/internal/core"
 	"xfaas/internal/sim"
+	"xfaas/internal/submitter"
 )
 
 // The recovery experiments exercise the durability layer end to end:
@@ -150,17 +151,27 @@ func runChaosShardCrash(s Scale) *Result {
 	return r
 }
 
+// stepUntilBatched fires events one at a time, for at most one simulated
+// minute, until sub's flush batch holds a call. A crash on the flush grid
+// (a whole minute, say) meets an empty batch and loses nothing.
+func stepUntilBatched(e *sim.Engine, sub *submitter.Submitter) {
+	for end := e.Now() + time.Minute; sub.BatchLen() == 0 && e.Now() < end && e.Step(); {
+	}
+}
+
 func runChaosSubmitterCrash(s Scale) *Result {
 	r := &Result{ID: "chaos_submittercrash", Title: "Submitter crash: flush-window loss, fast stateless restart"}
 	f := startFaultRun(s, recoveryRig(s, 0.60, core.DefaultConfig().Durability.FlushLag))
 	p, inj, victim := f.P, f.Inj, f.victim
 	sub := victim.Normal
+	stepUntilBatched(p.Engine, sub)
 	buffered := sub.BatchLen()
 	inj.CrashSubmitter(victim.ID, false)
 	lost := sub.LostOnCrash.Value()
 	rebuild := chaos.SubmitterRebuildDelay
 
 	r.row("unflushed batch at crash", "the only loss window", "%d buffered, %.0f lost", buffered, lost)
+	r.check("the crash caught at least one buffered call", buffered > 0, "%d buffered", buffered)
 	r.check("loss is exactly the unflushed window", lost == float64(buffered),
 		"lost %.0f vs %d buffered", lost, buffered)
 
