@@ -3,6 +3,21 @@ package scheduler
 import (
 	"sort"
 	"testing"
+	"time"
+
+	"xfaas/internal/config"
+	"xfaas/internal/congestion"
+	"xfaas/internal/durableq"
+	"xfaas/internal/function"
+	"xfaas/internal/invariant"
+	"xfaas/internal/lifecycle"
+	"xfaas/internal/policy"
+	"xfaas/internal/ratelimit"
+	"xfaas/internal/rng"
+	"xfaas/internal/sim"
+	"xfaas/internal/trace"
+	"xfaas/internal/worker"
+	"xfaas/internal/workerlb"
 )
 
 // TestHedgeEstimatorQuantile pins the estimator's edge behavior: the
@@ -136,5 +151,136 @@ func TestHedgeBudgetArithmetic(t *testing.T) {
 	// The invariant probe's inequality holds on the counters.
 	if bound := 0.25*b.Earned.Value() + 2; b.Spent.Value() > bound {
 		t.Fatalf("spent %v exceeds bound %v", b.Spent.Value(), bound)
+	}
+}
+
+// pinPolicy is push with every dispatch pinned to one worker, so a test
+// knows which worker runs each call's primary execution.
+type pinPolicy struct {
+	policy.Push
+	h policy.Host
+	w *worker.Worker
+}
+
+func (p *pinPolicy) Attach(h policy.Host) { p.h = h }
+func (p *pinPolicy) Tick() {
+	p.h.DefaultPoll()
+	p.h.DefaultShedSweep()
+	p.h.DefaultSchedule()
+	p.h.DispatchWith(func(*function.Call) (*worker.Worker, bool) { return p.w, true })
+}
+
+// TestHedgeRace drives a hedged call through every order in which its
+// two executions can finish, fail or be evacuated. The rig has two
+// workers and pins every primary to worker 0, so the speculative copy can
+// only run on worker 1. Eight 1 s completions warm the estimator, which
+// puts the hedge delay at 1 s; worker 0 is then slowed so the primary of
+// the next call runs slowdown × execSecs, and the row's faults strike at
+// fixed offsets after the primary starts. The function allows a single
+// attempt, so a Nack dead-letters the call and nothing redelivers it.
+func TestHedgeRace(t *testing.T) {
+	type fault struct {
+		after  time.Duration // after the primary starts
+		worker int
+		silent bool // FailSilent: only heartbeat detection finds out
+	}
+	ms := time.Millisecond
+	cases := []struct {
+		name                    string
+		slowdown, execSecs      float64
+		faults                  []fault
+		ack                     bool // settled by an Ack, else by a Nack
+		hedged, wins, cancelled float64
+		workerCancelled         [2]float64
+	}{
+		{"primary wins while the copy runs", 1.5, 1, nil, true, 1, 0, 1, [2]float64{0, 1}},
+		{"copy wins", 3, 1, nil, true, 1, 1, 0, [2]float64{1, 0}},
+		{"copy fails while the primary runs", 3, 1, []fault{{1500 * ms, 1, false}}, true, 1, 0, 0, [2]float64{}},
+		{"primary fails, then the copy wins", 3, 1, []fault{{1500 * ms, 0, false}}, true, 1, 1, 0, [2]float64{}},
+		{"primary fails, then the copy fails", 3, 1, []fault{{1500 * ms, 0, false}, {1700 * ms, 1, false}}, false, 1, 0, 0, [2]float64{}},
+		{"primary settles before the hedge fires", 0.5, 1, nil, true, 0, 0, 0, [2]float64{}},
+		{"primary fails before the hedge fires", 3, 1, []fault{{500 * ms, 0, false}}, false, 0, 0, 0, [2]float64{}},
+		{"primary's worker detected dead with the copy running", 3, 30, []fault{{2 * time.Second, 0, true}}, false, 1, 0, 1, [2]float64{0, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			inv := invariant.NewChecker(e, invariant.Params{Enabled: true}, 1)
+			obs := lifecycle.New(e, nil, inv, nil)
+			shard := durableq.NewShard(durableq.ShardID{}, e, nil)
+			shard.Obs = obs
+			src := rng.New(7)
+			var pool []*worker.Worker
+			for i := 0; i < 2; i++ {
+				w := worker.New(worker.ID{Index: i}, e, worker.DefaultParams(), src.Split(), nil)
+				w.Obs = obs
+				w.Runtime.Prewarm([]string{"f"})
+				pool = append(pool, w)
+			}
+			lb := workerlb.New(src.Split(), pool)
+			params := DefaultParams()
+			params.PolicyFactory = func() policy.Policy { return &pinPolicy{w: pool[0]} }
+			cong := congestion.NewManager(e, congestion.DefaultAIMDParams(), congestion.DefaultSlowStartParams())
+			s := NewHedged(e, src.Split(), 0, params, [][]*durableq.Shard{{shard}}, lb,
+				ratelimit.NewCentral(e), cong, config.NewStore(e), NewHedgeBudget(HedgeBudgetFrac, HedgeBudgetBurst))
+			s.Obs = obs
+
+			spec := rigSpec("f", function.CritHigh)
+			spec.Retry.MaxAttempts = 1
+			id := uint64(0)
+			submit := func(execSecs float64) *function.Call {
+				id++
+				c := &function.Call{ID: id, Spec: spec, Deadline: sim.Time(time.Hour), CPUWorkM: 10, MemMB: 10, ExecSecs: execSecs}
+				obs.Emit(c, trace.KindSubmit, 0)
+				shard.Enqueue(c)
+				return c
+			}
+			for i := 0; i < hedgeMinSamples; i++ {
+				submit(1)
+			}
+			e.RunFor(5 * time.Second)
+			if got := shard.Acked.Value(); got != float64(hedgeMinSamples) {
+				t.Fatalf("warm-up acked %v of %d calls", got, hedgeMinSamples)
+			}
+
+			pool[0].SetSlowdown(tc.slowdown)
+			c := submit(tc.execSecs)
+			for c.State != function.StateRunning && e.Now() < 10*time.Second {
+				e.Step()
+			}
+			if c.State != function.StateRunning {
+				t.Fatalf("the call never started: state %v", c.State)
+			}
+			for _, f := range tc.faults {
+				w := pool[f.worker]
+				fail := w.Fail
+				if f.silent {
+					// Only heartbeats find a silent death. The other rows
+					// run without them, so a call a hedge path forgets to
+					// settle stays in flight instead of being evacuated.
+					fail = w.FailSilent
+					lb.StartHealthChecks(e)
+				}
+				e.Schedule(f.after, fail)
+			}
+			e.RunFor(time.Minute)
+
+			acks, nacks := shard.Acked.Value()-float64(hedgeMinSamples), shard.Nacked.Value()
+			if want := map[bool][2]float64{true: {1, 0}, false: {0, 1}}[tc.ack]; acks != want[0] || nacks != want[1] {
+				t.Errorf("shard settled the call with %v acks and %v nacks, want %v", acks, nacks, want)
+			}
+			if got := [3]float64{s.Hedged.Value(), s.HedgeWins.Value(), s.HedgeCancelled.Value()}; got != [3]float64{tc.hedged, tc.wins, tc.cancelled} {
+				t.Errorf("Hedged, HedgeWins, HedgeCancelled = %v, want %v", got, [3]float64{tc.hedged, tc.wins, tc.cancelled})
+			}
+			if got := [2]float64{pool[0].Cancelled.Value(), pool[1].Cancelled.Value()}; got != tc.workerCancelled {
+				t.Errorf("workers' Cancelled = %v, want %v", got, tc.workerCancelled)
+			}
+			if n := s.InFlight(); n != 0 {
+				t.Errorf("InFlight = %d at the end, want 0", n)
+			}
+			if vs := inv.Final(); len(vs) > 0 {
+				t.Errorf("%d invariant violations, first: %v", inv.TotalViolations(), vs[0])
+			}
+		})
 	}
 }
