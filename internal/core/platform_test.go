@@ -7,6 +7,8 @@ import (
 	"xfaas/internal/cluster"
 	"xfaas/internal/function"
 	"xfaas/internal/rng"
+	"xfaas/internal/scheduler"
+	"xfaas/internal/workerlb"
 	"xfaas/internal/workload"
 )
 
@@ -39,6 +41,27 @@ func smallPlatform(t *testing.T, mutate func(*Config, *workload.PopulationConfig
 	gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(cfg.Seed+200))
 	gen.Start()
 	return p, gen, pop
+}
+
+// TestSubmitterFlushIsOneGridPerPlatform: an idle region costs the engine
+// exactly its own events: the scheduler's poll ticks, the WorkerLB's
+// heartbeat probes and the delivery of each GTC matrix to its scheduler.
+// Its two submitters add none, because one flush grid serves every region
+// of the platform.
+func TestSubmitterFlushIsOneGridPerPlatform(t *testing.T) {
+	processed := func(regions int) uint64 {
+		cfg := DefaultConfig()
+		cfg.Cluster.Regions = regions
+		p := New(cfg, function.NewRegistry())
+		p.Engine.RunFor(time.Minute)
+		return p.Engine.Processed()
+	}
+	perRegion := uint64(time.Minute/scheduler.DefaultParams().PollInterval +
+		time.Minute/workerlb.HeartbeatInterval + time.Minute/gtcInterval)
+	if got := processed(3) - processed(2); got != perRegion {
+		t.Fatalf("a third idle region fired %d events in a minute, want %d (poll, heartbeat and matrix delivery only)",
+			got, perRegion)
+	}
 }
 
 func TestPlatformEndToEnd(t *testing.T) {

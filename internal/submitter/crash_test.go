@@ -22,7 +22,7 @@ func TestCrashLosesOnlyUnflushedWindow(t *testing.T) {
 		f.sub.Submit("c", c)
 		flushed = append(flushed, c)
 	}
-	f.engine.RunFor(flushInterval + time.Millisecond) // persists the first window
+	f.engine.RunFor(FlushInterval + time.Millisecond) // persists the first window
 	for i := 0; i < 3; i++ {
 		c := &function.Call{Spec: subSpec()}
 		f.sub.Submit("c", c)
@@ -70,14 +70,14 @@ func TestCrashedSubmitterRejectsUntilRestart(t *testing.T) {
 	if err := f.sub.Submit("c", &function.Call{Spec: subSpec()}); err != nil {
 		t.Fatalf("submit after restart: %v", err)
 	}
-	f.sub.flush()
+	f.sub.Flush()
 	if f.shard.Pending() != 1 {
 		t.Fatalf("post-restart call not persisted: pending = %d", f.shard.Pending())
 	}
 }
 
-// TestFlushTickerSilentWhileDown: the construction-time flush ticker
-// keeps firing through the outage; it must not resurrect the wiped
+// TestFlushTickerSilentWhileDown: the owner keeps calling Flush on its
+// grid through the outage; those flushes must not resurrect the wiped
 // buffer or double-report anything.
 func TestFlushTickerSilentWhileDown(t *testing.T) {
 	f := newFixture(PoolNormal, DefaultParams())

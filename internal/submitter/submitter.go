@@ -50,13 +50,15 @@ type Params struct {
 	NormalClientBurst float64
 }
 
-const (
-	// flushInterval flushes partial batches.
-	flushInterval time.Duration = 50 * time.Millisecond
-	// argInlineMax is the largest argument payload written inline to the
-	// DurableQ; bigger ones go to the KV store.
-	argInlineMax int = 64 << 10
-)
+// FlushInterval is the cadence at which a submitter's owner calls Flush
+// to persist partial batches. The submitter arms no timer of its own: a
+// platform drives all of its submitters from one grid, so a flush window
+// costs one engine event however many submitters there are.
+const FlushInterval time.Duration = 50 * time.Millisecond
+
+// argInlineMax is the largest argument payload written inline to the
+// DurableQ; bigger ones go to the KV store.
+const argInlineMax int = 64 << 10
 
 // DefaultParams return production-plausible values at simulation scale.
 func DefaultParams() Params {
@@ -81,7 +83,7 @@ type Submitter struct {
 	idSeq   *uint64
 	clients map[string]*clientState
 	// down marks the window between Crash and Restart's rebuild; all
-	// submissions fail with ErrDown and the ticker's flushes no-op.
+	// submissions fail with ErrDown and Flush is a no-op.
 	down bool
 
 	// Obs, when set, hears every accepted call (the trace sampling
@@ -99,8 +101,8 @@ type Submitter struct {
 	RouteFailed stats.Counter
 	// Crashes counts Crash invocations; LostOnCrash counts accepted calls
 	// destroyed with the in-memory batch buffer — the flush window is the
-	// submitter's only state, so a crash loses at most flushInterval (or
-	// BatchSize) worth of accepted-but-unpersisted calls.
+	// submitter's only state, so a crash loses at most what was accepted
+	// since the owner's last Flush (one FlushInterval, or BatchSize calls).
 	Crashes     stats.Counter
 	LostOnCrash stats.Counter
 }
@@ -130,9 +132,11 @@ func (b *tokenBucket) allow(now sim.Time) bool {
 }
 
 // New returns a submitter. idSeq is the shared call-ID counter for the
-// platform so IDs are globally unique.
+// platform so IDs are globally unique. The submitter flushes on its own
+// only when a batch fills; the owner calls Flush every FlushInterval to
+// persist partial batches.
 func New(engine *sim.Engine, region cluster.RegionID, pool Pool, params Params, lb *queuelb.LB, store *kv.Store, src *rng.Source, idSeq *uint64) *Submitter {
-	s := &Submitter{
+	return &Submitter{
 		engine:  engine,
 		region:  region,
 		pool:    pool,
@@ -143,8 +147,6 @@ func New(engine *sim.Engine, region cluster.RegionID, pool Pool, params Params, 
 		idSeq:   idSeq,
 		clients: make(map[string]*clientState),
 	}
-	engine.Every(flushInterval, s.flush)
-	return s
 }
 
 // Submit accepts one function call from client. On success the call is
@@ -179,7 +181,7 @@ func (s *Submitter) Submit(client string, c *function.Call) error {
 	s.batch = append(s.batch, c)
 	s.Submitted.Inc()
 	if len(s.batch) >= s.params.BatchSize {
-		s.flush()
+		s.Flush()
 	}
 	return nil
 }
@@ -198,7 +200,10 @@ func (s *Submitter) clientAllowed(client string, now sim.Time) bool {
 	return cs.bucket.allow(now)
 }
 
-func (s *Submitter) flush() {
+// Flush routes the buffered batch to the DurableQ shards through the
+// QueueLB, in submission order. It schedules no engine event, and it is a
+// no-op while the submitter is down or the batch is empty.
+func (s *Submitter) Flush() {
 	if s.down || len(s.batch) == 0 {
 		return
 	}
