@@ -323,16 +323,13 @@ func (s *Shard) Pending() int { return s.pending }
 func (s *Shard) Leased() int { return len(s.leases) }
 
 // PendingReady returns how many stored calls are ready (start time passed)
-// at virtual time now. O(pending); used by control-plane snapshots, not
-// the critical path.
+// at virtual time now. O(functions + ready): each queue's walk stops at
+// the calls deferred past now. Used by control-plane snapshots, not the
+// critical path.
 func (s *Shard) PendingReady(now sim.Time) int {
 	n := 0
 	for _, q := range s.byName {
-		for _, it := range q.h {
-			if it.readyAt <= now {
-				n++
-			}
-		}
+		n += q.h.countReady(0, now)
 	}
 	return n
 }
@@ -1094,6 +1091,16 @@ func (h callHeap) less(i, j int) bool {
 		return h[i].readyAt < h[j].readyAt
 	}
 	return h[i].call.ID < h[j].call.ID
+}
+
+// countReady counts the entries with readyAt ≤ now in the subtree rooted
+// at slot i. A child never sorts before its parent, so a subtree whose
+// root is not ready holds nothing ready and is skipped whole.
+func (h callHeap) countReady(i int, now sim.Time) int {
+	if i >= len(h) || h[i].readyAt > now {
+		return 0
+	}
+	return 1 + h.countReady(2*i+1, now) + h.countReady(2*i+2, now)
 }
 
 func (h *callHeap) push(v queued) {
