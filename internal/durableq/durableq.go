@@ -374,7 +374,7 @@ func (s *Shard) PollInto(dst []*function.Call, max int, filter func(*function.Ca
 				q.pop()
 				continue
 			}
-			if s.SweepExpired && top.call.IsExpired(now) {
+			if s.SweepExpired && top.call.Expired(now) {
 				// Doomed work: past its deadline, sweep to dead-letter
 				// instead of offering it. Continue — an expired head must
 				// not hide ready live calls behind it.
@@ -621,7 +621,7 @@ func (s *Shard) retryOrDrop(c *function.Call, base time.Duration) {
 		s.deadLetter(c, ReasonExhausted)
 		return
 	}
-	if s.SweepExpired && c.IsExpired(s.engine.Now()) {
+	if s.SweepExpired && c.Expired(s.engine.Now()) {
 		// A redelivery could never finish before the deadline; settle now
 		// instead of burning a worker on doomed work.
 		s.deadLetter(c, ReasonExpired)
@@ -1059,7 +1059,7 @@ type queued struct {
 }
 
 // wake is the first instant a poll would act on this entry at the head of
-// its queue: offer it once ready, or sweep it once expired (IsExpired is
+// its queue: offer it once ready, or sweep it once expired (Expired is
 // true strictly after the deadline). The deadline counts whether or not
 // SweepExpired is set, so the index never depends on when the flag was.
 func (it queued) wake() sim.Time {

@@ -273,7 +273,7 @@ func (s *refShard) PollInto(dst []*function.Call, max int, filter func(*function
 				q.pop()
 				continue
 			}
-			if s.SweepExpired && top.call.IsExpired(now) {
+			if s.SweepExpired && top.call.Expired(now) {
 				// Doomed work: past its deadline, sweep to dead-letter
 				// instead of offering it. Continue — an expired head must
 				// not hide ready live calls behind it.
@@ -467,7 +467,7 @@ func (s *refShard) retryOrDrop(c *function.Call, base time.Duration) {
 		s.deadLetter(c, ReasonExhausted)
 		return
 	}
-	if s.SweepExpired && c.IsExpired(s.engine.Now()) {
+	if s.SweepExpired && c.Expired(s.engine.Now()) {
 		// A redelivery could never finish before the deadline; settle now
 		// instead of burning a worker on doomed work.
 		s.deadLetter(c, ReasonExpired)

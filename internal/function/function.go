@@ -313,15 +313,13 @@ type Call struct {
 // Criticality returns the call's effective criticality (the spec's).
 func (c *Call) Criticality() Criticality { return c.Spec.Criticality }
 
-// Expired reports whether the call's deadline passed at time now.
+// Expired reports whether the call's deadline passed at time now: a call
+// is expired strictly after its absolute deadline (a call whose deadline
+// is exactly now is still live), and calls without a deadline never
+// expire.
 func (c *Call) Expired(now sim.Time) bool {
 	return c.Deadline > 0 && now > c.Deadline
 }
-
-// IsExpired is Expired under its conventional name: a call is expired
-// strictly after its absolute deadline (a call whose deadline is exactly
-// now is still live), and calls without a deadline never expire.
-func (c *Call) IsExpired(now sim.Time) bool { return c.Expired(now) }
 
 // Remaining returns the time left until the call's deadline at now, or 0
 // when the deadline has passed. Calls without a deadline report a

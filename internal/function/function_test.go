@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xfaas/internal/isolation"
+	"xfaas/internal/sim"
 )
 
 func validSpec(name string) *Spec {
@@ -103,6 +104,41 @@ func TestCallExpired(t *testing.T) {
 	noDeadline := &Call{}
 	if noDeadline.Expired(time.Hour) {
 		t.Fatal("zero deadline should never expire")
+	}
+}
+
+func TestCallExpiry(t *testing.T) {
+	cases := []struct {
+		name      string
+		deadline  sim.Time
+		now       sim.Time
+		expired   bool
+		remaining time.Duration
+	}{
+		{name: "no deadline never expires", deadline: 0, now: 1000 * time.Hour, expired: false, remaining: -1},
+		{name: "well before deadline", deadline: time.Hour, now: time.Minute, expired: false, remaining: 59 * time.Minute},
+		{name: "one tick before deadline", deadline: time.Hour, now: time.Hour - 1, expired: false, remaining: 1},
+		{name: "exactly at deadline is live", deadline: time.Hour, now: time.Hour, expired: false, remaining: 0},
+		{name: "one tick past deadline", deadline: time.Hour, now: time.Hour + 1, expired: true, remaining: 0},
+		{name: "long past deadline", deadline: time.Second, now: 24 * time.Hour, expired: true, remaining: 0},
+		{name: "at time zero with deadline", deadline: time.Second, now: 0, expired: false, remaining: time.Second},
+		{name: "negative deadline treated as none", deadline: -time.Second, now: time.Hour, expired: false, remaining: -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Call{Deadline: tc.deadline}
+			if got := c.Expired(tc.now); got != tc.expired {
+				t.Errorf("Expired(%v) = %v, want %v", tc.now, got, tc.expired)
+			}
+			got := c.Remaining(tc.now)
+			if tc.remaining < 0 {
+				if got >= 0 {
+					t.Errorf("Remaining(%v) = %v, want negative (unbounded)", tc.now, got)
+				}
+			} else if got != tc.remaining {
+				t.Errorf("Remaining(%v) = %v, want %v", tc.now, got, tc.remaining)
+			}
+		})
 	}
 }
 

@@ -577,7 +577,7 @@ func (k *Checker) dispatch(c *function.Call, e *trace.Ledger, live bool, region,
 			k.violate("locality", c.ID, "%s", msg)
 		}
 	}
-	if k.ExpiryDispatchCheck && c.IsExpired(k.engine.Now()) {
+	if k.ExpiryDispatchCheck && c.Expired(k.engine.Now()) {
 		k.violate("expired-dispatched", c.ID,
 			"func %s dispatched %s past its deadline",
 			c.Spec.Name, k.engine.Now()-c.Deadline)

@@ -334,7 +334,7 @@ func (k *refChecker) dispatch(c *function.Call, region, worker int) {
 			k.violate("locality", c.ID, "%s", msg)
 		}
 	}
-	if k.ExpiryDispatchCheck && c.IsExpired(k.engine.Now()) {
+	if k.ExpiryDispatchCheck && c.Expired(k.engine.Now()) {
 		k.violate("expired-dispatched", c.ID,
 			"func %s dispatched %s past its deadline",
 			c.Spec.Name, k.engine.Now()-c.Deadline)
