@@ -234,54 +234,65 @@ func (g *Group) RunUntil(deadline Time) {
 	wg.Wait()
 }
 
-// runPart is one partition's conservative event loop. Per iteration it
-// (1) loads the other partitions' clocks to compute the horizon, (2)
-// drains inbound mailboxes — in that order: a message enqueued after the
-// clock load can only have an arrival at or past the computed horizon, so
+// advance is one round of partition i's conservative event loop. It (1)
+// loads the other partitions' clocks to compute the horizon, (2) drains
+// inbound mailboxes — in that order: a message enqueued after the clock
+// load can only have an arrival at or past the computed horizon, so
 // nothing processable can slip in unseen — and (3) fires local events
 // strictly below the horizon. Between events it advertises
 // min(next event, horizon), which is a monotone lower bound on anything
-// it may still send.
-func (g *Group) runPart(i int, deadline Time) {
+// it may still send. It reports whether the round fired an event or moved
+// the advertised clock, and whether the partition is done: nothing is
+// left at or below the deadline and no inbound edge can deliver anything
+// there either.
+func (g *Group) advance(i int, deadline Time) (progressed, done bool) {
 	e := g.parts[i]
 	clock := &g.clocks[i]
+	h := g.horizon(i)
+	g.drain(i)
+	for len(e.queue) > 0 {
+		top := e.queue[0]
+		if top.at > deadline || top.at >= h {
+			break
+		}
+		clock.Store(int64(top.at))
+		e.Step()
+		progressed = true
+	}
+	next := maxTime
+	if len(e.queue) > 0 {
+		next = e.queue[0].at
+	}
+	if next > deadline && h > deadline && g.inboundEmpty(i) {
+		// Events past the deadline stay queued for a later RunUntil;
+		// advertise deadline+1 so the remaining partitions' horizons can
+		// clear the deadline.
+		if e.now < deadline {
+			e.now = deadline
+		}
+		clock.Store(int64(deadline) + 1)
+		return true, true
+	}
+	lb := min(next, h)
+	if lb > deadline {
+		lb = deadline + 1
+	}
+	if clock.Load() != int64(lb) {
+		clock.Store(int64(lb))
+		progressed = true // clock relaxation is progress too
+	}
+	return progressed, false
+}
+
+// runPart runs partition i's event loop on its own goroutine until the
+// partition is done.
+func (g *Group) runPart(i int, deadline Time) {
 	spins := 0
 	for {
-		h := g.horizon(i)
-		g.drain(i)
-		progressed := false
-		for len(e.queue) > 0 {
-			top := e.queue[0]
-			if top.at > deadline || top.at >= h {
-				break
-			}
-			clock.Store(int64(top.at))
-			e.Step()
-			progressed = true
-		}
-		next := maxTime
-		if len(e.queue) > 0 {
-			next = e.queue[0].at
-		}
-		if next > deadline && h > deadline && g.inboundEmpty(i) {
-			// Nothing left at or below the deadline, and no inbound edge
-			// can deliver anything there either. Events past the deadline
-			// stay queued for a later RunUntil; advertise deadline+1 so
-			// the remaining partitions' horizons can clear the deadline.
-			if e.now < deadline {
-				e.now = deadline
-			}
-			clock.Store(int64(deadline) + 1)
+		progressed, done := g.advance(i, deadline)
+		if done {
 			return
 		}
-		lb := next
-		if h < lb {
-			lb = h
-		}
-		if lb > deadline {
-			lb = deadline + 1
-		}
-		clock.Store(int64(lb))
 		if progressed {
 			spins = 0
 			continue
@@ -299,8 +310,8 @@ func (g *Group) runPart(i int, deadline Time) {
 }
 
 // RunUntilSeq advances the same partitioned model on a single goroutine:
-// the exact algorithm of runPart, run cooperatively round-robin instead
-// of on P goroutines. Each partition fires its events in the same
+// the rounds of advance, run cooperatively round-robin instead of on P
+// goroutines. Each partition fires its events in the same
 // (time, origin, seq) heap order at the same virtual times as in the
 // parallel run, and partitions share no state, so the final state is
 // byte-identical to RunUntil's — this is the serial reference the CI
@@ -319,44 +330,12 @@ func (g *Group) RunUntilSeq(deadline Time) {
 			if done[i] {
 				continue
 			}
-			e := g.parts[i]
-			clock := &g.clocks[i]
-			h := g.horizon(i)
-			g.drain(i)
-			for len(e.queue) > 0 {
-				top := e.queue[0]
-				if top.at > deadline || top.at >= h {
-					break
-				}
-				clock.Store(int64(top.at))
-				e.Step()
-				progressed = true
-			}
-			next := maxTime
-			if len(e.queue) > 0 {
-				next = e.queue[0].at
-			}
-			if next > deadline && h > deadline && g.inboundEmpty(i) {
-				if e.now < deadline {
-					e.now = deadline
-				}
-				clock.Store(int64(deadline) + 1)
+			p, d := g.advance(i, deadline)
+			if d {
 				done[i] = true
 				remaining--
-				progressed = true
-				continue
 			}
-			lb := next
-			if h < lb {
-				lb = h
-			}
-			if lb > deadline {
-				lb = deadline + 1
-			}
-			if clock.Load() != int64(lb) {
-				clock.Store(int64(lb))
-				progressed = true // clock relaxation is progress too
-			}
+			progressed = progressed || p
 		}
 		if !progressed {
 			// Cannot happen with positive lookaheads: at a clock fixed
