@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"xfaas/internal/function"
-	"xfaas/internal/sim"
 	"xfaas/internal/stats"
 	"xfaas/internal/trace"
 	"xfaas/internal/worker"
@@ -147,55 +146,16 @@ func (e *hedgeEstimator) Quantile(q float64) float64 {
 	return e.sorted[int(q*float64(n-1))]
 }
 
-// hedgeEntry tracks one armed or in-flight hedge. Entries are pooled and
-// fire — the hedge-delay timer callback — is built once per object, so
-// arming a hedge allocates nothing in steady state.
-type hedgeEntry struct {
-	id      uint64
-	primary *function.Call
-	clone   *function.Call
-	pw, hw  *worker.Worker
-	// primaryFailed marks a primary completion swallowed because the
-	// speculative copy was still running (the clone became the retry).
-	primaryFailed bool
-	primaryErr    error
-	timer         sim.Timer
-	fire          func()
-}
-
-func (s *Scheduler) getHedge() *hedgeEntry {
-	if n := len(s.freeHedge); n > 0 {
-		e := s.freeHedge[n-1]
-		s.freeHedge[n-1] = nil
-		s.freeHedge = s.freeHedge[:n-1]
-		return e
-	}
-	e := &hedgeEntry{}
-	e.fire = func() { s.fireHedge(e) }
-	return e
-}
-
-func (s *Scheduler) putHedge(e *hedgeEntry) {
-	e.id = 0
-	e.primary = nil
-	e.clone = nil
-	e.pw = nil
-	e.hw = nil
-	e.primaryFailed = false
-	e.primaryErr = nil
-	e.timer = sim.Timer{}
-	s.freeHedge = append(s.freeHedge, e)
-}
-
 // armHedge runs after every successful primary dispatch. It credits the
 // region's hedge budget and, for a CritHigh call whose function has a
-// warmed-up estimator, schedules the hedge-delay timer. No-op (one nil
-// check) while hedging is disabled.
-func (s *Scheduler) armHedge(c *function.Call, w *worker.Worker) {
-	if s.hedges == nil {
+// warmed-up estimator, arms the flight's hedge-delay timer. No-op (one
+// nil check) while hedging is disabled.
+func (s *Scheduler) armHedge(f *flight) {
+	if s.HedgeBudget == nil {
 		return
 	}
 	s.HedgeBudget.Earn()
+	c := f.call
 	if c.Spec.Criticality != function.CritHigh {
 		return
 	}
@@ -207,167 +167,108 @@ func (s *Scheduler) armHedge(c *function.Call, w *worker.Worker) {
 	if delay < time.Millisecond {
 		delay = time.Millisecond
 	}
-	e := s.getHedge()
-	e.id = c.ID
-	e.primary = c
-	e.pw = w
-	s.hedges[c.ID] = e
-	e.timer = s.engine.Schedule(delay, e.fire)
+	if f.fire == nil {
+		f.fire = func() { s.fireHedge(f) }
+	}
+	f.armed = true
+	f.timer = s.engine.Schedule(delay, f.fire)
 }
 
 // fireHedge runs when a primary execution outlives its hedge delay: if
-// the call is still in flight and the budget has a token, dispatch one
-// speculative copy to a different usable worker.
-func (s *Scheduler) fireHedge(e *hedgeEntry) {
-	if s.down || s.hedges[e.id] != e {
+// the budget has a token, dispatch one speculative copy to a different
+// usable worker. A fire for a flight that is no longer running (its
+// process crashed) is stale and does nothing.
+func (s *Scheduler) fireHedge(f *flight) {
+	if s.down || !f.armed || s.running[f.call.ID] != f {
 		return
 	}
-	c := e.primary
-	if _, running := s.inflight[c.ID]; !running {
-		delete(s.hedges, e.id)
-		s.putHedge(e)
-		return
-	}
+	// The timer has fired: the flight stays armed only if a copy launches.
+	f.armed = false
 	if !s.HedgeBudget.Available() {
 		s.HedgeDenied.Inc()
-		delete(s.hedges, e.id)
-		s.putHedge(e)
 		return
 	}
+	c := f.call
 	pool := s.lb.GroupPool(c.Spec)
 	var hw *worker.Worker
 	for tries := 0; tries < 4 && hw == nil; tries++ {
 		cand := pool[s.hedgeSrc.Intn(len(pool))]
-		if cand != e.pw && s.lb.Usable(cand) {
+		if cand != f.w && s.lb.Usable(cand) {
 			hw = cand
 		}
 	}
 	if hw == nil {
-		delete(s.hedges, e.id)
-		s.putHedge(e)
 		return
 	}
 	cl := *c
 	clone := &cl
 	if !hw.TryExecute(clone, s.completeFn) {
-		delete(s.hedges, e.id)
-		s.putHedge(e)
 		return
 	}
 	s.HedgeBudget.Spend()
-	e.clone = clone
-	e.hw = hw
+	f.armed = true
+	f.clone, f.hw = clone, hw
 	s.Hedged.Inc()
 	s.Obs.Emit(c, trace.KindHedgeDispatch, trace.Ref(hw.ID.Region, hw.ID.Index))
 }
 
-// completeHedged intercepts completion callbacks for calls with a live
-// hedge entry. It reports whether the completion was fully handled here
+// completeHedged intercepts completion callbacks for a flight with an
+// armed hedge. It reports whether the completion was fully handled here
 // (the caller must then skip the normal settle path).
-func (s *Scheduler) completeHedged(c *function.Call, err error) bool {
-	e := s.hedges[c.ID]
-	if e == nil {
-		return false
-	}
-	if c == e.clone {
+func (s *Scheduler) completeHedged(f *flight, c *function.Call, err error) bool {
+	p := f.call
+	if c == f.clone {
 		if err != nil {
 			// The speculative copy lost by failing. Drop it; the primary
 			// (or, if the primary already failed too, the normal nack
 			// path) finishes the call.
-			s.Obs.Emit(e.primary, trace.KindHedgeCancel, trace.Ref(e.hw.ID.Region, e.hw.ID.Index))
-			e.clone = nil
-			e.hw = nil
-			if e.primaryFailed {
-				p, perr := e.primary, e.primaryErr
-				delete(s.hedges, p.ID)
-				s.putHedge(e)
-				s.settle(p, perr)
+			s.Obs.Emit(p, trace.KindHedgeCancel, trace.Ref(f.hw.ID.Region, f.hw.ID.Index))
+			f.armed, f.clone, f.hw = false, nil, nil
+			if f.primaryFailed {
+				s.settle(f, p, f.primaryErr)
 			}
 			return true
 		}
 		// The speculative copy won: cancel the primary execution, move
-		// in-flight tracking and the ledger's execution ref to the
-		// winner, graft the winner's execution stamps onto the primary
-		// call object, and settle it through the normal success path.
-		p := e.primary
-		hw := e.hw
-		s.retrack(p, hw)
-		if !e.primaryFailed {
-			e.pw.Cancel(p.ID)
+		// the flight and the ledger's execution ref to the winner, graft
+		// the winner's execution stamps onto the primary call object, and
+		// settle it through the normal success path.
+		hw := f.hw
+		if !f.primaryFailed {
+			f.w.Cancel(p.ID)
 		}
+		f.w = hw
 		p.State = c.State
 		p.ExecStartAt = c.ExecStartAt
 		p.ExecEndAt = c.ExecEndAt
 		s.HedgeWins.Inc()
 		s.Obs.Emit(p, trace.KindHedgeWin, trace.Ref(hw.ID.Region, hw.ID.Index))
-		delete(s.hedges, p.ID)
-		s.putHedge(e)
-		s.settle(p, nil)
+		s.settle(f, p, nil)
 		return true
 	}
 	// The primary completed.
-	if err == nil {
-		// Primary won: cancel the speculative copy (if it launched) or
-		// disarm the timer, then settle normally.
-		e.timer.Stop()
-		if e.clone != nil {
-			e.hw.Cancel(c.ID)
-			s.HedgeCancelled.Inc()
-			s.Obs.Emit(c, trace.KindHedgeCancel, trace.Ref(e.hw.ID.Region, e.hw.ID.Index))
-		}
-		delete(s.hedges, c.ID)
-		s.putHedge(e)
-		return false
-	}
-	if e.clone != nil {
+	if err != nil && f.clone != nil {
 		// Primary failed while the speculative copy still runs: swallow
 		// the failure — the clone is the in-flight retry.
-		e.primaryFailed = true
-		e.primaryErr = err
+		f.primaryFailed = true
+		f.primaryErr = err
 		return true
 	}
-	// Primary failed before the hedge fired: disarm and nack normally.
-	e.timer.Stop()
-	delete(s.hedges, c.ID)
-	s.putHedge(e)
+	// Primary won, or failed before the hedge fired: cancel the copy or
+	// disarm the timer, then settle normally.
+	s.disarm(f)
 	return false
 }
 
-// retrack moves the call's in-flight tracking to the hedge worker so the
-// settle path (untrack, OnComplete, evacuation bookkeeping) sees the
-// winner.
-func (s *Scheduler) retrack(c *function.Call, to *worker.Worker) {
-	w, ok := s.inflight[c.ID]
-	if !ok || w == to {
-		return
-	}
-	if m := s.inflightByWorker[w]; m != nil {
-		delete(m, c.ID)
-		if len(m) == 0 {
-			delete(s.inflightByWorker, w)
-		}
-	}
-	s.track(c, to)
-}
-
-// abortHedge tears one hedge down (evacuation of the primary's worker):
-// the timer is disarmed and a live speculative copy is cancelled.
-func (s *Scheduler) abortHedge(id uint64) {
-	if s.hedges == nil {
-		return
-	}
-	e := s.hedges[id]
-	if e == nil {
-		return
-	}
-	e.timer.Stop()
-	if e.clone != nil {
-		e.hw.Cancel(id)
+// disarm tears f's hedge down: the timer is stopped and a running
+// speculative copy is cancelled.
+func (s *Scheduler) disarm(f *flight) {
+	f.timer.Stop()
+	if f.clone != nil {
+		f.hw.Cancel(f.call.ID)
 		s.HedgeCancelled.Inc()
-		s.Obs.Emit(e.primary, trace.KindHedgeCancel, trace.Ref(e.hw.ID.Region, e.hw.ID.Index))
+		s.Obs.Emit(f.call, trace.KindHedgeCancel, trace.Ref(f.hw.ID.Region, f.hw.ID.Index))
 	}
-	delete(s.hedges, id)
-	s.putHedge(e)
 }
 
 // hedgeObserve feeds one successful exec time into the function's
