@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"xfaas/internal/chaos"
 	"xfaas/internal/core"
 	"xfaas/internal/rng"
 	"xfaas/internal/workload"
@@ -33,18 +32,31 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-// TestScheduleChaosMatchesLibrary checks the inspector runs exactly the
-// scenarios the chaos library marks Inspect, so -list, the -chaos help
-// and the unknown-name error (all derived from the library) stay true.
-func TestScheduleChaosMatchesLibrary(t *testing.T) {
+// TestScenarios: every scenario name is unique and arms at least one
+// event on the engine, and a name outside the table arms nothing.
+func TestScenarios(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Cluster.Regions = 3
 	cfg.Downstreams = []core.DownstreamSpec{{Name: "backend", CapacityRPS: 5000}}
 	pop := workload.NewPopulation(workload.DefaultPopulationConfig(), rng.New(1))
-	for _, c := range chaos.Library() {
-		p := core.New(cfg, pop.Registry)
-		if got := scheduleChaos(p, c.Name, 7, time.Hour); got != c.Inspect {
-			t.Errorf("scheduleChaos(%q) = %v, library Inspect = %v", c.Name, got, c.Inspect)
+	seen := map[string]bool{}
+	for _, sc := range scenarios {
+		if seen[sc.name] {
+			t.Errorf("scenario %q listed twice", sc.name)
 		}
+		seen[sc.name] = true
+		p := core.New(cfg, pop.Registry)
+		before := p.Engine.Pending()
+		if !scheduleChaos(p, sc.name, 7, time.Hour) {
+			t.Errorf("scheduleChaos(%q) = false", sc.name)
+		}
+		if p.Engine.Pending() <= before {
+			t.Errorf("scenario %q scheduled no event", sc.name)
+		}
+	}
+	p := core.New(cfg, pop.Registry)
+	before := p.Engine.Pending()
+	if scheduleChaos(p, "nosuch", 7, time.Hour) || p.Engine.Pending() != before {
+		t.Error("an unknown scenario name was accepted")
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"xfaas/internal/chaos"
 	"xfaas/internal/config"
 	"xfaas/internal/experiment"
 	"xfaas/internal/psim"
@@ -40,7 +39,7 @@ func run() int {
 	var (
 		list      = flag.Bool("list", false, "list available experiments and exit")
 		run       = flag.String("run", "", "experiment id to run, or \"all\"")
-		chaosFlag = flag.String("chaos", "", "chaos scenario to run (see -list: "+chaos.Names(false)+"); output is fully deterministic")
+		chaosFlag = flag.String("chaos", "", "chaos scenario to run: "+strings.Join(chaosNames(), ", ")+"; output is fully deterministic")
 		full      = flag.Bool("full", false, "paper-scale runs (full simulated day) instead of quick")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 		charts    = flag.Bool("charts", true, "render ASCII charts of result series")
@@ -118,70 +117,38 @@ func run() int {
 		return 0
 	}
 
-	if *chaosFlag != "" {
-		// Chaos runs print only simulation-derived output (no wall-clock
-		// timing) so two runs of the same scenario and seed are
-		// byte-identical — the determinism contract of the chaos engine.
-		// Scenario names resolve through the chaos library first (so
-		// "evacuation" finds drill_evacuation), then fall back to the
-		// chaos_-prefixed experiment id.
-		id := *chaosFlag
-		for _, c := range chaos.Library() {
-			if c.Name == *chaosFlag && c.Experiment != "" {
-				id = c.Experiment
-				break
-			}
-		}
-		if _, ok := experiment.Get(id); !ok && !strings.HasPrefix(id, "chaos_") {
-			id = "chaos_" + id
-		}
-		e, ok := experiment.Get(id)
+	var targets []*experiment.Experiment
+	switch {
+	case *chaosFlag != "":
+		e, ok := chaosScenario(*chaosFlag)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown chaos scenario %q; available:\n", *chaosFlag)
-			for _, c := range chaos.Library() {
-				if c.Experiment != "" {
-					fmt.Fprintf(os.Stderr, "  %-15s (%s)\n", c.Name, c.Experiment)
-				}
-			}
+			fmt.Fprintf(os.Stderr, "unknown chaos scenario %q; available: %s\n", *chaosFlag, strings.Join(chaosNames(), ", "))
 			return 2
 		}
-		res := e.Run(scale)
-		fmt.Print(res.Render(*charts))
-		if !res.ChecksOK() {
-			fmt.Fprintln(os.Stderr, "chaos scenario had failing shape checks")
-			return 1
-		}
-		return 0
-	}
-
-	if *list || *run == "" {
+		targets = []*experiment.Experiment{e}
+	case *list || *run == "":
 		fmt.Println("Available experiments (paper artifact → id):")
 		for _, e := range experiment.All() {
 			fmt.Printf("  %-18s %s\n", e.ID, e.Title)
 		}
 		fmt.Println("\nChaos scenario library (use -chaos <name>):")
-		for _, c := range chaos.Library() {
-			fmt.Printf("  %-15s %s\n", c.Name, c.Description)
+		for _, e := range experiment.All() {
+			if name, ok := e.Chaos(); ok {
+				fmt.Printf("  %-15s %s\n", name, e.Title)
+			}
 		}
 		fmt.Println("\nWorkload presets (Table 2, used by the capacity experiments):")
 		for _, w := range workload.NamedWorkloads() {
 			fmt.Printf("  %-15s %d functions, %.1f RPS/function, %s quota\n",
 				w.Name, w.Functions, w.MeanRPSPerFunc, w.Quota)
 		}
-		fmt.Println("\nAdversarial workload presets (behind the overload chaos scenarios):")
-		for _, a := range workload.AdversarialPresets() {
-			fmt.Printf("  %-18s %s\n", a.Name, a.Description)
-		}
 		if *run == "" && !*list {
 			fmt.Println("\nuse -run <id> or -run all")
 		}
 		return 0
-	}
-
-	var targets []*experiment.Experiment
-	if *run == "all" {
+	case *run == "all":
 		targets = experiment.All()
-	} else {
+	default:
 		for _, id := range strings.Split(*run, ",") {
 			e, ok := experiment.Get(strings.TrimSpace(id))
 			if !ok {
@@ -200,7 +167,11 @@ func run() int {
 			fmt.Print(res.Markdown())
 		} else {
 			fmt.Print(res.Render(*charts))
-			fmt.Printf("(%s in %.1fs wall clock)\n\n", e.ID, time.Since(start).Seconds())
+			// A chaos run prints only simulation-derived output, so two
+			// runs of one scenario and seed are byte-identical.
+			if *chaosFlag == "" {
+				fmt.Printf("(%s in %.1fs wall clock)\n\n", e.ID, time.Since(start).Seconds())
+			}
 		}
 		if !res.ChecksOK() {
 			failed++
@@ -217,6 +188,27 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// chaosScenario returns the experiment `-chaos name` runs.
+func chaosScenario(name string) (*experiment.Experiment, bool) {
+	for _, e := range experiment.All() {
+		if n, ok := e.Chaos(); ok && n == name {
+			return e, true
+		}
+	}
+	return nil, false
+}
+
+// chaosNames lists every scenario name -chaos accepts, in ID order.
+func chaosNames() []string {
+	var names []string
+	for _, e := range experiment.All() {
+		if n, ok := e.Chaos(); ok {
+			names = append(names, n)
+		}
+	}
+	return names
 }
 
 // startProfiles starts a CPU profile now, if cpu names a file, and

@@ -90,11 +90,35 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-parallel", "2", "-minutes", "-5"},
 		{"-parallel", "2", "-minutes", "0"},
 		{"-parallel", "-1"},
+		{"-chaos", "fig2"},
+		{"-chaos", "chaos_gray"},
+		{"-chaos", "nosuch"},
 	} {
 		flag.CommandLine = flag.NewFlagSet("xfaas-sim", flag.ContinueOnError)
 		os.Args = append([]string{"xfaas-sim"}, args...)
 		if code := run(); code != 2 {
 			t.Errorf("xfaas-sim %v: exit %d, want 2", args, code)
+		}
+	}
+}
+
+// TestChaosScenarioNames: -chaos resolves each scenario name to the
+// experiment with that name after its chaos_ or drill_ prefix.
+func TestChaosScenarioNames(t *testing.T) {
+	want := map[string]string{
+		"gray": "chaos_gray", "graytail": "chaos_graytail", "flapping": "chaos_flapping",
+		"evacuation": "drill_evacuation", "partition": "chaos_partition",
+		"correlated": "chaos_correlated", "dq": "chaos_dq", "shardcrash": "chaos_shardcrash",
+		"submittercrash": "chaos_submittercrash", "schedcrash": "chaos_schedcrash",
+		"retrystorm": "chaos_retrystorm", "midnightspike": "chaos_midnightspike",
+		"spikyclient": "chaos_spikyclient", "zipfneighbor": "chaos_zipfneighbor",
+	}
+	if names := chaosNames(); len(names) != len(want) {
+		t.Errorf("chaosNames() = %v, want the %d scenarios", names, len(want))
+	}
+	for name, id := range want {
+		if e, ok := chaosScenario(name); !ok || e.ID != id {
+			t.Errorf("-chaos %s: found %v (ok=%v), want %s", name, e, ok, id)
 		}
 	}
 }

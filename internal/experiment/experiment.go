@@ -199,6 +199,18 @@ type Experiment struct {
 	Run         func(Scale) *Result
 }
 
+// Chaos returns the scenario name `xfaas-sim -chaos` runs e under: the
+// ID without its chaos_ or drill_ prefix. ok is false for the paper's
+// figures and the other experiments, which only -run selects.
+func (e *Experiment) Chaos() (name string, ok bool) {
+	for _, prefix := range []string{"chaos_", "drill_"} {
+		if name, ok = strings.CutPrefix(e.ID, prefix); ok {
+			return name, true
+		}
+	}
+	return "", false
+}
+
 var registry = map[string]*Experiment{}
 
 func register(e *Experiment) {

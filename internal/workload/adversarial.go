@@ -10,39 +10,6 @@ import (
 	"xfaas/internal/rng"
 )
 
-// AdversarialPreset names one overload pattern from the adversarial
-// scenario library. The presets that need bespoke function mixes have
-// builders below (BuildStormMix, BuildNoisyNeighbor); the midnight-spike
-// and spiky-client patterns are PopulationConfig knobs
-// (MidnightSpikeFrac, SpikyFunctions).
-type AdversarialPreset struct {
-	Name        string
-	Description string
-}
-
-// AdversarialPresets enumerates the overload workload patterns, in the
-// order the scenario library lists them.
-func AdversarialPresets() []AdversarialPreset {
-	return []AdversarialPreset{
-		{
-			Name:        "storm-mix",
-			Description: "critical functions hammering a failing downstream alongside a clean cohort sharing the worker fleet (retry-storm victim/aggressor mix)",
-		},
-		{
-			Name:        "midnight-pipeline",
-			Description: "every opportunistic function rides the midnight big-data-pipeline spike (Fig. 2) on a tightly provisioned fleet",
-		},
-		{
-			Name:        "spiky-client",
-			Description: "one client submits its entire day of calls in a 15-minute burst (Fig. 4, the 20M-calls-in-15-minutes pattern, scaled)",
-		},
-		{
-			Name:        "noisy-neighbor",
-			Description: "a Zipf-dominant tenant's opportunistic function floods far beyond fleet capacity while small reserved tenants keep steady traffic",
-		},
-	}
-}
-
 // StormMixConfig shapes the retry-storm workload: an aggressor cohort of
 // high-criticality functions that call a (scripted-to-fail) downstream on
 // every invocation, sharing the worker fleet with a clean reserved cohort

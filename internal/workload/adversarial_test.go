@@ -14,22 +14,6 @@ func emptyPop() *Population {
 	return &Population{Registry: function.NewRegistry(), TeamOf: map[string]string{}}
 }
 
-func TestAdversarialPresetsEnumerated(t *testing.T) {
-	presets := AdversarialPresets()
-	if len(presets) != 4 {
-		t.Fatalf("got %d presets, want 4", len(presets))
-	}
-	want := []string{"storm-mix", "midnight-pipeline", "spiky-client", "noisy-neighbor"}
-	for i, p := range presets {
-		if p.Name != want[i] {
-			t.Fatalf("preset %d = %q, want %q", i, p.Name, want[i])
-		}
-		if p.Description == "" {
-			t.Fatalf("preset %q has no description", p.Name)
-		}
-	}
-}
-
 func TestBuildStormMixShape(t *testing.T) {
 	cfg := DefaultStormMix("backend")
 	pop := emptyPop()

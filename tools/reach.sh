@@ -41,7 +41,9 @@ run xfaas-sim -list
 run xfaas-sim -run all -out "$out/csv"
 run xfaas-sim -run all -invariants -slo -markdown
 run xfaas-sim -run fig2 -cpuprofile "$out/cpu.pprof" -memprofile "$out/heap.pprof"
-for name in $("$bin/xfaas-sim" -list | awk '/^Chaos scenario library/ { f = 1; next } /^$/ { f = 0 } f { print $1 }'); do
+names=$("$bin/xfaas-sim" -list | awk '/^Chaos scenario library/ { f = 1; next } /^$/ { f = 0 } f { print $1 }')
+[ -n "$names" ] || { echo "xfaas-sim -list named no scenario" >&2; exit 1; }
+for name in $names; do
 	run xfaas-sim -chaos "$name"
 done
 for pol in pull prewarm spes; do
@@ -62,7 +64,9 @@ rejects xfaas-sim -parallel 2 -minutes -5
 
 run xfaas-inspect -list
 run xfaas-inspect -invariants -slo -utilization -chrome "$out/trace.json"
-for name in $("$bin/xfaas-inspect" -list | awk '$1 == "*" { print $2 }'); do
+names=$("$bin/xfaas-inspect" -list | awk '{ print $1 }')
+[ -n "$names" ] || { echo "xfaas-inspect -list named no scenario" >&2; exit 1; }
+for name in $names; do
 	run xfaas-inspect -chaos "$name" -invariants -slo -utilization
 done
 rejects xfaas-inspect -chaos nosuch

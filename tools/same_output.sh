@@ -8,7 +8,7 @@
 # The outputs, all at seed 7 (stdout, stderr and the exit code of each):
 #   xfaas-sim -run all -markdown
 #   xfaas-inspect -invariants -chaos NAME, for every NAME that
-#     xfaas-inspect -list marks runnable
+#     xfaas-inspect -list prints
 #   xfaas-sim -chaos retrystorm -policy P, for P in pull, prewarm, spes
 #   xfaas-sim -parallel 4 -pchaos -traced -invariants, with and without -seq
 #   the JSON file xfaas-sim -policy-matrix writes
@@ -55,7 +55,10 @@ record() {
 }
 
 record sim-run-all xfaas-sim -run all -markdown -seed 7
-for name in $("$work/new/xfaas-inspect" -list | awk '$1 == "*" { print $2 }'); do
+# xfaas-inspect -list prints one "name  description" line per scenario.
+names=$("$work/new/xfaas-inspect" -list | awk '{ print $1 }')
+[ -n "$names" ] || { echo "xfaas-inspect -list named no scenario" >&2; exit 1; }
+for name in $names; do
 	record "inspect-$name" xfaas-inspect -seed 7 -invariants -chaos "$name"
 done
 for pol in pull prewarm spes; do
