@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"xfaas/internal/scheduler"
 )
 
 // ConfigFile is the on-disk platform configuration: a JSON document of
@@ -80,8 +82,11 @@ func (cf *ConfigFile) Validate() error {
 	if cf.SchedulersPerRegion != nil && *cf.SchedulersPerRegion < 1 {
 		return fmt.Errorf("config: schedulers_per_region must be >= 1, got %d", *cf.SchedulersPerRegion)
 	}
-	if v := cf.LeaseTimeoutSec; v != nil && (!finite(*v) || *v <= 0) {
-		return bad("lease_timeout_seconds", *v, 0)
+	// Replicas renew their leases every LeaseRenewInterval; a timeout no
+	// longer than that redelivers calls that are still running.
+	if v := cf.LeaseTimeoutSec; v != nil && (!finite(*v) || time.Duration(*v*float64(time.Second)) <= scheduler.LeaseRenewInterval) {
+		return fmt.Errorf("config: lease_timeout_seconds must be finite, above the %gs lease renewal interval and <= %g, got %v",
+			scheduler.LeaseRenewInterval.Seconds(), float64(maxSeconds), *v)
 	}
 	if v := cf.QueueLocalFrac; v != nil && (!finite(*v) || *v < 0 || *v > 1) {
 		return fmt.Errorf("config: queue_local_frac must be in [0,1], got %v", *v)

@@ -11,6 +11,7 @@ import (
 	"xfaas/internal/function"
 	"xfaas/internal/queuelb"
 	"xfaas/internal/rng"
+	"xfaas/internal/scheduler"
 	"xfaas/internal/workload"
 )
 
@@ -68,6 +69,8 @@ func TestLoadConfigRejects(t *testing.T) {
 		{"negative workers", `{"total_workers": -1}`, "total_workers"},
 		{"zero schedulers", `{"schedulers_per_region": 0}`, "schedulers_per_region"},
 		{"zero lease", `{"lease_timeout_seconds": 0}`, "lease_timeout_seconds"},
+		{"lease at the renewal interval", `{"lease_timeout_seconds": 240}`, "lease_timeout_seconds"},
+		{"lease under the renewal interval", `{"lease_timeout_seconds": 90}`, "lease_timeout_seconds"},
 		{"frac over 1", `{"queue_local_frac": 1.5}`, "queue_local_frac"},
 		{"negative groups", `{"locality_groups": -1}`, "locality_groups"},
 		{"util target zero", `{"utilization_target": 0}`, "utilization_target"},
@@ -141,7 +144,7 @@ func FuzzParseConfigFile(f *testing.F) {
 		}
 		cfg := cf.Apply(DefaultConfig())
 		if cfg.Cluster.Regions < 1 || cfg.Cluster.TotalWorkers < 1 ||
-			cfg.SchedulersPerRegion < 0 || cfg.LeaseTimeout <= 0 ||
+			cfg.SchedulersPerRegion < 0 || cfg.LeaseTimeout <= scheduler.LeaseRenewInterval ||
 			cfg.QueueLocalFrac < 0 || cfg.QueueLocalFrac > 1 {
 			t.Fatalf("validated config violates bounds: %+v", cfg)
 		}
@@ -191,10 +194,10 @@ func TestConfigFileKeysReachThePlatform(t *testing.T) {
 		{"schedulers_per_region", `{"schedulers_per_region": 3}`, 0, func(p *Platform) bool {
 			return len(p.Region(0).Scheds) == 3 && len(p.Region(1).Scheds) == 3
 		}},
-		{"lease_timeout_seconds", `{"lease_timeout_seconds": 90}`, 0, func(p *Platform) bool {
+		{"lease_timeout_seconds", `{"lease_timeout_seconds": 600}`, 0, func(p *Platform) bool {
 			for _, reg := range p.Regions() {
 				for _, sh := range reg.Shards {
-					if sh.LeaseTimeout != 90*time.Second {
+					if sh.LeaseTimeout != 600*time.Second {
 						return false
 					}
 				}

@@ -64,10 +64,11 @@ const (
 	// shardsPerPoll is how many shards are sampled per source region per
 	// tick.
 	shardsPerPoll int = 4
-	// leaseRenewInterval is how often the scheduler renews the DurableQ
+	// LeaseRenewInterval is how often the scheduler renews the DurableQ
 	// leases of calls it still holds (buffered, queued or running), so
-	// only a crashed scheduler's calls are redelivered.
-	leaseRenewInterval time.Duration = 4 * time.Minute
+	// only a crashed scheduler's calls are redelivered. A lease timeout
+	// no longer than it expires leases of calls still running.
+	LeaseRenewInterval time.Duration = 4 * time.Minute
 	// shedInterval is the sliding observation window of queue-delay
 	// shedding: delay must stay above target this long before shedding
 	// starts (hysteresis against transient spikes).
@@ -280,7 +281,7 @@ func NewHedged(engine *sim.Engine, src *rng.Source, region cluster.RegionID, par
 	s.pol.Attach(s)
 	lb.OnWorkerDown(s.onWorkerDown)
 	s.ticker = engine.Every(params.PollInterval, s.tick)
-	s.renewer = engine.Every(leaseRenewInterval, s.renewLeases)
+	s.renewer = engine.Every(LeaseRenewInterval, s.renewLeases)
 	return s
 }
 
