@@ -159,9 +159,25 @@ func TestCompactDropsSettledCalls(t *testing.T) {
 	}
 }
 
-// Only a durable terminal settles a call. Compaction runs on the flush
-// tick alone, after the horizon has moved, so a terminal appended since
-// the last tick is still in the torn window and its call keeps every
+// A synchronous log has no flush tick, so it compacts as it appends:
+// across many enqueue+lease+ack cycles it retains at most compactAt
+// records plus one cycle's worth, not every record ever appended.
+func TestSynchronousLogCompacts(t *testing.T) {
+	l := New(sim.NewEngine(), 0)
+	for id := uint64(1); id <= 50_000; id++ {
+		c := call(id)
+		l.Append(OpEnqueue, c, 0)
+		l.Append(OpLease, c, 0)
+		l.Append(OpAck, c, 0)
+		if l.Len() > l.compactAt+3 {
+			t.Fatalf("after %d cycles the log retains %d records, want at most %d", id, l.Len(), l.compactAt+3)
+		}
+	}
+}
+
+// Only a durable terminal settles a call. With a flush lag, compaction
+// runs on the flush tick alone, after the horizon has moved, so a
+// terminal appended since the last tick is still in the torn window and its call keeps every
 // record: a crash tears the terminal off and replays from what remains.
 func TestCompactKeepsUnsyncedTerminal(t *testing.T) {
 	e := sim.NewEngine()

@@ -49,6 +49,9 @@ func (r *refLog) append(op Op, c *function.Call, readyAt sim.Time) uint64 {
 	r.entries = append(r.entries, Entry{Seq: r.seq, At: r.engine.Now(), Op: op, Call: c, ReadyAt: readyAt})
 	if r.flushLag <= 0 {
 		r.synced = len(r.entries)
+		if len(r.entries) > r.compactAt {
+			r.compact()
+		}
 	}
 	return r.seq
 }
