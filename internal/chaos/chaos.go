@@ -161,7 +161,7 @@ func (inj *Injector) HealPartition(region cluster.RegionID) {
 // (QueueLBs reroute new submissions to peers), the region's schedulers
 // park and release held work, queued CritHigh calls migrate to peer
 // regions, and the drain controller reports the RTO when the region
-// quiesces. No-op with a control event while config.Drain is off.
+// quiesces.
 func (inj *Injector) DrainRegion(region cluster.RegionID) {
 	inj.p.Drainer.Drain(int(region))
 	inj.record("drain", "region %d evacuating", region)

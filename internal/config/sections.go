@@ -106,16 +106,6 @@ type GrayDetection struct {
 	Probation time.Duration
 }
 
-// Drain switches the regional drain controller (internal/drain, which
-// also holds the staging constants): the staged, zero-loss evacuation of
-// one region — the disaster-readiness drill XFaaS runs against real
-// regions.
-type Drain struct {
-	// Enabled arms the drain controller; off, DrainRegion is a recorded
-	// no-op.
-	Enabled bool
-}
-
 // Chaos is what remains configurable of the fault model (detection
 // cadence and thresholds: internal/workerlb; breaker: internal/core).
 type Chaos struct {

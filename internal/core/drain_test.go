@@ -7,10 +7,9 @@ import (
 	"xfaas/internal/workload"
 )
 
-// drainPlatform builds a 3-region platform with drains enabled.
+// drainPlatform builds a 3-region platform with resilience defenses on.
 func drainPlatform(t *testing.T) (*Platform, *workload.Generator) {
 	p, gen, _ := smallPlatform(t, func(cfg *Config, pcfg *workload.PopulationConfig) {
-		cfg.Drain.Enabled = true
 		cfg.Resilience = cfg.Resilience.EnableAll()
 		pcfg.FutureStartFrac = 0.1 // durable backlog for the migration stage
 	})
@@ -92,14 +91,5 @@ func TestDrainMigratesCritHighAndUndrainResumes(t *testing.T) {
 	}
 	if p.Drainer.Draining(0) {
 		t.Fatal("region still marked draining after Undrain")
-	}
-}
-
-func TestDrainDisabledRefuses(t *testing.T) {
-	p, _, _ := smallPlatform(t, nil) // Drain off by default
-	p.Engine.RunFor(time.Minute)
-	p.Drainer.Drain(0)
-	if p.Drainer.Draining(0) {
-		t.Fatal("drain started with config.Drain disabled")
 	}
 }

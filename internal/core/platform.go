@@ -117,9 +117,6 @@ type Config struct {
 	// (detection v2): per-worker exec-time inflation scoring with a
 	// probation → ejected → reinstated state machine (off by default).
 	GrayDetection config.GrayDetection
-	// Drain arms the regional drain controller (off by default;
-	// DrainRegion becomes a no-op with a control event).
-	Drain config.Drain
 	// Trace configures per-call tracing (disabled by default: the
 	// recorder still exists and collects control-plane events, but no
 	// call is sampled).
@@ -254,9 +251,8 @@ type Platform struct {
 	// Obs is the lifecycle spine every component emits on; it fans call
 	// transitions out to Tracer, Inv and SLO.
 	Obs *lifecycle.Spine
-	// Drainer is the regional drain controller. Always constructed (its
-	// construction is free of RNG and scheduling); it refuses to drain,
-	// with a control event, unless cfg.Drain.Enabled.
+	// Drainer is the regional drain controller. Always constructed: its
+	// construction is free of RNG and scheduling.
 	Drainer *drain.Controller
 
 	cfg     Config
@@ -533,7 +529,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		views[i] = drain.RegionView{Shards: reg.Shards, Scheds: reg.Scheds, Workers: reg.Workers}
 		queueLBs[i] = reg.QueueLB
 	}
-	p.Drainer = drain.NewController(engine, cfg.Drain, views, queueLBs)
+	p.Drainer = drain.NewController(engine, views, queueLBs)
 	p.Drainer.Obs = p.Obs
 	p.Drainer.MarkRegion = func(r int, d bool) { p.drained[r] = d }
 	engine.Every(DegradeInterval, p.degradeTick)

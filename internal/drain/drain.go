@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"xfaas/internal/cluster"
-	"xfaas/internal/config"
 	"xfaas/internal/durableq"
 	"xfaas/internal/function"
 	"xfaas/internal/lifecycle"
@@ -79,11 +78,9 @@ type regionState struct {
 }
 
 // Controller drives regional drains. One per platform; construction is
-// free of RNG and scheduling, so it exists on every platform and simply
-// refuses to drain (with a control event) while config.Drain is off.
+// free of RNG and scheduling, so it exists on every platform.
 type Controller struct {
 	engine   *sim.Engine
-	cfg      config.Drain
 	regions  []RegionView
 	queueLBs []*queuelb.LB
 	states   []regionState
@@ -105,24 +102,19 @@ type Controller struct {
 }
 
 // NewController returns a drain controller over the platform's regions.
-func NewController(engine *sim.Engine, cfg config.Drain, regions []RegionView, queueLBs []*queuelb.LB) *Controller {
+func NewController(engine *sim.Engine, regions []RegionView, queueLBs []*queuelb.LB) *Controller {
 	return &Controller{
 		engine:   engine,
-		cfg:      cfg,
 		regions:  regions,
 		queueLBs: queueLBs,
 		states:   make([]regionState, len(regions)),
 	}
 }
 
-// Drain starts evacuating a region. No-op (with a control event) while
-// drains are disabled in config, or if the region is already draining.
+// Drain starts evacuating a region. No-op if the region is already
+// draining.
 func (d *Controller) Drain(region int) {
 	if region < 0 || region >= len(d.states) {
-		return
-	}
-	if !d.cfg.Enabled {
-		d.Obs.Control("drain.disabled", fmt.Sprintf("r%d: Drain config off", region))
 		return
 	}
 	st := &d.states[region]

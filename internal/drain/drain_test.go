@@ -37,7 +37,7 @@ type rig struct {
 	idSeq  uint64
 }
 
-func newRig(cfg config.Drain) *rig {
+func newRig() *rig {
 	e := sim.NewEngine()
 	r := &rig{engine: e}
 	tp := trace.DefaultParams()
@@ -76,7 +76,7 @@ func newRig(cfg config.Drain) *rig {
 		r.qlbs = append(r.qlbs, qlb)
 		views[reg] = RegionView{Shards: r.shards[reg], Scheds: []*scheduler.Scheduler{sc}, Workers: pool}
 	}
-	r.ctl = NewController(e, cfg, views, r.qlbs)
+	r.ctl = NewController(e, views, r.qlbs)
 	r.ctl.Obs = r.obs
 	return r
 }
@@ -120,7 +120,7 @@ func (r *rig) controlAt(t *testing.T, kind, detail string) sim.Time {
 // drain.* control events, the ledger note, and a closed ledger with
 // nothing lost.
 func TestDrainStages(t *testing.T) {
-	r := newRig(config.Drain{Enabled: true})
+	r := newRig()
 	// Region 0: four calls that outlast quiesceTimeout on two
 	// single-threaded workers (two run, two wait in the scheduler), ten
 	// deferred CritHigh calls (the durable backlog migration moves) and
@@ -138,6 +138,11 @@ func TestDrainStages(t *testing.T) {
 	r.ctl.Drain(0)
 	if !r.ctl.Draining(0) || r.ctl.Drains.Value() != 1 {
 		t.Fatal("drain did not start")
+	}
+	r.ctl.Drain(0) // already draining: ignored
+	r.ctl.Drain(7) // out of range: ignored
+	if r.ctl.Drains.Value() != 1 {
+		t.Fatal("a repeated or out-of-range drain request started an evacuation")
 	}
 	// Stage 1: admission stops at once; a submission entering at region 0
 	// lands on region 1's shard instead of failing.
@@ -181,6 +186,7 @@ func TestDrainStages(t *testing.T) {
 	}
 
 	r.ctl.Undrain(0)
+	r.ctl.Undrain(0) // no longer draining: ignored
 	r.controlAt(t, "drain.end", "r0 migrated=10")
 	if r.ctl.Draining(0) {
 		t.Fatal("still draining after Undrain")
@@ -219,16 +225,4 @@ func TestDrainStages(t *testing.T) {
 	if vs := r.inv.Violations(); len(vs) != 1 || vs[0].Context != "drain r0" {
 		t.Fatalf("violation context after a drain: %+v", vs)
 	}
-}
-
-// A disabled controller refuses, on the record.
-func TestDrainDisabledIsRecorded(t *testing.T) {
-	r := newRig(config.Drain{})
-	r.ctl.Drain(0)
-	if r.ctl.Draining(0) || r.ctl.Drains.Value() != 0 {
-		t.Fatal("drain started with config.Drain disabled")
-	}
-	r.controlAt(t, "drain.disabled", "r0")
-	r.ctl.Drain(7) // out of range: ignored
-	r.ctl.Undrain(0)
 }

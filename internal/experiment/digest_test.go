@@ -126,7 +126,6 @@ func digestChaos(w io.Writer, name string) {
 	cfg.Worker.FailureSlowdown = 1.0
 	cfg.Resilience = cfg.Resilience.EnableAll()
 	cfg.GrayDetection.Enabled = true
-	cfg.Drain.Enabled = true
 	cfg.LeaseTimeout = 5 * time.Minute
 	pcfg := workload.DefaultPopulationConfig()
 	pcfg.Functions = 40

@@ -257,7 +257,6 @@ func runDrillEvacuation(s Scale) *Result {
 
 	rc := smallFleet(s, 3, 9)
 	rc.Seeds = drillSeeds
-	rc.Platform.Drain.Enabled = true
 	rc.Platform.Resilience = rc.Platform.Resilience.EnableAll()
 
 	// CritHigh traffic (migrates) + deferrable CritNormal traffic

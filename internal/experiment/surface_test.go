@@ -37,7 +37,7 @@ func TestConfigurationSurface(t *testing.T) {
 		v    any
 		want int
 	}{
-		{"core.DefaultConfig", core.DefaultConfig(), 62},
+		{"core.DefaultConfig", core.DefaultConfig(), 61},
 		{"psim.DefaultOptions", psim.DefaultOptions(), 15},
 		{"workload.DefaultPopulationConfig", workload.DefaultPopulationConfig(), 12},
 		{"workload.DefaultStormMix", workload.DefaultStormMix(""), 5},

@@ -216,7 +216,6 @@ func New(opts Options) *Runner {
 			cfg.Observe = cfg.Observe.EnableAll()
 		}
 		if opts.Drain {
-			cfg.Drain.Enabled = true
 			cfg.GrayDetection.Enabled = true
 			cfg.Resilience = cfg.Resilience.EnableAll()
 		}
