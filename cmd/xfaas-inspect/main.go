@@ -49,7 +49,7 @@ func main() {
 		util      = flag.Bool("utilization", false, "enable core-second accounting and print fleet/region/criticality utilization and per-tenant cost")
 	)
 	flag.Parse()
-	if err := checkFlags(*minutes, *funcs, *rps, *top, *events); err != nil {
+	if err := checkFlags(*minutes, *funcs, *rps, *sample, *top, *events); err != nil {
 		fmt.Fprintln(os.Stderr, "xfaas-inspect:", err)
 		os.Exit(2)
 	}
@@ -84,7 +84,7 @@ func main() {
 	// hedge/detection machinery at rest.
 	cfg.GrayDetection.Enabled = true
 	if *sloFlag || *util {
-		// Accounting and SLO evaluation share one config section; either
+		// Accounting and SLO evaluation share one switch; either
 		// flag enables both (they draw no randomness, so the simulation is
 		// unchanged — only the reporting below differs).
 		cfg.Observe = cfg.Observe.EnableAll()
@@ -247,11 +247,14 @@ func main() {
 }
 
 // checkFlags rejects flag values no run can use: an empty run or
-// population, or a negative number of lines to print.
-func checkFlags(minutes, funcs int, rps float64, top, events int) error {
+// population, a sampling rate of 1 in 0, or a negative number of lines to
+// print.
+func checkFlags(minutes, funcs int, rps float64, sample uint64, top, events int) error {
 	switch {
 	case minutes < 1 || funcs < 1 || !(rps > 0):
 		return fmt.Errorf("-minutes, -functions and -rps must be positive (have %d, %d, %g)", minutes, funcs, rps)
+	case sample < 1:
+		return fmt.Errorf("-sample must be at least 1 (1 traces every call)")
 	case top < 0 || events < 0:
 		return fmt.Errorf("-top and -events must not be negative (have %d, %d)", top, events)
 	}

@@ -14,19 +14,21 @@ func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
 		minutes, funcs int
 		rps            float64
+		sample         uint64
 		top, events    int
 		ok             bool
 	}{
-		{30, 40, 10, 5, 40, true},
-		{1, 1, 0.1, 0, 0, true},
-		{0, 40, 10, 5, 40, false},
-		{30, 0, 10, 5, 40, false},
-		{30, 40, 0, 5, 40, false},
-		{30, 40, math.NaN(), 5, 40, false},
-		{30, 40, 10, -1, 40, false},
-		{30, 40, 10, 5, -1, false},
+		{30, 40, 10, 1, 5, 40, true},
+		{1, 1, 0.1, 16, 0, 0, true},
+		{0, 40, 10, 1, 5, 40, false},
+		{30, 0, 10, 1, 5, 40, false},
+		{30, 40, 0, 1, 5, 40, false},
+		{30, 40, math.NaN(), 1, 5, 40, false},
+		{30, 40, 10, 0, 5, 40, false},
+		{30, 40, 10, 1, -1, 40, false},
+		{30, 40, 10, 1, 5, -1, false},
 	} {
-		if err := checkFlags(c.minutes, c.funcs, c.rps, c.top, c.events); (err == nil) != c.ok {
+		if err := checkFlags(c.minutes, c.funcs, c.rps, c.sample, c.top, c.events); (err == nil) != c.ok {
 			t.Errorf("checkFlags(%+v) = %v, want ok=%v", c, err, c.ok)
 		}
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -284,18 +285,28 @@ func writeCSV(dir string, res *experiment.Result) error {
 				return '-'
 			}
 		}, s.Name)
-		path := filepath.Join(dir, res.ID+"_"+name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(f, "t_seconds,value\n")
-		for i, v := range s.Values {
-			fmt.Fprintf(f, "%g,%g\n", (time.Duration(i) * s.Step).Seconds(), v)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeSeries(filepath.Join(dir, res.ID+"_"+name+".csv"), s); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeSeries writes one series as CSV to path, reporting the first
+// failed write, flush or close.
+func writeSeries(path string, s experiment.NamedSeries) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	fmt.Fprintf(w, "t_seconds,value\n")
+	for i, v := range s.Values {
+		fmt.Fprintf(w, "%g,%g\n", (time.Duration(i) * s.Step).Seconds(), v)
+	}
+	err = w.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

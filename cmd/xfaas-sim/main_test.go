@@ -43,6 +43,16 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
+// TestWriteSeriesReportsWriteErrors: a series that cannot be written in
+// full (here to a device that is always full) is an error, not a short
+// file.
+func TestWriteSeriesReportsWriteErrors(t *testing.T) {
+	s := experiment.NamedSeries{Name: "calls", Step: time.Minute, Values: []float64{1, 2, 3}}
+	if err := writeSeries("/dev/full", s); err == nil {
+		t.Fatal("writing to /dev/full reported no error")
+	}
+}
+
 func TestWriteCSVSanitizesNames(t *testing.T) {
 	dir := t.TempDir()
 	res := &experiment.Result{ID: "x"}

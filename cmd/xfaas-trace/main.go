@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -23,7 +24,11 @@ import (
 	"xfaas/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main returning its exit code: 0, or 1 when the CSV cannot be
+// written in full.
+func run() int {
 	var (
 		functions = flag.Int("functions", 240, "population size")
 		rps       = flag.Float64("rps", 60, "platform mean received RPS")
@@ -80,16 +85,30 @@ func main() {
 		gen.Generated.Value(), stats.PeakToTrough(stats.Resample(series, len(series)/10+1)))
 
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating %s: %v\n", *csvPath, err)
-			os.Exit(1)
+		if err := writeCSV(*csvPath, series); err != nil {
+			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *csvPath, err)
+			return 1
 		}
-		fmt.Fprintln(f, "minute,calls")
-		for i, v := range series {
-			fmt.Fprintf(f, "%d,%g\n", i, v)
-		}
-		f.Close()
 		fmt.Printf("Wrote %s (%d rows)\n", *csvPath, len(series))
 	}
+	return 0
+}
+
+// writeCSV writes the per-minute arrival series to path, reporting the
+// first failed write, flush or close.
+func writeCSV(path string, series []float64) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	fmt.Fprintln(w, "minute,calls")
+	for i, v := range series {
+		fmt.Fprintf(w, "%d,%g\n", i, v)
+	}
+	err = w.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -24,12 +24,6 @@ type Params struct {
 	HostMemoryMB float64
 	HostCPUMIPS  float64
 	CoreMIPS     float64
-	// ContainerOverheadMB is resident memory per container beyond the
-	// function's working set (runtime copy per container — the paper's
-	// §4.5 motivation for sharing one runtime process).
-	ContainerOverheadMB float64
-	// MaxQueue bounds the pending queue (0 = unbounded).
-	MaxQueue int
 }
 
 const (
@@ -38,17 +32,19 @@ const (
 	ColdStart time.Duration = 8 * time.Second
 	// idleTimeout keeps a finished container warm for reuse.
 	idleTimeout time.Duration = 10 * time.Minute
+	// containerOverheadMB is resident memory per container beyond the
+	// function's working set (runtime copy per container — the paper's
+	// §4.5 motivation for sharing one runtime process).
+	containerOverheadMB float64 = 256
 )
 
 // DefaultParams mirror the public-cloud numbers the paper cites.
 func DefaultParams() Params {
 	return Params{
-		Hosts:               10,
-		HostMemoryMB:        64 * 1024,
-		HostCPUMIPS:         1500,
-		CoreMIPS:            150,
-		ContainerOverheadMB: 256,
-		MaxQueue:            0,
+		Hosts:        10,
+		HostMemoryMB: 64 * 1024,
+		HostCPUMIPS:  1500,
+		CoreMIPS:     150,
 	}
 }
 
@@ -87,7 +83,6 @@ type Platform struct {
 	idle map[string][]*container
 	// queues of waiting calls per function.
 	queue   map[string][]pending
-	queued  int
 	nameSeq []string
 
 	ColdStarts stats.Counter
@@ -96,7 +91,6 @@ type Platform struct {
 	perFnCold    map[string]float64
 	perFnTotal   map[string]float64
 	Completed    stats.Counter
-	Dropped      stats.Counter
 	StartLatency *stats.Histogram // submit → execution start
 	// UtilSeries samples mean host CPU utilization per minute.
 	UtilSeries *stats.TimeSeries
@@ -145,7 +139,7 @@ func (p *Platform) dispatch(pd pending) {
 		return
 	}
 	// Cold start a new container on a host with room.
-	memNeed := p.params.ContainerOverheadMB + c.MemMB
+	memNeed := containerOverheadMB + c.MemMB
 	if h := p.pickHost(memNeed); h != nil {
 		ct := &container{fn: fn, host: h, state: stateStarting, memMB: memNeed}
 		h.memUsed += memNeed
@@ -156,15 +150,10 @@ func (p *Platform) dispatch(pd pending) {
 		return
 	}
 	// Queue until capacity frees up.
-	if p.params.MaxQueue > 0 && p.queued >= p.params.MaxQueue {
-		p.Dropped.Inc()
-		return
-	}
 	if _, ok := p.queue[fn]; !ok {
 		p.nameSeq = append(p.nameSeq, fn)
 	}
 	p.queue[fn] = append(p.queue[fn], pd)
-	p.queued++
 }
 
 func (p *Platform) pickHost(memNeed float64) *host {
@@ -207,7 +196,6 @@ func (p *Platform) finish(ct *container) {
 	if q := p.queue[fn]; len(q) > 0 {
 		pd := q[0]
 		p.queue[fn] = q[1:]
-		p.queued--
 		p.WarmStarts.Inc()
 		p.perFnTotal[fn]++
 		p.run(ct, pd)
@@ -238,14 +226,13 @@ func (p *Platform) drainQueues() {
 	for _, fn := range p.nameSeq {
 		q := p.queue[fn]
 		for len(q) > 0 {
-			memNeed := p.params.ContainerOverheadMB + q[0].call.MemMB
+			memNeed := containerOverheadMB + q[0].call.MemMB
 			h := p.pickHost(memNeed)
 			if h == nil {
 				break
 			}
 			pd := q[0]
 			q = q[1:]
-			p.queued--
 			ct := &container{fn: fn, host: h, state: stateStarting, memMB: memNeed}
 			h.memUsed += memNeed
 			p.ColdStarts.Inc()

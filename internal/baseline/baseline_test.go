@@ -80,15 +80,14 @@ func TestMemoryExhaustionQueues(t *testing.T) {
 	params := DefaultParams()
 	params.Hosts = 1
 	params.HostMemoryMB = 1000
-	params.ContainerOverheadMB = 256
 	p := New(e, params)
 	// Each container needs 256+200 = 456MB: host fits 2.
 	for i := 0; i < 4; i++ {
 		p.Submit(blCall(blSpec("f"), 10, 200, 60))
 	}
 	e.RunFor(30 * time.Second)
-	if p.queued != 2 {
-		t.Fatalf("queued = %d, want 2 of 4", p.queued)
+	if q := len(p.queue["f"]); q != 2 {
+		t.Fatalf("queued = %d, want 2 of 4", q)
 	}
 	// As containers finish, queued calls reuse them warm.
 	e.RunFor(5 * time.Minute)
@@ -123,21 +122,5 @@ func TestHighReuseUnderSteadyTraffic(t *testing.T) {
 	e.RunFor(30 * time.Minute)
 	if f := p.ColdStartFraction(); f > 0.01 {
 		t.Fatalf("cold fraction = %v for a hot function, want ≈0", f)
-	}
-}
-
-func TestDropWhenQueueBounded(t *testing.T) {
-	e := sim.NewEngine()
-	params := DefaultParams()
-	params.Hosts = 1
-	params.HostMemoryMB = 300 // fits a single tiny container
-	params.ContainerOverheadMB = 256
-	params.MaxQueue = 5
-	p := New(e, params)
-	for i := 0; i < 20; i++ {
-		p.Submit(blCall(blSpec("f"), 10, 20, 600))
-	}
-	if p.Dropped.Value() == 0 {
-		t.Fatal("bounded queue never dropped")
 	}
 }

@@ -133,17 +133,17 @@ func TestSubscribeWhileDownNoBootstrap(t *testing.T) {
 }
 
 func TestDefaultSections(t *testing.T) {
-	if o := DefaultObserve(); o.Accounting || o.SLO {
+	o := DefaultObserve()
+	if o.Enabled {
 		t.Fatal("observation must default off")
+	}
+	if !o.EnableAll().Enabled || o.Enabled {
+		t.Fatal("Observe.EnableAll must switch a copy on")
 	}
 
 	var r Resilience
-	on := r.EnableAll()
-	if !on.RetryBudgetEnabled || !on.ShedEnabled || !on.ExpirySweep || !on.Hedge.Enabled {
-		t.Fatal("EnableAll must switch every mechanism on")
-	}
-	if r.RetryBudgetEnabled {
-		t.Fatal("EnableAll must not mutate the receiver")
+	if !r.EnableAll().Enabled || r.Enabled {
+		t.Fatal("Resilience.EnableAll must switch a copy on")
 	}
 }
 

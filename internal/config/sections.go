@@ -11,69 +11,57 @@ import "time"
 
 // Resilience switches the overload defenses (paper §5.5's metastable-
 // failure story: back-pressure, criticality ordering and TTLs bound the
-// work a retry storm can amplify into). The zero value is the default.
+// work a retry storm can amplify into). They are one switch because
+// nothing runs them apart; component tests isolate each mechanism through
+// the component's own field. The zero value is off. On, the platform
+// arms:
+//   - retry budgets: every DurableQ shard gets a per-function retry
+//     token bucket; redeliveries spend a token, first-attempt successes
+//     earn β, and an empty bucket dead-letters the call (`budget`), so
+//     retry work is bounded at (1 + β) × first-attempt work (β and the
+//     burst: durableq.Shard);
+//   - shedding: the scheduler's CoDel-style queue-delay shedding of
+//     opportunistic, below-high-criticality calls (window and
+//     per-criticality targets: internal/scheduler);
+//   - expiry sweeping: calls past their absolute deadline are
+//     dead-lettered (`expired`) at poll, dispatch and redelivery time
+//     instead of occupying workers, and workers skip downstream retries
+//     that cannot finish before the deadline;
+//   - hedged dispatch, the tail-at-scale defense: a CritHigh call running
+//     past an online per-function quantile gets one speculative copy on a
+//     different worker, first completion wins, and a per-region token
+//     budget bounds the duplicate work (estimator and budget:
+//     internal/scheduler).
 type Resilience struct {
-	// RetryBudgetEnabled gives every DurableQ shard a per-function retry
-	// token bucket: redeliveries spend a token, first-attempt successes
-	// earn β, and an empty bucket dead-letters the call (`budget`), so
-	// retry work is bounded at (1 + β) × first-attempt work. β and the
-	// burst are defaults of durableq.Shard.
-	RetryBudgetEnabled bool
-	// ShedEnabled turns on the scheduler's CoDel-style queue-delay
-	// shedding of opportunistic, below-high-criticality calls (window and
-	// per-criticality targets: internal/scheduler).
-	ShedEnabled bool
-	// ExpirySweep dead-letters calls past their absolute deadline
-	// (`expired`) at poll, dispatch and redelivery time instead of letting
-	// doomed work occupy workers, and makes workers skip downstream
-	// retries that cannot finish before the deadline.
-	ExpirySweep bool
-	// Hedge switches hedged dispatch.
-	Hedge Hedge
-}
-
-// Hedge switches hedged dispatch — the tail-at-scale defense: a CritHigh
-// call running past an online per-function quantile gets one speculative
-// copy on a different worker, first completion wins, and a per-region
-// token budget bounds the duplicate work (estimator and budget:
-// internal/scheduler).
-type Hedge struct {
 	Enabled bool
 }
 
-// EnableAll returns a copy with every mechanism switched on —
-// the adversarial scenarios' "defended" configuration.
+// EnableAll returns a copy with the defenses switched on — the
+// adversarial scenarios' "defended" configuration.
 func (r Resilience) EnableAll() Resilience {
-	r.RetryBudgetEnabled = true
-	r.ShedEnabled = true
-	r.ExpirySweep = true
-	r.Hedge.Enabled = true
+	r.Enabled = true
 	return r
 }
 
 // Observe switches the machinery that measures the paper's headline
-// result, sustained ~66% daily-average CPU utilization (§1, Fig. 3).
-// Windows, budgets and thresholds: internal/slo.
+// result, sustained ~66% daily-average CPU utilization (§1, Fig. 3):
+// per-worker core-second meters (busy + idle == capacity × elapsed,
+// exactly), windowed utilization timelines per region, per criticality
+// and fleet-wide, per-tenant cost counters, and the per-criticality SLO
+// engine with multi-window burn-rate alerting (CritHigh has a
+// completion-latency objective, delay-tolerant classes goodput within
+// deadline; dead-letters count against their class). Windows, budgets
+// and thresholds: internal/slo.
 type Observe struct {
-	// Accounting enables per-worker core-second meters (busy + idle ==
-	// capacity × elapsed, exactly), windowed utilization timelines per
-	// region, per criticality and fleet-wide, and per-tenant cost
-	// counters.
-	Accounting bool
-	// SLO enables the per-criticality SLO engine with multi-window
-	// burn-rate alerting: CritHigh has a completion-latency objective,
-	// delay-tolerant classes goodput within deadline; dead-letters count
-	// against their class.
-	SLO bool
+	Enabled bool
 }
 
-// DefaultObserve returns both mechanisms disabled.
+// DefaultObserve returns observation switched off.
 func DefaultObserve() Observe { return Observe{} }
 
 // EnableAll returns a copy with accounting and the SLO engine switched on.
 func (o Observe) EnableAll() Observe {
-	o.Accounting = true
-	o.SLO = true
+	o.Enabled = true
 	return o
 }
 
@@ -104,13 +92,4 @@ type GrayDetection struct {
 	// window. The same window rate-limits the probe-driven Gray↔Healthy
 	// transitions while detection v2 is on.
 	Probation time.Duration
-}
-
-// Chaos is what remains configurable of the fault model (detection
-// cadence and thresholds: internal/workerlb; breaker: internal/core).
-type Chaos struct {
-	// ShedHealthyFrac is the fleet-wide detected-healthy worker fraction
-	// below which opportunistic traffic is shed (scaled down towards zero)
-	// so lost capacity delays deferrable work, not critical work.
-	ShedHealthyFrac float64
 }

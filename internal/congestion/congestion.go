@@ -12,7 +12,6 @@
 package congestion
 
 import (
-	"math"
 	"time"
 
 	"xfaas/internal/sim"
@@ -30,13 +29,15 @@ type AIMDParams struct {
 	DecreaseFactor float64
 	// Increase is I in r ← r + I per clean window.
 	Increase float64
-	// Floor and Ceiling bound the limit; Floor > 0 keeps probing traffic
-	// alive so recovery can be detected.
-	Floor, Ceiling float64
 }
 
-// aimdWindow is the AIMD adjustment period.
-const aimdWindow time.Duration = time.Minute
+const (
+	// aimdWindow is the AIMD adjustment period.
+	aimdWindow time.Duration = time.Minute
+	// AIMDFloor bounds the limit from below; a floor above zero keeps
+	// probing traffic alive so recovery can be detected.
+	AIMDFloor float64 = 1
+)
 
 // DefaultAIMDParams mirror the paper's published numbers where given.
 func DefaultAIMDParams() AIMDParams {
@@ -44,8 +45,6 @@ func DefaultAIMDParams() AIMDParams {
 		BackpressureThreshold: 5000,
 		DecreaseFactor:        0.5,
 		Increase:              50,
-		Floor:                 1,
-		Ceiling:               math.Inf(1),
 	}
 }
 
@@ -63,8 +62,8 @@ func NewAIMD(params AIMDParams, initial float64) *AIMD {
 	if params.DecreaseFactor <= 0 || params.DecreaseFactor >= 1 {
 		panic("congestion: invalid AIMD params")
 	}
-	if initial < params.Floor {
-		initial = params.Floor
+	if initial < AIMDFloor {
+		initial = AIMDFloor
 	}
 	return &AIMD{
 		params:     params,
@@ -88,20 +87,14 @@ func (a *AIMD) Tick(now sim.Time) float64 {
 		a.limit += a.params.Increase
 		a.Increases++
 	}
-	if a.limit < a.params.Floor {
-		a.limit = a.params.Floor
-	}
-	if a.limit > a.params.Ceiling {
-		a.limit = a.params.Ceiling
+	if a.limit < AIMDFloor {
+		a.limit = AIMDFloor
 	}
 	return a.limit
 }
 
 // Limit returns the current RPS limit.
 func (a *AIMD) Limit() float64 { return a.limit }
-
-// Params returns the controller's tunables (for bound checks).
-func (a *AIMD) Params() AIMDParams { return a.params }
 
 // The empirically chosen slow-start values from §4.6.3: W = 1 minute,
 // T = 100 calls, α = 20%.

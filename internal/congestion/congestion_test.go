@@ -47,10 +47,10 @@ func TestAIMDBelowThresholdNoDecrease(t *testing.T) {
 	}
 }
 
+// TestAIMDFloorAndCeiling: overload cuts the limit down to AIMDFloor and
+// no further; clean windows then add I each, with no ceiling above.
 func TestAIMDFloorAndCeiling(t *testing.T) {
 	p := DefaultAIMDParams()
-	p.Floor = 10
-	p.Ceiling = 120
 	a := NewAIMD(p, 100)
 	now := sim.Time(time.Second)
 	for w := 0; w < 20; w++ {
@@ -60,24 +60,23 @@ func TestAIMDFloorAndCeiling(t *testing.T) {
 		a.Tick(now)
 		now += time.Minute
 	}
-	if a.Limit() != 10 {
-		t.Fatalf("limit = %v, want floor 10", a.Limit())
+	if a.Limit() != AIMDFloor {
+		t.Fatalf("limit = %v, want floor %v", a.Limit(), AIMDFloor)
 	}
 	for w := 0; w < 20; w++ {
 		a.Tick(now)
 		now += time.Minute
 	}
-	if a.Limit() != 120 {
-		t.Fatalf("limit = %v, want ceiling 120", a.Limit())
+	if want := AIMDFloor + 20*p.Increase; a.Limit() != want {
+		t.Fatalf("limit = %v, want %v after 20 clean windows", a.Limit(), want)
 	}
 }
 
-// Property: the AIMD limit always stays within [floor, ceiling] and every
+// Property: the AIMD limit never drops below the floor and every
 // adjustment is either ×M or +I.
 func TestAIMDBoundsProperty(t *testing.T) {
 	f := func(pattern []bool) bool {
 		p := DefaultAIMDParams()
-		p.Floor, p.Ceiling = 5, 2000
 		a := NewAIMD(p, 500)
 		now := sim.Time(0)
 		for _, overload := range pattern {
@@ -89,11 +88,11 @@ func TestAIMDBoundsProperty(t *testing.T) {
 				}
 			}
 			got := a.Tick(now)
-			if got < p.Floor || got > p.Ceiling {
+			if got < AIMDFloor {
 				return false
 			}
-			wantDec := math.Max(prev*p.DecreaseFactor, p.Floor)
-			wantInc := math.Min(prev+p.Increase, p.Ceiling)
+			wantDec := math.Max(prev*p.DecreaseFactor, AIMDFloor)
+			wantInc := prev + p.Increase
 			if overload && math.Abs(got-wantDec) > 1e-9 {
 				return false
 			}

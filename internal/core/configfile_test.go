@@ -12,6 +12,7 @@ import (
 	"xfaas/internal/queuelb"
 	"xfaas/internal/rng"
 	"xfaas/internal/scheduler"
+	"xfaas/internal/utilization"
 	"xfaas/internal/workload"
 )
 
@@ -222,8 +223,8 @@ func TestConfigFileKeysReachThePlatform(t *testing.T) {
 		{"prewarm_jit", `{"prewarm_jit": false}`, 0, func(p *Platform) bool {
 			return p.Region(0).Workers[0].Runtime.SpeedFactor(aFunc, 0) != 1
 		}},
-		{"utilization_target", `{"utilization_target": 0.5}`, base.Util.Interval, func(p *Platform) bool {
-			return p.Util.S() == 1+base.Util.Gain*0.5 // one step on an idle fleet
+		{"utilization_target", `{"utilization_target": 0.5}`, utilization.Interval, func(p *Platform) bool {
+			return p.Util.S() == 1+utilization.Gain*0.5 // one step on an idle fleet
 		}},
 		{"trace.enabled", `{"trace": {"enabled": true}}`, 0, func(p *Platform) bool { return p.Tracer.Enabled() }},
 		{"trace.sample_every", `{"trace": {"sample_every": 16}}`, 0, func(p *Platform) bool {

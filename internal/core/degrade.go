@@ -27,6 +27,10 @@ const (
 	// breakerCooldown is how long an open breaker waits before
 	// half-opening to re-test the region's health.
 	breakerCooldown time.Duration = 2 * time.Minute
+	// ShedHealthyFrac is the fleet-wide detected-healthy worker fraction
+	// below which opportunistic traffic is shed (scaled down towards
+	// zero) so lost capacity delays deferrable work, not critical work.
+	ShedHealthyFrac float64 = 0.85
 )
 
 // breakerState is a region circuit breaker's position.
@@ -96,7 +100,6 @@ func (p *Platform) DetectedHealthyFrac() float64 {
 // degradeTick runs the degradation policy once: fleet-wide shedding and
 // per-region breakers, both from the detected health view.
 func (p *Platform) degradeTick() {
-	cc := p.cfg.Chaos
 	frac := p.DetectedHealthyFrac()
 
 	// Criticality-based load shedding. Above the threshold nothing is
@@ -105,9 +108,9 @@ func (p *Platform) degradeTick() {
 	// reserved work is deferred too. Critical traffic is never shed.
 	shed := 1.0
 	minCrit := function.CritLow
-	if cc.ShedHealthyFrac > 0 && frac < cc.ShedHealthyFrac {
-		floor := cc.ShedHealthyFrac / 2
-		shed = (frac - floor) / (cc.ShedHealthyFrac - floor)
+	if frac < ShedHealthyFrac {
+		floor := ShedHealthyFrac / 2
+		shed = (frac - floor) / (ShedHealthyFrac - floor)
 		if shed < 0 {
 			shed = 0
 		}

@@ -158,12 +158,13 @@ func (p *Platform) registerInvariantProbes() {
 		return out
 	})
 
-	// Retry amplification: with budgets on, the tokens the shards spent
-	// can never exceed what first-attempt successes earned plus each
-	// function's per-shard burst — redelivered work is bounded at
-	// β × first-attempt work plus a constant, the configured
-	// amplification bound of 1+β.
-	if p.cfg.Resilience.RetryBudgetEnabled {
+	// Both amplification probes run with the defenses on.
+	//
+	// Retry amplification: the tokens the shards spent can never exceed
+	// what first-attempt successes earned plus each function's per-shard
+	// burst — redelivered work is bounded at β × first-attempt work plus a
+	// constant, the configured amplification bound of 1+β.
+	if p.cfg.Resilience.Enabled {
 		p.Inv.RegisterProbe("retry-amplification", func(now sim.Time) []string {
 			c := CountersOf(p.regions...)
 			burstCap := durableq.DefaultBudgetBurst * float64(c.Shards*p.Registry.Len())
@@ -175,14 +176,12 @@ func (p *Platform) registerInvariantProbes() {
 			}
 			return nil
 		})
-	}
 
-	// Hedge amplification: with hedging on, the speculative copies the
-	// schedulers dispatched can never exceed the budget fraction of
-	// primary dispatches plus each region's burst allowance — hedged load
-	// is bounded at (1 + HedgeBudgetFrac) × primary load plus a constant, no
-	// matter how gray the fleet looks.
-	if p.cfg.Resilience.Hedge.Enabled {
+		// Hedge amplification: the speculative copies the schedulers
+		// dispatched can never exceed the budget fraction of primary
+		// dispatches plus each region's burst allowance — hedged load is
+		// bounded at (1 + HedgeBudgetFrac) × primary load plus a
+		// constant, no matter how gray the fleet looks.
 		p.Inv.RegisterProbe("hedge-amplification", func(now sim.Time) []string {
 			c := CountersOf(p.regions...)
 			const frac, burst = scheduler.HedgeBudgetFrac, scheduler.HedgeBudgetBurst
@@ -217,17 +216,16 @@ func (p *Platform) registerInvariantProbes() {
 		return out
 	})
 
-	// Congestion control: AIMD limits stay inside [Floor, Ceiling], the
+	// Congestion control: AIMD limits stay at or above the floor, the
 	// slow-start window count never exceeds its cap (which itself never
 	// drops below the threshold), and concurrency occupancy respects the
 	// configured limit.
 	p.Inv.RegisterProbe("congestion-bounds", func(now sim.Time) []string {
 		var out []string
 		p.Cong.EachControl(func(name string, ctl *congestion.Control) {
-			ap := ctl.AIMD.Params()
-			if lim := ctl.AIMD.Limit(); lim < ap.Floor || lim > ap.Ceiling {
-				out = append(out, fmt.Sprintf("func %s aimd limit %.2f outside [%.2f, %.2f]",
-					name, lim, ap.Floor, ap.Ceiling))
+			if lim := ctl.AIMD.Limit(); lim < congestion.AIMDFloor {
+				out = append(out, fmt.Sprintf("func %s aimd limit %.2f below floor %.2f",
+					name, lim, congestion.AIMDFloor))
 			}
 			cap := ctl.Slow.Cap(now)
 			if cap < congestion.SlowStartThreshold {

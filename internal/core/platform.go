@@ -93,25 +93,20 @@ type Config struct {
 	SpikyClients []string
 	// Downstreams to instantiate.
 	Downstreams []DownstreamSpec
-	// RIM parameterizes the global Resource Isolation and Management
-	// advice loop; it runs whenever downstreams exist and EnableRIM is
-	// set. Disable to isolate the reactive AIMD loop (the §5.5 incident
-	// experiments do).
-	RIM       rim.Params
+	// EnableRIM runs the global Resource Isolation and Management advice
+	// loop whenever downstreams exist. Disable to isolate the reactive
+	// AIMD loop (the §5.5 incident experiments do).
 	EnableRIM bool
 	// PrewarmJIT starts workers with all registered functions already
 	// JIT-compiled — the steady state of a long-running fleet. Disable
 	// for cold-ramp experiments (Figure 12).
 	PrewarmJIT bool
-	// Chaos is the graceful-degradation model: the healthy-capacity
-	// fraction below which opportunistic traffic is shed.
-	Chaos config.Chaos
 	// Durability is the crash-recovery model: DurableQ journaling (off by
 	// default) and its flush lag.
 	Durability config.Durability
-	// Resilience switches the overload-resilience mechanisms: retry
-	// budgets, queue-delay shedding, deadline expiry sweeping, and hedged
-	// dispatch (all off by default).
+	// Resilience switches the overload-resilience mechanisms together:
+	// retry budgets, queue-delay shedding, deadline expiry sweeping, and
+	// hedged dispatch (off by default).
 	Resilience config.Resilience
 	// GrayDetection is the completion-driven latency-outlier detector
 	// (detection v2): per-worker exec-time inflation scoring with a
@@ -126,10 +121,10 @@ type Config struct {
 	// SLO engine all off, every lifecycle emit on the hot path is one
 	// inlined check on the spine, preserving the zero-alloc submit path.
 	Invariants invariant.Params
-	// Observe switches utilization accounting and the SLO engine:
+	// Observe switches utilization accounting and the SLO engine together:
 	// per-worker core-second meters with exact busy/idle closure, windowed
 	// utilization timelines, per-tenant cost attribution, and
-	// multi-window burn-rate alerting (all off by default).
+	// multi-window burn-rate alerting (off by default).
 	Observe config.Observe
 }
 
@@ -168,10 +163,8 @@ func DefaultConfig() Config {
 		EnableGTC:           true,
 		CodePushInterval:    3 * time.Hour,
 		SpikyClients:        []string{"team-spiky"},
-		RIM:                 rim.DefaultParams(),
 		EnableRIM:           true,
 		PrewarmJIT:          true,
-		Chaos:               config.Chaos{ShedHealthyFrac: 0.85},
 		Durability:          config.Durability{FlushLag: 200 * time.Millisecond},
 		GrayDetection:       config.GrayDetection{Probation: 30 * time.Second},
 		Trace:               trace.DefaultParams(),
@@ -187,7 +180,7 @@ func DefaultConfig() Config {
 // analytic demand.
 func ProvisionWorkers(wp worker.Params, demandMIPS, concurrentMemMB, cpuTarget float64, minWorkers int) int {
 	byCPU := int(math.Ceil(demandMIPS / (cpuTarget * wp.CPUMIPS)))
-	usable := wp.MemoryMB - wp.RuntimeBaseMB
+	usable := wp.MemoryMB - worker.RuntimeBaseMB
 	byMem := int(math.Ceil(concurrentMemMB / (0.5 * usable)))
 	w := byCPU
 	if byMem > w {
@@ -243,10 +236,10 @@ type Platform struct {
 	// Metrics is the platform-level labeled metric registry backing the
 	// Prometheus exposition.
 	Metrics *stats.Registry
-	// Acct is the core-second accounting hub; nil unless
-	// cfg.Observe.Accounting (all hooks no-op on nil).
+	// Acct is the core-second accounting hub; nil unless cfg.Observe is
+	// on (all hooks no-op on nil).
 	Acct *slo.Accountant
-	// SLO is the burn-rate SLO engine; nil unless cfg.Observe.SLO.
+	// SLO is the burn-rate SLO engine; nil unless cfg.Observe is on.
 	SLO *slo.Engine
 	// Obs is the lifecycle spine every component emits on; it fans call
 	// transitions out to Tracer, Inv and SLO.
@@ -359,7 +352,8 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		Tracer:           trace.NewRecorder(engine, cfg.Seed, cfg.Trace),
 		Inv:              invariant.NewChecker(engine, cfg.Invariants, topo.NumRegions()),
 	}
-	if p.Inv != nil && cfg.Resilience.ExpirySweep {
+	defended := cfg.Resilience.Enabled
+	if p.Inv != nil && defended {
 		// With sweeping on, an expired call reaching a worker is a breach
 		// of the sweeps' promise, not an SLO miss.
 		p.Inv.ExpiryDispatchCheck = true
@@ -380,14 +374,12 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			p.completionCtr[r][q] = crits
 		}
 	}
-	if cfg.Observe.Accounting {
+	if cfg.Observe.Enabled {
 		regionNames := make([]string, nRegions)
 		for r := 0; r < nRegions; r++ {
 			regionNames[r] = fmt.Sprintf("r%d", r)
 		}
 		p.Acct = slo.NewAccountant(p.Metrics, regionNames, effectiveCoreMIPS(cfg.Worker), slo.UtilWindow, engine.Now())
-	}
-	if cfg.Observe.SLO {
 		p.SLO = slo.NewEngine(p.Metrics, cfg.Observe, p.Tracer.Control)
 	}
 	p.Obs = lifecycle.New(engine, p.Tracer, p.Inv, p.SLO)
@@ -404,7 +396,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			sources = append(sources, svc)
 		}
 		if cfg.EnableRIM {
-			p.RIM = rim.New(engine, cfg.RIM, p.Store, sources...)
+			p.RIM = rim.New(engine, p.Store, sources...)
 			p.Cong.Advice = p.RIM.MultiplierFor
 		}
 	}
@@ -419,8 +411,8 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		for k := 0; k < r.DurableQShards; k++ {
 			sh := durableq.NewShard(durableq.ShardID{Region: r.ID, Index: k}, engine, shardSrc.Split())
 			sh.LeaseTimeout = cfg.LeaseTimeout
-			sh.BudgetEnabled = cfg.Resilience.RetryBudgetEnabled
-			sh.SweepExpired = cfg.Resilience.ExpirySweep
+			sh.BudgetEnabled = defended
+			sh.SweepExpired = defended
 			if cfg.Durability.JournalEnabled {
 				sh.EnableJournal(cfg.Durability.FlushLag)
 			}
@@ -446,7 +438,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			if cfg.PrewarmJIT {
 				wk.Runtime.Prewarm(registry.Names())
 			}
-			wk.DeadlineRetryCut = cfg.Resilience.ExpirySweep
+			wk.DeadlineRetryCut = defended
 			wk.Obs = p.Obs
 			if p.Acct != nil {
 				wk.Acct = p.Acct.NewMeter(int(r.ID), cfg.Worker.CPUMIPS, effectiveCoreMIPS(cfg.Worker), engine.Now())
@@ -477,7 +469,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		}
 		from := r.ID
 		var hb *scheduler.HedgeBudget
-		if cfg.Resilience.Hedge.Enabled {
+		if defended {
 			// One bucket per region, shared by its replicas, so the
 			// amplification bound holds region-wide regardless of how
 			// many schedulers dispatch hedges.
@@ -485,8 +477,8 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		}
 		for k := 0; k < nSched; k++ {
 			sc := scheduler.NewHedged(engine, src.Split(), r.ID, cfg.Scheduler, allShards, reg.LB, p.Central, p.Cong, p.Store, hb)
-			sc.ShedEnabled = cfg.Resilience.ShedEnabled
-			sc.SweepExpired = cfg.Resilience.ExpirySweep
+			sc.ShedEnabled = defended
+			sc.SweepExpired = defended
 			sc.Obs = p.Obs
 			sc.OnExecuted = p.onExecuted
 			sc.Reachable = func(dst cluster.RegionID) bool { return p.Reachable(from, dst) }

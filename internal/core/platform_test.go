@@ -8,6 +8,7 @@ import (
 	"xfaas/internal/function"
 	"xfaas/internal/rng"
 	"xfaas/internal/scheduler"
+	"xfaas/internal/worker"
 	"xfaas/internal/workerlb"
 	"xfaas/internal/workload"
 )
@@ -90,7 +91,7 @@ func TestPlatformUtilizationSampling(t *testing.T) {
 			t.Fatalf("region %d has no sampled series", reg.ID)
 		}
 		// Memory must at least include the runtime base.
-		if reg.MemSeries.Value(0) < p.cfg.Worker.RuntimeBaseMB {
+		if reg.MemSeries.Value(0) < worker.RuntimeBaseMB {
 			t.Fatalf("sampled memory %v below runtime base", reg.MemSeries.Value(0))
 		}
 	}

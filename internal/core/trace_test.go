@@ -129,12 +129,12 @@ func TestWriteMetricsDeterministic(t *testing.T) {
 }
 
 // TestControlEventsRecordDegradeTransitions drives the degradation
-// controller through a shed transition by failing most of one small
-// fleet and checks the control log captured it.
+// controller through a shed transition by failing more than half of one
+// small fleet (below ShedHealthyFrac) and checks the control log captured
+// it.
 func TestControlEventsRecordDegradeTransitions(t *testing.T) {
 	p, _, _ := smallPlatform(t, func(cfg *Config, _ *workload.PopulationConfig) {
 		cfg.Cluster.TotalWorkers = 12
-		cfg.Chaos.ShedHealthyFrac = 0.9
 	})
 	p.Engine.RunFor(5 * time.Minute)
 	for _, reg := range p.Regions() {

@@ -226,7 +226,7 @@ func runChaosCorrelated(s Scale) *Result {
 		regionFrac >= core.BreakerMinHealthyFrac || p.BreakerState(victim.ID) == "open",
 		"region frac %.2f, breaker %s", regionFrac, p.BreakerState(victim.ID))
 	r.check("load shedding engages when fleet degrades past threshold",
-		fleetFrac >= core.DefaultConfig().Chaos.ShedHealthyFrac || p.Central.Shed() < 1,
+		fleetFrac >= core.ShedHealthyFrac || p.Central.Shed() < 1,
 		"fleet frac %.2f, shed %.2f", fleetFrac, p.Central.Shed())
 
 	faulted := ackPhase(p, f.fault)

@@ -136,7 +136,7 @@ func digestChaos(w io.Writer, name string) {
 	pcfg.Downstreams = []string{"backend"}
 	pop := workload.NewPopulation(pcfg, rng.New(seed+100))
 	crit := len(pop.Models)
-	workload.BuildGrayMix(pop, workload.GrayMixConfig{Functions: 6, RPSPerFunc: 0.5, ExecSecs: 1}, rng.New(seed+150))
+	workload.BuildGrayMix(pop, workload.GrayMixConfig{Functions: 6, RPSPerFunc: 0.5}, rng.New(seed+150))
 	for _, m := range pop.Models[crit:] {
 		m.FutureStartFrac = 0.3
 	}

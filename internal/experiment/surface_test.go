@@ -37,12 +37,12 @@ func TestConfigurationSurface(t *testing.T) {
 		v    any
 		want int
 	}{
-		{"core.DefaultConfig", core.DefaultConfig(), 61},
+		{"core.DefaultConfig", core.DefaultConfig(), 41},
 		{"psim.DefaultOptions", psim.DefaultOptions(), 15},
 		{"workload.DefaultPopulationConfig", workload.DefaultPopulationConfig(), 12},
 		{"workload.DefaultStormMix", workload.DefaultStormMix(""), 5},
-		{"workload.DefaultGrayMix", workload.DefaultGrayMix(), 3},
-		{"baseline.DefaultParams", baseline.DefaultParams(), 6},
+		{"workload.DefaultGrayMix", workload.DefaultGrayMix(), 2},
+		{"baseline.DefaultParams", baseline.DefaultParams(), 4},
 	}
 	total := 0
 	for _, r := range roots {

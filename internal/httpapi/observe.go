@@ -159,7 +159,7 @@ func (s *Server) handleUtilization(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.p.Acct == nil {
-		httpError(w, http.StatusNotFound, "core-second accounting disabled (set Observe.Accounting)")
+		httpError(w, http.StatusNotFound, "core-second accounting disabled (set Observe.Enabled)")
 		return
 	}
 	writeJSON(w, http.StatusOK, s.p.Acct.Snapshot(s.p.Engine.Now()))
@@ -169,7 +169,7 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.p.SLO == nil {
-		httpError(w, http.StatusNotFound, "SLO engine disabled (set Observe.SLO)")
+		httpError(w, http.StatusNotFound, "SLO engine disabled (set Observe.Enabled)")
 		return
 	}
 	writeJSON(w, http.StatusOK, s.p.SLO.Snapshot(s.p.Engine.Now()))

@@ -42,18 +42,15 @@ type Params struct {
 	// Interval is how often the registered probes run (0 = only at run
 	// end via Final).
 	Interval time.Duration
-	// MaxViolations bounds the retained violation records; the total
-	// count keeps incrementing past it.
-	MaxViolations int
 }
 
-// defaultMaxViolations is the retention bound DefaultParams carries and a
-// zero MaxViolations means.
-const defaultMaxViolations int = 64
+// maxViolations bounds the retained violation records; the total count
+// keeps incrementing past it.
+const maxViolations int = 64
 
-// DefaultParams checks every simulated minute and keeps 64 violations.
+// DefaultParams checks every simulated minute.
 func DefaultParams() Params {
-	return Params{Interval: time.Minute, MaxViolations: defaultMaxViolations}
+	return Params{Interval: time.Minute}
 }
 
 // Violation is one observed invariant breach.
@@ -186,6 +183,8 @@ type probe struct {
 type Checker struct {
 	engine *sim.Engine
 	params Params
+	// violationCap is maxViolations; tests vary it.
+	violationCap int
 
 	// LocalityCheck, when set (by core), validates a dispatch against the
 	// function's locality group at dispatch time; it returns "" when the
@@ -225,14 +224,12 @@ func NewChecker(engine *sim.Engine, params Params, numRegions int) *Checker {
 	if !params.Enabled {
 		return nil
 	}
-	if params.MaxViolations <= 0 {
-		params.MaxViolations = defaultMaxViolations
-	}
 	k := &Checker{
-		engine:   engine,
-		params:   params,
-		byFunc:   make(map[string]*fcounts),
-		byRegion: make([]Tally, numRegions),
+		engine:       engine,
+		params:       params,
+		violationCap: maxViolations,
+		byFunc:       make(map[string]*fcounts),
+		byRegion:     make([]Tally, numRegions),
 	}
 	if params.Interval > 0 {
 		engine.Every(params.Interval, func() { k.evaluate(engine.Now()) })
@@ -275,7 +272,7 @@ func (k *Checker) violate(name string, callID uint64, format string, args ...any
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.nViol++
-	if len(k.violations) >= k.params.MaxViolations {
+	if len(k.violations) >= k.violationCap {
 		return
 	}
 	k.violations = append(k.violations, Violation{
@@ -856,7 +853,7 @@ func (k *Checker) Violations() []Violation {
 }
 
 // TotalViolations returns the full breach count, including records past
-// MaxViolations.
+// maxViolations.
 func (k *Checker) TotalViolations() uint64 {
 	if k == nil {
 		return 0

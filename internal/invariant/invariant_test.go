@@ -14,7 +14,7 @@ import (
 func newTestChecker(t *testing.T) (*sim.Engine, *Checker) {
 	t.Helper()
 	engine := sim.NewEngine()
-	k := NewChecker(engine, Params{Enabled: true, Interval: 0, MaxViolations: 64}, 3)
+	k := NewChecker(engine, Params{Enabled: true, Interval: 0}, 3)
 	if k == nil {
 		t.Fatal("enabled checker is nil")
 	}
@@ -287,7 +287,8 @@ func TestProbesRunOnIntervalAndFinal(t *testing.T) {
 
 func TestMaxViolationsBounds(t *testing.T) {
 	engine := sim.NewEngine()
-	k := NewChecker(engine, Params{Enabled: true, MaxViolations: 3}, 1)
+	k := NewChecker(engine, Params{Enabled: true}, 1)
+	k.violationCap = 3
 	for i := uint64(1); i <= 10; i++ {
 		k.OnSubmit(call(5, "f", 0)) // duplicate IDs after the first
 	}

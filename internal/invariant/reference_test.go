@@ -65,8 +65,9 @@ func tally(c counts) Tally {
 }
 
 type refChecker struct {
-	engine *sim.Engine
-	params Params
+	engine       *sim.Engine
+	params       Params
+	violationCap int
 
 	LocalityCheck       func(c *function.Call, region, worker int) string
 	ExpiryDispatchCheck bool
@@ -85,11 +86,12 @@ type refChecker struct {
 
 func newRefChecker(engine *sim.Engine, params Params, numRegions int) *refChecker {
 	return &refChecker{
-		engine:   engine,
-		params:   params,
-		ledger:   make(map[uint64]refEntry),
-		byFunc:   make(map[string]*counts),
-		byRegion: make([]counts, numRegions),
+		engine:       engine,
+		params:       params,
+		violationCap: maxViolations,
+		ledger:       make(map[uint64]refEntry),
+		byFunc:       make(map[string]*counts),
+		byRegion:     make([]counts, numRegions),
 	}
 }
 
@@ -105,7 +107,7 @@ func (k *refChecker) Note(kind, detail string) {
 // violate records one breach. Callers hold k.mu.
 func (k *refChecker) violate(name string, callID uint64, format string, args ...any) {
 	k.nViol++
-	if len(k.violations) >= k.params.MaxViolations {
+	if len(k.violations) >= k.violationCap {
 		return
 	}
 	k.violations = append(k.violations, Violation{
@@ -682,7 +684,7 @@ func (k *refChecker) Violations() []Violation {
 }
 
 // TotalViolations returns the full breach count, including records past
-// MaxViolations.
+// maxViolations.
 func (k *refChecker) TotalViolations() uint64 {
 	if k == nil {
 		return 0
@@ -871,7 +873,8 @@ func runLedgersAgainstReference(t testing.TB, prog []byte) int {
 		pos++
 		return int(prog[pos-1])
 	}
-	params := Params{Enabled: true, MaxViolations: []int{6, 64, 256}[next()%3]}
+	params := Params{Enabled: true}
+	violationCap := []int{6, 64, 256}[next()%3]
 	locality := func(c *function.Call, region, worker int) string {
 		if worker == 3 {
 			return fmt.Sprintf("func %s on w-%d-%d outside its group", c.Spec.Name, region, worker)
@@ -881,12 +884,12 @@ func runLedgersAgainstReference(t testing.TB, prog []byte) int {
 	expiry := next()%2 == 0
 	got := newLedgerWorld(func(e *sim.Engine, p Params) ledger {
 		k := NewChecker(e, p, 3)
-		k.LocalityCheck, k.ExpiryDispatchCheck = locality, expiry
+		k.LocalityCheck, k.ExpiryDispatchCheck, k.violationCap = locality, expiry, violationCap
 		return k
 	}, params)
 	want := newLedgerWorld(func(e *sim.Engine, p Params) ledger {
 		k := newRefChecker(e, p, 3)
-		k.LocalityCheck, k.ExpiryDispatchCheck = locality, expiry
+		k.LocalityCheck, k.ExpiryDispatchCheck, k.violationCap = locality, expiry, violationCap
 		return k
 	}, params)
 	worlds := [...]*ledgerWorld{got, want}

@@ -22,15 +22,11 @@ import (
 	"xfaas/internal/sim"
 )
 
-// Params tune the JIT model.
-type Params struct {
-	// Slowdown is the execution-time multiplier for unoptimized code.
-	Slowdown float64
-}
-
-// The compile timings fit the paper's measurements: they reproduce Figure
-// 12's 3-minute vs 21-minute ramp.
+// The JIT model's constants fit the paper's measurements: the compile
+// timings reproduce Figure 12's 3-minute vs 21-minute ramp.
 const (
+	// slowdown is the execution-time multiplier for unoptimized code.
+	slowdown = 3.0
 	// ProfileTime is the wall-clock instrumentation budget per function
 	// before self-profiled compilation can start, measured from the
 	// function's first execution on the new version.
@@ -43,9 +39,6 @@ const (
 	// runtime start.
 	seededCompilePerFunc time.Duration = 3 * time.Second
 )
-
-// DefaultParams fit the paper's measurements.
-func DefaultParams() Params { return Params{Slowdown: 3.0} }
 
 type funcState int
 
@@ -65,19 +58,15 @@ type funcJIT struct {
 // Runtime is the per-worker JIT state for the currently deployed code
 // version.
 type Runtime struct {
-	params Params
-	funcs  map[string]*funcJIT
+	funcs map[string]*funcJIT
 	// Compilations counts optimizations performed, split by source.
 	SelfCompilations   uint64
 	SeededCompilations uint64
 }
 
 // NewRuntime returns a runtime with nothing optimized.
-func NewRuntime(params Params) *Runtime {
-	if params.Slowdown < 1 {
-		panic("jit: slowdown below 1")
-	}
-	return &Runtime{params: params, funcs: make(map[string]*funcJIT)}
+func NewRuntime() *Runtime {
+	return &Runtime{funcs: make(map[string]*funcJIT)}
 }
 
 // SwitchVersion deploys a new code version, discarding all JIT state. If
@@ -117,7 +106,7 @@ func (r *Runtime) fs(fn string) *funcJIT {
 }
 
 // SpeedFactor returns the execution-time multiplier for one call of fn at
-// virtual time now (1 when optimized, Slowdown otherwise). The first use
+// virtual time now (1 when optimized, slowdown otherwise). The first use
 // of a cold function starts its instrumentation clock.
 func (r *Runtime) SpeedFactor(fn string, now sim.Time) float64 {
 	f := r.fs(fn)
@@ -126,13 +115,13 @@ func (r *Runtime) SpeedFactor(fn string, now sim.Time) float64 {
 		f.state = stateProfiling
 		f.readyAt = now + ProfileTime + CompileDelay
 		r.SelfCompilations++
-		return r.params.Slowdown
+		return slowdown
 	case stateProfiling:
 		if now >= f.readyAt {
 			f.state = stateOptimized
 			return 1
 		}
-		return r.params.Slowdown
+		return slowdown
 	default:
 		return 1
 	}

@@ -32,7 +32,7 @@ func (r *Runtime) OptimizedCount(now sim.Time) int {
 }
 
 func TestColdFunctionRunsSlow(t *testing.T) {
-	r := NewRuntime(DefaultParams())
+	r := NewRuntime()
 	if f := r.SpeedFactor("f", 0); f != 3.0 {
 		t.Fatalf("cold speed = %v, want slowdown 3", f)
 	}
@@ -42,11 +42,10 @@ func TestColdFunctionRunsSlow(t *testing.T) {
 }
 
 func TestSelfProfilingCompletes(t *testing.T) {
-	p := DefaultParams()
-	r := NewRuntime(p)
+	r := NewRuntime()
 	r.SpeedFactor("f", 0) // first use starts instrumentation
 	ready := sim.Time(ProfileTime + CompileDelay)
-	if f := r.SpeedFactor("f", ready-time.Second); f != p.Slowdown {
+	if f := r.SpeedFactor("f", ready-time.Second); f != slowdown {
 		t.Fatalf("pre-ready speed = %v", f)
 	}
 	if f := r.SpeedFactor("f", ready); f != 1 {
@@ -61,8 +60,7 @@ func TestSelfProfilingCompletes(t *testing.T) {
 }
 
 func TestSeededPrecompilation(t *testing.T) {
-	p := DefaultParams()
-	r := NewRuntime(p)
+	r := NewRuntime()
 	hot := []string{"a", "b", "c"}
 	r.SwitchVersion(0, true, hot)
 	// Functions compile in a queue: a at 3s, b at 6s, c at 9s.
@@ -85,14 +83,13 @@ func TestSeededPrecompilation(t *testing.T) {
 }
 
 func TestSeededRampMuchFasterThanSelf(t *testing.T) {
-	p := DefaultParams()
 	hot := make([]string, 50)
 	for i := range hot {
 		hot[i] = fmt.Sprintf("f%02d", i)
 	}
-	seeded := NewRuntime(p)
+	seeded := NewRuntime()
 	seeded.SwitchVersion(0, true, hot)
-	selfp := NewRuntime(p)
+	selfp := NewRuntime()
 	selfp.SwitchVersion(0, false, hot)
 	for _, fn := range hot {
 		selfp.SpeedFactor(fn, 0) // traffic arrives immediately
@@ -120,8 +117,7 @@ func TestSeededRampMuchFasterThanSelf(t *testing.T) {
 }
 
 func TestSwitchVersionResetsState(t *testing.T) {
-	p := DefaultParams()
-	r := NewRuntime(p)
+	r := NewRuntime()
 	r.SpeedFactor("f", 0)
 	r.SpeedFactor("f", sim.Time(ProfileTime+CompileDelay)) // optimized
 	r.SwitchVersion(0, false, nil)
@@ -228,7 +224,7 @@ func TestDistributorSkipsEmptyGroup(t *testing.T) {
 }
 
 func TestPrewarm(t *testing.T) {
-	r := NewRuntime(DefaultParams())
+	r := NewRuntime()
 	r.Prewarm([]string{"a", "b"})
 	if !r.Optimized("a", 0) || !r.Optimized("b", 0) {
 		t.Fatal("prewarmed functions not optimized")
@@ -237,18 +233,7 @@ func TestPrewarm(t *testing.T) {
 		t.Fatalf("prewarmed speed = %v", f)
 	}
 	// Unknown functions still pay the cold path.
-	if f := r.SpeedFactor("c", 0); f != DefaultParams().Slowdown {
+	if f := r.SpeedFactor("c", 0); f != slowdown {
 		t.Fatalf("cold speed = %v", f)
 	}
-}
-
-func TestNewRuntimePanicsOnBadSlowdown(t *testing.T) {
-	p := DefaultParams()
-	p.Slowdown = 0.5
-	defer func() {
-		if recover() == nil {
-			t.Fatal("slowdown < 1 should panic")
-		}
-	}()
-	NewRuntime(p)
 }

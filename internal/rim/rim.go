@@ -35,23 +35,16 @@ type Source interface {
 	RIMUtilization() float64
 }
 
-// Params tune the advice function.
-type Params struct {
-	// Hard is the utilization at which advice reaches floor.
-	Hard float64
-}
-
 const (
 	// interval between metric collections.
 	interval time.Duration = 15 * time.Second
 	// soft is the utilization below which advice is 1 (no constraint).
 	soft float64 = 0.8
+	// hard is the utilization at which advice reaches floor.
+	hard float64 = 1.2
 	// floor is the minimum multiplier (keeps recovery probes alive).
 	floor float64 = 0.05
 )
-
-// DefaultParams reach the floor at 120% utilization.
-func DefaultParams() Params { return Params{Hard: 1.2} }
 
 // Advice maps component name → rate multiplier in [floor, 1].
 type Advice map[string]float64
@@ -67,7 +60,6 @@ func (a Advice) Multiplier(name string) float64 {
 // RIM aggregates sources and publishes advice.
 type RIM struct {
 	engine  *sim.Engine
-	params  Params
 	store   *config.Store
 	sources []Source
 
@@ -80,13 +72,9 @@ type RIM struct {
 }
 
 // New starts a RIM aggregating the given sources every interval.
-func New(engine *sim.Engine, params Params, store *config.Store, sources ...Source) *RIM {
-	if params.Hard <= soft {
-		panic("rim: Hard must exceed soft")
-	}
+func New(engine *sim.Engine, store *config.Store, sources ...Source) *RIM {
 	r := &RIM{
 		engine:  engine,
-		params:  params,
 		store:   store,
 		sources: sources,
 		current: Advice{},
@@ -121,16 +109,18 @@ func (r *RIM) collect() {
 }
 
 // multiplier maps utilization to a pacing multiplier: 1 below soft,
-// linear ramp to floor at Hard, floor beyond.
+// linear ramp to floor at hard, floor beyond.
 func (r *RIM) multiplier(util float64) float64 {
-	hard := r.params.Hard
+	// The ramp's span is float64 arithmetic, not an exact constant: it
+	// rounds to just below 0.4, which the seeded outputs record.
+	hi := hard
 	switch {
 	case util <= soft:
 		return 1
 	case util >= hard:
 		return floor
 	default:
-		frac := (util - soft) / (hard - soft)
+		frac := (util - soft) / (hi - soft)
 		return 1 - frac*(1-floor)
 	}
 }

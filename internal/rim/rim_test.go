@@ -20,7 +20,7 @@ func TestAdviceRamp(t *testing.T) {
 	e := sim.NewEngine()
 	store := config.NewStore(e)
 	src := &fakeSource{name: "tao", util: 0.3}
-	r := New(e, DefaultParams(), store, src)
+	r := New(e, store, src)
 
 	e.RunFor(time.Minute)
 	if m := r.MultiplierFor("tao"); m != 1 {
@@ -48,7 +48,7 @@ func TestAdviceRamp(t *testing.T) {
 
 func TestUnknownComponentUnconstrained(t *testing.T) {
 	e := sim.NewEngine()
-	r := New(e, DefaultParams(), config.NewStore(e))
+	r := New(e, config.NewStore(e))
 	if m := r.MultiplierFor("ghost"); m != 1 {
 		t.Fatalf("unknown multiplier = %v", m)
 	}
@@ -58,7 +58,7 @@ func TestPublishesThroughConfigStore(t *testing.T) {
 	e := sim.NewEngine()
 	store := config.NewStore(e)
 	src := &fakeSource{name: "kv", util: 5}
-	New(e, DefaultParams(), store, src)
+	New(e, store, src)
 	cache := config.NewCache(store, AdviceKey)
 	e.RunFor(2 * time.Minute)
 	v, ok := cache.Get()
@@ -68,16 +68,4 @@ func TestPublishesThroughConfigStore(t *testing.T) {
 	if m := v.(Advice).Multiplier("kv"); m != 0.05 {
 		t.Fatalf("published multiplier = %v", m)
 	}
-}
-
-func TestInvalidParamsPanic(t *testing.T) {
-	e := sim.NewEngine()
-	p := DefaultParams()
-	p.Hard = soft
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Hard == Soft should panic")
-		}
-	}()
-	New(e, p, config.NewStore(e))
 }

@@ -37,7 +37,6 @@ func TestPullPolicyDrawSequence(t *testing.T) {
 	shard := durableq.NewShard(durableq.ShardID{}, engine, nil)
 	rec := trace.NewRecorder(engine, 1, trace.Params{
 		Enabled: true, SampleEvery: 1, RingSize: 256,
-		MaxEventsPerCall: 32, ControlLog: 16,
 	})
 	src := rng.New(seed)
 	wp := worker.DefaultParams()

@@ -12,8 +12,8 @@ import (
 )
 
 // resilRig rebuilds the standard rig with one single-thread worker (so
-// the fleet saturates deterministically) and custom scheduler params.
-func resilRig(params Params) *rig {
+// the fleet saturates deterministically) and its RunQ capped at runQCap.
+func resilRig(runQCap int) *rig {
 	r := newRig(1, 100000)
 	wp := worker.DefaultParams()
 	wp.MaxConcurrency = 1
@@ -21,7 +21,8 @@ func resilRig(params Params) *rig {
 	r.pool[0] = worker.New(worker.ID{}, r.engine, wp, rng.New(1), nil)
 	r.lb = workerlb.New(rng.New(2), r.pool)
 	r.sched.Crash()
-	r.sched = New(r.engine, rng.New(3), 0, params, r.shards, r.lb, r.cen, r.cong, r.store)
+	r.sched = New(r.engine, rng.New(3), 0, DefaultParams(), r.shards, r.lb, r.cen, r.cong, r.store)
+	r.sched.runQCap = runQCap
 	return r
 }
 
@@ -56,9 +57,7 @@ func (r *rig) enqueueSlow(s *function.Spec, n int, execSecs float64) []*function
 }
 
 func TestShedSweepDropsOverDelayedOpportunistic(t *testing.T) {
-	p := DefaultParams()
-	p.RunQLimit = 1
-	r := resilRig(p)
+	r := resilRig(1)
 	r.sched.ShedEnabled = true
 	r.enqueueSlow(blockSpec(), 100, 120)
 	// CritLow target is 2m and deadline/4 is also 2m: shedding must start
@@ -83,9 +82,7 @@ func TestShedSweepDropsOverDelayedOpportunistic(t *testing.T) {
 }
 
 func TestShedNeverTouchesReservedOrHighCriticality(t *testing.T) {
-	p := DefaultParams()
-	p.RunQLimit = 1
-	r := resilRig(p)
+	r := resilRig(1)
 	r.sched.ShedEnabled = true
 	r.enqueueSlow(blockSpec(), 100, 120)
 	reserved := rigSpec("reserved-victim", function.CritLow)
@@ -106,9 +103,7 @@ func TestShedTargetScalesWithDeadline(t *testing.T) {
 	// Delay-tolerant work (a 24h-deadline pipeline) gets a deadline/4
 	// target, so hours of deliberate deferral are not mistaken for
 	// overload — a 10-minute head delay must not shed.
-	p := DefaultParams()
-	p.RunQLimit = 1
-	r := resilRig(p)
+	r := resilRig(1)
 	r.sched.ShedEnabled = true
 	r.enqueueSlow(blockSpec(), 100, 120)
 	r.enqueue(oppSpec("pipeline", function.CritLow, 24*time.Hour), 20)
@@ -119,9 +114,7 @@ func TestShedTargetScalesWithDeadline(t *testing.T) {
 }
 
 func TestShedDisabledByDefault(t *testing.T) {
-	p := DefaultParams()
-	p.RunQLimit = 1
-	r := resilRig(p)
+	r := resilRig(1)
 	r.enqueueSlow(blockSpec(), 100, 120)
 	victims := r.enqueue(oppSpec("victim", function.CritLow, 8*time.Minute), 20)
 	r.engine.RunFor(10 * time.Minute)
@@ -136,7 +129,7 @@ func TestShedDisabledByDefault(t *testing.T) {
 }
 
 func TestDispatchSweepsExpiredFromRunQ(t *testing.T) {
-	r := resilRig(DefaultParams())
+	r := resilRig(runQLimit)
 	r.sched.SweepExpired = true
 	// The blocker occupies the single worker thread for a minute, so the
 	// short-deadline victim waits in the RunQ past its deadline.
@@ -163,7 +156,7 @@ func TestDispatchSweepsExpiredFromRunQ(t *testing.T) {
 func TestDispatchDeliversExpiredWhenSweepOff(t *testing.T) {
 	// Seed behavior preserved: without the sweep, an expired call still
 	// executes (and counts an SLO miss elsewhere).
-	r := resilRig(DefaultParams())
+	r := resilRig(runQLimit)
 	r.enqueueSlow(blockSpec(), 1, 60)
 	victim := rigSpec("victim", function.CritNormal)
 	victim.Deadline = 5 * time.Second
@@ -181,9 +174,7 @@ func TestDispatchDeliversExpiredWhenSweepOff(t *testing.T) {
 // call's lease is released, so the shard reports no leaked leases after
 // the spell.
 func TestShedReleasesLeases(t *testing.T) {
-	p := DefaultParams()
-	p.RunQLimit = 1
-	r := resilRig(p)
+	r := resilRig(1)
 	r.sched.ShedEnabled = true
 	r.enqueueSlow(blockSpec(), 2, 30)
 	r.enqueue(oppSpec("victim", function.CritLow, 8*time.Minute), 15)

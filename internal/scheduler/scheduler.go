@@ -40,9 +40,6 @@ import (
 type Params struct {
 	// PollInterval is the DurableQ polling and scheduling cadence.
 	PollInterval time.Duration
-	// RunQLimit is the flow-control threshold: polling and buffer→RunQ
-	// movement pause while the RunQ is this deep (slow workers).
-	RunQLimit int
 	// Policy names the scheduling policy (config.PolicyNames); the empty
 	// name is the default push policy, whose seeded output is
 	// byte-identical to the pre-policy scheduler.
@@ -53,6 +50,13 @@ type Params struct {
 }
 
 const (
+	// runQLimit is the flow-control threshold: polling and buffer→RunQ
+	// movement pause while the RunQ is this deep (slow workers). The RunQ
+	// is a short staging buffer (the paper slows FuncBuffer→RunQ movement
+	// as soon as it builds up); keeping it shallow means a quota change
+	// (e.g. S dropping to zero) never strands thousands of already-
+	// admitted calls.
+	runQLimit int = 512
 	// pollBatch bounds calls pulled per tick across all source regions.
 	pollBatch int = 4096
 	// bufferCap bounds each FuncBuffer; full buffers stop polling that
@@ -85,12 +89,9 @@ var shedTarget = [...]time.Duration{
 	function.CritHigh:   15 * time.Minute,
 }
 
-// DefaultParams suit the simulation scale. The RunQ is a short staging
-// buffer (the paper slows FuncBuffer→RunQ movement as soon as it builds
-// up); keeping it shallow means a quota change (e.g. S dropping to zero)
-// never strands thousands of already-admitted calls.
+// DefaultParams suit the simulation scale.
 func DefaultParams() Params {
-	return Params{PollInterval: time.Second, RunQLimit: 512}
+	return Params{PollInterval: time.Second}
 }
 
 // shedState is the per-function CoDel bookkeeping: when the function's
@@ -111,6 +112,9 @@ type Scheduler struct {
 	src    *rng.Source
 	region cluster.RegionID
 	params Params
+	// runQCap is runQLimit; a test lowers it to keep calls in their
+	// buffers.
+	runQCap int
 
 	shards [][]*durableq.Shard // global view, indexed by region
 	lb     *workerlb.LB
@@ -252,6 +256,7 @@ func NewHedged(engine *sim.Engine, src *rng.Source, region cluster.RegionID, par
 		src:              src,
 		region:           region,
 		params:           params,
+		runQCap:          runQLimit,
 		shards:           shards,
 		lb:               lb,
 		cen:              cen,
@@ -717,7 +722,7 @@ func (s *Scheduler) pullFrom(region int, max int) {
 // poll pulls ready calls from DurableQs into FuncBuffers, splitting the
 // poll budget across source regions per the traffic matrix.
 func (s *Scheduler) poll(budget int) {
-	if s.RunQLen() >= s.params.RunQLimit {
+	if s.RunQLen() >= s.runQCap {
 		return // flow control: workers are behind
 	}
 	row := s.matrixRow()
@@ -774,7 +779,7 @@ func (s *Scheduler) admit(c *function.Call, from *durableq.Shard) {
 // schedule moves the most suitable calls from FuncBuffers to the RunQ,
 // gated by quota, congestion control and isolation.
 func (s *Scheduler) schedule() {
-	space := s.params.RunQLimit - s.RunQLen()
+	space := s.runQCap - s.RunQLen()
 	if space <= 0 {
 		return
 	}

@@ -307,8 +307,8 @@ func TestFlowControlBoundsRunQ(t *testing.T) {
 	s := rigSpec("f", function.CritNormal)
 	r.enqueue(s, 5000)
 	r.engine.RunFor(5 * time.Minute)
-	if got := r.sched.RunQLen(); got > r.sched.params.RunQLimit {
-		t.Fatalf("RunQ = %d exceeds limit %d", got, r.sched.params.RunQLimit)
+	if got := r.sched.RunQLen(); got > runQLimit {
+		t.Fatalf("RunQ = %d exceeds limit %d", got, runQLimit)
 	}
 	if r.sched.Buffered() > bufferCap*2 {
 		t.Fatalf("buffers grew unboundedly: %d", r.sched.Buffered())
@@ -495,7 +495,6 @@ func TestEvacuateSweepsBuffersInSortedOrder(t *testing.T) {
 	shard := durableq.NewShard(durableq.ShardID{}, engine, rng.New(99))
 	rec := trace.NewRecorder(engine, 1, trace.Params{
 		Enabled: true, SampleEvery: 1, RingSize: 256,
-		MaxEventsPerCall: 32, ControlLog: 16,
 	})
 	shard.Obs = lifecycle.New(engine, rec, nil, nil)
 	src := rng.New(7)
@@ -578,7 +577,7 @@ func TestRunQStaysDenseBehindPinnedHead(t *testing.T) {
 	r.sched.Crash() // the test drives the drain itself
 	spec := rigSpec("f", function.CritNormal)
 	const ticks, perTick = 10_000, 8
-	bound := r.sched.params.RunQLimit + perTick
+	bound := runQLimit + perTick
 	var id uint64
 	next := func() *function.Call {
 		id++

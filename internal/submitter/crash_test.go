@@ -12,9 +12,7 @@ import (
 // the batch buffer — calls accepted since the last flush — and nothing
 // already persisted to a shard.
 func TestCrashLosesOnlyUnflushedWindow(t *testing.T) {
-	p := DefaultParams()
-	p.BatchSize = 100 // no size-triggered flush; only the interval
-	f := newFixture(PoolNormal, p)
+	f := newFixture(PoolNormal, DefaultParams()) // batches below batchSize: only the interval flushes
 
 	var flushed, buffered []*function.Call
 	for i := 0; i < 5; i++ {

@@ -15,6 +15,7 @@ import (
 	"xfaas/internal/kv"
 	"xfaas/internal/lifecycle"
 	"xfaas/internal/queuelb"
+	"xfaas/internal/ratelimit"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
 	"xfaas/internal/stats"
@@ -41,8 +42,6 @@ const (
 
 // Params configure a submitter.
 type Params struct {
-	// BatchSize triggers a flush when this many calls are buffered.
-	BatchSize int
 	// NormalClientRPS is the per-client sustained rate allowed on the
 	// normal pool before throttling kicks in (spiky pool is exempt).
 	NormalClientRPS float64
@@ -56,14 +55,17 @@ type Params struct {
 // costs one engine event however many submitters there are.
 const FlushInterval time.Duration = 50 * time.Millisecond
 
-// argInlineMax is the largest argument payload written inline to the
-// DurableQ; bigger ones go to the KV store.
-const argInlineMax int = 64 << 10
+const (
+	// argInlineMax is the largest argument payload written inline to the
+	// DurableQ; bigger ones go to the KV store.
+	argInlineMax int = 64 << 10
+	// batchSize triggers a flush when this many calls are buffered.
+	batchSize int = 64
+)
 
 // DefaultParams return production-plausible values at simulation scale.
 func DefaultParams() Params {
 	return Params{
-		BatchSize:         64,
 		NormalClientRPS:   2000,
 		NormalClientBurst: 10000,
 	}
@@ -79,9 +81,12 @@ type Submitter struct {
 	store  *kv.Store
 	src    *rng.Source
 
-	batch   []*function.Call
-	idSeq   *uint64
-	clients map[string]*clientState
+	batch []*function.Call
+	idSeq *uint64
+	// clients holds each normal-pool client's admission bucket (the
+	// submitter's own policy; the central limiter governs global quota
+	// separately at the scheduler).
+	clients map[string]*ratelimit.TokenBucket
 	// down marks the window between Crash and Restart's rebuild; all
 	// submissions fail with ErrDown and Flush is a no-op.
 	down bool
@@ -102,33 +107,9 @@ type Submitter struct {
 	// Crashes counts Crash invocations; LostOnCrash counts accepted calls
 	// destroyed with the in-memory batch buffer — the flush window is the
 	// submitter's only state, so a crash loses at most what was accepted
-	// since the owner's last Flush (one FlushInterval, or BatchSize calls).
+	// since the owner's last Flush (one FlushInterval, or batchSize calls).
 	Crashes     stats.Counter
 	LostOnCrash stats.Counter
-}
-
-type clientState struct {
-	bucket *tokenBucket
-}
-
-// tokenBucket is a minimal local bucket (the submitter's own policy; the
-// central limiter governs global quota separately at the scheduler).
-type tokenBucket struct {
-	rate, burst, level float64
-	last               sim.Time
-}
-
-func (b *tokenBucket) allow(now sim.Time) bool {
-	b.level += b.rate * (now - b.last).Seconds()
-	if b.level > b.burst {
-		b.level = b.burst
-	}
-	b.last = now
-	if b.level < 1 {
-		return false
-	}
-	b.level--
-	return true
 }
 
 // New returns a submitter. idSeq is the shared call-ID counter for the
@@ -145,7 +126,7 @@ func New(engine *sim.Engine, region cluster.RegionID, pool Pool, params Params, 
 		store:   store,
 		src:     src,
 		idSeq:   idSeq,
-		clients: make(map[string]*clientState),
+		clients: make(map[string]*ratelimit.TokenBucket),
 	}
 }
 
@@ -180,24 +161,19 @@ func (s *Submitter) Submit(client string, c *function.Call) error {
 	s.Obs.Emit(c, trace.KindSubmit, 0)
 	s.batch = append(s.batch, c)
 	s.Submitted.Inc()
-	if len(s.batch) >= s.params.BatchSize {
+	if len(s.batch) >= batchSize {
 		s.Flush()
 	}
 	return nil
 }
 
 func (s *Submitter) clientAllowed(client string, now sim.Time) bool {
-	cs, ok := s.clients[client]
+	b, ok := s.clients[client]
 	if !ok {
-		cs = &clientState{bucket: &tokenBucket{
-			rate:  s.params.NormalClientRPS,
-			burst: s.params.NormalClientBurst,
-			level: s.params.NormalClientBurst,
-			last:  now,
-		}}
-		s.clients[client] = cs
+		b = ratelimit.NewTokenBucket(s.params.NormalClientRPS, s.params.NormalClientBurst)
+		s.clients[client] = b
 	}
-	return cs.bucket.allow(now)
+	return b.Allow(now, 1)
 }
 
 // Flush routes the buffered batch to the DurableQ shards through the

@@ -65,14 +65,12 @@ func TestSubmitStampsAndEnqueues(t *testing.T) {
 }
 
 func TestBatchSizeFlush(t *testing.T) {
-	p := DefaultParams()
-	p.BatchSize = 8
-	f := newFixture(PoolNormal, p)
-	for i := 0; i < 8; i++ {
+	f := newFixture(PoolNormal, DefaultParams())
+	for i := 0; i < batchSize; i++ {
 		f.sub.Submit("c", &function.Call{Spec: subSpec()})
 	}
-	if f.shard.Pending() != 8 {
-		t.Fatalf("pending = %d, want batch flushed at size 8", f.shard.Pending())
+	if f.shard.Pending() != batchSize {
+		t.Fatalf("pending = %d, want batch flushed at size %d", f.shard.Pending(), batchSize)
 	}
 	if f.sub.Batches.Value() != 1 {
 		t.Fatalf("batches = %v", f.sub.Batches.Value())

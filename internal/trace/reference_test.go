@@ -26,32 +26,37 @@ import (
 type refSampled map[*function.Call]bool
 
 type refRecorder struct {
-	engine  *sim.Engine
-	params  Params
-	seed    uint64
-	flagged refSampled
+	engine              *sim.Engine
+	params              Params
+	seed                uint64
+	slowestK, maxEvents int
+	flagged             refSampled
 
 	mu     sync.Mutex
 	active map[uint64]*CallTrace
 	recent []*CallTrace // ring; next is the write position
 	next   int
 	filled bool
-	slow   slowHeap // min-heap over latency, size <= SlowestK
+	slow   slowHeap // min-heap over latency, size <= slowestK
 
 	sampled   uint64
 	completed uint64
 	dropped   uint64
 }
 
-// newRefRecorder takes params already normalized by NewRecorder.
-func newRefRecorder(engine *sim.Engine, seed uint64, p Params, flagged refSampled) *refRecorder {
+// newRefRecorder takes rec's params, already normalized by NewRecorder,
+// and its retention bounds.
+func newRefRecorder(engine *sim.Engine, seed uint64, rec *Recorder, flagged refSampled) *refRecorder {
+	p := rec.Params()
 	return &refRecorder{
-		engine:  engine,
-		params:  p,
-		seed:    seed,
-		flagged: flagged,
-		active:  make(map[uint64]*CallTrace),
-		recent:  make([]*CallTrace, p.RingSize),
+		engine:    engine,
+		params:    p,
+		seed:      seed,
+		slowestK:  rec.slowestK,
+		maxEvents: rec.maxEvents,
+		flagged:   flagged,
+		active:    make(map[uint64]*CallTrace),
+		recent:    make([]*CallTrace, p.RingSize),
 	}
 }
 
@@ -112,7 +117,7 @@ func (r *refRecorder) Record(c *function.Call, k Kind, arg int64) {
 		r.mu.Unlock()
 		return
 	}
-	if len(t.Events) >= r.params.MaxEventsPerCall && !k.Terminal() {
+	if len(t.Events) >= r.maxEvents && !k.Terminal() {
 		t.Truncated++
 		r.dropped++
 		r.mu.Unlock()
@@ -142,8 +147,8 @@ func (r *refRecorder) finalize(t *CallTrace, outcome Kind) {
 		r.next = 0
 		r.filled = true
 	}
-	if r.params.SlowestK > 0 {
-		if len(r.slow) < r.params.SlowestK {
+	if r.slowestK > 0 {
+		if len(r.slow) < r.slowestK {
 			r.slow.push(t)
 		} else if slowLess(r.slow[0], t) {
 			r.slow[0] = t
@@ -202,7 +207,7 @@ func (r *refRecorder) Recent() []*CallTrace {
 	return append(out, r.recent[:r.next]...)
 }
 
-// Slowest returns up to SlowestK completed traces, slowest first; ties
+// Slowest returns up to slowestK completed traces, slowest first; ties
 // break on ascending call ID.
 func (r *refRecorder) Slowest() []*CallTrace {
 	if r == nil {
@@ -212,7 +217,7 @@ func (r *refRecorder) Slowest() []*CallTrace {
 	out := make([]*CallTrace, len(r.slow))
 	copy(out, r.slow)
 	r.mu.Unlock()
-	// Sort descending by latency, ascending ID on ties (n <= SlowestK).
+	// Sort descending by latency, ascending ID on ties (n <= slowestK).
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && slowLess(out[j-1], out[j]); j-- {
 			out[j], out[j-1] = out[j-1], out[j]
@@ -358,8 +363,8 @@ func runRecordersAgainstReference(t testing.TB, prog []byte) int {
 	p.Enabled = true
 	p.SampleEvery = []uint64{1, 1, 7}[next()%3]
 	p.RingSize = []int{3, 12}[next()%2]
-	p.SlowestK = []int{0, 2, 8}[next()%3]
-	p.MaxEventsPerCall = []int{8, 12, 96}[next()%3]
+	slowK := []int{0, 2, 8}[next()%3]
+	maxEvents := []int{8, 12, 96}[next()%3]
 
 	got, want := newTraceWorld(), newTraceWorld()
 	var recs [2]*Recorder
@@ -367,7 +372,8 @@ func runRecordersAgainstReference(t testing.TB, prog []byte) int {
 	flagged := refSampled{}
 	for h := range recs {
 		recs[h] = NewRecorder(got.e, uint64(h+1), p)
-		refs[h] = newRefRecorder(want.e, uint64(h+1), recs[h].Params(), flagged)
+		recs[h].slowestK, recs[h].maxEvents = slowK, maxEvents
+		refs[h] = newRefRecorder(want.e, uint64(h+1), recs[h], flagged)
 		got.rs[h], want.rs[h] = recs[h], refs[h]
 	}
 	got.move = func(c *function.Call, from, to int) {

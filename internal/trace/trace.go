@@ -219,7 +219,7 @@ type CallTrace struct {
 	Done    bool
 	// Attempts is the highest delivery attempt observed.
 	Attempts int
-	// Truncated counts events dropped past MaxEventsPerCall.
+	// Truncated counts events dropped past maxEventsPerCall.
 	Truncated int
 	Events    []Event
 }
@@ -312,26 +312,27 @@ type Params struct {
 	SampleEvery uint64
 	// RingSize bounds the ring of most recently completed traces.
 	RingSize int
-	// SlowestK additionally retains the K slowest completed traces
-	// (tail sampling: the calls a latency investigation wants are exactly
-	// the ones a recency ring evicts first).
-	SlowestK int
-	// MaxEventsPerCall bounds one trace's event list so a retry loop
-	// cannot grow a trace without bound; terminal events always record.
-	MaxEventsPerCall int
-	// ControlLog bounds the control-plane event ring.
-	ControlLog int
 }
+
+const (
+	// slowestK is how many of the slowest completed traces are retained
+	// besides the recency ring (tail sampling: the calls a latency
+	// investigation wants are exactly the ones a recency ring evicts
+	// first).
+	slowestK int = 32
+	// maxEventsPerCall bounds one trace's event list so a retry loop
+	// cannot grow a trace without bound; terminal events always record.
+	maxEventsPerCall int = 96
+	// controlLog bounds the control-plane event ring.
+	controlLog int = 512
+)
 
 // DefaultParams returns the default sizes with tracing disabled.
 func DefaultParams() Params {
 	return Params{
-		Enabled:          false,
-		SampleEvery:      1,
-		RingSize:         4096,
-		SlowestK:         32,
-		MaxEventsPerCall: 96,
-		ControlLog:       512,
+		Enabled:     false,
+		SampleEvery: 1,
+		RingSize:    4096,
 	}
 }
 
@@ -346,6 +347,9 @@ type Recorder struct {
 	engine *sim.Engine
 	params Params
 	seed   uint64
+	// slowestK and maxEvents are slowestK and maxEventsPerCall; tests
+	// vary them.
+	slowestK, maxEvents int
 
 	mu      sync.Mutex
 	active  *Record // head of the in-flight list
@@ -353,7 +357,7 @@ type Recorder struct {
 	recent  []*CallTrace // ring; next is the write position
 	next    int
 	filled  bool
-	slow    slowHeap // min-heap over latency, size <= SlowestK
+	slow    slowHeap // min-heap over latency, size <= slowestK
 
 	sampled   uint64
 	completed uint64
@@ -374,21 +378,14 @@ func NewRecorder(engine *sim.Engine, seed uint64, p Params) *Recorder {
 	if p.RingSize < 1 {
 		p.RingSize = 1
 	}
-	if p.MaxEventsPerCall < 8 {
-		p.MaxEventsPerCall = 8
-	}
-	if p.ControlLog < 1 {
-		p.ControlLog = 1
-	}
-	if p.SlowestK < 0 {
-		p.SlowestK = 0
-	}
 	return &Recorder{
-		engine: engine,
-		params: p,
-		seed:   seed,
-		recent: make([]*CallTrace, p.RingSize),
-		ctrl:   make([]ControlEvent, p.ControlLog),
+		engine:    engine,
+		params:    p,
+		seed:      seed,
+		slowestK:  slowestK,
+		maxEvents: maxEventsPerCall,
+		recent:    make([]*CallTrace, p.RingSize),
+		ctrl:      make([]ControlEvent, controlLog),
 	}
 }
 
@@ -477,7 +474,7 @@ func (r *Recorder) Record(c *function.Call, k Kind, arg int64) {
 	if !ok {
 		return
 	}
-	if len(rec.Events) >= r.params.MaxEventsPerCall && !k.Terminal() {
+	if len(rec.Events) >= r.maxEvents && !k.Terminal() {
 		rec.Truncated++
 		r.mu.Lock()
 		r.dropped++
@@ -534,8 +531,8 @@ func (r *Recorder) finalize(rec *Record, outcome Kind) {
 		r.next = 0
 		r.filled = true
 	}
-	if r.params.SlowestK > 0 {
-		if len(r.slow) < r.params.SlowestK {
+	if r.slowestK > 0 {
+		if len(r.slow) < r.slowestK {
 			r.slow.push(t)
 		} else if slowLess(r.slow[0], t) {
 			r.slow[0] = t
@@ -634,7 +631,7 @@ func (r *Recorder) Recent() []*CallTrace {
 	return unroll(r.recent, r.next, r.filled)
 }
 
-// Slowest returns up to SlowestK completed traces, slowest first; ties
+// Slowest returns up to slowestK completed traces, slowest first; ties
 // break on ascending call ID.
 func (r *Recorder) Slowest() []*CallTrace {
 	if r == nil {

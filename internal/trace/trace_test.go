@@ -234,8 +234,8 @@ func TestRecentRingEvictsOldest(t *testing.T) {
 	p := DefaultParams()
 	p.Enabled = true
 	p.RingSize = 4
-	p.SlowestK = 2
 	r := NewRecorder(e, 1, p)
+	r.slowestK = 2
 	spec := testSpec()
 	for id := uint64(1); id <= 10; id++ {
 		c := newCall(id, spec)
@@ -268,8 +268,8 @@ func TestEventCapTruncatesButFinalizes(t *testing.T) {
 	e := sim.NewEngine()
 	p := DefaultParams()
 	p.Enabled = true
-	p.MaxEventsPerCall = 8
 	r := NewRecorder(e, 1, p)
+	r.maxEvents = 8
 	c := newCall(1, testSpec())
 	c.SubmitTime = e.Now()
 	r.OnSubmit(c)
@@ -283,8 +283,8 @@ func TestEventCapTruncatesButFinalizes(t *testing.T) {
 	if !tr.Done {
 		t.Fatalf("terminal event must finalize a truncated trace")
 	}
-	if len(tr.Events) != p.MaxEventsPerCall+1 { // cap + the terminal event
-		t.Fatalf("events = %d, want %d", len(tr.Events), p.MaxEventsPerCall+1)
+	if len(tr.Events) != r.maxEvents+1 { // cap + the terminal event
+		t.Fatalf("events = %d, want %d", len(tr.Events), r.maxEvents+1)
 	}
 	if tr.Truncated == 0 {
 		t.Fatalf("truncation not recorded")
@@ -297,9 +297,8 @@ func TestEventCapTruncatesButFinalizes(t *testing.T) {
 
 func TestControlRing(t *testing.T) {
 	e := sim.NewEngine()
-	p := DefaultParams()
-	p.ControlLog = 3
-	r := NewRecorder(e, 1, p) // control events work with tracing disabled
+	r := NewRecorder(e, 1, DefaultParams()) // control events work with tracing disabled
+	r.ctrl = make([]ControlEvent, 3)
 	r.Control("chaos.crash", "worker w-0-1")
 	e.RunFor(time.Second)
 	r.Control("breaker.open", "region 0")

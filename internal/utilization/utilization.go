@@ -20,27 +20,26 @@ import (
 // ScaleKey is the config-store key S is published under.
 const ScaleKey = "utilization/opportunistic-scale"
 
+// The control loop is gentle.
+const (
+	// Gain is the additive step per interval per unit of error.
+	Gain float64 = 4.0
+	// maxScale bounds S from above (functions may run above their preset
+	// limit when the fleet is idle, but not unboundedly).
+	maxScale float64 = 8.0
+	// Interval is the time between adjustments.
+	Interval time.Duration = 30 * time.Second
+)
+
 // Params tune the controller.
 type Params struct {
 	// Target is the desired mean worker CPU utilization.
 	Target float64
-	// Gain is the additive step per interval per unit of error.
-	Gain float64
-	// MaxScale bounds S from above (functions may run above their preset
-	// limit when the fleet is idle, but not unboundedly).
-	MaxScale float64
-	// Interval between adjustments.
-	Interval time.Duration
 }
 
-// DefaultParams target a high utilization with a gentle control loop.
+// DefaultParams target a high utilization.
 func DefaultParams() Params {
-	return Params{
-		Target:   0.80,
-		Gain:     4.0,
-		MaxScale: 8.0,
-		Interval: 30 * time.Second,
-	}
+	return Params{Target: 0.80}
 }
 
 // Controller runs the feedback loop.
@@ -52,6 +51,8 @@ type Controller struct {
 	UtilizationFn func() float64
 
 	s float64
+	// gain and maxScale are Gain and maxScale; tests vary them.
+	gain, maxScale float64
 
 	Adjustments stats.Counter
 	// Series records S per minute for Figure 11-style plots.
@@ -66,10 +67,12 @@ func New(engine *sim.Engine, params Params, store *config.Store, utilizationFn f
 		store:         store,
 		UtilizationFn: utilizationFn,
 		s:             1,
+		gain:          Gain,
+		maxScale:      maxScale,
 		Series:        stats.NewTimeSeries(time.Minute, stats.ModeMean),
 	}
 	store.Set(ScaleKey, c.s)
-	engine.Every(params.Interval, c.tick)
+	engine.Every(Interval, c.tick)
 	return c
 }
 
@@ -79,12 +82,12 @@ func (c *Controller) S() float64 { return c.s }
 func (c *Controller) tick() {
 	util := c.UtilizationFn()
 	err := c.params.Target - util
-	c.s += c.params.Gain * err
+	c.s += c.gain * err
 	if c.s < 0 {
 		c.s = 0
 	}
-	if c.s > c.params.MaxScale {
-		c.s = c.params.MaxScale
+	if c.s > c.maxScale {
+		c.s = c.maxScale
 	}
 	c.store.Set(ScaleKey, c.s)
 	c.Series.Record(c.engine.Now(), c.s)

@@ -11,58 +11,59 @@ import (
 
 // TestControllerResponseTable runs the additive control law against
 // fixed utilization readings and checks S after a known number of
-// ticks: S' = clamp(S + Gain·(Target − util), 0, MaxScale), starting
+// ticks: S' = clamp(S + gain·(Target − util), 0, maxScale), starting
 // from S = 1.
 func TestControllerResponseTable(t *testing.T) {
 	cases := []struct {
-		name   string
-		params Params
-		util   float64
-		ticks  int
-		wantS  float64
+		name           string
+		gain, maxScale float64
+		util           float64
+		ticks          int
+		wantS          float64
 	}{
 		{
-			name:   "at target holds steady",
-			params: Params{Target: 0.8, Gain: 4, MaxScale: 8, Interval: time.Minute},
-			util:   0.8, ticks: 5, wantS: 1,
+			name: "at target holds steady",
+			gain: 4, maxScale: 8,
+			util: 0.8, ticks: 5, wantS: 1,
 		},
 		{
-			name:   "one tick under target steps up by gain*error",
-			params: Params{Target: 0.8, Gain: 4, MaxScale: 8, Interval: time.Minute},
-			util:   0.7, ticks: 1, wantS: 1 + 4*0.1,
+			name: "one tick under target steps up by gain*error",
+			gain: 4, maxScale: 8,
+			util: 0.7, ticks: 1, wantS: 1 + 4*0.1,
 		},
 		{
-			name:   "one tick over target steps down",
-			params: Params{Target: 0.8, Gain: 4, MaxScale: 8, Interval: time.Minute},
-			util:   0.9, ticks: 1, wantS: 1 - 4*0.1,
+			name: "one tick over target steps down",
+			gain: 4, maxScale: 8,
+			util: 0.9, ticks: 1, wantS: 1 - 4*0.1,
 		},
 		{
-			name:   "overload clamps at zero",
-			params: Params{Target: 0.8, Gain: 4, MaxScale: 8, Interval: time.Minute},
-			util:   1.0, ticks: 10, wantS: 0,
+			name: "overload clamps at zero",
+			gain: 4, maxScale: 8,
+			util: 1.0, ticks: 10, wantS: 0,
 		},
 		{
-			name:   "idle fleet clamps at max scale",
-			params: Params{Target: 0.8, Gain: 4, MaxScale: 3, Interval: time.Minute},
-			util:   0.0, ticks: 10, wantS: 3,
+			name: "idle fleet clamps at max scale",
+			gain: 4, maxScale: 3,
+			util: 0.0, ticks: 10, wantS: 3,
 		},
 		{
-			name:   "zero gain never moves",
-			params: Params{Target: 0.8, Gain: 0, MaxScale: 8, Interval: time.Minute},
-			util:   0.0, ticks: 10, wantS: 1,
+			name: "zero gain never moves",
+			gain: 0, maxScale: 8,
+			util: 0.0, ticks: 10, wantS: 1,
 		},
 		{
-			name:   "linear accumulation below clamp",
-			params: Params{Target: 0.8, Gain: 1, MaxScale: 8, Interval: time.Minute},
-			util:   0.6, ticks: 3, wantS: 1 + 3*0.2,
+			name: "linear accumulation below clamp",
+			gain: 1, maxScale: 8,
+			util: 0.6, ticks: 3, wantS: 1 + 3*0.2,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := sim.NewEngine()
 			store := config.NewStore(e)
-			c := New(e, tc.params, store, func() float64 { return tc.util })
-			e.RunFor(time.Duration(tc.ticks) * tc.params.Interval)
+			c := New(e, Params{Target: 0.8}, store, func() float64 { return tc.util })
+			c.gain, c.maxScale = tc.gain, tc.maxScale
+			e.RunFor(time.Duration(tc.ticks) * Interval)
 			if math.Abs(c.S()-tc.wantS) > 1e-9 {
 				t.Fatalf("S after %d ticks = %v, want %v", tc.ticks, c.S(), tc.wantS)
 			}

@@ -31,10 +31,9 @@ func TestDropsSToZeroWhenOverloaded(t *testing.T) {
 
 func TestSBounded(t *testing.T) {
 	e := sim.NewEngine()
-	p := DefaultParams()
-	p.MaxScale = 3
 	store := config.NewStore(e)
-	c := New(e, p, store, func() float64 { return 0 })
+	c := New(e, DefaultParams(), store, func() float64 { return 0 })
+	c.maxScale = 3
 	e.RunFor(time.Hour)
 	if c.S() != 3 {
 		t.Fatalf("S = %v, want capped at 3", c.S())

@@ -37,8 +37,6 @@ func (id ID) String() string { return fmt.Sprintf("w-%d-%d", id.Region, id.Index
 type Params struct {
 	// MemoryMB is total server memory.
 	MemoryMB float64
-	// RuntimeBaseMB is the always-resident runtime footprint.
-	RuntimeBaseMB float64
 	// CPUMIPS is the server's sustained instruction rate (millions of
 	// instructions per second across all cores).
 	CPUMIPS float64
@@ -48,12 +46,6 @@ type Params struct {
 	CoreMIPS float64
 	// MaxConcurrency caps simultaneously running calls (runtime threads).
 	MaxConcurrency int
-	// JIT parameterizes the cooperative JIT model.
-	JIT jit.Params
-	// DownstreamRetries is how many times a failed (non-back-pressure)
-	// downstream sub-call is retried within one invocation — the retry
-	// amplification of §4.6.3's incident.
-	DownstreamRetries int
 	// FailureSlowdown scales how much of the nominal duration a failed
 	// invocation still occupies the worker (exceptions surface quickly).
 	FailureSlowdown float64
@@ -62,16 +54,22 @@ type Params struct {
 // DefaultParams return a paper-plausible worker: 64 GB, high core count.
 func DefaultParams() Params {
 	return Params{
-		MemoryMB:          64 * 1024,
-		RuntimeBaseMB:     6 * 1024,
-		CPUMIPS:           100_000,
-		CoreMIPS:          4_000,
-		MaxConcurrency:    64,
-		JIT:               jit.DefaultParams(),
-		DownstreamRetries: 2,
-		FailureSlowdown:   0.05,
+		MemoryMB:        64 * 1024,
+		CPUMIPS:         100_000,
+		CoreMIPS:        4_000,
+		MaxConcurrency:  64,
+		FailureSlowdown: 0.05,
 	}
 }
+
+const (
+	// RuntimeBaseMB is the always-resident runtime footprint.
+	RuntimeBaseMB float64 = 6 * 1024
+	// downstreamRetries is how many times a failed (non-back-pressure)
+	// downstream sub-call is retried within one invocation — the retry
+	// amplification of §4.6.3's incident.
+	downstreamRetries int = 2
+)
 
 type codeEntry struct {
 	mb       float64
@@ -165,7 +163,7 @@ type Worker struct {
 // New returns an idle worker. downstreams may be nil when the workload
 // never calls out.
 func New(id ID, engine *sim.Engine, params Params, src *rng.Source, ds *downstream.Registry) *Worker {
-	if params.MemoryMB <= params.RuntimeBaseMB {
+	if params.MemoryMB <= RuntimeBaseMB {
 		panic("worker: memory smaller than runtime footprint")
 	}
 	return &Worker{
@@ -173,7 +171,7 @@ func New(id ID, engine *sim.Engine, params Params, src *rng.Source, ds *downstre
 		engine:      engine,
 		params:      params,
 		src:         src,
-		Runtime:     jit.NewRuntime(params.JIT),
+		Runtime:     jit.NewRuntime(),
 		downstreams: ds,
 		slowdown:    1,
 		running:     make(map[uint64]*runningCall),
@@ -202,7 +200,7 @@ func (w *Worker) Running() int { return len(w.running) }
 // MemUsedMB returns total resident memory: runtime + code caches +
 // working sets.
 func (w *Worker) MemUsedMB() float64 {
-	return w.params.RuntimeBaseMB + w.codeMB + w.workMem
+	return RuntimeBaseMB + w.codeMB + w.workMem
 }
 
 // CPUUtilization returns instantaneous CPU utilization in [0, 1].
@@ -339,7 +337,7 @@ func (w *Worker) TryExecute(c *function.Call, done DoneFunc) bool {
 
 	// Downstream interaction happens during execution; resolve the
 	// outcome now, deterministically per call.
-	maxRetries := w.params.DownstreamRetries
+	maxRetries := downstreamRetries
 	if w.DeadlineRetryCut {
 		if rem := c.Remaining(now); rem >= 0 && rem < duration {
 			maxRetries = 0 // doomed: no deadline budget left for retries
@@ -427,7 +425,7 @@ func (w *Worker) fail(notify bool) {
 	w.workMem = 0
 	w.codeMB = 0
 	w.code = make(map[string]*codeEntry)
-	w.Runtime = jit.NewRuntime(w.params.JIT)
+	w.Runtime = jit.NewRuntime()
 	// Deterministic order for callback side effects.
 	ids := make([]uint64, 0, len(victims))
 	for id := range victims {

@@ -103,8 +103,7 @@ func TestCPUAdmission(t *testing.T) {
 func TestMemoryAdmission(t *testing.T) {
 	e := sim.NewEngine()
 	p := DefaultParams()
-	p.MemoryMB = 10_000
-	p.RuntimeBaseMB = 1_000
+	p.MemoryMB = RuntimeBaseMB + 9_000
 	w := newWorker(e, p)
 	s := testSpec("big")
 	nop := func(*function.Call, error) {}
@@ -119,8 +118,7 @@ func TestMemoryAdmission(t *testing.T) {
 func TestCodeCacheLRUEviction(t *testing.T) {
 	e := sim.NewEngine()
 	p := DefaultParams()
-	p.MemoryMB = 1_200
-	p.RuntimeBaseMB = 1_000
+	p.MemoryMB = RuntimeBaseMB + 200
 	w := newWorker(e, p)
 	nop := func(*function.Call, error) {}
 	// Each function's code is 15MB (10+5); ~13 fit in the 200MB budget.
@@ -216,9 +214,7 @@ func TestDownstreamRetryAmplification(t *testing.T) {
 	svc := downstream.NewService(e, rng.New(5), "kvstore", 1e9)
 	svc.SetBugRate(1.0) // every request fails
 	reg.Add(svc)
-	p := DefaultParams()
-	p.DownstreamRetries = 2
-	w := New(ID{}, e, p, rng.New(3), reg)
+	w := New(ID{}, e, DefaultParams(), rng.New(3), reg)
 	s := testSpec("f")
 	s.Downstream = "kvstore"
 	c := testCall(s, 10, 1, 1)

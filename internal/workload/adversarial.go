@@ -179,14 +179,16 @@ type GrayMixConfig struct {
 	// Functions CritHigh functions each offer RPSPerFunc steadily.
 	Functions  int
 	RPSPerFunc float64
-	// ExecSecs is the nominal execution time; the low sigma below keeps
-	// healthy exec times tight so a 3× inflation is unambiguous.
-	ExecSecs float64
 }
+
+// grayExecSecs is the gray-tail mix's nominal execution time; the low
+// sigma in BuildGrayMix keeps healthy exec times tight so a 3× inflation
+// is unambiguous.
+const grayExecSecs float64 = 1.0
 
 // DefaultGrayMix returns the scenario-library gray-tail mix.
 func DefaultGrayMix() GrayMixConfig {
-	return GrayMixConfig{Functions: 12, RPSPerFunc: 1.0, ExecSecs: 1.0}
+	return GrayMixConfig{Functions: 12, RPSPerFunc: 1.0}
 }
 
 // BuildGrayMix instantiates the gray-tail mix into pop. Functions are
@@ -195,7 +197,7 @@ func BuildGrayMix(pop *Population, cfg GrayMixConfig, src *rng.Source) {
 	res := function.ResourceModel{
 		CPUMu: math.Log(10), CPUSigma: 0.2,
 		MemMu: math.Log(8), MemSigma: 0.2,
-		TimeMu: math.Log(cfg.ExecSecs), TimeSigma: 0.1,
+		TimeMu: math.Log(grayExecSecs), TimeSigma: 0.1,
 		CodeMB: 8, JITCodeMB: 4,
 	}
 	for i := 0; i < cfg.Functions; i++ {
