@@ -20,13 +20,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"xfaas/internal/chaos"
 	"xfaas/internal/core"
 	"xfaas/internal/rng"
-	"xfaas/internal/sim"
 	"xfaas/internal/slo"
 	"xfaas/internal/trace"
 	"xfaas/internal/workload"
@@ -38,7 +36,7 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 		minutes   = flag.Int("minutes", 30, "simulated minutes to run")
 		sample    = flag.Uint64("sample", 1, "trace 1 in N calls (1 = every call)")
-		chaosFlag = flag.String("chaos", "", "fault scenario: "+scenarioNames()+" (see -list)")
+		chaosFlag = flag.String("chaos", "", "fault scenario (see -list)")
 		top       = flag.Int("top", 5, "slowest calls to print as critical paths")
 		events    = flag.Int("events", 40, "control-plane events to print")
 		rps       = flag.Float64("rps", 10, "workload mean RPS")
@@ -55,8 +53,8 @@ func main() {
 	}
 
 	if *list {
-		for _, sc := range scenarios {
-			fmt.Printf("%-15s %s\n", sc.name, sc.about)
+		for _, sc := range chaos.Scenarios {
+			fmt.Printf("%-15s %s\n", sc.Name, sc.About)
 		}
 		return
 	}
@@ -108,10 +106,12 @@ func main() {
 
 	dur := time.Duration(*minutes) * time.Minute
 	if *chaosFlag != "" {
-		if !scheduleChaos(p, *chaosFlag, cfg.Seed, dur) {
-			fmt.Fprintf(os.Stderr, "unknown chaos scenario %q (want %s; see -list)\n", *chaosFlag, scenarioNames())
+		sc, ok := chaos.Lookup(*chaosFlag)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown chaos scenario %q (see -list)\n", *chaosFlag)
 			os.Exit(2)
 		}
+		sc.Arm(p, chaos.NewInjector(p, rng.New(cfg.Seed+300)), dur)
 	}
 	p.Engine.RunFor(dur)
 
@@ -351,130 +351,4 @@ func printSLO(s slo.SLOSnapshot) {
 		fmt.Printf("%-10s %-26s %8.3f %10.0f %10.0f %10.2f %10.2f %7v %7d %7d\n",
 			c.Crit, c.Objective, c.Budget, c.Good, c.Bad, c.BurnFast, c.BurnSlow, c.Firing, c.Fires, c.Clears)
 	}
-}
-
-// scenarios is the inspector's fault catalogue: each arm schedules one
-// deterministic fault on the engine before the run starts. Fractions of
-// the run duration (at) place the faults so every -minutes value
-// exercises inject → detect → recover. -list, the -chaos help and the
-// unknown-name error all read this table.
-var scenarios = []struct {
-	name, about string
-	arm         func(p *core.Platform, inj *chaos.Injector, at func(float64) sim.Time)
-}{
-	{"gray", "up to three of region 0's workers slow tenfold; health probing routes around them", grayFor(3, 10)},
-	// Subtle degradation: below the probe slowdown threshold, so only
-	// exec-time outlier scoring (detection v2) can see it.
-	{"graytail", "up to two of region 0's workers slow threefold, under the probe threshold; outlier ejection and hedging recover the tail", grayFor(2, 3)},
-	{"flapping", "one worker crosses the gray threshold every 20 s; probation hysteresis holds routing steady",
-		func(p *core.Platform, inj *chaos.Injector, at func(float64) sim.Time) {
-			// Worker 0 oscillates across the gray threshold every 20
-			// seconds for the middle of the run; hysteresis pins the
-			// detected state.
-			p.Engine.Schedule(at(0.25), func() {
-				slow := false
-				ticker := p.Engine.Every(20*time.Second, func() {
-					slow = !slow
-					if slow {
-						inj.GrayWorker(0, 0, 8)
-					} else {
-						inj.ClearGray(0, 0)
-					}
-				})
-				p.Engine.Schedule(at(0.45), func() {
-					ticker.Stop()
-					inj.ClearGray(0, 0)
-				})
-			})
-		}},
-	{"evacuation", "region 0 drains and undrains; work migrates to peers with zero acked-call loss",
-		func(p *core.Platform, inj *chaos.Injector, at func(float64) sim.Time) {
-			p.Engine.Schedule(at(0.3), func() { inj.DrainRegion(0) })
-			p.Engine.Schedule(at(0.6), func() { inj.UndrainRegion(0) })
-		}},
-	{"partition", "region 1 is cut off from the GTC and cross-region pulls until the heal",
-		func(p *core.Platform, inj *chaos.Injector, at func(float64) sim.Time) {
-			p.Engine.Schedule(at(0.25), func() { inj.PartitionRegion(1) })
-			p.Engine.Schedule(at(0.6), func() { inj.HealPartition(1) })
-		}},
-	{"correlated", "a quarter of region 0's workers die silently as one block, then restart",
-		func(p *core.Platform, inj *chaos.Injector, at func(float64) sim.Time) {
-			p.Engine.Schedule(at(0.3), func() {
-				picked := inj.CorrelatedCrash(0, 0.25, true)
-				p.Engine.Schedule(at(0.4), func() {
-					for _, i := range picked {
-						inj.RestartWorker(0, i)
-					}
-				})
-			})
-		}},
-	{"dq", "one of region 0's DurableQ shards is unavailable for a fifth of the run; QueueLBs route around it",
-		func(p *core.Platform, inj *chaos.Injector, at func(float64) sim.Time) {
-			p.Engine.Schedule(at(0.25), func() {
-				inj.ShardOutage(0, 0, at(0.2))
-			})
-		}},
-	{"shardcrash", "every shard in region 0 crashes and replays its journal after 30 s down",
-		func(p *core.Platform, inj *chaos.Injector, at func(float64) sim.Time) {
-			p.Engine.Schedule(at(0.3), func() {
-				for i := range p.Region(0).Shards {
-					inj.ShardCrashRestart(0, i, 30*time.Second)
-				}
-			})
-		}},
-	{"submittercrash", "region 0's normal, then its spiky submitter crash, losing their unflushed batches, and restart",
-		func(p *core.Platform, inj *chaos.Injector, at func(float64) sim.Time) {
-			p.Engine.Schedule(at(0.3), func() { inj.CrashSubmitter(0, false) })
-			p.Engine.Schedule(at(0.6), func() { inj.CrashSubmitter(0, true) })
-		}},
-	{"schedcrash", "one of region 0's schedulers crashes; its orphaned leases expire back to the shards",
-		func(p *core.Platform, inj *chaos.Injector, at func(float64) sim.Time) {
-			p.Engine.Schedule(at(0.3), func() { inj.CrashScheduler(0, 0) })
-		}},
-	{"retrystorm", "the backend fails every call for 40% of the run; retry budgets dead-letter the doomed work",
-		func(p *core.Platform, inj *chaos.Injector, at func(float64) sim.Time) {
-			p.Engine.Schedule(at(0.25), func() {
-				inj.BuggyFor("backend", 1.0, at(0.4))
-			})
-		}},
-}
-
-// grayFor degrades up to n of region 0's workers by slowdown from 0.25
-// to 0.7 of the run. The victim count is bounded by the region's actual
-// pool: small provisioned runs can leave region 0 with a single worker.
-func grayFor(n int, slowdown float64) func(*core.Platform, *chaos.Injector, func(float64) sim.Time) {
-	return func(p *core.Platform, inj *chaos.Injector, at func(float64) sim.Time) {
-		victims := func() int { return min(n, len(p.Region(0).Workers)) }
-		p.Engine.Schedule(at(0.25), func() {
-			for i := 0; i < victims(); i++ {
-				inj.GrayWorker(0, i, slowdown)
-			}
-		})
-		p.Engine.Schedule(at(0.7), func() {
-			for i := 0; i < victims(); i++ {
-				inj.ClearGray(0, i)
-			}
-		})
-	}
-}
-
-// scheduleChaos arms the named scenario and reports whether it exists.
-func scheduleChaos(p *core.Platform, name string, seed uint64, dur time.Duration) bool {
-	for _, sc := range scenarios {
-		if sc.name == name {
-			inj := chaos.NewInjector(p, rng.New(seed+300))
-			sc.arm(p, inj, func(frac float64) sim.Time { return sim.Time(float64(dur) * frac) })
-			return true
-		}
-	}
-	return false
-}
-
-// scenarioNames lists the scenario names, comma-separated.
-func scenarioNames() string {
-	names := make([]string, len(scenarios))
-	for i, sc := range scenarios {
-		names[i] = sc.name
-	}
-	return strings.Join(names, ", ")
 }

@@ -2,12 +2,10 @@ package main
 
 import (
 	"math"
+	"slices"
 	"testing"
-	"time"
 
-	"xfaas/internal/core"
-	"xfaas/internal/rng"
-	"xfaas/internal/workload"
+	"xfaas/internal/chaos"
 )
 
 func TestCheckFlags(t *testing.T) {
@@ -34,31 +32,15 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-// TestScenarios: every scenario name is unique and arms at least one
-// event on the engine, and a name outside the table arms nothing.
-func TestScenarios(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Cluster.Regions = 3
-	cfg.Downstreams = []core.DownstreamSpec{{Name: "backend", CapacityRPS: 5000}}
-	pop := workload.NewPopulation(workload.DefaultPopulationConfig(), rng.New(1))
-	seen := map[string]bool{}
-	for _, sc := range scenarios {
-		if seen[sc.name] {
-			t.Errorf("scenario %q listed twice", sc.name)
-		}
-		seen[sc.name] = true
-		p := core.New(cfg, pop.Registry)
-		before := p.Engine.Pending()
-		if !scheduleChaos(p, sc.name, 7, time.Hour) {
-			t.Errorf("scheduleChaos(%q) = false", sc.name)
-		}
-		if p.Engine.Pending() <= before {
-			t.Errorf("scenario %q scheduled no event", sc.name)
-		}
+// TestListNames pins what -list prints: the scenario names, in order.
+func TestListNames(t *testing.T) {
+	want := []string{"gray", "graytail", "flapping", "evacuation", "partition", "correlated",
+		"dq", "shardcrash", "submittercrash", "schedcrash", "retrystorm"}
+	var got []string
+	for _, sc := range chaos.Scenarios {
+		got = append(got, sc.Name)
 	}
-	p := core.New(cfg, pop.Registry)
-	before := p.Engine.Pending()
-	if scheduleChaos(p, "nosuch", 7, time.Hour) || p.Engine.Pending() != before {
-		t.Error("an unknown scenario name was accepted")
+	if !slices.Equal(got, want) {
+		t.Errorf("-list names = %v, want %v", got, want)
 	}
 }

@@ -1,11 +1,13 @@
 package chaos
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"xfaas/internal/cluster"
 	"xfaas/internal/core"
+	"xfaas/internal/function"
 	"xfaas/internal/rng"
 	"xfaas/internal/workload"
 )
@@ -144,5 +146,60 @@ func TestShardOutageWindow(t *testing.T) {
 	p.Engine.RunFor(2 * time.Second)
 	if sh.IsDown() {
 		t.Fatal("shard still down after outage window")
+	}
+}
+
+// firstKind is the injector event each op logs first when its step fires.
+var firstKind = map[Op]string{
+	OpGray: "gray", OpClearGray: "gray-clear", OpFlap: "gray", OpRackCrash: "rack-crash",
+	OpPartition: "partition", OpHeal: "partition-heal", OpDrain: "drain", OpUndrain: "undrain",
+	OpShardOutage: "shard-down", OpShardCrash: "shard-crash", OpSubmitterCrash: "submitter-crash",
+	OpSchedulerCrash: "scheduler-crash", OpBuggy: "buggy",
+}
+
+// TestScenarioTable arms every catalogue scenario on a small idle
+// platform at two run lengths: each step's first injector event lands at
+// its fraction of the run (a flap's first flip one period later), every
+// op is used by some scenario, names are unique, and an unknown name
+// finds nothing.
+func TestScenarioTable(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Cluster.Regions = 3
+	cfg.Cluster.TotalWorkers = 12
+	cfg.Downstreams = []core.DownstreamSpec{{Name: "backend", CapacityRPS: 5000}}
+	used := map[Op]bool{}
+	names := map[string]bool{}
+	for _, sc := range Scenarios {
+		if names[sc.Name] {
+			t.Errorf("scenario %q listed twice", sc.Name)
+		}
+		names[sc.Name] = true
+		if len(sc.Steps) == 0 {
+			t.Errorf("scenario %q has no step", sc.Name)
+		}
+		for _, dur := range []time.Duration{10 * time.Minute, 30 * time.Minute} {
+			p := core.New(cfg, function.NewRegistry())
+			inj := NewInjector(p, rng.New(7))
+			sc.Arm(p, inj, dur)
+			p.Engine.RunFor(dur)
+			for i, s := range sc.Steps {
+				used[s.Op] = true
+				at := time.Duration(float64(dur) * s.At)
+				if s.Op == OpFlap {
+					at += s.For
+				}
+				if !slices.ContainsFunc(inj.Events(), func(e Event) bool { return e.At == at && e.Kind == firstKind[s.Op] }) {
+					t.Errorf("%s at %v: step %d (%s) logged no event at %v: %v", sc.Name, dur, i, firstKind[s.Op], at, inj.Events())
+				}
+			}
+		}
+	}
+	for op := OpGray; op <= OpBuggy; op++ { // OpBuggy is the last op
+		if !used[op] {
+			t.Errorf("op %d (%s) is used by no scenario", op, firstKind[op])
+		}
+	}
+	if sc, ok := Lookup("nosuch"); ok || len(sc.Steps) != 0 {
+		t.Errorf("Lookup(nosuch) = %+v, %v", sc, ok)
 	}
 }

@@ -1,7 +1,11 @@
 package psim
 
 import (
+	"slices"
 	"testing"
+	"time"
+
+	"xfaas/internal/trace"
 )
 
 // testOptions is a run small enough for CI but busy enough to exercise
@@ -99,6 +103,30 @@ func TestDrainConservation(t *testing.T) {
 				if sh.LostOnCrash.Value() != 0 {
 					t.Errorf("partition %d shard %v lost calls during a graceful drain", i, sh.ID)
 				}
+			}
+		}
+	}
+}
+
+// TestDrainIsLogged: the drill is an injected fault like any other, so
+// every partition's control log records the drain at 0.3 of the run and
+// the undrain at 0.6.
+func TestDrainIsLogged(t *testing.T) {
+	opts := testOptions()
+	opts.Drain = true
+	r := New(opts)
+	r.Run()
+	run := time.Duration(opts.Minutes) * time.Minute
+	for i, part := range r.Parts {
+		for _, want := range []struct {
+			kind string
+			frac float64
+		}{{"chaos.drain", 0.3}, {"chaos.undrain", 0.6}} {
+			at := time.Duration(float64(run) * want.frac)
+			if !slices.ContainsFunc(part.Platform.Tracer.Controls(), func(e trace.ControlEvent) bool {
+				return e.Kind == want.kind && e.At == at
+			}) {
+				t.Errorf("partition %d logged no %s at %v", i, want.kind, at)
 			}
 		}
 	}
