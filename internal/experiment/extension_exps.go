@@ -45,7 +45,7 @@ func runCriticality(s Scale) *Result {
 	const perFuncRPS = 26
 	rc.Fill = func(pop *workload.Population, seed uint64) {
 		for i, crit := range crits {
-			spec := &function.Spec{
+			pop.Add(&function.Spec{
 				Name:        "crit-" + crit.String(),
 				Team:        "team-crit",
 				Criticality: crit,
@@ -55,8 +55,7 @@ func runCriticality(s Scale) *Result {
 					MemMu: math.Log(16), MemSigma: 0.3,
 					TimeMu: math.Log(0.3), TimeSigma: 0.3,
 				},
-			}
-			addFunc(pop, spec, perFuncRPS, rng.New(seed+uint64(i)))
+			}, perFuncRPS, rng.New(seed+uint64(i)))
 		}
 	}
 	p := rc.build().P

@@ -273,9 +273,8 @@ func runDrillEvacuation(s Scale) *Result {
 		}
 		src := rng.New(seed + 50)
 		for i := 0; i < 6; i++ {
-			name := "defer-" + string(rune('0'+i))
-			spec := &function.Spec{
-				Name:        name,
+			pop.Add(&function.Spec{
+				Name:        "defer-" + string(rune('0'+i)),
 				Team:        "team-defer",
 				Criticality: function.CritNormal,
 				QuotaMIPS:   1e9,
@@ -285,8 +284,7 @@ func runDrillEvacuation(s Scale) *Result {
 					MemMu: 2.079442, MemSigma: 0.2, // ln(8)
 					TimeMu: 0, TimeSigma: 0.1, // ln(1s)
 				},
-			}
-			addFunc(pop, spec, 0.5, src.Split())
+			}, 0.5, src.Split())
 		}
 	}
 	rg := rc.build()

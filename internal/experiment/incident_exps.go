@@ -47,7 +47,7 @@ func incidentRig(s Scale, dsName string, dsCapacity, steadyRPS float64, concurre
 
 	rc.Fill = func(pop *workload.Population, seed uint64) {
 		for i, name := range []string{"func-a", "func-b"} {
-			spec := &function.Spec{
+			pop.Add(&function.Spec{
 				Name:             name,
 				Team:             "team-graph",
 				Criticality:      function.CritNormal,
@@ -59,8 +59,7 @@ func incidentRig(s Scale, dsName string, dsCapacity, steadyRPS float64, concurre
 					MemMu: math.Log(16), MemSigma: 0.4,
 					TimeMu: math.Log(0.3), TimeSigma: 0.3,
 				},
-			}
-			addFunc(pop, spec, steadyRPS, rng.New(seed+uint64(i)))
+			}, steadyRPS, rng.New(seed+uint64(i)))
 		}
 	}
 	return rc

@@ -7,7 +7,6 @@ import (
 	"xfaas/internal/chaos"
 	"xfaas/internal/core"
 	"xfaas/internal/function"
-	"xfaas/internal/isolation"
 	"xfaas/internal/rng"
 	"xfaas/internal/workload"
 )
@@ -120,21 +119,6 @@ func (rc rigConfig) population() *workload.Population {
 		rc.Fill(pop, seed)
 	}
 	return pop
-}
-
-// addFunc completes a hand-written spec with what all of them share — a
-// reserved-quota, queue-triggered PHP function in the internal zone, the
-// default retry policy, an 8+4 MB code footprint — and adds it to pop
-// with a steady arrival model at rps.
-func addFunc(pop *workload.Population, spec *function.Spec, rps float64, src *rng.Source) {
-	spec.Namespace, spec.Runtime = "main", "php"
-	spec.Trigger, spec.Quota = function.TriggerQueue, function.QuotaReserved
-	spec.Retry = function.DefaultRetry
-	spec.Zone = isolation.NewZone(isolation.Internal)
-	spec.Resources.CodeMB, spec.Resources.JITCodeMB = 8, 4
-	pop.Registry.MustRegister(spec)
-	pop.TeamOf[spec.Name] = spec.Team
-	pop.Models = append(pop.Models, workload.NewModel(spec, rps, spec.Team, src))
 }
 
 // rig is a running platform with its generator and fault injector.

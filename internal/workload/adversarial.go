@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"xfaas/internal/function"
-	"xfaas/internal/isolation"
 	"xfaas/internal/rng"
 )
 
@@ -57,39 +56,39 @@ func DefaultStormMix(downstream string) StormMixConfig {
 // BuildStormMix instantiates the storm mix into pop. Aggressors are named
 // storm-NN, victims clean-NN.
 func BuildStormMix(pop *Population, cfg StormMixConfig, src *rng.Source) {
-	mk := func(name, team string, crit function.Criticality, deadline time.Duration,
-		retry function.RetryPolicy, downstream string, rps float64) {
-		spec := &function.Spec{
-			Name:        name,
-			Namespace:   "main",
-			Runtime:     "php",
-			Team:        team,
-			Trigger:     function.TriggerQueue,
-			Criticality: crit,
-			Quota:       function.QuotaReserved,
-			QuotaMIPS:   1e9, // quota is not the mechanism under test
-			Deadline:    deadline,
-			Retry:       retry,
-			Zone:        isolation.NewZone(isolation.Internal),
-			Downstream:  downstream,
-			Resources: function.ResourceModel{
-				CPUMu: math.Log(10), CPUSigma: 0.2,
-				MemMu: math.Log(8), MemSigma: 0.2,
-				TimeMu: math.Log(stormExecSecs), TimeSigma: 0.1,
-				CodeMB: 8, JITCodeMB: 4,
-			},
-		}
-		pop.Registry.MustRegister(spec)
-		pop.TeamOf[name] = team
-		pop.Models = append(pop.Models, NewModel(spec, rps, team, src.Split()))
-	}
+	res := steadyResources(stormExecSecs)
 	for i := 0; i < cfg.StormFunctions; i++ {
-		mk(fmt.Sprintf("storm-%02d", i), "team-storm", function.CritHigh,
-			stormDeadline, stormRetry, cfg.Downstream, cfg.StormRPSPerFunc)
+		pop.Add(&function.Spec{
+			Name:        fmt.Sprintf("storm-%02d", i),
+			Team:        "team-storm",
+			Criticality: function.CritHigh,
+			QuotaMIPS:   1e9, // quota is not the mechanism under test
+			Deadline:    stormDeadline,
+			Retry:       stormRetry,
+			Downstream:  cfg.Downstream,
+			Resources:   res,
+		}, cfg.StormRPSPerFunc, src.Split())
 	}
 	for i := 0; i < cfg.CleanFunctions; i++ {
-		mk(fmt.Sprintf("clean-%02d", i), fmt.Sprintf("team-clean-%02d", i),
-			function.CritNormal, 10*time.Minute, function.DefaultRetry, "", cfg.CleanRPSPerFunc)
+		pop.Add(&function.Spec{
+			Name:        fmt.Sprintf("clean-%02d", i),
+			Team:        fmt.Sprintf("team-clean-%02d", i),
+			Criticality: function.CritNormal,
+			QuotaMIPS:   1e9,
+			Deadline:    10 * time.Minute,
+			Resources:   res,
+		}, cfg.CleanRPSPerFunc, src.Split())
+	}
+}
+
+// steadyResources is the adversarial mixes' per-call resource model: 10
+// MI of CPU and 8 MB of memory per call, and a tight execution time
+// around execSecs.
+func steadyResources(execSecs float64) function.ResourceModel {
+	return function.ResourceModel{
+		CPUMu: math.Log(10), CPUSigma: 0.2,
+		MemMu: math.Log(8), MemSigma: 0.2,
+		TimeMu: math.Log(execSecs), TimeSigma: 0.1,
 	}
 }
 
@@ -115,60 +114,32 @@ const (
 // BuildNoisyNeighbor instantiates the noisy-neighbor mix into pop. The
 // noisy tenant's function is named noisy-00; victims victim-NN.
 func BuildNoisyNeighbor(pop *Population, src *rng.Source) {
-	res := function.ResourceModel{
-		CPUMu: math.Log(10), CPUSigma: 0.2,
-		MemMu: math.Log(8), MemSigma: 0.2,
-		TimeMu: math.Log(noisyExecSecs), TimeSigma: 0.1,
-		CodeMB: 8, JITCodeMB: 4,
-	}
+	res := steadyResources(noisyExecSecs)
 	for i := 0; i < NoisyVictims; i++ {
-		name := fmt.Sprintf("victim-%02d", i)
-		team := fmt.Sprintf("team-victim-%02d", i)
-		spec := &function.Spec{
-			Name:        name,
-			Namespace:   "main",
-			Runtime:     "php",
-			Team:        team,
-			Trigger:     function.TriggerQueue,
+		pop.Add(&function.Spec{
+			Name:        fmt.Sprintf("victim-%02d", i),
+			Team:        fmt.Sprintf("team-victim-%02d", i),
 			Criticality: function.CritNormal,
-			Quota:       function.QuotaReserved,
 			QuotaMIPS:   1e9,
 			Deadline:    10 * time.Minute,
-			Retry:       function.DefaultRetry,
-			Zone:        isolation.NewZone(isolation.Internal),
 			Resources:   res,
-		}
-		pop.Registry.MustRegister(spec)
-		pop.TeamOf[name] = team
-		pop.Models = append(pop.Models, NewModel(spec, NoisyVictimRPS, team, src.Split()))
+		}, NoisyVictimRPS, src.Split())
 	}
-	spec := &function.Spec{
+	flood := pop.Add(&function.Spec{
 		Name:        "noisy-00",
-		Namespace:   "main",
-		Runtime:     "php",
 		Team:        "team-noisy",
-		Trigger:     function.TriggerQueue,
 		Criticality: function.CritLow,
 		Quota:       function.QuotaOpportunistic,
 		QuotaMIPS:   NoisyFloodRPS * 10 * 2, // loose: quota is not the valve under test
 		Deadline:    noisyDeadline,
-		Retry:       function.DefaultRetry,
-		Zone:        isolation.NewZone(isolation.Internal),
 		Resources:   res,
+	}, 0, src.Split())
+	flood.Burst = &Burst{
+		Every:  1000 * time.Hour, // one-shot within any experiment window
+		Offset: 1000*time.Hour - NoisyFloodStart,
+		Len:    NoisyFloodLen,
+		RPS:    NoisyFloodRPS,
 	}
-	pop.Registry.MustRegister(spec)
-	pop.TeamOf[spec.Name] = spec.Team
-	pop.Models = append(pop.Models, &FuncModel{
-		Spec:   spec,
-		Client: spec.Team,
-		Burst: &Burst{
-			Every:  1000 * time.Hour, // one-shot within any experiment window
-			Offset: 1000*time.Hour - NoisyFloodStart,
-			Len:    NoisyFloodLen,
-			RPS:    NoisyFloodRPS,
-		},
-		draw: src.Split(),
-	})
 }
 
 // GrayMixConfig shapes the gray-tail workload: a steady population of
@@ -194,31 +165,15 @@ func DefaultGrayMix() GrayMixConfig {
 // BuildGrayMix instantiates the gray-tail mix into pop. Functions are
 // named crit-NN.
 func BuildGrayMix(pop *Population, cfg GrayMixConfig, src *rng.Source) {
-	res := function.ResourceModel{
-		CPUMu: math.Log(10), CPUSigma: 0.2,
-		MemMu: math.Log(8), MemSigma: 0.2,
-		TimeMu: math.Log(grayExecSecs), TimeSigma: 0.1,
-		CodeMB: 8, JITCodeMB: 4,
-	}
+	res := steadyResources(grayExecSecs)
 	for i := 0; i < cfg.Functions; i++ {
-		name := fmt.Sprintf("crit-%02d", i)
-		team := fmt.Sprintf("team-crit-%02d", i)
-		spec := &function.Spec{
-			Name:        name,
-			Namespace:   "main",
-			Runtime:     "php",
-			Team:        team,
-			Trigger:     function.TriggerQueue,
+		pop.Add(&function.Spec{
+			Name:        fmt.Sprintf("crit-%02d", i),
+			Team:        fmt.Sprintf("team-crit-%02d", i),
 			Criticality: function.CritHigh,
-			Quota:       function.QuotaReserved,
 			QuotaMIPS:   1e9,
 			Deadline:    10 * time.Minute,
-			Retry:       function.DefaultRetry,
-			Zone:        isolation.NewZone(isolation.Internal),
 			Resources:   res,
-		}
-		pop.Registry.MustRegister(spec)
-		pop.TeamOf[name] = team
-		pop.Models = append(pop.Models, NewModel(spec, cfg.RPSPerFunc, team, src.Split()))
+		}, cfg.RPSPerFunc, src.Split())
 	}
 }

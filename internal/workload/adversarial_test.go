@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xfaas/internal/function"
+	"xfaas/internal/isolation"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
 )
@@ -168,5 +169,34 @@ func TestBuildNoisyNeighborFloodWindow(t *testing.T) {
 					m.Spec.Name, time.Duration(at), got, NoisyVictimRPS)
 			}
 		}
+	}
+}
+
+// TestAddFillsOnlyZeroFields: Add completes what a hand-written spec
+// leaves zero and keeps what it sets.
+func TestAddFillsOnlyZeroFields(t *testing.T) {
+	pop := emptyPop()
+	bare := pop.Add(&function.Spec{Name: "bare", Team: "t", Deadline: time.Minute}, 2, rng.New(1))
+	set := pop.Add(&function.Spec{
+		Name: "set", Team: "t", Deadline: time.Minute, Namespace: "ns", Runtime: "hack",
+		Quota: function.QuotaOpportunistic, Retry: stormRetry,
+		Zone:      isolation.NewZone(isolation.Restricted),
+		Resources: function.ResourceModel{CodeMB: 16, JITCodeMB: 6},
+	}, 0, rng.New(2))
+	b, s := bare.Spec, set.Spec
+	if b.Namespace != "main" || b.Runtime != "php" || b.Trigger != function.TriggerQueue ||
+		b.Quota != function.QuotaReserved || b.Retry != function.DefaultRetry ||
+		b.Zone.Level != isolation.Internal || b.Resources.CodeMB != 8 || b.Resources.JITCodeMB != 4 {
+		t.Errorf("bare spec completed as %+v", *b)
+	}
+	if s.Namespace != "ns" || s.Runtime != "hack" || s.Quota != function.QuotaOpportunistic ||
+		s.Retry != stormRetry || s.Zone.Level != isolation.Restricted || s.Resources.CodeMB != 16 || s.Resources.JITCodeMB != 6 {
+		t.Errorf("set spec overwritten: %+v", *s)
+	}
+	if len(pop.Models) != 2 || pop.Models[0] != bare || bare.MeanRPS != 2 || bare.Client != "t" || pop.TeamOf["set"] != "t" {
+		t.Errorf("models %v, team map %v", pop.Models, pop.TeamOf)
+	}
+	if _, ok := pop.Registry.Get("set"); !ok {
+		t.Error("spec not registered")
 	}
 }

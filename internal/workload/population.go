@@ -156,6 +156,34 @@ func NewModel(spec *function.Spec, meanRPS float64, client string, src *rng.Sour
 	return &FuncModel{Spec: spec, MeanRPS: meanRPS, Client: client, draw: src}
 }
 
+// Add completes a hand-written spec with what such specs share, filling
+// only the fields it leaves zero — namespace "main", runtime "php", the
+// default retry policy, the internal zone and an 8+4 MB code footprint;
+// the zero trigger and quota are already queue and reserved — registers
+// it and adds its team's constant-rate model at rps, drawing from src.
+func (p *Population) Add(spec *function.Spec, rps float64, src *rng.Source) *FuncModel {
+	if spec.Namespace == "" {
+		spec.Namespace = "main"
+	}
+	if spec.Runtime == "" {
+		spec.Runtime = "php"
+	}
+	if spec.Retry == (function.RetryPolicy{}) {
+		spec.Retry = function.DefaultRetry
+	}
+	if spec.Zone.DominatedBy(isolation.Zone{}) { // only the zero zone is
+		spec.Zone = isolation.NewZone(isolation.Internal)
+	}
+	if spec.Resources.CodeMB == 0 && spec.Resources.JITCodeMB == 0 {
+		spec.Resources.CodeMB, spec.Resources.JITCodeMB = 8, 4
+	}
+	p.Registry.MustRegister(spec)
+	p.TeamOf[spec.Name] = spec.Team
+	m := NewModel(spec, rps, spec.Team, src)
+	p.Models = append(p.Models, m)
+	return m
+}
+
 // Day is the diurnal period.
 const Day = 24 * time.Hour
 

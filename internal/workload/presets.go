@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"xfaas/internal/function"
-	"xfaas/internal/isolation"
 	"xfaas/internal/rng"
 )
 
@@ -79,17 +78,13 @@ func BuildNamed(pop *Population, w NamedWorkload, src *rng.Source) {
 		cpu := logInterp(w.CPUMin, w.CPUMax, frac)
 		mem := logInterp(w.MemMin, w.MemMax, frac)
 		secs := logInterp(w.TimeMin, w.TimeMax, frac)
-		spec := &function.Spec{
+		pop.Add(&function.Spec{
 			Name:        w.Name + "-" + string(rune('a'+i)),
-			Namespace:   "main",
-			Runtime:     "php",
 			Team:        "team-" + w.Name,
 			Trigger:     w.Trigger,
 			Criticality: function.CritNormal,
 			Quota:       w.Quota,
 			Deadline:    w.Deadline,
-			Retry:       function.DefaultRetry,
-			Zone:        isolation.NewZone(isolation.Internal),
 			Ephemeral:   w.Ephemeral,
 			Downstream:  w.Downstream,
 			Resources: function.ResourceModel{
@@ -98,15 +93,7 @@ func BuildNamed(pop *Population, w NamedWorkload, src *rng.Source) {
 				TimeMu: math.Log(secs), TimeSigma: 0.4,
 				CodeMB: 16, JITCodeMB: 6,
 			},
-		}
-		pop.Registry.MustRegister(spec)
-		pop.TeamOf[spec.Name] = spec.Team
-		pop.Models = append(pop.Models, &FuncModel{
-			Spec:    spec,
-			MeanRPS: w.MeanRPSPerFunc,
-			Client:  spec.Team,
-			draw:    src.Split(),
-		})
+		}, w.MeanRPSPerFunc, src.Split())
 	}
 }
 
