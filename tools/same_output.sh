@@ -11,6 +11,7 @@
 #     xfaas-inspect -list prints
 #   xfaas-sim -chaos retrystorm -policy P, for P in pull, prewarm, spes
 #   xfaas-sim -parallel 4 -pchaos -traced -invariants, with and without -seq
+#   xfaas-sim -parallel 4 -pdrain, the partitioned evacuation drill
 #   the JSON file xfaas-sim -policy-matrix writes
 # REF is checked out in a shared clone in a temporary directory, so the
 # repository itself is not touched. Needs only git and the Go toolchain;
@@ -66,6 +67,7 @@ for pol in pull prewarm spes; do
 done
 record sim-parallel xfaas-sim -parallel 4 -pchaos -traced -invariants -seed 7
 record sim-parallel-seq xfaas-sim -parallel 4 -seq -pchaos -traced -invariants -seed 7
+record sim-pdrain xfaas-sim -parallel 4 -pdrain -seed 7
 for side in old new; do
 	"$work/$side/xfaas-sim" -policy-matrix "$work/$side/policy-matrix.json" -seed 7 > /dev/null &
 done
