@@ -197,33 +197,24 @@ func (inj *Injector) ShardOutage(region cluster.RegionID, idx int, d time.Durati
 	inj.p.Engine.Schedule(d, func() { inj.UpShard(region, idx) })
 }
 
-// CrashShard destroys a DurableQ shard's in-memory state — queues,
-// leases, timers — unlike DownShard's state-preserving unavailability
-// window. With journaling enabled only the unflushed tail is lost and
-// RestartShard replays the rest; without it every held call dies.
-func (inj *Injector) CrashShard(region cluster.RegionID, idx int) {
+// ShardCrashRestart destroys a DurableQ shard's in-memory state —
+// queues, leases, timers — unlike DownShard's state-preserving
+// unavailability window, and starts its recovery after downFor: after its
+// replay base delay the shard replays the journal's durable prefix in
+// batches and comes back up. With journaling enabled only the unflushed
+// tail is lost; without it every held call dies. Recovery time is
+// observable as the gap between the shard-restart event and the shard's
+// durableq.replay-end control event.
+func (inj *Injector) ShardCrashRestart(region cluster.RegionID, idx int, downFor time.Duration) {
 	sh := inj.p.Region(region).Shards[idx]
 	held := sh.Pending() + sh.Leased()
 	sh.Crash()
 	inj.record("shard-crash", "%v held=%d lost=%d held-durable=%d",
 		sh.ID, held, int(sh.LostOnCrash.Value()), sh.CrashHeld())
-}
-
-// RestartShard begins a crashed shard's recovery: after its replay base
-// delay it replays the journal's durable prefix in batches and comes
-// back up. Recovery time is observable as the gap between this event and
-// the shard's durableq.replay-end control event.
-func (inj *Injector) RestartShard(region cluster.RegionID, idx int) {
-	sh := inj.p.Region(region).Shards[idx]
-	sh.Restart()
-	inj.record("shard-restart", "%v", sh.ID)
-}
-
-// ShardCrashRestart crashes the shard now and starts its restart after
-// downFor (replay time comes on top of that).
-func (inj *Injector) ShardCrashRestart(region cluster.RegionID, idx int, downFor time.Duration) {
-	inj.CrashShard(region, idx)
-	inj.p.Engine.Schedule(downFor, func() { inj.RestartShard(region, idx) })
+	inj.p.Engine.Schedule(downFor, func() {
+		sh.Restart()
+		inj.record("shard-restart", "%v", sh.ID)
+	})
 }
 
 // Rebuild delays of the stateless tiers: their state reconstitutes from
