@@ -170,6 +170,54 @@ func (p *pinPolicy) Tick() {
 	p.h.DispatchWith(func(*function.Call) (*worker.Worker, bool) { return p.w, true })
 }
 
+// hedgeRig is a hedged replica over one shard and two workers, with
+// every primary pinned to worker 0 and the invariant ledger on.
+type hedgeRig struct {
+	e     *sim.Engine
+	inv   *invariant.Checker
+	obs   *lifecycle.Spine
+	shard *durableq.Shard
+	pool  []*worker.Worker
+	lb    *workerlb.LB
+	s     *Scheduler
+	spec  *function.Spec
+	id    uint64
+}
+
+func newHedgeRig() *hedgeRig {
+	r := &hedgeRig{e: sim.NewEngine()}
+	r.inv = invariant.NewChecker(r.e, invariant.Params{Enabled: true}, 1)
+	r.obs = lifecycle.New(r.e, nil, r.inv, nil)
+	r.shard = durableq.NewShard(durableq.ShardID{}, r.e, nil)
+	r.shard.Obs = r.obs
+	src := rng.New(7)
+	for i := 0; i < 2; i++ {
+		w := worker.New(worker.ID{Index: i}, r.e, worker.DefaultParams(), src.Split(), nil)
+		w.Obs = r.obs
+		w.Runtime.Prewarm([]string{"f"})
+		r.pool = append(r.pool, w)
+	}
+	r.lb = workerlb.New(src.Split(), r.pool)
+	params := DefaultParams()
+	params.PolicyFactory = func() policy.Policy { return &pinPolicy{w: r.pool[0]} }
+	cong := congestion.NewManager(r.e, congestion.DefaultAIMDParams(), congestion.DefaultSlowStartParams())
+	r.s = NewHedged(r.e, src.Split(), 0, params, [][]*durableq.Shard{{r.shard}}, r.lb,
+		ratelimit.NewCentral(r.e), cong, config.NewStore(r.e), NewHedgeBudget(HedgeBudgetFrac, HedgeBudgetBurst))
+	r.s.Obs = r.obs
+	r.spec = rigSpec("f", function.CritHigh)
+	r.spec.Retry.MaxAttempts = 1
+	return r
+}
+
+// submit enqueues one call of the rig's single-attempt CritHigh function.
+func (r *hedgeRig) submit(execSecs float64) *function.Call {
+	r.id++
+	c := &function.Call{ID: r.id, Spec: r.spec, Deadline: sim.Time(time.Hour), CPUWorkM: 10, MemMB: 10, ExecSecs: execSecs}
+	r.obs.Emit(c, trace.KindSubmit, 0)
+	r.shard.Enqueue(c)
+	return c
+}
+
 // TestHedgeRace drives a hedged call through every order in which its
 // two executions can finish, fail or be evacuated. The rig has two
 // workers and pins every primary to worker 0, so the speculative copy can
@@ -204,37 +252,9 @@ func TestHedgeRace(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := sim.NewEngine()
-			inv := invariant.NewChecker(e, invariant.Params{Enabled: true}, 1)
-			obs := lifecycle.New(e, nil, inv, nil)
-			shard := durableq.NewShard(durableq.ShardID{}, e, nil)
-			shard.Obs = obs
-			src := rng.New(7)
-			var pool []*worker.Worker
-			for i := 0; i < 2; i++ {
-				w := worker.New(worker.ID{Index: i}, e, worker.DefaultParams(), src.Split(), nil)
-				w.Obs = obs
-				w.Runtime.Prewarm([]string{"f"})
-				pool = append(pool, w)
-			}
-			lb := workerlb.New(src.Split(), pool)
-			params := DefaultParams()
-			params.PolicyFactory = func() policy.Policy { return &pinPolicy{w: pool[0]} }
-			cong := congestion.NewManager(e, congestion.DefaultAIMDParams(), congestion.DefaultSlowStartParams())
-			s := NewHedged(e, src.Split(), 0, params, [][]*durableq.Shard{{shard}}, lb,
-				ratelimit.NewCentral(e), cong, config.NewStore(e), NewHedgeBudget(HedgeBudgetFrac, HedgeBudgetBurst))
-			s.Obs = obs
-
-			spec := rigSpec("f", function.CritHigh)
-			spec.Retry.MaxAttempts = 1
-			id := uint64(0)
-			submit := func(execSecs float64) *function.Call {
-				id++
-				c := &function.Call{ID: id, Spec: spec, Deadline: sim.Time(time.Hour), CPUWorkM: 10, MemMB: 10, ExecSecs: execSecs}
-				obs.Emit(c, trace.KindSubmit, 0)
-				shard.Enqueue(c)
-				return c
-			}
+			r := newHedgeRig()
+			e, shard, pool, lb, s, inv := r.e, r.shard, r.pool, r.lb, r.s, r.inv
+			submit := r.submit
 			for i := 0; i < hedgeMinSamples; i++ {
 				submit(1)
 			}
@@ -282,5 +302,47 @@ func TestHedgeRace(t *testing.T) {
 				t.Errorf("%d invariant violations, first: %v", inv.TotalViolations(), vs[0])
 			}
 		})
+	}
+}
+
+// TestCrashForgetsHedgeDelays: the hedge-delay estimators live in
+// process memory, so a crashed and restarted replica hedges a function
+// only after hedgeMinSamples new completions, however warm it was before.
+func TestCrashForgetsHedgeDelays(t *testing.T) {
+	r := newHedgeRig()
+	// completeFast runs n one-second calls on the healthy worker 0.
+	completeFast := func(n int) {
+		r.pool[0].SetSlowdown(1)
+		for i := 0; i < n; i++ {
+			r.submit(1)
+		}
+		r.e.RunFor(5 * time.Second)
+	}
+	// slowCall runs one call whose primary outlives a one-second hedge
+	// delay threefold.
+	slowCall := func() {
+		r.pool[0].SetSlowdown(3)
+		r.submit(1)
+		r.e.RunFor(time.Minute)
+	}
+	completeFast(hedgeMinSamples)
+	r.s.Crash()
+	r.s.Restart(time.Second)
+	r.e.RunFor(2 * time.Second)
+	completeFast(hedgeMinSamples - 2)
+	slowCall() // the restarted process's completion hedgeMinSamples-1
+	if got := r.s.Hedged.Value(); got != 0 {
+		t.Fatalf("Hedged = %v after %d post-restart completions, want 0", got, hedgeMinSamples-1)
+	}
+	if got := r.shard.Acked.Value(); got != float64(2*hedgeMinSamples-1) {
+		t.Fatalf("acked %v calls, want %d", got, 2*hedgeMinSamples-1)
+	}
+	completeFast(1)
+	slowCall()
+	if got := r.s.Hedged.Value(); got != 1 {
+		t.Errorf("Hedged = %v once the estimator rewarmed, want 1", got)
+	}
+	if vs := r.inv.Final(); len(vs) > 0 {
+		t.Errorf("%d invariant violations, first: %v", r.inv.TotalViolations(), vs[0])
 	}
 }

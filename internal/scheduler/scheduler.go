@@ -422,8 +422,10 @@ func (s *Scheduler) Crash() {
 	s.running = make(map[uint64]*flight)
 	s.free = nil
 	s.shedStates = nil
-	// Policy state (forecasters, per-tick counters) lives in process
-	// memory too: a crash rebuilds the instance from configuration.
+	// Policy state (forecasters, per-tick counters) and the hedge-delay
+	// estimators live in process memory too: a crash rebuilds the policy
+	// from configuration, and hedging waits for a fresh warm-up.
+	clear(s.est)
 	s.oppGate = false
 	s.pol = s.newPolicy()
 	s.pol.Attach(s)
