@@ -312,9 +312,7 @@ func (s *Scheduler) onWorkerDown(w *worker.Worker) {
 		}
 		s.untrack(f)
 		s.cong.OnComplete(c.Spec)
-		s.Obs.Emit(c, trace.KindEvacuated, 0)
-		s.nack(c)
-		s.Evacuated.Inc()
+		s.evacuateCall(c)
 	}
 }
 
@@ -621,8 +619,7 @@ func (s *Scheduler) shedSweep() {
 		}
 		for b.Len() > 0 && now-b.Peek().QueuedAt > target {
 			c := b.Pop()
-			if shard := s.origin[c.ID]; shard != nil {
-				delete(s.origin, c.ID)
+			if shard := s.takeOrigin(c); shard != nil {
 				shard.Terminate(c.ID, durableq.ReasonShed)
 			}
 			s.ShedCalls.Inc()
@@ -632,24 +629,29 @@ func (s *Scheduler) shedSweep() {
 
 // evacuate NACKs every held call (RunQ and FuncBuffers) for redelivery
 // elsewhere.
-func (s *Scheduler) evacuate() {
+func (s *Scheduler) evacuate() { s.unhold(s.evacuateCall) }
+
+// evacuateCall NACKs one call this scheduler gives up.
+func (s *Scheduler) evacuateCall(c *function.Call) {
+	s.Obs.Emit(c, trace.KindEvacuated, 0)
+	s.nack(c)
+	s.Evacuated.Inc()
+}
+
+// unhold passes every held call to step: the RunQ first, each entry
+// releasing its concurrency slot, then the FuncBuffers in name order.
+// Each step may draw on the owning shard's RNG and arm its timers, so
+// iterating the buffer map directly would leak Go map order into the
+// simulation.
+func (s *Scheduler) unhold(step func(*function.Call)) {
 	for _, c := range s.runQ {
-		s.cong.OnComplete(c.Spec) // release the concurrency slot
-		s.Obs.Emit(c, trace.KindEvacuated, 0)
-		s.nack(c)
-		s.Evacuated.Inc()
+		s.cong.OnComplete(c.Spec)
+		step(c)
 	}
 	s.runQ = s.runQ[:0]
-	// NACK in sorted buffer order: each NACK with a positive retry
-	// backoff consumes one RNG draw on the owning shard and schedules a
-	// redelivery timer, so iterating the map directly would leak Go map
-	// order into the simulation.
 	for _, b := range s.buffersByName() {
 		for b.Len() > 0 {
-			c := b.Pop()
-			s.Obs.Emit(c, trace.KindEvacuated, 0)
-			s.nack(c)
-			s.Evacuated.Inc()
+			step(b.Pop())
 		}
 	}
 }
@@ -892,8 +894,7 @@ func (s *Scheduler) drainRunQ(place placeFunc) {
 			// must never reach a worker. Release its concurrency slot and
 			// settle it to dead-letter at its owning shard.
 			s.cong.OnComplete(c.Spec)
-			if shard := s.origin[c.ID]; shard != nil {
-				delete(s.origin, c.ID)
+			if shard := s.takeOrigin(c); shard != nil {
 				shard.Terminate(c.ID, durableq.ReasonExpired)
 			}
 			s.ExpiredSwept.Inc()
@@ -1010,8 +1011,7 @@ func (s *Scheduler) settle(f *flight, c *function.Call, err error) {
 	if s.OnExecuted != nil {
 		s.OnExecuted(c)
 	}
-	if shard := s.origin[c.ID]; shard != nil {
-		delete(s.origin, c.ID)
+	if shard := s.takeOrigin(c); shard != nil {
 		if shard.Ack(c.ID) {
 			s.Acked.Inc()
 		}
@@ -1043,41 +1043,36 @@ func (s *Scheduler) InFlight() int { return len(s.running) }
 // releaseHeld is evacuate()'s graceful twin: RunQ and buffered calls go
 // back to their owning shards as queued work (Release), keeping their
 // attempt accounting out of the failure/retry machinery.
-func (s *Scheduler) releaseHeld() {
-	for _, c := range s.runQ {
-		s.cong.OnComplete(c.Spec) // release the concurrency slot
-		s.release(c)
-	}
-	s.runQ = s.runQ[:0]
-	// Sorted buffer order for the same reason evacuate() sorts: shard-side
-	// effects must not inherit Go map iteration order.
-	for _, b := range s.buffersByName() {
-		for b.Len() > 0 {
-			s.release(b.Pop())
-		}
-	}
-}
+func (s *Scheduler) releaseHeld() { s.unhold(s.release) }
 
 // release hands one held call back to its owning shard as plain queued
 // work.
 func (s *Scheduler) release(c *function.Call) {
-	shard := s.origin[c.ID]
+	shard := s.takeOrigin(c)
 	if shard == nil {
 		return
 	}
-	delete(s.origin, c.ID)
 	s.Obs.Emit(c, trace.KindEvacuated, 0)
 	if shard.Release(c.ID) {
 		s.Released.Inc()
 	}
 }
 
-func (s *Scheduler) nack(c *function.Call) {
+// takeOrigin returns the shard c was leased from and forgets it, or nil
+// if this scheduler no longer holds c.
+func (s *Scheduler) takeOrigin(c *function.Call) *durableq.Shard {
 	shard := s.origin[c.ID]
+	if shard != nil {
+		delete(s.origin, c.ID)
+	}
+	return shard
+}
+
+func (s *Scheduler) nack(c *function.Call) {
+	shard := s.takeOrigin(c)
 	if shard == nil {
 		return
 	}
-	delete(s.origin, c.ID)
 	// Retry-placement hook: the policy may override the backoff base of
 	// the redelivery. Push always declines, keeping the spec default.
 	if base, ok := s.pol.RetryBase(c); ok {
