@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -64,6 +65,29 @@ func run() int {
 	flag.Parse()
 	if *parallel < 0 || *minutes < 1 {
 		fmt.Fprintf(os.Stderr, "xfaas-sim: -parallel must not be negative and -minutes must be at least 1 (have %d, %d)\n", *parallel, *minutes)
+		return 2
+	}
+	// Each mode reads only its own flags and the profiles: a flag set
+	// outside them is a usage error, not an option ignored in silence.
+	mode, reads := "-run", "run seed full charts out markdown invariants slo policy"
+	switch {
+	case *matrix != "":
+		mode, reads = "-policy-matrix", "policy-matrix seed"
+	case *parallel > 0:
+		mode, reads = "-parallel", "parallel seq minutes seed pchaos pdrain traced invariants slo"
+	case *chaosFlag != "":
+		mode, reads = "-chaos", "chaos seed full charts out markdown invariants slo policy"
+	case *list || *run == "":
+		mode, reads = "-list", "list"
+	}
+	var stray []string
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(strings.Fields(reads+" cpuprofile memprofile"), f.Name) {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	if len(stray) > 0 {
+		fmt.Fprintf(os.Stderr, "xfaas-sim: %s mode does not read %s\n", mode, strings.Join(stray, ", "))
 		return 2
 	}
 	stop, err := startProfiles(*cpuprofile, *memprofile)
@@ -127,7 +151,7 @@ func run() int {
 			return 2
 		}
 		targets = []*experiment.Experiment{e}
-	case *list || *run == "":
+	case mode == "-list":
 		fmt.Println("Available experiments (paper artifact → id):")
 		for _, e := range experiment.All() {
 			fmt.Printf("  %-18s %s\n", e.ID, e.Title)
@@ -143,7 +167,7 @@ func run() int {
 			fmt.Printf("  %-15s %d functions, %.1f RPS/function, %s quota\n",
 				w.Name, w.Functions, w.MeanRPSPerFunc, w.Quota)
 		}
-		if *run == "" && !*list {
+		if !*list {
 			fmt.Println("\nuse -run <id> or -run all")
 		}
 		return 0

@@ -93,21 +93,52 @@ func TestStartProfilesWritesBothFiles(t *testing.T) {
 	}
 }
 
-// TestRejectsBadFlags: a value no run can use is a usage error (exit 2)
-// before anything runs, not a silent empty run.
+// TestRejectsBadFlags: a value no run can use, or a flag the selected mode
+// never reads, is a usage error (exit 2) before anything runs, and its
+// message names the culprit; it is not a silent empty run or an option
+// dropped in silence.
 func TestRejectsBadFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-parallel", "2", "-minutes", "-5"},
-		{"-parallel", "2", "-minutes", "0"},
-		{"-parallel", "-1"},
-		{"-chaos", "fig2"},
-		{"-chaos", "chaos_gray"},
-		{"-chaos", "nosuch"},
+	m := filepath.Join(t.TempDir(), "m.json")
+	for _, tc := range []struct {
+		args []string
+		name string
+	}{
+		{[]string{"-parallel", "2", "-minutes", "-5"}, "-minutes"},
+		{[]string{"-parallel", "2", "-minutes", "0"}, "-minutes"},
+		{[]string{"-parallel", "-1"}, "-parallel"},
+		{[]string{"-chaos", "fig2"}, "fig2"},
+		{[]string{"-chaos", "chaos_gray"}, "chaos_gray"},
+		{[]string{"-chaos", "nosuch"}, "nosuch"},
+		{[]string{"-parallel", "4", "-policy", "pull"}, "-policy"},
+		{[]string{"-parallel", "4", "-full"}, "-full"},
+		{[]string{"-seq"}, "-seq"},
+		{[]string{"-pchaos", "-run", "fig3"}, "-pchaos"},
+		{[]string{"-pdrain", "-chaos", "gray"}, "-pdrain"},
+		{[]string{"-traced", "-run", "fig3"}, "-traced"},
+		{[]string{"-minutes", "5", "-run", "fig3"}, "-minutes"},
+		{[]string{"-chaos", "gray", "-run", "fig3"}, "-run"},
+		{[]string{"-policy-matrix", m, "-policy", "pull"}, "-policy"},
+		{[]string{"-policy-matrix", m, "-invariants"}, "-invariants"},
+		{[]string{"-policy-matrix", m, "-slo"}, "-slo"},
+		{[]string{"-policy-matrix", m, "-full"}, "-full"},
+		{[]string{"-policy-matrix", m, "-run", "fig3"}, "-run"},
+		{[]string{"-policy-matrix", m, "-chaos", "gray"}, "-chaos"},
+		{[]string{"-list", "-seed", "7"}, "-seed"},
 	} {
 		flag.CommandLine = flag.NewFlagSet("xfaas-sim", flag.ContinueOnError)
-		os.Args = append([]string{"xfaas-sim"}, args...)
-		if code := run(); code != 2 {
-			t.Errorf("xfaas-sim %v: exit %d, want 2", args, code)
+		os.Args = append([]string{"xfaas-sim"}, tc.args...)
+		stderr := os.Stderr
+		f, err := os.CreateTemp(t.TempDir(), "stderr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stderr = f
+		code := run()
+		os.Stderr = stderr
+		msg, _ := os.ReadFile(f.Name())
+		f.Close()
+		if code != 2 || !strings.Contains(string(msg), tc.name) {
+			t.Errorf("xfaas-sim %v: exit %d, stderr %q; want exit 2 naming %s", tc.args, code, msg, tc.name)
 		}
 	}
 }
