@@ -1,11 +1,11 @@
 #!/bin/sh
 # Reachability: which statements of the module no entry point executes.
 #
-# Builds every command and example with -cover, runs each entry-point mode
-# (the experiment suite, every chaos scenario, each policy, the policy
-# matrix, the partitioned engine, the inspector, the workload tracer and
-# xfaasd), adds the httpapi tests and the benchmark smoke test, merges the
-# counters and prints, per package, the unreached statements and the
+# Builds every command and example with -cover, runs every seeded run of
+# tools/runs.txt once, then what only reach measures: the listings, CSV
+# output and profiles, the usage errors, the workload tracer, the examples
+# and xfaasd. Adds the httpapi tests and the benchmark smoke test, merges
+# the counters and prints, per package, the unreached statements and the
 # functions no run entered. Usage, from the repository root:
 #   tools/reach.sh          report only
 #   tools/reach.sh 8.5      also exit 1 if more than 8.5% is unreached
@@ -36,39 +36,39 @@ rejects() {
 	[ "$code" -eq 2 ] || { cat "$out/last.txt" >&2; echo "want exit 2, got $code" >&2; exit 1; }
 }
 
-echo "running entry points:" >&2
+echo "running the seeded runs:" >&2
+set -f
+while read -r name must rest; do
+	case $name in '' | '#'*) continue ;; esac
+	[ "$must" != ≡ ] || continue
+	exe=
+	set --
+	for a in $rest; do
+		if [ -n "$exe" ]; then
+			case $a in @*) a=$out/$name.${a#@} ;; esac
+		elif case $a in *=*) false ;; esac; then
+			exe=$a a=$bin/$a
+		fi
+		set -- "$@" "$a"
+	done
+	echo "  $name" >&2
+	code=0
+	env "$@" > "$out/last.txt" 2>&1 < /dev/null || code=$?
+	[ "$code" -eq 0 ] || [ "$must" = any ] || { cat "$out/last.txt" >&2; exit 1; }
+done < tools/runs.txt
+set +f
+
+echo "running the other entry points:" >&2
 run xfaas-sim -list
-run xfaas-sim -run all -out "$out/csv"
-run xfaas-sim -run all -invariants -slo -markdown
-run xfaas-sim -run fig2 -cpuprofile "$out/cpu.pprof" -memprofile "$out/heap.pprof"
-names=$("$bin/xfaas-sim" -list | awk '/^Chaos scenario library/ { f = 1; next } /^$/ { f = 0 } f { print $1 }')
-[ -n "$names" ] || { echo "xfaas-sim -list named no scenario" >&2; exit 1; }
-for name in $names; do
-	run xfaas-sim -chaos "$name"
-done
-for pol in pull prewarm spes; do
-	run xfaas-sim -chaos retrystorm -policy "$pol"
-done
-run xfaas-sim -policy-matrix "$out/matrix.json"
-for mode in "" -seq; do
-	run xfaas-sim -parallel 4 $mode -invariants -slo
-	run xfaas-sim -parallel 4 $mode -pchaos
-	run xfaas-sim -parallel 4 $mode -pdrain
-	run xfaas-sim -parallel 4 $mode -traced
-done
+run xfaas-sim -run all -out "$out/csv" -cpuprofile "$out/cpu.pprof" -memprofile "$out/heap.pprof"
 rejects xfaas-sim -run nosuch
 rejects xfaas-sim -chaos nosuch
 rejects xfaas-sim -policy nosuch
 rejects xfaas-sim -parallel 99
 rejects xfaas-sim -parallel 2 -minutes -5
+rejects xfaas-sim -parallel 4 -policy pull
 
 run xfaas-inspect -list
-run xfaas-inspect -invariants -slo -utilization -chrome "$out/trace.json"
-names=$("$bin/xfaas-inspect" -list | awk '{ print $1 }')
-[ -n "$names" ] || { echo "xfaas-inspect -list named no scenario" >&2; exit 1; }
-for name in $names; do
-	run xfaas-inspect -chaos "$name" -invariants -slo -utilization
-done
 rejects xfaas-inspect -chaos nosuch
 rejects xfaas-inspect -top -1
 
