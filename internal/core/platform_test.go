@@ -201,27 +201,6 @@ func TestPlatformUnknownRegionRejected(t *testing.T) {
 	}
 }
 
-func TestPlatformTimeShiftingComplementary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-hour simulation")
-	}
-	p, _, _ := smallPlatform(t, func(c *Config, pc *workload.PopulationConfig) {
-		pc.TotalRPS = 60 // overload during peaks so S must modulate
-		c.Util.Target = 0.75
-	})
-	p.Engine.RunFor(6 * time.Hour)
-	if p.OpportunisticCPU.Len() == 0 || p.ReservedCPU.Len() == 0 {
-		t.Fatal("quota-split CPU series missing")
-	}
-	var oppTotal float64
-	for _, v := range p.OpportunisticCPU.Values() {
-		oppTotal += v
-	}
-	if oppTotal == 0 {
-		t.Fatal("no opportunistic work executed in 6 hours")
-	}
-}
-
 func TestPlatformControllerDowntimeSurvival(t *testing.T) {
 	p, _, _ := smallPlatform(t, nil)
 	p.Engine.RunFor(10 * time.Minute)

@@ -1,7 +1,6 @@
 package gtc
 
 import (
-	"math"
 	"testing"
 )
 
@@ -18,7 +17,7 @@ func TestComputeTable(t *testing.T) {
 		// wantPositive/wantZero list [i,j] entries that must be >0 / ==0.
 		wantPositive [][2]int
 		wantZero     [][2]int
-		// wantExact pins specific entries (checked to 1e-9).
+		// wantExact pins specific entries exactly.
 		wantExact map[[2]int]float64
 	}{
 		{
@@ -76,6 +75,13 @@ func TestComputeTable(t *testing.T) {
 			wantExact: map[[2]int]float64{{0, 0}: 1, {1, 1}: 1},
 		},
 		{
+			name:      "zero total demand is identity over four regions",
+			regions:   4,
+			demand:    []float64{0, 0, 0, 0},
+			supply:    []float64{1, 1, 1, 1},
+			wantExact: map[[2]int]float64{{0, 0}: 1, {1, 1}: 1, {2, 2}: 1, {3, 3}: 1},
+		},
+		{
 			name:      "zero total supply is identity",
 			regions:   2,
 			demand:    []float64{50, 50},
@@ -101,7 +107,7 @@ func TestComputeTable(t *testing.T) {
 				}
 			}
 			for ij, want := range tc.wantExact {
-				if math.Abs(m[ij[0]][ij[1]]-want) > 1e-9 {
+				if m[ij[0]][ij[1]] != want {
 					t.Errorf("m[%d][%d] = %v, want %v\nmatrix: %v", ij[0], ij[1], m[ij[0]][ij[1]], want, m)
 				}
 			}

@@ -1,25 +1,20 @@
 package proptest
 
 import (
-	"math"
 	"testing"
 	"time"
 
-	"xfaas/internal/baseline"
-	"xfaas/internal/chaos"
-	"xfaas/internal/cluster"
 	"xfaas/internal/core"
-	"xfaas/internal/function"
 	"xfaas/internal/rng"
-	"xfaas/internal/sim"
 	"xfaas/internal/workload"
 )
 
-// harness is a built platform + generator with the population it runs.
+// harness is a built platform + generator with the config its
+// population was drawn from.
 type harness struct {
-	P   *core.Platform
-	Gen *workload.Generator
-	Pop *workload.Population
+	P    *core.Platform
+	Gen  *workload.Generator
+	Pcfg workload.PopulationConfig
 }
 
 // build constructs a 3-region platform with a steady workload (no spikes,
@@ -49,7 +44,7 @@ func build(seed uint64, mutate func(*core.Config, *workload.PopulationConfig)) *
 	p := core.New(cfg, pop.Registry)
 	gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(cfg.Seed+200))
 	gen.Start()
-	return &harness{P: p, Gen: gen, Pop: pop}
+	return &harness{P: p, Gen: gen, Pcfg: pcfg}
 }
 
 // outcome is the comparable fingerprint of a run.
@@ -98,140 +93,4 @@ func TestProbeOrderPerturbation(t *testing.T) {
 	if coarse != fine {
 		t.Fatalf("probe interval changed the run:\n 1m=%+v\n 13s=%+v", coarse, fine)
 	}
-}
-
-// TestScaleInvariance: k× the workers fed k× the arrivals is the same
-// system, statistically — mean utilization and the drained fraction must
-// be preserved (modestly better at scale is fine; multiplexing improves).
-func TestScaleInvariance(t *testing.T) {
-	const k = 2
-	base := run(build(23, func(c *core.Config, _ *workload.PopulationConfig) {
-		c.Cluster.TotalWorkers = 24
-	}), 3*time.Hour)
-	scaled := run(build(23, func(c *core.Config, p *workload.PopulationConfig) {
-		c.Cluster.TotalWorkers = 24 * k
-		p.TotalRPS *= k
-	}), 3*time.Hour)
-
-	if got := scaled.generated / base.generated; got < 1.7 || got > 2.3 {
-		t.Fatalf("arrival scaling off: %.0f vs %.0f generated (ratio %.2f, want ~%d)",
-			scaled.generated, base.generated, got, k)
-	}
-	baseDrain := base.acked / base.generated
-	scaledDrain := scaled.acked / scaled.generated
-	if math.Abs(baseDrain-scaledDrain) > 0.10 {
-		t.Fatalf("drain fraction not scale-invariant: %.3f at 1x vs %.3f at %dx", baseDrain, scaledDrain, k)
-	}
-	if base.util <= 0 || scaled.util <= 0 {
-		t.Fatalf("zero utilization: base=%.3f scaled=%.3f", base.util, scaled.util)
-	}
-	if rel := math.Abs(base.util-scaled.util) / base.util; rel > 0.25 {
-		t.Fatalf("utilization not scale-invariant: %.3f at 1x vs %.3f at %dx (rel diff %.2f)",
-			base.util, scaled.util, k, rel)
-	}
-}
-
-// TestChaosDominance: a fault-free run acks at least as much as a chaos
-// run of the same seed — injected faults can only remove capacity, never
-// add it.
-func TestChaosDominance(t *testing.T) {
-	const window = 3 * time.Hour
-	clean := run(build(31, nil), window)
-
-	h := build(31, nil)
-	inj := chaos.NewInjector(h.P, rng.New(9000))
-	h.P.Engine.Schedule(30*time.Minute, func() {
-		inj.CorrelatedCrash(h.P.Regions()[0].ID, 0.8, true)
-		inj.ShardOutage(h.P.Regions()[1].ID, 0, time.Hour)
-	})
-	faulted := run(h, window)
-
-	if faulted.acked > clean.acked {
-		t.Fatalf("chaos run acked MORE than the fault-free run: %.0f vs %.0f", faulted.acked, clean.acked)
-	}
-	if faulted.acked == 0 {
-		t.Fatal("chaos run acked nothing; fault too large for the property to be meaningful")
-	}
-	// Same seed, same generator: arrivals are identical until faults bite.
-	if clean.generated != faulted.generated {
-		t.Fatalf("generators diverged: %.0f vs %.0f", clean.generated, faulted.generated)
-	}
-}
-
-// TestChaosRunHoldsInvariants: the invariant engine stays clean through a
-// correlated crash plus a shard outage — the accounting identities hold
-// even while leases expire, calls redeliver, and queues evacuate.
-func TestChaosRunHoldsInvariants(t *testing.T) {
-	h := build(31, func(c *core.Config, _ *workload.PopulationConfig) {
-		c.Invariants.Enabled = true
-	})
-	inj := chaos.NewInjector(h.P, rng.New(9000))
-	h.P.Engine.Schedule(30*time.Minute, func() {
-		victims := inj.CorrelatedCrash(h.P.Regions()[0].ID, 0.5, true)
-		inj.ShardOutage(h.P.Regions()[1].ID, 0, 45*time.Minute)
-		h.P.Engine.Schedule(time.Hour, func() {
-			for _, idx := range victims {
-				inj.RestartWorker(h.P.Regions()[0].ID, idx)
-			}
-		})
-	})
-	h.P.Engine.RunFor(4 * time.Hour)
-	if vs := h.P.Inv.Final(); len(vs) > 0 {
-		t.Fatalf("%d invariant violations under chaos; first: %s", h.P.Inv.TotalViolations(), vs[0])
-	}
-}
-
-// TestDifferentialBaseline: the same feasible call stream runs on both
-// the XFaaS platform and the conventional per-function-container model
-// with identical hardware. Both must drain the bulk of it — the two
-// independent implementations act as oracles for each other — while the
-// conventional model pays cold starts XFaaS never does.
-func TestDifferentialBaseline(t *testing.T) {
-	const window = 2 * time.Hour
-	h := build(43, nil)
-	xf := run(h, window)
-
-	engine := sim.NewEngine()
-	pop := workload.NewPopulation(popConfigOf(h), rng.New(43+100))
-	params := baseline.DefaultParams()
-	params.Hosts = h.P.Topo.TotalWorkers()
-	bp := baseline.New(engine, params)
-	gen := workload.NewGenerator(engine, pop, []float64{1},
-		func(_ cluster.RegionID, _ string, c *function.Call) error {
-			bp.Submit(c)
-			return nil
-		}, rng.New(43+200))
-	gen.Start()
-	engine.RunFor(window)
-
-	// Identical population + generator seeds: the streams match.
-	if gen.Generated.Value() != xf.generated {
-		t.Fatalf("call streams diverged: %.0f vs %.0f", gen.Generated.Value(), xf.generated)
-	}
-	xfDrain := xf.acked / xf.generated
-	blDrain := bp.Completed.Value() / gen.Generated.Value()
-	if xfDrain < 0.5 {
-		t.Fatalf("XFaaS drained only %.2f of a feasible workload", xfDrain)
-	}
-	if blDrain < 0.5 {
-		t.Fatalf("baseline drained only %.2f of a feasible workload", blDrain)
-	}
-	if r := xfDrain / blDrain; r < 0.5 || r > 2.0 {
-		t.Fatalf("implementations disagree on a feasible workload: XFaaS %.2f vs baseline %.2f drained", xfDrain, blDrain)
-	}
-	if bp.ColdStarts.Value() == 0 {
-		t.Fatal("conventional model paid no cold starts; differential setup is not exercising it")
-	}
-}
-
-// popConfigOf reconstructs the population config build() used, so a
-// second population with the same seed draws the identical function set.
-func popConfigOf(h *harness) workload.PopulationConfig {
-	pcfg := workload.DefaultPopulationConfig()
-	pcfg.Functions = 40
-	pcfg.TotalRPS = 10
-	pcfg.SpikyFunctions = 0
-	pcfg.MidnightSpikeFrac = 0
-	pcfg.DiurnalAmp = 0
-	return pcfg
 }

@@ -25,17 +25,34 @@ func testOptions() Options {
 
 // TestParallelMatchesSeq is the core determinism gate: the P-goroutine
 // run and the single-goroutine reference schedule over the same P
-// partitions must produce byte-identical reports.
+// partitions must produce byte-identical reports — plain at P = 1, 2 and
+// 4, and at P = 2 with the fault schedule, the evacuation drill (each
+// partition drains its first region mid-run with detection and hedging
+// on) and per-call tracing (the migrate-out trace finalization path)
+// each active.
 func TestParallelMatchesSeq(t *testing.T) {
-	for _, parts := range []int{1, 2, 4} {
-		opts := testOptions()
-		opts.Parts = parts
-		par := New(opts).Run()
-		opts.Seq = true
-		seq := New(opts).Run()
-		if par != seq {
-			t.Errorf("parts=%d parallel and seq reports differ:\n--- parallel ---\n%s--- seq ---\n%s", parts, par, seq)
-		}
+	cases := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"plain P=1", func(o *Options) { o.Parts = 1 }},
+		{"plain P=2", func(o *Options) { o.Parts = 2 }},
+		{"plain P=4", func(o *Options) { o.Parts = 4 }},
+		{"chaos", func(o *Options) { o.Chaos = true }},
+		{"drain", func(o *Options) { o.Drain = true }},
+		{"traced", func(o *Options) { o.Traced = true }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := testOptions()
+			tc.set(&opts)
+			par := New(opts).Run()
+			opts.Seq = true
+			seq := New(opts).Run()
+			if par != seq {
+				t.Errorf("parallel and seq reports differ:\n--- parallel ---\n%s--- seq ---\n%s", par, seq)
+			}
+		})
 	}
 }
 
@@ -48,35 +65,6 @@ func TestRunTwiceIdentical(t *testing.T) {
 	b := New(opts).Run()
 	if a != b {
 		t.Errorf("two identical runs differ:\n--- a ---\n%s--- b ---\n%s", a, b)
-	}
-}
-
-// TestChaosParallelMatchesSeq repeats the parallel-vs-seq gate with the
-// fault schedule active: chaos events ride the same deterministic
-// engine, so they must not introduce any divergence.
-func TestChaosParallelMatchesSeq(t *testing.T) {
-	opts := testOptions()
-	opts.Chaos = true
-	par := New(opts).Run()
-	opts.Seq = true
-	seq := New(opts).Run()
-	if par != seq {
-		t.Errorf("chaos parallel and seq reports differ:\n--- parallel ---\n%s--- seq ---\n%s", par, seq)
-	}
-}
-
-// TestDrainParallelMatchesSeq repeats the gate with the evacuation drill
-// active: each partition drains its first region mid-run, with the full
-// gray-failure stack (detection, hedging) enabled, and the parallel and
-// reference schedules must still agree byte-for-byte.
-func TestDrainParallelMatchesSeq(t *testing.T) {
-	opts := testOptions()
-	opts.Drain = true
-	par := New(opts).Run()
-	opts.Seq = true
-	seq := New(opts).Run()
-	if par != seq {
-		t.Errorf("drain parallel and seq reports differ:\n--- parallel ---\n%s--- seq ---\n%s", par, seq)
 	}
 }
 
@@ -129,19 +117,6 @@ func TestDrainIsLogged(t *testing.T) {
 				t.Errorf("partition %d logged no %s at %v", i, want.kind, at)
 			}
 		}
-	}
-}
-
-// TestTracedParallelMatchesSeq repeats the gate with per-call tracing
-// sampled, covering the migrate-out trace finalization path.
-func TestTracedParallelMatchesSeq(t *testing.T) {
-	opts := testOptions()
-	opts.Traced = true
-	par := New(opts).Run()
-	opts.Seq = true
-	seq := New(opts).Run()
-	if par != seq {
-		t.Errorf("traced parallel and seq reports differ:\n--- parallel ---\n%s--- seq ---\n%s", par, seq)
 	}
 }
 

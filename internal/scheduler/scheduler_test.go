@@ -3,7 +3,6 @@ package scheduler
 import (
 	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"xfaas/internal/cluster"
@@ -129,50 +128,94 @@ func TestCriticalityPriorityUnderScarcity(t *testing.T) {
 	}
 }
 
-func TestDeadlineOrderWithinCriticality(t *testing.T) {
-	spec := rigSpec("f", function.CritNormal)
-	b := NewFuncBuffer(spec)
-	now := sim.Time(0)
-	deadlines := []time.Duration{5 * time.Hour, time.Hour, 3 * time.Hour}
-	for i, d := range deadlines {
-		b.Push(&function.Call{ID: uint64(i + 1), Spec: spec, Deadline: now + d})
+func mkCall(id uint64, spec *function.Spec, deadline time.Duration) *function.Call {
+	return &function.Call{ID: id, Spec: spec, Deadline: sim.Time(deadline)}
+}
+
+// TestFuncBufferPopOrderTable pins the (criticality desc, deadline asc,
+// ID asc) pop order on hand-picked shapes.
+func TestFuncBufferPopOrderTable(t *testing.T) {
+	lo, hi := rigSpec("f", function.CritLow), rigSpec("f", function.CritHigh)
+	cases := []struct {
+		label string
+		in    []*function.Call
+		want  []uint64
+	}{
+		{"deadline ascending", []*function.Call{
+			mkCall(1, lo, 3*time.Hour), mkCall(2, lo, time.Hour), mkCall(3, lo, 2*time.Hour),
+		}, []uint64{2, 3, 1}},
+		{"criticality dominates deadline", []*function.Call{
+			mkCall(1, lo, time.Minute), mkCall(2, hi, 10*time.Hour),
+		}, []uint64{2, 1}},
+		{"equal deadlines break by ID", []*function.Call{
+			mkCall(9, lo, time.Hour), mkCall(3, lo, time.Hour), mkCall(7, lo, time.Hour),
+		}, []uint64{3, 7, 9}},
+		{"mixed", []*function.Call{
+			mkCall(1, lo, time.Hour), mkCall(2, hi, 2*time.Hour),
+			mkCall(3, hi, time.Hour), mkCall(4, lo, 30*time.Minute),
+		}, []uint64{3, 2, 4, 1}},
 	}
-	got := []time.Duration{b.Pop().Deadline, b.Pop().Deadline, b.Pop().Deadline}
-	want := []time.Duration{time.Hour, 3 * time.Hour, 5 * time.Hour}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order = %v, want %v", got, want)
+	for _, tc := range cases {
+		b := NewFuncBuffer(tc.in[0].Spec)
+		for _, c := range tc.in {
+			b.Push(c)
+		}
+		for i, want := range tc.want {
+			got := b.Pop()
+			if got == nil || got.ID != want {
+				t.Fatalf("%s: pop %d = %v, want ID %d", tc.label, i, got, want)
+			}
 		}
 	}
 }
 
-// Property: FuncBuffer pop order is exactly sort order by
-// (criticality desc, deadline asc, id asc).
-func TestFuncBufferOrderProperty(t *testing.T) {
-	f := func(items []struct {
-		Crit uint8
-		Dl   uint32
-	}) bool {
-		spec := rigSpec("f", function.CritNormal)
-		b := NewFuncBuffer(spec)
-		var want []*function.Call
-		for i, it := range items {
-			s := rigSpec("f", function.Criticality(it.Crit%3))
-			c := &function.Call{ID: uint64(i + 1), Spec: s, Deadline: sim.Time(it.Dl) * time.Millisecond}
-			b.Push(c)
-			want = append(want, c)
-		}
-		sort.SliceStable(want, func(i, j int) bool { return Less(want[i], want[j]) })
-		for _, w := range want {
-			got := b.Pop()
-			if got != w {
-				return false
-			}
-		}
-		return b.Pop() == nil
+// TestFuncBufferPopOrderGenerated drives random push/pop interleavings
+// from a seeded generator, each call with its own criticality: every pop
+// must be minimal (per Less) among the calls currently buffered — the
+// heap property stated as an oracle, independent of the heap
+// implementation — and a drained buffer pops nil.
+func TestFuncBufferPopOrderGenerated(t *testing.T) {
+	specs := []*function.Spec{
+		rigSpec("g", function.CritLow), rigSpec("g", function.CritNormal), rigSpec("g", function.CritHigh),
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	for seed := uint64(1); seed <= 20; seed++ {
+		src := rng.New(seed)
+		b := NewFuncBuffer(specs[0])
+		live := map[uint64]*function.Call{}
+		pop := func() {
+			got := b.Pop()
+			if got == nil {
+				t.Fatalf("seed %d: pop returned nil with %d live", seed, len(live))
+			}
+			if _, ok := live[got.ID]; !ok {
+				t.Fatalf("seed %d: popped unknown call %d", seed, got.ID)
+			}
+			for _, other := range live {
+				if other.ID != got.ID && Less(other, got) {
+					t.Fatalf("seed %d: popped %d (criticality %v, deadline %v) while %d (criticality %v, deadline %v) was buffered and ordered earlier",
+						seed, got.ID, got.Criticality(), got.Deadline, other.ID, other.Criticality(), other.Deadline)
+				}
+			}
+			delete(live, got.ID)
+		}
+		id := uint64(0)
+		for op := 0; op < 400; op++ {
+			if b.Len() == 0 || src.Float64() < 0.6 {
+				id++
+				// Coarse deadline buckets force ID tiebreaks too.
+				c := mkCall(id, specs[src.Intn(len(specs))], time.Duration(1+src.Intn(8))*time.Hour)
+				b.Push(c)
+				live[c.ID] = c
+				continue
+			}
+			pop()
+		}
+		for len(live) > 0 {
+			pop()
+		}
+		if got := b.Pop(); got != nil || b.Len() != 0 {
+			t.Fatalf("seed %d: drained buffer popped %v (len %d)", seed, got, b.Len())
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // TestControllerResponseTable runs the additive control law against
 // fixed utilization readings and checks S after a known number of
 // ticks: S' = clamp(S + gain·(Target − util), 0, maxScale), starting
-// from S = 1.
+// from S = 1. A clamped S must equal its bound exactly.
 func TestControllerResponseTable(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -42,6 +42,11 @@ func TestControllerResponseTable(t *testing.T) {
 			util: 1.0, ticks: 10, wantS: 0,
 		},
 		{
+			name: "underutilized fleet rises to the default max scale",
+			gain: Gain, maxScale: maxScale,
+			util: 0.3, ticks: 10, wantS: maxScale,
+		},
+		{
 			name: "idle fleet clamps at max scale",
 			gain: 4, maxScale: 3,
 			util: 0.0, ticks: 10, wantS: 3,
@@ -66,6 +71,10 @@ func TestControllerResponseTable(t *testing.T) {
 			e.RunFor(time.Duration(tc.ticks) * Interval)
 			if math.Abs(c.S()-tc.wantS) > 1e-9 {
 				t.Fatalf("S after %d ticks = %v, want %v", tc.ticks, c.S(), tc.wantS)
+			}
+			// A clamped S sits exactly on its bound.
+			if (tc.wantS == 0 || tc.wantS == tc.maxScale) && c.S() != tc.wantS {
+				t.Fatalf("clamped S = %v, want exactly %v", c.S(), tc.wantS)
 			}
 			if got := int(c.Adjustments.Value()); got != tc.ticks {
 				t.Fatalf("adjustments = %d, want %d", got, tc.ticks)

@@ -8,38 +8,6 @@ import (
 	"xfaas/internal/sim"
 )
 
-func TestRaisesSWhenUnderutilized(t *testing.T) {
-	e := sim.NewEngine()
-	store := config.NewStore(e)
-	util := 0.3
-	c := New(e, DefaultParams(), store, func() float64 { return util })
-	e.RunFor(5 * time.Minute)
-	if c.S() <= 1 {
-		t.Fatalf("S = %v, want raised above 1 at 30%% utilization", c.S())
-	}
-}
-
-func TestDropsSToZeroWhenOverloaded(t *testing.T) {
-	e := sim.NewEngine()
-	store := config.NewStore(e)
-	c := New(e, DefaultParams(), store, func() float64 { return 1.0 })
-	e.RunFor(10 * time.Minute)
-	if c.S() != 0 {
-		t.Fatalf("S = %v, want 0 under full overload", c.S())
-	}
-}
-
-func TestSBounded(t *testing.T) {
-	e := sim.NewEngine()
-	store := config.NewStore(e)
-	c := New(e, DefaultParams(), store, func() float64 { return 0 })
-	c.maxScale = 3
-	e.RunFor(time.Hour)
-	if c.S() != 3 {
-		t.Fatalf("S = %v, want capped at 3", c.S())
-	}
-}
-
 func TestConvergesNearTarget(t *testing.T) {
 	e := sim.NewEngine()
 	p := DefaultParams()
