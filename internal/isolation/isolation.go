@@ -1,9 +1,9 @@
 // Package isolation implements the Bell–LaPadula style multilevel
 // security / information-flow model XFaaS uses for data isolation across
 // functions sharing a Linux process (paper §4.7): data may only flow from
-// lower to higher classification levels ("no read up, no write down"), and
-// flows are checked at isolation-zone boundaries by both the scheduler and
-// the workers.
+// lower to higher classification levels ("no read up, no write down").
+// The scheduler checks each call's argument flow into its function's
+// isolation zone before dispatch; nothing else checks flows.
 package isolation
 
 import (
@@ -107,26 +107,10 @@ type Checker struct {
 // CheckArgFlow verifies a function call's arguments (labelled src) may
 // flow into execution zone dst — the scheduler-side check from §4.7.
 func (c *Checker) CheckArgFlow(src, dst Zone) error {
-	return c.check("argument flow", src, dst)
-}
-
-// CheckRead verifies a principal in zone subject may read data labelled
-// object ("no read up": object ⊑ subject).
-func (c *Checker) CheckRead(subject, object Zone) error {
-	return c.check("read", object, subject)
-}
-
-// CheckWrite verifies a principal in zone subject may write data labelled
-// object ("no write down": subject ⊑ object).
-func (c *Checker) CheckWrite(subject, object Zone) error {
-	return c.check("write", subject, object)
-}
-
-func (c *Checker) check(op string, from, to Zone) error {
-	if from.DominatedBy(to) {
+	if src.DominatedBy(dst) {
 		c.Allowed++
 		return nil
 	}
 	c.Denied++
-	return &FlowError{From: from, To: to, Op: op}
+	return &FlowError{From: src, To: dst, Op: "argument flow"}
 }
