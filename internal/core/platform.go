@@ -258,10 +258,6 @@ type Platform struct {
 	// fabric (chaos injection): the GTC cannot see them and schedulers
 	// cannot pull across the cut.
 	partitioned []bool
-	// drained marks regions under an evacuation drill: like partitioned
-	// regions, the conductor's snapshot zeroes them so no cross-region
-	// traffic is steered into the drain.
-	drained []bool
 	// breakers holds each region's circuit-breaker state.
 	breakers []breaker
 	// BreakerOpens counts open transitions across all region breakers.
@@ -453,6 +449,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		}
 		reg.QueueLB = queuelb.New(r.ID, src.Split(), allShards, p.Store)
 		reg.QueueLB.Obs = p.Obs
+		reg.QueueLB.Drained = func(r int) bool { return p.Drainer.Draining(r) }
 		if i == 0 {
 			// One flush grid for every submitter, armed where the first
 			// submitter is built. See flushSubmitters.
@@ -513,17 +510,13 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		engine.Every(slo.EvalInterval, func() { p.SLO.Eval(engine.Now()) })
 	}
 	p.partitioned = make([]bool, p.Topo.NumRegions())
-	p.drained = make([]bool, p.Topo.NumRegions())
 	p.breakers = make([]breaker, p.Topo.NumRegions())
 	views := make([]drain.RegionView, len(p.regions))
-	queueLBs := make([]*queuelb.LB, len(p.regions))
 	for i, reg := range p.regions {
 		views[i] = drain.RegionView{Shards: reg.Shards, Scheds: reg.Scheds, Workers: reg.Workers}
-		queueLBs[i] = reg.QueueLB
 	}
-	p.Drainer = drain.NewController(engine, views, queueLBs)
+	p.Drainer = drain.NewController(engine, views)
 	p.Drainer.Obs = p.Obs
-	p.Drainer.MarkRegion = func(r int, d bool) { p.drained[r] = d }
 	engine.Every(DegradeInterval, p.degradeTick)
 	p.registerInvariantProbes()
 	return p
@@ -626,12 +619,14 @@ func (p *Platform) onExecuted(c *function.Call) {
 // directly — the conductor learns about failures the same way the
 // schedulers do). Partitioned regions are invisible: zero demand and zero
 // supply, so no traffic is routed to or from them until the cut heals.
+// Drained regions are zeroed like partitioned ones, so no cross-region
+// traffic is steered into the drain.
 func (p *Platform) snapshot() gtc.Snapshot {
 	now := p.Engine.Now()
 	n := p.Topo.NumRegions()
 	snap := gtc.Snapshot{Demand: make([]float64, n), Supply: make([]float64, n)}
 	for i, reg := range p.regions {
-		if p.partitioned[i] || p.drained[i] {
+		if p.partitioned[i] || p.Drainer.Draining(i) {
 			continue
 		}
 		ready := 0

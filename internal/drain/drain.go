@@ -3,9 +3,9 @@
 // operational drill hyperscalers run before planned maintenance. The
 // stages, all on the sim clock:
 //
-//  1. Stop admitting: every QueueLB marks the region drained, so the
-//     normal shard-selection fallback chain reroutes new submissions to
-//     peer regions without failing a single client.
+//  1. Stop admitting: every QueueLB asks the controller whether a region
+//     drains, so the normal shard-selection fallback chain reroutes new
+//     submissions to peer regions without failing a single client.
 //  2. Release (after stageDelay): the region's scheduler replicas stop
 //     their tick pipelines and gracefully hand held-but-not-executing
 //     calls back to their DurableQ shards (Shard.Release — no failure,
@@ -24,7 +24,7 @@
 //     operator's alarm) but keeps polling, so a long-running execution
 //     can still finish and the RTO is still reported.
 //
-// Undrain reverses the flags and resumes the region's schedulers; the
+// Undrain reverses the flag and resumes the region's schedulers; the
 // time-shifted backlog drains through the normal polling machinery.
 package drain
 
@@ -32,11 +32,9 @@ import (
 	"fmt"
 	"time"
 
-	"xfaas/internal/cluster"
 	"xfaas/internal/durableq"
 	"xfaas/internal/function"
 	"xfaas/internal/lifecycle"
-	"xfaas/internal/queuelb"
 	"xfaas/internal/scheduler"
 	"xfaas/internal/sim"
 	"xfaas/internal/stats"
@@ -80,17 +78,11 @@ type regionState struct {
 // Controller drives regional drains. One per platform; construction is
 // free of RNG and scheduling, so it exists on every platform.
 type Controller struct {
-	engine   *sim.Engine
-	regions  []RegionView
-	queueLBs []*queuelb.LB
-	states   []regionState
-	scratch  []*function.Call
-	peers    []*durableq.Shard
-
-	// MarkRegion, when set (by core), flips the platform's own view of a
-	// drained region — the conductor's capacity snapshot zeroes it, like
-	// a partitioned region.
-	MarkRegion func(region int, drained bool)
+	engine  *sim.Engine
+	regions []RegionView
+	states  []regionState
+	scratch []*function.Call
+	peers   []*durableq.Shard
 
 	// Obs receives the drill's control events and ledger notes.
 	Obs *lifecycle.Spine
@@ -102,12 +94,11 @@ type Controller struct {
 }
 
 // NewController returns a drain controller over the platform's regions.
-func NewController(engine *sim.Engine, regions []RegionView, queueLBs []*queuelb.LB) *Controller {
+func NewController(engine *sim.Engine, regions []RegionView) *Controller {
 	return &Controller{
-		engine:   engine,
-		regions:  regions,
-		queueLBs: queueLBs,
-		states:   make([]regionState, len(regions)),
+		engine:  engine,
+		regions: regions,
+		states:  make([]regionState, len(regions)),
 	}
 }
 
@@ -123,12 +114,6 @@ func (d *Controller) Drain(region int) {
 	}
 	*st = regionState{draining: true, startedAt: d.engine.Now()}
 	d.Drains.Inc()
-	for _, lb := range d.queueLBs {
-		lb.SetRegionDrained(cluster.RegionID(region), true)
-	}
-	if d.MarkRegion != nil {
-		d.MarkRegion(region, true)
-	}
 	d.Obs.Control("drain.begin", fmt.Sprintf("r%d admit-stopped", region))
 	d.Obs.Note("drain", fmt.Sprintf("r%d", region))
 	d.engine.Schedule(stageDelay, func() { d.stageRelease(region) })
@@ -148,12 +133,6 @@ func (d *Controller) Undrain(region int) {
 	if st.ticker != nil {
 		st.ticker.Stop()
 		st.ticker = nil
-	}
-	for _, lb := range d.queueLBs {
-		lb.SetRegionDrained(cluster.RegionID(region), false)
-	}
-	if d.MarkRegion != nil {
-		d.MarkRegion(region, false)
 	}
 	for _, sc := range d.regions[region].Scheds {
 		sc.SetDraining(false)
@@ -273,7 +252,8 @@ func (d *Controller) quiet(region int) bool {
 	return true
 }
 
-// Draining reports whether a region is currently under evacuation.
+// Draining reports whether a region is under evacuation: the one record
+// of it, which the QueueLBs and the conductor's snapshot consult.
 func (d *Controller) Draining(region int) bool {
 	if region < 0 || region >= len(d.states) {
 		return false

@@ -76,8 +76,11 @@ func newRig() *rig {
 		r.qlbs = append(r.qlbs, qlb)
 		views[reg] = RegionView{Shards: r.shards[reg], Scheds: []*scheduler.Scheduler{sc}, Workers: pool}
 	}
-	r.ctl = NewController(e, views, r.qlbs)
+	r.ctl = NewController(e, views)
 	r.ctl.Obs = r.obs
+	for _, qlb := range r.qlbs {
+		qlb.Drained = r.ctl.Draining
+	}
 	return r
 }
 

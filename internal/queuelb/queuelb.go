@@ -63,12 +63,12 @@ type LB struct {
 	shards [][]*durableq.Shard // indexed by region
 	cache  *config.Cache
 
-	// drained marks regions under an evacuation drill: pickShard refuses
-	// them, so the normal fallback chain (policy destination → local →
-	// index order) reroutes new submissions to peer regions — "stop
-	// admitting" without failing a single client. Nil until a drain ever
-	// starts, so the routing fast path is untouched.
-	drained []bool
+	// Drained, when set, reports whether a region is under an evacuation
+	// drill: pickShard refuses it, so the normal fallback chain (policy
+	// destination → local → index order) reroutes new submissions to peer
+	// regions — "stop admitting" without failing a single client. Nil
+	// means no region drains.
+	Drained func(region int) bool
 
 	Routed      stats.Counter
 	CrossRegion stats.Counter
@@ -180,7 +180,7 @@ func (lb *LB) pickShard(region cluster.RegionID) *durableq.Shard {
 	if int(region) >= len(lb.shards) {
 		return nil
 	}
-	if lb.drained != nil && lb.drained[region] {
+	if lb.Drained != nil && lb.Drained(int(region)) {
 		return nil
 	}
 	pool := lb.shards[region]
@@ -204,21 +204,6 @@ func (lb *LB) pickShard(region cluster.RegionID) *durableq.Shard {
 		k--
 	}
 	return nil
-}
-
-// SetRegionDrained marks (or unmarks) a region as under evacuation: no
-// new submissions are persisted there while the flag holds.
-func (lb *LB) SetRegionDrained(region cluster.RegionID, drained bool) {
-	if int(region) >= len(lb.shards) {
-		return
-	}
-	if lb.drained == nil {
-		if !drained {
-			return
-		}
-		lb.drained = make([]bool, len(lb.shards))
-	}
-	lb.drained[region] = drained
 }
 
 func (lb *LB) finishRoute(c *function.Call, shard *durableq.Shard, dst cluster.RegionID) {

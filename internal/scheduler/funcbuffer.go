@@ -9,10 +9,13 @@ import (
 // FuncBuffer is the in-memory per-function buffer of pending calls (paper
 // §4.4), ordered first by criticality (higher first) and then by
 // completion deadline (earlier first). Calls for the same function pulled
-// from different DurableQs merge into one buffer.
+// from different DurableQs merge into one buffer. It also owns the
+// function's shedding spell and hedge-delay estimator (nil until a success).
 type FuncBuffer struct {
 	spec *function.Spec
 	h    bufferHeap
+	shed shedState
+	est  *hedgeEstimator
 }
 
 // NewFuncBuffer returns an empty buffer for spec.

@@ -159,7 +159,7 @@ func (s *Scheduler) armHedge(f *flight) {
 	if c.Spec.Criticality != function.CritHigh {
 		return
 	}
-	est := s.est[c.Spec.Name]
+	est := s.buffers[c.Spec.Name].est
 	if est == nil || est.Samples() < hedgeMinSamples {
 		return
 	}
@@ -274,10 +274,9 @@ func (s *Scheduler) disarm(f *flight) {
 // hedgeObserve feeds one successful exec time into the function's
 // hedge-delay estimator.
 func (s *Scheduler) hedgeObserve(fn string, secs float64) {
-	est := s.est[fn]
-	if est == nil {
-		est = newHedgeEstimator(hedgeWindow)
-		s.est[fn] = est
+	b := s.buffers[fn]
+	if b.est == nil {
+		b.est = newHedgeEstimator(hedgeWindow)
 	}
-	est.Observe(secs)
+	b.est.Observe(secs)
 }

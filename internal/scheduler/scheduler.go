@@ -124,13 +124,9 @@ type Scheduler struct {
 	matrix *config.Cache
 
 	buffers map[string]*FuncBuffer // admit's and pollFilter's lookup by name
-	byName  []*FuncBuffer          // every buffer; in name order unless stale
-	stale   bool
-	runQ    []*function.Call // dense: every entry is scheduled and not yet dispatched
+	byName  []*FuncBuffer          // every buffer, in name order: no walk sees Go map order
+	runQ    []*function.Call       // dense: every entry is scheduled and not yet dispatched
 	origin  map[uint64]*durableq.Shard
-	// shedStates holds the CoDel delay bookkeeping per backlogged
-	// function (created lazily, only while shedding is enabled).
-	shedStates map[string]*shedState
 
 	// pol drives the per-tick pipeline; polSrc is the policy's RNG,
 	// split lazily from src on first Rand() call so the push policy
@@ -164,12 +160,9 @@ type Scheduler struct {
 	ShedEnabled  bool
 	SweepExpired bool
 
-	// Hedged dispatch (HedgeBudget stays nil unless NewHedged got one;
-	// every hot-path hook is a single check when off). est holds the
-	// per-function hedge-delay estimators; hedgeSrc is a dedicated
-	// stream so hedge worker picks never perturb the scheduler's draws.
+	// Hedged dispatch (HedgeBudget stays nil unless NewHedged got one): a
+	// dedicated hedgeSrc keeps hedge worker picks off the scheduler's draws.
 	hedgeSrc *rng.Source
-	est      map[string]*hedgeEstimator
 	// HedgeBudget is the region's shared hedge token bucket (one per
 	// region, shared by its replicas; see NewHedged), nil when off.
 	HedgeBudget *HedgeBudget
@@ -279,7 +272,6 @@ func NewHedged(engine *sim.Engine, src *rng.Source, region cluster.RegionID, par
 		// deterministic; with it off, no split happens and the
 		// scheduler's draw sequence is byte-identical to before.
 		s.HedgeBudget = budget
-		s.est = make(map[string]*hedgeEstimator)
 		s.hedgeSrc = src.Split()
 	}
 	s.pol = s.newPolicy()
@@ -378,19 +370,6 @@ func (s *Scheduler) renewLeases() {
 	s.heldScratch = held[:0]
 }
 
-// buffersByName returns every FuncBuffer in function-name order — the
-// order in which anything with shard-side or logged effects must visit
-// them, so that Go map order never leaks into the simulation.
-func (s *Scheduler) buffersByName() []*FuncBuffer {
-	if s.stale {
-		slices.SortFunc(s.byName, func(a, b *FuncBuffer) int {
-			return strings.Compare(a.spec.Name, b.spec.Name)
-		})
-		s.stale = false
-	}
-	return s.byName
-}
-
 // Crash models a scheduler process failure: every in-memory structure —
 // FuncBuffers, RunQ, origin map, in-flight tracking — is destroyed. The
 // DurableQ leases those calls held are orphaned (nobody renews them) and
@@ -412,18 +391,15 @@ func (s *Scheduler) Crash() {
 	s.runQ = s.runQ[:0]
 	s.buffers = make(map[string]*FuncBuffer)
 	s.byName = nil
-	s.stale = false
 	s.origin = make(map[uint64]*durableq.Shard)
 	// Armed hedge timers die with the process: fireHedge ignores a flight
 	// that is no longer running, and dropping the pool keeps such a
 	// flight from ever running again.
 	s.running = make(map[uint64]*flight)
 	s.free = nil
-	s.shedStates = nil
-	// Policy state (forecasters, per-tick counters) and the hedge-delay
-	// estimators live in process memory too: a crash rebuilds the policy
-	// from configuration, and hedging waits for a fresh warm-up.
-	clear(s.est)
+	// Policy state (forecasters, per-tick counters) lives in process memory
+	// too, as did the buffers' shedding spells and hedge-delay estimators:
+	// the policy is rebuilt from configuration, hedging warms up afresh.
 	s.oppGate = false
 	s.pol = s.newPolicy()
 	s.pol.Attach(s)
@@ -447,7 +423,7 @@ func (s *Scheduler) IsDown() bool { return s.down }
 // Buffered returns the number of calls across all FuncBuffers.
 func (s *Scheduler) Buffered() int {
 	n := 0
-	for _, b := range s.buffers {
+	for _, b := range s.byName {
 		n += b.Len()
 	}
 	return n
@@ -564,11 +540,11 @@ func (s *Scheduler) PoolUtilization() float64 { return s.lb.MeanUtilization() }
 // drops back under target or the buffer empties.
 func (s *Scheduler) shedSweep() {
 	now := s.engine.Now()
-	for _, b := range s.buffersByName() {
+	for _, b := range s.byName {
 		name := b.spec.Name
-		st := s.shedStates[name]
+		st := &b.shed
 		if b.Len() == 0 {
-			if st != nil && (st.above || st.shedding) {
+			if st.above || st.shedding {
 				if st.shedding {
 					s.Obs.Control("shed.stop", fmt.Sprintf("r%d %s drained", s.region, name))
 				}
@@ -587,20 +563,13 @@ func (s *Scheduler) shedSweep() {
 		}
 		delay := now - b.Peek().QueuedAt
 		if delay <= target {
-			if st != nil && (st.above || st.shedding) {
+			if st.above || st.shedding {
 				if st.shedding {
 					s.Obs.Control("shed.stop", fmt.Sprintf("r%d %s delay=%s", s.region, name, delay))
 				}
 				*st = shedState{}
 			}
 			continue
-		}
-		if st == nil {
-			st = &shedState{}
-			if s.shedStates == nil {
-				s.shedStates = make(map[string]*shedState)
-			}
-			s.shedStates[name] = st
 		}
 		if !st.above {
 			st.above = true
@@ -649,7 +618,7 @@ func (s *Scheduler) unhold(step func(*function.Call)) {
 		step(c)
 	}
 	s.runQ = s.runQ[:0]
-	for _, b := range s.buffersByName() {
+	for _, b := range s.byName {
 		for b.Len() > 0 {
 			step(b.Pop())
 		}
@@ -773,8 +742,10 @@ func (s *Scheduler) admit(c *function.Call, from *durableq.Shard) {
 	if !ok {
 		b = NewFuncBuffer(c.Spec)
 		s.buffers[c.Spec.Name] = b
-		s.byName = append(s.byName, b)
-		s.stale = true
+		i, _ := slices.BinarySearchFunc(s.byName, c.Spec.Name, func(b *FuncBuffer, name string) int {
+			return strings.Compare(b.spec.Name, name)
+		})
+		s.byName = slices.Insert(s.byName, i, b)
 	}
 	b.Push(c)
 	s.pol.OnAdmit(c)
@@ -793,7 +764,7 @@ func (s *Scheduler) schedule() {
 	// important calls win during a capacity crunch (§4.4), while peers at
 	// the same level cannot starve each other.
 	cands := s.candScratch[:0]
-	for _, b := range s.buffersByName() {
+	for _, b := range s.byName {
 		if b.Len() > 0 {
 			cands = append(cands, b)
 		}
@@ -1000,7 +971,7 @@ func (s *Scheduler) settle(f *flight, c *function.Call, err error) {
 	// hedge-delay quantile estimator.
 	execSecs := (c.ExecEndAt - c.ExecStartAt).Seconds()
 	s.lb.ObserveExec(w, c.Spec.Name, execSecs)
-	if s.est != nil {
+	if s.HedgeBudget != nil {
 		s.hedgeObserve(c.Spec.Name, execSecs)
 	}
 	s.cen.RecordCost(c.Spec, c.CPUWorkM)

@@ -74,12 +74,6 @@ func (lb *LB) StartOutlierDetection(engine *sim.Engine, probation time.Duration)
 	lb.outlierMinSamples = 5
 	lb.outliers = make([]workerOutlier, len(lb.workers))
 	lb.baseline = make(map[string]*fleetBaseline)
-	if lb.index == nil {
-		lb.index = make(map[*worker.Worker]int, len(lb.workers))
-		for i, w := range lb.workers {
-			lb.index[w] = i
-		}
-	}
 }
 
 // ObserveExec folds one completed execution into the scorer: the
@@ -105,7 +99,7 @@ func (lb *LB) ObserveExec(w *worker.Worker, fn string, execSecs float64) {
 	if b.mean <= 0 {
 		return
 	}
-	i, ok := lb.index[w]
+	i, ok := lb.slot(w)
 	if !ok {
 		return
 	}

@@ -13,7 +13,7 @@ import (
 // inflation (crisp transitions) and the given warm-up.
 // ejected reports whether w is currently ejected by the outlier scorer.
 func (lb *LB) ejected(w *worker.Worker) bool {
-	i, ok := lb.index[w]
+	i, ok := lb.slot(w)
 	return ok && lb.outliers != nil && lb.outliers[i].state == outlierEjected
 }
 
@@ -47,7 +47,7 @@ func TestOutlierEjectAndReinstate(t *testing.T) {
 		case lb.ejected(workers[2]):
 			// An ejected worker gets no dispatches; only probes feed it.
 			healed = true
-			lb.observeProbe(lb.index[workers[2]], 1.0)
+			lb.observeProbe(workers[2].ID.Index, 1.0)
 		case healed:
 			lb.ObserveExec(workers[2], "f", 1.0)
 		default:
@@ -62,8 +62,8 @@ func TestOutlierEjectAndReinstate(t *testing.T) {
 	if lb.ejected(workers[2]) {
 		t.Fatal("ejected during probation: routing flipped before the window elapsed")
 	}
-	if lb.outliers[lb.index[workers[2]]].state != outlierProbation {
-		t.Fatalf("state = %v, want probation", lb.outliers[lb.index[workers[2]]].state)
+	if lb.outliers[workers[2].ID.Index].state != outlierProbation {
+		t.Fatalf("state = %v, want probation", lb.outliers[workers[2].ID.Index].state)
 	}
 
 	e.RunFor(10 * time.Second)
@@ -132,7 +132,7 @@ func TestOutlierHysteresisFlapping(t *testing.T) {
 				// inflation readings, so the sequence drives either path.
 				x := tc.seq[tick%len(tc.seq)]
 				if lb.ejected(workers[2]) {
-					lb.observeProbe(lb.index[workers[2]], x)
+					lb.observeProbe(workers[2].ID.Index, x)
 				} else {
 					lb.ObserveExec(workers[2], "f", x)
 				}
