@@ -257,11 +257,11 @@ func (p *Platform) registerInvariantProbes() {
 		var out []string
 		for _, reg := range p.regions {
 			for _, w := range reg.Workers {
-				cpu, mem, code := w.AccountingDrift()
-				if math.Abs(cpu) > tol || math.Abs(mem) > tol || math.Abs(code) > tol {
+				cpu, mem, code, idle := w.AccountingDrift()
+				if math.Abs(cpu) > tol || math.Abs(mem) > tol || math.Abs(code) > tol || math.Abs(idle) > tol {
 					out = append(out, fmt.Sprintf(
-						"w-%d-%d drift cpu=%+.4f mem=%+.4f code=%+.4f",
-						w.ID.Region, w.ID.Index, cpu, mem, code))
+						"w-%d-%d drift cpu=%+.4f mem=%+.4f code=%+.4f idle=%+.4f",
+						w.ID.Region, w.ID.Index, cpu, mem, code, idle))
 				}
 			}
 		}

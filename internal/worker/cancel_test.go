@@ -33,7 +33,7 @@ func TestCancelUnwindsAccounting(t *testing.T) {
 	if w.Cancelled.Value() != 1 {
 		t.Fatalf("Cancelled = %v", w.Cancelled.Value())
 	}
-	if cpu, mem, _ := w.AccountingDrift(); cpu != 0 || mem != 0 {
+	if cpu, mem, _, _ := w.AccountingDrift(); cpu != 0 || mem != 0 {
 		t.Fatalf("resource books drifted after cancel: cpu=%v mem=%v", cpu, mem)
 	}
 	// No completion callback, no execution-end stamp: the winner owns

@@ -123,8 +123,12 @@ type Worker struct {
 	cpuInUse float64
 	workMem  float64
 	codeMB   float64
-	code     map[string]*codeEntry
-	seen     map[string]sim.Time
+	// idleCodeMB is the resident code no running call holds: what eviction
+	// could free. Kept where an entry's active count crosses zero and on
+	// load/evict, so admission never sums the code map in Go map order.
+	idleCodeMB float64
+	code       map[string]*codeEntry
+	seen       map[string]sim.Time
 
 	Executions    stats.Counter
 	Rejections    stats.Counter
@@ -215,20 +219,23 @@ func (w *Worker) CPUUtilization() float64 {
 // AccountingDrift recomputes the worker's resource books from first
 // principles and returns the signed error of each cached aggregate:
 // cpuInUse vs the sum of running calls' rates, workMem vs their working
-// sets, codeMB vs the resident code entries. All three are ~0 (modulo
-// float rounding) when release accounting is correct — the utilization
-// numbers the paper's headline claim rests on are derived from these
-// aggregates.
-func (w *Worker) AccountingDrift() (cpu, mem, code float64) {
-	var sumCPU, sumMem, sumCode float64
+// sets, codeMB vs the resident code entries, idleCodeMB vs the idle ones.
+// All four are ~0 (modulo float rounding) when release accounting is
+// correct — the utilization numbers the paper's headline claim rests on
+// are derived from these aggregates.
+func (w *Worker) AccountingDrift() (cpu, mem, code, idle float64) {
+	var sumCPU, sumMem, sumCode, sumIdle float64
 	for _, rc := range w.running {
 		sumCPU += rc.cpuRate
 		sumMem += rc.memMB
 	}
 	for _, e := range w.code {
 		sumCode += e.mb
+		if e.active == 0 {
+			sumIdle += e.mb
+		}
 	}
-	return w.cpuInUse - sumCPU, w.workMem - sumMem, w.codeMB - sumCode
+	return w.cpuInUse - sumCPU, w.workMem - sumMem, w.codeMB - sumCode, w.idleCodeMB - sumIdle
 }
 
 // DistinctFuncsSince counts distinct functions executed at or after since
@@ -274,17 +281,17 @@ func (w *Worker) CanAccept(c *function.Call) bool {
 		return false
 	}
 	needCode := 0.0
-	if _, loaded := w.code[c.Spec.Name]; !loaded {
+	own, loaded := w.code[c.Spec.Name]
+	if !loaded {
 		needCode = w.codeFootprint(c.Spec)
 	}
 	needed := w.MemUsedMB() + needCode + c.MemMB
 	if needed > w.params.MemoryMB {
-		// Try to make room by evicting idle code; only a projection here.
-		reclaimable := 0.0
-		for fn, e := range w.code {
-			if e.active == 0 && fn != c.Spec.Name {
-				reclaimable += e.mb
-			}
+		// Try to make room by evicting idle code other than the call's
+		// own; only a projection here.
+		reclaimable := w.idleCodeMB
+		if loaded && own.active == 0 {
+			reclaimable -= own.mb
 		}
 		if needed-reclaimable > w.params.MemoryMB {
 			w.RejectMem.Inc()
@@ -322,6 +329,9 @@ func (w *Worker) TryExecute(c *function.Call, done DoneFunc) bool {
 	now := w.engine.Now()
 	entry := w.loadCode(c.Spec, now)
 	w.seen[c.Spec.Name] = now
+	if entry.active == 0 {
+		w.idleCodeMB -= entry.mb
+	}
 	entry.active++
 	entry.lastUsed = now
 
@@ -423,7 +433,7 @@ func (w *Worker) fail(notify bool) {
 	w.running = make(map[uint64]*runningCall)
 	w.cpuInUse = 0
 	w.workMem = 0
-	w.codeMB = 0
+	w.codeMB, w.idleCodeMB = 0, 0
 	w.code = make(map[string]*codeEntry)
 	w.Runtime = jit.NewRuntime()
 	// Deterministic order for callback side effects.
@@ -494,10 +504,7 @@ func (w *Worker) Cancel(id uint64) bool {
 	delete(w.running, id)
 	w.cpuInUse -= rc.cpuRate
 	w.workMem -= rc.memMB
-	if e := w.code[c.Spec.Name]; e != nil {
-		e.active--
-		e.lastUsed = now
-	}
+	w.releaseCode(c.Spec.Name, now)
 	w.Cancelled.Inc()
 	w.Acct.ExecEnd(now, c.Criticality(), rc.cpuRate)
 	// The partial execution's core-seconds are wasted work: the winner
@@ -513,10 +520,7 @@ func (w *Worker) finish(rc *runningCall) {
 	delete(w.running, c.ID)
 	w.cpuInUse -= rc.cpuRate
 	w.workMem -= rc.memMB
-	if e := w.code[c.Spec.Name]; e != nil {
-		e.active--
-		e.lastUsed = now
-	}
+	w.releaseCode(c.Spec.Name, now)
 	c.ExecEndAt = now
 	w.Executions.Inc()
 	w.Acct.ExecEnd(now, c.Criticality(), rc.cpuRate)
@@ -533,6 +537,17 @@ func (w *Worker) finish(rc *runningCall) {
 	// and reuse this object immediately.
 	w.putRC(rc)
 	done(c, err)
+}
+
+// releaseCode ends one execution's hold on the function's resident code.
+func (w *Worker) releaseCode(fn string, now sim.Time) {
+	if e := w.code[fn]; e != nil {
+		e.active--
+		e.lastUsed = now
+		if e.active == 0 {
+			w.idleCodeMB += e.mb
+		}
+	}
 }
 
 // callDownstream performs the invocation's downstream sub-call with up
@@ -591,12 +606,14 @@ func (w *Worker) loadCode(spec *function.Spec, now sim.Time) *codeEntry {
 			break // nothing evictable; admission already checked headroom
 		}
 		w.codeMB -= w.code[victim].mb
+		w.idleCodeMB -= w.code[victim].mb
 		delete(w.code, victim)
 		w.CodeEvictions.Inc()
 	}
 	e := &codeEntry{mb: mb, lastUsed: now}
 	w.code[spec.Name] = e
 	w.codeMB += mb
+	w.idleCodeMB += mb
 	return e
 }
 

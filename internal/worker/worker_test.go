@@ -3,6 +3,7 @@ package worker
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -115,6 +116,33 @@ func TestMemoryAdmission(t *testing.T) {
 	}
 }
 
+// TestCanAcceptIndependentOfMapOrder puts a call exactly at the edge of
+// what evicting idle code could free: the idle total then decides it, and
+// float addition is not associative, so a total summed in Go map order
+// would admit the same worker state on one call and reject it on another.
+func TestCanAcceptIndependentOfMapOrder(t *testing.T) {
+	e := sim.NewEngine()
+	p := DefaultParams()
+	p.MemoryMB = 6171.78780249755
+	w := newWorker(e, p)
+	nop := func(*function.Call, error) {}
+	for i, mb := range []float64{15.69476037207288, 3.7430985005708237, 0.5226754019330292} {
+		s := &function.Spec{Name: fmt.Sprintf("idle%d", i), Resources: function.ResourceModel{CodeMB: mb}}
+		if !w.TryExecute(testCall(s, 1, 1, 0.001), nop) {
+			t.Fatalf("loading call %d rejected", i)
+		}
+		e.RunFor(time.Second)
+	}
+	s := &function.Spec{Name: "edge", Resources: function.ResourceModel{CodeMB: 8}}
+	c := testCall(s, 1, 19.787802497550743, 1)
+	first := w.CanAccept(c)
+	for i := 2; i <= 200; i++ {
+		if got := w.CanAccept(c); got != first {
+			t.Fatalf("admission flipped from %v to %v on call %d", first, got, i)
+		}
+	}
+}
+
 func TestCodeCacheLRUEviction(t *testing.T) {
 	e := sim.NewEngine()
 	p := DefaultParams()
@@ -135,6 +163,9 @@ func TestCodeCacheLRUEviction(t *testing.T) {
 	}
 	if w.MemUsedMB() > p.MemoryMB {
 		t.Fatalf("memory overcommitted: %v > %v", w.MemUsedMB(), p.MemoryMB)
+	}
+	if _, _, code, idle := w.AccountingDrift(); math.Abs(code) > 1e-9 || math.Abs(idle) > 1e-9 {
+		t.Fatalf("code books drifted across evictions: code=%v idle=%v", code, idle)
 	}
 }
 
