@@ -28,15 +28,12 @@ type subscription struct {
 
 // Store is the central configuration service. Writes bump the version of
 // a key; subscribers are notified after PropagationDelay of virtual time.
-// While the store is marked down, writes fail and no notifications are
-// delivered, but previously delivered values stay cached at subscribers.
 type Store struct {
 	engine *sim.Engine
 	// PropagationDelay is how long a write takes to reach subscribers.
 	PropagationDelay time.Duration
 	values           map[string]versioned
 	subs             []*subscription
-	down             bool
 }
 
 // NewStore returns a store on the given engine with a default propagation
@@ -49,20 +46,9 @@ func NewStore(engine *sim.Engine) *Store {
 	}
 }
 
-// SetDown marks the store (and by extension the central controllers that
-// publish through it) unavailable or available again.
-func (s *Store) SetDown(down bool) { s.down = down }
-
-// Down reports whether the store is unavailable.
-func (s *Store) Down() bool { return s.down }
-
-// Set writes a new value for key. It reports whether the write was
-// accepted (false while the store is down). Subscribers observe the write
-// after PropagationDelay.
-func (s *Store) Set(key string, v Value) bool {
-	if s.down {
-		return false
-	}
+// Set writes a new value for key. Subscribers observe the write after
+// PropagationDelay.
+func (s *Store) Set(key string, v Value) {
 	cur := s.values[key]
 	nv := versioned{value: v, version: cur.version + 1}
 	s.values[key] = nv
@@ -72,9 +58,6 @@ func (s *Store) Set(key string, v Value) bool {
 		}
 		sub := sub
 		s.engine.Schedule(s.PropagationDelay, func() {
-			if s.down {
-				return
-			}
 			// Deliver only if this is still the newest version; stale
 			// deliveries are suppressed, mirroring last-writer-wins
 			// config distribution.
@@ -83,20 +66,6 @@ func (s *Store) Set(key string, v Value) bool {
 			}
 		})
 	}
-	return true
-}
-
-// Get returns the current central value and version for key. ok is false
-// if the key has never been written or the store is down.
-func (s *Store) Get(key string) (Value, uint64, bool) {
-	if s.down {
-		return nil, 0, false
-	}
-	v, ok := s.values[key]
-	if !ok {
-		return nil, 0, false
-	}
-	return v.value, v.version, true
 }
 
 // Subscribe registers fn to receive future writes of key. If the key
@@ -104,14 +73,14 @@ func (s *Store) Get(key string) (Value, uint64, bool) {
 // gives components a deterministic bootstrap.
 func (s *Store) Subscribe(key string, fn func(v Value, version uint64)) {
 	s.subs = append(s.subs, &subscription{key: key, fn: fn})
-	if cur, ok := s.values[key]; ok && !s.down {
+	if cur, ok := s.values[key]; ok {
 		fn(cur.value, cur.version)
 	}
 }
 
 // Cache is a subscriber-side cached view of one key. Critical-path
 // components read through a Cache so they keep operating on the last
-// delivered value during store downtime.
+// delivered value while no newer one arrives.
 type Cache struct {
 	value   Value
 	version uint64

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"xfaas/internal/config"
 	"xfaas/internal/function"
 	"xfaas/internal/queuelb"
 	"xfaas/internal/rng"
@@ -206,7 +207,7 @@ func TestConfigFileKeysReachThePlatform(t *testing.T) {
 			return true
 		}},
 		{"queue_local_frac", `{"queue_local_frac": 0.5}`, 0, func(p *Platform) bool {
-			v, _, ok := p.Store.Get(queuelb.PolicyKey)
+			v, ok := config.NewCache(p.Store, queuelb.PolicyKey).Get()
 			return ok && v.(queuelb.RoutingPolicy)[0][0] == 0.5
 		}},
 		{"locality_groups", `{"locality_groups": 2}`, 0, func(p *Platform) bool {

@@ -80,7 +80,7 @@ func TestControllerResponseTable(t *testing.T) {
 				t.Fatalf("adjustments = %d, want %d", got, tc.ticks)
 			}
 			// The published value always matches the controller state.
-			if v, _, ok := store.Get(ScaleKey); !ok || v.(float64) != c.S() {
+			if v, ok := config.NewCache(store, ScaleKey).Get(); !ok || v.(float64) != c.S() {
 				t.Fatalf("store has %v, controller has %v", v, c.S())
 			}
 		})

@@ -32,7 +32,7 @@ func TestPublishesToStore(t *testing.T) {
 	store := config.NewStore(e)
 	cache := config.NewCache(store, ScaleKey)
 	New(e, DefaultParams(), store, func() float64 { return 0.5 })
-	if v, _, ok := store.Get(ScaleKey); !ok || v.(float64) != 1 {
+	if v, ok := config.NewCache(store, ScaleKey).Get(); !ok || v.(float64) != 1 {
 		t.Fatalf("initial S not stored: %v %v", v, ok)
 	}
 	e.RunFor(5 * time.Minute)
