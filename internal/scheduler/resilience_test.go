@@ -191,3 +191,39 @@ func TestShedReleasesLeases(t *testing.T) {
 	}
 	_ = durableq.ReasonShed // the disposition the sweeps above settled with
 }
+
+// TestCrashEndsSheddingSpell: a shedding spell lives in process memory,
+// like the hedge-delay estimators (TestCrashForgetsHedgeDelays). A crash
+// mid-spell ends it, so a restarted replica that finds a backlog already
+// past its target waits a fresh shedInterval before shedding again.
+func TestCrashEndsSheddingSpell(t *testing.T) {
+	r := resilRig(1)
+	r.sched.ShedEnabled = true
+	victim := oppSpec("victim", function.CritLow, 8*time.Minute)
+	r.enqueueSlow(blockSpec(), 100, 120)
+	r.enqueue(victim, 20)
+	for i := 0; r.sched.ShedCalls.Value() == 0; i++ {
+		if i == 600 {
+			t.Fatal("no shedding spell within 10 minutes of saturation")
+		}
+		r.engine.RunFor(time.Second)
+	}
+	if !r.sched.buffers[victim.Name].shed.shedding {
+		t.Fatal("the sweep that shed calls left no spell running")
+	}
+	shed := r.sched.ShedCalls.Value()
+	r.sched.Crash()
+	// These wait in the DurableQ while the replica is down, so its first
+	// sweep after the restart already sees them past the 2-minute target.
+	r.enqueue(victim, 20)
+	const down = 3 * time.Minute
+	r.sched.Restart(down)
+	r.engine.RunFor(down + shedInterval - 2*time.Second)
+	if got := r.sched.ShedCalls.Value(); got != shed {
+		t.Fatalf("shed %v calls within shedInterval of the restart: the spell outlived the crash", got-shed)
+	}
+	r.engine.RunFor(5 * time.Second)
+	if got := r.sched.ShedCalls.Value(); got != shed+20 {
+		t.Fatalf("shed %v calls a full shedInterval after the restart, want 20", got-shed)
+	}
+}
