@@ -53,7 +53,6 @@ func runBaselineColdstart(s Scale) *Result {
 	params := baseline.DefaultParams()
 	params.Hosts = xfWorkers
 	params.HostMemoryMB = rc.Platform.Worker.MemoryMB
-	params.HostCPUMIPS = rc.Platform.Worker.CPUMIPS
 	params.CoreMIPS = rc.Platform.Worker.CoreMIPS
 	bp := baseline.New(engine, params)
 	gen := workload.NewGenerator(engine, pop, []float64{1},

@@ -42,7 +42,7 @@ func TestConfigurationSurface(t *testing.T) {
 		{"workload.DefaultPopulationConfig", workload.DefaultPopulationConfig(), 12},
 		{"workload.DefaultStormMix", workload.DefaultStormMix(""), 5},
 		{"workload.DefaultGrayMix", workload.DefaultGrayMix(), 2},
-		{"baseline.DefaultParams", baseline.DefaultParams(), 4},
+		{"baseline.DefaultParams", baseline.DefaultParams(), 3},
 	}
 	total := 0
 	for _, r := range roots {

@@ -268,3 +268,16 @@ func TestEmptyPoolPanics(t *testing.T) {
 	}()
 	New(rng.New(1), nil)
 }
+
+// A pool whose IDs do not match positions would make StateOf miss every
+// detected failure, so New refuses it.
+func TestNewRejectsPoolOutOfIndexOrder(t *testing.T) {
+	workers := pool(sim.NewEngine(), 3, 100000)
+	workers[0], workers[1] = workers[1], workers[0]
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a pool whose ID.Index differs from position")
+		}
+	}()
+	New(rng.New(1), workers)
+}
