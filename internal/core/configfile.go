@@ -114,59 +114,43 @@ func (cf *ConfigFile) Validate() error {
 // Apply overlays the present overrides onto base and returns the result.
 func (cf *ConfigFile) Apply(base Config) Config {
 	cfg := base
-	if cf.Seed != nil {
-		cfg.Seed = *cf.Seed
-	}
-	if cf.Regions != nil {
-		cfg.Cluster.Regions = *cf.Regions
-	}
-	if cf.TotalWorkers != nil {
-		cfg.Cluster.TotalWorkers = *cf.TotalWorkers
-	}
-	if cf.SchedulersPerRegion != nil {
-		cfg.SchedulersPerRegion = *cf.SchedulersPerRegion
-	}
-	if cf.LeaseTimeoutSec != nil {
-		cfg.LeaseTimeout = time.Duration(*cf.LeaseTimeoutSec * float64(time.Second))
-	}
-	if cf.QueueLocalFrac != nil {
-		cfg.QueueLocalFrac = *cf.QueueLocalFrac
-	}
-	if cf.LocalityGroups != nil {
-		cfg.LocalityGroups = *cf.LocalityGroups
-	}
-	if cf.EnableGTC != nil {
-		cfg.EnableGTC = *cf.EnableGTC
-	}
-	if cf.CodePushIntervalSec != nil {
-		cfg.CodePushInterval = time.Duration(*cf.CodePushIntervalSec * float64(time.Second))
-	}
+	set(&cfg.Seed, cf.Seed)
+	set(&cfg.Cluster.Regions, cf.Regions)
+	set(&cfg.Cluster.TotalWorkers, cf.TotalWorkers)
+	set(&cfg.SchedulersPerRegion, cf.SchedulersPerRegion)
+	setSeconds(&cfg.LeaseTimeout, cf.LeaseTimeoutSec)
+	set(&cfg.QueueLocalFrac, cf.QueueLocalFrac)
+	set(&cfg.LocalityGroups, cf.LocalityGroups)
+	set(&cfg.EnableGTC, cf.EnableGTC)
+	setSeconds(&cfg.CodePushInterval, cf.CodePushIntervalSec)
 	if cf.SpikyClients != nil {
 		cfg.SpikyClients = cf.SpikyClients
 	}
-	if cf.PrewarmJIT != nil {
-		cfg.PrewarmJIT = *cf.PrewarmJIT
-	}
-	if cf.UtilTarget != nil {
-		cfg.Util.Target = *cf.UtilTarget
-	}
+	set(&cfg.PrewarmJIT, cf.PrewarmJIT)
+	set(&cfg.Util.Target, cf.UtilTarget)
 	if t := cf.Trace; t != nil {
-		if t.Enabled != nil {
-			cfg.Trace.Enabled = *t.Enabled
-		}
-		if t.SampleEvery != nil {
-			cfg.Trace.SampleEvery = *t.SampleEvery
-		}
+		set(&cfg.Trace.Enabled, t.Enabled)
+		set(&cfg.Trace.SampleEvery, t.SampleEvery)
 	}
 	if i := cf.Invariants; i != nil {
-		if i.Enabled != nil {
-			cfg.Invariants.Enabled = *i.Enabled
-		}
-		if i.IntervalSec != nil {
-			cfg.Invariants.Interval = time.Duration(*i.IntervalSec * float64(time.Second))
-		}
+		set(&cfg.Invariants.Enabled, i.Enabled)
+		setSeconds(&cfg.Invariants.Interval, i.IntervalSec)
 	}
 	return cfg
+}
+
+// set overwrites *dst with an override that is present.
+func set[T any](dst, v *T) {
+	if v != nil {
+		*dst = *v
+	}
+}
+
+// setSeconds is set for an override given in seconds.
+func setSeconds(dst *time.Duration, v *float64) {
+	if v != nil {
+		*dst = time.Duration(*v * float64(time.Second))
+	}
 }
 
 // LoadConfig parses data and applies it to base in one step.

@@ -42,16 +42,7 @@ const (
 	breakerHalfOpen
 )
 
-func (s breakerState) String() string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
+func (s breakerState) String() string { return [...]string{"closed", "open", "half-open"}[s] }
 
 type breaker struct {
 	state    breakerState

@@ -54,53 +54,37 @@ func (p *Platform) registerInvariantProbes() {
 	// steady state.
 	p.Inv.RegisterProbe("conservation", func(now sim.Time) []string {
 		var out []string
+		gap := func(t invariant.Tally) string {
+			return fmt.Sprintf("gap %+d (submitted=%d resurrected=%d acked=%d dead=%d dropped=%d lost=%d inflight=%d)",
+				t.Gap(), t.Submitted, t.Resurrected, t.Acked, t.DeadLettered, t.Dropped, t.Lost, t.InFlight)
+		}
 		t := p.Inv.Totals()
-		if gap := t.Gap(); gap != 0 {
-			out = append(out, fmt.Sprintf(
-				"ledger gap %+d (submitted=%d resurrected=%d acked=%d dead=%d dropped=%d lost=%d inflight=%d)",
-				gap, t.Submitted, t.Resurrected, t.Acked, t.DeadLettered, t.Dropped, t.Lost, t.InFlight))
+		if t.Gap() != 0 {
+			out = append(out, "ledger "+gap(t))
 		}
 		c := CountersOf(p.regions...)
-		if uint64(c.Submitted) != t.Submitted {
-			out = append(out, fmt.Sprintf("submitter counters say %.0f submitted, ledger %d",
-				c.Submitted, t.Submitted))
-		}
 		// Fabric handoffs that found no live shard in the destination
 		// partition are dropped there, not at a submitter.
-		if uint64(c.RouteFailed+p.MigratedDropped.Value()) != t.Dropped {
-			out = append(out, fmt.Sprintf("submitter+fabric counters say %.0f dropped, ledger %d",
-				c.RouteFailed+p.MigratedDropped.Value(), t.Dropped))
-		}
-		if uint64(p.MigratedOut.Value()) != t.MigratedOut {
-			out = append(out, fmt.Sprintf("fabric counter says %.0f migrated out, ledger %d",
-				p.MigratedOut.Value(), t.MigratedOut))
-		}
-		if uint64(p.MigratedIn.Value()) != t.MigratedIn {
-			out = append(out, fmt.Sprintf("fabric counter says %.0f migrated in, ledger %d",
-				p.MigratedIn.Value(), t.MigratedIn))
-		}
-		if uint64(c.ShardAcked) != t.Acked {
-			out = append(out, fmt.Sprintf("shard counters say %.0f acked, ledger %d",
-				c.ShardAcked, t.Acked))
-		}
-		if uint64(c.DeadLetters) != t.DeadLettered {
-			out = append(out, fmt.Sprintf("shard counters say %.0f dead-lettered, ledger %d",
-				c.DeadLetters, t.DeadLettered))
-		}
+		out = agree(out, "submitter counters say", c.Submitted, "submitted", t.Submitted)
+		out = agree(out, "submitter+fabric counters say", c.RouteFailed+p.MigratedDropped.Value(), "dropped", t.Dropped)
+		out = agree(out, "fabric counter says", p.MigratedOut.Value(), "migrated out", t.MigratedOut)
+		out = agree(out, "fabric counter says", p.MigratedIn.Value(), "migrated in", t.MigratedIn)
+		out = agree(out, "shard counters say", c.ShardAcked, "acked", t.Acked)
+		out = agree(out, "shard counters say", c.DeadLetters, "dead-lettered", t.DeadLettered)
 		if held := c.Batched + c.Pending + c.Leased + c.CrashHeld; held != t.InFlight {
 			out = append(out, fmt.Sprintf(
 				"queues+batches hold %d calls, ledger has %d in flight", held, t.InFlight))
 		}
+		// The labels are built only for a gap: the probe runs over every
+		// function at every evaluation.
 		p.Inv.EachFunc(func(name string, ft invariant.Tally) {
-			if gap := ft.Gap(); gap != 0 {
-				out = append(out, fmt.Sprintf("func %s gap %+d (submitted=%d resurrected=%d acked=%d dead=%d dropped=%d lost=%d inflight=%d)",
-					name, gap, ft.Submitted, ft.Resurrected, ft.Acked, ft.DeadLettered, ft.Dropped, ft.Lost, ft.InFlight))
+			if ft.Gap() != 0 {
+				out = append(out, "func "+name+" "+gap(ft))
 			}
 		})
 		p.Inv.EachRegion(func(region int, rt invariant.Tally) {
-			if gap := rt.Gap(); gap != 0 {
-				out = append(out, fmt.Sprintf("region %d gap %+d (submitted=%d resurrected=%d acked=%d dead=%d dropped=%d lost=%d inflight=%d)",
-					region, gap, rt.Submitted, rt.Resurrected, rt.Acked, rt.DeadLettered, rt.Dropped, rt.Lost, rt.InFlight))
+			if rt.Gap() != 0 {
+				out = append(out, fmt.Sprintf("region %d ", region)+gap(rt))
 			}
 		})
 		return out
@@ -143,19 +127,10 @@ func (p *Platform) registerInvariantProbes() {
 				sum, t.DeadLettered, t.Exhausted, t.Expired, t.BudgetDenied, t.Shed))
 		}
 		c := CountersOf(p.regions...)
-		if uint64(c.DeadExhausted) != t.Exhausted {
-			out = append(out, fmt.Sprintf("shards report %.0f exhausted, ledger %d", c.DeadExhausted, t.Exhausted))
-		}
-		if uint64(c.DeadExpired) != t.Expired {
-			out = append(out, fmt.Sprintf("shards report %.0f expired, ledger %d", c.DeadExpired, t.Expired))
-		}
-		if uint64(c.DeadBudget) != t.BudgetDenied {
-			out = append(out, fmt.Sprintf("shards report %.0f budget-denied, ledger %d", c.DeadBudget, t.BudgetDenied))
-		}
-		if uint64(c.DeadShed) != t.Shed {
-			out = append(out, fmt.Sprintf("shards report %.0f shed, ledger %d", c.DeadShed, t.Shed))
-		}
-		return out
+		out = agree(out, "shards report", c.DeadExhausted, "exhausted", t.Exhausted)
+		out = agree(out, "shards report", c.DeadExpired, "expired", t.Expired)
+		out = agree(out, "shards report", c.DeadBudget, "budget-denied", t.BudgetDenied)
+		return agree(out, "shards report", c.DeadShed, "shed", t.Shed)
 	})
 
 	// Both amplification probes run with the defenses on.
@@ -287,4 +262,13 @@ func (p *Platform) registerInvariantProbes() {
 			return out
 		})
 	}
+}
+
+// agree appends a violation to out when a component counter and the
+// ledger's count of the same calls differ.
+func agree(out []string, who string, got float64, what string, ledger uint64) []string {
+	if uint64(got) != ledger {
+		out = append(out, fmt.Sprintf("%s %.0f %s, ledger %d", who, got, what, ledger))
+	}
+	return out
 }

@@ -28,17 +28,13 @@ const (
 	TriggerTimer
 )
 
+var triggerNames = [...]string{"queue", "event", "timer"}
+
 func (t TriggerType) String() string {
-	switch t {
-	case TriggerQueue:
-		return "queue"
-	case TriggerEvent:
-		return "event"
-	case TriggerTimer:
-		return "timer"
-	default:
-		return fmt.Sprintf("trigger(%d)", int(t))
+	if t >= 0 && int(t) < len(triggerNames) {
+		return triggerNames[t]
 	}
+	return fmt.Sprintf("trigger(%d)", int(t))
 }
 
 // Triggers lists all trigger types in a stable order.
@@ -58,17 +54,13 @@ const (
 	CritHigh
 )
 
+var critNames = [...]string{"low", "normal", "high"}
+
 func (c Criticality) String() string {
-	switch c {
-	case CritLow:
-		return "low"
-	case CritNormal:
-		return "normal"
-	case CritHigh:
-		return "high"
-	default:
-		return fmt.Sprintf("criticality(%d)", int(c))
+	if c >= 0 && int(c) < len(critNames) {
+		return critNames[c]
 	}
+	return fmt.Sprintf("criticality(%d)", int(c))
 }
 
 // QuotaType distinguishes the paper's two quota classes (§4.6.2).
@@ -248,23 +240,13 @@ const (
 	StateFailed
 )
 
+var stateNames = [...]string{"submitted", "queued", "leased", "running", "succeeded", "failed"}
+
 func (s State) String() string {
-	switch s {
-	case StateSubmitted:
-		return "submitted"
-	case StateQueued:
-		return "queued"
-	case StateLeased:
-		return "leased"
-	case StateRunning:
-		return "running"
-	case StateSucceeded:
-		return "succeeded"
-	case StateFailed:
-		return "failed"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
+	if s >= 0 && int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return fmt.Sprintf("state(%d)", int(s))
 }
 
 // Call is one function invocation flowing through the platform.

@@ -472,6 +472,14 @@ func (k *Checker) OnComplete(c *function.Call, region, worker int) {
 	k.On(c, trace.KindComplete, trace.Ref(cluster.RegionID(region), worker))
 }
 
+// want reports a transition taken from a state other than the given
+// ones as the violation "<verb>-from-<state>".
+func (k *Checker) want(verb string, c *function.Call, e *trace.Ledger, states ...uint8) {
+	if !slices.Contains(states, e.State) {
+		k.violate(verb+"-from-"+stateName(e.State), c.ID, "func %s", fname(e))
+	}
+}
+
 // submit records a call entering the platform (an ID was assigned and
 // the call joined a submitter batch).
 func (k *Checker) submit(c *function.Call, e *trace.Ledger, live bool) {
@@ -518,8 +526,8 @@ func (k *Checker) enqueue(c *function.Call, e *trace.Ledger, live bool) {
 	if !live {
 		k.violate("enqueue-unknown", c.ID, "enqueued a call the ledger never saw")
 		e = k.open(c, e, false, stQueued, nil)
-	} else if e.State != stSubmitted {
-		k.violate("enqueue-from-"+stateName(e.State), c.ID, "func %s", fname(e))
+	} else {
+		k.want("enqueue", c, e, stSubmitted)
 	}
 	e.State = stQueued
 }
@@ -619,9 +627,7 @@ func (k *Checker) hedgeDispatch(c *function.Call, e *trace.Ledger, live bool, re
 		k.violate("hedge-unknown", c.ID, "hedged a call the ledger never saw")
 		return
 	}
-	if e.State != stRunning {
-		k.violate("hedge-from-"+stateName(e.State), c.ID, "func %s", fname(e))
-	}
+	k.want("hedge", c, e, stRunning)
 	if e.Hedge != 0 {
 		k.violate("hedge-duplicate", c.ID,
 			"hedged to %s while a hedge already runs on %s (func %s)",
@@ -670,26 +676,16 @@ func (k *Checker) ack(c *function.Call, e *trace.Ledger) {
 // call to the queue) or a lease expiring ("expire": scheduler presumed
 // dead).
 func (k *Checker) settle(c *function.Call, e *trace.Ledger, kind string) {
-	switch e.State {
-	case stLeased, stRunning, stCompleted:
-	default:
-		k.violate(kind+"-from-"+stateName(e.State), c.ID, "func %s", fname(e))
-	}
-	e.State = stSettling
-	e.Worker = 0
-	e.Hedge = 0
+	k.want(kind, c, e, stLeased, stRunning, stCompleted)
+	e.State, e.Worker, e.Hedge = stSettling, 0, 0
 }
 
 // release records a scheduler gracefully handing a leased call back to
 // its shard during a regional drain: the lease dissolves and the call is
 // plain queued work again — no settle detour, no retry accounting.
 func (k *Checker) release(c *function.Call, e *trace.Ledger) {
-	if e.State != stLeased {
-		k.violate("release-from-"+stateName(e.State), c.ID, "func %s", fname(e))
-	}
-	e.State = stQueued
-	e.Worker = 0
-	e.Hedge = 0
+	k.want("release", c, e, stLeased)
+	e.State, e.Worker, e.Hedge = stQueued, 0, 0
 }
 
 // drainMigrate records a drain controller moving a queued call's
@@ -697,25 +693,19 @@ func (k *Checker) release(c *function.Call, e *trace.Ledger) {
 // the submission region, which the move does not change, so the entry
 // only needs to still be queued for the move to be legal.
 func (k *Checker) drainMigrate(c *function.Call, e *trace.Ledger) {
-	if e.State != stQueued {
-		k.violate("drain-migrate-from-"+stateName(e.State), c.ID, "func %s", fname(e))
-	}
+	k.want("drain-migrate", c, e, stQueued)
 }
 
 // retry records a settled call pushed back onto the queue for another
 // attempt.
 func (k *Checker) retry(c *function.Call, e *trace.Ledger) {
-	if e.State != stSettling {
-		k.violate("retry-from-"+stateName(e.State), c.ID, "func %s", fname(e))
-	}
+	k.want("retry", c, e, stSettling)
 	e.State = stQueued
 }
 
 // deadLetter records retry exhaustion — the unhappy terminal state.
 func (k *Checker) deadLetter(c *function.Call, e *trace.Ledger) {
-	if e.State != stSettling {
-		k.violate("deadletter-from-"+stateName(e.State), c.ID, "func %s", fname(e))
-	}
+	k.want("deadletter", c, e, stSettling)
 	k.terminal(e, func(t *Tally) { t.DeadLettered++; t.Exhausted++ })
 }
 
@@ -724,9 +714,7 @@ func (k *Checker) deadLetter(c *function.Call, e *trace.Ledger) {
 // exhaustion it is only legal from the settling state (the call was
 // nacked or its lease expired, and the shard chose not to requeue it).
 func (k *Checker) budgetExhausted(c *function.Call, e *trace.Ledger) {
-	if e.State != stSettling {
-		k.violate("budget-deadletter-from-"+stateName(e.State), c.ID, "func %s", fname(e))
-	}
+	k.want("budget-deadletter", c, e, stSettling)
 	k.terminal(e, func(t *Tally) { t.DeadLettered++; t.BudgetDenied++ })
 }
 
@@ -736,11 +724,7 @@ func (k *Checker) budgetExhausted(c *function.Call, e *trace.Ledger) {
 // settling (redelivery refused because the deadline passed) — but never
 // running: an expired call on a worker means the sweeps failed.
 func (k *Checker) expiredCall(c *function.Call, e *trace.Ledger) {
-	switch e.State {
-	case stQueued, stLeased, stSettling:
-	default:
-		k.violate("expire-sweep-from-"+stateName(e.State), c.ID, "func %s", fname(e))
-	}
+	k.want("expire-sweep", c, e, stQueued, stLeased, stSettling)
 	k.terminal(e, func(t *Tally) { t.DeadLettered++; t.Expired++ })
 }
 
@@ -759,9 +743,7 @@ func (k *Checker) shed(c *function.Call, e *trace.Ledger, live bool) {
 			"shed a call the ledger already settled (func %s)", c.Spec.Name)
 		return
 	}
-	if e.State != stLeased {
-		k.violate("shed-from-"+stateName(e.State), c.ID, "func %s", fname(e))
-	}
+	k.want("shed", c, e, stLeased)
 	k.terminal(e, func(t *Tally) { t.DeadLettered++; t.Shed++ })
 }
 
@@ -813,9 +795,7 @@ func (k *Checker) recoverRequeue(c *function.Call, e *trace.Ledger, live bool) {
 		// redelivery pipeline.
 		e.Orphaned = true
 	}
-	e.State = stQueued
-	e.Worker = 0
-	e.Hedge = 0
+	e.State, e.Worker, e.Hedge = stQueued, 0, 0
 }
 
 // evaluate runs every registered probe. Probes run outside the lock so

@@ -25,19 +25,13 @@ const (
 	Restricted
 )
 
+var levelNames = [...]string{"public", "internal", "confidential", "restricted"}
+
 func (l Level) String() string {
-	switch l {
-	case Public:
-		return "public"
-	case Internal:
-		return "internal"
-	case Confidential:
-		return "confidential"
-	case Restricted:
-		return "restricted"
-	default:
-		return fmt.Sprintf("level(%d)", int(l))
+	if l >= 0 && int(l) < len(levelNames) {
+		return levelNames[l]
 	}
+	return fmt.Sprintf("level(%d)", int(l))
 }
 
 // Zone is an isolation zone: a classification level plus a compartment

@@ -43,18 +43,11 @@ const (
 	OpDeadLetter
 )
 
+var opNames = [...]string{"enqueue", "lease", "retry", "ack", "dead-letter"}
+
 func (o Op) String() string {
-	switch o {
-	case OpEnqueue:
-		return "enqueue"
-	case OpLease:
-		return "lease"
-	case OpRetry:
-		return "retry"
-	case OpAck:
-		return "ack"
-	case OpDeadLetter:
-		return "dead-letter"
+	if int(o) < len(opNames) {
+		return opNames[o]
 	}
 	return "?"
 }
@@ -154,8 +147,12 @@ func (l *Log) SetFlushLag(lag time.Duration) {
 
 // Append adds one record and returns its sequence number. With a zero
 // flush lag the record is durable immediately; otherwise it sits in the
-// torn-tail window until the next flush tick.
+// torn-tail window until the next flush tick. A nil log (journaling off)
+// records nothing and returns 0.
 func (l *Log) Append(op Op, c *function.Call, readyAt sim.Time) uint64 {
+	if l == nil {
+		return 0
+	}
 	l.seq++
 	prev, chained := l.last[c.ID]
 	if !chained {

@@ -23,17 +23,13 @@ const (
 	Dead
 )
 
+var healthNames = [...]string{"healthy", "gray", "dead"}
+
 func (s HealthState) String() string {
-	switch s {
-	case Healthy:
-		return "healthy"
-	case Gray:
-		return "gray"
-	case Dead:
-		return "dead"
-	default:
-		return "unknown"
+	if s >= 0 && int(s) < len(healthNames) {
+		return healthNames[s]
 	}
+	return "unknown"
 }
 
 // The heartbeat prober's cadence and thresholds, exported for the
