@@ -81,9 +81,7 @@ func Generate(cfg Config, src *rng.Source) *Topology {
 	assigned := 0
 	for i := range regions {
 		w := int(float64(cfg.TotalWorkers) * weights[i] / total)
-		if w < 1 {
-			w = 1
-		}
+		w = max(w, 1)
 		regions[i] = Region{
 			ID:             RegionID(i),
 			Name:           fmt.Sprintf("region-%02d", i),

@@ -62,9 +62,7 @@ func NewAIMD(params AIMDParams, initial float64) *AIMD {
 	if params.DecreaseFactor <= 0 || params.DecreaseFactor >= 1 {
 		panic("congestion: invalid AIMD params")
 	}
-	if initial < AIMDFloor {
-		initial = AIMDFloor
-	}
+	initial = max(initial, AIMDFloor)
 	return &AIMD{
 		params:     params,
 		limit:      initial,
@@ -87,9 +85,7 @@ func (a *AIMD) Tick(now sim.Time) float64 {
 		a.limit += a.params.Increase
 		a.Increases++
 	}
-	if a.limit < AIMDFloor {
-		a.limit = AIMDFloor
-	}
+	a.limit = max(a.limit, AIMDFloor)
 	return a.limit
 }
 

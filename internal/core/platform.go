@@ -186,9 +186,7 @@ func ProvisionWorkers(wp worker.Params, demandMIPS, concurrentMemMB, cpuTarget f
 	if byMem > w {
 		w = byMem
 	}
-	if w < minWorkers {
-		w = minWorkers
-	}
+	w = max(w, minWorkers)
 	return w
 }
 
@@ -461,9 +459,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			sub.Obs = p.Obs
 		}
 		nSched := cfg.SchedulersPerRegion
-		if nSched < 1 {
-			nSched = 1
-		}
+		nSched = max(nSched, 1)
 		from := r.ID
 		var hb *scheduler.HedgeBudget
 		if defended {

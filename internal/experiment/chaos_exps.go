@@ -143,9 +143,7 @@ func runChaosGray(s Scale) *Result {
 	f := startFaultRun(s, chaosRig(s, 0.60))
 	p, inj, victim, healthy := f.P, f.Inj, f.victim, f.healthy
 	k := len(victim.Workers) / 3
-	if k < 1 {
-		k = 1
-	}
+	k = max(k, 1)
 	const slowdown = 8.0
 	for i := 0; i < k; i++ {
 		inj.GrayWorker(victim.ID, i, slowdown)

@@ -73,9 +73,7 @@ func Compute(topo *cluster.Topology, snap Snapshot) Matrix {
 	// waterfall stops once no region is overloaded (ratio ≤ 1); with
 	// demand above capacity it equalizes everyone at the same ratio.
 	target := totalDemand / totalSupply
-	if target < 1 {
-		target = 1
-	}
+	target = max(target, 1)
 	spare := make([]float64, n)
 	excess := make([]float64, n)
 	for i := 0; i < n; i++ {

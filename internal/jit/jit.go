@@ -172,9 +172,7 @@ func (d *Distributor) Push(groups [][]Target, hot []string) {
 		}
 		p1 := fracCount(n, phase1Frac)
 		p2 := p1 + fracCount(n, phase2Frac)
-		if p2 > n {
-			p2 = n
-		}
+		p2 = min(p2, n)
 		for _, t := range group[:p1] {
 			t.SwitchVersion(false, hot)
 		}

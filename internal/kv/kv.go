@@ -12,9 +12,7 @@ type Store struct {
 
 // NewStore returns a store with the given shard count (min 1).
 func NewStore(shards int) *Store {
-	if shards < 1 {
-		shards = 1
-	}
+	shards = max(shards, 1)
 	s := &Store{shards: make([]map[string][]byte, shards)}
 	for i := range s.shards {
 		s.shards[i] = make(map[string][]byte)

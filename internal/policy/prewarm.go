@@ -62,9 +62,7 @@ func (p *Prewarm) Tick() {
 	if lvl := p.hw.Level(); lvl > 1e-9 {
 		if f := p.hw.Forecast(p.horizonTicks); f > lvl {
 			mult = f / lvl
-			if mult > p.maxBoost {
-				mult = p.maxBoost
-			}
+			mult = min(mult, p.maxBoost)
 		}
 	}
 	p.arrivals = 0

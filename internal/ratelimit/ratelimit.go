@@ -133,9 +133,7 @@ func expectedCost(spec *function.Spec) float64 {
 	}
 	// E[lognormal] = exp(mu + sigma^2/2).
 	v := math.Exp(m.CPUMu + m.CPUSigma*m.CPUSigma/2)
-	if v < 1e-6 {
-		v = 1e-6
-	}
+	v = max(v, 1e-6)
 	return v
 }
 
@@ -188,9 +186,7 @@ func (c *Central) Allow(spec *function.Spec) bool {
 // with a floor of one call so fractional limits still make progress.
 func burstFor(limit float64) float64 {
 	b := 2 * limit
-	if b < 1 {
-		b = 1
-	}
+	b = max(b, 1)
 	return b
 }
 

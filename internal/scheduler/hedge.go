@@ -99,9 +99,7 @@ type hedgeEstimator struct {
 }
 
 func newHedgeEstimator(window int) *hedgeEstimator {
-	if window < 1 {
-		window = 1
-	}
+	window = max(window, 1)
 	return &hedgeEstimator{
 		ring:   make([]float64, 0, window),
 		sorted: make([]float64, 0, window),
@@ -136,9 +134,7 @@ func (e *hedgeEstimator) Quantile(q float64) float64 {
 	if q < 0 {
 		q = 0
 	}
-	if q > 1 {
-		q = 1
-	}
+	q = min(q, 1)
 	if len(e.sorted) == 0 {
 		e.sorted = append(e.sorted, e.ring...)
 		sort.Float64s(e.sorted)
@@ -164,9 +160,7 @@ func (s *Scheduler) armHedge(f *flight) {
 		return
 	}
 	delay := time.Duration(est.Quantile(hedgeQuantile) * float64(time.Second))
-	if delay < time.Millisecond {
-		delay = time.Millisecond
-	}
+	delay = max(delay, time.Millisecond)
 	if f.fire == nil {
 		f.fire = func() { s.fireHedge(f) }
 	}

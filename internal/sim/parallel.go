@@ -267,9 +267,7 @@ func (g *Group) advance(i int, deadline Time) (progressed, done bool) {
 		// Events past the deadline stay queued for a later RunUntil;
 		// advertise deadline+1 so the remaining partitions' horizons can
 		// clear the deadline.
-		if e.now < deadline {
-			e.now = deadline
-		}
+		e.now = max(e.now, deadline)
 		clock.Store(int64(deadline) + 1)
 		return true, true
 	}

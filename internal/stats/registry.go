@@ -74,9 +74,7 @@ func (w *WindowRate) advance(now time.Duration) {
 func (w *WindowRate) Add(now time.Duration, n float64) {
 	w.advance(now)
 	idx := int64(now/w.slot) - w.base
-	if idx < 0 {
-		idx = 0
-	}
+	idx = max(idx, 0)
 	w.counts[idx] += n
 }
 

@@ -210,9 +210,7 @@ func Resample(values []float64, width int) []float64 {
 		if hi <= lo {
 			hi = lo + 1
 		}
-		if hi > n {
-			hi = n
-		}
+		hi = min(hi, n)
 		out[i] = MeanOf(values[lo:hi])
 	}
 	return out

@@ -146,9 +146,7 @@ func (s *Submitter) Submit(client string, c *function.Call) error {
 	c.ID = *s.idSeq
 	c.SubmitTime = now
 	c.SourceRegion = s.region
-	if c.StartAfter < now {
-		c.StartAfter = now
-	}
+	c.StartAfter = max(c.StartAfter, now)
 	if c.Deadline == 0 {
 		c.Deadline = c.StartAfter + c.Spec.Deadline
 	}

@@ -372,12 +372,8 @@ type Recorder struct {
 // NewRecorder returns a recorder on the engine's clock. Sampling
 // decisions derive from seed only, never from runtime state.
 func NewRecorder(engine *sim.Engine, seed uint64, p Params) *Recorder {
-	if p.SampleEvery < 1 {
-		p.SampleEvery = 1
-	}
-	if p.RingSize < 1 {
-		p.RingSize = 1
-	}
+	p.SampleEvery = max(p.SampleEvery, 1)
+	p.RingSize = max(p.RingSize, 1)
 	return &Recorder{
 		engine:    engine,
 		params:    p,

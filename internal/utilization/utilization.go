@@ -86,9 +86,7 @@ func (c *Controller) tick() {
 	if c.s < 0 {
 		c.s = 0
 	}
-	if c.s > c.maxScale {
-		c.s = c.maxScale
-	}
+	c.s = min(c.s, c.maxScale)
 	c.store.Set(ScaleKey, c.s)
 	c.Series.Record(c.engine.Now(), c.s)
 	c.Adjustments.Inc()

@@ -210,9 +210,7 @@ func (w *Worker) MemUsedMB() float64 {
 // CPUUtilization returns instantaneous CPU utilization in [0, 1].
 func (w *Worker) CPUUtilization() float64 {
 	u := w.Load()
-	if u > 1 {
-		u = 1
-	}
+	u = min(u, 1)
 	return u
 }
 
@@ -341,9 +339,7 @@ func (w *Worker) TryExecute(c *function.Call, done DoneFunc) bool {
 	}
 	baseSecs, rate := w.callShape(c)
 	duration := time.Duration(baseSecs * speed * w.slowdown * float64(time.Second))
-	if duration < time.Millisecond {
-		duration = time.Millisecond
-	}
+	duration = max(duration, time.Millisecond)
 
 	// Downstream interaction happens during execution; resolve the
 	// outcome now, deterministically per call.
@@ -359,9 +355,7 @@ func (w *Worker) TryExecute(c *function.Call, done DoneFunc) bool {
 	}
 	if err != nil {
 		short := time.Duration(float64(duration) * w.params.FailureSlowdown)
-		if short < time.Millisecond {
-			short = time.Millisecond
-		}
+		short = max(short, time.Millisecond)
 		duration = short
 	}
 
@@ -472,9 +466,7 @@ func (w *Worker) Recover() {
 // execution speed: a gray failure where the machine still answers but
 // runs everything factor times slower. Factors below 1 clamp to 1.
 func (w *Worker) SetSlowdown(factor float64) {
-	if factor < 1 {
-		factor = 1
-	}
+	factor = max(factor, 1)
 	w.slowdown = factor
 }
 

@@ -127,9 +127,7 @@ func GrowthSeries(src *rng.Source) []GrowthPoint {
 	level := 1.0
 	for i := 0; i < months; i++ {
 		jitter := 1 + 0.06*src.Normal()
-		if jitter < 0.85 {
-			jitter = 0.85
-		}
+		jitter = max(jitter, 0.85)
 		v := level * jitter
 		if i >= 54 {
 			v *= 1 + 1.6*float64(i-53)/6 // stream-trigger launch ramp

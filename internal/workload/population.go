@@ -252,9 +252,7 @@ func NewPopulation(cfg PopulationConfig, src *rng.Source) *Population {
 
 	for mi, tm := range models {
 		nFuncs := int(float64(cfg.Functions)*tm.funcShare + 0.5)
-		if nFuncs < 1 {
-			nFuncs = 1
-		}
+		nFuncs = max(nFuncs, 1)
 		classRPS := cfg.TotalRPS * tm.callShare
 		// Zipf weights spread the class rate across its functions.
 		weights := make([]float64, nFuncs)
