@@ -53,7 +53,7 @@ func main() {
 
 	// 1. Data stream (the trigger family behind the paper's 50x growth
 	//    jump): 8 partitions of log records feeding falco-logproc.
-	stream := xfaas.NewStream(p.Engine, submit, logproc, 0, "falco-events", 8, xfaas.NewRand(6))
+	stream := xfaas.NewStream(p.Engine, submit, logproc, 0, "falco-events", 8)
 	producer := xfaas.NewRand(7)
 	p.Engine.Every(time.Second, func() {
 		// ~200 records/s with bursts.
@@ -67,7 +67,7 @@ func main() {
 
 	// 3. Orchestration workflow: completion-chained ETL, one instance
 	//    every 10 minutes.
-	etl := xfaas.NewWorkflowTrigger("etl", p, submit, 0, extract, transform, load)
+	etl := xfaas.NewWorkflowTrigger(p, submit, 0, extract, transform, load)
 	p.Engine.Every(10*time.Minute, func() { etl.Start(p.Engine.Now()) })
 
 	p.Engine.RunFor(2 * time.Hour)

@@ -53,8 +53,8 @@ type AIMD struct {
 	params     AIMDParams
 	limit      float64
 	exceptions *stats.WindowRate
-	// Decreases / Increases count adjustments for observability.
-	Decreases, Increases uint64
+	// Decreases counts the limit's cuts for observability.
+	Decreases uint64
 }
 
 // NewAIMD returns a controller starting at the given initial limit.
@@ -83,7 +83,6 @@ func (a *AIMD) Tick(now sim.Time) float64 {
 		a.Decreases++
 	} else {
 		a.limit += a.params.Increase
-		a.Increases++
 	}
 	a.limit = max(a.limit, AIMDFloor)
 	return a.limit

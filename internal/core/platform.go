@@ -23,7 +23,6 @@ import (
 	"xfaas/internal/gtc"
 	"xfaas/internal/invariant"
 	"xfaas/internal/jit"
-	"xfaas/internal/kv"
 	"xfaas/internal/lifecycle"
 	"xfaas/internal/locality"
 	"xfaas/internal/queuelb"
@@ -215,7 +214,6 @@ type Platform struct {
 	Engine      *sim.Engine
 	Topo        *cluster.Topology
 	Store       *config.Store
-	KV          *kv.Store
 	Central     *ratelimit.Central
 	Cong        *congestion.Manager
 	Downstreams *downstream.Registry
@@ -248,7 +246,6 @@ type Platform struct {
 
 	cfg     Config
 	regions []*Region
-	src     *rng.Source
 	idSeq   uint64
 	spiky   map[string]bool
 
@@ -328,12 +325,10 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		Engine:           engine,
 		Topo:             topo,
 		Store:            config.NewStore(engine),
-		KV:               kv.NewStore(64),
 		Central:          ratelimit.NewCentral(engine),
 		Downstreams:      downstream.NewRegistry(),
 		Registry:         registry,
 		cfg:              cfg,
-		src:              src,
 		idSeq:            cfg.IDBase,
 		spiky:            make(map[string]bool),
 		avgCostM:         100,
@@ -453,8 +448,8 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			// submitter is built. See flushSubmitters.
 			engine.Every(submitter.FlushInterval, p.flushSubmitters)
 		}
-		reg.Normal = submitter.New(engine, r.ID, submitter.PoolNormal, cfg.Submitter, reg.QueueLB, p.KV, src.Split(), &p.idSeq)
-		reg.Spiky = submitter.New(engine, r.ID, submitter.PoolSpiky, cfg.Submitter, reg.QueueLB, p.KV, src.Split(), &p.idSeq)
+		reg.Normal = submitter.New(engine, r.ID, submitter.PoolNormal, cfg.Submitter, reg.QueueLB, nil, src.Split(), &p.idSeq)
+		reg.Spiky = submitter.New(engine, r.ID, submitter.PoolSpiky, cfg.Submitter, reg.QueueLB, nil, src.Split(), &p.idSeq)
 		for _, sub := range []*submitter.Submitter{reg.Normal, reg.Spiky} {
 			sub.Obs = p.Obs
 		}

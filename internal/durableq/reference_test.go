@@ -125,11 +125,10 @@ type refShard struct {
 	// BudgetSpent counts redeliveries that consumed a retry token.
 	FirstAcks   stats.Counter
 	BudgetSpent stats.Counter
-	// Crashes counts Crash invocations; LostOnCrash counts calls
-	// destroyed by them (torn journal tail, or everything when
-	// unjournaled); Replayed counts calls requeued by journal replay;
-	// DupSuppressed counts queued duplicates settled by a late ack.
-	Crashes       stats.Counter
+	// LostOnCrash counts calls destroyed by Crash (torn journal tail, or
+	// everything when unjournaled); Replayed counts calls requeued by
+	// journal replay; DupSuppressed counts queued duplicates settled by a
+	// late ack.
 	LostOnCrash   stats.Counter
 	Replayed      stats.Counter
 	DupSuppressed stats.Counter
@@ -743,7 +742,6 @@ func (s *refShard) Recovering() bool { return s.crashed }
 // recoverable by Restart. Without a journal every held call is lost. The
 // shard stays down (rejecting all requests) until Restart completes.
 func (s *refShard) Crash() {
-	s.Crashes.Inc()
 	s.down = true
 	s.crashed = true
 	s.replayTimer.Stop()

@@ -11,28 +11,24 @@ import (
 
 func init() {
 	register(&Experiment{
-		ID:          "localitymem",
-		Title:       "A/B: locality groups reduce worker memory",
-		Description: "Same traffic on two fleets, with and without locality groups; the paper measured 11.8%/11.4% memory savings at P50/P95 (§5.2).",
-		Run:         runLocalityMem,
+		ID:    "localitymem",
+		Title: "A/B: locality groups reduce worker memory",
+		Run:   runLocalityMem,
 	})
 	register(&Experiment{
-		ID:          "ablation-timeshift",
-		Title:       "Ablation: time-shifting on vs off",
-		Description: "With every function forced to reserved quota, the executed curve tracks the spiky received curve (DESIGN.md ablation).",
-		Run:         runAblationTimeShift,
+		ID:    "ablation-timeshift",
+		Title: "Ablation: time-shifting on vs off",
+		Run:   runAblationTimeShift,
 	})
 	register(&Experiment{
-		ID:          "ablation-gtc",
-		Title:       "Ablation: global dispatch vs region-local only",
-		Description: "Without the GTC, regional utilization diverges and backlogs stick to overloaded regions (DESIGN.md ablation).",
-		Run:         runAblationGTC,
+		ID:    "ablation-gtc",
+		Title: "Ablation: global dispatch vs region-local only",
+		Run:   runAblationGTC,
 	})
 	register(&Experiment{
-		ID:          "ablation-aimd",
-		Title:       "Ablation: AIMD back-pressure on vs off",
-		Description: "Without AIMD, an overloaded downstream keeps shedding; with it, offered load converges to capacity (DESIGN.md ablation).",
-		Run:         runAblationAIMD,
+		ID:    "ablation-aimd",
+		Title: "Ablation: AIMD back-pressure on vs off",
+		Run:   runAblationAIMD,
 	})
 }
 

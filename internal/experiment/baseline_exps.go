@@ -16,10 +16,7 @@ func init() {
 	register(&Experiment{
 		ID:    "baseline-coldstart",
 		Title: "XFaaS vs conventional per-function containers",
-		Description: "The same workload on identical hardware under the conventional FaaS model " +
-			"(per-function containers, cold starts, 10-minute keep-alive — the model the paper's " +
-			"§1/§6 argue against) versus XFaaS's universal-worker approximation.",
-		Run: runBaselineColdstart,
+		Run:   runBaselineColdstart,
 	})
 }
 

@@ -18,35 +18,22 @@ func init() {
 	register(&Experiment{
 		ID:    "chaos_gray",
 		Title: "Chaos: gray workers detected and routed around",
-		Description: "A third of the largest region's workers silently degrade to 12% speed. The " +
-			"health prober marks them Gray within its detection lag, the WorkerLB routes around " +
-			"them, and throughput recovers fully once the episode clears.",
-		Run: runChaosGray,
+		Run:   runChaosGray,
 	})
 	register(&Experiment{
 		ID:    "chaos_partition",
 		Title: "Chaos: region partition severs the cross-region fabric",
-		Description: "The largest region is cut off from the GTC and from cross-region pulls. " +
-			"Intra-region traffic continues on both sides of the cut; cross-region dispatch " +
-			"freezes and resumes after the partition heals.",
-		Run: runChaosPartition,
+		Run:   runChaosPartition,
 	})
 	register(&Experiment{
 		ID:    "chaos_correlated",
 		Title: "Chaos: correlated rack failure, detection and degradation",
-		Description: "80% of the largest region's workers die silently as one block. Heartbeats " +
-			"detect the block within the configured lag, schedulers evacuate the dead workers' " +
-			"leases, the region's circuit breaker opens, and fleet-wide load shedding protects " +
-			"critical traffic until the rack returns.",
-		Run: runChaosCorrelated,
+		Run:   runChaosCorrelated,
 	})
 	register(&Experiment{
 		ID:    "chaos_dq",
 		Title: "Chaos: DurableQ shard unavailability window",
-		Description: "Every DurableQ shard in one region goes unavailable. QueueLBs route new " +
-			"submissions around the outage (no submission is lost), execution continues on the " +
-			"surviving shards, and the down shards' backlog drains once they return.",
-		Run: runChaosDQ,
+		Run:   runChaosDQ,
 	})
 }
 

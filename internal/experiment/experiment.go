@@ -193,10 +193,9 @@ func mdEscape(s string) string {
 
 // Experiment is one regenerable paper artifact.
 type Experiment struct {
-	ID          string
-	Title       string
-	Description string
-	Run         func(Scale) *Result
+	ID    string
+	Title string
+	Run   func(Scale) *Result
 }
 
 // Chaos returns the scenario name `xfaas-sim -chaos` runs e under: the

@@ -12,16 +12,14 @@ import (
 
 func init() {
 	register(&Experiment{
-		ID:          "criticality",
-		Title:       "Criticality-ordered execution under a capacity crunch",
-		Description: "FuncBuffers order by criticality first so important calls execute during capacity crunches (paper §4.4).",
-		Run:         runCriticality,
+		ID:    "criticality",
+		Title: "Criticality-ordered execution under a capacity crunch",
+		Run:   runCriticality,
 	})
 	register(&Experiment{
-		ID:          "extension-oppfrac",
-		Title:       "Extension: converting reserved quota to opportunistic (paper §8 ongoing work)",
-		Description: "Sweeping the opportunistic fraction shows how much peak capacity time-shifting saves — the paper's stated future direction.",
-		Run:         runOppFracSweep,
+		ID:    "extension-oppfrac",
+		Title: "Extension: converting reserved quota to opportunistic (paper §8 ongoing work)",
+		Run:   runOppFracSweep,
 	})
 }
 

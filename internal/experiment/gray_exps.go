@@ -23,29 +23,17 @@ func init() {
 	register(&Experiment{
 		ID:    "chaos_graytail",
 		Title: "Chaos: subtle gray workers wreck the tail until ejection + hedging",
-		Description: "A quarter of a region's workers degrade to 1/3 speed — slow enough to " +
-			"triple the CritHigh p99, fast enough to pass every heartbeat probe. Exec-time " +
-			"outlier scoring ejects them, hedged dispatch covers the detection window and the " +
-			"routing residue, and the hedge budget bounds speculative load.",
-		Run: runChaosGrayTail,
+		Run:   runChaosGrayTail,
 	})
 	register(&Experiment{
 		ID:    "chaos_flapping",
 		Title: "Chaos: flapping worker pinned by probation hysteresis",
-		Description: "One worker oscillates across the gray probe threshold every few probe " +
-			"intervals. Without hysteresis the detected state — and routing — flaps with it; " +
-			"with detection v2 the probation window rate-limits flips and the outlier score " +
-			"holds the worker ejected until it is genuinely stable.",
-		Run: runChaosFlapping,
+		Run:   runChaosFlapping,
 	})
 	register(&Experiment{
 		ID:    "drill_evacuation",
 		Title: "Drill: staged regional evacuation with zero acked-call loss",
-		Description: "A planned drain of one region: admission stops (submissions reroute to " +
-			"peers), schedulers release held work, queued CritHigh calls migrate to peer " +
-			"regions, deferrable work time-shifts in place, and the controller reports the " +
-			"drain RTO at quiesce. Undrain restores the region and the backlog drains.",
-		Run: runDrillEvacuation,
+		Run:   runDrillEvacuation,
 	})
 }
 

@@ -12,16 +12,14 @@ import (
 
 func init() {
 	register(&Experiment{
-		ID:          "fig13",
-		Title:       "Incident 1: back-pressure protects a degraded WTCache",
-		Description: "A buggy KVStore release throttles WTCache; XFaaS's AIMD cuts function traffic and auto-recovers (paper §5.5 / Figure 13).",
-		Run:         runFig13,
+		ID:    "fig13",
+		Title: "Incident 1: back-pressure protects a degraded WTCache",
+		Run:   runFig13,
 	})
 	register(&Experiment{
-		ID:          "fig14",
-		Title:       "Incident 2: slow start and concurrency limits tame a surging function (reconstructed)",
-		Description: "A new high-volume function ramps gradually instead of overwhelming its downstream (paper §5.5, second incident; exact panel elided in our copy).",
-		Run:         runFig14,
+		ID:    "fig14",
+		Title: "Incident 2: slow start and concurrency limits tame a surging function (reconstructed)",
+		Run:   runFig14,
 	})
 }
 

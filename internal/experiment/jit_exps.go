@@ -13,10 +13,9 @@ import (
 
 func init() {
 	register(&Experiment{
-		ID:          "fig12",
-		Title:       "Runtime restart with vs without cooperative JIT",
-		Description: "Max RPS in ≈3 minutes with a seeded profile vs ≈21 minutes self-profiling (paper Figure 12).",
-		Run:         runFig12,
+		ID:    "fig12",
+		Title: "Runtime restart with vs without cooperative JIT",
+		Run:   runFig12,
 	})
 }
 

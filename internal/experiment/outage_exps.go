@@ -10,10 +10,7 @@ func init() {
 	register(&Experiment{
 		ID:    "outage",
 		Title: "Region outage: stateless failover and at-least-once redelivery",
-		Description: "An entire region's worker pool dies mid-run; its scheduler evacuates held calls, " +
-			"the GTC routes demand to survivors, and execution continues (paper §4.1's fault-tolerance " +
-			"design: one stateful tier, stateless everything else).",
-		Run: runOutage,
+		Run:   runOutage,
 	})
 }
 

@@ -13,46 +13,39 @@ import (
 
 func init() {
 	register(&Experiment{
-		ID:          "fig2",
-		Title:       "Received vs executed function calls per minute",
-		Description: "Received load is ≈4.3x peak-to-trough; executed is far smoother (paper Figure 2).",
-		Run:         runFig2,
+		ID:    "fig2",
+		Title: "Received vs executed function calls per minute",
+		Run:   runFig2,
 	})
 	register(&Experiment{
-		ID:          "fig4",
-		Title:       "A spiky function: received in a 15-minute burst, executed over hours",
-		Description: "One function's burst is time-shifted across hours (paper Figure 4).",
-		Run:         runFig4,
+		ID:    "fig4",
+		Title: "A spiky function: received in a 15-minute burst, executed over hours",
+		Run:   runFig4,
 	})
 	register(&Experiment{
-		ID:          "fig7",
-		Title:       "CPU utilization of workers across regions",
-		Description: "Daily average ≈66%, peak-to-trough ≈1.4 (paper Figure 7).",
-		Run:         runFig7,
+		ID:    "fig7",
+		Title: "CPU utilization of workers across regions",
+		Run:   runFig7,
 	})
 	register(&Experiment{
-		ID:          "fig8",
-		Title:       "Scheduling delay of reserved vs opportunistic calls (reconstructed)",
-		Description: "Reserved calls start within seconds; opportunistic calls defer for hours (paper §4.6.2 SLOs; Figure 8's exact panel is elided in our copy).",
-		Run:         runFig8,
+		ID:    "fig8",
+		Title: "Scheduling delay of reserved vs opportunistic calls (reconstructed)",
+		Run:   runFig8,
 	})
 	register(&Experiment{
-		ID:          "fig9",
-		Title:       "Distinct functions executed per worker per hour",
-		Description: "≈61 at P50 and ≈113 at P95 despite tens of thousands of functions (paper Figure 9).",
-		Run:         runFig9,
+		ID:    "fig9",
+		Title: "Distinct functions executed per worker per hour",
+		Run:   runFig9,
 	})
 	register(&Experiment{
-		ID:          "fig10",
-		Title:       "Worker memory stays stable while highly utilized",
-		Description: "Worker memory holds a stable level under 64GB (paper Figure 10).",
-		Run:         runFig10,
+		ID:    "fig10",
+		Title: "Worker memory stays stable while highly utilized",
+		Run:   runFig10,
 	})
 	register(&Experiment{
-		ID:          "fig11",
-		Title:       "Reserved vs opportunistic CPU complement each other",
-		Description: "Opportunistic execution fills the troughs of the diurnal reserved curve (paper Figure 11).",
-		Run:         runFig11,
+		ID:    "fig11",
+		Title: "Reserved vs opportunistic CPU complement each other",
+		Run:   runFig11,
 	})
 }
 

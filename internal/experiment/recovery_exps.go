@@ -22,36 +22,22 @@ func init() {
 	register(&Experiment{
 		ID:    "chaos_shardcrash",
 		Title: "Chaos: DurableQ shard crash, journal replay and at-least-once redelivery",
-		Description: "Every DurableQ shard in the largest region crashes, destroying in-memory " +
-			"state. The journal's durable prefix replays after the restart delay; only the " +
-			"unflushed tail is lost, orphaned leases redeliver immediately, duplicates from " +
-			"pre-crash executions are suppressed, and the conservation ledger stays closed.",
-		Run: runChaosShardCrash,
+		Run:   runChaosShardCrash,
 	})
 	register(&Experiment{
 		ID:    "chaos_submittercrash",
 		Title: "Chaos: submitter crash loses exactly the unflushed batch window",
-		Description: "A region's normal-pool submitter crashes mid-batch. Calls accepted since " +
-			"the last flush are terminally lost (and accounted as lost — never silently), " +
-			"submission resumes after the rebuild delay, and the ack rate recovers.",
-		Run: runChaosSubmitterCrash,
+		Run:   runChaosSubmitterCrash,
 	})
 	register(&Experiment{
 		ID:    "chaos_schedcrash",
 		Title: "Chaos: scheduler crash, lease-expiry redelivery and stateless rebuild",
-		Description: "A scheduler replica crashes, orphaning every DurableQ lease it held. The " +
-			"replica restarts stateless after its rebuild delay; the orphaned leases expire and " +
-			"redeliver, so recovery time is dominated by the lease timeout, not by any state " +
-			"reconstruction.",
-		Run: runChaosSchedCrash,
+		Run:   runChaosSchedCrash,
 	})
 	register(&Experiment{
 		ID:    "recovery_flushlag",
 		Title: "Recovery: crash-loss window vs journal flush lag",
-		Description: "The same seeded run crashes a region's shard pool under journal flush lags " +
-			"from synchronous to 2s. Synchronous journaling loses nothing; the loss count grows " +
-			"monotonically with the lag — the torn tail is exactly the unflushed window.",
-		Run: runRecoveryFlushLag,
+		Run:   runRecoveryFlushLag,
 	})
 }
 

@@ -23,35 +23,22 @@ func init() {
 	register(&Experiment{
 		ID:    "chaos_retrystorm",
 		Title: "Chaos: retry storm against a failing downstream",
-		Description: "High-criticality functions hammer a downstream that starts failing every " +
-			"request. Unbounded redelivery amplifies the load until the worker fleet does nothing " +
-			"but churn doomed retries, starving a clean cohort; retry budgets bound the " +
-			"amplification and keep clean goodput high.",
-		Run: runChaosRetryStorm,
+		Run:   runChaosRetryStorm,
 	})
 	register(&Experiment{
 		ID:    "chaos_midnightspike",
 		Title: "Chaos: midnight pipeline spike rides on deferral, not shedding",
-		Description: "Every opportunistic function rides the Figure 2 midnight big-data-pipeline " +
-			"spike on a tightly provisioned fleet. Delay-tolerant work is deferred and drained " +
-			"after the window; the shedding valve stays idle and reserved traffic rides through.",
-		Run: runChaosMidnightSpike,
+		Run:   runChaosMidnightSpike,
 	})
 	register(&Experiment{
 		ID:    "chaos_spikyclient",
 		Title: "Chaos: spiky client's day of calls lands in 15 minutes",
-		Description: "One client submits its whole day of traffic in a 15-minute burst (the " +
-			"paper's 20M-calls-in-15-minutes client, scaled). Quota spreads execution over hours; " +
-			"with the full resilience stack enabled nothing is shed and nothing retried.",
-		Run: runChaosSpikyClient,
+		Run:   runChaosSpikyClient,
 	})
 	register(&Experiment{
 		ID:    "chaos_zipfneighbor",
 		Title: "Chaos: Zipf-dominant noisy neighbor flood",
-		Description: "A dominant tenant's opportunistic function floods far beyond fleet capacity " +
-			"while small reserved tenants keep steady traffic. Queue-delay shedding and expiry " +
-			"sweeping confine the damage to the noisy tenant and bound the backlog.",
-		Run: runChaosZipfNeighbor,
+		Run:   runChaosZipfNeighbor,
 	})
 }
 

@@ -8,10 +8,7 @@ func init() {
 	register(&Experiment{
 		ID:    "rim",
 		Title: "RIM: proactive global coordination vs reactive back-pressure alone",
-		Description: "The Resource Isolation and Management system (paper §1.2) watches downstream " +
-			"utilization globally and paces functions before the service has to shed load, cutting " +
-			"the back-pressure exceptions the reactive AIMD loop would otherwise need.",
-		Run: runRIM,
+		Run:   runRIM,
 	})
 }
 

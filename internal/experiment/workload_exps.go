@@ -15,40 +15,34 @@ import (
 
 func init() {
 	register(&Experiment{
-		ID:          "table1",
-		Title:       "Breakdown of functions by trigger category",
-		Description: "Function / invocation / compute shares per trigger (paper Table 1).",
-		Run:         runTable1,
+		ID:    "table1",
+		Title: "Breakdown of functions by trigger category",
+		Run:   runTable1,
 	})
 	register(&Experiment{
-		ID:          "table2",
-		Title:       "Example workloads (Recommendation, Falco, Productivity Bot, Notification, Morphing)",
-		Description: "Min/max CPU, memory and execution time per named workload (paper Table 2, reconstructed ranges).",
-		Run:         runTable2,
+		ID:    "table2",
+		Title: "Example workloads (Recommendation, Falco, Productivity Bot, Notification, Morphing)",
+		Run:   runTable2,
 	})
 	register(&Experiment{
-		ID:          "table3",
-		Title:       "Percentiles of CPU, memory and execution time by trigger",
-		Description: "P10/P50/P90/P99 of per-call resources per trigger type (paper Table 3).",
-		Run:         runTable3,
+		ID:    "table3",
+		Title: "Percentiles of CPU, memory and execution time by trigger",
+		Run:   runTable3,
 	})
 	register(&Experiment{
-		ID:          "fig3",
-		Title:       "Growth of daily function invocations over five years",
-		Description: "50x adoption growth with the late data-stream-trigger jump (paper Figure 3).",
-		Run:         runFig3,
+		ID:    "fig3",
+		Title: "Growth of daily function invocations over five years",
+		Run:   runFig3,
 	})
 	register(&Experiment{
-		ID:          "fig5",
-		Title:       "Worker-pool capacity across regions",
-		Description: "Uneven per-region capacity distribution (paper Figure 5).",
-		Run:         runFig5,
+		ID:    "fig5",
+		Title: "Worker-pool capacity across regions",
+		Run:   runFig5,
 	})
 	register(&Experiment{
-		ID:          "teamskew",
-		Title:       "Capacity concentration across teams",
-		Description: "Top team ≈10%; 0.4% / 2.6% of teams consume 50% / 90% of capacity (paper §6).",
-		Run:         runTeamSkew,
+		ID:    "teamskew",
+		Title: "Capacity concentration across teams",
+		Run:   runTeamSkew,
 	})
 }
 

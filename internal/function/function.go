@@ -265,10 +265,6 @@ type Call struct {
 	SourceRegion cluster.RegionID
 	// ArgZone labels the arguments' source isolation zone.
 	ArgZone isolation.Zone
-	// ArgBytes is the serialized argument size; large arguments are
-	// offloaded to the KV store under ArgKey.
-	ArgBytes int
-	ArgKey   string
 
 	// Drawn per-call resource needs (filled by the workload generator so
 	// retries are deterministic).

@@ -143,9 +143,8 @@ func Compute(topo *cluster.Topology, snap Snapshot) Matrix {
 
 // Conductor periodically recomputes and publishes the matrix.
 type Conductor struct {
-	engine *sim.Engine
-	topo   *cluster.Topology
-	store  *config.Store
+	topo  *cluster.Topology
+	store *config.Store
 	// SnapshotFn provides the near-real-time demand/supply view.
 	SnapshotFn func() Snapshot
 
@@ -157,7 +156,7 @@ type Conductor struct {
 
 // NewConductor starts a conductor recomputing every interval.
 func NewConductor(engine *sim.Engine, topo *cluster.Topology, store *config.Store, interval time.Duration, snapshotFn func() Snapshot) *Conductor {
-	c := &Conductor{engine: engine, topo: topo, store: store, SnapshotFn: snapshotFn, Enabled: true}
+	c := &Conductor{topo: topo, store: store, SnapshotFn: snapshotFn, Enabled: true}
 	store.Set(MatrixKey, Identity(topo.NumRegions()))
 	engine.Every(interval, c.tick)
 	return c

@@ -182,7 +182,6 @@ type probe struct {
 // engine by the server mutex that brackets Engine.RunFor and every handler.
 type Checker struct {
 	engine *sim.Engine
-	params Params
 	// violationCap is maxViolations; tests vary it.
 	violationCap int
 
@@ -226,7 +225,6 @@ func NewChecker(engine *sim.Engine, params Params, numRegions int) *Checker {
 	}
 	k := &Checker{
 		engine:       engine,
-		params:       params,
 		violationCap: maxViolations,
 		byFunc:       make(map[string]*fcounts),
 		byRegion:     make([]Tally, numRegions),

@@ -116,7 +116,6 @@ type Log struct {
 	compactAt int
 
 	appends uint64
-	flushes uint64
 }
 
 // New returns an empty log. flushLag is the sync-horizon lag: 0 makes
@@ -183,7 +182,6 @@ func (l *Log) Append(op Op, c *function.Call, readyAt sim.Time) uint64 {
 
 func (l *Log) flush() {
 	l.synced = len(l.entries)
-	l.flushes++
 	if l.Len() > l.compactAt {
 		l.compact()
 	}
@@ -192,7 +190,6 @@ func (l *Log) flush() {
 // Sync forces the horizon to the end of the log (graceful shutdown).
 func (l *Log) Sync() {
 	l.synced = len(l.entries)
-	l.flushes++
 }
 
 // squeezeShare is the dead share of the slots, one in squeezeShare, past

@@ -1,30 +1,11 @@
-// Package kv is a minimal sharded key-value store. XFaaS submitters use it
-// to offload large function arguments out of the DurableQ write path
-// (paper §4.2).
+// Package kv is an empty shell. The simulator does not model paper §4.2's
+// argument offload, because nothing in it charges for argument bytes;
+// Store and NewStore remain only because benchmark/ passes a store to
+// submitter.New.
 package kv
 
-import "hash/fnv"
+// Store holds nothing.
+type Store struct{}
 
-// Store is a sharded in-memory key-value store.
-type Store struct {
-	shards []map[string][]byte
-}
-
-// NewStore returns a store with the given shard count (min 1).
-func NewStore(shards int) *Store {
-	shards = max(shards, 1)
-	s := &Store{shards: make([]map[string][]byte, shards)}
-	for i := range s.shards {
-		s.shards[i] = make(map[string][]byte)
-	}
-	return s
-}
-
-func (s *Store) shardOf(key string) map[string][]byte {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return s.shards[int(h.Sum32())%len(s.shards)]
-}
-
-// Put stores value under key, replacing any previous value.
-func (s *Store) Put(key string, value []byte) { s.shardOf(key)[key] = value }
+// NewStore returns an empty store; the shard count is ignored.
+func NewStore(int) *Store { return &Store{} }

@@ -37,12 +37,10 @@ type Central struct {
 	// Window over which global RPS is measured.
 	window time.Duration
 
-	Allowed   stats.Counter
 	Throttled stats.Counter
 }
 
 type funcState struct {
-	spec *function.Spec
 	// avgCost is an EWMA of observed millions of instructions per call,
 	// seeded from the declared resource model so new functions have a
 	// sane limit before their first completion report.
@@ -115,7 +113,6 @@ func (c *Central) state(spec *function.Spec) *funcState {
 	if !ok {
 		seed := expectedCost(spec)
 		fs = &funcState{
-			spec:    spec,
 			avgCost: seed,
 			rate:    stats.NewWindowRate(time.Second, int(c.window/time.Second)),
 		}
@@ -178,7 +175,6 @@ func (c *Central) Allow(spec *function.Spec) bool {
 		}
 	}
 	fs.rate.Add(now, 1)
-	c.Allowed.Inc()
 	return true
 }
 

@@ -20,7 +20,6 @@ import (
 
 	"xfaas/internal/config"
 	"xfaas/internal/sim"
-	"xfaas/internal/stats"
 )
 
 // AdviceKey is the config-store key the advice map is published under.
@@ -59,22 +58,15 @@ func (a Advice) Multiplier(name string) float64 {
 
 // RIM aggregates sources and publishes advice.
 type RIM struct {
-	engine  *sim.Engine
 	store   *config.Store
 	sources []Source
 
 	current Advice
-
-	Collections stats.Counter
-	// Constrained counts advice publications where at least one
-	// component was below multiplier 1.
-	Constrained stats.Counter
 }
 
 // New starts a RIM aggregating the given sources every interval.
 func New(engine *sim.Engine, store *config.Store, sources ...Source) *RIM {
 	r := &RIM{
-		engine:  engine,
 		store:   store,
 		sources: sources,
 		current: Advice{},
@@ -89,23 +81,15 @@ func (r *RIM) MultiplierFor(name string) float64 { return r.current.Multiplier(n
 
 func (r *RIM) collect() {
 	advice := make(Advice, len(r.sources))
-	constrained := false
 	// Deterministic iteration for reproducible publications.
 	srcs := append([]Source(nil), r.sources...)
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i].RIMName() < srcs[j].RIMName() })
 	for _, s := range srcs {
 		m := r.multiplier(s.RIMUtilization())
 		advice[s.RIMName()] = m
-		if m < 1 {
-			constrained = true
-		}
 	}
 	r.current = advice
 	r.store.Set(AdviceKey, advice)
-	r.Collections.Inc()
-	if constrained {
-		r.Constrained.Inc()
-	}
 }
 
 // multiplier maps utilization to a pacing multiplier: 1 below soft,

@@ -186,9 +186,6 @@ type Scheduler struct {
 	// everything is reachable.
 	Reachable func(cluster.RegionID) bool
 
-	ticker  *sim.Ticker
-	renewer *sim.Ticker
-
 	// OnExecuted, when set, is invoked for every successfully completed
 	// call (platform-level series aggregation).
 	OnExecuted func(*function.Call)
@@ -199,7 +196,6 @@ type Scheduler struct {
 
 	// Metrics.
 	Polled           stats.Counter
-	Scheduled        stats.Counter
 	Dispatched       stats.Counter
 	QuotaThrottled   stats.Counter
 	CongestionDenied stats.Counter
@@ -278,10 +274,10 @@ func NewHedged(engine *sim.Engine, src *rng.Source, region cluster.RegionID, par
 	s.pol = s.newPolicy()
 	s.pol.Attach(s)
 	lb.OnWorkerDown(s.onWorkerDown)
-	s.ticker = engine.Every(params.PollInterval, s.tick)
+	engine.Every(params.PollInterval, s.tick)
 	// The holder's round renews every lease this process still holds. A
 	// crashed process's new holder holds none until it polls again.
-	s.renewer = engine.Every(LeaseRenewInterval, func() { s.holder.Renew() })
+	engine.Every(LeaseRenewInterval, func() { s.holder.Renew() })
 	return s
 }
 
@@ -808,7 +804,6 @@ func (s *Scheduler) scheduleLevel(cands []*FuncBuffer, space int) int {
 			}
 			b.Pop()
 			s.runQ = append(s.runQ, c)
-			s.Scheduled.Inc()
 			s.Obs.Emit(c, trace.KindScheduled, 0)
 			s.pol.OnScheduled(c)
 			space--

@@ -129,7 +129,6 @@ type tenantCost struct {
 // plus per-tenant cost counters, all registered in the platform's metric
 // registry so they flow to /metrics, /utilization and xfaas-inspect.
 type Accountant struct {
-	reg      *stats.Registry
 	window   time.Duration
 	coreMIPS float64
 	created  sim.Time
@@ -159,7 +158,6 @@ type Accountant struct {
 // built; window is the utilization timeline resolution.
 func NewAccountant(reg *stats.Registry, regionNames []string, coreMIPS float64, window time.Duration, now sim.Time) *Accountant {
 	a := &Accountant{
-		reg:            reg,
 		window:         window,
 		coreMIPS:       coreMIPS,
 		created:        now,

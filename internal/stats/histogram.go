@@ -200,10 +200,10 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Summary describes a distribution at the percentiles the paper reports.
 type Summary struct {
-	Count                   uint64
-	Mean                    float64
-	Min, P10, P50, P90, P95 float64
-	P99, Max                float64
+	Count              uint64
+	Mean               float64
+	P10, P50, P90, P99 float64
+	Max                float64
 }
 
 // Summarize extracts a Summary.
@@ -211,11 +211,9 @@ func (h *Histogram) Summarize() Summary {
 	return Summary{
 		Count: h.total,
 		Mean:  h.Mean(),
-		Min:   h.Min(),
 		P10:   h.Quantile(0.10),
 		P50:   h.Quantile(0.50),
 		P90:   h.Quantile(0.90),
-		P95:   h.Quantile(0.95),
 		P99:   h.Quantile(0.99),
 		Max:   h.Max(),
 	}

@@ -78,8 +78,6 @@ func (g *GaugeVec) With(values ...string) *Gauge { return g.vec.with(values) }
 // mode are fixed per family and apply to every child.
 type SeriesVec struct {
 	name string
-	step time.Duration
-	mode SeriesMode
 	vec  *vec[TimeSeries]
 }
 
@@ -117,8 +115,7 @@ func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
 func (r *Registry) SeriesVec(name string, step time.Duration, mode SeriesMode, labels ...string) *SeriesVec {
 	v, ok := r.svecs[name]
 	if !ok {
-		v = &SeriesVec{name: name, step: step, mode: mode,
-			vec: newVec(labels, func() *TimeSeries { return NewTimeSeries(step, mode) })}
+		v = &SeriesVec{name: name, vec: newVec(labels, func() *TimeSeries { return NewTimeSeries(step, mode) })}
 		r.svecs[name] = v
 	} else if !sameLabels(v.vec.labels, labels) {
 		panic("stats: SeriesVec " + name + " redeclared with different labels")

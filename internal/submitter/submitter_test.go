@@ -10,7 +10,6 @@ import (
 	"xfaas/internal/config"
 	"xfaas/internal/durableq"
 	"xfaas/internal/function"
-	"xfaas/internal/kv"
 	"xfaas/internal/queuelb"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
@@ -22,18 +21,17 @@ import (
 type fixture struct {
 	engine *sim.Engine
 	shard  *durableq.Shard
-	store  *kv.Store
 	sub    *Submitter
 	idSeq  uint64
 }
 
 func newFixture(pool Pool, params Params) *fixture {
-	f := &fixture{engine: sim.NewEngine(), store: kv.NewStore(4)}
+	f := &fixture{engine: sim.NewEngine()}
 	f.shard = durableq.NewShard(durableq.ShardID{}, f.engine, nil)
 	topoShards := [][]*durableq.Shard{{f.shard}}
 	cstore := config.NewStore(f.engine)
 	qlb := queuelb.New(0, rng.New(1), topoShards, cstore)
-	f.sub = New(f.engine, cluster.RegionID(0), pool, params, qlb, f.store, rng.New(2), &f.idSeq)
+	f.sub = New(f.engine, cluster.RegionID(0), pool, params, qlb, nil, rng.New(2), &f.idSeq)
 	f.engine.Every(FlushInterval, f.sub.Flush)
 	return f
 }
@@ -74,23 +72,6 @@ func TestBatchSizeFlush(t *testing.T) {
 	}
 	if f.sub.Batches.Value() != 1 {
 		t.Fatalf("batches = %v", f.sub.Batches.Value())
-	}
-}
-
-func TestBigArgsOffloadedToKV(t *testing.T) {
-	f := newFixture(PoolNormal, DefaultParams())
-	c := &function.Call{Spec: subSpec(), ArgBytes: 1 << 20}
-	f.sub.Submit("c", c)
-	if c.ArgKey == "" {
-		t.Fatal("large args not offloaded")
-	}
-	small := &function.Call{Spec: subSpec(), ArgBytes: 100}
-	f.sub.Submit("c", small)
-	if small.ArgKey != "" {
-		t.Fatal("small args offloaded unnecessarily")
-	}
-	if f.sub.ArgsOffloaded.Value() != 1 {
-		t.Fatalf("offloads = %v", f.sub.ArgsOffloaded.Value())
 	}
 }
 
@@ -185,10 +166,9 @@ func TestFlushFollowsTheOwnersOrder(t *testing.T) {
 	shard := durableq.NewShard(durableq.ShardID{}, e, nil)
 	shard.EnableJournal(0)
 	qlb := queuelb.New(0, rng.New(1), [][]*durableq.Shard{{shard}}, config.NewStore(e))
-	store := kv.NewStore(4)
 	var idSeq uint64
-	first := New(e, 0, PoolNormal, DefaultParams(), qlb, store, rng.New(2), &idSeq)
-	second := New(e, 0, PoolSpiky, DefaultParams(), qlb, store, rng.New(3), &idSeq)
+	first := New(e, 0, PoolNormal, DefaultParams(), qlb, nil, rng.New(2), &idSeq)
+	second := New(e, 0, PoolSpiky, DefaultParams(), qlb, nil, rng.New(3), &idSeq)
 
 	early, late := &function.Call{Spec: subSpec()}, &function.Call{Spec: subSpec()}
 	if err := second.Submit("c", early); err != nil {

@@ -89,7 +89,6 @@ func (r *refRecorder) OnSubmit(c *function.Call) {
 		Region:     c.SourceRegion,
 		SubmitAt:   c.SubmitTime,
 		StartAfter: c.StartAfter,
-		Deadline:   c.Deadline,
 		Events:     make([]Event, 0, 8),
 	}
 	t.Events = append(t.Events, Event{At: c.SubmitTime, Kind: KindSubmit})

@@ -211,7 +211,6 @@ type CallTrace struct {
 	Region     cluster.RegionID // submission region
 	SubmitAt   sim.Time
 	StartAfter sim.Time
-	Deadline   sim.Time
 
 	// EndAt/Outcome/Done are set when a terminal event arrives.
 	EndAt   sim.Time
@@ -442,7 +441,6 @@ func (r *Recorder) OnSubmit(c *function.Call) {
 		Region:     c.SourceRegion,
 		SubmitAt:   c.SubmitTime,
 		StartAfter: c.StartAfter,
-		Deadline:   c.Deadline,
 	}
 	rec.Events = append(rec.inline[:0], Event{At: c.SubmitTime, Kind: KindSubmit})
 	r.mu.Lock()

@@ -12,7 +12,6 @@ import (
 
 	"xfaas/internal/cluster"
 	"xfaas/internal/function"
-	"xfaas/internal/rng"
 	"xfaas/internal/sim"
 	"xfaas/internal/stats"
 	"xfaas/internal/workload"
@@ -86,7 +85,6 @@ type Stream struct {
 	submit workload.SubmitFunc
 	model  *workload.FuncModel
 	region cluster.RegionID
-	src    *rng.Source
 
 	// BatchSize is the number of records consumed per invocation.
 	BatchSize int
@@ -106,7 +104,7 @@ type Stream struct {
 // NewStream returns a running stream trigger with the given partition
 // count feeding model's function.
 func NewStream(engine *sim.Engine, submit workload.SubmitFunc, model *workload.FuncModel,
-	region cluster.RegionID, topic string, partitions int, src *rng.Source) *Stream {
+	region cluster.RegionID, topic string, partitions int) *Stream {
 	if partitions <= 0 {
 		panic("trigger: non-positive partition count")
 	}
@@ -116,7 +114,6 @@ func NewStream(engine *sim.Engine, submit workload.SubmitFunc, model *workload.F
 		submit:       submit,
 		model:        model,
 		region:       region,
-		src:          src,
 		BatchSize:    10,
 		PollInterval: time.Second,
 		backlog:      make([]int, partitions),
@@ -148,12 +145,8 @@ func (s *Stream) consume() {
 	now := s.engine.Now()
 	for p := range s.backlog {
 		for s.backlog[p] > 0 {
-			batch := s.BatchSize
-			if s.backlog[p] < batch {
-				batch = s.backlog[p]
-			}
+			batch := min(s.BatchSize, s.backlog[p])
 			c := s.model.NewCall(now)
-			c.ArgBytes = batch * 512 // records travel as arguments
 			s.Invocations.Inc()
 			if err := s.submit(s.region, s.model.Client, c); err != nil {
 				s.Errors.Inc()
@@ -174,8 +167,6 @@ type CompletionSource interface {
 // Workflow chains functions: each successful completion of step i
 // submits step i+1 — the paper's orchestration-workflow trigger.
 type Workflow struct {
-	Name string
-
 	submit workload.SubmitFunc
 	region cluster.RegionID
 	steps  []*workload.FuncModel
@@ -184,18 +175,16 @@ type Workflow struct {
 	Started   stats.Counter
 	StepRuns  stats.Counter
 	Completed stats.Counter
-	Errors    stats.Counter
 }
 
 // NewWorkflow wires a chain of function models into source's completion
 // stream. Step specs must be distinct functions.
-func NewWorkflow(name string, source CompletionSource, submit workload.SubmitFunc,
+func NewWorkflow(source CompletionSource, submit workload.SubmitFunc,
 	region cluster.RegionID, steps ...*workload.FuncModel) *Workflow {
 	if len(steps) == 0 {
 		panic("trigger: empty workflow")
 	}
 	w := &Workflow{
-		Name:   name,
 		submit: submit,
 		region: region,
 		steps:  steps,
@@ -220,11 +209,7 @@ func (w *Workflow) Start(now sim.Time) error {
 func (w *Workflow) submitStep(i int, now sim.Time) error {
 	c := w.steps[i].NewCall(now)
 	w.StepRuns.Inc()
-	if err := w.submit(w.region, w.steps[i].Client, c); err != nil {
-		w.Errors.Inc()
-		return err
-	}
-	return nil
+	return w.submit(w.region, w.steps[i].Client, c)
 }
 
 func (w *Workflow) onExecuted(c *function.Call) {

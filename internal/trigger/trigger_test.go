@@ -104,7 +104,7 @@ func TestTimersSubmitErrorsCounted(t *testing.T) {
 func TestStreamConsumesBacklogInBatches(t *testing.T) {
 	e := sim.NewEngine()
 	cap := &capture{}
-	s := NewStream(e, cap.submit, model("logproc", function.TriggerEvent, 5), 0, "falco-events", 4, rng.New(6))
+	s := NewStream(e, cap.submit, model("logproc", function.TriggerEvent, 5), 0, "falco-events", 4)
 	s.Produce(0, 25)
 	s.Produce(1, 5)
 	e.RunFor(5 * time.Second)
@@ -123,7 +123,7 @@ func TestStreamConsumesBacklogInBatches(t *testing.T) {
 func TestStreamLagGrowsWhenStopped(t *testing.T) {
 	e := sim.NewEngine()
 	cap := &capture{}
-	s := NewStream(e, cap.submit, model("logproc", function.TriggerEvent, 7), 0, "t", 2, rng.New(8))
+	s := NewStream(e, cap.submit, model("logproc", function.TriggerEvent, 7), 0, "t", 2)
 	s.Stop()
 	for i := 0; i < 10; i++ {
 		s.Produce(uint64(i), 10)
@@ -140,7 +140,7 @@ func TestStreamLagGrowsWhenStopped(t *testing.T) {
 func TestStreamBacksOffOnSubmitError(t *testing.T) {
 	e := sim.NewEngine()
 	cap := &capture{fail: true}
-	s := NewStream(e, cap.submit, model("logproc", function.TriggerEvent, 9), 0, "t", 1, rng.New(10))
+	s := NewStream(e, cap.submit, model("logproc", function.TriggerEvent, 9), 0, "t", 1)
 	s.Produce(0, 100)
 	e.RunFor(3 * time.Second)
 	if s.Lag() != 100 {
@@ -171,7 +171,7 @@ func workflowRig(t *testing.T) (*core.Platform, []*workload.FuncModel) {
 
 func TestWorkflowChainsSteps(t *testing.T) {
 	p, steps := workflowRig(t)
-	w := NewWorkflow("etl", p, p.SubmitFunc(), 0, steps...)
+	w := NewWorkflow(p, p.SubmitFunc(), 0, steps...)
 	if err := w.Start(p.Engine.Now()); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestWorkflowChainsSteps(t *testing.T) {
 
 func TestWorkflowManyInstances(t *testing.T) {
 	p, steps := workflowRig(t)
-	w := NewWorkflow("etl", p, p.SubmitFunc(), 0, steps...)
+	w := NewWorkflow(p, p.SubmitFunc(), 0, steps...)
 	for i := 0; i < 20; i++ {
 		w.Start(p.Engine.Now())
 	}
@@ -203,7 +203,7 @@ func TestWorkflowIgnoresForeignCompletions(t *testing.T) {
 	p, steps := workflowRig(t)
 	foreign := model("unrelated", function.TriggerQueue, 12)
 	p.Registry.MustRegister(foreign.Spec)
-	w := NewWorkflow("etl", p, p.SubmitFunc(), 0, steps...)
+	w := NewWorkflow(p, p.SubmitFunc(), 0, steps...)
 	// An unrelated function completing must not advance the workflow.
 	p.Submit(0, "team-t", foreign.NewCall(0))
 	p.Engine.RunFor(10 * time.Minute)
@@ -219,13 +219,13 @@ func TestWorkflowDuplicateStepPanics(t *testing.T) {
 			t.Fatal("duplicate step should panic")
 		}
 	}()
-	NewWorkflow("bad", p, p.SubmitFunc(), 0, steps[0], steps[0])
+	NewWorkflow(p, p.SubmitFunc(), 0, steps[0], steps[0])
 }
 
 func TestStreamLargeKeysPartitionSafely(t *testing.T) {
 	e := sim.NewEngine()
 	cap := &capture{}
-	s := NewStream(e, cap.submit, model("logproc", function.TriggerEvent, 13), 0, "t", 3, rng.New(14))
+	s := NewStream(e, cap.submit, model("logproc", function.TriggerEvent, 13), 0, "t", 3)
 	// Keys above math.MaxInt64 must not produce negative partitions.
 	s.Produce(^uint64(0), 5)
 	s.Produce(uint64(1)<<63, 5)

@@ -106,7 +106,6 @@ type Worker struct {
 	ID     ID
 	engine *sim.Engine
 	params Params
-	src    *rng.Source
 	// Runtime is the worker's JIT state; exported so the code-push
 	// distributor can target it.
 	Runtime *jit.Runtime
@@ -132,15 +131,9 @@ type Worker struct {
 
 	Executions    stats.Counter
 	Rejections    stats.Counter
-	RejectThreads stats.Counter
-	RejectCPU     stats.Counter
-	RejectMem     stats.Counter
 	Failures      stats.Counter
 	Backpressured stats.Counter
 	CodeEvictions stats.Counter
-	// CPUWork accumulates executed millions of instructions, for
-	// utilization accounting.
-	CPUWork stats.Counter
 	// ColdExecutions counts executions started under a JIT speed factor
 	// above 1 (cold or still-profiling code) — the cold-start exposure
 	// the policy matrix reports.
@@ -165,8 +158,9 @@ type Worker struct {
 }
 
 // New returns an idle worker. downstreams may be nil when the workload
-// never calls out.
-func New(id ID, engine *sim.Engine, params Params, src *rng.Source, ds *downstream.Registry) *Worker {
+// never calls out. The source is ignored: it remains in the signature
+// only because benchmark/ passes one.
+func New(id ID, engine *sim.Engine, params Params, _ *rng.Source, ds *downstream.Registry) *Worker {
 	if params.MemoryMB <= RuntimeBaseMB {
 		panic("worker: memory smaller than runtime footprint")
 	}
@@ -174,7 +168,6 @@ func New(id ID, engine *sim.Engine, params Params, src *rng.Source, ds *downstre
 		ID:          id,
 		engine:      engine,
 		params:      params,
-		src:         src,
 		Runtime:     jit.NewRuntime(),
 		downstreams: ds,
 		slowdown:    1,
@@ -270,12 +263,10 @@ func (w *Worker) CanAccept(c *function.Call) bool {
 		return false
 	}
 	if len(w.running) >= w.params.MaxConcurrency {
-		w.RejectThreads.Inc()
 		return false
 	}
 	_, rate := w.callShape(c)
 	if w.cpuInUse+rate > w.params.CPUMIPS {
-		w.RejectCPU.Inc()
 		return false
 	}
 	needCode := 0.0
@@ -292,7 +283,6 @@ func (w *Worker) CanAccept(c *function.Call) bool {
 			reclaimable -= own.mb
 		}
 		if needed-reclaimable > w.params.MemoryMB {
-			w.RejectMem.Inc()
 			return false
 		}
 	}
@@ -522,7 +512,6 @@ func (w *Worker) finish(rc *runningCall) {
 		w.Acct.Waste(c.Spec.Team, rc.cpuRate, rc.duration)
 		w.Obs.Emit(c, trace.KindExecEnd, 1)
 	} else {
-		w.CPUWork.Add(rc.cpuRate * rc.duration.Seconds())
 		w.Obs.Emit(c, trace.KindExecEnd, 0)
 	}
 	// Recycle before invoking the callback: done may re-enter TryExecute

@@ -222,8 +222,10 @@ func (m *FuncModel) NewCall(now sim.Time) *function.Call {
 		CPUWorkM: m.draw.LogNormal(r.CPUMu, r.CPUSigma),
 		MemMB:    m.draw.LogNormal(r.MemMu, r.MemSigma),
 		ExecSecs: m.draw.LogNormal(r.TimeMu, r.TimeSigma),
-		ArgBytes: int(m.draw.LogNormal(6.2, 1.5)), // ~0.5KB median args
 	}
+	// The argument size is not modelled, but its draw stays so that every
+	// later draw of the stream keeps its place.
+	m.draw.LogNormal(6.2, 1.5)
 	if m.FutureStartFrac > 0 && m.draw.Bool(m.FutureStartFrac) {
 		c.StartAfter = now + time.Duration(m.draw.Range(0.5, 8)*float64(time.Hour))
 	}

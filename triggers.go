@@ -34,8 +34,8 @@ type Stream = trigger.Stream
 
 // NewStream returns a running stream trigger feeding model's function.
 func NewStream(engine *Engine, submit SubmitFunc, model *FuncModel,
-	region RegionID, topic string, partitions int, src *Rand) *Stream {
-	return trigger.NewStream(engine, submit, model, region, topic, partitions, src)
+	region RegionID, topic string, partitions int) *Stream {
+	return trigger.NewStream(engine, submit, model, region, topic, partitions)
 }
 
 // WorkflowTrigger chains functions on completion — the orchestration
@@ -44,9 +44,9 @@ type WorkflowTrigger = trigger.Workflow
 
 // NewWorkflowTrigger wires a completion-chained function pipeline into
 // the platform.
-func NewWorkflowTrigger(name string, p *Platform, submit SubmitFunc,
+func NewWorkflowTrigger(p *Platform, submit SubmitFunc,
 	region RegionID, steps ...*FuncModel) *WorkflowTrigger {
-	return trigger.NewWorkflow(name, p, submit, region, steps...)
+	return trigger.NewWorkflow(p, submit, region, steps...)
 }
 
 // Day is the diurnal period used by the workload models.

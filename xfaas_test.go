@@ -132,14 +132,14 @@ func TestTriggerFacade(t *testing.T) {
 	p := xfaas.New(cfg, reg)
 	submit := p.SubmitFunc()
 
-	stream := xfaas.NewStream(p.Engine, submit, logproc, 0, "facade-events", 4, xfaas.NewRand(6))
+	stream := xfaas.NewStream(p.Engine, submit, logproc, 0, "facade-events", 4)
 	producer := xfaas.NewRand(7)
 	p.Engine.Every(time.Second, func() { stream.Produce(producer.Uint64(), producer.Poisson(20)) })
 
 	timers := xfaas.NewTimers(p.Engine, submit)
 	timers.Schedule(campaign, 1, 10*time.Minute, time.Minute)
 
-	etl := xfaas.NewWorkflowTrigger("facade-etl", p, submit, 0, extract, load)
+	etl := xfaas.NewWorkflowTrigger(p, submit, 0, extract, load)
 	p.Engine.Every(10*time.Minute, func() { etl.Start(p.Engine.Now()) })
 
 	p.Engine.RunFor(30 * time.Minute)
