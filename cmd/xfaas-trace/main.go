@@ -26,8 +26,8 @@ import (
 
 func main() { os.Exit(run()) }
 
-// run is main returning its exit code: 0, or 1 when the CSV cannot be
-// written in full.
+// run is main returning its exit code: 0, 1 when the CSV cannot be
+// written in full, or 2 for a flag value no trace can use.
 func run() int {
 	var (
 		functions = flag.Int("functions", 240, "population size")
@@ -38,6 +38,10 @@ func run() int {
 		draws     = flag.Int("draws", 20000, "per-call resource samples for the distribution summary")
 	)
 	flag.Parse()
+	if err := checkFlags(*functions, *rps, *hours, *draws); err != nil {
+		fmt.Fprintln(os.Stderr, "xfaas-trace:", err)
+		return 2
+	}
 
 	cfg := workload.DefaultPopulationConfig()
 	cfg.Functions = *functions
@@ -92,6 +96,15 @@ func run() int {
 		fmt.Printf("Wrote %s (%d rows)\n", *csvPath, len(series))
 	}
 	return 0
+}
+
+// checkFlags rejects an empty population or trace, a rate that is not
+// positive and a negative number of samples.
+func checkFlags(functions int, rps float64, hours, draws int) error {
+	if functions < 1 || !(rps > 0) || hours < 1 || draws < 0 {
+		return fmt.Errorf("want -functions, -rps and -hours positive and -draws >= 0 (have %d, %g, %d, %d)", functions, rps, hours, draws)
+	}
+	return nil
 }
 
 // writeCSV writes the per-minute arrival series to path, reporting the

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,5 +36,35 @@ func TestCSVWritesEveryMinute(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	if lines[0] != "minute,calls" || len(lines) != 62 {
 		t.Fatalf("csv has %d lines starting %q, want a header and 61 rows", len(lines), lines[0])
+	}
+}
+
+// TestCheckFlags: a flag value no trace can use is one line and exit 2,
+// not a stack trace from the population builder or a chart of -1 hours.
+func TestCheckFlags(t *testing.T) {
+	for _, c := range []struct {
+		functions   int
+		rps         float64
+		hours, draw int
+		ok          bool
+	}{
+		{240, 60, 24, 20000, true},
+		{1, 0.5, 1, 0, true},
+		{0, 60, 24, 100, false},
+		{240, -1, 24, 100, false},
+		{240, 0, 24, 100, false},
+		{240, math.NaN(), 24, 100, false},
+		{240, 60, -1, 100, false},
+		{240, 60, 0, 100, false},
+		{240, 60, 24, -1, false},
+	} {
+		if err := checkFlags(c.functions, c.rps, c.hours, c.draw); (err == nil) != c.ok {
+			t.Errorf("checkFlags(%d, %g, %d, %d) = %v, want ok=%v", c.functions, c.rps, c.hours, c.draw, err, c.ok)
+		}
+	}
+	for _, args := range [][]string{{"-functions", "0"}, {"-rps", "-1"}, {"-hours", "-1"}} {
+		if code := runWith(args...); code != 2 {
+			t.Errorf("xfaas-trace %v: exit %d, want 2", args, code)
+		}
 	}
 }

@@ -109,7 +109,6 @@ func main() {
 	if pop != nil {
 		gen := workload.NewGenerator(p.Engine, pop, p.Topo.CapacityShare(), p.SubmitFunc(), rng.New(cfg.Seed+3001))
 		gen.Start()
-		srv.InstallPopulation(pop)
 		fmt.Printf("xfaasd: loaded %d functions from %s\n", pop.Registry.Len(), *workPath)
 	}
 	stop := make(chan struct{})

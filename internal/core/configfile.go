@@ -2,12 +2,12 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
 
 	"xfaas/internal/scheduler"
+	"xfaas/internal/workload"
 )
 
 // ConfigFile is the on-disk platform configuration: a JSON document of
@@ -48,14 +48,9 @@ type InvariantOverrides struct {
 // ParseConfigFile strictly decodes and validates a config override
 // document. Unknown fields are errors.
 func ParseConfigFile(data []byte) (*ConfigFile, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var cf ConfigFile
-	if err := dec.Decode(&cf); err != nil {
+	if err := workload.DecodeStrict(bytes.NewReader(data), &cf); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("config: trailing data after JSON document")
 	}
 	if err := cf.Validate(); err != nil {
 		return nil, err

@@ -688,9 +688,9 @@ func (p *Platform) funcProfiles() []locality.FuncProfile {
 		// The partitioner balances what actually fills worker memory:
 		// the function's expected concurrent working set (Little's law
 		// over its measured rate) plus its resident code footprint.
-		eDur := math.Exp(r.TimeMu+r.TimeSigma*r.TimeSigma/2) +
-			math.Exp(r.CPUMu+r.CPUSigma*r.CPUSigma/2)/core
-		eMem := math.Exp(r.MemMu + r.MemSigma*r.MemSigma/2)
+		eDur := function.LogNormalMean(r.TimeMu, r.TimeSigma) +
+			function.LogNormalMean(r.CPUMu, r.CPUSigma)/core
+		eMem := function.LogNormalMean(r.MemMu, r.MemSigma)
 		rate := p.Central.CurrentRPS(spec) + 0.02
 		concurrentMB := rate*eDur*eMem + r.CodeMB + r.JITCodeMB
 		load := p.Central.CurrentRPS(spec)*p.Central.AvgCost(spec) + 1

@@ -96,7 +96,7 @@ func executedPeakTrough(s Scale, oppScale float64) float64 {
 		case oppScale > 1 && m.Spec.Quota == function.QuotaReserved:
 			res := m.Spec.Resources
 			m.Spec.Quota = function.QuotaOpportunistic
-			m.Spec.QuotaMIPS = m.MeanRPS * expMean(res.CPUMu, res.CPUSigma)
+			m.Spec.QuotaMIPS = m.MeanRPS * function.LogNormalMean(res.CPUMu, res.CPUSigma)
 			m.Spec.Deadline = 24 * time.Hour
 		}
 	}
@@ -123,8 +123,4 @@ func runOppFracSweep(s Scale) *Result {
 		"%.2f vs %.2f", ptAll, ptDefault)
 	r.note("Supports §8: converting reserved-quota functions to opportunistic reduces the peak capacity the fleet must be provisioned for.")
 	return r
-}
-
-func expMean(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*sigma/2)
 }

@@ -253,7 +253,7 @@ func runChaosSpikyClient(s Scale) *Result {
 		// Pin the spiky client's quota so even a fully scaled-up S spreads
 		// the burst over at least an hour of execution.
 		res := spiky.Spec.Resources
-		spiky.Spec.QuotaMIPS = 2.5 * expMean(res.CPUMu, res.CPUSigma)
+		spiky.Spec.QuotaMIPS = 2.5 * function.LogNormalMean(res.CPUMu, res.CPUSigma)
 	}
 	p := rc.build().P
 	var spikyDone float64

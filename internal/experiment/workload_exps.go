@@ -77,7 +77,7 @@ func runTable1(s Scale) *Result {
 	var fTot, cTot, uTot float64
 	for _, m := range pop.Models {
 		res := m.Spec.Resources
-		meanCPU := expMean(res.CPUMu, res.CPUSigma)
+		meanCPU := function.LogNormalMean(res.CPUMu, res.CPUSigma)
 		funcs[m.Spec.Trigger]++
 		fTot++
 		calls[m.Spec.Trigger] += m.MeanRPS
@@ -273,7 +273,7 @@ func runTeamSkew(s Scale) *Result {
 	total := 0.0
 	for _, m := range pop.Models {
 		res := m.Spec.Resources
-		cpu := m.MeanRPS * expMean(res.CPUMu, res.CPUSigma)
+		cpu := m.MeanRPS * function.LogNormalMean(res.CPUMu, res.CPUSigma)
 		share[pop.TeamOf[m.Spec.Name]] += cpu
 		total += cpu
 	}

@@ -7,6 +7,7 @@ package function
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -108,6 +109,12 @@ type ResourceModel struct {
 	JITCodeMB float64
 }
 
+// LogNormalMean is the mean of a lognormal draw with parameters mu and
+// sigma, as in ResourceModel: exp(mu + sigma²/2).
+func LogNormalMean(mu, sigma float64) float64 {
+	return math.Exp(mu + sigma*sigma/2)
+}
+
 // Spec is an immutable function definition.
 type Spec struct {
 	Name        string
@@ -139,6 +146,21 @@ type Spec struct {
 	// Ephemeral marks programmatically generated functions (Morphing
 	// Framework); the locality optimizer round-robins these.
 	Ephemeral bool
+
+	// next is the spec that replaced this one in its registry, nil while
+	// it is the current definition.
+	next *Spec
+}
+
+// Current returns the function's current definition: s itself, or the
+// spec that last replaced it by re-registration. Calls keep the spec they
+// were submitted under, so gates that must follow a code update read
+// their spec through Current.
+func (s *Spec) Current() *Spec {
+	for s.next != nil {
+		s = s.next
+	}
+	return s
 }
 
 // Validate reports the first problem with the spec.
@@ -175,14 +197,19 @@ func NewRegistry() *Registry {
 }
 
 // Register validates and adds a spec. Re-registering a name replaces the
-// spec (code update).
+// spec (code update): the old spec's Current becomes s.
 func (r *Registry) Register(s *Spec) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	if _, exists := r.byName[s.Name]; !exists {
+	old, exists := r.byName[s.Name]
+	if !exists {
 		r.names = append(r.names, s.Name)
 		r.sorted = false
+	}
+	s.next = nil
+	if exists && old != s {
+		old.next = s
 	}
 	r.byName[s.Name] = s
 	return nil

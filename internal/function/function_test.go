@@ -162,3 +162,24 @@ func TestCriticalityOrdering(t *testing.T) {
 		t.Fatal("criticality ordering must be low < normal < high")
 	}
 }
+
+// TestCurrentFollowsReregistration: every spec ever registered under a
+// name leads to the one registered last, also when an old spec comes
+// back, and re-registering the current spec changes nothing.
+func TestCurrentFollowsReregistration(t *testing.T) {
+	r := NewRegistry()
+	spec := func(quota float64) *Spec {
+		return &Spec{Name: "f", Namespace: "main", Deadline: time.Minute, QuotaMIPS: quota, Retry: DefaultRetry}
+	}
+	a, b := spec(1), spec(2)
+	var seen []*Spec
+	for i, reg := range []*Spec{a, a, b, a, b} {
+		r.MustRegister(reg)
+		seen = append(seen, reg)
+		for _, s := range seen {
+			if s.Current() != reg {
+				t.Fatalf("step %d: Current of quota %v is quota %v, want %v", i, s.QuotaMIPS, s.Current().QuotaMIPS, reg.QuotaMIPS)
+			}
+		}
+	}
+}

@@ -15,7 +15,6 @@ import (
 
 	"xfaas/internal/cluster"
 	"xfaas/internal/core"
-	"xfaas/internal/function"
 	"xfaas/internal/rng"
 	"xfaas/internal/stats"
 	"xfaas/internal/workload"
@@ -46,20 +45,15 @@ type Server struct {
 	// virtual minute.
 	Speedup float64
 
-	started   time.Time
-	functions map[string]*function.Spec
+	started time.Time
 }
 
 // NewServer wraps a platform. Call Pace (usually in a goroutine) to bind
-// virtual time to the wall clock.
+// virtual time to the wall clock. Every function in the platform's
+// registry, whether a -workload file put it there before the platform was
+// built or POST /functions did since, is invokable.
 func NewServer(p *core.Platform, seed uint64) *Server {
-	return &Server{
-		p:         p,
-		src:       rng.New(seed),
-		Speedup:   1,
-		started:   time.Now(),
-		functions: make(map[string]*function.Spec),
-	}
+	return &Server{p: p, src: rng.New(seed), Speedup: 1, started: time.Now()}
 }
 
 // Pace advances the engine in step with the wall clock until stop is
@@ -104,16 +98,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// InstallPopulation makes a pre-built population's functions invokable
-// over HTTP (xfaasd -workload).
-func (s *Server) InstallPopulation(pop *workload.Population) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, m := range pop.Models {
-		s.functions[m.Spec.Name] = m.Spec
-	}
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -124,17 +108,9 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// decodeStrict decodes a request body, rejecting unknown fields the way
-// workload.ParseSpecFile does.
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req FunctionRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := workload.DecodeStrict(r.Body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad json: %v", err)
 		return
 	}
@@ -142,20 +118,17 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// Validate has run the registry's own check on the completed spec.
 	spec := req.Spec()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.p.Registry.Register(spec); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.functions[spec.Name] = spec
+	s.p.Registry.MustRegister(spec)
 	writeJSON(w, http.StatusCreated, map[string]string{"registered": spec.Name})
 }
 
 func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	var req InvokeRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := workload.DecodeStrict(r.Body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad json: %v", err)
 		return
 	}
@@ -166,7 +139,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	spec, ok := s.functions[req.Function]
+	spec, ok := s.p.Registry.Get(req.Function)
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown function %q", req.Function)
 		return
@@ -175,13 +148,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "region out of range")
 		return
 	}
-	res := spec.Resources
-	c := &function.Call{
-		Spec:     spec,
-		CPUWorkM: s.src.LogNormal(res.CPUMu, res.CPUSigma),
-		MemMB:    s.src.LogNormal(res.MemMu, res.MemSigma),
-		ExecSecs: s.src.LogNormal(res.TimeMu, res.TimeSigma),
-	}
+	c := workload.NewModel(spec, 0, "", s.src).NewCall(s.p.Engine.Now())
 	if req.DelaySeconds > 0 {
 		c.StartAfter = s.p.Engine.Now() + time.Duration(req.DelaySeconds*float64(time.Second))
 	}
@@ -259,7 +226,7 @@ func (s *Server) handleFunction(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	spec, ok := s.functions[name]
+	spec, ok := s.p.Registry.Get(name)
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown function %q", name)
 		return

@@ -254,9 +254,7 @@ func TestInstallPopulationInvokable(t *testing.T) {
 	cfg.Cluster.TotalWorkers = 6
 	cfg.CodePushInterval = 0
 	p := core.New(cfg, pop.Registry)
-	s := NewServer(p, 7)
-	s.InstallPopulation(pop)
-	h := s.Handler()
+	h := NewServer(p, 7).Handler()
 
 	rec := do(t, h, "POST", "/invoke", InvokeRequest{Function: "thumbnail-resize"})
 	if rec.Code != http.StatusAccepted {
@@ -265,5 +263,61 @@ func TestInstallPopulationInvokable(t *testing.T) {
 	rec = do(t, h, "GET", "/functions/nightly-aggregation", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("introspection of spec-file function = %d", rec.Code)
+	}
+}
+
+// TestReregisteredQuotaIsEnforced: a definition replaced through POST
+// /functions governs the function's calls from then on, including those
+// its schedulers buffered under the old definition.
+func TestReregisteredQuotaIsEnforced(t *testing.T) {
+	s, h := newTestServer(t)
+	acked := func() float64 {
+		var st StatsResponse
+		json.Unmarshal(do(t, h, "GET", "/stats", nil).Body.Bytes(), &st)
+		return st.Acked
+	}
+	phase := func(req FunctionRequest) {
+		if rec := do(t, h, "POST", "/functions", req); rec.Code != http.StatusCreated {
+			t.Fatalf("register status = %d: %s", rec.Code, rec.Body)
+		}
+		for i := 0; i < 60; i++ {
+			if rec := do(t, h, "POST", "/invoke", InvokeRequest{Function: "f", Region: i % 2}); rec.Code != http.StatusAccepted {
+				t.Fatalf("invoke status = %d: %s", rec.Code, rec.Body)
+			}
+		}
+		s.Advance(2 * time.Minute)
+	}
+	phase(FunctionRequest{Name: "f", QuotaMIPS: 1})
+	if n := acked(); n >= 60 {
+		t.Fatalf("acked %v of 60 under a 1-MIPS quota", n)
+	}
+	phase(FunctionRequest{Name: "f"})
+	var fr FunctionResponse
+	json.Unmarshal(do(t, h, "GET", "/functions/f", nil).Body.Bytes(), &fr)
+	if fr.RPSLimit != -1 {
+		t.Fatalf("rps_limit = %v after the quota was lifted, want -1", fr.RPSLimit)
+	}
+	if n := acked(); n != 120 {
+		t.Fatalf("acked %v of 120 after the quota was lifted", n)
+	}
+}
+
+// TestStrictJSONRejectsTrailingData: a spec file, a config file and a
+// request body each hold exactly one JSON document, so a stray closing
+// brace or bracket after it is refused like any other trailing data.
+func TestStrictJSONRejectsTrailingData(t *testing.T) {
+	_, h := newTestServer(t)
+	for _, tail := range []string{"}", "]", " x"} {
+		if _, err := workload.ParseSpecFile([]byte(`{"functions": [{"name": "a"}]}` + tail)); err == nil {
+			t.Errorf("ParseSpecFile accepted a document followed by %q", tail)
+		}
+		if _, err := core.ParseConfigFile([]byte(`{"regions": 2}` + tail)); err == nil {
+			t.Errorf("ParseConfigFile accepted a document followed by %q", tail)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/functions", bytes.NewBufferString(`{"name": "a"}`+tail)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST /functions with a body followed by %q: status %d, want 400", tail, rec.Code)
+		}
 	}
 }

@@ -8,7 +8,6 @@
 package ratelimit
 
 import (
-	"math"
 	"time"
 
 	"xfaas/internal/function"
@@ -128,10 +127,7 @@ func expectedCost(spec *function.Spec) float64 {
 	if m.CPUMu == 0 && m.CPUSigma == 0 {
 		return 1
 	}
-	// E[lognormal] = exp(mu + sigma^2/2).
-	v := math.Exp(m.CPUMu + m.CPUSigma*m.CPUSigma/2)
-	v = max(v, 1e-6)
-	return v
+	return max(function.LogNormalMean(m.CPUMu, m.CPUSigma), 1e-6)
 }
 
 // RPSLimit returns the function's current global RPS limit: quota divided

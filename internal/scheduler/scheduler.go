@@ -778,7 +778,9 @@ func (s *Scheduler) scheduleLevel(cands []*FuncBuffer, space int) int {
 		if space <= 0 {
 			return 0
 		}
-		spec := b.Spec()
+		// The gates follow the function's current definition, which a
+		// re-registration may have replaced since the buffer was made.
+		spec := b.Spec().Current()
 		taken := 0
 		for b.Len() > 0 && space > 0 && taken < perBuf {
 			c := b.Peek()

@@ -3,12 +3,13 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
 	"xfaas/internal/function"
-	"xfaas/internal/isolation"
 	"xfaas/internal/rng"
 )
 
@@ -55,20 +56,30 @@ type BurstSpec struct {
 // fields are errors — a typo'd field name silently meaning "default"
 // has burned everyone at least once.
 func ParseSpecFile(data []byte) (*SpecFile, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var sf SpecFile
-	if err := dec.Decode(&sf); err != nil {
+	if err := DecodeStrict(bytes.NewReader(data), &sf); err != nil {
 		return nil, fmt.Errorf("workload spec: %w", err)
-	}
-	// Trailing garbage after the document is an error too.
-	if dec.More() {
-		return nil, fmt.Errorf("workload spec: trailing data after JSON document")
 	}
 	if err := sf.Validate(); err != nil {
 		return nil, err
 	}
 	return &sf, nil
+}
+
+// DecodeStrict decodes exactly one JSON document from r into v: an
+// unknown field is an error, and so is anything after the document but
+// white space. Spec files, config files and HTTP bodies all decode
+// through it.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after JSON document")
+	}
+	return nil
 }
 
 // Validate checks the whole file: every function valid, names unique.
@@ -107,14 +118,10 @@ func (fs *FuncSpec) Validate() error {
 	if fs.Name == "" {
 		return fmt.Errorf("name required")
 	}
-	switch fs.Criticality {
-	case "", "low", "normal", "high":
-	default:
+	if _, ok := critOf[fs.Criticality]; !ok {
 		return fmt.Errorf("criticality must be low|normal|high, got %q", fs.Criticality)
 	}
-	switch fs.Quota {
-	case "", "reserved", "opportunistic":
-	default:
+	if _, ok := quotaOf[fs.Quota]; !ok {
 		return fmt.Errorf("quota must be reserved|opportunistic, got %q", fs.Quota)
 	}
 	for _, f := range []struct {
@@ -162,8 +169,17 @@ func (fs *FuncSpec) Validate() error {
 			return fmt.Errorf("burst rps must be <= %g, got %v", float64(maxSpecRPS), b.RPS)
 		}
 	}
-	return nil
+	// Whatever the platform's registry would refuse fails here, before
+	// anything is built from the file.
+	return fs.Spec().Validate()
 }
+
+// critOf and quotaOf read the names a FuncSpec may give; "" is the
+// default.
+var (
+	critOf  = map[string]function.Criticality{"": function.CritNormal, "low": function.CritLow, "normal": function.CritNormal, "high": function.CritHigh}
+	quotaOf = map[string]function.QuotaType{"": function.QuotaReserved, "reserved": function.QuotaReserved, "opportunistic": function.QuotaOpportunistic}
+)
 
 func orDefault(v, d float64) float64 {
 	if v > 0 {
@@ -172,20 +188,12 @@ func orDefault(v, d float64) float64 {
 	return d
 }
 
-// Spec materializes the function.Spec. Call Validate first; Spec assumes
-// a valid receiver.
+// Spec materializes the completed function.Spec. Call Validate first;
+// Spec assumes the fields Validate checks before it are valid.
 func (fs *FuncSpec) Spec() *function.Spec {
-	crit := function.CritNormal
-	switch fs.Criticality {
-	case "low":
-		crit = function.CritLow
-	case "high":
-		crit = function.CritHigh
-	}
-	quota := function.QuotaReserved
+	quota := quotaOf[fs.Quota]
 	deadline := 300 * time.Second
-	if fs.Quota == "opportunistic" {
-		quota = function.QuotaOpportunistic
+	if quota == function.QuotaOpportunistic {
 		deadline = 24 * time.Hour
 	}
 	if fs.DeadlineSec > 0 {
@@ -195,26 +203,20 @@ func (fs *FuncSpec) Spec() *function.Spec {
 	if team == "" {
 		team = "http"
 	}
-	return &function.Spec{
+	return Complete(&function.Spec{
 		Name:             fs.Name,
-		Namespace:        "main",
-		Runtime:          "php",
 		Team:             team,
-		Trigger:          function.TriggerQueue,
-		Criticality:      crit,
+		Criticality:      critOf[fs.Criticality],
 		Quota:            quota,
 		QuotaMIPS:        fs.QuotaMIPS,
 		Deadline:         deadline,
 		ConcurrencyLimit: fs.Concurrency,
-		Retry:            function.DefaultRetry,
-		Zone:             isolation.NewZone(isolation.Internal),
 		Resources: function.ResourceModel{
 			CPUMu: math.Log(orDefault(fs.CPUMedianM, 20)), CPUSigma: 0.5,
 			MemMu: math.Log(orDefault(fs.MemMedianMB, 16)), MemSigma: 0.5,
 			TimeMu: math.Log(orDefault(fs.ExecMedianS, 0.2)), TimeSigma: 0.5,
-			CodeMB: 8, JITCodeMB: 4,
 		},
-	}
+	})
 }
 
 // Population builds a registry + arrival models from the file, ready for
@@ -226,19 +228,8 @@ func (sf *SpecFile) Population(src *rng.Source) (*Population, error) {
 	pop := &Population{Registry: function.NewRegistry(), TeamOf: make(map[string]string)}
 	for i := range sf.Functions {
 		fs := &sf.Functions[i]
-		spec := fs.Spec()
-		if err := pop.Registry.Register(spec); err != nil {
-			return nil, fmt.Errorf("function %q: %w", fs.Name, err)
-		}
-		pop.TeamOf[spec.Name] = spec.Team
-		m := &FuncModel{
-			Spec:            spec,
-			MeanRPS:         fs.MeanRPS,
-			DiurnalAmp:      fs.DiurnalAmp,
-			FutureStartFrac: fs.FutureStartFrac,
-			Client:          spec.Team,
-			draw:            src.Split(),
-		}
+		m := pop.Add(fs.Spec(), fs.MeanRPS, src.Split())
+		m.DiurnalAmp, m.FutureStartFrac = fs.DiurnalAmp, fs.FutureStartFrac
 		if b := fs.Burst; b != nil {
 			m.Burst = &Burst{
 				Every:  time.Duration(b.EverySec * float64(time.Second)),
@@ -247,7 +238,6 @@ func (sf *SpecFile) Population(src *rng.Source) (*Population, error) {
 				RPS:    b.RPS,
 			}
 		}
-		pop.Models = append(pop.Models, m)
 	}
 	return pop, nil
 }

@@ -73,6 +73,7 @@ rejects xfaas-inspect -chaos nosuch
 rejects xfaas-inspect -top -1
 
 run xfaas-trace -csv "$out/arrivals.csv"
+rejects xfaas-trace -functions 0
 run quickstart
 run triggers
 
