@@ -9,29 +9,6 @@ import (
 	"xfaas/internal/worker"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "localitymem",
-		Title: "A/B: locality groups reduce worker memory",
-		Run:   runLocalityMem,
-	})
-	register(&Experiment{
-		ID:    "ablation-timeshift",
-		Title: "Ablation: time-shifting on vs off",
-		Run:   runAblationTimeShift,
-	})
-	register(&Experiment{
-		ID:    "ablation-gtc",
-		Title: "Ablation: global dispatch vs region-local only",
-		Run:   runAblationGTC,
-	})
-	register(&Experiment{
-		ID:    "ablation-aimd",
-		Title: "Ablation: AIMD back-pressure on vs off",
-		Run:   runAblationAIMD,
-	})
-}
-
 // runAndSampleMem runs the rig, periodically sampling each worker's
 // memory, and returns exact P50/P95 across workers of each worker's
 // time-averaged consumption — the paper reports "on average consumed
@@ -71,8 +48,7 @@ func singleRegionRig(s Scale, groups int) rigConfig {
 	return rc
 }
 
-func runLocalityMem(s Scale) *Result {
-	r := &Result{ID: "localitymem", Title: "Locality groups vs none: worker memory"}
+func runLocalityMem(s Scale, r *Result) {
 	window := simWindow(s, 8*time.Hour, 3*time.Hour)
 
 	with := singleRegionRig(s, 4).build()
@@ -102,22 +78,18 @@ func runLocalityMem(s Scale) *Result {
 	r.check("locality shrinks per-worker function sets",
 		dWith.Quantile(0.5) < dWithout.Quantile(0.5),
 		"%.0f vs %.0f", dWith.Quantile(0.5), dWithout.Quantile(0.5))
-	return r
 }
 
-func runAblationTimeShift(s Scale) *Result {
-	r := &Result{ID: "ablation-timeshift", Title: "Time-shifting on vs off"}
+func runAblationTimeShift(s Scale, r *Result) {
 	shiftRatio := executedPeakTrough(s, 1)
 	rawRatio := executedPeakTrough(s, 0)
 	r.row("executed peak/trough with time-shifting", "≈1.4-2", "%.1f", shiftRatio)
 	r.row("executed peak/trough all-reserved", "tracks received (≈4.3)", "%.1f", rawRatio)
 	r.check("time-shifting flattens execution", shiftRatio < rawRatio,
 		"%.1f vs %.1f", shiftRatio, rawRatio)
-	return r
 }
 
-func runAblationGTC(s Scale) *Result {
-	r := &Result{ID: "ablation-gtc", Title: "Global dispatch vs region-local"}
+func runAblationGTC(s Scale, r *Result) {
 	window := simWindow(s, 6*time.Hour, 2*time.Hour)
 
 	run := func(enableGTC bool) (utilStd float64, backlog int, crossPulls float64) {
@@ -151,11 +123,9 @@ func runAblationGTC(s Scale) *Result {
 	r.check("GTC reduces utilization imbalance or backlog",
 		stdWith < stdWithout || backlogWith < backlogWithout,
 		"std %.3f vs %.3f, backlog %d vs %d", stdWith, stdWithout, backlogWith, backlogWithout)
-	return r
 }
 
-func runAblationAIMD(s Scale) *Result {
-	r := &Result{ID: "ablation-aimd", Title: "AIMD back-pressure on vs off"}
+func runAblationAIMD(s Scale, r *Result) {
 	window := simWindow(s, 45*time.Minute, 30*time.Minute)
 	// Two functions at 40 RPS each offer 80 RPS against a 30-RPS
 	// downstream; the threshold parameter turns AIMD on or (at 1e12,
@@ -172,5 +142,4 @@ func runAblationAIMD(s Scale) *Result {
 	r.row("downstream availability without AIMD", "degraded", "%.1f%%", 100*availOff)
 	r.check("AIMD improves downstream availability", availOn > availOff+0.05,
 		"%.2f vs %.2f", availOn, availOff)
-	return r
 }

@@ -12,16 +12,7 @@ import (
 	"xfaas/internal/workload"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "baseline-coldstart",
-		Title: "XFaaS vs conventional per-function containers",
-		Run:   runBaselineColdstart,
-	})
-}
-
-func runBaselineColdstart(s Scale) *Result {
-	r := &Result{ID: "baseline-coldstart", Title: "Universal worker vs per-function containers"}
+func runBaselineColdstart(s Scale, r *Result) {
 
 	// Long-tail population: the total rate is unchanged but spread over
 	// many functions, most of which are invoked rarer than the 10-minute
@@ -80,5 +71,4 @@ func runBaselineColdstart(s Scale) *Result {
 		"p99 %.1fs vs %.0fs cold start", blP99, baseline.ColdStart.Seconds())
 	r.check("idle containers waste memory", idleGB > 1, "%.1f GB idle", idleGB)
 	r.note("Same hardware and same workload on both platforms. XFaaS start delays reflect quota throttling and time-shifting, never cold starts; the conventional platform's tail is the container boot.")
-	return r
 }

@@ -14,29 +14,6 @@ import (
 // recovery shape — the ack-rate dip during the fault and the time back to
 // ≥90% of the pre-fault ack rate after repair.
 
-func init() {
-	register(&Experiment{
-		ID:    "chaos_gray",
-		Title: "Chaos: gray workers detected and routed around",
-		Run:   runChaosGray,
-	})
-	register(&Experiment{
-		ID:    "chaos_partition",
-		Title: "Chaos: region partition severs the cross-region fabric",
-		Run:   runChaosPartition,
-	})
-	register(&Experiment{
-		ID:    "chaos_correlated",
-		Title: "Chaos: correlated rack failure, detection and degradation",
-		Run:   runChaosCorrelated,
-	})
-	register(&Experiment{
-		ID:    "chaos_dq",
-		Title: "Chaos: DurableQ shard unavailability window",
-		Run:   runChaosDQ,
-	})
-}
-
 // chaosRig builds a stationary-load rig (no diurnal cycle, no spikes) so
 // ack-rate comparisons across phases isolate the injected fault.
 func chaosRig(s Scale, targetUtil float64) rigConfig {
@@ -125,8 +102,7 @@ func logEvents(r *Result, inj *chaos.Injector, max int) {
 	}
 }
 
-func runChaosGray(s Scale) *Result {
-	r := &Result{ID: "chaos_gray", Title: "Gray failure: slow workers detected and routed around"}
+func runChaosGray(s Scale, r *Result) {
 	f := startFaultRun(s, chaosRig(s, 0.60))
 	p, inj, victim, healthy := f.P, f.Inj, f.victim, f.healthy
 	k := len(victim.Workers) / 3
@@ -154,11 +130,9 @@ func runChaosGray(s Scale) *Result {
 	f.reportRecovery(r, faulted)
 	r.series("executed calls/min", time.Minute, p.Executed.Values())
 	logEvents(r, inj, 8)
-	return r
 }
 
-func runChaosPartition(s Scale) *Result {
-	r := &Result{ID: "chaos_partition", Title: "Region partition and heal"}
+func runChaosPartition(s Scale, r *Result) {
 	f := startFaultRun(s, chaosRig(s, 0.60))
 	p, inj, victim, healthy := f.P, f.Inj, f.victim, f.healthy
 	crossBefore := core.CountersOf(victim).CrossRegionPulls
@@ -178,11 +152,9 @@ func runChaosPartition(s Scale) *Result {
 		"%.0f acks after heal", victim.Sched.Acked.Value()-ackedAtHeal)
 	r.series("executed calls/min", time.Minute, p.Executed.Values())
 	logEvents(r, inj, 8)
-	return r
 }
 
-func runChaosCorrelated(s Scale) *Result {
-	r := &Result{ID: "chaos_correlated", Title: "Correlated rack failure: detection, evacuation, degradation"}
+func runChaosCorrelated(s Scale, r *Result) {
 	f := startFaultRun(s, chaosRig(s, 0.60))
 	p, inj, victim := f.P, f.Inj, f.victim
 	crashed := inj.CorrelatedCrash(victim.ID, 0.8, true) // silent: only heartbeats can notice
@@ -222,11 +194,9 @@ func runChaosCorrelated(s Scale) *Result {
 	r.check("shedding clears after recovery", p.Central.Shed() == 1, "shed %.2f", p.Central.Shed())
 	r.series("executed calls/min", time.Minute, p.Executed.Values())
 	logEvents(r, inj, 6)
-	return r
 }
 
-func runChaosDQ(s Scale) *Result {
-	r := &Result{ID: "chaos_dq", Title: "DurableQ shard unavailability window"}
+func runChaosDQ(s Scale, r *Result) {
 	f := startFaultRun(s, chaosRig(s, 0.60))
 	p, inj, victim, healthy := f.P, f.Inj, f.victim, f.healthy
 	for i := range victim.Shards {
@@ -256,5 +226,4 @@ func runChaosDQ(s Scale) *Result {
 		f.Gen.Generated.Value(), p.Acked(), p.PendingCalls())
 	r.series("executed calls/min", time.Minute, p.Executed.Values())
 	logEvents(r, inj, 8)
-	return r
 }

@@ -9,7 +9,7 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,10 +41,10 @@ type Scale struct {
 	// built: callers taking it from outside validate it first.
 	Policy string
 
-	// built receives the platforms of one Run; the register wrapper
-	// attaches it. Being a func, it also keeps Scale from being compared
-	// or used as a map key, which would tell two runs of equal options
-	// apart: standardRun keys its cache on the option fields alone.
+	// built receives the platforms of one run; Experiment.Run attaches
+	// it. Being a func, it also keeps Scale from being compared or used
+	// as a map key, which would tell two runs of equal options apart:
+	// standardRun keys its cache on the option fields alone.
 	built func(*core.Platform)
 }
 
@@ -191,11 +191,69 @@ func mdEscape(s string) string {
 	return strings.ReplaceAll(s, "|", "\\|")
 }
 
-// Experiment is one regenerable paper artifact.
+// Experiment is one regenerable paper artifact. run fills the Result
+// that Run builds from ID and Title.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func(Scale) *Result
+	ID, Title string
+	run       func(Scale, *Result)
+}
+
+// experiments is every experiment, sorted by id.
+var experiments = []*Experiment{
+	{"ablation-aimd", "AIMD back-pressure on vs off", runAblationAIMD},
+	{"ablation-gtc", "Global dispatch vs region-local", runAblationGTC},
+	{"ablation-timeshift", "Time-shifting on vs off", runAblationTimeShift},
+	{"baseline-coldstart", "Universal worker vs per-function containers", runBaselineColdstart},
+	{"chaos_correlated", "Correlated rack failure: detection, evacuation, degradation", runChaosCorrelated},
+	{"chaos_dq", "DurableQ shard unavailability window", runChaosDQ},
+	{"chaos_flapping", "Flapping worker: hysteresis stops routing oscillation", runChaosFlapping},
+	{"chaos_gray", "Gray failure: slow workers detected and routed around", runChaosGray},
+	{"chaos_graytail", "Gray tail: ejection + hedging recover the CritHigh p99", runChaosGrayTail},
+	{"chaos_midnightspike", "Midnight pipeline spike: deferral, not shedding", runChaosMidnightSpike},
+	{"chaos_partition", "Region partition and heal", runChaosPartition},
+	{"chaos_retrystorm", "Retry storm: budgets bound amplification", runChaosRetryStorm},
+	{"chaos_schedcrash", "Scheduler crash: orphaned leases expire, stateless replica rebuilds", runChaosSchedCrash},
+	{"chaos_shardcrash", "DurableQ shard crash: journal replay, bounded loss, at-least-once", runChaosShardCrash},
+	{"chaos_spikyclient", "Spiky client: a day of calls in 15 minutes", runChaosSpikyClient},
+	{"chaos_submittercrash", "Submitter crash: flush-window loss, fast stateless restart", runChaosSubmitterCrash},
+	{"chaos_zipfneighbor", "Noisy neighbor: shedding confines the damage", runChaosZipfNeighbor},
+	{"criticality", "Criticality priority under scarcity", runCriticality},
+	{"drill_evacuation", "Evacuation drill: staged drain, migration, RTO", runDrillEvacuation},
+	{"extension-oppfrac", "Opportunistic-fraction sweep (paper §8)", runOppFracSweep},
+	{"fig10", "Worker memory stability under load", runFig10},
+	{"fig11", "Reserved vs opportunistic CPU cycles", runFig11},
+	{"fig12", "Restarting a runtime with and without cooperative JIT", runFig12},
+	{"fig13", "Back-pressure during the WTCache incident", runFig13},
+	{"fig14", "Slow start tames a surging function", runFig14},
+	{"fig2", "Received vs executed calls per minute", runFig2},
+	{"fig3", "Growing popularity of FaaS in the private cloud", runFig3},
+	{"fig4", "Spiky function: received vs executed", runFig4},
+	{"fig5", "Capacity of worker pools across regions", runFig5},
+	{"fig7", "Worker CPU utilization across regions", runFig7},
+	{"fig8", "Scheduling delay: reserved vs opportunistic (reconstructed)", runFig8},
+	{"fig9", "Distinct functions per worker per hour", runFig9},
+	{"localitymem", "Locality groups vs none: worker memory", runLocalityMem},
+	{"outage", "Region outage and recovery", runOutage},
+	{"recovery_flushlag", "Crash-loss window vs journal flush lag", runRecoveryFlushLag},
+	{"rim", "Proactive coordination via RIM", runRIM},
+	{"table1", "Breakdown of functions by categories", runTable1},
+	{"table2", "Examples of XFaaS workloads", runTable2},
+	{"table3", "Percentiles of per-call resources by trigger", runTable3},
+	{"teamskew", "Team-level capacity concentration", runTeamSkew},
+}
+
+// Run runs the experiment at s. Every run collects the platforms it
+// builds; with Invariants set the sweep over them is appended to the
+// result.
+func (e *Experiment) Run(s Scale) *Result {
+	r := &Result{ID: e.ID, Title: e.Title}
+	var built []*core.Platform
+	s.built = func(p *core.Platform) { built = append(built, p) }
+	e.run(s, r)
+	if s.Invariants {
+		checkInvariants(r, built)
+	}
+	return r
 }
 
 // Chaos returns the scenario name `xfaas-sim -chaos` runs e under: the
@@ -210,39 +268,15 @@ func (e *Experiment) Chaos() (name string, ok bool) {
 	return "", false
 }
 
-var registry = map[string]*Experiment{}
-
-func register(e *Experiment) {
-	if _, dup := registry[e.ID]; dup {
-		panic("experiment: duplicate id " + e.ID)
-	}
-	// Every run collects the platforms it builds; with Invariants set
-	// the sweep over them is appended to the result.
-	run := e.Run
-	e.Run = func(s Scale) *Result {
-		var built []*core.Platform
-		s.built = func(p *core.Platform) { built = append(built, p) }
-		r := run(s)
-		if s.Invariants {
-			checkInvariants(r, built)
-		}
-		return r
-	}
-	registry[e.ID] = e
-}
-
 // Get returns the experiment by id.
 func Get(id string) (*Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
+	for _, e := range experiments {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return nil, false
 }
 
 // All returns every experiment sorted by id.
-func All() []*Experiment {
-	out := make([]*Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func All() []*Experiment { return slices.Clone(experiments) }

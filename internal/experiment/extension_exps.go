@@ -10,26 +10,12 @@ import (
 	"xfaas/internal/workload"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "criticality",
-		Title: "Criticality-ordered execution under a capacity crunch",
-		Run:   runCriticality,
-	})
-	register(&Experiment{
-		ID:    "extension-oppfrac",
-		Title: "Extension: converting reserved quota to opportunistic (paper §8 ongoing work)",
-		Run:   runOppFracSweep,
-	})
-}
-
 // runCriticality offers three identical functions — differing only in
 // criticality — at twice a small fleet's capacity and checks that
 // importance decides who executes (paper §4.4: "prioritizing criticality
 // first ensures that important function calls are more likely to be
 // executed during a capacity crunch").
-func runCriticality(s Scale) *Result {
-	r := &Result{ID: "criticality", Title: "Criticality priority under scarcity"}
+func runCriticality(s Scale, r *Result) {
 	rc := baseRig(s)
 	rc.Seeds = criticalitySeeds
 	rc.Platform.Cluster.Regions = 1
@@ -76,7 +62,6 @@ func runCriticality(s Scale) *Result {
 		"%.0f of %.0f", done[function.CritHigh], offeredPer)
 	r.check("low criticality absorbs the shortfall", done[function.CritLow] < 0.8*done[function.CritHigh],
 		"%.0f vs %.0f", done[function.CritLow], done[function.CritHigh])
-	return r
 }
 
 // executedPeakTrough runs the standard day on the default rig's capacity
@@ -109,8 +94,7 @@ func executedPeakTrough(s Scale, oppScale float64) float64 {
 // fractions on identical capacity and reports how execution smoothness
 // responds — quantifying §8's "transition most functions ... to
 // opportunistic quota for additional capacity savings".
-func runOppFracSweep(s Scale) *Result {
-	r := &Result{ID: "extension-oppfrac", Title: "Opportunistic-fraction sweep (paper §8)"}
+func runOppFracSweep(s Scale, r *Result) {
 	ptNone := executedPeakTrough(s, 0)
 	ptDefault := executedPeakTrough(s, 1)
 	ptAll := executedPeakTrough(s, 2)
@@ -122,5 +106,4 @@ func runOppFracSweep(s Scale) *Result {
 	r.check("full conversion is at least as smooth as the default mix", ptAll <= ptDefault*1.15,
 		"%.2f vs %.2f", ptAll, ptDefault)
 	r.note("Supports §8: converting reserved-quota functions to opportunistic reduces the peak capacity the fleet must be provisioned for.")
-	return r
 }

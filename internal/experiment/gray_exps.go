@@ -19,24 +19,6 @@ import (
 // threshold (flapping), and a planned regional evacuation
 // (drill_evacuation).
 
-func init() {
-	register(&Experiment{
-		ID:    "chaos_graytail",
-		Title: "Chaos: subtle gray workers wreck the tail until ejection + hedging",
-		Run:   runChaosGrayTail,
-	})
-	register(&Experiment{
-		ID:    "chaos_flapping",
-		Title: "Chaos: flapping worker pinned by probation hysteresis",
-		Run:   runChaosFlapping,
-	})
-	register(&Experiment{
-		ID:    "drill_evacuation",
-		Title: "Drill: staged regional evacuation with zero acked-call loss",
-		Run:   runDrillEvacuation,
-	})
-}
-
 // grayRig is the 1-region gray-failure scenario: a fixed worker pool and a
 // CritHigh-heavy steady mix with tight exec times.
 func grayRig(s Scale, defended bool, workers int, mix workload.GrayMixConfig) rigConfig {
@@ -52,8 +34,7 @@ func grayRig(s Scale, defended bool, workers int, mix workload.GrayMixConfig) ri
 	return rc
 }
 
-func runChaosGrayTail(s Scale) *Result {
-	r := &Result{ID: "chaos_graytail", Title: "Gray tail: ejection + hedging recover the CritHigh p99"}
+func runChaosGrayTail(s Scale, r *Result) {
 	warm, grayLen, recover := 8*time.Minute, 20*time.Minute, 6*time.Minute
 	if !s.Quick {
 		warm, grayLen, recover = 10*time.Minute, 30*time.Minute, 8*time.Minute
@@ -158,11 +139,9 @@ func runChaosGrayTail(s Scale) *Result {
 	r.series("executed/min (defended)", time.Minute, on.executed)
 	r.note("%d of %d workers at 1/%.0f speed — below the %.0fx probe threshold; only exec-time outlier scoring can see them",
 		grayed, workers, slowdown, workerlb.GraySlowdownThreshold)
-	return r
 }
 
-func runChaosFlapping(s Scale) *Result {
-	r := &Result{ID: "chaos_flapping", Title: "Flapping worker: hysteresis stops routing oscillation"}
+func runChaosFlapping(s Scale, r *Result) {
 	warm, flapLen := 5*time.Minute, simWindow(s, 30*time.Minute, 20*time.Minute)
 	// Toggle every 4 probe intervals: 3 consecutive slow probes flip the
 	// worker Gray just before the clear phase flips it back — the worst
@@ -233,11 +212,9 @@ func runChaosFlapping(s Scale) *Result {
 	r.series("executed/min (defended)", time.Minute, on.executed)
 	r.note("worker 0 toggles 8x↔1x every %v; Gray needs %d consecutive slow probes at %v cadence",
 		halfPeriod, workerlb.GrayThreshold, probe)
-	return r
 }
 
-func runDrillEvacuation(s Scale) *Result {
-	r := &Result{ID: "drill_evacuation", Title: "Evacuation drill: staged drain, migration, RTO"}
+func runDrillEvacuation(s Scale, r *Result) {
 	warm, drainLen, after := 10*time.Minute, 10*time.Minute, 10*time.Minute
 	if !s.Quick {
 		warm, drainLen, after = 15*time.Minute, 15*time.Minute, 15*time.Minute
@@ -331,5 +308,4 @@ func runDrillEvacuation(s Scale) *Result {
 
 	r.series("executed calls/min", time.Minute, p.Executed.Values())
 	logEvents(r, inj, 6)
-	return r
 }

@@ -10,19 +10,6 @@ import (
 	"xfaas/internal/workload"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "fig13",
-		Title: "Incident 1: back-pressure protects a degraded WTCache",
-		Run:   runFig13,
-	})
-	register(&Experiment{
-		ID:    "fig14",
-		Title: "Incident 2: slow start and concurrency limits tame a surging function (reconstructed)",
-		Run:   runFig14,
-	})
-}
-
 // incidentRig is a one-region platform with two functions (A and B) that
 // call the named downstream on every invocation, each offered at
 // steadyRPS. bpThreshold is the AIMD back-pressure threshold (exceptions
@@ -63,8 +50,7 @@ func incidentRig(s Scale, dsName string, dsCapacity, steadyRPS float64, concurre
 	return rc
 }
 
-func runFig13(s Scale) *Result {
-	r := &Result{ID: "fig13", Title: "Back-pressure during the WTCache incident"}
+func runFig13(s Scale, r *Result) {
 	const dsName = "wtcache"
 	healthyCap := 500.0
 	p := incidentRig(s, dsName, healthyCap, 40, 0, 60).build().P
@@ -107,11 +93,9 @@ func runFig13(s Scale) *Result {
 		"%.1f vs healthy %.1f", recoveredRPS, healthyRPS)
 	r.check("some probing traffic continues during the incident", duringRPS > 0.1,
 		"%.2f RPS", duringRPS)
-	return r
 }
 
-func runFig14(s Scale) *Result {
-	r := &Result{ID: "fig14", Title: "Slow start tames a surging function"}
+func runFig14(s Scale, r *Result) {
 	const dsName = "indexer"
 	// A fresh function surges to 80 RPS against a 50-RPS downstream.
 	p := incidentRig(s, dsName, 50, 40, 24, 60).build().P
@@ -142,5 +126,4 @@ func runFig14(s Scale) *Result {
 	r.row("downstream availability", "protected", "%.1f%%", 100*avail)
 	r.check("downstream not collapsed by the surge", avail > 0.6, "%.2f", avail)
 	r.note("Figure 14's exact panel is elided in our copy; this reconstructs §4.6.3's slow-start + concurrency-limit behaviour for §5.5's second incident.")
-	return r
 }

@@ -11,14 +11,6 @@ import (
 	"xfaas/internal/worker"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "fig12",
-		Title: "Runtime restart with vs without cooperative JIT",
-		Run:   runFig12,
-	})
-}
-
 // jitRamp restarts a single worker's runtime at t=0 (seeded or not) under
 // saturating offered load and returns the completions-per-30s ramp.
 func jitRamp(seed uint64, seeded bool, window time.Duration) []float64 {
@@ -90,8 +82,7 @@ func timeToFraction(vals []float64, step time.Duration, frac float64) time.Durat
 	return time.Duration(len(vals)) * step
 }
 
-func runFig12(s Scale) *Result {
-	r := &Result{ID: "fig12", Title: "Restarting a runtime with and without cooperative JIT"}
+func runFig12(s Scale, r *Result) {
 	window := 35 * time.Minute
 	seeded := jitRamp(s.Seed, true, window)
 	selfp := jitRamp(s.Seed, false, window)
@@ -107,5 +98,4 @@ func runFig12(s Scale) *Result {
 	r.check("seeded ramp completes within ≈4 minutes", tSeeded <= 4*time.Minute, "%v", tSeeded)
 	r.check("self-profiling takes ≈20 minutes", tSelf >= 14*time.Minute && tSelf <= 28*time.Minute, "%v", tSelf)
 	r.check("cooperative JIT is several times faster", ratio >= 4, "%.1fx", ratio)
-	return r
 }

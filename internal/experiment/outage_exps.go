@@ -6,16 +6,7 @@ import (
 	"xfaas/internal/core"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "outage",
-		Title: "Region outage: stateless failover and at-least-once redelivery",
-		Run:   runOutage,
-	})
-}
-
-func runOutage(s Scale) *Result {
-	r := &Result{ID: "outage", Title: "Region outage and recovery"}
+func runOutage(s Scale, r *Result) {
 	rc := defaultRig(s, 0.60) // a little headroom so survivors can absorb
 	rc.Pop.SpikyFunctions = 0
 	rc.Pop.MidnightSpikeFrac = 0 // isolate the outage signal
@@ -63,5 +54,4 @@ func runOutage(s Scale) *Result {
 	drained := p.Acked() + core.CountersOf(p.Regions()...).DeadLetters
 	r.row("calls generated vs terminal", "at-least-once", "%.0f generated, %.0f terminal, %d still queued",
 		rig.Gen.Generated.Value(), drained, p.PendingCalls())
-	return r
 }

@@ -11,46 +11,7 @@ import (
 	"xfaas/internal/workload"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "fig2",
-		Title: "Received vs executed function calls per minute",
-		Run:   runFig2,
-	})
-	register(&Experiment{
-		ID:    "fig4",
-		Title: "A spiky function: received in a 15-minute burst, executed over hours",
-		Run:   runFig4,
-	})
-	register(&Experiment{
-		ID:    "fig7",
-		Title: "CPU utilization of workers across regions",
-		Run:   runFig7,
-	})
-	register(&Experiment{
-		ID:    "fig8",
-		Title: "Scheduling delay of reserved vs opportunistic calls (reconstructed)",
-		Run:   runFig8,
-	})
-	register(&Experiment{
-		ID:    "fig9",
-		Title: "Distinct functions executed per worker per hour",
-		Run:   runFig9,
-	})
-	register(&Experiment{
-		ID:    "fig10",
-		Title: "Worker memory stays stable while highly utilized",
-		Run:   runFig10,
-	})
-	register(&Experiment{
-		ID:    "fig11",
-		Title: "Reserved vs opportunistic CPU complement each other",
-		Run:   runFig11,
-	})
-}
-
-func runFig2(s Scale) *Result {
-	r := &Result{ID: "fig2", Title: "Received vs executed calls per minute"}
+func runFig2(s Scale, r *Result) {
 	rig := standardRun(s)
 
 	received := rig.Gen.ReceivedSeries.Values()
@@ -69,11 +30,9 @@ func runFig2(s Scale) *Result {
 	r.check("executed curve smoother than received", execRatio < recvRatio*0.8,
 		"executed %.1f vs received %.1f", execRatio, recvRatio)
 	r.row("calls executed", "-", "%.0f of %.0f received", rig.P.Acked(), rig.Gen.Generated.Value())
-	return r
 }
 
-func runFig4(s Scale) *Result {
-	r := &Result{ID: "fig4", Title: "Spiky function: received vs executed"}
+func runFig4(s Scale, r *Result) {
 	rc := defaultRig(s, 0.66)
 	rc.Pop.SpikyFunctions = 1
 	rig := rc.build()
@@ -106,11 +65,9 @@ func runFig4(s Scale) *Result {
 		"executed over %d min vs %d min burst", execMinutes, burstMinutes)
 	r.check("most burst calls eventually execute", execTotal > 0.5*recvTotal,
 		"%.0f of %.0f", execTotal, recvTotal)
-	return r
 }
 
-func runFig7(s Scale) *Result {
-	r := &Result{ID: "fig7", Title: "Worker CPU utilization across regions"}
+func runFig7(s Scale, r *Result) {
 	rig := standardRun(s)
 
 	var dailyMeans []float64
@@ -127,11 +84,9 @@ func runFig7(s Scale) *Result {
 	r.row("utilization peak/trough", "1.4", "%.2f", ratio)
 	r.check("daily average utilization is high", dailyAvg > 0.45 && dailyAvg < 0.95, "%.2f", dailyAvg)
 	r.check("utilization much flatter than received load (4.3x)", ratio < 2.6, "%.2f", ratio)
-	return r
 }
 
-func runFig8(s Scale) *Result {
-	r := &Result{ID: "fig8", Title: "Scheduling delay: reserved vs opportunistic (reconstructed)"}
+func runFig8(s Scale, r *Result) {
 	rig := standardRun(s)
 
 	res := stats.NewHistogram()
@@ -146,11 +101,9 @@ func runFig8(s Scale) *Result {
 	r.check("opportunistic calls defer far longer than reserved", opp.Quantile(0.9) > 5*res.Quantile(0.9),
 		"p90 %.0fs vs %.0fs", opp.Quantile(0.9), res.Quantile(0.9))
 	r.note("The paper's Figure 8 panel is elided in our copy; this reconstructs §4.6.2's scheduling-delay contract.")
-	return r
 }
 
-func runFig9(s Scale) *Result {
-	r := &Result{ID: "fig9", Title: "Distinct functions per worker per hour"}
+func runFig9(s Scale, r *Result) {
 	rig := singleRegionRig(s, 4).build()
 	window := simWindow(s, 8*time.Hour, 3*time.Hour)
 	h := stats.NewHistogram()
@@ -175,11 +128,9 @@ func runFig9(s Scale) *Result {
 		"p95 %.0f < %d total functions", p95, total)
 	r.check("locality bounds the per-worker set", p50 <= float64(total)/2,
 		"p50 %.0f vs %d/2", p50, total)
-	return r
 }
 
-func runFig10(s Scale) *Result {
-	r := &Result{ID: "fig10", Title: "Worker memory stability under load"}
+func runFig10(s Scale, r *Result) {
 	rig := standardRun(s)
 
 	mem := meanAcrossRegions(rig.P, func(reg *core.Region) []float64 { return reg.MemSeries.Values() })
@@ -192,11 +143,9 @@ func runFig10(s Scale) *Result {
 	r.row("memory stability (max/min, steady state)", "stable", "%.2f", maxMem/minMem)
 	r.check("memory stays under the 64GB budget", maxMem < 64*1024, "%.1f GB", maxMem/1024)
 	r.check("memory level is stable while utilized", maxMem/minMem < 2.5, "%.2f", maxMem/minMem)
-	return r
 }
 
-func runFig11(s Scale) *Result {
-	r := &Result{ID: "fig11", Title: "Reserved vs opportunistic CPU cycles"}
+func runFig11(s Scale, r *Result) {
 	rig := standardRun(s)
 
 	res := rig.P.ReservedCPU.Values()
@@ -215,7 +164,6 @@ func runFig11(s Scale) *Result {
 	resRatio := stats.PeakToTroughFloor(smoothRes, 1)
 	r.row("reserved curve shape", "diurnal", "peak/trough %.1f", resRatio)
 	r.check("reserved curve is diurnal", resRatio > 1.3, "%.1f", resRatio)
-	return r
 }
 
 // Helpers shared by the platform experiments.

@@ -18,29 +18,6 @@ import (
 // conservation ledger — including the "no acked call is ever lost"
 // probe — audits the whole run.
 
-func init() {
-	register(&Experiment{
-		ID:    "chaos_shardcrash",
-		Title: "Chaos: DurableQ shard crash, journal replay and at-least-once redelivery",
-		Run:   runChaosShardCrash,
-	})
-	register(&Experiment{
-		ID:    "chaos_submittercrash",
-		Title: "Chaos: submitter crash loses exactly the unflushed batch window",
-		Run:   runChaosSubmitterCrash,
-	})
-	register(&Experiment{
-		ID:    "chaos_schedcrash",
-		Title: "Chaos: scheduler crash, lease-expiry redelivery and stateless rebuild",
-		Run:   runChaosSchedCrash,
-	})
-	register(&Experiment{
-		ID:    "recovery_flushlag",
-		Title: "Recovery: crash-loss window vs journal flush lag",
-		Run:   runRecoveryFlushLag,
-	})
-}
-
 // recoveryRig is chaosRig with journaling at the given flush lag and
 // invariant checking forced on (the conservation ledger is part of what
 // these experiments assert, not an optional CI extra).
@@ -89,8 +66,7 @@ func ledgerCheck(r *Result, p *core.Platform) {
 		"%d violations; %s", viol, detail)
 }
 
-func runChaosShardCrash(s Scale) *Result {
-	r := &Result{ID: "chaos_shardcrash", Title: "DurableQ shard crash: journal replay, bounded loss, at-least-once"}
+func runChaosShardCrash(s Scale, r *Result) {
 	flushLag := core.DefaultConfig().Durability.FlushLag
 	f := startFaultRun(s, recoveryRig(s, 0.60, flushLag))
 	p, inj, victim := f.P, f.Inj, f.victim
@@ -134,7 +110,6 @@ func runChaosShardCrash(s Scale) *Result {
 		"%.0f suppressed + %d resurrected of %.0f replayed (rate %.3f)", dups, resurrected, replayed, dupRate)
 	ledgerCheck(r, p)
 	logEvents(r, inj, 10)
-	return r
 }
 
 // stepUntilBatched fires events one at a time, for at most one simulated
@@ -145,8 +120,7 @@ func stepUntilBatched(e *sim.Engine, sub *submitter.Submitter) {
 	}
 }
 
-func runChaosSubmitterCrash(s Scale) *Result {
-	r := &Result{ID: "chaos_submittercrash", Title: "Submitter crash: flush-window loss, fast stateless restart"}
+func runChaosSubmitterCrash(s Scale, r *Result) {
 	f := startFaultRun(s, recoveryRig(s, 0.60, core.DefaultConfig().Durability.FlushLag))
 	p, inj, victim := f.P, f.Inj, f.victim
 	sub := victim.Normal
@@ -170,11 +144,9 @@ func runChaosSubmitterCrash(s Scale) *Result {
 	f.reportRecovery(r, faulted)
 	ledgerCheck(r, p)
 	logEvents(r, inj, 8)
-	return r
 }
 
-func runChaosSchedCrash(s Scale) *Result {
-	r := &Result{ID: "chaos_schedcrash", Title: "Scheduler crash: orphaned leases expire, stateless replica rebuilds"}
+func runChaosSchedCrash(s Scale, r *Result) {
 	f := startFaultRun(s, recoveryRig(s, 0.60, core.DefaultConfig().Durability.FlushLag))
 	p, inj, victim := f.P, f.Inj, f.victim
 	sc := victim.Scheds[0]
@@ -201,11 +173,9 @@ func runChaosSchedCrash(s Scale) *Result {
 	f.reportRecovery(r, faulted)
 	ledgerCheck(r, p)
 	logEvents(r, inj, 8)
-	return r
 }
 
-func runRecoveryFlushLag(s Scale) *Result {
-	r := &Result{ID: "recovery_flushlag", Title: "Crash-loss window vs journal flush lag"}
+func runRecoveryFlushLag(s Scale, r *Result) {
 	lags := []time.Duration{0, 100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second}
 	warm := 10 * time.Minute
 	drain := 10 * time.Minute
@@ -249,5 +219,4 @@ func runRecoveryFlushLag(s Scale) *Result {
 		}
 	}
 	r.check("loss is monotone in the flush lag", monotone, "losses %v across lags %v", losses, lags)
-	return r
 }

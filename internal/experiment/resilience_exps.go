@@ -19,29 +19,6 @@ import (
 // and dead-letter reasons, and where the mechanism is the difference the
 // experiment runs the same workload with resilience off and on.
 
-func init() {
-	register(&Experiment{
-		ID:    "chaos_retrystorm",
-		Title: "Chaos: retry storm against a failing downstream",
-		Run:   runChaosRetryStorm,
-	})
-	register(&Experiment{
-		ID:    "chaos_midnightspike",
-		Title: "Chaos: midnight pipeline spike rides on deferral, not shedding",
-		Run:   runChaosMidnightSpike,
-	})
-	register(&Experiment{
-		ID:    "chaos_spikyclient",
-		Title: "Chaos: spiky client's day of calls lands in 15 minutes",
-		Run:   runChaosSpikyClient,
-	})
-	register(&Experiment{
-		ID:    "chaos_zipfneighbor",
-		Title: "Chaos: Zipf-dominant noisy neighbor flood",
-		Run:   runChaosZipfNeighbor,
-	})
-}
-
 // amplification is deliveries per unique enqueued call: 1 means every
 // call was delivered exactly once.
 func amplification(t core.Counters) float64 {
@@ -67,8 +44,7 @@ func stormRig(s Scale, mix workload.StormMixConfig) rigConfig {
 	return rc
 }
 
-func runChaosRetryStorm(s Scale) *Result {
-	r := &Result{ID: "chaos_retrystorm", Title: "Retry storm: budgets bound amplification"}
+func runChaosRetryStorm(s Scale, r *Result) {
 	warm, storm, tail, heal := 5*time.Minute, 25*time.Minute, 10*time.Minute, 15*time.Minute
 	if !s.Quick {
 		warm, storm, tail, heal = 10*time.Minute, 40*time.Minute, 15*time.Minute, 25*time.Minute
@@ -151,7 +127,6 @@ func runChaosRetryStorm(s Scale) *Result {
 	r.series("executed/min (resilience on)", time.Minute, on.executed)
 	r.note("storm: %d functions × %.1f RPS against a downstream at 100%% failure; clean: %d functions × %.1f RPS sharing the fleet",
 		mix.StormFunctions, mix.StormRPSPerFunc, mix.CleanFunctions, mix.CleanRPSPerFunc)
-	return r
 }
 
 // midnightSpikeRig is the midnight-spike scenario: the default day with
@@ -167,8 +142,7 @@ func midnightSpikeRig(s Scale) rigConfig {
 	return rc
 }
 
-func runChaosMidnightSpike(s Scale) *Result {
-	r := &Result{ID: "chaos_midnightspike", Title: "Midnight pipeline spike: deferral, not shedding"}
+func runChaosMidnightSpike(s Scale, r *Result) {
 	p := midnightSpikeRig(s).build().P
 	var resDone, oppDone float64
 	p.AddOnExecuted(func(c *function.Call) {
@@ -210,7 +184,6 @@ func runChaosMidnightSpike(s Scale) *Result {
 		"%.1f RPS in-spike vs %.1f post", resSpikeRate, resPostRate)
 
 	r.series("executed calls/min", time.Minute, p.Executed.Values())
-	return r
 }
 
 // spikyClientRig is the spiky-client scenario: a small steady population
@@ -238,8 +211,7 @@ func spikyClientRig(s Scale) rigConfig {
 	return rc
 }
 
-func runChaosSpikyClient(s Scale) *Result {
-	r := &Result{ID: "chaos_spikyclient", Title: "Spiky client: a day of calls in 15 minutes"}
+func runChaosSpikyClient(s Scale, r *Result) {
 	total := simWindow(s, 4*time.Hour, 3*time.Hour)
 	rc := spikyClientRig(s)
 	pcfg := rc.Pop
@@ -287,7 +259,6 @@ func runChaosSpikyClient(s Scale) *Result {
 
 	r.series("executed calls/min", time.Minute, p.Executed.Values())
 	r.note("the spiky function's quota pins drain rate at ~2.5 calls/s × S, so the 15-minute burst executes over more than an hour")
-	return r
 }
 
 // neighbourRig is the noisy-neighbour scenario: three workers shared by a
@@ -301,8 +272,7 @@ func neighbourRig(s Scale) rigConfig {
 	return rc
 }
 
-func runChaosZipfNeighbor(s Scale) *Result {
-	r := &Result{ID: "chaos_zipfneighbor", Title: "Noisy neighbor: shedding confines the damage"}
+func runChaosZipfNeighbor(s Scale, r *Result) {
 	const floodStart, floodLen = workload.NoisyFloodStart, workload.NoisyFloodLen
 	post := 20 * time.Minute
 	victimRPS := workload.NoisyVictimRPS * float64(workload.NoisyVictims)
@@ -362,5 +332,4 @@ func runChaosZipfNeighbor(s Scale) *Result {
 
 	r.series("executed/min (resilience off)", time.Minute, off.executed)
 	r.series("executed/min (resilience on)", time.Minute, on.executed)
-	return r
 }

@@ -20,9 +20,11 @@ const spikeFactor = 1.35
 // fault injector.
 type seedOffsets struct{ Pop, Gen, Inj uint64 }
 
-// The table of offsets in use, by rig family. Every seeded byte of output
-// depends on these numbers, so they live here and nowhere else. A
-// hand-written population (table2, incident, criticality) seeds its i-th
+// The table of offsets the experiments use, by rig family. Every seeded
+// byte of an experiment's output depends on these numbers; the commands
+// that build their own platforms (xfaas-inspect, xfaasd, xfaas-trace,
+// psim) keep offsets of their own, listed beside this table in DESIGN §3.
+// A hand-written population (table2, incident, criticality) seeds its i-th
 // model with Pop+i; the drill's deferrable specs draw from Pop+50.
 // Families that inject no faults leave Inj unused.
 var (

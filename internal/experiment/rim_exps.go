@@ -4,16 +4,7 @@ import (
 	"time"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "rim",
-		Title: "RIM: proactive global coordination vs reactive back-pressure alone",
-		Run:   runRIM,
-	})
-}
-
-func runRIM(s Scale) *Result {
-	r := &Result{ID: "rim", Title: "Proactive coordination via RIM"}
+func runRIM(s Scale, r *Result) {
 	window := simWindow(s, 45*time.Minute, 30*time.Minute)
 	// Two functions offer 80 RPS against a 60-RPS downstream — a modest,
 	// sustained overload where proactive pacing can act before shedding.
@@ -59,5 +50,4 @@ func runRIM(s Scale) *Result {
 	r.check("RIM still serves meaningful load", servedWith > servedWithout*0.5,
 		"%.0f vs %.0f", servedWith, servedWithout)
 	r.note("RIM advice is modeled here with zero propagation delay; the platform wiring (core.Config.EnableRIM) publishes it through the configuration store with realistic lag.")
-	return r
 }

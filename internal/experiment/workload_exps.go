@@ -13,39 +13,6 @@ import (
 	"xfaas/internal/workload"
 )
 
-func init() {
-	register(&Experiment{
-		ID:    "table1",
-		Title: "Breakdown of functions by trigger category",
-		Run:   runTable1,
-	})
-	register(&Experiment{
-		ID:    "table2",
-		Title: "Example workloads (Recommendation, Falco, Productivity Bot, Notification, Morphing)",
-		Run:   runTable2,
-	})
-	register(&Experiment{
-		ID:    "table3",
-		Title: "Percentiles of CPU, memory and execution time by trigger",
-		Run:   runTable3,
-	})
-	register(&Experiment{
-		ID:    "fig3",
-		Title: "Growth of daily function invocations over five years",
-		Run:   runFig3,
-	})
-	register(&Experiment{
-		ID:    "fig5",
-		Title: "Worker-pool capacity across regions",
-		Run:   runFig5,
-	})
-	register(&Experiment{
-		ID:    "teamskew",
-		Title: "Capacity concentration across teams",
-		Run:   runTeamSkew,
-	})
-}
-
 // drawCalls samples per-call resource draws from a population, weighted
 // by each function's arrival rate.
 func drawCalls(pop *workload.Population, perRPS float64) map[function.TriggerType][]*function.Call {
@@ -62,8 +29,7 @@ func drawCalls(pop *workload.Population, perRPS float64) map[function.TriggerTyp
 	return out
 }
 
-func runTable1(s Scale) *Result {
-	r := &Result{ID: "table1", Title: "Breakdown of functions by categories"}
+func runTable1(s Scale, r *Result) {
 	cfg := workload.DefaultPopulationConfig()
 	if !s.Quick {
 		cfg.Functions = 2000
@@ -102,11 +68,9 @@ func runTable1(s Scale) *Result {
 		"%.0f%% of calls are event-triggered", 100*calls[function.TriggerEvent]/cTot)
 	r.check("queue compute dominates usage", compute[function.TriggerQueue]/uTot > 0.6,
 		"%.0f%% of compute is queue-triggered", 100*compute[function.TriggerQueue]/uTot)
-	return r
 }
 
-func runTable2(s Scale) *Result {
-	r := &Result{ID: "table2", Title: "Examples of XFaaS workloads"}
+func runTable2(s Scale, r *Result) {
 	// Run the five named workloads through an actual platform and measure
 	// executed calls, the way the paper profiles production workloads.
 	rc := baseRig(s)
@@ -154,7 +118,7 @@ func runTable2(s Scale) *Result {
 	morph, falco := byTeam["team-morphing"], byTeam["team-falco"]
 	if morph == nil || falco == nil {
 		r.check("all named workloads executed", false, "teams seen: %d", len(byTeam))
-		return r
+		return
 	}
 	r.check("all five workloads executed", len(byTeam) == 5, "%d teams", len(byTeam))
 	r.check("morphing CPU orders of magnitude above falco",
@@ -163,11 +127,9 @@ func runTable2(s Scale) *Result {
 	r.check("morphing runs for minutes", morph.tMax > 60,
 		"morphing max exec %.3gs", morph.tMax)
 	r.note("Measured from calls executed on a live simulated platform. Table 2's numeric cells are elided in our copy of the paper; the presets reconstruct §3.2's prose.")
-	return r
 }
 
-func runTable3(s Scale) *Result {
-	r := &Result{ID: "table3", Title: "Percentiles of per-call resources by trigger"}
+func runTable3(s Scale, r *Result) {
 	cfg := workload.DefaultPopulationConfig()
 	cfg.SpikyFunctions = 0
 	if !s.Quick {
@@ -216,11 +178,9 @@ func runTable3(s Scale) *Result {
 	r.check("≈1/3 of calls finish within 1s", u1 > 0.15 && u1 < 0.55, "%.2f", u1)
 	r.check("most calls finish within 60s", u60 > 0.85, "%.2f", u60)
 	r.check("few calls exceed 5 minutes", over5m < 0.06, "%.3f", over5m)
-	return r
 }
 
-func runFig3(s Scale) *Result {
-	r := &Result{ID: "fig3", Title: "Growing popularity of FaaS in the private cloud"}
+func runFig3(s Scale, r *Result) {
 	g := workload.GrowthSeries(rng.New(s.Seed))
 	vals := make([]float64, len(g))
 	for i, p := range g {
@@ -234,11 +194,9 @@ func runFig3(s Scale) *Result {
 	mid := vals[30] / vals[24]
 	r.row("late 6-month jump vs mid", "sharp (stream triggers)", "%.1fx vs %.1fx", late, mid)
 	r.check("late jump steeper than organic growth", late > mid, "%.2f > %.2f", late, mid)
-	return r
 }
 
-func runFig5(s Scale) *Result {
-	r := &Result{ID: "fig5", Title: "Capacity of worker pools across regions"}
+func runFig5(s Scale, r *Result) {
 	rc := defaultRig(s, 0.66)
 	rig := rc.build()
 	shares := rig.P.Topo.CapacityShare()
@@ -255,11 +213,9 @@ func runFig5(s Scale) *Result {
 	}
 	r.row("max/min region capacity", "≈10x (figure)", "%.1fx", max/min)
 	r.check("capacity unevenly distributed", max/min > 1.5, "max/min = %.1f", max/min)
-	return r
 }
 
-func runTeamSkew(s Scale) *Result {
-	r := &Result{ID: "teamskew", Title: "Team-level capacity concentration"}
+func runTeamSkew(s Scale, r *Result) {
 	cfg := workload.DefaultPopulationConfig()
 	cfg.Functions = 1500
 	cfg.Teams = 250
@@ -301,7 +257,6 @@ func runTeamSkew(s Scale) *Result {
 	r.check("half of capacity in a small team fraction", float64(teams50)/n < 0.15,
 		"%.3f of teams hold 50%%", float64(teams50)/n)
 	r.series("team capacity share (sorted, %)", time.Hour, scaleBy(shares, 100))
-	return r
 }
 
 func scaleBy(v []float64, k float64) []float64 {

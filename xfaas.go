@@ -180,7 +180,7 @@ type (
 	ExperimentScale = experiment.Scale
 )
 
-// Experiments returns every registered experiment, sorted by id.
+// Experiments returns every experiment, sorted by id.
 func Experiments() []*Experiment { return experiment.All() }
 
 // ExperimentByID looks up one experiment (e.g. "fig2", "table3").
