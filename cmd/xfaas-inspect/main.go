@@ -247,12 +247,14 @@ func main() {
 }
 
 // checkFlags rejects flag values no run can use: an empty run or
-// population, a sampling rate of 1 in 0, or a negative number of lines to
-// print.
+// population, a run too long for a time.Duration, a sampling rate of 1 in
+// 0, or a negative number of lines to print.
 func checkFlags(minutes, funcs int, rps float64, sample uint64, top, events int) error {
 	switch {
 	case minutes < 1 || funcs < 1 || !(rps > 0):
 		return fmt.Errorf("-minutes, -functions and -rps must be positive (have %d, %d, %g)", minutes, funcs, rps)
+	case minutes > int(workload.MaxSpecSeconds)/60:
+		return fmt.Errorf("-minutes must be at most %d (have %d)", int(workload.MaxSpecSeconds)/60, minutes)
 	case sample < 1:
 		return fmt.Errorf("-sample must be at least 1 (1 traces every call)")
 	case top < 0 || events < 0:

@@ -25,6 +25,7 @@ func TestCheckFlags(t *testing.T) {
 		{30, 40, 10, 0, 5, 40, false},
 		{30, 40, 10, 1, -1, 40, false},
 		{30, 40, 10, 1, 5, -1, false},
+		{200000000, 40, 10, 1, 5, 40, false},
 	} {
 		if err := checkFlags(c.minutes, c.funcs, c.rps, c.sample, c.top, c.events); (err == nil) != c.ok {
 			t.Errorf("checkFlags(%+v) = %v, want ok=%v", c, err, c.ok)

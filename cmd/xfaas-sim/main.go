@@ -63,8 +63,9 @@ func run() int {
 		memprofile = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	)
 	flag.Parse()
-	if *parallel < 0 || *minutes < 1 {
-		fmt.Fprintf(os.Stderr, "xfaas-sim: -parallel must not be negative and -minutes must be at least 1 (have %d, %d)\n", *parallel, *minutes)
+	if maxMinutes := int(workload.MaxSpecSeconds) / 60; *parallel < 0 || *minutes < 1 || *minutes > maxMinutes {
+		fmt.Fprintf(os.Stderr, "xfaas-sim: -parallel must not be negative and -minutes must be in [1, %d] (have %d, %d)\n",
+			maxMinutes, *parallel, *minutes)
 		return 2
 	}
 	// Each mode reads only its own flags and the profiles: a flag set

@@ -105,6 +105,7 @@ func TestRejectsBadFlags(t *testing.T) {
 	}{
 		{[]string{"-parallel", "2", "-minutes", "-5"}, "-minutes"},
 		{[]string{"-parallel", "2", "-minutes", "0"}, "-minutes"},
+		{[]string{"-parallel", "2", "-minutes", "200000000"}, "-minutes"},
 		{[]string{"-parallel", "-1"}, "-parallel"},
 		{[]string{"-chaos", "fig2"}, "fig2"},
 		{[]string{"-chaos", "chaos_gray"}, "chaos_gray"},

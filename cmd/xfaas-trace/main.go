@@ -98,11 +98,15 @@ func run() int {
 	return 0
 }
 
-// checkFlags rejects an empty population or trace, a rate that is not
-// positive and a negative number of samples.
+// checkFlags rejects an empty population or trace, a trace too long for
+// a time.Duration, a rate that is not positive and a negative number of
+// samples.
 func checkFlags(functions int, rps float64, hours, draws int) error {
 	if functions < 1 || !(rps > 0) || hours < 1 || draws < 0 {
 		return fmt.Errorf("want -functions, -rps and -hours positive and -draws >= 0 (have %d, %g, %d, %d)", functions, rps, hours, draws)
+	}
+	if hours > int(workload.MaxSpecSeconds)/3600 {
+		return fmt.Errorf("-hours must be at most %d (have %d)", int(workload.MaxSpecSeconds)/3600, hours)
 	}
 	return nil
 }

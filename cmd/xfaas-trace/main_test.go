@@ -57,12 +57,13 @@ func TestCheckFlags(t *testing.T) {
 		{240, 60, -1, 100, false},
 		{240, 60, 0, 100, false},
 		{240, 60, 24, -1, false},
+		{240, 60, 3000000, 100, false},
 	} {
 		if err := checkFlags(c.functions, c.rps, c.hours, c.draw); (err == nil) != c.ok {
 			t.Errorf("checkFlags(%d, %g, %d, %d) = %v, want ok=%v", c.functions, c.rps, c.hours, c.draw, err, c.ok)
 		}
 	}
-	for _, args := range [][]string{{"-functions", "0"}, {"-rps", "-1"}, {"-hours", "-1"}} {
+	for _, args := range [][]string{{"-functions", "0"}, {"-rps", "-1"}, {"-hours", "-1"}, {"-hours", "3000000"}} {
 		if code := runWith(args...); code != 2 {
 			t.Errorf("xfaas-trace %v: exit %d, want 2", args, code)
 		}

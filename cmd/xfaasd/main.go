@@ -26,6 +26,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"xfaas/internal/cluster"
 	"xfaas/internal/core"
 	"xfaas/internal/function"
 	"xfaas/internal/httpapi"
@@ -131,8 +132,11 @@ func main() {
 // checkFlags rejects a topology the cluster cannot build and a clock that
 // would not advance.
 func checkFlags(regions, workers int, speedup float64) error {
-	if regions < 1 || workers < regions || !(speedup > 0) {
-		return fmt.Errorf("want -regions >= 1, -workers >= -regions and -speedup > 0 (have %d, %d, %g)", regions, workers, speedup)
+	if err := (cluster.Config{Regions: regions, TotalWorkers: workers}).Validate(); err != nil {
+		return fmt.Errorf("-regions, -workers: %w", err)
+	}
+	if !(speedup > 0) {
+		return fmt.Errorf("want -speedup > 0, have %g", speedup)
 	}
 	return nil
 }

@@ -66,10 +66,21 @@ func DefaultConfig() Config {
 	return Config{Regions: 12, TotalWorkers: 1200}
 }
 
+// Validate rejects a topology Generate cannot build: every region needs
+// at least one worker.
+func (cfg Config) Validate() error {
+	if cfg.Regions < 1 || cfg.TotalWorkers < cfg.Regions {
+		return fmt.Errorf("cluster: want regions >= 1 and workers >= regions, have %d regions and %d workers",
+			cfg.Regions, cfg.TotalWorkers)
+	}
+	return nil
+}
+
 // Generate builds a synthetic topology with unevenly distributed capacity.
+// It panics on a config Validate rejects.
 func Generate(cfg Config, src *rng.Source) *Topology {
-	if cfg.Regions <= 0 || cfg.TotalWorkers < cfg.Regions {
-		panic("cluster: invalid config")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	weights := make([]float64, cfg.Regions)
 	total := 0.0

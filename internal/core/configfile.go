@@ -58,16 +58,13 @@ func ParseConfigFile(data []byte) (*ConfigFile, error) {
 	return &cf, nil
 }
 
-// maxSeconds bounds every duration-in-seconds field so the conversion
-// to time.Duration cannot overflow (~31 simulated years).
-const maxSeconds = 1e9
-
-// Validate bounds-checks every present override.
+// Validate bounds-checks every present override. Durations in seconds
+// are capped at workload.MaxSpecSeconds, as in spec files.
 func (cf *ConfigFile) Validate() error {
 	bad := func(name string, v float64, min float64) error {
-		return fmt.Errorf("config: %s must be finite, >= %g and <= %g, got %v", name, min, float64(maxSeconds), v)
+		return fmt.Errorf("config: %s must be finite, >= %g and <= %g, got %v", name, min, float64(workload.MaxSpecSeconds), v)
 	}
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) && v <= maxSeconds }
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) && v <= workload.MaxSpecSeconds }
 	if cf.Regions != nil && *cf.Regions < 1 {
 		return fmt.Errorf("config: regions must be >= 1, got %d", *cf.Regions)
 	}
@@ -81,7 +78,7 @@ func (cf *ConfigFile) Validate() error {
 	// longer than that redelivers calls that are still running.
 	if v := cf.LeaseTimeoutSec; v != nil && (!finite(*v) || time.Duration(*v*float64(time.Second)) <= scheduler.LeaseRenewInterval) {
 		return fmt.Errorf("config: lease_timeout_seconds must be finite, above the %gs lease renewal interval and <= %g, got %v",
-			scheduler.LeaseRenewInterval.Seconds(), float64(maxSeconds), *v)
+			scheduler.LeaseRenewInterval.Seconds(), float64(workload.MaxSpecSeconds), *v)
 	}
 	if v := cf.QueueLocalFrac; v != nil && (!finite(*v) || *v < 0 || *v > 1) {
 		return fmt.Errorf("config: queue_local_frac must be in [0,1], got %v", *v)
@@ -148,11 +145,17 @@ func setSeconds(dst *time.Duration, v *float64) {
 	}
 }
 
-// LoadConfig parses data and applies it to base in one step.
+// LoadConfig parses data and applies it to base in one step. The merged
+// topology is validated too: overrides that each pass on their own can
+// still ask for fewer workers than regions.
 func LoadConfig(data []byte, base Config) (Config, error) {
 	cf, err := ParseConfigFile(data)
 	if err != nil {
 		return base, err
 	}
-	return cf.Apply(base), nil
+	cfg := cf.Apply(base)
+	if err := cfg.Cluster.Validate(); err != nil {
+		return base, fmt.Errorf("config: %w", err)
+	}
+	return cfg, nil
 }

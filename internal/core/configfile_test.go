@@ -78,6 +78,8 @@ func TestLoadConfigRejects(t *testing.T) {
 		{"util target zero", `{"utilization_target": 0}`, "utilization_target"},
 		{"sample zero", `{"trace": {"sample_every": 0}}`, "sample_every"},
 		{"bad interval", `{"invariants": {"interval_seconds": -5}}`, "interval_seconds"},
+		{"fewer workers than the default regions", `{"total_workers": 5}`, "regions"},
+		{"more regions than the default workers", `{"regions": 2000}`, "regions"},
 		{"unknown field", `{"regons": 3}`, "unknown field"},
 		{"trailing garbage", `{} {}`, "trailing"},
 		{"not json", `nope`, ""},
