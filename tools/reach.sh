@@ -3,10 +3,11 @@
 #
 # Builds every command and example with -cover, runs every seeded run of
 # tools/runs.txt once, then what only reach measures: the listings, CSV
-# output and profiles, the usage errors, the workload tracer, the examples
-# and xfaasd. Adds the httpapi tests and the benchmark smoke test, merges
-# the counters and prints, per package, the unreached statements and the
-# functions no run entered. Usage, from the repository root:
+# output and profiles, the usage errors, a rejected config and unwritable
+# output paths, the workload tracer, the examples and xfaasd. Adds the
+# httpapi tests and the benchmark smoke test, merges the counters and
+# prints, per package, the unreached statements and the functions no run
+# entered. Usage, from the repository root:
 #   tools/reach.sh          report only
 #   tools/reach.sh 8.5      also exit 1 if more than 8.5% is unreached
 # Needs only the Go toolchain; takes a few minutes.
@@ -28,13 +29,17 @@ run() {
 	echo "  $*" >&2
 	"$bin/$@" > "$out/last.txt" 2>&1 || { cat "$out/last.txt" >&2; exit 1; }
 }
+# fails CODE NAME ARGS... expects the entry point to exit with CODE;
 # rejects NAME ARGS... expects a usage error (exit 2).
-rejects() {
-	echo "  $* (rejected)" >&2
+fails() {
+	want=$1
+	shift
+	echo "  $* (exit $want)" >&2
 	code=0
 	"$bin/$@" > "$out/last.txt" 2>&1 || code=$?
-	[ "$code" -eq 2 ] || { cat "$out/last.txt" >&2; echo "want exit 2, got $code" >&2; exit 1; }
+	[ "$code" -eq "$want" ] || { cat "$out/last.txt" >&2; echo "want exit $want, got $code" >&2; exit 1; }
 }
+rejects() { fails 2 "$@"; }
 
 echo "running the seeded runs:" >&2
 set -f
@@ -66,14 +71,22 @@ rejects xfaas-sim -chaos nosuch
 rejects xfaas-sim -policy nosuch
 rejects xfaas-sim -parallel 99
 rejects xfaas-sim -parallel 2 -minutes -5
+rejects xfaas-sim -parallel 2 -minutes 200000000
+rejects xfaas-sim -list -cpuprofile "$out/missing/cpu.pprof"
 rejects xfaas-sim -parallel 4 -policy pull
+echo '{"regions": 2000}' > "$out/topology.json"
+fails 1 xfaas-sim -run fig3 -out "$out/topology.json/csv"
 
 run xfaas-inspect -list
 rejects xfaas-inspect -chaos nosuch
 rejects xfaas-inspect -top -1
+rejects xfaas-inspect -minutes 200000000
+fails 1 xfaas-inspect -minutes 1 -chrome "$out/missing/trace.json"
 
 run xfaas-trace -csv "$out/arrivals.csv"
 rejects xfaas-trace -functions 0
+rejects xfaas-trace -hours 3000000
+fails 1 xfaas-trace -hours 1 -csv "$out/missing/arrivals.csv"
 run quickstart
 run triggers
 
@@ -86,6 +99,10 @@ kill -TERM "$pid"
 wait "$pid" || { cat "$out/xfaasd.txt" >&2; exit 1; }
 echo "  xfaasd (started and stopped)" >&2
 rejects xfaasd -speedup 0
+rejects xfaasd -regions 5 -workers 2
+fails 1 xfaasd -config "$out/topology.json"
+fails 1 xfaasd -config "$out/missing.json"
+fails 1 xfaasd -workload "$out/topology.json"
 
 unset GOCOVERDIR
 echo "  go test ./internal/httpapi" >&2
