@@ -57,11 +57,12 @@ func (r DeadReason) String() string {
 	return fmt.Sprintf("reason(%d)", int(r))
 }
 
-// funcQueue is one function's queue and its slot in the shard's
-// name-ordered arrays (Shard.funcNames, byName, wake).
+// funcQueue is one function's queue, its name and its slot in the
+// shard's name-ordered arrays (Shard.byName, wake).
 type funcQueue struct {
-	h   callHeap
-	idx int
+	h    callHeap
+	name string
+	idx  int
 }
 
 // never is the wake time of an empty queue.
@@ -101,9 +102,8 @@ type Shard struct {
 	// doomed work to schedulers.
 	SweepExpired bool
 
-	queues    map[string]*funcQueue // requeue's lookup by name
-	funcNames []string              // sorted; the deterministic polling order
-	byName    []*funcQueue          // the queues in funcNames order
+	queues map[string]*funcQueue // requeue's lookup by name
+	byName []*funcQueue          // the queues in name order: the deterministic polling order
 	// wake[i] is the first instant a poll would do anything to byName[i]:
 	// its head's readyAt, or the instant after the head's deadline if that
 	// comes sooner (the expiry sweep acts on heads that are not ready yet);
@@ -146,14 +146,10 @@ type Shard struct {
 	// tombstones marks queued entries to discard lazily at poll time
 	// (heaps do not support removal).
 	tombstones map[uint64]bool
-	// budgets is each function's retry-token balance (created lazily; a
-	// missing entry means the full BudgetBurst). Accessed by key only —
-	// never iterated — so determinism is unaffected.
-	budgets map[string]float64
-	// budgetDry marks functions whose bucket is currently empty, so the
-	// "budget.exhausted" control event fires once per dry spell, not once
-	// per rejected redelivery.
-	budgetDry map[string]bool
+	// budgets is each function's retry bucket (created on first use, full
+	// to BudgetBurst). Accessed by key only — never iterated — so
+	// determinism is unaffected.
+	budgets map[string]*budget
 
 	// Metrics.
 	Enqueued    stats.Counter
@@ -216,6 +212,7 @@ func NewShard(id ShardID, engine *sim.Engine, src *rng.Source) *Shard {
 		BudgetBurst:    DefaultBudgetBurst,
 		queues:         make(map[string]*funcQueue),
 		leases:         make(map[uint64]*lease),
+		budgets:        make(map[string]*budget),
 	}
 	s.sessions = []*session{anon: {sh: s}, forgotten: {sh: s}}
 	s.expiry = engine.NewAlarm(s.fire)
@@ -281,12 +278,13 @@ func (s *Shard) requeue(c *function.Call, readyAt sim.Time) {
 }
 
 // addQueue creates the queue of a function seen for the first time,
-// inserting it at its sorted position in all three name-ordered arrays.
+// inserting it at its sorted position in both name-ordered arrays.
 func (s *Shard) addQueue(name string) *funcQueue {
-	i, _ := slices.BinarySearch(s.funcNames, name)
-	q := &funcQueue{idx: i}
+	i, _ := slices.BinarySearchFunc(s.byName, name, func(q *funcQueue, name string) int {
+		return cmp.Compare(q.name, name)
+	})
+	q := &funcQueue{name: name, idx: i}
 	s.queues[name] = q
-	s.funcNames = slices.Insert(s.funcNames, i, name)
 	s.byName = slices.Insert(s.byName, i, q)
 	s.wake = slices.Insert(s.wake, i, never)
 	for _, later := range s.byName[i+1:] {
@@ -393,6 +391,7 @@ func (s *Shard) PollAs(h *Holder, dst []*function.Call, max int, filter func(*fu
 func (s *Shard) offer(c *function.Call, ss *session) *function.Call {
 	c.State = function.StateLeased
 	c.Attempt++
+	c.Lessor.Region, c.Lessor.Index = int32(s.ID.Region), int32(s.ID.Index)
 	if len(s.recovered) > 0 {
 		// Once a replayed call is re-delivered, a late pre-crash ack can
 		// no longer suppress it — the duplicate execution is in flight.
@@ -880,9 +879,6 @@ func (s *Shard) Release(id uint64) bool {
 // terminal journal record here — its durable home moves with it, so a
 // crash replay of this shard must not resurrect a copy.
 func (s *Shard) DrainExtract(dst []*function.Call, max int, filter func(*function.Call) bool) []*function.Call {
-	if max <= 0 || len(s.funcNames) == 0 {
-		return dst
-	}
 	taken := 0
 	var kept []queued
 	for i, fq := range s.byName {
@@ -943,6 +939,23 @@ func (s *Shard) AdoptDrained(c *function.Call) bool {
 	return true
 }
 
+// budget is one function's retry bucket. dry marks it empty, so
+// "budget.exhausted" fires once per dry spell, not per rejected redelivery.
+type budget struct {
+	tokens float64
+	dry    bool
+}
+
+// bucket returns a function's retry bucket, a new one full to BudgetBurst.
+func (s *Shard) bucket(name string) *budget {
+	b := s.budgets[name]
+	if b == nil {
+		b = &budget{tokens: s.BudgetBurst}
+		s.budgets[name] = b
+	}
+	return b
+}
+
 // earnBudget credits a function's retry bucket for a first-attempt
 // success. Buckets start at BudgetBurst and grow without cap: the
 // amplification bound is global (spent ≤ β·firstAcks + burst), not
@@ -951,17 +964,10 @@ func (s *Shard) earnBudget(name string) {
 	if !s.BudgetEnabled {
 		return
 	}
-	if s.budgets == nil {
-		s.budgets = make(map[string]float64)
-	}
-	b, ok := s.budgets[name]
-	if !ok {
-		b = s.BudgetBurst
-	}
-	b += s.BudgetRatio
-	s.budgets[name] = b
-	if b >= 1 && s.budgetDry[name] {
-		delete(s.budgetDry, name)
+	b := s.bucket(name)
+	b.tokens += s.BudgetRatio
+	if b.tokens >= 1 && b.dry {
+		b.dry = false
 		s.Obs.Control("budget.recovered", fmt.Sprintf("%v %s", s.ID, name))
 	}
 }
@@ -973,25 +979,15 @@ func (s *Shard) spendBudget(name string) bool {
 	if !s.BudgetEnabled {
 		return true
 	}
-	if s.budgets == nil {
-		s.budgets = make(map[string]float64)
-	}
-	b, ok := s.budgets[name]
-	if !ok {
-		b = s.BudgetBurst
-	}
-	if b < 1 {
-		s.budgets[name] = b
-		if !s.budgetDry[name] {
-			if s.budgetDry == nil {
-				s.budgetDry = make(map[string]bool)
-			}
-			s.budgetDry[name] = true
+	b := s.bucket(name)
+	if b.tokens < 1 {
+		if !b.dry {
+			b.dry = true
 			s.Obs.Control("budget.exhausted", fmt.Sprintf("%v %s", s.ID, name))
 		}
 		return false
 	}
-	s.budgets[name] = b - 1
+	b.tokens--
 	s.BudgetSpent.Inc()
 	return true
 }
@@ -999,8 +995,8 @@ func (s *Shard) spendBudget(name string) bool {
 // BudgetBalance returns a function's current retry-token balance on this
 // shard (the full burst when the function has never spent or earned).
 func (s *Shard) BudgetBalance(name string) float64 {
-	if b, ok := s.budgets[name]; ok {
-		return b
+	if b := s.budgets[name]; b != nil {
+		return b.tokens
 	}
 	return s.BudgetBurst
 }
@@ -1067,7 +1063,7 @@ func (s *Shard) Crash() {
 	}
 
 	s.queues = make(map[string]*funcQueue)
-	s.funcNames, s.byName, s.wake = nil, nil, nil
+	s.byName, s.wake = nil, nil
 	s.cursor = 0
 	s.leases = make(map[uint64]*lease)
 	for _, ss := range s.sessions {

@@ -1053,14 +1053,18 @@ func (w *world) state() string {
 // lease list is the lease map in (at, seq) order, and the reference's
 // queues and tombstones hold the same entries.
 func checkIndex(s *Shard, ref *refShard) error {
-	if !slices.IsSorted(s.funcNames) || !slices.Equal(s.funcNames, ref.funcNames) {
-		return fmt.Errorf("funcNames %v, want %v", s.funcNames, ref.funcNames)
+	names := make([]string, len(s.byName))
+	for i, q := range s.byName {
+		names[i] = q.name
 	}
-	if len(s.byName) != len(s.funcNames) || len(s.wake) != len(s.funcNames) || len(s.queues) != len(s.funcNames) {
-		return fmt.Errorf("%d names, %d queues in order, %d wake times, %d queues by name",
-			len(s.funcNames), len(s.byName), len(s.wake), len(s.queues))
+	if !slices.IsSorted(names) || !slices.Equal(names, ref.funcNames) {
+		return fmt.Errorf("queue names %v, want %v", names, ref.funcNames)
 	}
-	for i, name := range s.funcNames {
+	if len(s.wake) != len(names) || len(s.queues) != len(names) {
+		return fmt.Errorf("%d queues in order, %d wake times, %d queues by name",
+			len(names), len(s.wake), len(s.queues))
+	}
+	for i, name := range names {
 		q := s.byName[i]
 		if s.queues[name] != q || q.idx != i {
 			return fmt.Errorf("queue %d (%s) is not the one filed under its name (idx %d)", i, name, q.idx)

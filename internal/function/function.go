@@ -301,6 +301,9 @@ type Call struct {
 
 	State   State
 	Attempt int // 1-based once queued
+	// Lessor is the DurableQ shard, by region and index, that granted the
+	// call's latest lease: its holder settles the call there.
+	Lessor struct{ Region, Index int32 }
 	// Obs is the call's observer record (a *trace.Record), nil until an
 	// observer meets the call: every instrumentation hook bails with one
 	// load when it is — the zero-alloc disabled path. It is opaque here

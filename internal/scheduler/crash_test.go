@@ -30,7 +30,7 @@ func TestCrashOrphansLeasesAndRecovers(t *testing.T) {
 	if !r.sched.IsDown() || r.sched.Crashes.Value() != 1 {
 		t.Fatal("crash not recorded")
 	}
-	if r.sched.Buffered() != 0 || r.sched.RunQLen() != 0 || len(r.sched.origin) != 0 {
+	if r.sched.Buffered() != 0 || r.sched.RunQLen() != 0 {
 		t.Fatal("crash left in-memory state behind")
 	}
 

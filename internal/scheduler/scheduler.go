@@ -125,7 +125,6 @@ type Scheduler struct {
 	buffers map[string]*FuncBuffer // admit's and pollFilter's lookup by name
 	byName  []*FuncBuffer          // every buffer, in name order: no walk sees Go map order
 	runQ    []*function.Call       // dense: every entry is scheduled and not yet dispatched
-	origin  map[uint64]*durableq.Shard
 	// holder is this process's lessee identity; a crash replaces it.
 	holder *durableq.Holder
 
@@ -226,6 +225,9 @@ type Scheduler struct {
 }
 
 // New returns a running scheduler for region without hedged dispatch.
+// shards is the global view, indexed by region and then by index within
+// the region: a shard's ID is its position in shards, which is how a
+// held call's lease stamp (Call.Lessor) finds the shard it settles with.
 // store supplies the GTC traffic matrix; pass the same instance the
 // conductor publishes to.
 func New(engine *sim.Engine, src *rng.Source, region cluster.RegionID, params Params,
@@ -253,7 +255,6 @@ func NewHedged(engine *sim.Engine, src *rng.Source, region cluster.RegionID, par
 		check:            &isolation.Checker{},
 		matrix:           config.NewCache(store, gtc.MatrixKey),
 		buffers:          make(map[string]*FuncBuffer),
-		origin:           make(map[uint64]*durableq.Shard),
 		holder:           durableq.NewHolder(engine),
 		running:          make(map[uint64]*flight),
 		SchedulingDelay:  stats.NewHistogram(),
@@ -347,7 +348,7 @@ func (s *Scheduler) untrack(f *flight) {
 }
 
 // Crash models a scheduler process failure: every in-memory structure —
-// FuncBuffers, RunQ, origin map, in-flight tracking — is destroyed. The
+// FuncBuffers, RunQ, in-flight tracking — is destroyed. The
 // DurableQ leases those calls held are orphaned (the process comes back
 // as a new holder, so nobody renews them) and expire after LeaseTimeout,
 // redelivering the calls to surviving replicas: the statelessness claim
@@ -368,7 +369,6 @@ func (s *Scheduler) Crash() {
 	s.runQ = s.runQ[:0]
 	s.buffers = make(map[string]*FuncBuffer)
 	s.byName = nil
-	s.origin = make(map[uint64]*durableq.Shard)
 	s.holder.Release()
 	s.holder = durableq.NewHolder(s.engine)
 	// Armed hedge timers die with the process: fireHedge ignores a flight
@@ -565,9 +565,7 @@ func (s *Scheduler) shedSweep() {
 		}
 		for b.Len() > 0 && now-b.Peek().QueuedAt > target {
 			c := b.Pop()
-			if shard := s.takeOrigin(c); shard != nil {
-				shard.Terminate(c.ID, durableq.ReasonShed)
-			}
+			s.lessor(c).Terminate(c.ID, durableq.ReasonShed)
 			s.ShedCalls.Inc()
 		}
 	}
@@ -659,7 +657,7 @@ func (s *Scheduler) pullFrom(region int, max int) {
 		}
 		calls := shard.PollAs(s.holder, s.pollScratch[:0], n, s.filterFn)
 		for _, c := range calls {
-			s.admit(c, shard)
+			s.admit(c)
 		}
 		s.pollScratch = calls[:0]
 		max -= len(calls)
@@ -706,9 +704,8 @@ func (s *Scheduler) poll(budget int) {
 	}
 }
 
-func (s *Scheduler) admit(c *function.Call, from *durableq.Shard) {
+func (s *Scheduler) admit(c *function.Call) {
 	s.Polled.Inc()
-	s.origin[c.ID] = from
 	if s.running[c.ID] != nil {
 		// A lease redelivered while this replica still executes the call
 		// (a journaled shard's crash replay): the running execution
@@ -843,9 +840,7 @@ func (s *Scheduler) drainRunQ(place placeFunc) {
 			// must never reach a worker. Release its concurrency slot and
 			// settle it to dead-letter at its owning shard.
 			s.cong.OnComplete(c.Spec)
-			if shard := s.takeOrigin(c); shard != nil {
-				shard.Terminate(c.ID, durableq.ReasonExpired)
-			}
+			s.lessor(c).Terminate(c.ID, durableq.ReasonExpired)
 			s.ExpiredSwept.Inc()
 			continue
 		}
@@ -960,10 +955,8 @@ func (s *Scheduler) settle(f *flight, c *function.Call, err error) {
 	if s.OnExecuted != nil {
 		s.OnExecuted(c)
 	}
-	if shard := s.takeOrigin(c); shard != nil {
-		if shard.Ack(c.ID) {
-			s.Acked.Inc()
-		}
+	if s.lessor(c).Ack(c.ID) {
+		s.Acked.Inc()
 	}
 }
 
@@ -997,36 +990,26 @@ func (s *Scheduler) releaseHeld() { s.unhold(s.release) }
 // release hands one held call back to its owning shard as plain queued
 // work.
 func (s *Scheduler) release(c *function.Call) {
-	shard := s.takeOrigin(c)
-	if shard == nil {
-		return
-	}
 	s.Obs.Emit(c, trace.KindEvacuated, 0)
-	if shard.Release(c.ID) {
+	if s.lessor(c).Release(c.ID) {
 		s.Released.Inc()
 	}
 }
 
-// takeOrigin returns the shard c was leased from and forgets it, or nil
-// if this scheduler no longer holds c.
-func (s *Scheduler) takeOrigin(c *function.Call) *durableq.Shard {
-	shard := s.origin[c.ID]
-	if shard != nil {
-		delete(s.origin, c.ID)
-		if shard.IsDown() {
-			// The settle the caller makes is refused, and this process
-			// lets the lease go all the same: it runs out unrenewed.
-			s.holder.Forget(shard, c.ID)
-		}
+// lessor returns the shard that granted c's lease, named by the stamp
+// the lease put on c, for the caller to settle c with.
+func (s *Scheduler) lessor(c *function.Call) *durableq.Shard {
+	shard := s.shards[c.Lessor.Region][c.Lessor.Index]
+	if shard.IsDown() {
+		// The settle the caller makes is refused, and this process lets
+		// the lease go all the same: it runs out unrenewed.
+		s.holder.Forget(shard, c.ID)
 	}
 	return shard
 }
 
 func (s *Scheduler) nack(c *function.Call) {
-	shard := s.takeOrigin(c)
-	if shard == nil {
-		return
-	}
+	shard := s.lessor(c)
 	// Retry-placement hook: the policy may override the backoff base of
 	// the redelivery. Push always declines, keeping the spec default.
 	if base, ok := s.pol.RetryBase(c); ok {

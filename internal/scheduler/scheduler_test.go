@@ -572,7 +572,7 @@ func TestEvacuateSweepsBuffersInSortedOrder(t *testing.T) {
 	// Lease everything into the scheduler's FuncBuffers (the engine never
 	// runs, so no tick interferes), then evacuate directly.
 	for _, c := range shard.Poll(len(calls), nil) {
-		sched.admit(c, shard)
+		sched.admit(c)
 	}
 	if got := sched.Buffered(); got != len(calls) {
 		t.Fatalf("buffered = %d, want %d", got, len(calls))
