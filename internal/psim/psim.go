@@ -365,96 +365,73 @@ func (r *Runner) Run() string {
 	return r.Report()
 }
 
-// partStats is one partition's deterministic counter snapshot.
-type partStats struct {
-	generated, submitted, acked, completions      float64
-	dropped, lost, sloMisses                      float64
-	migratedOut, migratedIn, migratedDropped      float64
-	remoteForwarded                               float64
-	drains, drainMigrated                         float64
-	violations, ctrlEvents, sampled, traceDropped uint64
-	gap                                           int64
+// platCounts are the platform-level counters a report line reads beside
+// its core.Counters reading of the data plane.
+type platCounts struct {
+	generated, completions, out, in, inDropped, drains, drainMigrated float64
 }
 
-func (r *Runner) stats(part *Partition) partStats {
+func (pc *platCounts) add(part *Partition) {
 	p := part.Platform
-	c := core.CountersOf(p.Regions()...)
-	s := partStats{
-		generated:       part.Generator.Generated.Value(),
-		submitted:       c.Submitted,
-		acked:           c.SchedAcked,
-		completions:     p.Completions.Value(),
-		dropped:         c.RouteFailed,
-		lost:            c.SubmitterLost + c.ShardLost,
-		sloMisses:       c.SLOMisses,
-		migratedOut:     p.MigratedOut.Value(),
-		migratedIn:      p.MigratedIn.Value(),
-		migratedDropped: p.MigratedDropped.Value(),
-		remoteForwarded: c.RemoteForwarded,
-		drains:          p.Drainer.Drains.Value(),
-		drainMigrated:   p.Drainer.Migrated.Value(),
-		ctrlEvents:      p.Tracer.ControlCount(),
-	}
-	if p.Inv.Enabled() {
-		s.violations = p.Inv.TotalViolations()
-		s.gap = p.Inv.Totals().Gap()
-	}
-	if r.Opts.Traced {
-		sampled, _, dropped := p.Tracer.Stats()
-		s.sampled, s.traceDropped = sampled, dropped
-	}
-	return s
+	pc.generated += part.Generator.Generated.Value()
+	pc.completions += p.Completions.Value()
+	pc.out += p.MigratedOut.Value()
+	pc.in += p.MigratedIn.Value()
+	pc.inDropped += p.MigratedDropped.Value()
+	pc.drains += p.Drainer.Drains.Value()
+	pc.drainMigrated += p.Drainer.Migrated.Value()
+}
+
+// flow writes the fields a partition line shares with the total line.
+func flow(b *strings.Builder, c core.Counters, pc platCounts) {
+	fmt.Fprintf(b, "gen=%.0f sub=%.0f acked=%.0f done=%.0f slo=%.0f drop=%.0f lost=%.0f out=%.0f in=%.0f indrop=%.0f fwd=%.0f",
+		pc.generated, c.Submitted, c.SchedAcked, pc.completions, c.SLOMisses, c.RouteFailed,
+		c.SubmitterLost+c.ShardLost, pc.out, pc.in, pc.inDropped, c.RemoteForwarded)
 }
 
 // Report renders the run's counters as deterministic text: virtual-time
 // quantities and seeded-stream counters only, no wall-clock, no map
 // iteration. Byte-identical across reruns, Seq mode and GOMAXPROCS.
+// Every counter is integer-valued, so the total line's sums are exact.
 func (r *Runner) Report() string {
 	var b strings.Builder
 	o := r.Opts
 	fmt.Fprintf(&b, "psim parts=%d regions=%d workers=%d funcs=%d rps=%.0f minutes=%d seed=%d cross=%.2f chaos=%v drain=%v traced=%v invariants=%v slo=%v\n",
 		o.Parts, o.Regions, o.TotalWorkers, o.Functions, o.RPS, o.Minutes, o.Seed, o.CrossFrac, o.Chaos, o.Drain, o.Traced, o.Invariants, o.SLO)
-	var tot partStats
+	var regions []*core.Region
+	var tot platCounts
+	var violations uint64
 	for i, part := range r.Parts {
-		s := r.stats(part)
-		fmt.Fprintf(&b, "part %d: regions=%d gen=%.0f sub=%.0f acked=%.0f done=%.0f slo=%.0f drop=%.0f lost=%.0f out=%.0f in=%.0f indrop=%.0f fwd=%.0f ctrl=%d",
-			i, len(part.GlobalRegions), s.generated, s.submitted, s.acked, s.completions,
-			s.sloMisses, s.dropped, s.lost, s.migratedOut, s.migratedIn, s.migratedDropped,
-			s.remoteForwarded, s.ctrlEvents)
+		p := part.Platform
+		regions = append(regions, p.Regions()...)
+		var pc platCounts
+		pc.add(part)
+		tot.add(part)
+		fmt.Fprintf(&b, "part %d: regions=%d ", i, len(part.GlobalRegions))
+		flow(&b, core.CountersOf(p.Regions()...), pc)
+		fmt.Fprintf(&b, " ctrl=%d", p.Tracer.ControlCount())
 		if o.Drain {
-			fmt.Fprintf(&b, " drains=%.0f dmig=%.0f", s.drains, s.drainMigrated)
+			fmt.Fprintf(&b, " drains=%.0f dmig=%.0f", pc.drains, pc.drainMigrated)
 		}
 		if o.Invariants {
-			fmt.Fprintf(&b, " viol=%d gap=%+d", s.violations, s.gap)
+			v := p.Inv.TotalViolations()
+			violations += v
+			fmt.Fprintf(&b, " viol=%d gap=%+d", v, p.Inv.Totals().Gap())
 		}
 		if o.Traced {
-			fmt.Fprintf(&b, " sampled=%d tdrop=%d", s.sampled, s.traceDropped)
+			sampled, _, dropped := p.Tracer.Stats()
+			fmt.Fprintf(&b, " sampled=%d tdrop=%d", sampled, dropped)
 		}
 		fmt.Fprintln(&b)
-		tot.generated += s.generated
-		tot.submitted += s.submitted
-		tot.acked += s.acked
-		tot.completions += s.completions
-		tot.sloMisses += s.sloMisses
-		tot.dropped += s.dropped
-		tot.lost += s.lost
-		tot.migratedOut += s.migratedOut
-		tot.migratedIn += s.migratedIn
-		tot.migratedDropped += s.migratedDropped
-		tot.remoteForwarded += s.remoteForwarded
-		tot.drains += s.drains
-		tot.drainMigrated += s.drainMigrated
-		tot.violations += s.violations
 	}
-	fmt.Fprintf(&b, "total: gen=%.0f sub=%.0f acked=%.0f done=%.0f slo=%.0f drop=%.0f lost=%.0f out=%.0f in=%.0f indrop=%.0f fwd=%.0f events=%d",
-		tot.generated, tot.submitted, tot.acked, tot.completions, tot.sloMisses,
-		tot.dropped, tot.lost, tot.migratedOut, tot.migratedIn, tot.migratedDropped,
-		tot.remoteForwarded, r.Group.Processed())
+	b.WriteString("total: ")
+	flow(&b, core.CountersOf(regions...), tot)
+	fmt.Fprintf(&b, " events=%d", r.Group.Processed())
 	if o.Drain {
 		fmt.Fprintf(&b, " drains=%.0f dmig=%.0f", tot.drains, tot.drainMigrated)
 	}
 	if o.Invariants {
-		fmt.Fprintf(&b, " viol=%d", tot.violations)
+		fmt.Fprintf(&b, " viol=%d", violations)
 	}
 	fmt.Fprintln(&b)
 	return b.String()
