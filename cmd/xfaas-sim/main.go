@@ -25,6 +25,7 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"xfaas/internal/config"
@@ -154,9 +155,11 @@ func run() int {
 		targets = []*experiment.Experiment{e}
 	case mode == "-list":
 		fmt.Println("Available experiments (paper artifact → id):")
+		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 1, ' ', 0)
 		for _, e := range experiment.All() {
-			fmt.Printf("  %-18s %s\n", e.ID, e.Title)
+			fmt.Fprintf(tw, "  %s\t%s\n", e.ID, e.Title)
 		}
+		tw.Flush()
 		fmt.Println("\nChaos scenario library (use -chaos <name>):")
 		for _, e := range experiment.All() {
 			if name, ok := e.Chaos(); ok {

@@ -164,3 +164,38 @@ func TestChaosScenarioNames(t *testing.T) {
 		}
 	}
 }
+
+// TestListAlignsTitles: every experiment line of -list starts its title
+// at one column, however long the longest id is.
+func TestListAlignsTitles(t *testing.T) {
+	flag.CommandLine = flag.NewFlagSet("xfaas-sim", flag.ContinueOnError)
+	os.Args = []string{"xfaas-sim", "-list"}
+	stdout := os.Stdout
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = f
+	code := run()
+	os.Stdout = stdout
+	out, _ := os.ReadFile(f.Name())
+	f.Close()
+	if code != 0 {
+		t.Fatalf("xfaas-sim -list: exit %d", code)
+	}
+	lines := strings.Split(string(out), "\n")
+	col := -1
+	for i, e := range experiment.All() {
+		line := lines[1+i]
+		head, ok := strings.CutSuffix(line, " "+e.Title)
+		if !ok || strings.TrimRight(head, " ") != "  "+e.ID {
+			t.Fatalf("-list line %d = %q, want %s and its title %q", 1+i, line, e.ID, e.Title)
+		}
+		if col < 0 {
+			col = len(head)
+		}
+		if len(head) != col {
+			t.Errorf("-list: %s's title starts at column %d, the first experiment's at %d", e.ID, len(head)+1, col+1)
+		}
+	}
+}
