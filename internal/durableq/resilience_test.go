@@ -1,11 +1,14 @@
 package durableq
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"xfaas/internal/function"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/sim"
+	"xfaas/internal/trace"
 )
 
 // callDL builds a call with an explicit absolute deadline.
@@ -204,6 +207,53 @@ func TestRetryBudgetEarnedBySuccess(t *testing.T) {
 	got := sh.Poll(10, nil)
 	if len(got) != 1 || got[0].ID != c2.ID {
 		t.Fatalf("funded redelivery missing: %v", got)
+	}
+}
+
+// TestRetryBudgetDrySpells: "budget.exhausted" fires once per dry spell,
+// however many redeliveries the empty bucket denies, "budget.recovered"
+// once the bucket holds a token again, and a bucket that runs dry again
+// starts a new spell.
+func TestRetryBudgetDrySpells(t *testing.T) {
+	e := sim.NewEngine()
+	tr := trace.NewRecorder(e, 1, trace.DefaultParams())
+	sh := newShard(e)
+	sh.Obs = lifecycle.New(e, tr, nil, nil)
+	sh.BudgetEnabled = true
+	sh.BudgetRatio = 0.5
+	sh.BudgetBurst = 0
+	s := spec("f", 10)
+	settle := func(ack bool) *function.Call {
+		c := call(s, 0)
+		sh.Enqueue(c)
+		sh.Poll(10, nil)
+		if ack {
+			sh.Ack(c.ID)
+		} else {
+			sh.Nack(c.ID)
+		}
+		return c
+	}
+	settle(false) // denied: the spell starts
+	settle(false) // denied within the same spell
+	settle(true)
+	settle(true) // two earns make one token: the spell ends
+	c := settle(false)
+	e.RunFor(time.Minute)
+	if got := sh.Poll(10, nil); len(got) != 1 || got[0] != c {
+		t.Fatalf("funded redelivery missing: %v", got)
+	}
+	sh.Nack(c.ID) // the token is spent: a second spell starts
+	var kinds []string
+	for _, ev := range tr.Controls() {
+		kinds = append(kinds, ev.Kind)
+	}
+	want := []string{"budget.exhausted", "budget.recovered", "budget.exhausted"}
+	if !slices.Equal(kinds, want) {
+		t.Fatalf("control events %v, want %v", kinds, want)
+	}
+	if sh.DeadBudget.Value() != 3 {
+		t.Fatalf("budget dead-letters = %v, want 3", sh.DeadBudget.Value())
 	}
 }
 
