@@ -613,7 +613,6 @@ func (p *Platform) onExecuted(c *function.Call) {
 // Drained regions are zeroed like partitioned ones, so no cross-region
 // traffic is steered into the drain.
 func (p *Platform) snapshot() gtc.Snapshot {
-	now := p.Engine.Now()
 	n := p.Topo.NumRegions()
 	snap := gtc.Snapshot{Demand: make([]float64, n), Supply: make([]float64, n)}
 	for i, reg := range p.regions {
@@ -622,7 +621,7 @@ func (p *Platform) snapshot() gtc.Snapshot {
 		}
 		ready := 0
 		for _, sh := range reg.Shards {
-			ready += sh.PendingReady(now)
+			ready += sh.PendingReady()
 		}
 		snap.Demand[i] = float64(ready) * p.avgCostM
 		snap.Supply[i] = float64(reg.LB.DetectedHealthy()) * p.cfg.Worker.CPUMIPS

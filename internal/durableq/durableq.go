@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -57,12 +58,14 @@ func (r DeadReason) String() string {
 	return fmt.Sprintf("reason(%d)", int(r))
 }
 
-// funcQueue is one function's queue, its name and its slot in the
-// shard's name-ordered arrays (Shard.byName, wake).
+// funcQueue is one function's queue, its name, its slot in Shard.byName
+// and in the due bitset, and filed, the instant of its live filing in
+// Shard.soon (never when it has none).
 type funcQueue struct {
-	h    callHeap
-	name string
-	idx  int
+	h     callHeap
+	name  string
+	idx   int
+	filed sim.Time
 }
 
 // never is the wake time of an empty queue.
@@ -104,15 +107,19 @@ type Shard struct {
 
 	queues map[string]*funcQueue // requeue's lookup by name
 	byName []*funcQueue          // the queues in name order: the deterministic polling order
-	// wake[i] is the first instant a poll would do anything to byName[i]:
-	// its head's readyAt, or the instant after the head's deadline if that
-	// comes sooner (the expiry sweep acts on heads that are not ready yet);
-	// never when the queue is empty. Every push and pop keeps it equal to
-	// that, so a poll reads this dense array and touches a queue only when
-	// its head is due.
-	wake   []sim.Time
-	cursor int // round-robin position for fairness across functions
-	leases map[uint64]*lease
+	// Bit i of due is set when a poll would act on byName[i]: its head's
+	// wake has passed, or a tombstone stands at its head. A queue whose
+	// bit is clear has a filing in soon (its head then, keyed by that
+	// head's wake) at or before its head's wake, and a poll first sets the
+	// bits of the filings that have come due (see refresh), so it opens
+	// only the queues it acts on.
+	due  []uint64
+	soon callHeap
+	// later holds each entry queued while still deferred, gone each entry
+	// that left its queue while still deferred (see PendingReady).
+	later, gone callHeap
+	cursor      int // round-robin position for fairness across functions
+	leases      map[uint64]*lease
 	// sessions are anon, forgotten, then one per live holder that polled
 	// the shard; expiry is armed at their first key (see first).
 	sessions  []*session
@@ -272,25 +279,61 @@ func (s *Shard) requeue(c *function.Call, readyAt sim.Time) {
 	it := queued{call: c, readyAt: readyAt}
 	q.h.push(it)
 	if q.h[0].call == c {
-		s.wake[q.idx] = it.wake()
+		s.refresh(q)
 	}
+	s.later.track(it, s.engine.Now())
 	s.pending++
 }
 
 // addQueue creates the queue of a function seen for the first time,
-// inserting it at its sorted position in both name-ordered arrays.
+// inserting it at its sorted position in byName and the due bitset,
+// whose bits from there on move up one.
 func (s *Shard) addQueue(name string) *funcQueue {
 	i, _ := slices.BinarySearchFunc(s.byName, name, func(q *funcQueue, name string) int {
 		return cmp.Compare(q.name, name)
 	})
-	q := &funcQueue{name: name, idx: i}
+	q := &funcQueue{name: name, idx: i, filed: never}
 	s.queues[name] = q
 	s.byName = slices.Insert(s.byName, i, q)
-	s.wake = slices.Insert(s.wake, i, never)
-	for _, later := range s.byName[i+1:] {
-		later.idx++
+	for _, after := range s.byName[i+1:] {
+		after.idx++
 	}
+	if len(s.byName) > 64*len(s.due) {
+		s.due = append(s.due, 0)
+	}
+	w, low := i>>6, uint64(1)<<(i&63)-1
+	for k := len(s.due) - 1; k > w; k-- {
+		s.due[k] = s.due[k]<<1 | s.due[k-1]>>63
+	}
+	s.due[w] = s.due[w]&low | s.due[w]&^low<<1
 	return q
+}
+
+// refresh re-reads q's head after it changed: the bit is set if a poll
+// would act on the head now, else cleared, with the head's wake filed in
+// soon unless an earlier filing of q stands (its promotion refreshes q).
+func (s *Shard) refresh(q *funcQueue) {
+	w, bit := q.h.wake(), uint64(1)<<(q.idx&63)
+	if w <= s.engine.Now() || len(s.tombstones) > 0 && len(q.h) > 0 && s.tombstones[q.h[0].call.ID] {
+		s.due[q.idx>>6] |= bit
+		return
+	}
+	s.due[q.idx>>6] &^= bit
+	if w < q.filed {
+		q.filed = w
+		s.soon.push(queued{call: q.h[0].call, readyAt: w})
+	}
+}
+
+// nextDue returns the first index in [i, end) whose due bit is set, or end.
+func (s *Shard) nextDue(i, end int) int {
+	for i < end {
+		if w := s.due[i>>6] >> (i & 63); w != 0 {
+			return min(i+bits.TrailingZeros64(w), end)
+		}
+		i = (i | 63) + 1
+	}
+	return end
 }
 
 // Pending returns the number of calls stored and not currently leased.
@@ -299,16 +342,17 @@ func (s *Shard) Pending() int { return s.pending }
 // Leased returns the number of outstanding leases.
 func (s *Shard) Leased() int { return len(s.leases) }
 
-// PendingReady returns how many stored calls are ready (start time passed)
-// at virtual time now. O(functions + ready): each queue's walk stops at
-// the calls deferred past now. Used by control-plane snapshots, not the
-// critical path.
-func (s *Shard) PendingReady(now sim.Time) int {
-	n := 0
-	for _, q := range s.byName {
-		n += q.h.countReady(0, now)
-	}
-	return n
+// PendingReady returns how many queued entries are ready (start time
+// passed) now, tombstoned duplicates included: the queues hold pending
+// live entries and one per tombstone, and those still deferred are
+// later's entries yet to pass less gone's. Each entry is filed once and
+// dropped once, so a read costs what became ready since the last one, not
+// what is held.
+func (s *Shard) PendingReady() int {
+	now := s.engine.Now()
+	s.later.drop(now)
+	s.gone.drop(now)
+	return s.pending + len(s.tombstones) - len(s.later) + len(s.gone)
 }
 
 // Poll offers up to max ready calls to the caller (a scheduler), leasing
@@ -335,52 +379,54 @@ func (s *Shard) PollAs(h *Holder, dst []*function.Call, max int, filter func(*fu
 	}
 	ss := s.sessionOf(h)
 	now := s.engine.Now()
+	for len(s.soon) > 0 && s.soon[0].readyAt <= now {
+		f := s.soon.pop()
+		if q := s.queues[f.call.Spec.Name]; q.filed == f.readyAt {
+			q.filed = never
+			s.refresh(q)
+		}
+	}
 	taken := 0
-	// A tombstoned head is discarded whether or not it is due, so a poll
-	// that starts with a tombstone standing visits every queue.
-	wake, visitAll := s.wake, len(s.tombstones) > 0
-	i := s.cursor - 1
-	for scanned := 0; scanned < n && taken < max; scanned++ {
-		if i++; i == n {
-			i = 0
-		}
-		if wake[i] > now && !visitAll {
-			continue
-		}
-		q := &s.byName[i].h
-		for q.Len() > 0 && taken < max {
-			top := (*q)[0]
-			if len(s.tombstones) > 0 && s.tombstones[top.call.ID] {
-				// Duplicate settled by a late ack after crash replay;
-				// discard lazily (pending was decremented at suppression).
-				delete(s.tombstones, top.call.ID)
-				q.pop()
-				continue
-			}
-			if s.SweepExpired && top.call.Expired(now) {
-				// Doomed work: past its deadline, sweep to dead-letter
-				// instead of offering it. Continue — an expired head must
-				// not hide ready live calls behind it.
+	// The due queues from the cursor on, then from the first to the
+	// cursor. A queue whose bit is clear has a head that is neither ready
+	// nor expired nor tombstoned, so opening it would change nothing.
+	for _, r := range [2][2]int{{s.cursor, n}, {0, s.cursor}} {
+		for i := s.nextDue(r[0], r[1]); i < r[1] && taken < max; i = s.nextDue(i+1, r[1]) {
+			q := &s.byName[i].h
+			for q.Len() > 0 && taken < max {
+				top := (*q)[0]
+				if len(s.tombstones) > 0 && s.tombstones[top.call.ID] {
+					// Duplicate settled by a late ack after crash replay;
+					// discard lazily (pending was decremented at suppression).
+					delete(s.tombstones, top.call.ID)
+					s.gone.track(q.pop(), now)
+					continue
+				}
+				if s.SweepExpired && top.call.Expired(now) {
+					// Doomed work: past its deadline, sweep to dead-letter
+					// instead of offering it. Continue — an expired head must
+					// not hide ready live calls behind it.
+					s.gone.track(q.pop(), now)
+					s.pending--
+					if len(s.recovered) > 0 {
+						delete(s.recovered, top.call.ID)
+					}
+					s.deadLetter(top.call, ReasonExpired)
+					continue
+				}
+				if top.readyAt > now {
+					break
+				}
+				if filter != nil && !filter(top.call) {
+					break
+				}
 				q.pop()
 				s.pending--
-				if len(s.recovered) > 0 {
-					delete(s.recovered, top.call.ID)
-				}
-				s.deadLetter(top.call, ReasonExpired)
-				continue
+				dst = append(dst, s.offer(top.call, ss))
+				taken++
 			}
-			if top.readyAt > now {
-				break
-			}
-			if filter != nil && !filter(top.call) {
-				break
-			}
-			q.pop()
-			s.pending--
-			dst = append(dst, s.offer(top.call, ss))
-			taken++
+			s.refresh(s.byName[i])
 		}
-		wake[i] = q.wake()
 	}
 	if s.cursor++; s.cursor == n {
 		s.cursor = 0
@@ -739,6 +785,7 @@ func (s *Shard) suppressDuplicate(id uint64) bool {
 		s.tombstones = make(map[uint64]bool)
 	}
 	s.tombstones[id] = true
+	s.refresh(s.queues[c.Spec.Name])
 	s.pending--
 	c.State = function.StateSucceeded
 	s.jrn.Append(journal.OpAck, c, 0)
@@ -881,7 +928,7 @@ func (s *Shard) Release(id uint64) bool {
 func (s *Shard) DrainExtract(dst []*function.Call, max int, filter func(*function.Call) bool) []*function.Call {
 	taken := 0
 	var kept []queued
-	for i, fq := range s.byName {
+	for _, fq := range s.byName {
 		if taken >= max {
 			break
 		}
@@ -894,9 +941,11 @@ func (s *Shard) DrainExtract(dst []*function.Call, max int, filter func(*functio
 			it := q.pop()
 			if len(s.tombstones) > 0 && s.tombstones[it.call.ID] {
 				delete(s.tombstones, it.call.ID) // settled garbage; discard
+				s.gone.track(it, s.engine.Now())
 				continue
 			}
 			if taken < max && filter(it.call) {
+				s.gone.track(it, s.engine.Now())
 				if len(s.recovered) > 0 {
 					delete(s.recovered, it.call.ID)
 				}
@@ -912,7 +961,7 @@ func (s *Shard) DrainExtract(dst []*function.Call, max int, filter func(*functio
 		for _, it := range kept {
 			q.push(it)
 		}
-		s.wake[i] = q.wake()
+		s.refresh(fq)
 	}
 	return dst
 }
@@ -1063,7 +1112,7 @@ func (s *Shard) Crash() {
 	}
 
 	s.queues = make(map[string]*funcQueue)
-	s.byName, s.wake = nil, nil
+	s.byName, s.due, s.soon, s.later, s.gone = nil, nil, nil, nil, nil
 	s.cursor = 0
 	s.leases = make(map[uint64]*lease)
 	for _, ss := range s.sessions {
@@ -1245,16 +1294,6 @@ func (h callHeap) less(i, j int) bool {
 	return h[i].call.ID < h[j].call.ID
 }
 
-// countReady counts the entries with readyAt ≤ now in the subtree rooted
-// at slot i. A child never sorts before its parent, so a subtree whose
-// root is not ready holds nothing ready and is skipped whole.
-func (h callHeap) countReady(i int, now sim.Time) int {
-	if i >= len(h) || h[i].readyAt > now {
-		return 0
-	}
-	return 1 + h.countReady(2*i+1, now) + h.countReady(2*i+2, now)
-}
-
 func (h *callHeap) push(v queued) {
 	*h = append(*h, v)
 	h.up(len(*h) - 1)
@@ -1298,5 +1337,21 @@ func (h callHeap) down(i0, n int) {
 		}
 		h[i], h[j] = h[j], h[i]
 		i = j
+	}
+}
+
+// track files it in later or gone if it is still deferred, first dropping
+// the entries that no longer are.
+func (h *callHeap) track(it queued, now sim.Time) {
+	if it.readyAt > now {
+		h.drop(now)
+		h.push(it)
+	}
+}
+
+// drop pops the entries whose readyAt has passed.
+func (h *callHeap) drop(now sim.Time) {
+	for len(*h) > 0 && (*h)[0].readyAt <= now {
+		h.pop()
 	}
 }

@@ -199,7 +199,7 @@ func TestPendingReady(t *testing.T) {
 	sh := newShard(e)
 	sh.Enqueue(call(spec("f", 3), 0))
 	sh.Enqueue(call(spec("f", 3), time.Hour))
-	if n := sh.PendingReady(e.Now()); n != 1 {
+	if n := sh.PendingReady(); n != 1 {
 		t.Fatalf("ready = %d", n)
 	}
 }

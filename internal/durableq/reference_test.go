@@ -228,10 +228,9 @@ func (s *refShard) Pending() int { return s.pending }
 func (s *refShard) Leased() int { return len(s.leases) }
 
 // PendingReady returns how many stored calls are ready (start time passed)
-// at virtual time now. O(pending); used by control-plane snapshots, not
-// the critical path.
-func (s *refShard) PendingReady(now sim.Time) int {
-	n := 0
+// now. O(pending); used by control-plane snapshots, not the critical path.
+func (s *refShard) PendingReady() int {
+	now, n := s.engine.Now(), 0
 	for _, q := range s.queues {
 		for _, it := range *q {
 			if it.readyAt <= now {
@@ -929,7 +928,7 @@ type shardOps interface {
 	AdoptDrained(*function.Call) bool
 	Pending() int
 	Leased() int
-	PendingReady(sim.Time) int
+	PendingReady() int
 	CrashHeld() int
 	IsDown() bool
 	Recovering() bool
@@ -1042,15 +1041,16 @@ func (w *world) state() string {
 	fmt.Fprintf(&b, "now=%v fired=%d", w.e.Now(), w.e.Processed())
 	for _, sh := range w.shards {
 		fmt.Fprintf(&b, "\n  %spending=%d leased=%d ready=%d held=%d down=%v recovering=%v",
-			counters(sh), sh.Pending(), sh.Leased(), sh.PendingReady(w.e.Now()),
+			counters(sh), sh.Pending(), sh.Leased(), sh.PendingReady(),
 			sh.CrashHeld(), sh.IsDown(), sh.Recovering())
 	}
 	return b.String()
 }
 
 // checkIndex verifies what the new shard keeps beside the reference's
-// state: the name-ordered arrays mirror each other and the queues, the
-// lease list is the lease map in (at, seq) order, and the reference's
+// state: the name-ordered queues mirror the reference's names, a due bit
+// marks a head a poll would act on and a clear one a head filed in time,
+// the lease list is the lease map in (at, seq) order, and the reference's
 // queues and tombstones hold the same entries.
 func checkIndex(s *Shard, ref *refShard) error {
 	names := make([]string, len(s.byName))
@@ -1060,17 +1060,37 @@ func checkIndex(s *Shard, ref *refShard) error {
 	if !slices.IsSorted(names) || !slices.Equal(names, ref.funcNames) {
 		return fmt.Errorf("queue names %v, want %v", names, ref.funcNames)
 	}
-	if len(s.wake) != len(names) || len(s.queues) != len(names) {
-		return fmt.Errorf("%d queues in order, %d wake times, %d queues by name",
-			len(names), len(s.wake), len(s.queues))
+	if len(s.due) != (len(names)+63)/64 || len(s.queues) != len(names) {
+		return fmt.Errorf("%d queues in order, %d due words, %d queues by name",
+			len(names), len(s.due), len(s.queues))
+	}
+	if len(names)%64 != 0 && s.due[len(s.due)-1]>>(len(names)%64) != 0 {
+		return fmt.Errorf("due bits set past the last of %d queues", len(names))
+	}
+	type filing struct {
+		name string
+		at   sim.Time
+	}
+	filings := make(map[filing]bool, len(s.soon))
+	for _, f := range s.soon {
+		filings[filing{f.call.Spec.Name, f.readyAt}] = true
 	}
 	for i, name := range names {
 		q := s.byName[i]
 		if s.queues[name] != q || q.idx != i {
 			return fmt.Errorf("queue %d (%s) is not the one filed under its name (idx %d)", i, name, q.idx)
 		}
-		if s.wake[i] != q.h.wake() {
-			return fmt.Errorf("wake[%d] (%s) = %v, head says %v", i, name, s.wake[i], q.h.wake())
+		tombstone := q.h.Len() > 0 && s.tombstones[q.h[0].call.ID]
+		if s.due[i>>6]>>(i&63)&1 == 1 {
+			if q.h.wake() > s.engine.Now() && !tombstone {
+				return fmt.Errorf("queue %d (%s) is marked due, but its head wakes at %v", i, name, q.h.wake())
+			}
+		} else if q.h.Len() > 0 && q.filed > q.h.wake() {
+			return fmt.Errorf("queue %d (%s) is not marked due, and its head's wake %v is not filed (filed %v)",
+				i, name, q.h.wake(), q.filed)
+		}
+		if q.filed != never && !filings[filing{name, q.filed}] {
+			return fmt.Errorf("queue %d (%s) is filed at %v, which soon does not hold", i, name, q.filed)
 		}
 		if q.h.Len() != ref.queues[name].Len() {
 			return fmt.Errorf("queue %s holds %d entries, want %d", name, q.h.Len(), ref.queues[name].Len())
@@ -1163,12 +1183,19 @@ func runShardsAgainstReference(t testing.TB, prog []byte) int {
 			setField(sh, "SweepExpired", sweep)
 		}
 	}
-	// Sixteen function names arrive in an order that is not the sorted
-	// one, so new queues keep being inserted in front of the poll cursor.
-	specs := make([]*function.Spec, 16)
+	// Function names arrive in an order that is not the sorted one, so new
+	// queues keep being inserted in front of the poll cursor. Early steps
+	// pick among the first sixteen; the rest sort among those (fn-03.1
+	// after fn-03), so a shard's queues run past one word of the due
+	// bitset and are inserted on both sides of the boundary.
+	specs := make([]*function.Spec, 96)
 	for i := range specs {
+		name := fmt.Sprintf("fn-%02d", i*7%16)
+		if i >= 16 {
+			name += fmt.Sprintf(".%d", i/16)
+		}
 		specs[i] = &function.Spec{
-			Name:  fmt.Sprintf("fn-%02d", i*7%16),
+			Name:  name,
 			Retry: function.RetryPolicy{MaxAttempts: 1 + i%4, Backoff: time.Duration(i%3) * 6 * time.Second},
 		}
 	}
