@@ -63,15 +63,9 @@ func main() {
 	}
 	if *confPath != "" {
 		data, err := os.ReadFile(*confPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		must(err)
 		cfg, err = core.LoadConfig(data, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		must(err)
 	}
 	if *inv {
 		cfg.Invariants.Enabled = true
@@ -87,19 +81,11 @@ func main() {
 	var pop *workload.Population
 	if *workPath != "" {
 		data, err := os.ReadFile(*workPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		must(err)
 		sf, err := workload.ParseSpecFile(data)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if pop, err = sf.Population(rng.New(cfg.Seed + 3000)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		must(err)
+		pop, err = sf.Population(rng.New(cfg.Seed + 3000))
+		must(err)
 		registry = pop.Registry
 	}
 
@@ -139,4 +125,12 @@ func checkFlags(regions, workers int, speedup float64) error {
 		return fmt.Errorf("want -speedup > 0, have %g", speedup)
 	}
 	return nil
+}
+
+// must exits with err's message when a startup step failed.
+func must(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }

@@ -123,13 +123,7 @@ func (inj *Injector) ClearGray(region cluster.RegionID, idx int) {
 func (inj *Injector) CorrelatedCrash(region cluster.RegionID, frac float64, silent bool) []int {
 	pool := inj.p.Region(region).Workers
 	n := len(pool)
-	k := int(frac*float64(n) + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
+	k := min(max(int(frac*float64(n)+0.5), 1), n)
 	start := inj.src.Intn(n)
 	picked := make([]int, 0, k)
 	for i := 0; i < k; i++ {

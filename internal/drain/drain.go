@@ -30,6 +30,7 @@ package drain
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"xfaas/internal/durableq"
@@ -239,17 +240,9 @@ func (d *Controller) migrateBatch(region int, st *regionState) int {
 // quiet reports whether the region has no work in flight: every
 // scheduler's in-flight ledger empty and every worker idle.
 func (d *Controller) quiet(region int) bool {
-	for _, sc := range d.regions[region].Scheds {
-		if sc.InFlight() > 0 {
-			return false
-		}
-	}
-	for _, w := range d.regions[region].Workers {
-		if w.Running() > 0 {
-			return false
-		}
-	}
-	return true
+	reg := d.regions[region]
+	return !slices.ContainsFunc(reg.Scheds, func(sc *scheduler.Scheduler) bool { return sc.InFlight() > 0 }) &&
+		!slices.ContainsFunc(reg.Workers, func(w *worker.Worker) bool { return w.Running() > 0 })
 }
 
 // Draining reports whether a region is under evacuation: the one record

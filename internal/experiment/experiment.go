@@ -103,12 +103,7 @@ func (r *Result) note(format string, args ...any) {
 
 // ChecksOK reports whether every check passed.
 func (r *Result) ChecksOK() bool {
-	for _, c := range r.Checks {
-		if !c.OK {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(r.Checks, func(c Check) bool { return !c.OK })
 }
 
 // Render formats the result for a terminal, including ASCII charts of its

@@ -63,14 +63,9 @@ func summarize(t *trace.CallTrace) TraceSummary {
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	limit := 50
-	if v := r.URL.Query().Get("n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "n must be a positive integer")
-			return
-		}
-		limit = n
+	limit, ok := limitParam(w, r, 50)
+	if !ok {
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -191,14 +186,9 @@ type EventsResponse struct {
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	limit := 100
-	if v := r.URL.Query().Get("n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "n must be a positive integer")
-			return
-		}
-		limit = n
+	limit, ok := limitParam(w, r, 100)
+	if !ok {
+		return
 	}
 	kind := r.URL.Query().Get("kind")
 	s.mu.Lock()
@@ -227,4 +217,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// limitParam reads the optional query parameter n, a positive integer
+// (def when absent); a malformed n is answered with 400 and ok false.
+func limitParam(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
+	v := r.URL.Query().Get("n")
+	if v == "" {
+		return def, true
+	}
+	if n, err := strconv.Atoi(v); err == nil && n >= 1 {
+		return n, true
+	}
+	httpError(w, http.StatusBadRequest, "n must be a positive integer")
+	return 0, false
 }

@@ -195,12 +195,5 @@ func fracCount(n int, frac float64) int {
 	if frac <= 0 {
 		return 0
 	}
-	c := int(float64(n)*frac + 0.999999)
-	if c < 1 {
-		c = 1
-	}
-	if c > n {
-		c = n
-	}
-	return c
+	return min(max(int(float64(n)*frac+0.999999), 1), n)
 }

@@ -335,10 +335,7 @@ func (r *Replayer) Next(max int) []Entry {
 	if r.pos >= len(r.entries) || max <= 0 {
 		return nil
 	}
-	n := len(r.entries) - r.pos
-	if n > max {
-		n = max
-	}
+	n := min(len(r.entries)-r.pos, max)
 	batch := r.entries[r.pos : r.pos+n]
 	r.pos += n
 	return batch

@@ -65,12 +65,7 @@ func Partition(profiles []FuncProfile, groups, totalWorkers int) *Assignment {
 	if groups <= 0 {
 		panic("locality: non-positive group count")
 	}
-	if groups > totalWorkers {
-		groups = totalWorkers
-	}
-	if groups < 1 {
-		groups = 1
-	}
+	groups = max(min(groups, totalWorkers), 1)
 	a := &Assignment{
 		Groups:     groups,
 		FuncGroup:  make(map[string]int, len(profiles)),

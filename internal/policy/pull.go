@@ -41,9 +41,7 @@ func (p *Pull) Attach(h Host) {
 
 // Tick runs the default admission pipeline, then pull-dispatches.
 func (p *Pull) Tick() {
-	for i := range p.counts {
-		p.counts[i] = 0
-	}
+	clear(p.counts)
 	p.h.DefaultPoll()
 	p.h.DefaultShedSweep()
 	p.h.DefaultSchedule()

@@ -651,10 +651,7 @@ func (s *Scheduler) pullFrom(region int, max int) {
 	perShard := max/shardsPerPoll + 1
 	for i := 0; i < shardsPerPoll && max > 0; i++ {
 		shard := s.shards[region][s.src.Intn(len(s.shards[region]))]
-		n := perShard
-		if n > max {
-			n = max
-		}
+		n := min(perShard, max)
 		calls := shard.PollAs(s.holder, s.pollScratch[:0], n, s.filterFn)
 		for _, c := range calls {
 			s.admit(c)

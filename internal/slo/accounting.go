@@ -234,9 +234,7 @@ func (a *Accountant) OnExecuted(c *function.Call) {
 func (a *Accountant) Tick(now sim.Time) {
 	var busyCrit [numCrit]float64
 	busyRegion := a.scratchRegion
-	for i := range busyRegion {
-		busyRegion[i] = 0
-	}
+	clear(busyRegion)
 	for _, m := range a.meters {
 		m.advanceTo(now)
 		for i, b := range m.busy {

@@ -59,9 +59,7 @@ func (w *WindowRate) advance(now time.Duration) {
 		w.counts[w.nslots-1] = 0
 		w.base++
 		if idx-w.base > int64(w.nslots)*2 { // long silence: jump
-			for i := range w.counts {
-				w.counts[i] = 0
-			}
+			clear(w.counts)
 			w.base = idx - int64(w.nslots) + 1
 		}
 	}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -92,7 +93,7 @@ func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
 	if !ok {
 		v = &CounterVec{name: name, vec: newVec(labels, func() *Counter { return &Counter{} })}
 		r.cvecs[name] = v
-	} else if !sameLabels(v.vec.labels, labels) {
+	} else if !slices.Equal(v.vec.labels, labels) {
 		panic("stats: CounterVec " + name + " redeclared with different labels")
 	}
 	return v
@@ -104,7 +105,7 @@ func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
 	if !ok {
 		v = &GaugeVec{name: name, vec: newVec(labels, func() *Gauge { return &Gauge{} })}
 		r.gvecs[name] = v
-	} else if !sameLabels(v.vec.labels, labels) {
+	} else if !slices.Equal(v.vec.labels, labels) {
 		panic("stats: GaugeVec " + name + " redeclared with different labels")
 	}
 	return v
@@ -117,20 +118,8 @@ func (r *Registry) SeriesVec(name string, step time.Duration, mode SeriesMode, l
 	if !ok {
 		v = &SeriesVec{name: name, vec: newVec(labels, func() *TimeSeries { return NewTimeSeries(step, mode) })}
 		r.svecs[name] = v
-	} else if !sameLabels(v.vec.labels, labels) {
+	} else if !slices.Equal(v.vec.labels, labels) {
 		panic("stats: SeriesVec " + name + " redeclared with different labels")
 	}
 	return v
-}
-
-func sameLabels(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -101,13 +101,7 @@ func (t *CallTrace) Breakdown() (Components, bool) {
 	// Split a queue residence [from, to) at the caller's StartAfter: the
 	// part before it is deferral, the part after is platform queueing.
 	split := func(from, to sim.Time) (def, q sim.Time) {
-		cut := t.StartAfter
-		if cut < from {
-			cut = from
-		}
-		if cut > to {
-			cut = to
-		}
+		cut := min(max(t.StartAfter, from), to)
 		return cut - from, to - cut
 	}
 	if !haveLease {

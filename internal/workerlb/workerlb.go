@@ -7,6 +7,7 @@
 package workerlb
 
 import (
+	"slices"
 	"time"
 
 	"xfaas/internal/function"
@@ -132,12 +133,7 @@ func (lb *LB) GroupPool(spec *function.Spec) []*worker.Worker {
 // group is empty/overflowed (GroupPool's fallback). The invariant
 // checker's locality-containment check consults this at dispatch time.
 func (lb *LB) InGroup(spec *function.Spec, w *worker.Worker) bool {
-	for _, g := range lb.GroupPool(spec) {
-		if g == w {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(lb.GroupPool(spec), w)
 }
 
 // Dispatch routes the call to a worker in its locality group using the
