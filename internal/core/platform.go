@@ -181,12 +181,7 @@ func ProvisionWorkers(wp worker.Params, demandMIPS, concurrentMemMB, cpuTarget f
 	byCPU := int(math.Ceil(demandMIPS / (cpuTarget * wp.CPUMIPS)))
 	usable := wp.MemoryMB - worker.RuntimeBaseMB
 	byMem := int(math.Ceil(concurrentMemMB / (0.5 * usable)))
-	w := byCPU
-	if byMem > w {
-		w = byMem
-	}
-	w = max(w, minWorkers)
-	return w
+	return max(byCPU, byMem, minWorkers)
 }
 
 // Region bundles one region's data-plane components.

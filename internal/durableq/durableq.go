@@ -726,6 +726,15 @@ func (s *Shard) settle(id uint64) *function.Call {
 	return c
 }
 
+// take settles id for its holder: nil while the shard is down, or when
+// no lease is held.
+func (s *Shard) take(id uint64) *function.Call {
+	if s.down {
+		return nil
+	}
+	return s.settle(id)
+}
+
 // expire runs l out unsettled: its call is redelivered (or dropped, by
 // the retry policy).
 func (s *Shard) expire(l *lease) {
@@ -754,12 +763,9 @@ func (s *Shard) Renew(id uint64) bool {
 // replay-requeued duplicate — the duplicate is settled in place instead
 // of being allowed to run again (duplicate suppression).
 func (s *Shard) Ack(id uint64) bool {
-	if s.down {
-		return false
-	}
-	c := s.settle(id)
+	c := s.take(id)
 	if c == nil {
-		return s.suppressDuplicate(id)
+		return !s.down && s.suppressDuplicate(id)
 	}
 	c.State = function.StateSucceeded
 	s.jrn.Append(journal.OpAck, c, 0)
@@ -813,10 +819,7 @@ func (s *Shard) NackBase(id uint64, base time.Duration) bool {
 }
 
 func (s *Shard) nackWith(id uint64, base time.Duration, override bool) bool {
-	if s.down {
-		return false
-	}
-	c := s.settle(id)
+	c := s.take(id)
 	if c == nil {
 		return false
 	}
@@ -884,10 +887,7 @@ func (s *Shard) deadLetter(c *function.Call, reason DeadReason) {
 // dispatch time or shedding an over-delayed one. It reports whether the
 // lease was still held.
 func (s *Shard) Terminate(id uint64, reason DeadReason) bool {
-	if s.down {
-		return false
-	}
-	c := s.settle(id)
+	c := s.take(id)
 	if c == nil {
 		return false
 	}
@@ -903,10 +903,7 @@ func (s *Shard) Terminate(id uint64, reason DeadReason) bool {
 // crash mid-drain replays the call as queued. It reports whether the
 // lease was still held.
 func (s *Shard) Release(id uint64) bool {
-	if s.down {
-		return false
-	}
-	c := s.settle(id)
+	c := s.take(id)
 	if c == nil {
 		return false
 	}
@@ -977,10 +974,7 @@ func (s *Shard) AdoptDrained(c *function.Call) bool {
 		return false
 	}
 	c.State = function.StateQueued
-	readyAt := s.engine.Now()
-	if c.StartAfter > readyAt {
-		readyAt = c.StartAfter
-	}
+	readyAt := max(s.engine.Now(), c.StartAfter)
 	s.requeue(c, readyAt)
 	s.DrainedIn.Inc()
 	s.jrn.Append(journal.OpEnqueue, c, readyAt)

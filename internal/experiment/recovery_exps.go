@@ -38,9 +38,7 @@ func lastControlAfter(p *core.Platform, kind string, t sim.Time) (sim.Time, int)
 	for _, e := range p.Tracer.Controls() {
 		if e.Kind == kind && e.At >= t {
 			n++
-			if e.At > last {
-				last = e.At
-			}
+			last = max(last, e.At)
 		}
 	}
 	return last, n

@@ -28,9 +28,7 @@ func (b *TokenBucket) refill(now sim.Time) {
 		return
 	}
 	b.level += b.rate * (now - b.lastAt).Seconds()
-	if b.level > b.burst {
-		b.level = b.burst
-	}
+	b.level = min(b.level, b.burst)
 	b.lastAt = now
 }
 
@@ -63,7 +61,5 @@ func (b *TokenBucket) SetBurst(now sim.Time, burst float64) {
 	}
 	b.refill(now)
 	b.burst = burst
-	if b.level > burst {
-		b.level = burst
-	}
+	b.level = min(b.level, burst)
 }

@@ -91,10 +91,7 @@ func (c *Central) SetShed(f float64) {
 	if f < 0 {
 		f = 0
 	}
-	if f > 1 {
-		f = 1
-	}
-	c.shed = f
+	c.shed = min(f, 1)
 }
 
 // Shed returns the current shedding factor.
@@ -137,7 +134,14 @@ func (c *Central) RPSLimit(spec *function.Spec) float64 {
 	if spec.QuotaMIPS <= 0 {
 		return -1
 	}
-	fs := c.state(spec)
+	return c.limit(spec, c.state(spec))
+}
+
+// limit is RPSLimit on the function's state fs.
+func (c *Central) limit(spec *function.Spec, fs *funcState) float64 {
+	if spec.QuotaMIPS <= 0 {
+		return -1
+	}
 	r := spec.QuotaMIPS / fs.avgCost
 	if spec.Quota == function.QuotaOpportunistic {
 		r *= c.Scale()
@@ -149,8 +153,8 @@ func (c *Central) RPSLimit(spec *function.Spec) float64 {
 // now, accounting for it if admitted.
 func (c *Central) Allow(spec *function.Spec) bool {
 	now := c.engine.Now()
-	limit := c.RPSLimit(spec)
 	fs := c.state(spec)
+	limit := c.limit(spec, fs)
 	if limit > fs.peakLimit {
 		fs.peakLimit = limit
 	}
@@ -177,9 +181,7 @@ func (c *Central) Allow(spec *function.Spec) bool {
 // burstFor sizes a limit's burst allowance: about two seconds of rate,
 // with a floor of one call so fractional limits still make progress.
 func burstFor(limit float64) float64 {
-	b := 2 * limit
-	b = max(b, 1)
-	return b
+	return max(2*limit, 1)
 }
 
 // CurrentRPS returns the measured global RPS for the function.
@@ -199,7 +201,7 @@ func (c *Central) CurrentRPS(spec *function.Spec) float64 {
 func (c *Central) TakePeakAllowedRPS(spec *function.Spec) float64 {
 	fs := c.state(spec)
 	if now := c.engine.Now(); now != fs.closedAt {
-		fs.closedPeak, fs.peakLimit, fs.closedAt = fs.peakLimit, c.RPSLimit(spec), now
+		fs.closedPeak, fs.peakLimit, fs.closedAt = fs.peakLimit, c.limit(spec, fs), now
 	} else if fs.peakLimit > fs.closedPeak {
 		fs.closedPeak = fs.peakLimit // admitted at this instant, after the first read
 	}

@@ -40,6 +40,9 @@ func TestUnlimitedWithoutQuota(t *testing.T) {
 	if c.RPSLimit(s) >= 0 {
 		t.Fatal("zero quota should be unlimited")
 	}
+	if len(c.funcs) != 0 {
+		t.Fatal("RPSLimit made state for a function without quota")
+	}
 	for i := 0; i < 10000; i++ {
 		if !c.Allow(s) {
 			t.Fatal("unlimited function throttled")

@@ -632,10 +632,7 @@ func (s *Scheduler) pollFilter(c *function.Call) bool {
 	// memory past their lease).
 	cap := bufferCap
 	if limit := s.cen.RPSLimit(c.Spec); limit >= 0 {
-		byRate := int(limit*60) + 16
-		if byRate < cap {
-			cap = byRate
-		}
+		cap = min(cap, int(limit*60)+16)
 	}
 	if b, ok := s.buffers[c.Spec.Name]; ok && b.Len() >= cap {
 		return false
@@ -744,12 +741,12 @@ func (s *Scheduler) schedule() {
 	if len(cands) == 0 {
 		return
 	}
-	// Stable insertion sort: produces the identical order to
-	// sort.SliceStable for the same comparator without its reflection
-	// allocations; the candidate list is one entry per backlogged
-	// function, small by construction.
+	// Stable insertion sort by head slot (Less on the heads): produces the
+	// identical order to sort.SliceStable for the same comparator without
+	// its reflection allocations; the candidate list is one entry per
+	// backlogged function, small by construction.
 	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && Less(cands[j].Peek(), cands[j-1].Peek()); j-- {
+		for j := i; j > 0 && cands[j].h[0].before(cands[j-1].h[0]); j-- {
 			cands[j], cands[j-1] = cands[j-1], cands[j]
 		}
 	}

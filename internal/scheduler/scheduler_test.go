@@ -219,6 +219,24 @@ func TestFuncBufferPopOrderGenerated(t *testing.T) {
 	}
 }
 
+// TestScheduleOrdersBuffersByHeadCall: schedule() takes the backlogged
+// functions in Less order of their heads, so of two heads with one
+// criticality and deadline the lower ID goes first, whatever the names.
+func TestScheduleOrdersBuffersByHeadCall(t *testing.T) {
+	r := newRig(1, 100000)
+	a, b := rigSpec("a", function.CritNormal), rigSpec("b", function.CritNormal)
+	r.sched.admit(mkCall(2, a, time.Hour))
+	r.sched.admit(mkCall(1, b, time.Hour))
+	r.sched.schedule()
+	var ids []uint64
+	for _, c := range r.sched.runQ {
+		ids = append(ids, c.ID)
+	}
+	if len(ids) != 2 || ids[0] != 1 {
+		t.Fatalf("RunQ = %v, want call 1 (function b) first", ids)
+	}
+}
+
 func TestQuotaThrottling(t *testing.T) {
 	r := newRig(4, 100000)
 	s := rigSpec("limited", function.CritNormal)

@@ -203,9 +203,7 @@ func (g *Group) horizon(i int) Time {
 		if v < c { // overflow
 			v = maxTime
 		}
-		if v < h {
-			h = v
-		}
+		h = min(h, v)
 	}
 	return h
 }

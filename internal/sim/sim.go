@@ -367,22 +367,18 @@ func (e *Engine) siftDown(i int) {
 		if first >= sz {
 			break
 		}
-		min := first
-		last := first + 4
-		if last > sz {
-			last = sz
-		}
+		best, last := first, min(first+4, sz)
 		for c := first + 1; c < last; c++ {
-			if less(q[c], q[min]) {
-				min = c
+			if less(q[c], q[best]) {
+				best = c
 			}
 		}
-		if !less(q[min], n) {
+		if !less(q[best], n) {
 			break
 		}
-		q[i] = q[min]
+		q[i] = q[best]
 		q[i].index = int32(i)
-		i = min
+		i = best
 	}
 	q[i] = n
 	n.index = int32(i)

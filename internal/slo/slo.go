@@ -146,11 +146,7 @@ func burn(good, tot *stats.WindowRate, now sim.Time, budget float64) float64 {
 	if t <= 0 {
 		return 0
 	}
-	badFrac := 1 - good.Total(now)/t
-	if badFrac < 0 {
-		badFrac = 0
-	}
-	return badFrac / budget
+	return max(1-good.Total(now)/t, 0) / budget
 }
 
 // Eval computes burn rates for every class, updates the slo_* gauges, and

@@ -50,18 +50,13 @@ func NewWindowRate(slot time.Duration, nslots int) *WindowRate {
 
 func (w *WindowRate) advance(now time.Duration) {
 	idx := int64(now / w.slot)
-	if idx < w.base {
-		return
-	}
-	for w.base+int64(w.nslots)-1 < idx {
-		// Shift window forward one slot.
-		copy(w.counts, w.counts[1:])
-		w.counts[w.nslots-1] = 0
-		w.base++
-		if idx-w.base > int64(w.nslots)*2 { // long silence: jump
-			clear(w.counts)
-			w.base = idx - int64(w.nslots) + 1
-		}
+	// Slide the window to end at idx, k slots at once; an idx inside or
+	// before the window leaves it as it is.
+	if k := idx - (w.base + int64(w.nslots) - 1); k > 0 {
+		k = min(k, int64(w.nslots))
+		copy(w.counts, w.counts[k:])
+		clear(w.counts[w.nslots-int(k):])
+		w.base = idx - int64(w.nslots) + 1
 	}
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -219,6 +220,53 @@ func TestWindowRateSlideKeepsRecent(t *testing.T) {
 	// Window now covers [3s,12s]: the event at 0 expired, 5s and 12s remain.
 	if tot := w.Total(12 * time.Second); tot != 2 {
 		t.Fatalf("total = %v, want 2", tot)
+	}
+}
+
+// slideOneSlot is WindowRate.advance as it was before it shifted in one
+// copy: one slot per pass, and a jump after a long silence.
+func slideOneSlot(w *WindowRate, now time.Duration) {
+	idx := int64(now / w.slot)
+	if idx < w.base {
+		return
+	}
+	for w.base+int64(w.nslots)-1 < idx {
+		copy(w.counts, w.counts[1:])
+		w.counts[w.nslots-1] = 0
+		w.base++
+		if idx-w.base > int64(w.nslots)*2 {
+			clear(w.counts)
+			w.base = idx - int64(w.nslots) + 1
+		}
+	}
+}
+
+// TestWindowRateShiftMatchesOneSlotSlide: for jumps of 0, 1, n−1, n, 2n,
+// 2n+1 and 3n slots past the window's end, and for an instant before its
+// start, Add and Total leave the same counts and base as the one-slot
+// slide, float for float.
+func TestWindowRateShiftMatchesOneSlotSlide(t *testing.T) {
+	const n = 10
+	for _, jump := range []int64{0, 1, n - 1, n, 2 * n, 2*n + 1, 3 * n, -2 * n} {
+		w, ref := NewWindowRate(time.Second, n), NewWindowRate(time.Second, n)
+		for i := int64(0); i < 3*n/2; i++ {
+			at := time.Duration(i) * time.Second
+			w.Add(at, 0.1*float64(i+1))
+			slideOneSlot(ref, at)
+			ref.counts[int64(at/time.Second)-ref.base] += 0.1 * float64(i+1)
+		}
+		at := time.Duration(ref.base+n-1+jump) * time.Second
+		w.Add(at, 7)
+		slideOneSlot(ref, at)
+		ref.counts[max(int64(at/time.Second)-ref.base, 0)] += 7
+		want := 0.0
+		for _, c := range ref.counts {
+			want += c
+		}
+		if got := w.Total(at); got != want || w.base != ref.base || !slices.Equal(w.counts, ref.counts) {
+			t.Fatalf("jump %d: total %v base %d counts %v, one-slot slide %v base %d counts %v",
+				jump, got, w.base, w.counts, want, ref.base, ref.counts)
+		}
 	}
 }
 

@@ -121,10 +121,7 @@ func PeakToTroughFloor(values []float64, floor float64) float64 {
 			trough = v
 		}
 	}
-	if trough < floor {
-		trough = floor
-	}
-	return peak / trough
+	return peak / max(trough, floor)
 }
 
 // MeanOf returns the arithmetic mean of values (0 for empty input).
